@@ -40,12 +40,14 @@ else:
         AlgorithmSpec,
         BFSResult,
         RunConfig,
+        Session,
         TraversalEngine,
         bfs_1d,
         bfs_1d_dirop,
         bfs_2d,
         bfs_serial,
         count_traversed_edges,
+        prepare,
         run,
         run_bfs,
         validate_bfs,
@@ -86,12 +88,14 @@ else:
         "AlgorithmSpec",
         "BFSResult",
         "RunConfig",
+        "Session",
         "TraversalEngine",
         "bfs_1d",
         "bfs_1d_dirop",
         "bfs_2d",
         "bfs_serial",
         "count_traversed_edges",
+        "prepare",
         "run",
         "run_bfs",
         "validate_bfs",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.runner import BFSResult, run_bfs
+from repro.core.runner import BFSResult, RunConfig, prepare
 from repro.core.serial import bfs_serial
 from repro.graphs.graph import Graph
 from repro.model.analytic import AnalyticCosts, cost_1d, cost_2d, gteps
@@ -93,19 +93,22 @@ def average_bfs(
 ) -> AveragedRun:
     """Run one configuration over several sources and average the metrics.
 
-    ``tracer`` (an optional :class:`~repro.obs.Tracer`) records phase
-    spans for the *first* source only: virtual time restarts at zero each
-    traversal, so one tracer describes one run.
+    The graph is prepared once and searched per source.  ``tracer`` (an
+    optional :class:`~repro.obs.Tracer`; likewise a ``metrics`` registry
+    among ``kwargs``) observes the *first* source only: virtual time
+    restarts at zero each traversal, so one tracer describes one run.
     """
     if sources is None:
         sources = pick_sources(graph)
-    results = [
-        run_bfs(
-            graph, s, algorithm, nprocs=nprocs, machine=machine,
-            tracer=tracer if i == 0 else None, **kwargs,
-        )
-        for i, s in enumerate(sources)
-    ]
+    session = prepare(
+        graph,
+        RunConfig(
+            algorithm=algorithm, nprocs=nprocs, machine=machine, tracer=tracer, **kwargs
+        ),
+    )
+    results = [session.bfs(sources[0])]
+    session = session.unobserved()
+    results += [session.bfs(s) for s in sources[1:]]
     times = np.array([r.time_total for r in results])
     comms = np.array([r.time_comm for r in results])
     comps = np.array([r.time_comp for r in results])

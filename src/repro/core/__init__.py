@@ -24,11 +24,13 @@
   :class:`~repro.core.bfs_dirop.DirOpt1D`,
   :class:`~repro.core.bfs2d.SpMSV2D`,
   :class:`~repro.core.bfs2d_dirop.DirOpt2D`) running under it;
-* :func:`~repro.core.runner.run` / :func:`~repro.core.runner.run_bfs` —
-  one-call driver over a typed :class:`~repro.core.runner.RunConfig`
-  (``run_bfs`` is the keyword-API shim): partitions the graph, launches
+* :func:`~repro.core.runner.prepare` — the driver over a typed
+  :class:`~repro.core.runner.RunConfig`: partitions the graph once into
+  a :class:`~repro.core.runner.Session` whose ``bfs(source)`` launches
   the SPMD simulation, reassembles and (optionally) validates the
-  result, and reports TEPS plus modeled time breakdowns.
+  result, and reports TEPS plus modeled time breakdowns;
+  :func:`~repro.core.runner.run` / :func:`~repro.core.runner.run_bfs`
+  are the one-call wrappers.
 """
 
 from repro.core.bfs1d import TopDown1D, bfs_1d
@@ -42,6 +44,8 @@ from repro.core.runner import (
     AlgorithmSpec,
     BFSResult,
     RunConfig,
+    Session,
+    prepare,
     run,
     run_bfs,
 )
@@ -65,6 +69,8 @@ __all__ = [
     "AlgorithmSpec",
     "BFSResult",
     "RunConfig",
+    "Session",
+    "prepare",
     "run",
     "run_bfs",
     "bfs_serial",

@@ -22,45 +22,14 @@ SPMD rank body binding the two: run it under
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.comm import CommChannel, Sieve
-from repro.comm import make_sieve as _make_sieve
-from repro.comm import restore_sieve as _restore_sieve
-from repro.comm import sieve_state as _sieve_state
-from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.engine import partition_ranges as _partition_ranges
+from repro.comm import CommChannel, Sieve, make_sieve, restore_sieve, sieve_state
+from repro.core.engine import LevelOutcome, TraversalEngine, partition_ranges
 from repro.core.frontier import dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.mpsim.communicator import Communicator
-
-#: Names that used to live in this module; import from their new homes.
-_MOVED = {
-    "make_sieve": "repro.comm",
-    "sieve_state": "repro.comm",
-    "restore_sieve": "repro.comm",
-    "partition_ranges": "repro.core.engine",
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.core.bfs1d.{name} moved to {_MOVED[name]}; "
-            "import it from there",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            "make_sieve": _make_sieve,
-            "sieve_state": _sieve_state,
-            "restore_sieve": _restore_sieve,
-            "partition_ranges": _partition_ranges,
-        }[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TopDown1D:
@@ -101,9 +70,9 @@ class TopDown1D:
         self.nloc = self.hi - self.lo
         self.channel = CommChannel(
             comm,
-            _partition_ranges(self.part, comm.size),
+            partition_ranges(self.part, comm.size),
             codec=self.codec,
-            sieve=_make_sieve(self.sieve, csr.n),
+            sieve=make_sieve(self.sieve, csr.n),
             charger=engine.charger,
             tracer=engine.obs,
             metrics=engine.metrics,
@@ -189,10 +158,10 @@ class TopDown1D:
         return self.comm.allreduce(int(self.frontier.size))
 
     def state(self) -> dict:
-        return _sieve_state(self.channel.sieve)
+        return sieve_state(self.channel.sieve)
 
     def restore(self, snapshot: dict) -> None:
-        _restore_sieve(self.channel.sieve, snapshot)
+        restore_sieve(self.channel.sieve, snapshot)
         return None
 
 

@@ -1,25 +1,32 @@
-"""High-level BFS driver: partition, simulate, reassemble, report.
+"""High-level BFS driver: prepare once, search many times.
 
-:func:`run` is the typed entry point: it takes a :class:`RunConfig`
-(the run's full cross-cutting configuration, validated in one place),
-looks the algorithm up in the declarative :data:`ALGORITHMS` registry
-(name -> :class:`AlgorithmSpec`: step-plugin class + capabilities),
-launches the SPMD simulation of the
-:class:`~repro.core.engine.TraversalEngine` with the requested machine
-cost model, stitches the per-rank outputs back into full
-``levels``/``parents`` arrays in the caller's vertex labels, and wraps
-everything in a :class:`BFSResult` with TEPS accounting and the modeled
-time breakdown.  :func:`run_bfs` keeps the historical keyword API as a
-thin compatibility shim over ``run``.
+The paper (and Graph 500) distributes the graph once and then times BFS
+from many search keys; the driver is split along the same line.
+:func:`prepare` does everything that does not depend on the source —
+validates the :class:`RunConfig`, has the algorithm's
+:class:`AlgorithmSpec` build the family's launch inputs (2D blocks, sssp
+edge weights, ...), sizes the machine cost model — and returns a
+:class:`Session`.  :meth:`Session.bfs` / :meth:`Session.query` launch the
+SPMD simulation of the :class:`~repro.core.engine.TraversalEngine`,
+stitch the per-rank outputs into full arrays in the caller's vertex
+labels, validate, and wrap them in a :class:`BFSResult` (or
+:class:`~repro.query.QueryResult`) with TEPS accounting and the modeled
+time breakdown.  :func:`run`, :func:`run_bfs` and
+:func:`repro.query.run_query` are the one-shot wrappers:
+``prepare(graph, config).bfs(source)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from repro.baselines.graph500_ref import bfs_graph500_ref
+from repro.baselines.pbgl_like import bfs_pbgl_like
 from repro.core.bfs1d import TopDown1D
 from repro.core.bfs2d import SpMSV2D, build_2d_blocks
 from repro.core.bfs2d_dirop import DirOpt2D
@@ -38,12 +45,102 @@ from repro.faults import (
 from repro.graphs.graph import Graph
 from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA, NetworkCostModel
 from repro.model.machine import HOPPER, get_machine
-from repro.mpsim.engine import run_spmd
-from repro.runtime import BACKENDS as RUNTIME_BACKENDS
 from repro.mpsim.stats import SimStats
+from repro.query import driver as query_driver
 from repro.query.cc import ConnectedComponents1D
 from repro.query.msbfs import MSBFS1D
-from repro.query.sssp import DeltaSSSP1D
+from repro.query.sssp import (
+    DEFAULT_DELTA,
+    DEFAULT_WEIGHT_MAX,
+    DeltaSSSP1D,
+    edge_weights,
+)
+from repro.runtime import BACKENDS as RUNTIME_BACKENDS
+from repro.runtime import run_spmd
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The source-independent inputs of a family's launches.
+
+    Built once per :class:`Session` by the family's
+    :attr:`AlgorithmSpec.prepare`; every search then only appends its
+    seed (the internal source id, or a lane batch) to ``args``.
+    """
+
+    nranks: int
+    #: Step-constructor (or baseline rank-body) positionals preceding the seed.
+    args: tuple = ()
+    #: Its keyword options.
+    kwargs: dict = field(default_factory=dict)
+    #: Rank body of a family without a step plugin (the baselines).
+    body: Callable | None = None
+    #: Options the family resolved, reported in every result's ``meta``.
+    meta: dict = field(default_factory=dict)
+
+    def extended(self, **kwargs) -> "Plan":
+        return replace(self, kwargs={**self.kwargs, **kwargs})
+
+
+def _plan_1d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    options = dict(dedup_sends=config.dedup_sends, codec=config.codec, sieve=config.sieve)
+    return Plan(config.nprocs, (graph.csr,), options)
+
+
+def _plan_1d_dirop(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    return _plan_1d(graph, config, threads).extended(
+        alpha=config.dirop_alpha, beta=config.dirop_beta, symmetric=not graph.directed
+    )
+
+
+def _plan_2d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    if config.grid_shape is not None:
+        pr, pc = config.grid_shape
+    else:
+        pr = pc = math.isqrt(config.nprocs)
+    if pr < 1 or pc < 1:
+        raise ValueError(f"grid must be positive, got {pr}x{pc}")
+    decomp = Decomp2D(graph.n, pr, pc, diagonal_vectors=(config.vector_dist == "1d"))
+    blocks = build_2d_blocks(graph.csr, decomp, threads=threads)
+    options = dict(
+        kernel=config.kernel,
+        modeled_cores=config.modeled_cores,
+        codec=config.codec,
+        sieve=config.sieve,
+    )
+    return Plan(pr * pc, (blocks, decomp), options)
+
+
+def _plan_2d_dirop(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    return _plan_2d(graph, config, threads).extended(
+        alpha=config.dirop_alpha, beta=config.dirop_beta, degrees=graph.csr.degrees()
+    )
+
+
+def _plan_baseline(body: Callable, graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    return Plan(config.nprocs, (graph.csr,), body=body)
+
+
+def _plan_msbfs(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    options = dict(dedup_sends=config.dedup_sends, codec=config.codec)
+    return Plan(config.nprocs, (graph.csr,), options)
+
+
+def _plan_cc(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    return Plan(config.nprocs, (graph.csr,), dict(codec=config.codec))
+
+
+def _plan_sssp(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+    delta = DEFAULT_DELTA if config.sssp_delta is None else config.sssp_delta
+    weight_max = DEFAULT_WEIGHT_MAX if config.weight_max is None else config.weight_max
+    weight_seed = 0 if config.weight_seed is None else config.weight_seed
+    weights = edge_weights(graph.csr, weight_max=weight_max, seed=weight_seed)
+    return Plan(
+        config.nprocs,
+        (graph.csr,),
+        dict(weights=weights, delta=delta, codec=config.codec),
+        meta=dict(sssp_delta=delta, weight_max=weight_max, weight_seed=weight_seed),
+    )
 
 
 @dataclass(frozen=True)
@@ -65,11 +162,16 @@ class AlgorithmSpec:
     * ``"trace-profile"`` — per-level profile under
       ``result.meta["level_profile"]`` when ``trace=True``.
 
-    ``kind`` names the result family: ``"bfs"`` entries run through
-    :func:`run` / :func:`run_bfs`; the batched query kinds (``"msbfs"``,
-    ``"cc"``, ``"sssp"``, ``"landmark"``) run through
-    :func:`repro.query.run_query`, which owns their stitching and
-    validation.
+    ``kind`` names the result family: ``"bfs"`` entries answer
+    :meth:`Session.bfs` (:func:`run` / :func:`run_bfs`); the batched
+    query kinds (``"msbfs"``, ``"cc"``, ``"sssp"``, ``"landmark"``)
+    answer :meth:`Session.query` (:func:`repro.query.run_query`), whose
+    kind-specific oracle and lane shape live in :mod:`repro.query.driver`.
+
+    ``prepare`` maps ``(graph, config, threads)`` to the family's
+    :class:`Plan` — everything its launches share across sources.
+    ``None`` for families that launch nothing themselves (the serial
+    reference; ``landmark``, which wraps an inner ``msbfs-1d`` session).
     """
 
     family: str
@@ -77,59 +179,64 @@ class AlgorithmSpec:
     step: type | None = None
     capabilities: frozenset = frozenset()
     kind: str = "bfs"
+    prepare: Callable | None = None
 
 
 #: Everything the engine provides to its step plugins.
 ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "faults", "trace-profile"})
 
+#: For families carrying state the base checkpoint does not cover.
+_NO_FAULTS = ENGINE_CAPABILITIES - {"faults"}
+
 #: Algorithm registry: name -> spec.  Adding an algorithm is one entry
-#: here plus one AlgorithmStep plugin class (docs/architecture.md has
-#: the how-to); the driver below contains no per-name branches beyond
-#: the family's step-constructor arguments.
+#: here — step plugin class, capabilities, and the ``prepare`` mapping
+#: ``RunConfig`` fields onto the step's constructor arguments
+#: (docs/architecture.md has the how-to); the driver below contains no
+#: per-name or per-family branches.
 ALGORITHMS: dict[str, AlgorithmSpec] = {
     "serial": AlgorithmSpec("serial", False),
-    "1d": AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES),
-    "1d-hybrid": AlgorithmSpec("1d", True, TopDown1D, ENGINE_CAPABILITIES),
-    "1d-dirop": AlgorithmSpec("1d-dirop", False, DirOpt1D, ENGINE_CAPABILITIES),
+    "1d": AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d),
+    "1d-hybrid": AlgorithmSpec(
+        "1d", True, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d
+    ),
+    "1d-dirop": AlgorithmSpec(
+        "1d-dirop", False, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
+    ),
     "1d-dirop-hybrid": AlgorithmSpec(
-        "1d-dirop", True, DirOpt1D, ENGINE_CAPABILITIES
+        "1d-dirop", True, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
     ),
-    "2d": AlgorithmSpec("2d", False, SpMSV2D, ENGINE_CAPABILITIES),
-    "2d-hybrid": AlgorithmSpec("2d", True, SpMSV2D, ENGINE_CAPABILITIES),
-    "2d-dirop": AlgorithmSpec("2d-dirop", False, DirOpt2D, ENGINE_CAPABILITIES),
+    "2d": AlgorithmSpec("2d", False, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d),
+    "2d-hybrid": AlgorithmSpec(
+        "2d", True, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d
+    ),
+    "2d-dirop": AlgorithmSpec(
+        "2d-dirop", False, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
+    ),
     "2d-dirop-hybrid": AlgorithmSpec(
-        "2d-dirop", True, DirOpt2D, ENGINE_CAPABILITIES
+        "2d-dirop", True, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
     ),
-    "pbgl": AlgorithmSpec("pbgl", False),
-    "graph500-ref": AlgorithmSpec("graph500-ref", False),
-    # Batched query families (repro.query.run_query).  cc and sssp-delta
-    # carry batch state the base checkpoint does not cover, so they do
-    # not declare "faults"; msbfs-1d snapshots its full lane words.
+    "pbgl": AlgorithmSpec(
+        "pbgl", False, prepare=partial(_plan_baseline, bfs_pbgl_like)
+    ),
+    "graph500-ref": AlgorithmSpec(
+        "graph500-ref", False, prepare=partial(_plan_baseline, bfs_graph500_ref)
+    ),
+    # Batched query families (Session.query).  cc and sssp-delta carry
+    # batch state the base checkpoint does not cover, so they do not
+    # declare "faults"; msbfs-1d snapshots its full lane words.
     "msbfs-1d": AlgorithmSpec(
-        "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, kind="msbfs"
+        "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs
     ),
     "cc": AlgorithmSpec(
-        "cc",
-        False,
-        ConnectedComponents1D,
-        frozenset({"wire", "tracer", "trace-profile"}),
-        kind="cc",
+        "cc", False, ConnectedComponents1D, _NO_FAULTS, "cc", _plan_cc
     ),
     "sssp-delta": AlgorithmSpec(
-        "sssp-delta",
-        False,
-        DeltaSSSP1D,
-        frozenset({"wire", "tracer", "trace-profile"}),
-        kind="sssp",
+        "sssp-delta", False, DeltaSSSP1D, _NO_FAULTS, "sssp", _plan_sssp
     ),
-    # landmark wraps an internal msbfs-1d run; it is an offline index
+    # landmark wraps an internal msbfs-1d session; it is an offline index
     # build, so the fault battery covers the underlying msbfs-1d instead.
     "landmark": AlgorithmSpec(
-        "landmark",
-        False,
-        None,
-        frozenset({"wire", "tracer", "trace-profile"}),
-        kind="landmark",
+        "landmark", False, None, _NO_FAULTS, "landmark"
     ),
 }
 
@@ -193,378 +300,17 @@ def _resolve_threads(algorithm: str, threads: int | None, machine) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One BFS run's full configuration, validated in one place.
+    """One run's full configuration, validated in one place.
 
-    Field semantics match the :func:`run_bfs` keyword of the same name
-    (see its docstring); ``run_bfs`` is a shim building one of these.
-    Construction checks the algorithm name; :meth:`resolve` checks every
-    cross-field constraint (machine, threads, capability gating) and
-    returns the resolved machine/thread choices the driver runs with.
-    """
-
-    algorithm: str = "1d"
-    nprocs: int = 4
-    threads: int | None = None
-    machine: object = None
-    kernel: str = "auto"
-    dedup_sends: bool = True
-    codec: object = "raw"
-    sieve: object = False
-    vector_dist: str = "2d"
-    modeled_cores: int | None = None
-    grid_shape: tuple[int, int] | None = None
-    dirop_alpha: float | None = None
-    dirop_beta: float | None = None
-    validate: bool = False
-    trace: bool = False
-    runtime: str | None = None
-    spmd_timeout: float | None = None
-    tracer: object = None
-    metrics: object = None
-    faults: object = None
-    checkpoint_every: int | None = None
-    max_retries: int | None = None
-    # Batched-query fields (repro.query families only).
-    sources: tuple = ()
-    sssp_delta: int | None = None
-    weight_max: int | None = None
-    weight_seed: int | None = None
-    landmarks: int | None = None
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; known: {sorted(ALGORITHMS)}"
-            )
-        if self.runtime is not None and self.runtime not in RUNTIME_BACKENDS:
-            raise ValueError(
-                f"unknown execution runtime {self.runtime!r}; "
-                f"known: {sorted(RUNTIME_BACKENDS)}"
-            )
-        if self.spmd_timeout is not None and self.spmd_timeout <= 0:
-            raise ValueError(
-                f"spmd_timeout must be > 0, got {self.spmd_timeout}"
-            )
-
-    @property
-    def spec(self) -> AlgorithmSpec:
-        return ALGORITHMS[self.algorithm]
-
-    @property
-    def resilient(self) -> bool:
-        """Whether any fault/checkpoint/retry option is active."""
-        return (
-            self.faults is not None
-            or self.checkpoint_every is not None
-            or self.max_retries is not None
-        )
-
-    def resolve(self) -> "ResolvedRun":
-        """Validate cross-field constraints; resolve machine and threads."""
-        spec = self.spec
-        machine = get_machine(self.machine)
-        threads = _resolve_threads(self.algorithm, self.threads, machine)
-        wire_default = (
-            self.codec == "raw" or getattr(self.codec, "name", None) == "raw"
-        ) and not self.sieve
-        if "wire" not in spec.capabilities and not wire_default:
-            raise ValueError(
-                f"{self.algorithm} does not route its exchanges through repro.comm; "
-                "codec/sieve apply to the 1d/2d families only"
-            )
-        if self.tracer is not None and "tracer" not in spec.capabilities:
-            raise ValueError(
-                f"{self.algorithm} is not instrumented for span tracing; "
-                "tracer applies to the 1d/2d families only"
-            )
-        # Metrics ride the same instrumentation seams as the tracer.
-        if self.metrics is not None and "tracer" not in spec.capabilities:
-            raise ValueError(
-                f"{self.algorithm} is not instrumented for metrics; "
-                "metrics applies to the 1d/2d families only"
-            )
-        if self.resilient and "faults" not in spec.capabilities:
-            raise ValueError(
-                f"{self.algorithm} has no fault/checkpoint instrumentation; "
-                "faults/checkpoint_every/max_retries apply to the 1d/2d families only"
-            )
-        self._check_query_fields(spec)
-        return ResolvedRun(config=self, spec=spec, machine=machine, threads=threads)
-
-    def _check_query_fields(self, spec: AlgorithmSpec) -> None:
-        """Gate the batched-query fields on the algorithm's kind."""
-        if spec.kind == "bfs":
-            for name in ("sources", "sssp_delta", "weight_max",
-                         "weight_seed", "landmarks"):
-                if getattr(self, name) not in ((), None):
-                    raise ValueError(
-                        f"{name} applies to the repro.query families only; "
-                        f"{self.algorithm} is a single-source BFS"
-                    )
-            return
-        if self.sieve:
-            raise ValueError(
-                f"{self.algorithm} re-ships targets whose lane words grow, "
-                "so the sender sieve would drop live updates; sieve applies "
-                "to the single-source families only"
-            )
-        codec_name = getattr(self.codec, "name", self.codec)
-        if codec_name == "bitmap" and spec.kind in ("msbfs", "sssp", "landmark"):
-            raise ValueError(
-                f"{self.algorithm} ships candidate triples, and the bitmap "
-                "codec collapses their duplicate targets; use raw, "
-                "delta-varint or auto"
-            )
-        if self.sources and spec.kind in ("cc", "landmark"):
-            raise ValueError(
-                f"{self.algorithm} picks its own sources; "
-                "sources apply to msbfs-1d/sssp-delta"
-            )
-        if spec.kind != "sssp":
-            for name in ("sssp_delta", "weight_max", "weight_seed"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} applies to sssp-delta only")
-        if self.landmarks is not None and spec.kind != "landmark":
-            raise ValueError("landmarks applies to the landmark family only")
-
-
-@dataclass(frozen=True)
-class ResolvedRun:
-    """A validated :class:`RunConfig` plus its resolved machine/threads."""
-
-    config: RunConfig
-    spec: AlgorithmSpec
-    machine: object
-    threads: int
-
-
-def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:
-    """Run one BFS traversal of ``graph`` from ``source`` per ``config``.
-
-    The typed core of the driver: ``config`` is validated once, the
-    algorithm's step plugin comes from the registry, and the SPMD launch
-    plus result stitching below is the same code path for every engine
-    family.  :func:`run_bfs` is the keyword-API shim over this.
-    """
-    if config.spec.kind != "bfs":
-        raise ValueError(
-            f"{config.algorithm} is a batched query family; "
-            "use repro.query.run_query"
-        )
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range [0, {graph.n})")
-    resolved = config.resolve()
-    spec, machine, threads = resolved.spec, resolved.machine, resolved.threads
-    nprocs = config.nprocs
-    src_internal = int(np.asarray(graph.to_internal(source)))
-    fault_meta = None
-
-    if spec.family == "serial":
-        levels_int, parents_int = bfs_serial(graph.csr, src_internal)
-        nlevels = int(levels_int.max()) if levels_int.max() >= 0 else 0
-        stats = None
-        nranks = 1
-        spmd = None
-    else:
-        cost_model = (
-            NetworkCostModel(machine, threads=threads, total_ranks=nprocs)
-            if machine is not None
-            else None
-        )
-        engine_kwargs = dict(
-            machine=machine,
-            threads=threads,
-            trace=config.trace,
-            tracer=config.tracer,
-            metrics=config.metrics,
-        )
-        if spec.family in ("1d", "1d-dirop", "pbgl", "graph500-ref"):
-            nranks = nprocs
-            if spec.family == "1d":
-                step_args = (graph.csr, src_internal)
-                step_kwargs = dict(
-                    dedup_sends=config.dedup_sends,
-                    codec=config.codec,
-                    sieve=config.sieve,
-                )
-            elif spec.family == "1d-dirop":
-                step_args = (graph.csr, src_internal)
-                step_kwargs = dict(
-                    dedup_sends=config.dedup_sends,
-                    codec=config.codec,
-                    sieve=config.sieve,
-                    alpha=config.dirop_alpha,
-                    beta=config.dirop_beta,
-                    symmetric=not graph.directed,
-                )
-            elif spec.family == "pbgl":
-                from repro.baselines.pbgl_like import bfs_pbgl_like
-
-                spmd = run_spmd(
-                    nranks,
-                    bfs_pbgl_like,
-                    graph.csr,
-                    src_internal,
-                    machine=machine,
-                    cost_model=cost_model,
-                    runtime=config.runtime,
-                    timeout=config.spmd_timeout,
-                )
-            else:
-                from repro.baselines.graph500_ref import bfs_graph500_ref
-
-                spmd = run_spmd(
-                    nranks,
-                    bfs_graph500_ref,
-                    graph.csr,
-                    src_internal,
-                    machine=machine,
-                    cost_model=cost_model,
-                    runtime=config.runtime,
-                    timeout=config.spmd_timeout,
-                )
-        else:  # 2d family
-            if config.grid_shape is not None:
-                pr, pc = config.grid_shape
-            else:
-                pr = pc = math.isqrt(nprocs)
-            if pr < 1 or pc < 1:
-                raise ValueError(f"grid must be positive, got {pr}x{pc}")
-            nranks = pr * pc
-            decomp = Decomp2D(
-                graph.n, pr, pc, diagonal_vectors=(config.vector_dist == "1d")
-            )
-            blocks = build_2d_blocks(graph.csr, decomp, threads=threads)
-            if cost_model is not None:
-                cost_model = NetworkCostModel(
-                    machine, threads=threads, total_ranks=nranks
-                )
-            step_args = (blocks, decomp, src_internal)
-            step_kwargs = dict(
-                kernel=config.kernel,
-                modeled_cores=config.modeled_cores,
-                codec=config.codec,
-                sieve=config.sieve,
-            )
-            if spec.family == "2d-dirop":
-                step_kwargs.update(
-                    alpha=config.dirop_alpha,
-                    beta=config.dirop_beta,
-                    degrees=graph.csr.degrees(),
-                )
-        if spec.step is not None:
-            spmd, fault_meta = _run_resilient(
-                nranks,
-                traversal_body,
-                (spec.step, step_args, step_kwargs),
-                engine_kwargs,
-                cost_model,
-                config.faults,
-                config.checkpoint_every,
-                config.max_retries,
-                runtime=config.runtime,
-                timeout=config.spmd_timeout,
-            )
-        lo_key, hi_key = spec.step.result_keys if spec.step else ("lo", "hi")
-        levels_int = np.empty(graph.n, dtype=np.int64)
-        parents_int = np.empty(graph.n, dtype=np.int64)
-        for rank_out in spmd.returns:
-            levels_int[rank_out[lo_key] : rank_out[hi_key]] = rank_out["levels"]
-            parents_int[rank_out[lo_key] : rank_out[hi_key]] = rank_out["parents"]
-        nlevels = max(r["nlevels"] for r in spmd.returns)
-        stats = spmd.stats
-
-    if config.validate:
-        ref_levels, _ref_parents = bfs_serial(graph.csr, src_internal)
-        validate_bfs(
-            graph.csr,
-            src_internal,
-            levels_int,
-            parents_int,
-            reference_levels=ref_levels,
-            undirected=not graph.directed,
-        )
-
-    level_profile = None
-    if config.trace and "trace-profile" in spec.capabilities:
-        level_profile = _merge_traces([r["trace"] for r in spmd.returns])
-
-    m_traversed = count_traversed_edges(graph.csr, levels_int, graph.m_input)
-    return BFSResult(
-        levels=graph.relabel_level_array(levels_int),
-        parents=graph.relabel_vertex_array(parents_int),
-        source=source,
-        algorithm=config.algorithm,
-        nranks=nranks,
-        threads=threads,
-        nlevels=nlevels,
-        m_traversed=m_traversed,
-        stats=stats,
-        meta={
-            "graph": graph.name,
-            "machine": machine.name if machine is not None else None,
-            "kernel": config.kernel,
-            "dedup_sends": config.dedup_sends,
-            "codec": getattr(config.codec, "name", config.codec),
-            "sieve": bool(config.sieve),
-            "vector_dist": config.vector_dist,
-            "dirop_alpha": (
-                DIROP_ALPHA if config.dirop_alpha is None else config.dirop_alpha
-            ),
-            "dirop_beta": (
-                DIROP_BETA if config.dirop_beta is None else config.dirop_beta
-            ),
-            "level_profile": level_profile,
-            "tracer": config.tracer,
-            "metrics": config.metrics,
-            "faults": fault_meta,
-        },
-    )
-
-
-def run_bfs(
-    graph: Graph,
-    source: int,
-    algorithm: str = "1d",
-    nprocs: int = 4,
-    threads: int | None = None,
-    machine=None,
-    kernel: str = "auto",
-    dedup_sends: bool = True,
-    codec: str = "raw",
-    sieve: bool = False,
-    vector_dist: str = "2d",
-    modeled_cores: int | None = None,
-    grid_shape: tuple[int, int] | None = None,
-    dirop_alpha: float | None = None,
-    dirop_beta: float | None = None,
-    validate: bool = False,
-    trace: bool = False,
-    runtime: str | None = None,
-    spmd_timeout: float | None = None,
-    tracer=None,
-    metrics=None,
-    faults=None,
-    checkpoint_every: int | None = None,
-    max_retries: int | None = None,
-) -> BFSResult:
-    """Run one BFS traversal of ``graph`` from ``source``.
-
-    Compatibility shim: every keyword maps one-to-one onto the
-    :class:`RunConfig` field of the same name, and the call is
-    equivalent to ``run(graph, source, RunConfig(...))``.
+    :func:`run_bfs` / :func:`repro.query.run_query` take these fields as
+    keywords.  Construction checks the algorithm name; :meth:`resolve`
+    checks every cross-field constraint (machine, threads, capability
+    gating) and returns the resolved machine/thread choices.
 
     Parameters
     ----------
-    graph:
-        A preprocessed :class:`~repro.graphs.graph.Graph`.
-    source:
-        Vertex id in the caller's (original) labeling.
     algorithm:
-        One of :data:`ALGORITHMS`: ``"serial"``, ``"1d"``, ``"1d-hybrid"``,
-        ``"1d-dirop"``, ``"1d-dirop-hybrid"``, ``"2d"``, ``"2d-hybrid"``,
-        ``"2d-dirop"``, ``"2d-dirop-hybrid"``, ``"pbgl"``,
-        ``"graph500-ref"``.
+        A key of :data:`ALGORITHMS`.
     nprocs:
         Simulated MPI rank count.  2D variants use the closest square
         grid not exceeding ``nprocs`` (the paper's convention).
@@ -626,20 +372,15 @@ def run_bfs(
         as deadlocked.  ``None`` defers to ``REPRO_SPMD_TIMEOUT`` or
         the 600 s default; the sequential runtime detects deadlocks
         structurally and ignores it.
-    tracer:
+    tracer / metrics:
         Optional :class:`~repro.obs.Tracer` recording nested per-rank,
-        per-level phase spans in virtual time (1d/2d families only).
-        Tracing is passive — stats stay bit-identical — and the tracer is
-        stored in ``result.meta["tracer"]`` so
-        :func:`repro.obs.run_report` and
-        :func:`repro.obs.write_chrome_trace` can find it.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` recording typed
-        labeled counters/gauges/histograms from the engine, comm channel
-        and fault layer (1d/2d families only).  Passive like the tracer
-        — stats stay bit-identical — and stored in
-        ``result.meta["metrics"]`` so :func:`repro.obs.run_report` embeds
-        the snapshot.
+        per-level phase spans in virtual time, and optional
+        :class:`~repro.obs.MetricsRegistry` recording typed labeled
+        counters/gauges/histograms from the engine, comm channel and
+        fault layer (1d/2d families only).  Both are passive — stats stay
+        bit-identical — and are stored in ``result.meta["tracer"]`` /
+        ``result.meta["metrics"]`` so :func:`repro.obs.run_report` and
+        :func:`repro.obs.write_chrome_trace` can find them.
     faults:
         Deterministic fault schedule for the run: a ``--fault-spec``
         string (``"crash:rank=1,level=3;timeout:level=2;seed=7"``), a
@@ -657,35 +398,327 @@ def run_bfs(
         Per-collective transient-retry budget (default
         :class:`~repro.faults.RetryPolicy`'s 3); a fault schedule denser
         than the budget raises ``RetryExhaustedError``.
+    sources / sssp_delta / weight_max / weight_seed / landmarks:
+        Batched-query fields (:mod:`repro.query` families only): the
+        source batch (up to 64 vertex ids in the caller's labels),
+        the delta-stepping bucket width and the synthetic edge-weight
+        range/seed of ``sssp-delta``, and the ``landmark`` index size.
     """
-    return run(
-        graph,
-        source,
-        RunConfig(
-            algorithm=algorithm,
-            nprocs=nprocs,
-            threads=threads,
-            machine=machine,
-            kernel=kernel,
-            dedup_sends=dedup_sends,
-            codec=codec,
-            sieve=sieve,
-            vector_dist=vector_dist,
-            modeled_cores=modeled_cores,
-            grid_shape=grid_shape,
-            dirop_alpha=dirop_alpha,
-            dirop_beta=dirop_beta,
-            validate=validate,
-            trace=trace,
-            runtime=runtime,
-            spmd_timeout=spmd_timeout,
-            tracer=tracer,
-            metrics=metrics,
-            faults=faults,
-            checkpoint_every=checkpoint_every,
-            max_retries=max_retries,
-        ),
+
+    algorithm: str = "1d"
+    nprocs: int = 4
+    threads: int | None = None
+    machine: object = None
+    kernel: str = "auto"
+    dedup_sends: bool = True
+    codec: object = "raw"
+    sieve: object = False
+    vector_dist: str = "2d"
+    modeled_cores: int | None = None
+    grid_shape: tuple[int, int] | None = None
+    dirop_alpha: float | None = None
+    dirop_beta: float | None = None
+    validate: bool = False
+    trace: bool = False
+    runtime: str | None = None
+    spmd_timeout: float | None = None
+    tracer: object = None
+    metrics: object = None
+    faults: object = None
+    checkpoint_every: int | None = None
+    max_retries: int | None = None
+    # Batched-query fields (repro.query families only).
+    sources: tuple = ()
+    sssp_delta: int | None = None
+    weight_max: int | None = None
+    weight_seed: int | None = None
+    landmarks: int | None = None
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; known: {sorted(ALGORITHMS)}"
+            )
+        if self.runtime is not None and self.runtime not in RUNTIME_BACKENDS:
+            raise ValueError(
+                f"unknown execution runtime {self.runtime!r}; "
+                f"known: {sorted(RUNTIME_BACKENDS)}"
+            )
+        if self.spmd_timeout is not None and self.spmd_timeout <= 0:
+            raise ValueError(
+                f"spmd_timeout must be > 0, got {self.spmd_timeout}"
+            )
+
+    @property
+    def spec(self) -> AlgorithmSpec:
+        return ALGORITHMS[self.algorithm]
+
+    @property
+    def resilient(self) -> bool:
+        """Whether any fault/checkpoint/retry option is active."""
+        return (
+            self.faults is not None
+            or self.checkpoint_every is not None
+            or self.max_retries is not None
+        )
+
+    def resolve(self) -> tuple:
+        """Validate cross-field constraints; return ``(machine, threads)``."""
+        spec = self.spec
+        machine = get_machine(self.machine)
+        threads = _resolve_threads(self.algorithm, self.threads, machine)
+        wire_default = (
+            self.codec == "raw" or getattr(self.codec, "name", None) == "raw"
+        ) and not self.sieve
+        if "wire" not in spec.capabilities and not wire_default:
+            raise ValueError(
+                f"{self.algorithm} does not route its exchanges through repro.comm; "
+                "codec/sieve apply to the 1d/2d families only"
+            )
+        if self.tracer is not None and "tracer" not in spec.capabilities:
+            raise ValueError(
+                f"{self.algorithm} is not instrumented for span tracing; "
+                "tracer applies to the 1d/2d families only"
+            )
+        # Metrics ride the same instrumentation seams as the tracer.
+        if self.metrics is not None and "tracer" not in spec.capabilities:
+            raise ValueError(
+                f"{self.algorithm} is not instrumented for metrics; "
+                "metrics applies to the 1d/2d families only"
+            )
+        if self.resilient and "faults" not in spec.capabilities:
+            raise ValueError(
+                f"{self.algorithm} has no fault/checkpoint instrumentation; "
+                "faults/checkpoint_every/max_retries apply to the 1d/2d families only"
+            )
+        self._check_query_fields(spec)
+        return machine, threads
+
+    def _check_query_fields(self, spec: AlgorithmSpec) -> None:
+        """Gate the batched-query fields on the algorithm's kind."""
+        if spec.kind == "bfs":
+            for name in ("sources", "sssp_delta", "weight_max",
+                         "weight_seed", "landmarks"):
+                if getattr(self, name) not in ((), None):
+                    raise ValueError(
+                        f"{name} applies to the repro.query families only; "
+                        f"{self.algorithm} is a single-source BFS"
+                    )
+            return
+        if self.sieve:
+            raise ValueError(
+                f"{self.algorithm} re-ships targets whose lane words grow, "
+                "so the sender sieve would drop live updates; sieve applies "
+                "to the single-source families only"
+            )
+        codec_name = getattr(self.codec, "name", self.codec)
+        if codec_name == "bitmap" and spec.kind in ("msbfs", "sssp", "landmark"):
+            raise ValueError(
+                f"{self.algorithm} ships candidate triples, and the bitmap "
+                "codec collapses their duplicate targets; use raw, "
+                "delta-varint or auto"
+            )
+        if self.sources and spec.kind in ("cc", "landmark"):
+            raise ValueError(
+                f"{self.algorithm} picks its own sources; "
+                "sources apply to msbfs-1d/sssp-delta"
+            )
+        if spec.kind != "sssp":
+            for name in ("sssp_delta", "weight_max", "weight_seed"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies to sssp-delta only")
+        if self.landmarks is not None and spec.kind != "landmark":
+            raise ValueError("landmarks applies to the landmark family only")
+
+
+@dataclass(frozen=True)
+class Session:
+    """A graph distributed once under one config, searchable many times.
+
+    Built by :func:`prepare`.  :meth:`bfs` answers the single-source
+    families and :meth:`query` the batched ones; both go through the one
+    :meth:`launch` -> :meth:`stitch` -> validate -> result path, so a
+    session searched from two sources equals two independent :func:`run`
+    calls bit for bit.
+    """
+
+    graph: Graph
+    config: RunConfig
+    machine: object
+    threads: int
+    plan: Plan | None
+    cost_model: NetworkCostModel | None
+
+    @property
+    def spec(self) -> AlgorithmSpec:
+        return self.config.spec
+
+    @property
+    def nranks(self) -> int:
+        return self.plan.nranks if self.plan is not None else 1
+
+    def unobserved(self) -> "Session":
+        """This session minus its tracer/metrics: virtual time restarts at
+        zero each traversal, so observers describe one search — the
+        multi-source loops attach them to the first only."""
+        return replace(self, config=replace(self.config, tracer=None, metrics=None))
+
+    def _require_kind(self, bfs: bool) -> None:
+        if (self.spec.kind == "bfs") != bfs:
+            redirect = (
+                "a batched query family; use repro.query.run_query"
+                if bfs
+                else "a single-source BFS; use repro.core.run_bfs"
+            )
+            raise ValueError(f"{self.config.algorithm} is {redirect}")
+
+    def bfs(self, source: int) -> BFSResult:
+        """One BFS traversal from ``source`` (caller's vertex labels)."""
+        self._require_kind(bfs=True)
+        graph, config = self.graph, self.config
+        if not 0 <= source < graph.n:
+            raise ValueError(f"source {source} out of range [0, {graph.n})")
+        src_internal = int(np.asarray(graph.to_internal(source)))
+        if self.plan is None:  # the serial reference launches nothing
+            levels_int, parents_int = bfs_serial(graph.csr, src_internal)
+            nlevels = int(levels_int.max()) if levels_int.max() >= 0 else 0
+            spmd = fault_meta = None
+        else:
+            spmd, fault_meta = self.launch(src_internal)
+            levels_int, parents_int, nlevels = self.stitch(spmd)
+        if config.validate:
+            validate_bfs(
+                graph.csr,
+                src_internal,
+                levels_int,
+                parents_int,
+                reference_levels=bfs_serial(graph.csr, src_internal)[0],
+                undirected=not graph.directed,
+            )
+        return BFSResult(
+            levels=graph.relabel_level_array(levels_int),
+            parents=graph.relabel_vertex_array(parents_int),
+            source=source,
+            algorithm=config.algorithm,
+            nranks=self.nranks,
+            threads=self.threads,
+            nlevels=nlevels,
+            m_traversed=count_traversed_edges(graph.csr, levels_int, graph.m_input),
+            stats=spmd.stats if spmd is not None else None,
+            meta=self.meta(
+                fault_meta,
+                self.level_profile(spmd),
+                dirop_alpha=(
+                    DIROP_ALPHA if config.dirop_alpha is None else config.dirop_alpha
+                ),
+                dirop_beta=(
+                    DIROP_BETA if config.dirop_beta is None else config.dirop_beta
+                ),
+            ),
+        )
+
+    def query(self, sources=None) -> "query_driver.QueryResult":
+        """One batched query; ``sources`` — up to 64 vertex ids in the
+        caller's labels — replaces the config's batch when given."""
+        self._require_kind(bfs=False)
+        session = self
+        if sources is not None:
+            batch = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+            config = replace(self.config, sources=tuple(int(s) for s in batch))
+            config.resolve()  # cc/landmark pick their own sources
+            session = replace(self, config=config)
+        return query_driver.KINDS[self.spec.kind](session)
+
+    # -- the shared launch -> stitch -> report path --------------------------
+    def launch(self, *seed):
+        """One resilient SPMD run of the prepared family from ``seed``
+        (an internal source id, a lane batch, or nothing for the
+        self-seeding ``cc``); returns ``(SpmdResult, fault_meta | None)``."""
+        plan, config = self.plan, self.config
+        if self.spec.step is None:  # the baselines bring their own rank body
+            body, args, kwargs = plan.body, plan.args + seed, {"machine": self.machine}
+        else:
+            body = traversal_body
+            args = (self.spec.step, plan.args + seed, plan.kwargs)
+            kwargs = dict(
+                machine=self.machine,
+                threads=self.threads,
+                trace=config.trace,
+                tracer=config.tracer,
+                metrics=config.metrics,
+            )
+        spawn = partial(
+            run_spmd, plan.nranks, body, *args, cost_model=self.cost_model,
+            runtime=config.runtime, timeout=config.spmd_timeout, **kwargs,
+        )
+        return _run_resilient(spawn, plan.nranks, config)
+
+    def stitch(self, spmd, columns: int | None = None):
+        """Reassemble the per-rank slices into full internal-label arrays
+        (``(n, columns)`` lane columns when ``columns`` is given);
+        returns ``(levels, parents, nlevels)``."""
+        n = self.graph.n
+        shape = (n,) if columns is None else (n, columns)
+        levels = np.empty(shape, dtype=np.int64)
+        parents = np.empty(shape, dtype=np.int64)
+        step = self.spec.step
+        lo_key, hi_key = step.result_keys if step is not None else ("lo", "hi")
+        for rank_out in spmd.returns:
+            owned = slice(rank_out[lo_key], rank_out[hi_key])
+            levels[owned] = rank_out["levels"]
+            parents[owned] = rank_out["parents"]
+        return levels, parents, max(r["nlevels"] for r in spmd.returns)
+
+    def level_profile(self, spmd) -> list[dict] | None:
+        """The merged per-level profile of a ``trace=True`` run."""
+        if self.config.trace and "trace-profile" in self.spec.capabilities:
+            return _merge_traces([r["trace"] for r in spmd.returns])
+        return None
+
+    def meta(self, fault_meta, level_profile, **extra) -> dict:
+        """The ``result.meta`` every kind reports, plus its ``extra`` keys."""
+        config = self.config
+        return {
+            "graph": self.graph.name,
+            "machine": self.machine.name if self.machine is not None else None,
+            "kernel": config.kernel,
+            "dedup_sends": config.dedup_sends,
+            "codec": getattr(config.codec, "name", config.codec),
+            "sieve": bool(config.sieve),
+            "vector_dist": config.vector_dist,
+            "level_profile": level_profile,
+            "tracer": config.tracer,
+            "metrics": config.metrics,
+            "faults": fault_meta,
+            **(self.plan.meta if self.plan is not None else {}),
+            **extra,
+        }
+
+
+def prepare(graph: Graph, config: RunConfig) -> Session:
+    """Distribute ``graph`` for repeated searches under ``config``: resolve
+    the config, build the family's :class:`Plan` (for 2D the ``Decomp2D``
+    and its DCSC blocks — most of a small search's wall clock) and size
+    the machine cost model to the plan's rank count, once."""
+    machine, threads = config.resolve()
+    spec = config.spec
+    plan = spec.prepare(graph, config, threads) if spec.prepare is not None else None
+    cost_model = (
+        NetworkCostModel(machine, threads=threads, total_ranks=plan.nranks)
+        if machine is not None and plan is not None
+        else None
     )
+    return Session(graph, config, machine, threads, plan, cost_model)
+
+
+def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:
+    """Run one BFS traversal of ``graph`` from ``source`` per ``config``."""
+    return prepare(graph, config).bfs(source)
+
+
+def run_bfs(graph: Graph, source: int, algorithm: str = "1d", **options) -> BFSResult:
+    """Keyword form of :func:`run`: ``options`` are :class:`RunConfig` fields."""
+    return run(graph, source, RunConfig(algorithm=algorithm, **options))
 
 
 #: Counters the resilience layer books on the rank clocks; accumulated
@@ -702,13 +735,11 @@ _FAULT_COUNTERS = (
 )
 
 
-def _run_resilient(
-    nranks, body, args, kwargs, cost_model, faults, checkpoint_every, max_retries,
-    runtime=None, timeout=None,
-):
-    """Launch an SPMD BFS with the run's fault plan armed.
+def _run_resilient(spawn: Callable, nranks: int, config: RunConfig):
+    """Launch an SPMD BFS (``spawn`` is the bound ``run_spmd`` call) with
+    the run's fault plan armed.
 
-    The fast path (no resilience options) is the plain ``run_spmd`` call.
+    The fast path (no resilience options) is the plain ``spawn()``.
     Otherwise the fault plan and checkpoint store are built once and the
     launch loops: a permanent rank crash is observed cooperatively by
     every rank at the level boundary (the engine returns a ``"crashed"``
@@ -722,14 +753,11 @@ def _run_resilient(
 
     Returns ``(SpmdResult, fault_meta | None)``.
     """
-    if faults is None and checkpoint_every is None and max_retries is None:
-        spmd = run_spmd(
-            nranks, body, *args, cost_model=cost_model,
-            runtime=runtime, timeout=timeout, **kwargs,
-        )
-        return spmd, None
+    if not config.resilient:
+        return spawn(), None
 
-    plan = resolve_fault_plan(faults)
+    checkpoint_every, max_retries = config.checkpoint_every, config.max_retries
+    plan = resolve_fault_plan(config.faults)
     if len(plan) and plan.max_rank() >= nranks:
         raise ValueError(
             f"fault plan targets rank {plan.max_rank()} "
@@ -754,18 +782,8 @@ def _run_resilient(
     resume = None
     base = 0.0
     while True:
-        spmd = run_spmd(
-            nranks,
-            body,
-            *args,
-            cost_model=cost_model,
-            runtime=runtime,
-            timeout=timeout,
-            base_time=base,
-            faults=fault_ctx,
-            checkpoint=checkpoint,
-            resume_level=resume,
-            **kwargs,
+        spmd = spawn(
+            base_time=base, faults=fault_ctx, checkpoint=checkpoint, resume_level=resume
         )
         crash = next(
             (

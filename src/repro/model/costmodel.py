@@ -21,7 +21,7 @@ import math
 
 from repro.model import memory, network
 from repro.model.machine import MachineConfig, get_machine
-from repro.mpsim.engine import CollectiveCostModel
+from repro.runtime import CollectiveCostModel
 
 #: Fraction of ideal speedup intra-node threading achieves on the
 #: thread-parallel phases (buffer packing/unpacking, SpMSV row pieces).

@@ -1,36 +1,39 @@
-"""Simulated MPI runtime: thread-based SPMD execution with virtual time.
+"""Simulated MPI runtime: SPMD execution with virtual time.
 
 This package is the distributed-memory *substrate* of the reproduction.
 The paper's algorithms were written against MPI on Cray XT4/XE6 systems;
 here they run unmodified (same collectives, same buffers, same bucketing)
-against an in-process SPMD engine:
+against a pluggable SPMD engine (:mod:`repro.runtime`):
 
-* every simulated rank runs the real algorithm in its own thread,
+* every simulated rank runs the real algorithm (one thread per rank by
+  default; sequential and forked-process backends are interchangeable),
 * collectives (``Alltoallv``, ``Allgatherv``, ``Allreduce``, ...) move real
   NumPy buffers between ranks, so communication **volumes are exact**,
 * a per-rank :class:`~repro.mpsim.clock.RankClock` tracks *virtual* time:
   local computation is charged through the paper's alpha-beta memory model
   and collective completion is computed by a pluggable
-  :class:`~repro.mpsim.engine.CollectiveCostModel`, so waiting/idling is
+  :class:`~repro.runtime.CollectiveCostModel`, so waiting/idling is
   attributed to MPI time exactly the way the paper measures it (Fig. 4).
 
-Entry point: :func:`~repro.mpsim.engine.run_spmd`.
+Entry point: :func:`repro.runtime.run_spmd`, re-exported here together
+with the engine-side names (``SimEngine`` is the threads backend's
+engine) the communicator's users historically imported from this package.
 """
 
 from repro.mpsim.clock import RankClock
 from repro.mpsim.communicator import Communicator
-from repro.mpsim.engine import (
+from repro.mpsim.grid import ProcessorGrid, closest_square
+from repro.mpsim.stats import RankStats, SimStats
+from repro.mpsim.timeline import TimelineEvent, render_timeline
+from repro.runtime import (
     CollectiveCostModel,
     SimAborted,
-    SimEngine,
     SpmdFailure,
     SpmdResult,
     ZeroCostModel,
     run_spmd,
 )
-from repro.mpsim.grid import ProcessorGrid, closest_square
-from repro.mpsim.stats import RankStats, SimStats
-from repro.mpsim.timeline import TimelineEvent, render_timeline
+from repro.runtime.threads import ThreadsEngine as SimEngine
 
 __all__ = [
     "RankClock",

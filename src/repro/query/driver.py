@@ -1,15 +1,15 @@
-"""Batched-query driver: launch, stitch, validate, report.
+"""Batched-query kinds: what each does with a prepared session.
 
 :func:`run_query` is to the query families what
-:func:`repro.core.run_bfs` is to the BFS families: it validates a
-:class:`~repro.core.runner.RunConfig`, launches the registered
-:class:`~repro.core.engine.AlgorithmStep` plugin through the same
-resilient SPMD driver (``_run_resilient`` + ``traversal_body`` — crash
-restart, tracing and checkpointing all included), stitches the per-rank
-outputs, and wraps them in a :class:`QueryResult` whose shape
+:func:`repro.core.run_bfs` is to the BFS families — a one-shot wrapper
+over ``prepare(graph, config).query(sources)``.  The driver itself
+(launch, stitch, meta, level profile, crash restart) is
+:class:`repro.core.runner.Session`'s, shared with the BFS families; this
+module keeps only what is kind-specific — the oracle, the lane shape and
+the extra ``meta`` — and wraps it in a :class:`QueryResult` whose shape
 ``run_report``/``perf-diff`` understand.
 
-Kind dispatch (``AlgorithmSpec.kind``):
+Kind dispatch (:data:`KINDS`, keyed by ``AlgorithmSpec.kind``):
 
 * ``msbfs``    — one engine run, 2-D lane-column results;
 * ``cc``       — one self-seeding engine run; labels canonicalized to the
@@ -17,10 +17,11 @@ Kind dispatch (``AlgorithmSpec.kind``):
 * ``sssp``     — one engine run per source, stacked into lane columns
   (modeled times accumulate across the batch);
 * ``landmark`` — offline landmark selection + one internal ``msbfs-1d``
-  sweep, returning a cached :class:`~repro.query.landmark.LandmarkIndex`.
+  session, returning a cached :class:`~repro.query.landmark.LandmarkIndex`.
 
-``repro.core.runner`` is imported lazily: the registry imports the step
-classes from this package, so a module-level import here would cycle.
+``repro.core.runner`` imports this package for the registry's step
+classes, so it is bound here as a module and only dereferenced at call
+time.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core import runner
+from repro.core.validate import count_traversed_edges
 from repro.graphs.graph import Graph
 from repro.query.landmark import DEFAULT_LANDMARKS, LandmarkIndex, select_landmarks
 from repro.query.msbfs import WORD_LANES
 from repro.query.serial import cc_serial, msbfs_serial, sssp_serial
-from repro.query.sssp import DEFAULT_DELTA, DEFAULT_WEIGHT_MAX, edge_weights
 from repro.sparse.semiring import INF
 
 
@@ -96,47 +98,21 @@ def run_query(graph: Graph, sources=None, config=None, **kwargs) -> QueryResult:
     """Run one batched query of ``graph`` per ``config``.
 
     Either pass a prebuilt :class:`~repro.core.runner.RunConfig` via
-    ``config``, or keyword options exactly as :func:`~repro.core.run_bfs`
-    takes them (plus the query fields ``sources``/``sssp_delta``/
-    ``weight_max``/``weight_seed``/``landmarks``).  ``sources`` — up to
-    64 vertex ids in the caller's labels — may be given positionally for
-    convenience; it is folded into the config.
+    ``config``, or its fields as keyword options exactly as
+    :func:`~repro.core.run_bfs` takes them (``algorithm`` defaults to
+    ``"msbfs-1d"``).  ``sources`` — up to 64 vertex ids in the caller's
+    labels — may be given positionally for convenience; it replaces the
+    config's batch.
     """
-    from repro.core import runner
-
     if config is None:
-        kwargs.setdefault("algorithm", "msbfs-1d")
-        if sources is not None:
-            kwargs["sources"] = _as_source_tuple(sources)
-        config = runner.RunConfig(**kwargs)
-    else:
-        if kwargs:
-            raise TypeError("pass either config= or keyword options, not both")
-        if sources is not None:
-            config = replace(config, sources=_as_source_tuple(sources))
-    resolved = config.resolve()
-    kind = resolved.spec.kind
-    if kind == "bfs":
-        raise ValueError(
-            f"{config.algorithm} is a single-source BFS; use repro.core.run_bfs"
-        )
-    if kind == "msbfs":
-        return _run_msbfs(graph, config, resolved)
-    if kind == "cc":
-        return _run_cc(graph, config, resolved)
-    if kind == "sssp":
-        return _run_sssp(graph, config, resolved)
-    if kind == "landmark":
-        return _run_landmark(graph, config, resolved)
-    raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
+        config = runner.RunConfig(**{"algorithm": "msbfs-1d", **kwargs})
+    elif kwargs:
+        raise TypeError("pass either config= or keyword options, not both")
+    return runner.prepare(graph, config).query(sources)
 
 
-def _as_source_tuple(sources) -> tuple:
-    arr = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    return tuple(int(s) for s in arr)
-
-
-def _require_sources(graph: Graph, config) -> np.ndarray:
+def _require_sources(session) -> np.ndarray:
+    graph, config = session.graph, session.config
     if not config.sources:
         raise ValueError(
             f"{config.algorithm} needs explicit sources; pass up to "
@@ -155,88 +131,52 @@ def _require_sources(graph: Graph, config) -> np.ndarray:
     return sources
 
 
-def _launch(graph, config, resolved, step_args, step_kwargs):
-    """One resilient SPMD engine run; returns (spmd, fault_meta, extras)."""
-    from repro.core.runner import NetworkCostModel, _run_resilient, traversal_body
+def _result(
+    session, levels_int, parents, nlevels, m_traversed, stats, fault_meta,
+    level_profile, *, sources=(), batch=None, times=None, **extra_meta,
+) -> QueryResult:
+    """The one :class:`QueryResult` constructor.
 
-    machine, threads = resolved.machine, resolved.threads
-    cost_model = (
-        NetworkCostModel(machine, threads=threads, total_ranks=config.nprocs)
-        if machine is not None
-        else None
+    ``levels_int`` is relabeled here; ``parents`` arrives in the caller's
+    labels (``cc`` canonicalizes its own).  ``batch`` defaults to the
+    number of ``sources``; ``times`` overrides the modeled breakdown read
+    off ``stats`` (``sssp`` sums one engine run per lane).
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size:
+        extra_meta["sources"] = sources.tolist()
+    if times is None:
+        times = (stats.makespan, stats.max_mpi_time, stats.max_compute_time)
+    return QueryResult(
+        levels=session.graph.relabel_level_array(levels_int),
+        parents=parents,
+        sources=sources,
+        algorithm=session.config.algorithm,
+        kind=session.spec.kind,
+        nranks=session.nranks,
+        threads=session.threads,
+        nlevels=nlevels,
+        batch=int(sources.size if batch is None else batch),
+        m_traversed=int(m_traversed),
+        time_total=times[0],
+        time_comm=times[1],
+        time_comp=times[2],
+        stats=stats,
+        meta=session.meta(fault_meta, level_profile, **extra_meta),
     )
-    engine_kwargs = dict(
-        machine=machine,
-        threads=threads,
-        trace=config.trace,
-        tracer=config.tracer,
-        metrics=config.metrics,
-    )
-    return _run_resilient(
-        config.nprocs,
-        traversal_body,
-        (resolved.spec.step, step_args, step_kwargs),
-        engine_kwargs,
-        cost_model,
-        config.faults,
-        config.checkpoint_every,
-        config.max_retries,
-        runtime=config.runtime,
-        timeout=config.spmd_timeout,
-    )
 
 
-def _stitch(graph, spmd, columns: int | None):
-    """Reassemble per-rank levels/parents into full internal arrays."""
-    shape = (graph.n,) if columns is None else (graph.n, columns)
-    levels = np.empty(shape, dtype=np.int64)
-    parents = np.empty(shape, dtype=np.int64)
-    for rank_out in spmd.returns:
-        levels[rank_out["lo"] : rank_out["hi"]] = rank_out["levels"]
-        parents[rank_out["lo"] : rank_out["hi"]] = rank_out["parents"]
-    nlevels = max(r["nlevels"] for r in spmd.returns)
-    return levels, parents, nlevels
-
-
-def _base_meta(graph, config, resolved, fault_meta, level_profile) -> dict:
-    return {
-        "graph": graph.name,
-        "machine": resolved.machine.name if resolved.machine is not None else None,
-        "kernel": config.kernel,
-        "dedup_sends": config.dedup_sends,
-        "codec": getattr(config.codec, "name", config.codec),
-        "sieve": bool(config.sieve),
-        "vector_dist": config.vector_dist,
-        "level_profile": level_profile,
-        "tracer": config.tracer,
-        "metrics": config.metrics,
-        "faults": fault_meta,
-    }
-
-
-def _level_profile(config, resolved, spmd):
-    from repro.core.runner import _merge_traces
-
-    if config.trace and "trace-profile" in resolved.spec.capabilities:
-        return _merge_traces([r["trace"] for r in spmd.returns])
-    return None
-
-
-def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
-    from repro.core.validate import count_traversed_edges
-
-    sources = _require_sources(graph, config)
+def _query_msbfs(session) -> QueryResult:
+    graph = session.graph
+    sources = _require_sources(session)
     srcs_internal = np.array(
         [int(np.asarray(graph.to_internal(int(s)))) for s in sources],
         dtype=np.int64,
     )
-    step_kwargs = dict(dedup_sends=config.dedup_sends, codec=config.codec)
-    spmd, fault_meta = _launch(
-        graph, config, resolved, (graph.csr, srcs_internal), step_kwargs
-    )
-    levels_int, parents_int, nlevels = _stitch(graph, spmd, sources.size)
+    spmd, fault_meta = session.launch(srcs_internal)
+    levels_int, parents_int, nlevels = session.stitch(spmd, sources.size)
 
-    if config.validate:
+    if session.config.validate:
         ref_levels, ref_parents = msbfs_serial(graph.csr, srcs_internal)
         if not (
             np.array_equal(levels_int, ref_levels)
@@ -250,26 +190,10 @@ def _run_msbfs(graph: Graph, config, resolved) -> QueryResult:
         count_traversed_edges(graph.csr, levels_int[:, b], graph.m_input)
         for b in range(sources.size)
     )
-    meta = _base_meta(
-        graph, config, resolved, fault_meta, _level_profile(config, resolved, spmd)
-    )
-    meta["sources"] = sources.tolist()
-    return QueryResult(
-        levels=graph.relabel_level_array(levels_int),
-        parents=graph.relabel_vertex_array(parents_int),
+    return _result(
+        session, levels_int, graph.relabel_vertex_array(parents_int), nlevels,
+        m_traversed, spmd.stats, fault_meta, session.level_profile(spmd),
         sources=sources,
-        algorithm=config.algorithm,
-        kind="msbfs",
-        nranks=config.nprocs,
-        threads=resolved.threads,
-        nlevels=nlevels,
-        batch=int(sources.size),
-        m_traversed=int(m_traversed),
-        time_total=spmd.stats.makespan if spmd.stats is not None else 0.0,
-        time_comm=spmd.stats.max_mpi_time if spmd.stats is not None else 0.0,
-        time_comp=spmd.stats.max_compute_time if spmd.stats is not None else 0.0,
-        stats=spmd.stats,
-        meta=meta,
     )
 
 
@@ -280,78 +204,47 @@ def _canonical_components(n: int, comp: np.ndarray) -> np.ndarray:
     return smallest[comp]
 
 
-def _run_cc(graph: Graph, config, resolved) -> QueryResult:
-    from repro.core.validate import count_traversed_edges
-
+def _query_cc(session) -> QueryResult:
+    graph = session.graph
     if graph.directed:
         raise ValueError("cc requires an undirected graph")
-    if config.sources:
-        raise ValueError(
-            "cc seeds itself from the unlabeled vertices; sources apply to "
-            "msbfs-1d/sssp-delta"
-        )
-    step_kwargs = dict(codec=config.codec)
-    spmd, fault_meta = _launch(graph, config, resolved, (graph.csr,), step_kwargs)
-    levels_int, comp_int, nlevels = _stitch(graph, spmd, None)
+    spmd, fault_meta = session.launch()
+    levels_int, comp_int, nlevels = session.stitch(spmd)
 
-    if config.validate and not np.array_equal(comp_int, cc_serial(graph.csr)):
+    if session.config.validate and not np.array_equal(comp_int, cc_serial(graph.csr)):
         raise AssertionError("components diverge from the serial sweep")
 
     comp = _canonical_components(
         graph.n, np.asarray(graph.relabel_vertex_array(comp_int))
     )
-    meta = _base_meta(
-        graph, config, resolved, fault_meta, _level_profile(config, resolved, spmd)
-    )
-    meta["components"] = int(np.unique(comp).size)
-    return QueryResult(
-        levels=graph.relabel_level_array(levels_int),
-        parents=comp,
-        sources=np.empty(0, dtype=np.int64),
-        algorithm=config.algorithm,
-        kind="cc",
-        nranks=config.nprocs,
-        threads=resolved.threads,
-        nlevels=nlevels,
-        batch=WORD_LANES,
-        m_traversed=count_traversed_edges(graph.csr, levels_int, graph.m_input),
-        time_total=spmd.stats.makespan if spmd.stats is not None else 0.0,
-        time_comm=spmd.stats.max_mpi_time if spmd.stats is not None else 0.0,
-        time_comp=spmd.stats.max_compute_time if spmd.stats is not None else 0.0,
-        stats=spmd.stats,
-        meta=meta,
+    return _result(
+        session, levels_int, comp, nlevels,
+        count_traversed_edges(graph.csr, levels_int, graph.m_input),
+        spmd.stats, fault_meta, session.level_profile(spmd),
+        batch=WORD_LANES, components=int(np.unique(comp).size),
     )
 
 
-def _run_sssp(graph: Graph, config, resolved) -> QueryResult:
-    from repro.core.validate import count_traversed_edges
-
-    sources = _require_sources(graph, config)
-    delta = DEFAULT_DELTA if config.sssp_delta is None else config.sssp_delta
-    weight_max = (
-        DEFAULT_WEIGHT_MAX if config.weight_max is None else config.weight_max
-    )
-    weight_seed = 0 if config.weight_seed is None else config.weight_seed
-    weights = edge_weights(graph.csr, weight_max=weight_max, seed=weight_seed)
+def _query_sssp(session) -> QueryResult:
+    graph = session.graph
+    sources = _require_sources(session)
+    weights = session.plan.kwargs["weights"]
 
     n, k = graph.n, sources.size
     levels_int = np.empty((n, k), dtype=np.int64)
     parents_int = np.empty((n, k), dtype=np.int64)
     nlevels = 0
-    time_total = time_comm = time_comp = 0.0
+    times = np.zeros(3)
     m_traversed = 0
     stats = None
     fault_meta = None
     lane_profiles = []
     for b, s in enumerate(sources):
         src_internal = int(np.asarray(graph.to_internal(int(s))))
-        step_kwargs = dict(weights=weights, delta=delta, codec=config.codec)
-        spmd, fault_meta = _launch(
-            graph, config, resolved, (graph.csr, src_internal), step_kwargs
-        )
-        dist, parents, levels_run = _stitch(graph, spmd, None)
+        spmd, fault_meta = session.launch(src_internal)
+        dist, parents, levels_run = session.stitch(spmd)
         dist = np.where(dist >= INF, np.int64(-1), dist)
-        if config.validate:
+        if session.config.validate:
             ref_dist, ref_parents = sssp_serial(graph.csr, src_internal, weights)
             if not (
                 np.array_equal(dist, ref_dist)
@@ -364,58 +257,26 @@ def _run_sssp(graph: Graph, config, resolved) -> QueryResult:
         parents_int[:, b] = parents
         nlevels = max(nlevels, levels_run)
         m_traversed += count_traversed_edges(graph.csr, dist, graph.m_input)
-        if spmd.stats is not None:
-            time_total += spmd.stats.makespan
-            time_comm += spmd.stats.max_mpi_time
-            time_comp += spmd.stats.max_compute_time
         stats = spmd.stats
-        profile = _level_profile(config, resolved, spmd)
+        times += (stats.makespan, stats.max_mpi_time, stats.max_compute_time)
+        profile = session.level_profile(spmd)
         if profile is not None:
             lane_profiles.append(profile)
 
     # One engine run per source: lane 0's profile stands as the
     # representative, the full set rides under "lane_profiles".
-    meta = _base_meta(
-        graph,
-        config,
-        resolved,
-        fault_meta,
-        lane_profiles[0] if lane_profiles else None,
-    )
-    if lane_profiles:
-        meta["lane_profiles"] = lane_profiles
-    meta.update(
-        sources=sources.tolist(),
-        sssp_delta=delta,
-        weight_max=weight_max,
-        weight_seed=weight_seed,
-    )
-    return QueryResult(
-        levels=graph.relabel_level_array(levels_int),
-        parents=graph.relabel_vertex_array(parents_int),
-        sources=sources,
-        algorithm=config.algorithm,
-        kind="sssp",
-        nranks=config.nprocs,
-        threads=resolved.threads,
-        nlevels=nlevels,
-        batch=int(k),
-        m_traversed=int(m_traversed),
-        time_total=time_total,
-        time_comm=time_comm,
-        time_comp=time_comp,
-        stats=stats,
-        meta=meta,
+    extra = {"lane_profiles": lane_profiles} if lane_profiles else {}
+    return _result(
+        session, levels_int, graph.relabel_vertex_array(parents_int), nlevels,
+        m_traversed, stats, fault_meta, lane_profiles[0] if lane_profiles else None,
+        sources=sources, times=tuple(float(t) for t in times), **extra,
     )
 
 
-def _run_landmark(graph: Graph, config, resolved) -> QueryResult:
+def _query_landmark(session) -> QueryResult:
+    graph, config = session.graph, session.config
     if graph.directed:
         raise ValueError("landmark requires an undirected graph")
-    if config.sources:
-        raise ValueError(
-            "landmark selects its own sources; set landmarks=<count> instead"
-        )
     k = DEFAULT_LANDMARKS if config.landmarks is None else config.landmarks
     landmarks = select_landmarks(graph, min(k, max(graph.n, 1)))
     inner = replace(
@@ -424,25 +285,18 @@ def _run_landmark(graph: Graph, config, resolved) -> QueryResult:
         sources=tuple(int(v) for v in landmarks),
         landmarks=None,
     )
-    res = run_query(graph, config=inner)
+    res = runner.prepare(graph, inner).query()
     index = LandmarkIndex(landmarks=landmarks, dist=res.levels)
-    meta = dict(res.meta)
-    meta["landmarks"] = landmarks.tolist()
-    meta["index"] = index
-    return QueryResult(
-        levels=res.levels,
-        parents=res.parents,
-        sources=landmarks,
-        algorithm=config.algorithm,
-        kind="landmark",
-        nranks=res.nranks,
-        threads=res.threads,
-        nlevels=res.nlevels,
-        batch=res.batch,
-        m_traversed=res.m_traversed,
-        time_total=res.time_total,
-        time_comm=res.time_comm,
-        time_comp=res.time_comp,
-        stats=res.stats,
-        meta=meta,
+    meta = dict(res.meta, landmarks=landmarks.tolist(), index=index)
+    return replace(
+        res, sources=landmarks, algorithm=config.algorithm, kind="landmark", meta=meta
     )
+
+
+#: ``AlgorithmSpec.kind`` -> what :meth:`repro.core.runner.Session.query` runs.
+KINDS = {
+    "msbfs": _query_msbfs,
+    "cc": _query_cc,
+    "sssp": _query_sssp,
+    "landmark": _query_landmark,
+}

@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.runtime.base import (  # noqa: F401  (re-exports)
     DEFAULT_TIMEOUT,
@@ -58,7 +58,9 @@ from repro.runtime.base import (  # noqa: F401  (re-exports)
     ZeroCostModel,
     default_timeout,
 )
-from repro.mpsim.stats import SimStats
+
+if TYPE_CHECKING:
+    from repro.mpsim.stats import SimStats
 
 #: Environment variable naming the startup backend.
 ENV_VAR = "REPRO_RUNTIME"
@@ -215,3 +217,45 @@ def get_backend(name: str | None = None) -> ExecutionBackend:
             f"unknown execution runtime {name!r}; known: {sorted(BACKENDS)}"
         )
     return _load(name)
+
+
+def run_spmd(
+    nranks: int,
+    fn: Callable,
+    *args: Any,
+    cost_model: CollectiveCostModel | None = None,
+    timeout: float | None = None,
+    record_peers: bool = False,
+    record_timeline: bool = False,
+    base_time: float = 0.0,
+    runtime: str | None = None,
+    **kwargs: Any,
+) -> SpmdResult:
+    """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
+
+    Dispatches to the active execution runtime (or ``runtime=`` when
+    given): one rank per thread (``threads``), a deterministic
+    round-robin scheduler (``sequential``), or one forked worker process
+    per rank (``processes``).  All modeled outputs are bit-identical
+    across backends; exceptions raised by any rank abort the whole run
+    and re-raise as :class:`SpmdFailure` in the caller.
+
+    ``timeout=None`` applies the default policy: ``REPRO_SPMD_TIMEOUT``
+    when set, else :data:`DEFAULT_TIMEOUT`.
+
+    Returns
+    -------
+    SpmdResult
+        Per-rank return values plus the run's SimStats.
+    """
+    return get_backend(runtime).run_spmd(
+        nranks,
+        fn,
+        *args,
+        cost_model=cost_model,
+        timeout=timeout,
+        record_peers=record_peers,
+        record_timeline=record_timeline,
+        base_time=base_time,
+        **kwargs,
+    )

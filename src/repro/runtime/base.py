@@ -15,10 +15,10 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.mpsim.clock import RankClock
-from repro.mpsim.stats import RankStats, SimStats
+if TYPE_CHECKING:  # repro.mpsim re-exports this package: bind its types late
+    from repro.mpsim.stats import SimStats
 
 #: Default seconds a rank may wait at a rendezvous before the run is
 #: aborted.  Generous, because functional simulations with hundreds of
@@ -148,6 +148,9 @@ class EngineBase:
         record_timeline: bool = False,
         base_time: float = 0.0,
     ):
+        from repro.mpsim.clock import RankClock
+        from repro.mpsim.stats import RankStats
+
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         if base_time < 0:
@@ -179,6 +182,8 @@ class EngineBase:
         return state
 
     def sim_stats(self) -> SimStats:
+        from repro.mpsim.stats import SimStats
+
         return SimStats(clocks=self.clocks, comm=self.stats)
 
     def first_failure(self) -> tuple[int, BaseException] | None:

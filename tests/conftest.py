@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.graphs import Graph, rmat_graph, webcrawl_graph
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def repo_root_stays_clean():
+    """Fail the run if a test left a new file in the repo root (tests
+    write under ``tmp_path``; a stray ``trace.json`` is the usual culprit).
+    Tool cache directories (``.hypothesis/``, ``.pytest_cache/``) are not files."""
+
+    def root_files() -> set[str]:
+        return {p.name for p in REPO_ROOT.iterdir() if p.is_file()}
+
+    before = root_files()
+    yield
+    leaked = sorted(root_files() - before)
+    assert not leaked, f"tests left files in the repo root: {leaked}"
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +48,22 @@ def crawl_graph() -> Graph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def block_builds(monkeypatch) -> list:
+    """One entry per ``build_2d_blocks`` call the driver makes."""
+    import repro.core.runner as runner
+
+    calls: list = []
+    real = runner.build_2d_blocks
+
+    def counting(csr, decomp, threads=1):
+        calls.append(decomp)
+        return real(csr, decomp, threads=threads)
+
+    monkeypatch.setattr(runner, "build_2d_blocks", counting)
+    return calls
 
 
 def make_path_graph(n: int) -> Graph:
@@ -57,36 +92,39 @@ def query_sources(graph: Graph, source: int, k: int = 4) -> list[int]:
     return [(source + i) % graph.n for i in range(min(k, graph.n))]
 
 
-def launch_any(graph: Graph, source: int, algorithm: str, *, batch: int = 4, **kwargs):
+def prepare_any(graph: Graph, algorithm: str, *, batch: int = 4, **kwargs):
+    """``prepare`` a session for any registry entry (see :func:`launch_any`)."""
+    from repro.core.runner import ALGORITHMS, RunConfig, prepare
+
+    if ALGORITHMS[algorithm].kind == "landmark":
+        kwargs["landmarks"] = min(batch, graph.n)
+    return prepare(graph, RunConfig(algorithm=algorithm, **kwargs))
+
+
+def launch_any(
+    graph: Graph, source: int, algorithm: str, *, batch: int = 4, session=None, **kwargs
+):
     """Kind-dispatching launcher for registry-driven sweeps.
 
     The harnesses parametrize over the whole ``ALGORITHMS`` registry;
-    BFS entries run through :func:`repro.core.run_bfs` and the batched
-    query kinds through :func:`repro.query.run_query` with a
-    deterministic source batch derived from ``source``, so one helper
-    covers every entry — current and future — without per-name branches
-    in the tests.
+    BFS entries answer ``session.bfs`` and the batched query kinds
+    ``session.query`` with a deterministic source batch derived from
+    ``source``, so one helper covers every entry — current and future —
+    without per-name branches in the tests.  Each call prepares its own
+    session (exactly what ``run_bfs``/``run_query`` do) unless one from
+    :func:`prepare_any` with the same ``batch`` is passed as ``session``.
     """
-    from repro.core import run_bfs
     from repro.core.runner import ALGORITHMS
-    from repro.query import run_query
 
+    if session is None:
+        session = prepare_any(graph, algorithm, batch=batch, **kwargs)
     kind = ALGORITHMS[algorithm].kind
     if kind == "bfs":
-        return run_bfs(graph, source, algorithm, **kwargs)
+        return session.bfs(source)
     if kind == "msbfs":
-        return run_query(
-            graph,
-            sources=query_sources(graph, source, batch),
-            algorithm=algorithm,
-            **kwargs,
-        )
+        return session.query(query_sources(graph, source, batch))
     if kind == "sssp":
-        return run_query(graph, sources=[source], algorithm=algorithm, **kwargs)
-    if kind == "cc":
-        return run_query(graph, algorithm=algorithm, **kwargs)
-    if kind == "landmark":
-        return run_query(
-            graph, algorithm=algorithm, landmarks=min(batch, graph.n), **kwargs
-        )
+        return session.query([source])
+    if kind in ("cc", "landmark"):  # these seed themselves
+        return session.query()
     raise ValueError(f"unknown algorithm kind {kind!r}")  # pragma: no cover

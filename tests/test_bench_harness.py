@@ -55,6 +55,12 @@ class TestAverageBfs:
         )
         assert run.threads == 2
 
+    def test_graph_is_distributed_once_for_all_sources(self, rmat_small, block_builds):
+        sources = pick_sources(rmat_small, 3, seed=2)
+        run = average_bfs(rmat_small, "2d", 4, HOPPER, sources=sources)
+        assert len(run.results) == 3
+        assert len(block_builds) == 1
+
 
 class TestPaperThreads:
     def test_machine_specific(self):

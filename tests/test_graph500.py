@@ -75,6 +75,11 @@ class TestRunGraph500:
         assert result.nranks == 4
         assert np.all(result.teps > 0)
 
+    def test_graph_is_distributed_once_for_all_keys(self, block_builds):
+        result = run_graph500(scale=10, algorithm="2d", nbfs=4)
+        assert result.nbfs == 4
+        assert len(block_builds) == 1
+
 
 class TestSearchKeys:
     def test_keys_non_isolated_and_distinct(self):

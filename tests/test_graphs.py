@@ -250,7 +250,7 @@ class TestIO:
 
 class TestScipyAndMtxInput:
     def test_from_scipy_round_trip(self):
-        import scipy.sparse as sp
+        sp = pytest.importorskip("scipy.sparse")
 
         rng = np.random.default_rng(0)
         coo = sp.coo_matrix(
@@ -266,20 +266,20 @@ class TestScipyAndMtxInput:
                 assert g.csr.has_edge(int(v), u)
 
     def test_from_scipy_rejects_rectangular(self):
-        import scipy.sparse as sp
+        sp = pytest.importorskip("scipy.sparse")
 
         with pytest.raises(ValueError, match="square"):
             Graph.from_scipy(sp.eye(3, 5))
 
     def test_from_mtx(self, tmp_path):
-        import scipy.io
-        import scipy.sparse as sp
+        scipy_io = pytest.importorskip("scipy.io")
+        sp = pytest.importorskip("scipy.sparse")
 
         matrix = sp.coo_matrix(
             (np.ones(4), ([0, 1, 2, 3], [1, 2, 3, 0])), shape=(5, 5)
         )
         path = tmp_path / "tiny.mtx"
-        scipy.io.mmwrite(str(path), matrix)
+        scipy_io.mmwrite(str(path), matrix)
         g = Graph.from_mtx(path, shuffle=False)
         assert g.name == "tiny"
         assert g.n == 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mpsim import ProcessorGrid, RankClock, run_spmd
-from repro.mpsim.engine import CollectiveCostModel
+from repro.runtime import CollectiveCostModel
 
 
 class TestRunSpmd:

@@ -10,7 +10,7 @@ from repro.core.bfs1d import bfs_1d
 from repro.core.bfs_dirop import bfs_1d_dirop
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
-from repro.mpsim.engine import SimEngine
+from repro.runtime.threads import ThreadsEngine
 
 
 class TestAbortPaths:
@@ -186,7 +186,7 @@ class TestTimeout:
 class TestEngineValidation:
     def test_bad_nranks(self):
         with pytest.raises(ValueError, match="nranks"):
-            SimEngine(0)
+            ThreadsEngine(0)
 
     def test_results_preserved_before_failure(self):
         """Ranks that returned before the abort keep their results...

@@ -16,7 +16,8 @@ def test_readme_has_python_examples():
     assert len(python_blocks()) >= 1
 
 
-def test_readme_quickstart_executes():
+def test_readme_quickstart_executes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the observability block writes trace.json
     namespace: dict = {}
     for block in python_blocks():
         exec(compile(block, "<README>", "exec"), namespace)  # noqa: S102
@@ -48,7 +49,12 @@ def test_version_consistency():
 
     import repro
 
-    assert repro.__version__ == md.version("repro")
+    try:
+        declared = md.version("repro")
+    except md.PackageNotFoundError:  # bare checkout: PYTHONPATH=src, nothing installed
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"', pyproject, flags=re.MULTILINE).group(1)
+    assert repro.__version__ == declared
 
 
 def test_design_doc_module_inventory_is_real():

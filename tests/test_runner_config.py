@@ -13,10 +13,6 @@ Three guarantees:
   output stay stable.
 * **Equivalence** — one real traversal through each API produces
   identical parents, levels and modeled stats.
-
-Plus the deprecation re-exports: the sieve helpers that moved to
-``repro.comm`` (and ``partition_ranges``, now in the engine) stay
-importable from ``repro.core.bfs1d`` with a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -235,32 +231,3 @@ class TestRunEquivalence:
         np.testing.assert_array_equal(via_shim.levels, via_config.levels)
         assert via_shim.stats.makespan == via_config.stats.makespan
         assert via_shim.meta["level_profile"] == via_config.meta["level_profile"]
-
-
-class TestDeprecatedReExports:
-    """Names that moved out of bfs1d keep working, with a warning."""
-
-    @pytest.mark.parametrize(
-        "name, new_home",
-        [
-            ("make_sieve", "repro.comm"),
-            ("sieve_state", "repro.comm"),
-            ("restore_sieve", "repro.comm"),
-            ("partition_ranges", "repro.core.engine"),
-        ],
-    )
-    def test_moved_names_warn_and_resolve(self, name, new_home):
-        import importlib
-
-        from repro.core import bfs1d
-
-        target = getattr(importlib.import_module(new_home), name)
-        with pytest.warns(DeprecationWarning, match=f"{name}.*{new_home}"):
-            legacy = getattr(bfs1d, name)
-        assert legacy is target
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.core import bfs1d
-
-        with pytest.raises(AttributeError):
-            bfs1d.no_such_name

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.graphs import rmat_graph
 from repro.sparse import DCSC
-from repro.sparse.interop import (
+
+sp = pytest.importorskip("scipy.sparse")
+from repro.sparse.interop import (  # noqa: E402  (needs scipy itself)
     csr_from_scipy,
     csr_to_scipy,
     dcsc_from_scipy,

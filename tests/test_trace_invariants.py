@@ -10,13 +10,14 @@ direction it actually ran.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS
 from repro.graphs.rmat import rmat_graph
 
-from tests.conftest import launch_any
+from tests.conftest import launch_any, prepare_any
 
 #: Every flat variant the registry declares a per-level trace profile
 #: for — derived dynamically, so a new plugin is covered the moment it
@@ -122,6 +123,22 @@ class TestTraceEveryAlgorithm:
             "top-down",
             "bottom-up",
         }
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_one_session_two_sources_equals_two_runs(graph, source, algorithm):
+    """Searching a prepared session from two sources is bit-identical to
+    two independent one-shot runs: nothing leaks from search to search."""
+    options = dict(nprocs=4, machine="hopper", trace=True)
+    session = prepare_any(graph, algorithm, **options)
+    for s in (source, (source + 101) % graph.n):
+        shared = launch_any(graph, s, algorithm, session=session)
+        alone = launch_any(graph, s, algorithm, **options)
+        assert np.array_equal(shared.levels, alone.levels)
+        assert np.array_equal(shared.parents, alone.parents)
+        if alone.stats is not None:  # serial launches nothing
+            assert shared.stats.makespan == alone.stats.makespan
+        assert shared.meta["level_profile"] == alone.meta["level_profile"]
 
 
 class TestTrace1D:

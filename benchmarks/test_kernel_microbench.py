@@ -33,8 +33,11 @@ def workload():
     rng = np.random.default_rng(1)
     frontier = np.unique(rng.integers(0, csr.n, 4096))
     targets, sources = csr.gather(frontier)
-    block = DCSC.from_coo(csr.n, csr.n, csr.indices,
-                          np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees()))
+    # build_csr's output is A^T column-major, sorted and deduplicated.
+    block = DCSC.from_sorted_coo(
+        csr.n, csr.n, csr.indices,
+        np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees()),
+    )
     return {
         "src": src,
         "dst": dst,

@@ -1,0 +1,115 @@
+"""Within-run ratio smokes for the sort-free 2D host path.
+
+ROADMAP 2(c): gate ratios measured inside one process, not seconds.  Both
+checks time the production code against the formulation its tests use as
+the reference, on a scale-14 R-MAT, and assert identical results:
+
+* :func:`~repro.core.bfs2d.build_2d_blocks` (one stable bucket of the
+  sorted CSR, no per-block sort) against per-block ``DCSC.from_coo`` of
+  the bucketed COO;
+* the SPA's occupancy read-out against ``unique_sorted`` of the touched
+  list on a dense level.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import pytest
+
+from repro import kernels
+from repro.core.bfs2d import build_2d_blocks
+from repro.core.partition import Decomp2D
+from repro.graphs.csr import build_csr
+from repro.graphs.rmat import rmat_edges
+from repro.sparse.dcsc import DCSC
+from repro.sparse.spa import SPA
+
+SCALE = 14
+GRID = 4
+
+#: Loose CI-safe bar; measured on a noisy 2-CPU box 2.3-3.2x (blocks; 4x at
+#: scale 16) and several hundred x (SPA).
+MIN_SPEEDUP = 2.0
+
+
+@pytest.fixture(scope="module")
+def csr():
+    src, dst = rmat_edges(SCALE, 16, seed=5)
+    return build_csr(1 << SCALE, src, dst)
+
+
+def _race(fast, slow, rounds=7):
+    """Best-of-``rounds`` wall time of each callable, rounds interleaved
+    so that a slow spell of the host falls on both."""
+    best = {fast: None, slow: None}
+    result = {}
+    for _ in range(rounds):
+        for fn in (fast, slow):
+            t0 = time.perf_counter()
+            result[fn] = fn()
+            elapsed = time.perf_counter() - t0
+            best[fn] = elapsed if best[fn] is None else min(best[fn], elapsed)
+    return best[fast], result[fast], best[slow], result[slow]
+
+
+def _per_block_from_coo(csr, decomp):
+    """The distributor as it was: label by binary search, stable-sort by
+    rank, re-sort every block from scratch."""
+    cols = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    rows = csr.indices
+    ranks = decomp.row_block_of(rows) * decomp.pc + decomp.col_block_of(cols)
+    order = np.argsort(ranks, kind="stable")
+    rows, cols = rows[order], cols[order]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(ranks, minlength=decomp.nprocs))])
+    blocks = []
+    for rank in range(decomp.nprocs):
+        i, j = divmod(rank, decomp.pc)
+        rlo, rhi = decomp.row_block(i)
+        clo, chi = decomp.col_block(j)
+        sel = slice(offsets[rank], offsets[rank + 1])
+        blocks.append(
+            DCSC.from_coo(rhi - rlo, chi - clo, rows[sel] - rlo, cols[sel] - clo)
+        )
+    return blocks
+
+
+def _assert_speedup(what, fast, slow):
+    speedup = slow / fast
+    assert speedup >= MIN_SPEEDUP, (
+        f"{what} only {speedup:.1f}x its reference "
+        f"({fast:.4f}s vs {slow:.4f}s); expected >= {MIN_SPEEDUP}x"
+    )
+
+
+def test_build_2d_blocks_beats_per_block_sort(csr):
+    decomp = Decomp2D(csr.n, GRID)
+    fast, blocks, slow, reference = _race(
+        lambda: build_2d_blocks(csr, decomp),
+        lambda: _per_block_from_coo(csr, decomp),
+    )
+    for local, ref in zip(blocks, reference, strict=True):
+        (got,) = local.pieces
+        assert np.array_equal(got.jc, ref.jc)
+        assert np.array_equal(got.cp, ref.cp)
+        assert np.array_equal(got.ir, ref.ir)
+    _assert_speedup("build_2d_blocks", fast, slow)
+
+
+def test_spa_occupancy_beats_unique_sorted(csr):
+    """A dense level: every row of a block touched several times over."""
+    length = csr.n // GRID
+    positions = csr.indices[csr.indices < length]
+    values = np.arange(positions.size, dtype=np.int64)
+    spa = SPA(length)
+    spa.accumulate(positions, values)
+    # extract() leaves the SPA loaded, so every round reads the same level.
+    fast, (idx, val), slow, want = _race(
+        spa.extract, lambda: kernels.unique_sorted(positions)
+    )
+    assert np.array_equal(idx, want)
+    dense = np.full(length, -1, dtype=np.int64)
+    np.maximum.at(dense, positions, values)
+    assert np.array_equal(val, dense[want])
+    _assert_speedup("SPA occupancy read-out", fast, slow)

@@ -895,7 +895,8 @@ def ablation_symmetric(quick: bool = False) -> Table:
         rows = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
         from repro.sparse.dcsc import DCSC as _DCSC
 
-        full = _DCSC.from_coo(csr.n, csr.n, csr.indices, rows)
+        # build_csr's output is A^T column-major, sorted and deduplicated.
+        full = _DCSC.from_sorted_coo(csr.n, csr.n, csr.indices, rows)
         sym = SymmetricDCSC.from_full(full)
         full_words = full.ir.size + full.jc.size + full.cp.size
         saving = 100.0 * (1.0 - sym.memory_words / full_words)

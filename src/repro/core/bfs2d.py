@@ -43,7 +43,7 @@ from repro.comm import (
 from repro.core.engine import LevelOutcome, TraversalEngine
 from repro.core.frontier import dedup_candidates
 from repro.core.partition import Decomp2D
-from repro.graphs.csr import CSR
+from repro.graphs.csr import CSR, build_csr
 from repro.mpsim.communicator import Communicator
 from repro.mpsim.grid import ProcessorGrid
 from repro.sparse.dcsc import DCSC
@@ -71,34 +71,44 @@ def build_2d_blocks(csr: CSR, decomp: Decomp2D, threads: int = 1) -> list[LocalB
     will omit the transpose and assume that the input is pre-transposed",
     Section 3.2).  Returns blocks in rank order (``rank = i * side + j``).
     """
+    if csr.nnz and (csr.indices.min() < 0 or csr.indices.max() >= csr.n):
+        raise ValueError(f"adjacency ids out of range [0, {csr.n})")
+    if not csr.is_canonical():
+        # Unsorted adjacencies or parallel edges: restore the invariant
+        # the sort-free path below relies on.
+        csr = build_csr(
+            csr.n,
+            np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees()),
+            csr.indices,
+            symmetrize=False,
+            drop_self_loops=False,
+        )
     pr, pc = decomp.pr, decomp.pc
-    cols = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
-    rows = csr.indices
-    bi = decomp.row_block_of(rows)
-    bj = decomp.col_block_of(cols)
-    ranks = bi * pc + bj
+    degrees = csr.degrees()
+    row_part, col_part = decomp.rank_tables()
+    # Label every nonzero with its rank: a gather for the rows, a repeat
+    # for the (CSR-contiguous) columns.  The stable bucket keeps each
+    # rank's slice in the CSR's (col, row) order, duplicate-free.
+    ranks = row_part[csr.indices]
+    ranks += np.repeat(col_part, degrees)
     order = np.argsort(ranks, kind="stable")
-    rows, cols, ranks = rows[order], cols[order], ranks[order]
-    counts = np.bincount(ranks, minlength=pr * pc)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rows = csr.indices[order]
+    cols = np.repeat(np.arange(csr.n, dtype=np.int64), degrees)[order]
+    # Same-dtype keys: nprocs binary searches, no widened copy of the labels.
+    ends = np.searchsorted(
+        ranks[order], np.arange(pr * pc, dtype=ranks.dtype), side="right"
+    )
+    offsets = np.concatenate([[0], ends])
     blocks: list[LocalBlock] = []
     for rank in range(pr * pc):
         i, j = divmod(rank, pc)
         rlo, rhi = decomp.row_block(i)
         clo, chi = decomp.col_block(j)
         sel = slice(offsets[rank], offsets[rank + 1])
-        block = DCSC.from_coo(
-            rhi - rlo,
-            chi - clo,
-            rows[sel] - rlo,
-            cols[sel] - clo,
+        block = DCSC.from_sorted_coo(
+            rhi - rlo, chi - clo, rows[sel] - rlo, cols[sel] - clo
         )
-        pieces = block.split_rowwise(threads)
-        band = max(1, block.nrows // threads) if threads > 1 else block.nrows
-        band_offsets = [
-            min(t * band, block.nrows) if threads > 1 else 0
-            for t in range(len(pieces))
-        ]
+        pieces, band_offsets = block.split_rowwise(threads)
         blocks.append(LocalBlock(pieces=pieces, band_offsets=band_offsets))
     return blocks
 

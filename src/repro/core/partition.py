@@ -146,6 +146,22 @@ class Decomp2D:
         blocks = np.searchsorted(self.col_bounds, vertices, side="right") - 1
         return np.minimum(blocks, self.pc - 1)
 
+    def rank_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex rank contributions: matrix entry ``(row=v, col=u)``
+        lives on rank ``row_part[v] + col_part[u]``.
+
+        ``n`` lookups each, in the narrowest unsigned dtype that holds a
+        rank id, so a distributor labels every nonzero with a gather
+        (rows) and an ``np.repeat`` (columns) instead of a binary search
+        per nonzero, and can bucket the labels with a radix pass.
+        """
+        vertices = np.arange(self.n, dtype=np.int64)
+        dtype = np.min_scalar_type(self.nprocs - 1)
+        return (
+            (self.row_block_of(vertices) * self.pc).astype(dtype),
+            self.col_block_of(vertices).astype(dtype),
+        )
+
     def block_of(self, vertices: np.ndarray) -> np.ndarray:
         """Square-grid shorthand for :meth:`row_block_of`."""
         if not self.is_square:

@@ -51,6 +51,17 @@ class CSR:
         """Out-degree of every vertex."""
         return np.diff(self.indptr)
 
+    def is_canonical(self) -> bool:
+        """Whether every adjacency is strictly increasing (sorted, no
+        parallel edges) — what :func:`build_csr` emits by default, but not
+        with ``dedup=False`` and not necessarily for a hand-built ``CSR``.
+        One adjacent compare over ``indices``."""
+        descends = self.indices[1:] <= self.indices[:-1]
+        # A descent across the boundary between two adjacencies is fine.
+        starts = self.indptr[1:-1]
+        descends[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+        return not descends.any()
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted adjacency view (not a copy) of vertex ``v``."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

@@ -85,9 +85,35 @@ class DCSC:
                 np.not_equal(cols[1:], cols[:-1], out=keep[1:])
                 keep[1:] |= rows[1:] != rows[:-1]
                 rows, cols = rows[keep], cols[keep]
-        jc, counts = np.unique(cols, return_counts=True)
-        cp = np.zeros(jc.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cp[1:])
+        return cls.from_sorted_coo(nrows, ncols, rows, cols)
+
+    @classmethod
+    def from_sorted_coo(
+        cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray
+    ) -> "DCSC":
+        """Build from pairs already in (col, row) order without duplicates.
+
+        The caller guarantees the order — a stable bucket of a sorted CSR,
+        a row-band mask of an existing block, :meth:`from_coo`'s own sort
+        — so ``JC``/``CP`` are read off the column run boundaries with one
+        adjacent compare: no sort, no ``np.unique``.  Pairs that are not
+        column-major are rejected (``JC`` would not be increasing); row
+        order within a column is the caller's contract and is not
+        re-checked.  An ``int64`` ``rows`` array becomes ``IR`` as is,
+        without a copy.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError("rows/cols must be equal-length 1-D")
+        new_col = np.empty(cols.size, dtype=bool)
+        new_col[:1] = True
+        np.not_equal(cols[1:], cols[:-1], out=new_col[1:])
+        heads = np.flatnonzero(new_col)
+        jc = cols[heads]
+        if not np.all(jc[1:] > jc[:-1]):
+            raise ValueError("pairs are not in column-major order")
+        cp = np.append(heads, cols.size)
         return cls(nrows=nrows, ncols=ncols, jc=jc, cp=cp, ir=rows)
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,26 +163,29 @@ class DCSC:
         payload = np.repeat(values, counts)
         return rows, payload, int(col_ids.size)
 
-    def split_rowwise(self, pieces: int) -> list["DCSC"]:
+    def split_rowwise(self, pieces: int) -> tuple[list["DCSC"], list[int]]:
         """Split into ``pieces`` row bands (the hybrid's per-thread blocks).
 
         Figure 2 / Section 4.1: "we split the node local matrix rowwise to
         t pieces ... each thread local n/(pr*t) x n/pc sparse matrix is
         stored in DCSC format."  Bands partition the row space evenly;
-        the last band absorbs the remainder.
+        the last band absorbs the remainder.  Returns the bands and the
+        row offset of each within this block.  A row-band mask keeps the
+        pairs column-major, so no band is re-sorted.
         """
         if pieces < 1:
             raise ValueError(f"pieces must be >= 1, got {pieces}")
         if pieces == 1:
-            return [self]
+            return [self], [0]
         rows, cols = self.to_coo()
         band = max(1, self.nrows // pieces)
-        out = []
+        out, offsets = [], []
         for t in range(pieces):
             lo = min(t * band, self.nrows)
             hi = self.nrows if t == pieces - 1 else min((t + 1) * band, self.nrows)
             mask = (rows >= lo) & (rows < hi)
             out.append(
-                DCSC.from_coo(max(hi - lo, 0), self.ncols, rows[mask] - lo, cols[mask])
+                DCSC.from_sorted_coo(hi - lo, self.ncols, rows[mask] - lo, cols[mask])
             )
-        return out
+            offsets.append(lo)
+        return out, offsets

@@ -22,8 +22,29 @@ from repro import kernels
 from repro.sparse.semiring import SELECT_MAX, Semiring
 
 
+#: Read the sorted column union off the dense vector's occupancy once the
+#: touched count reaches ``length / OCCUPANCY_SCAN_RATIO``; below that,
+#: sort the touched list.  Measured (numpy 2.4, one core, int64 and uint64,
+#: ``length`` 2**10 .. 2**20): ``flatnonzero(dense != identity)`` and
+#: ``np.unique(touched)`` cost the same at touched/length = 1/128 for
+#: every length; at 1/32 the scan is 2.4-5x faster, at 1/512 the sort is
+#: 2-4x faster.
+OCCUPANCY_SCAN_RATIO = 128
+
+
 class SPA:
-    """Reusable sparse accumulator over a fixed-size index space."""
+    """Reusable sparse accumulator over a fixed-size index space.
+
+    The dense vector doubles as the occupied mask: a position is occupied
+    iff its value differs from the semiring identity, which is why
+    :meth:`accumulate` rejects identity-valued contributions (within a
+    semiring's domain, combining non-identity values never yields the
+    identity).  :meth:`extract` reads the sorted union off that occupancy
+    with one scan of the dense vector — the scan Section 4.2's cost model
+    already bills per level — and sorts the touched list instead only
+    when it is a small fraction of ``length`` (a tiny frontier on a huge
+    block).
+    """
 
     def __init__(self, length: int, semiring: Semiring = SELECT_MAX):
         if length < 0:
@@ -53,28 +74,30 @@ class SPA:
         self.semiring.reduce_at(self._dense, positions, values)
         self._touched.append(positions)
 
-    def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (sorted unique positions, combined values).
-
-        Section 4.2 notes the SPA must "explicitly sort the indices at the
-        end of the iteration" — that sort happens here.
-        """
+    def _occupied(self) -> np.ndarray:
+        """Sorted distinct positions accumulated since the last reset."""
         if not self._touched:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=self.semiring.dtype),
-            )
-        touched = kernels.unique_sorted(np.concatenate(self._touched))
-        return touched, self._dense[touched]
+            return np.empty(0, dtype=np.int64)
+        touched = sum(batch.size for batch in self._touched)
+        if touched * OCCUPANCY_SCAN_RATIO < self.length:
+            return kernels.unique_sorted(np.concatenate(self._touched))
+        return np.flatnonzero(self._dense != self.semiring.identity)
+
+    def extract(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return (sorted unique positions, combined values)."""
+        occupied = self._occupied()
+        return occupied, self._dense[occupied]
 
     def reset(self) -> None:
-        """Clear for reuse, touching only previously-occupied entries."""
-        if self._touched:
-            touched = np.concatenate(self._touched)
-            self._dense[touched] = self.semiring.identity
-            self._touched.clear()
+        """Clear for reuse, touching only the occupied entries."""
+        self._clear(self._occupied())
 
     def extract_and_reset(self) -> tuple[np.ndarray, np.ndarray]:
-        out = self.extract()
-        self.reset()
-        return out
+        occupied = self._occupied()
+        values = self._dense[occupied]
+        self._clear(occupied)
+        return occupied, values
+
+    def _clear(self, occupied: np.ndarray) -> None:
+        self._dense[occupied] = self.semiring.identity
+        self._touched.clear()

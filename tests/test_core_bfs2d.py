@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bfs_serial
 from repro.core.bfs2d import bfs_2d, build_2d_blocks
 from repro.core.partition import Decomp2D
+from repro.graphs.csr import CSR, build_csr
 from repro.mpsim import run_spmd
+from repro.sparse import DCSC
 
 from tests.conftest import make_disconnected_graph, make_path_graph, make_star_graph
 
@@ -70,6 +74,82 @@ class TestBuild2dBlocks:
         for a, b in zip(flat, split):
             assert a.nnz == b.nnz
             assert len(b.pieces) == 4
+
+
+@st.composite
+def csr_inputs(draw):
+    """A small directed graph as one of the three CSR flavours the
+    distributor must accept: canonical, multigraph (``dedup=False``), and
+    hand-built with shuffled adjacencies and parallel edges."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=80))
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    flavour = draw(st.sampled_from(["canonical", "multigraph", "hand-built"]))
+    if flavour == "hand-built":
+        order = np.argsort(src, kind="stable")  # dst stays in drawn order
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return CSR(n=n, indptr=indptr, indices=dst[order])
+    return build_csr(
+        n, src, dst, symmetrize=False, dedup=flavour == "canonical",
+        drop_self_loops=False,
+    )
+
+
+def reference_blocks(csr, decomp, threads):
+    """Per-block (and per-band) ``DCSC.from_coo`` of the masked COO."""
+    rows = csr.indices
+    cols = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    out = []
+    for i in range(decomp.pr):
+        rlo, rhi = decomp.row_block(i)
+        band = max(1, (rhi - rlo) // threads)
+        for j in range(decomp.pc):
+            clo, chi = decomp.col_block(j)
+            pieces, offsets = [], []
+            for t in range(threads):
+                lo = min(rlo + t * band, rhi)
+                hi = rhi if t == threads - 1 else min(lo + band, rhi)
+                m = (rows >= lo) & (rows < hi) & (cols >= clo) & (cols < chi)
+                pieces.append(
+                    DCSC.from_coo(hi - lo, chi - clo, rows[m] - lo, cols[m] - clo)
+                )
+                offsets.append(lo - rlo)
+            out.append((pieces, offsets))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    csr_inputs(),
+    st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 4), (5, 1)]),
+    st.sampled_from([1, 3]),
+)
+def test_build_2d_blocks_equals_per_block_from_coo(csr, grid, threads):
+    """The sort-free distributor is bit-identical to sorting every block
+    from scratch — for unsorted and multigraph input, rectangular grids,
+    ``p`` not dividing ``n``, empty blocks (``n < pr``) and row bands."""
+    decomp = Decomp2D(csr.n, *grid)
+    blocks = build_2d_blocks(csr, decomp, threads=threads)
+    reference = reference_blocks(csr, decomp, threads)
+    assert len(blocks) == len(reference)
+    for local, (pieces, offsets) in zip(blocks, reference):
+        assert local.band_offsets == offsets
+        assert len(local.pieces) == len(pieces)
+        for got, ref in zip(local.pieces, pieces):
+            assert (got.nrows, got.ncols) == (ref.nrows, ref.ncols)
+            assert np.array_equal(got.jc, ref.jc)
+            assert np.array_equal(got.cp, ref.cp)
+            assert np.array_equal(got.ir, ref.ir)
+            assert got.jc.dtype == got.cp.dtype == got.ir.dtype == np.int64
+
+
+def test_build_2d_blocks_rejects_out_of_range_adjacency():
+    bad = CSR(n=3, indptr=np.array([0, 1, 1, 2]), indices=np.array([1, -1]))
+    with pytest.raises(ValueError, match="out of range"):
+        build_2d_blocks(bad, Decomp2D(3, 2))
 
 
 class TestBfs2dCorrectness:

@@ -117,3 +117,13 @@ class TestDecomp2D:
         d = Decomp2D(3, 4)
         total = sum(d.block(k)[1] - d.block(k)[0] for k in range(4))
         assert total == 3
+
+    @pytest.mark.parametrize("n,pr,pc", [(100, 4, 4), (37, 3, 2), (3, 4, 4), (50, 1, 300)])
+    def test_rank_tables(self, n, pr, pc):
+        d = Decomp2D(n, pr, pc)
+        row_part, col_part = d.rank_tables()
+        v = np.arange(n)
+        assert np.array_equal(row_part, d.row_block_of(v) * pc)
+        assert np.array_equal(col_part, d.col_block_of(v))
+        # Narrowest unsigned dtype in which a rank id (their sum) fits.
+        assert row_part.dtype == col_part.dtype == np.min_scalar_type(pr * pc - 1)

@@ -16,6 +16,7 @@ from repro.graphs import (
     uniform_degree_edges,
     webcrawl_graph,
 )
+from repro.graphs.csr import CSR
 from repro.graphs.permutation import (
     apply_permutation,
     invert_permutation,
@@ -147,6 +148,18 @@ class TestCsr:
         for v in range(50):
             adj = csr.neighbors(v)
             assert np.all(np.diff(adj) > 0)  # sorted and deduplicated
+
+    def test_is_canonical(self):
+        rng = np.random.default_rng(3)
+        src, dst = rng.integers(0, 20, 200), rng.integers(0, 20, 200)
+        assert build_csr(20, src, dst).is_canonical()
+        # Parallel edges, an unsorted adjacency, and the degenerate shapes.
+        assert not build_csr(20, src, dst, dedup=False).is_canonical()
+        indptr = np.array([0, 2, 2, 3])
+        assert CSR(3, indptr, np.array([1, 2, 0])).is_canonical()
+        assert not CSR(3, indptr, np.array([2, 1, 0])).is_canonical()
+        assert not CSR(3, indptr, np.array([1, 1, 0])).is_canonical()
+        assert CSR(2, np.zeros(3, dtype=np.int64), np.empty(0, np.int64)).is_canonical()
 
     def test_gather_matches_neighbors(self):
         rng = np.random.default_rng(1)

@@ -112,9 +112,17 @@ def test_spmsv_kernels_equal_reference(matrix, seed):
 def test_dcsc_rowsplit_partitions_nnz(matrix, pieces):
     nrows, ncols, rows, cols = matrix
     d = DCSC.from_coo(nrows, ncols, rows, cols)
-    parts = d.split_rowwise(pieces)
+    parts, offsets = d.split_rowwise(pieces)
     assert sum(p.nnz for p in parts) == d.nnz
     assert sum(p.nrows for p in parts) == d.nrows
+    # Every band is what a from-scratch sort of its masked pairs builds.
+    r, c = d.to_coo()
+    for part, lo in zip(parts, offsets):
+        band = (r >= lo) & (r < lo + part.nrows)
+        ref = DCSC.from_coo(part.nrows, ncols, r[band] - lo, c[band])
+        assert np.array_equal(part.jc, ref.jc)
+        assert np.array_equal(part.cp, ref.cp)
+        assert np.array_equal(part.ir, ref.ir)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.sparse import SEMIRINGS, SPA
 from repro.sparse.semiring import INF
+from repro.sparse.spa import OCCUPANCY_SCAN_RATIO
 
 NAMES = sorted(SEMIRINGS)
 
@@ -150,6 +152,56 @@ class TestReductionKernels:
         )
         assert np.array_equal(got_keys, run_keys)
         assert np.array_equal(got_vals, run_vals)
+
+    @pytest.mark.parametrize("side", ["sort", "scan"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_spa_extract_is_the_unique_sorted_formulation(self, name, side, data):
+        """The occupancy read-out and the touched-list sort on either side
+        of the size crossover both return what sorting the touched list
+        and gathering a scatter-combined dense vector returns — with
+        duplicate positions, several batches, and again after a reset."""
+        s = SEMIRINGS[name]
+        length = 8 * OCCUPANCY_SCAN_RATIO
+        spa = SPA(length, s)
+        for _round in range(2):
+            # Below 8 touched entries the SPA sorts; from 8 on it scans.
+            total = data.draw(st.integers(2, 7) if side == "sort" else st.integers(8, 40))
+            pool = data.draw(
+                st.lists(st.integers(0, length - 1), min_size=1, max_size=4)
+            )
+            positions = data.draw(
+                st.lists(st.sampled_from(pool), min_size=total - 1, max_size=total - 1)
+            )
+            positions = np.asarray([positions[0], *positions], dtype=np.int64)
+            values = _array(
+                s, data.draw(st.lists(_DOMAINS[name], min_size=total, max_size=total))
+            )
+            cut = data.draw(st.integers(0, total))
+            for lo, hi in ((0, cut), (cut, total)):
+                spa.accumulate(positions[lo:hi], values[lo:hi])
+
+            dense = np.full(length, s.identity, dtype=s.dtype)
+            s.reduce_at(dense, positions, values)
+            want = kernels.unique_sorted(positions)
+            for got in (spa.extract(), spa.extract_and_reset()):
+                assert np.array_equal(got[0], want)
+                assert np.array_equal(got[1], dense[want])
+                assert got[0].dtype == np.int64 and got[1].dtype == s.dtype
+            empty = spa.extract()
+            assert empty[0].size == 0 and empty[1].size == 0
+
+    def test_spa_reset_clears_exactly_the_occupied(self, name):
+        s = SEMIRINGS[name]
+        value = _array(s, [7, 9, 7])
+        for length in (4, 8 * OCCUPANCY_SCAN_RATIO):  # scan side, sort side
+            spa = SPA(length, s)
+            spa.accumulate(np.array([3, 1, 3]), value)
+            spa.reset()
+            assert spa.extract()[0].size == 0
+            spa.accumulate(np.array([2]), value[:1])
+            idx, val = spa.extract()
+            assert np.array_equal(idx, [2]) and np.array_equal(val, value[:1])
 
     def test_empty_runs_are_the_identity(self, name):
         s = SEMIRINGS[name]

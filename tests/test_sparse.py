@@ -73,18 +73,33 @@ class TestDCSC:
         with pytest.raises(ValueError, match="out of range"):
             DCSC.from_coo(4, 4, [5], [0])
 
+    def test_from_sorted_coo_equals_from_coo(self):
+        rows, cols = random_coo(40, 30, 150, seed=5)
+        d = DCSC.from_coo(40, 30, rows, cols)
+        again = DCSC.from_sorted_coo(40, 30, *d.to_coo())
+        assert np.array_equal(again.jc, d.jc)
+        assert np.array_equal(again.cp, d.cp)
+        assert np.array_equal(again.ir, d.ir)
+        empty = DCSC.from_sorted_coo(4, 4, [], [])
+        assert empty.nzc == 0 and np.array_equal(empty.cp, [0])
+
+    def test_from_sorted_coo_rejects_unsorted_columns(self):
+        with pytest.raises(ValueError, match="column-major"):
+            DCSC.from_sorted_coo(4, 4, [0, 1, 2], [1, 0, 1])
+
     def test_split_rowwise_partitions(self):
         rows, cols = random_coo(64, 20, 300, seed=2)
         d = DCSC.from_coo(64, 20, rows, cols)
-        pieces = d.split_rowwise(4)
+        pieces, offsets = d.split_rowwise(4)
         assert len(pieces) == 4
+        assert offsets == [0, 16, 32, 48]
         assert sum(p.nnz for p in pieces) == d.nnz
         assert all(p.nrows == 16 for p in pieces)
         # Reassemble and compare.
         all_rows, all_cols = [], []
-        for t, piece in enumerate(pieces):
+        for offset, piece in zip(offsets, pieces):
             pr, pc = piece.to_coo()
-            all_rows.append(pr + t * 16)
+            all_rows.append(pr + offset)
             all_cols.append(pc)
         rebuilt = DCSC.from_coo(
             64, 20, np.concatenate(all_rows), np.concatenate(all_cols)
@@ -93,7 +108,7 @@ class TestDCSC:
 
     def test_split_more_pieces_than_rows(self):
         d = DCSC.from_coo(2, 4, [0, 1], [1, 2])
-        pieces = d.split_rowwise(2)
+        pieces, _offsets = d.split_rowwise(2)
         assert sum(p.nnz for p in pieces) == 2
 
 

@@ -21,7 +21,8 @@ from repro.graphs import Graph, build_csr
 from repro.graphs.ordering import edge_cut, rcm_ordering
 from repro.graphs.permutation import apply_permutation
 from repro.mpsim import run_spmd
-from repro.core.bfs1d import bfs_1d
+from repro.core.bfs1d import TopDown1D
+from repro.core.engine import traversal_body
 from repro.core.partition import Partition1D
 
 NPROCS = 8
@@ -60,7 +61,7 @@ def study(name, natural_csr):
         graph = as_graph(csr, label)
         source = int(graph.random_nonisolated_vertices(1, seed=1)[0])
         res = run_spmd(
-            NPROCS, bfs_1d, csr, source, record_peers=True
+            NPROCS, traversal_body, TopDown1D, (csr, source), {}, record_peers=True
         )
         words = res.stats.words_sent("alltoallv")
         matrix = res.stats.comm_matrix()

@@ -22,7 +22,8 @@ Run::
 import numpy as np
 
 import repro
-from repro.core.bfs2d import bfs_2d, build_2d_blocks
+from repro.core.bfs2d import SpMSV2D, build_2d_blocks
+from repro.core.engine import traversal_body
 from repro.core.partition import Decomp2D
 from repro.model import FRANKLIN, NetworkCostModel
 from repro.mpsim import render_timeline, run_spmd
@@ -34,10 +35,10 @@ def traverse(graph, source, side, diagonal):
     blocks = build_2d_blocks(graph.csr, decomp)
     return run_spmd(
         side * side,
-        bfs_2d,
-        blocks,
-        decomp,
-        source,
+        traversal_body,
+        SpMSV2D,
+        (blocks, decomp, source),
+        {},
         machine=machine,
         cost_model=NetworkCostModel(machine, total_ranks=side * side),
         record_timeline=True,

@@ -14,116 +14,93 @@ Quickstart::
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.
-
-The simulator proper requires numpy.  Without it, importing ``repro``
-still succeeds but exposes only :mod:`repro.kernels`, whose pure-python
-reference backend (``REPRO_KERNELS=python``) has no numpy dependency —
-the graceful-fallback contract the kernels CI job smoke-tests.
 """
 
 __version__ = "1.0.0"
 
-try:
-    import numpy as _numpy  # noqa: F401
-except ImportError:  # pragma: no cover - exercised by the numpy-absent smoke
-    _HAVE_NUMPY = False
-else:
-    _HAVE_NUMPY = True
+from repro.core import (
+    ALGORITHMS,
+    AlgorithmSpec,
+    BFSResult,
+    RunConfig,
+    Session,
+    TraversalEngine,
+    bfs_serial,
+    count_traversed_edges,
+    prepare,
+    run,
+    run_bfs,
+    validate_bfs,
+)
+from repro.graph500 import Graph500Result, run_graph500
+from repro.graphs import (
+    Graph,
+    erdos_renyi_edges,
+    load_graph,
+    rmat_edges,
+    rmat_graph,
+    save_graph,
+    uniform_degree_edges,
+    webcrawl_graph,
+)
+from repro.model import (
+    CARVER,
+    FRANKLIN,
+    HOPPER,
+    MachineConfig,
+    RmatVolumeModel,
+    cost_1d,
+    cost_2d,
+    gteps,
+)
+from repro.mpsim import ProcessorGrid, run_spmd
+from repro.obs import (
+    Tracer,
+    critical_path,
+    perf_diff,
+    run_report,
+    write_chrome_trace,
+    write_run_report,
+)
 
-if not _HAVE_NUMPY:  # pragma: no cover - exercised by the numpy-absent smoke
-    from repro import kernels
-
-    __all__ = ["kernels", "__version__"]
-else:
-    from repro.core import (
-        ALGORITHMS,
-        AlgorithmSpec,
-        BFSResult,
-        RunConfig,
-        Session,
-        TraversalEngine,
-        bfs_1d,
-        bfs_1d_dirop,
-        bfs_2d,
-        bfs_serial,
-        count_traversed_edges,
-        prepare,
-        run,
-        run_bfs,
-        validate_bfs,
-    )
-    from repro.graph500 import Graph500Result, run_graph500
-    from repro.graphs import (
-        Graph,
-        erdos_renyi_edges,
-        load_graph,
-        rmat_edges,
-        rmat_graph,
-        save_graph,
-        uniform_degree_edges,
-        webcrawl_graph,
-    )
-    from repro.model import (
-        CARVER,
-        FRANKLIN,
-        HOPPER,
-        MachineConfig,
-        RmatVolumeModel,
-        cost_1d,
-        cost_2d,
-        gteps,
-    )
-    from repro.mpsim import ProcessorGrid, run_spmd
-    from repro.obs import (
-        Tracer,
-        critical_path,
-        perf_diff,
-        run_report,
-        write_chrome_trace,
-        write_run_report,
-    )
-
-    __all__ = [
-        "ALGORITHMS",
-        "AlgorithmSpec",
-        "BFSResult",
-        "RunConfig",
-        "Session",
-        "TraversalEngine",
-        "bfs_1d",
-        "bfs_1d_dirop",
-        "bfs_2d",
-        "bfs_serial",
-        "count_traversed_edges",
-        "prepare",
-        "run",
-        "run_bfs",
-        "validate_bfs",
-        "Graph",
-        "erdos_renyi_edges",
-        "load_graph",
-        "rmat_edges",
-        "rmat_graph",
-        "save_graph",
-        "uniform_degree_edges",
-        "webcrawl_graph",
-        "CARVER",
-        "FRANKLIN",
-        "HOPPER",
-        "MachineConfig",
-        "RmatVolumeModel",
-        "cost_1d",
-        "cost_2d",
-        "gteps",
-        "Graph500Result",
-        "run_graph500",
-        "ProcessorGrid",
-        "run_spmd",
-        "Tracer",
-        "critical_path",
-        "perf_diff",
-        "run_report",
-        "write_chrome_trace",
-        "write_run_report",
-        "__version__",
-    ]
+__all__ = [
+    "ALGORITHMS",
+    "AlgorithmSpec",
+    "BFSResult",
+    "RunConfig",
+    "Session",
+    "TraversalEngine",
+    "bfs_serial",
+    "count_traversed_edges",
+    "prepare",
+    "run",
+    "run_bfs",
+    "validate_bfs",
+    "Graph",
+    "erdos_renyi_edges",
+    "load_graph",
+    "rmat_edges",
+    "rmat_graph",
+    "save_graph",
+    "uniform_degree_edges",
+    "webcrawl_graph",
+    "CARVER",
+    "FRANKLIN",
+    "HOPPER",
+    "MachineConfig",
+    "RmatVolumeModel",
+    "cost_1d",
+    "cost_2d",
+    "gteps",
+    "Graph500Result",
+    "run_graph500",
+    "ProcessorGrid",
+    "run_spmd",
+    "Tracer",
+    "critical_path",
+    "perf_diff",
+    "run_report",
+    "write_chrome_trace",
+    "write_run_report",
+    "__version__",
+]

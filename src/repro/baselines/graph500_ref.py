@@ -1,7 +1,7 @@
 """Graph 500 reference-MPI-style 1D BFS (the "non-replicated reference
 MPI code" of Section 6).
 
-Same 1D level-synchronous structure as :func:`repro.core.bfs1d.bfs_1d`,
+Same 1D level-synchronous structure as :class:`repro.core.bfs1d.TopDown1D`,
 minus the tuning that makes the paper's code fast:
 
 * **no send-side deduplication** — every traversed edge ships a

@@ -409,61 +409,24 @@ class CommChannel:
         return rt, rv, rx
 
     # -- frontier gathers (bottom-up expand, 2D expand) ---------------------
-    def expand_bitmap(
-        self, frontier: np.ndarray, level: int | None = None
-    ) -> tuple[np.ndarray, ExchangeInfo]:
-        """Allgather the frontier as a global boolean mask.
-
-        ``frontier`` holds this rank's frontier vertices (global ids inside
-        its own :class:`VertexRange`); the result is the dense mask over
-        the union of all ranges, in group-rank order — the bottom-up
-        sweep's ``Allgatherv`` with the payload priced post-codec.
-        """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        mine = self.ranges[self.comm.rank]
-        with self.obs.span("encode", codec=self.codec.name):
-            self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            payload = float(bitmap_words(mine.nbits))
-            buf = self.codec.encode_set(frontier, mine, dense=True)
-            self._charge_encode(float(frontier.size), payload, float(buf.size))
-        info = ExchangeInfo(int(frontier.size), payload, float(buf.size), 0)
-        pieces = self._collect_with_retry(
-            "allgatherv",
-            info,
-            level,
-            lambda: self.comm.allgatherv(buf, concat=False),
-            lambda r, piece: self.codec.decode_set(piece, self.ranges[r], dense=True),
-            "truncate",
-        )
-        with self.obs.span("decode", codec=self.codec.name):
-            nglobal = sum(r.nbits for r in self.ranges)
-            mask = np.zeros(nglobal, dtype=bool)
-            wire_recv = 0.0
-            for r, piece in enumerate(pieces):
-                vertices = self.codec.decode_set(piece, self.ranges[r], dense=True)
-                mask[vertices] = True
-                wire_recv += float(np.asarray(piece).size)
-            self._charge_decode(float(nglobal) / 64.0, wire_recv)
-            if self.sieve is not None:
-                self.sieve.mark_mask(mask)
-        return mask, info
-
     def gather_mask(
         self, vertices: np.ndarray, level: int | None = None
     ) -> tuple[np.ndarray, ExchangeInfo]:
         """Allgather dense per-range bitmaps into one boolean mask.
 
-        Unlike :meth:`expand_bitmap` — whose result mask spans the union
-        of *disjoint* ranges tiling ``[0, nglobal)`` — this gathers
-        ranges that may overlap or start anywhere: each rank contributes
-        the bitmap of its own :class:`VertexRange` and the decoded
-        pieces are OR-unioned into a mask over ``[base, top)`` where
-        ``base``/``top`` bound the group's ranges.  Index ``i`` of the
-        mask is vertex ``base + i``.  The 2D bottom-up step uses it for
-        both of its gathers: the frontier along a processor column
-        (identical overlapping ranges, one column block) and the
-        visited vertices along a processor row (disjoint vector pieces
-        starting at the row block's offset, not at zero).
+        Each rank contributes the bitmap of its own :class:`VertexRange`
+        (``vertices`` are global ids inside it) and the decoded pieces
+        are OR-unioned into a mask over ``[base, top)`` where
+        ``base``/``top`` bound the group's ranges, which may tile,
+        overlap or start anywhere.  Index ``i`` of the mask is vertex
+        ``base + i``.  Every bottom-up gather is this one ``Allgatherv``,
+        priced post-codec: the 1D frontier expand (owned ranges tiling
+        ``[0, n)``), the 2D frontier along a processor column (identical
+        overlapping ranges, one column block) and the 2D visited
+        vertices along a processor row (disjoint vector pieces starting
+        at the row block's offset, not at zero).  The gathered vertices
+        also feed the sieve: they are discovered, so no later exchange
+        needs to re-ship them.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         mine = self.ranges[self.comm.rank]

@@ -49,10 +49,6 @@ class Sieve:
         if vertices.size:
             self.seen[vertices] = True
 
-    def mark_mask(self, mask: np.ndarray) -> None:
-        """Record a dense global bool mask (e.g. a gathered frontier)."""
-        np.logical_or(self.seen, mask, out=self.seen)
-
 
 def make_sieve(sieve: bool | Sieve | None, nglobal: int) -> Sieve | None:
     """Normalize a ``sieve`` argument (flag or prebuilt instance)."""

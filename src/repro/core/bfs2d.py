@@ -22,8 +22,10 @@ reproduces the load-imbalanced diagonal-only distribution of Figure 4.
 Only the level *interior* lives here: :class:`SpMSV2D` is an
 :class:`~repro.core.engine.AlgorithmStep` plugin, and the level loop,
 crash markers, checkpointing and result marshaling are the
-:class:`~repro.core.engine.TraversalEngine`'s.  :func:`bfs_2d` is the
-SPMD rank body binding the two.
+:class:`~repro.core.engine.TraversalEngine`'s.  Launch it as
+``run_spmd(nranks, traversal_body, SpMSV2D, (blocks, decomp, source),
+kwargs)`` with ``blocks`` from :func:`build_2d_blocks` on the same
+``decomp`` and ``threads``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.core.engine import LevelOutcome, TraversalEngine
 from repro.core.frontier import dedup_candidates
 from repro.core.partition import Decomp2D
 from repro.graphs.csr import CSR, build_csr
-from repro.mpsim.communicator import Communicator
 from repro.mpsim.grid import ProcessorGrid
 from repro.sparse.dcsc import DCSC
 from repro.sparse.spa import SPA
@@ -143,6 +144,8 @@ class SpMSV2D:
         self.kernel = kernel
         self.modeled_cores = modeled_cores
         self.codec = codec
+        #: The ``sieve`` option until :meth:`setup`, which replaces it
+        #: with the live :class:`~repro.comm.Sieve` (or ``None``).
         self.sieve = sieve
 
     def setup(self, engine: TraversalEngine) -> None:
@@ -168,8 +171,9 @@ class SpMSV2D:
         # lies inside my grid column's block (contributions are disjoint,
         # so per-piece decode + concat is exact).  Both channels share one
         # sieve — a vertex observed discovered through the expand never
-        # needs folding again.
-        self.shared_sieve = make_sieve(self.sieve, decomp.n)
+        # needs folding again — and one fault view, so a transient
+        # scheduled on either collective site fires exactly once.
+        self.sieve = make_sieve(self.sieve, decomp.n)
         row_ranges = [
             VertexRange(vlo, vhi - vlo)
             for vlo, vhi in (
@@ -177,7 +181,7 @@ class SpMSV2D:
             )
         ]
         self.row_channel = CommChannel(
-            grid.row_comm, row_ranges, codec=self.codec, sieve=self.shared_sieve,
+            grid.row_comm, row_ranges, codec=self.codec, sieve=self.sieve,
             charger=engine.charger, tracer=engine.obs,
             metrics=engine.metrics, faults=engine.faults,
         )
@@ -185,7 +189,7 @@ class SpMSV2D:
             VertexRange(self.col_lo, self.col_hi - self.col_lo)
         ] * grid.col_comm.size
         self.col_channel = CommChannel(
-            grid.col_comm, col_ranges, codec=self.codec, sieve=self.shared_sieve,
+            grid.col_comm, col_ranges, codec=self.codec, sieve=self.sieve,
             charger=engine.charger, tracer=engine.obs,
             metrics=engine.metrics, faults=engine.faults,
         )
@@ -335,65 +339,10 @@ class SpMSV2D:
         return self.total
 
     def state(self) -> dict:
-        return {"total": self.total, **sieve_state(self.shared_sieve)}
+        return {"total": self.total, **sieve_state(self.sieve)}
 
     def restore(self, snapshot: dict) -> int:
-        restore_sieve(self.shared_sieve, snapshot)
+        restore_sieve(self.sieve, snapshot)
         self.total = int(snapshot["total"])
         return self.total
 
-
-def bfs_2d(
-    comm: Communicator,
-    blocks: list[LocalBlock],
-    decomp: Decomp2D,
-    source: int,
-    machine=None,
-    threads: int = 1,
-    kernel: str = "auto",
-    modeled_cores: int | None = None,
-    codec="raw",
-    sieve=False,
-    trace: bool = False,
-    tracer=None,
-    faults=None,
-    checkpoint=None,
-    resume_level: int | None = None,
-) -> dict:
-    """Rank body of the 2D algorithm (flat MPI when ``threads == 1``).
-
-    ``blocks`` comes from :func:`build_2d_blocks` with the same ``decomp``
-    and ``threads``.  ``modeled_cores`` feeds the SpMSV polyalgorithm's
-    concurrency predicate (defaults to ``comm.size * threads``).
-    ``codec``/``sieve`` configure the wire layer of both the expand
-    ``Allgatherv`` (along the column) and the fold ``Alltoallv`` (along
-    the row); see :mod:`repro.comm`.  ``trace`` records a per-level
-    profile under the ``"trace"`` key.  ``tracer`` is an optional
-    :class:`~repro.obs.tracer.Tracer` recording each level's
-    ``transpose``/``expand``/``spmsv``/``fold-pack``/``fold-exchange``/
-    ``update``/``sync`` spans in virtual time.
-    ``faults``/``checkpoint``/``resume_level`` are the resilience hooks
-    threaded by ``run_bfs`` (see :func:`repro.core.bfs1d.bfs_1d`); the
-    fault view is shared by the row and column channels, so a transient
-    scheduled on either collective site fires exactly once.
-    """
-    step = SpMSV2D(
-        blocks,
-        decomp,
-        source,
-        kernel=kernel,
-        modeled_cores=modeled_cores,
-        codec=codec,
-        sieve=sieve,
-    )
-    return TraversalEngine(
-        comm,
-        step,
-        machine=machine,
-        threads=threads,
-        trace=trace,
-        tracer=tracer,
-        faults=faults,
-        checkpoint=checkpoint,
-        resume_level=resume_level,
-    ).run()

@@ -28,13 +28,12 @@ a *bottom-up* sweep inside the same processor grid:
   on directed inputs too, unlike the 1D variant which must pin
   top-down.)
 
-Direction choice is collective and deterministic, reusing the DirOpt1D
-policy: the level-closing ``Allreduce`` carries the global frontier
-size, its incident-edge count and the unexplored-edge count, and every
-rank applies the shared ``alpha``/``beta`` predicates from
-:mod:`repro.core.frontier` in lockstep.  Checkpoints extend the 2D base
-state with the switching hysteresis (current direction plus the last
-global stats), so a restarted attempt resumes with the same decisions.
+Direction choice is collective and deterministic, and is DirOpt1D's:
+:class:`~repro.core.bfs_dirop.DirectionSwitch` carries the global
+frontier size, its incident-edge count and the unexplored-edge count on
+the level-closing ``Allreduce``, applies the shared ``alpha``/``beta``
+predicates in lockstep, and checkpoints the switching hysteresis, so a
+restarted attempt resumes with the same decisions.
 
 Only the level *interior* lives here: :class:`DirOpt2D` is an
 :class:`~repro.core.engine.AlgorithmStep` plugin subclassing
@@ -49,29 +48,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.comm import restore_sieve, sieve_state
 from repro.core.bfs2d import SpMSV2D
-from repro.core.bfs_dirop import BOTTOM_UP, TOP_DOWN
+from repro.core.bfs_dirop import DirectionSwitch
 from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.frontier import (
-    bitmap_words,
-    dedup_candidates,
-    should_switch_bottom_up,
-    should_switch_top_down,
-)
-from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA
+from repro.core.frontier import bitmap_words, dedup_candidates
 
 
-class DirOpt2D(SpMSV2D):
+class DirOpt2D(DirectionSwitch, SpMSV2D):
     """The direction-optimizing 2D level interior, as an engine plugin.
 
     Top-down levels are the parent's Algorithm 3 phases verbatim;
     bottom-up levels run the bitmap expand + completed exchange +
-    reverse-scan fold described in the module docstring.  The direction
-    flip happens in :meth:`begin_level` from collective state only, the
-    termination ``Allreduce`` carries the three frontier-density
-    statistics the predicates need, and checkpoints add the switch
-    hysteresis via :meth:`state`/:meth:`restore`.
+    reverse-scan fold described in the module docstring.  No symmetry
+    gate on the switch: the stored matrix is ``A^T``, so the bottom-up
+    row scan sees in-neighbours and is exact on directed inputs too.
     """
 
     def __init__(
@@ -95,9 +85,9 @@ class DirOpt2D(SpMSV2D):
             modeled_cores=modeled_cores,
             codec=codec,
             sieve=sieve,
+            alpha=alpha,
+            beta=beta,
         )
-        self.alpha = DIROP_ALPHA if alpha is None else alpha
-        self.beta = DIROP_BETA if beta is None else beta
         #: Global per-vertex degree array (shared, read-only): the
         #: switching statistics need edge counts for the rank's vector
         #: piece, which the rank's matrix block alone cannot provide.
@@ -131,64 +121,10 @@ class DirOpt2D(SpMSV2D):
         #: Ascending global in-neighbour ids per block row.
         self.bu_cols = cols + self.col_lo
 
-        # Switching statistics over the rank's vector piece (each vertex
-        # is owned by exactly one piece, so the Allreduce sums exactly).
-        self.piece_degrees = np.asarray(self.global_degrees)[self.plo : self.phi]
-        self.unexplored_edges = int(self.piece_degrees.sum())
-        if self.plo <= self.source < self.phi:
-            self.unexplored_edges -= int(self.piece_degrees[self.source - self.plo])
-        self.direction = TOP_DOWN
-
-    # -- direction policy (shared with DirOpt1D) ----------------------------
-    def _frontier_stats(self, front: np.ndarray) -> np.ndarray:
-        fedges = (
-            int(self.piece_degrees[front - self.plo].sum()) if front.size else 0
+        # Switching statistics run over the rank's vector piece.
+        self.init_direction(
+            np.asarray(self.global_degrees)[self.plo : self.phi], self.decomp.n
         )
-        return np.array(
-            [front.size, fedges, self.unexplored_edges], dtype=np.int64
-        )
-
-    def _sync_stats(self) -> None:
-        self.g_front, self.g_fedges, self.g_unexplored = (
-            int(x)
-            for x in self.comm.allreduce(self._frontier_stats(self.frontier))
-        )
-
-    def initial_sync(self) -> None:
-        # The pre-loop stats Allreduce seeds the first switch decision;
-        # level 1 itself always runs (the source frontier is nonempty
-        # somewhere), so no termination count is returned.
-        self._sync_stats()
-        return None
-
-    def begin_level(self, level: int) -> dict:
-        # Collective state only, so every rank flips in lockstep.  No
-        # symmetry gate: the stored matrix is A^T, so the bottom-up row
-        # scan sees in-neighbours and is exact on directed inputs too.
-        if self.direction == TOP_DOWN and should_switch_bottom_up(
-            self.g_fedges, self.g_unexplored, self.alpha
-        ):
-            self.direction = BOTTOM_UP
-        elif self.direction == BOTTOM_UP and should_switch_top_down(
-            self.g_front, self.decomp.n, self.beta
-        ):
-            self.direction = TOP_DOWN
-        return {"level": level, "direction": self.direction}
-
-    # -- level interiors ----------------------------------------------------
-    def step(self, level: int) -> LevelOutcome:
-        if self.direction == TOP_DOWN:
-            outcome = super().step(level)
-        else:
-            outcome = self._bottomup_step(level)
-        frontier = self.frontier
-        self.unexplored_edges -= (
-            int(self.piece_degrees[frontier - self.plo].sum())
-            if frontier.size
-            else 0
-        )
-        outcome.extra["direction"] = self.direction
-        return outcome
 
     def _bottomup_step(self, level: int) -> LevelOutcome:
         charger, obs = self.charger, self.obs
@@ -295,27 +231,3 @@ class DirOpt2D(SpMSV2D):
             ),
             sieve_dropped=xinfo.dropped,
         )
-
-    # -- termination + checkpoint extras ------------------------------------
-    def termination_sync(self) -> int:
-        self._sync_stats()
-        return self.g_front
-
-    def state(self) -> dict:
-        return {
-            "direction": self.direction,
-            "unexplored_edges": self.unexplored_edges,
-            "g_front": self.g_front,
-            "g_fedges": self.g_fedges,
-            "g_unexplored": self.g_unexplored,
-            **sieve_state(self.shared_sieve),
-        }
-
-    def restore(self, snapshot: dict) -> int:
-        restore_sieve(self.shared_sieve, snapshot)
-        self.direction = snapshot["direction"]
-        self.unexplored_edges = int(snapshot["unexplored_edges"])
-        self.g_front = int(snapshot["g_front"])
-        self.g_fedges = int(snapshot["g_fedges"])
-        self.g_unexplored = int(snapshot["g_unexplored"])
-        return self.g_front

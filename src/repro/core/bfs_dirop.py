@@ -25,13 +25,12 @@ count, and the unexplored-edge count, then apply the shared
 Directed graphs (no symmetry) disable the bottom-up sweep, since
 scanning out-adjacencies cannot discover in-neighbours.
 
-Only the level *interior* lives here: :class:`DirOpt1D` is an
-:class:`~repro.core.engine.AlgorithmStep` plugin whose
-:meth:`~DirOpt1D.begin_level` flips the traversal direction and whose
-checkpoint :meth:`~DirOpt1D.state` carries the switch hysteresis; the
-level loop itself is the :class:`~repro.core.engine.TraversalEngine`'s.
-:func:`bfs_1d_dirop` is the SPMD rank body binding the two: run it
-under :func:`repro.mpsim.run_spmd`, one call per simulated rank.
+Only the level *interior* lives here: :class:`DirOpt1D` extends
+:class:`~repro.core.bfs1d.TopDown1D` — top-down levels are the parent's
+Algorithm 2 phases unchanged — with the bottom-up step, and
+:class:`DirectionSwitch` is the switch policy it shares with
+:class:`~repro.core.bfs2d_dirop.DirOpt2D`; the level loop itself is the
+:class:`~repro.core.engine.TraversalEngine`'s.
 """
 
 from __future__ import annotations
@@ -39,207 +38,69 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.comm import CommChannel, make_sieve, restore_sieve, sieve_state
-from repro.core.engine import (
-    LevelOutcome,
-    TraversalEngine,
-    partition_ranges,
-)
+from repro.comm import restore_sieve, sieve_state
+from repro.core.bfs1d import TopDown1D
+from repro.core.engine import LevelOutcome, TraversalEngine
 from repro.core.frontier import (
     bitmap_words,
-    dedup_candidates,
     should_switch_bottom_up,
     should_switch_top_down,
 )
-from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA
-from repro.mpsim.communicator import Communicator
 
 TOP_DOWN = "top-down"
 BOTTOM_UP = "bottom-up"
 
 
-def _topdown_level(
-    comm, csr, part, channel, charger, obs, levels, parents, frontier, lo,
-    nloc, level, dedup_sends, threads,
-):
-    """One top-down level: Algorithm 2's enumerate/dedup/exchange/update."""
-    with obs.span("td-scan"):
-        targets, sources = csr.gather(frontier)
-        charger.random(frontier.size, ws_words=2 * max(nloc, 1))
-        charger.stream(2.0 * targets.size, edges_scanned=float(targets.size))
+class DirectionSwitch:
+    """The direction-switch policy, once, for both partitions.
 
-    candidates = int(targets.size)
-    if dedup_sends:
-        with obs.span("td-dedup"):
-            targets, sources = dedup_candidates(targets, sources)
-            charger.sort(candidates)
-    with obs.span("td-pack"):
-        owners = part.owner_of(targets)
-        send, xinfo = channel.pack_pairs(targets, sources, owners)
-        charger.intops(2.0 * xinfo.pairs)
-        charger.stream(2.0 * xinfo.pairs)
-        charger.count(candidates=float(candidates), unique_sends=float(xinfo.pairs))
-
-    with obs.span("td-exchange"):
-        rv, rp = channel.exchange_pairs(send, xinfo, level=level)
-    with obs.span("td-update"):
-        charger.random(float(rv.size), ws_words=max(nloc, 1))
-        unvisited = levels[rv - lo] < 0
-        rv, rp = dedup_candidates(rv[unvisited], rp[unvisited])
-        levels[rv - lo] = level
-        parents[rv - lo] = rp
-        if threads > 1:
-            charger.thread_merge(float(rv.size))
-        charger.stream(float(rv.size))
-    return rv, {
-        "candidates": candidates,
-        "words_sent": int(2 * xinfo.pairs),
-        "wire_words": int(xinfo.wire_words),
-        "sieve_dropped": xinfo.dropped,
-    }
-
-
-def _bottomup_level(
-    comm, csr, part, channel, charger, obs, levels, parents, frontier, lo,
-    nloc, level, threads,
-):
-    """One bottom-up level: bitmap expand + early-exit reverse edge scans."""
-    # Expand: every owner contributes its local frontier bitmap; the
-    # Allgatherv assembles the global one (~n/64 words received per rank
-    # under the raw codec, priced post-codec by the collective cost model).
-    with obs.span("bu-expand"):
-        payload = float(bitmap_words(nloc))
-        charger.stream(payload + float(frontier.size))
-        bitmap, xinfo = channel.expand_bitmap(frontier, level=level)
-        charger.stream(float(bitmap.size) / 64.0)
-
-    # Fold: enumerate unvisited owned vertices and reverse-scan their
-    # sorted adjacencies against the bitmap.  The last frontier hit of a
-    # sorted list is the maximum frontier neighbour, so the early exit
-    # reproduces the (select, max) parent of the top-down dedup.
-    with obs.span("bu-scan"):
-        unvisited = np.flatnonzero(levels < 0) + lo
-        charger.stream(float(nloc))
-        deg = csr.indptr[unvisited + 1] - csr.indptr[unvisited]
-        active = unvisited[deg > 0]
-        counts = deg[deg > 0]
-        charger.random(float(active.size), ws_words=2 * max(nloc, 1))
-        targets, _sources = csr.gather(active)
-        if active.size:
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            last_hit = kernels.last_hit_scan(bitmap[targets], starts, counts)
-            has_parent = last_hit >= 0
-            new = active[has_parent]
-            new_parents = targets[last_hit[has_parent]]
-            # Reverse scan visits positions [last_hit, end) before exiting —
-            # the whole list when no frontier neighbour exists.
-            scanned = float(np.where(has_parent, ends - last_hit, counts).sum())
-        else:
-            new = np.empty(0, dtype=np.int64)
-            new_parents = np.empty(0, dtype=np.int64)
-            scanned = 0.0
-        charger.random(scanned, ws_words=max(1.0, float(bitmap.size) / 64.0))
-        charger.stream(2.0 * scanned, edges_scanned=scanned)
-        charger.count(candidates=scanned)
-
-    with obs.span("bu-update"):
-        levels[new - lo] = level
-        parents[new - lo] = new_parents
-        if threads > 1:
-            charger.thread_merge(float(new.size))
-        charger.stream(float(new.size))
-    return new, {
-        "candidates": int(scanned),
-        "words_sent": int(payload),
-        "wire_words": int(xinfo.wire_words),
-        "sieve_dropped": 0,
-    }
-
-
-class DirOpt1D:
-    """The direction-optimizing level interior, as an engine step plugin.
-
-    Top-down levels run Algorithm 2's phases; bottom-up levels run the
-    bitmap expand + reverse-scan fold.  The direction flip happens in
-    :meth:`begin_level` from collective state only, the termination
-    ``Allreduce`` carries the three frontier-density statistics the
-    predicates need, and checkpoints add the switch-hysteresis state so
-    a restarted attempt resumes with the same decisions.
+    Mix in ahead of a top-down step class that provides ``comm``,
+    ``source``, ``frontier``, ``vertex_range()``, the live ``sieve`` and
+    a ``_bottomup_step``; call :meth:`init_direction` at the end of
+    ``setup``.  The flip happens in :meth:`begin_level` from collective
+    state only (every rank flips in lockstep without extra
+    communication), the termination ``Allreduce`` carries the three
+    frontier-density statistics the predicates need, and checkpoints
+    carry the switch hysteresis so a restarted attempt resumes with the
+    same decisions.
     """
 
-    result_keys = ("lo", "hi")
-    charger_kwargs: dict = {}
+    #: Whether a bottom-up sweep may run at all.
+    symmetric = True
 
     def __init__(
-        self,
-        csr: CSR,
-        source: int,
-        dedup_sends: bool = True,
-        codec="raw",
-        sieve=False,
-        alpha: float | None = None,
-        beta: float | None = None,
-        symmetric: bool = True,
+        self, *args, alpha: float | None = None, beta: float | None = None, **kwargs
     ):
-        self.csr = csr
-        self.source = source
-        self.dedup_sends = dedup_sends
-        self.codec = codec
-        self.sieve = sieve
+        super().__init__(*args, **kwargs)
         self.alpha = DIROP_ALPHA if alpha is None else alpha
         self.beta = DIROP_BETA if beta is None else beta
-        self.symmetric = symmetric
 
-    def setup(self, engine: TraversalEngine) -> None:
-        csr = self.csr
-        comm = engine.comm
-        self.comm = comm
-        self.charger = engine.charger
-        self.obs = engine.obs
-        self.threads = engine.threads
-        self.part = Partition1D(csr.n, comm.size)
-        self.lo, self.hi = self.part.range_of(comm.rank)
-        self.nloc = self.hi - self.lo
-        self.channel = CommChannel(
-            comm,
-            partition_ranges(self.part, comm.size),
-            codec=self.codec,
-            sieve=make_sieve(self.sieve, csr.n),
-            charger=engine.charger,
-            tracer=engine.obs,
-            metrics=engine.metrics,
-            faults=engine.faults,
-        )
-        self.degrees = csr.indptr[self.lo + 1 : self.hi + 1] - csr.indptr[self.lo : self.hi]
-
-        self.levels = np.full(self.nloc, -1, dtype=np.int64)
-        self.parents = np.full(self.nloc, -1, dtype=np.int64)
-        self.unexplored_edges = int(self.degrees.sum())
-        if self.lo <= self.source < self.hi:
-            self.levels[self.source - self.lo] = 0
-            self.parents[self.source - self.lo] = self.source
-            self.frontier = np.array([self.source], dtype=np.int64)
-            self.unexplored_edges -= int(self.degrees[self.source - self.lo])
-        else:
-            self.frontier = np.empty(0, dtype=np.int64)
+    def init_direction(self, degrees: np.ndarray, nglobal: int) -> None:
+        """``degrees`` of the owned vertices; each vertex has exactly one
+        owner, so the stats ``Allreduce`` sums exactly."""
+        self.owned_degrees = degrees
+        self.nglobal = nglobal
+        lo, hi = self.vertex_range()
+        self.unexplored_edges = int(degrees.sum())
+        if lo <= self.source < hi:
+            self.unexplored_edges -= int(degrees[self.source - lo])
         self.direction = TOP_DOWN
 
-    def vertex_range(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-    def _frontier_stats(self, front: np.ndarray) -> np.ndarray:
-        fedges = int(self.degrees[front - self.lo].sum()) if front.size else 0
-        return np.array(
-            [front.size, fedges, self.unexplored_edges], dtype=np.int64
-        )
+    def _frontier_edges(self) -> int:
+        front = self.frontier
+        if not front.size:
+            return 0
+        return int(self.owned_degrees[front - self.vertex_range()[0]].sum())
 
     def _sync_stats(self) -> None:
+        stats = np.array(
+            [self.frontier.size, self._frontier_edges(), self.unexplored_edges],
+            dtype=np.int64,
+        )
         self.g_front, self.g_fedges, self.g_unexplored = (
-            int(x)
-            for x in self.comm.allreduce(self._frontier_stats(self.frontier))
+            int(x) for x in self.comm.allreduce(stats)
         )
 
     def initial_sync(self) -> None:
@@ -250,43 +111,25 @@ class DirOpt1D:
         return None
 
     def begin_level(self, level: int) -> dict:
-        # Direction choice: collective state only, so every rank flips in
-        # lockstep without extra communication.
         if self.symmetric:
             if self.direction == TOP_DOWN and should_switch_bottom_up(
                 self.g_fedges, self.g_unexplored, self.alpha
             ):
                 self.direction = BOTTOM_UP
             elif self.direction == BOTTOM_UP and should_switch_top_down(
-                self.g_front, self.csr.n, self.beta
+                self.g_front, self.nglobal, self.beta
             ):
                 self.direction = TOP_DOWN
         return {"level": level, "direction": self.direction}
 
     def step(self, level: int) -> LevelOutcome:
         if self.direction == TOP_DOWN:
-            frontier, info = _topdown_level(
-                self.comm, self.csr, self.part, self.channel, self.charger,
-                self.obs, self.levels, self.parents, self.frontier, self.lo,
-                self.nloc, level, self.dedup_sends, self.threads,
-            )
+            outcome = super().step(level)
         else:
-            frontier, info = _bottomup_level(
-                self.comm, self.csr, self.part, self.channel, self.charger,
-                self.obs, self.levels, self.parents, self.frontier, self.lo,
-                self.nloc, level, self.threads,
-            )
-        self.frontier = frontier
-        self.unexplored_edges -= (
-            int(self.degrees[frontier - self.lo].sum()) if frontier.size else 0
-        )
-        return LevelOutcome(
-            candidates=info["candidates"],
-            words_sent=info["words_sent"],
-            wire_words=info["wire_words"],
-            sieve_dropped=info["sieve_dropped"],
-            extra={"direction": self.direction},
-        )
+            outcome = self._bottomup_step(level)
+        self.unexplored_edges -= self._frontier_edges()
+        outcome.extra["direction"] = self.direction
+        return outcome
 
     def termination_sync(self) -> int:
         self._sync_stats()
@@ -299,11 +142,11 @@ class DirOpt1D:
             "g_front": self.g_front,
             "g_fedges": self.g_fedges,
             "g_unexplored": self.g_unexplored,
-            **sieve_state(self.channel.sieve),
+            **sieve_state(self.sieve),
         }
 
     def restore(self, snapshot: dict) -> int:
-        restore_sieve(self.channel.sieve, snapshot)
+        restore_sieve(self.sieve, snapshot)
         self.direction = snapshot["direction"]
         self.unexplored_edges = int(snapshot["unexplored_edges"])
         self.g_front = int(snapshot["g_front"])
@@ -312,83 +155,100 @@ class DirOpt1D:
         return self.g_front
 
 
-def bfs_1d_dirop(
-    comm: Communicator,
-    csr: CSR,
-    source: int,
-    machine=None,
-    threads: int = 1,
-    dedup_sends: bool = True,
-    codec="raw",
-    sieve=False,
-    alpha: float | None = None,
-    beta: float | None = None,
-    symmetric: bool = True,
-    trace: bool = False,
-    tracer=None,
-    faults=None,
-    checkpoint=None,
-    resume_level: int | None = None,
-) -> dict:
-    """Rank body of the direction-optimizing 1D algorithm.
+class DirOpt1D(DirectionSwitch, TopDown1D):
+    """The direction-optimizing 1D level interior, as an engine plugin.
 
-    Parameters
-    ----------
-    comm / csr / source / machine / threads / dedup_sends / codec / sieve:
-        As in :func:`repro.core.bfs1d.bfs_1d`; ``dedup_sends`` applies to
-        the top-down levels only, while ``codec``/``sieve`` cover both the
-        top-down ``Alltoallv`` and the bottom-up bitmap ``Allgatherv``
-        (the expand also feeds the sieve: a gathered frontier is a set of
-        discovered vertices no later exchange needs to re-ship).
-    alpha:
-        Top-down -> bottom-up density threshold (default
-        :data:`~repro.model.costmodel.DIROP_ALPHA`): switch when the
-        frontier's incident edges exceed ``1/alpha`` of the unexplored
-        edges.
-    beta:
-        Bottom-up -> top-down threshold (default
-        :data:`~repro.model.costmodel.DIROP_BETA`): switch back when the
-        frontier shrinks below ``n / beta`` vertices.
-    symmetric:
-        Whether the adjacency structure is symmetric; directed inputs
-        pin the traversal to top-down (bottom-up needs in-edges).
-    trace:
-        Record a per-level profile including which ``direction`` ran.
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer` recording nested phase
-        spans in virtual time: ``td-*`` phases on top-down levels,
-        ``bu-expand``/``bu-scan``/``bu-update`` on bottom-up ones, and the
-        level-closing ``sync`` around the frontier-stats ``Allreduce``.
-    faults / checkpoint / resume_level:
-        Resilience hooks threaded by ``run_bfs`` (see
-        :func:`repro.core.bfs1d.bfs_1d`).  Snapshots additionally carry
-        the direction-optimizing hysteresis state (current ``direction``,
-        the unexplored-edge count and the last global frontier stats), so
-        a restarted attempt resumes with the same switch decisions.
-
-    Returns
-    -------
-    dict with the rank's vertex range, local ``levels``/``parents`` arrays
-    and the number of levels executed.
+    Top-down levels are :class:`~repro.core.bfs1d.TopDown1D`'s phases
+    verbatim (``dedup_sends`` applies to them only); bottom-up levels
+    run the bitmap expand + reverse-scan fold.  ``codec``/``sieve`` cover
+    both the top-down ``Alltoallv`` and the bottom-up bitmap
+    ``Allgatherv`` (the expand also feeds the sieve: a gathered frontier
+    is a set of discovered vertices no later exchange needs to re-ship).
+    Directed inputs (``symmetric=False``) pin the traversal to top-down:
+    scanning out-adjacencies cannot discover in-neighbours.
     """
-    step = DirOpt1D(
-        csr,
-        source,
-        dedup_sends=dedup_sends,
-        codec=codec,
-        sieve=sieve,
-        alpha=alpha,
-        beta=beta,
-        symmetric=symmetric,
-    )
-    return TraversalEngine(
-        comm,
-        step,
-        machine=machine,
-        threads=threads,
-        trace=trace,
-        tracer=tracer,
-        faults=faults,
-        checkpoint=checkpoint,
-        resume_level=resume_level,
-    ).run()
+
+    def __init__(
+        self,
+        csr: CSR,
+        source: int,
+        dedup_sends: bool = True,
+        codec="raw",
+        sieve=False,
+        alpha: float | None = None,
+        beta: float | None = None,
+        symmetric: bool = True,
+    ):
+        super().__init__(
+            csr,
+            source,
+            dedup_sends=dedup_sends,
+            codec=codec,
+            sieve=sieve,
+            alpha=alpha,
+            beta=beta,
+        )
+        self.symmetric = symmetric
+
+    def setup(self, engine: TraversalEngine) -> None:
+        super().setup(engine)
+        indptr = self.csr.indptr
+        self.init_direction(
+            indptr[self.lo + 1 : self.hi + 1] - indptr[self.lo : self.hi],
+            self.csr.n,
+        )
+
+    def _bottomup_step(self, level: int) -> LevelOutcome:
+        csr, charger, obs = self.csr, self.charger, self.obs
+        lo, nloc = self.lo, self.nloc
+        # Expand: every owner contributes its local frontier bitmap; the
+        # Allgatherv assembles the global one (~n/64 words received per rank
+        # under the raw codec, priced post-codec by the collective cost model).
+        with obs.span("bu-expand"):
+            payload = float(bitmap_words(nloc))
+            charger.stream(payload + float(self.frontier.size))
+            bitmap, xinfo = self.channel.gather_mask(self.frontier, level=level)
+            charger.stream(float(bitmap.size) / 64.0)
+
+        # Fold: enumerate unvisited owned vertices and reverse-scan their
+        # sorted adjacencies against the bitmap.  The last frontier hit of a
+        # sorted list is the maximum frontier neighbour, so the early exit
+        # reproduces the (select, max) parent of the top-down dedup.
+        with obs.span("bu-scan"):
+            unvisited = np.flatnonzero(self.levels < 0) + lo
+            charger.stream(float(nloc))
+            deg = csr.indptr[unvisited + 1] - csr.indptr[unvisited]
+            active = unvisited[deg > 0]
+            counts = deg[deg > 0]
+            charger.random(float(active.size), ws_words=2 * max(nloc, 1))
+            targets, _sources = csr.gather(active)
+            if active.size:
+                ends = np.cumsum(counts)
+                starts = ends - counts
+                last_hit = kernels.last_hit_scan(bitmap[targets], starts, counts)
+                has_parent = last_hit >= 0
+                new = active[has_parent]
+                new_parents = targets[last_hit[has_parent]]
+                # Reverse scan visits positions [last_hit, end) before exiting —
+                # the whole list when no frontier neighbour exists.
+                scanned = float(np.where(has_parent, ends - last_hit, counts).sum())
+            else:
+                new = np.empty(0, dtype=np.int64)
+                new_parents = np.empty(0, dtype=np.int64)
+                scanned = 0.0
+            charger.random(scanned, ws_words=max(1.0, float(bitmap.size) / 64.0))
+            charger.stream(2.0 * scanned, edges_scanned=scanned)
+            charger.count(candidates=scanned)
+
+        with obs.span("bu-update"):
+            self.levels[new - lo] = level
+            self.parents[new - lo] = new_parents
+            self.frontier = new
+            if self.threads > 1:
+                charger.thread_merge(float(new.size))
+            charger.stream(float(new.size))
+        return LevelOutcome(
+            candidates=int(scanned),
+            words_sent=int(payload),
+            wire_words=int(xinfo.wire_words),
+        )

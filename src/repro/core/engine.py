@@ -1,14 +1,16 @@
 """Unified level-synchronous traversal engine.
 
-The paper's three BFS formulations — 1D Algorithm 2, the
-direction-optimizing 1D refinement, and 2D Algorithm 3's semiring
-SpMSV — differ only in what happens *inside* a level.  Everything
-around the level is shared scaffolding, and this module owns all of it:
+The BFS formulations — Algorithm 2 on the 1D partition, Algorithm 3's
+semiring SpMSV on the 2D one, and the direction-optimizing bottom-up
+step added next to each — differ only in what happens *inside* a level.
+Everything around the level is shared scaffolding, and this module owns
+all of it:
 
 * rank-local setup: the :class:`~repro.model.costmodel.Charger`, the
   rank's span tracer, and the rank's fault handle (algorithm plugins add
   their partitions and :class:`~repro.comm.CommChannel` wire layers on
-  top in :meth:`AlgorithmStep.setup`);
+  top in :meth:`AlgorithmStep.setup`; :class:`Step1D` does it once for
+  every owner-partitioned plugin);
 * the crash-cooperative level loop: every rank observes a scheduled
   crash at the same level boundary and returns a crash marker instead of
   aborting, so clocks, spans, and the checkpoint store stay
@@ -24,16 +26,17 @@ around the level is shared scaffolding, and this module owns all of it:
 
 An algorithm is a plugin: a class implementing :class:`AlgorithmStep`
 whose :meth:`~AlgorithmStep.step` runs one level and reports a
-:class:`LevelOutcome`.  The three shipped plugins are
-:class:`~repro.core.bfs1d.TopDown1D`,
-:class:`~repro.core.bfs_dirop.DirOpt1D` and
-:class:`~repro.core.bfs2d.SpMSV2D`; the registry binding algorithm names
-to plugins and capabilities lives in :mod:`repro.core.runner`.
+:class:`LevelOutcome`.  There is one interior per partition:
+:class:`~repro.core.bfs1d.TopDown1D` (Algorithm 2) and the
+:mod:`repro.query` plugins subclass :class:`Step1D`,
+:class:`~repro.core.bfs2d.SpMSV2D` (Algorithm 3) owns the grid, and the
+direction-optimizing variants extend those two with a bottom-up step.
+The registry binding algorithm names to plugins and capabilities lives
+in :mod:`repro.core.runner`.
 
-The engine is an SPMD rank body's core: construct one per simulated
-rank (the ``bfs_1d``/``bfs_1d_dirop``/``bfs_2d`` wrappers do exactly
-this) and call :meth:`TraversalEngine.run` under
-:func:`repro.mpsim.run_spmd`.
+:func:`traversal_body` is the one SPMD rank body: it constructs the
+rank's step and engine and calls :meth:`TraversalEngine.run`; launch it
+with ``run_spmd(nranks, traversal_body, StepClass, args, kwargs, ...)``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.comm import VertexRange
+from repro.comm import (
+    CommChannel,
+    VertexRange,
+    make_sieve,
+    restore_sieve,
+    sieve_state,
+)
 from repro.core.partition import Partition1D
 from repro.faults import (
     RankCrashError,
@@ -154,6 +163,78 @@ class AlgorithmStep(Protocol):
         returns the termination count as of the checkpointed level (or
         ``None`` when the algorithm does not checkpoint one)."""
         ...
+
+
+class Step1D:
+    """The owner-partitioned (1D) step scaffold, written once.
+
+    Every 1D plugin owns a contiguous block of vertices and ships
+    candidates to their owners through one :class:`~repro.comm.CommChannel`
+    over the world communicator.  :meth:`setup` builds that — partition,
+    owned range, channel, ``-1``-filled ``levels``/``parents`` and an
+    empty ``frontier`` — and the remaining hooks default to Algorithm 2's
+    choices: level 1 always runs, the level span carries its number,
+    termination is an ``Allreduce`` of the new-frontier size, and a
+    checkpoint adds the sieve's dedup epoch (nothing when the plugin runs
+    without one).  A subclass seeds its sources after ``super().setup()``
+    and writes :meth:`~AlgorithmStep.step`.
+    """
+
+    result_keys = ("lo", "hi")
+    charger_kwargs: dict = {}
+
+    def __init__(self, csr, codec="raw", sieve=False):
+        self.csr = csr
+        self.codec = codec
+        #: The ``sieve`` option until :meth:`setup`, which replaces it
+        #: with the live :class:`~repro.comm.Sieve` (or ``None``).
+        self.sieve = sieve
+
+    def setup(self, engine: "TraversalEngine") -> None:
+        comm = engine.comm
+        self.comm = comm
+        self.charger = engine.charger
+        self.obs = engine.obs
+        self.metrics = engine.metrics
+        self.threads = engine.threads
+        self.part = Partition1D(self.csr.n, comm.size)
+        self.lo, self.hi = self.part.range_of(comm.rank)
+        self.nloc = self.hi - self.lo
+        self.sieve = make_sieve(self.sieve, self.csr.n)
+        self.channel = CommChannel(
+            comm,
+            partition_ranges(self.part, comm.size),
+            codec=self.codec,
+            sieve=self.sieve,
+            charger=engine.charger,
+            tracer=engine.obs,
+            metrics=engine.metrics,
+            faults=engine.faults,
+        )
+        self.levels = np.full(self.nloc, -1, dtype=np.int64)
+        self.parents = np.full(self.nloc, -1, dtype=np.int64)
+        self.frontier = np.empty(0, dtype=np.int64)
+
+    def vertex_range(self) -> tuple[int, int]:
+        return (self.lo, self.hi)
+
+    def initial_sync(self) -> int | None:
+        # No pre-loop termination test: level 1 always runs (some rank
+        # owns a source, so the global frontier is never empty before it).
+        return None
+
+    def begin_level(self, level: int) -> dict:
+        return {"level": level}
+
+    def termination_sync(self) -> int:
+        return self.comm.allreduce(int(self.frontier.size))
+
+    def state(self) -> dict:
+        return sieve_state(self.sieve)
+
+    def restore(self, snapshot: dict) -> int | None:
+        restore_sieve(self.sieve, snapshot)
+        return None
 
 
 def traversal_body(

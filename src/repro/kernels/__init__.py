@@ -7,27 +7,22 @@ as a *pair* of implementations behind one dispatching facade:
   kernels (one numpy pass per byte position / lane / run, never one per
   value); this is what lets the simulator run R-MAT scale 18+ recipes
   in CI instead of topping out near scale 16;
-* :mod:`repro.kernels.reference` — pure-python implementations with no
-  hard numpy dependency, the executable specification the numpy kernels
-  are differentially tested against
-  (``tests/test_kernels_differential.py``) and the graceful fallback
-  when numpy is not installed.
+* :mod:`repro.kernels.reference` — pure-python per-element loops, the
+  executable specification the numpy kernels are differentially tested
+  against (``tests/test_kernels_differential.py``).
 
 **The bit-identity contract.**  For any input, both backends return the
 same values with the same dtypes (the reference backend coerces its
-python lists back to numpy arrays whenever numpy is importable).  The
-traversal results — parents, levels, modeled times, wire words, trace
-spans — are therefore identical under either backend; only wall-clock
-changes.  ``tests/test_property_kernels.py`` locks this in for every
+python lists back to numpy arrays).  The traversal results — parents,
+levels, modeled times, wire words, trace spans — are therefore identical
+under either backend; only wall-clock changes.  ``tests/test_property_kernels.py`` locks this in for every
 registered algorithm, and the golden fixtures of ``tests/golden/`` pin
 the numpy backend to the pre-refactor behaviour bit for bit.
 
 **Choosing a backend.**  The ``REPRO_KERNELS`` environment variable
 selects ``"numpy"`` (the default) or ``"python"`` at process start;
 :func:`set_backend` / :func:`use_backend` switch at runtime (the tests'
-mechanism).  When numpy is missing the facade falls back to the
-reference backend — with a warning if numpy was explicitly requested,
-silently when it was merely the default.
+mechanism).
 
 Adding a kernel pair: implement the same function in both backend
 modules, add its name to :data:`KERNELS`, write a dispatching wrapper
@@ -39,7 +34,6 @@ fails on any :data:`KERNELS` entry without one).
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 
 #: Environment variable naming the startup backend.
@@ -79,34 +73,15 @@ _active_name: str | None = None
 _active_mod = None
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def _resolve_startup_backend() -> str:
-    """Apply the ``REPRO_KERNELS`` policy: numpy by default, with fallback."""
+    """Apply the ``REPRO_KERNELS`` policy: numpy unless told otherwise."""
     choice = os.environ.get(ENV_VAR, "").strip().lower()
     if choice and choice not in BACKENDS:
         raise ValueError(
             f"{ENV_VAR}={choice!r} is not a kernel backend; "
             f"known: {sorted(BACKENDS)}"
         )
-    if choice == "python":
-        return "python"
-    if _numpy_available():
-        return "numpy"
-    if choice == "numpy":
-        warnings.warn(
-            f"{ENV_VAR}=numpy requested but numpy is not importable; "
-            "falling back to the pure-python reference kernels",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return "python"
+    return choice or "numpy"
 
 
 def _load(name: str):
@@ -136,9 +111,7 @@ def set_backend(name: str | None) -> str:
     """Switch the kernel backend at runtime.
 
     ``name`` is ``"numpy"``, ``"python"``, or ``None`` to re-apply the
-    ``REPRO_KERNELS`` startup policy.  Requesting ``"numpy"``
-    programmatically when numpy is not importable raises ``ImportError``
-    (the env-var path falls back instead).  Returns the active name.
+    ``REPRO_KERNELS`` startup policy.  Returns the active name.
     """
     global _active_name, _active_mod
     if name is None:

@@ -3,13 +3,12 @@
 The executable specification of :mod:`repro.kernels`: every kernel is a
 plain per-element python loop with no vectorization tricks, so its
 correctness is auditable by inspection.  The numpy backend is
-differentially tested against this module, and this module is what runs
-when numpy is not installed — it imports cleanly without numpy and
-operates on any indexable sequence, returning plain lists in that case.
+differentially tested against this module; ``REPRO_KERNELS=python``
+selects it for whole runs.
 
-When numpy *is* importable (the usual case: the rest of the simulator
-needs it), outputs are coerced to numpy arrays with the same dtypes the
-vectorized backend produces, so full traversals under
+Kernels compute on plain python ints over any indexable sequence; numpy
+appears only at the boundary, coercing outputs to arrays with the same
+dtypes the vectorized backend produces, so full traversals under
 ``REPRO_KERNELS=python`` stay bit-identical to the numpy backend —
 parents, levels, modeled times, wire words and trace spans included.
 
@@ -21,10 +20,7 @@ near ``2**63``.
 
 from __future__ import annotations
 
-try:  # numpy is optional here: used only to coerce outputs.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the CI numpy-absent smoke
-    _np = None
+import numpy as _np  # only to coerce outputs
 
 #: A 64-bit value needs at most ceil(64 / 7) = 10 LEB128 bytes.
 MAX_VARINT_BYTES = 10
@@ -49,21 +45,19 @@ def _uints(seq):
 
 
 def _i64(values):
-    return _np.asarray(values, dtype=_np.int64) if _np is not None else values
+    return _np.asarray(values, dtype=_np.int64)
 
 
 def _u64(values):
-    return _np.asarray(values, dtype=_np.uint64) if _np is not None else values
+    return _np.asarray(values, dtype=_np.uint64)
 
 
 def _u8(values):
-    return _np.asarray(values, dtype=_np.uint8) if _np is not None else values
+    return _np.asarray(values, dtype=_np.uint8)
 
 
 def _bools(values):
-    if _np is not None:
-        return _np.asarray(values, dtype=bool)
-    return [bool(v) for v in values]
+    return _np.asarray(values, dtype=bool)
 
 
 def dedup_max(targets, parents):
@@ -120,8 +114,6 @@ def bucket_by_owner(owners, nbuckets, *arrays):
 
     def _gather(a, idx):
         picked = [a[i] for i in idx]
-        if _np is None:
-            return picked
         dtype = a.dtype if isinstance(a, _np.ndarray) else _np.int64
         return _np.asarray(picked, dtype=dtype)
 

@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import CommChannel
-from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.engine import partition_ranges as _partition_ranges
-from repro.core.partition import Partition1D
+from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
 from repro.graphs.csr import CSR
 from repro.query.msbfs import WORD_LANES, lane_bit
 from repro.sparse import BIT_OR, SPA
@@ -54,7 +51,7 @@ def close_lane_classes(masks: np.ndarray) -> np.ndarray:
     return masks
 
 
-class ConnectedComponents1D:
+class ConnectedComponents1D(Step1D):
     """Batched-reachability CC interior, as an engine step plugin.
 
     ``parents`` doubles as the component-label array (the engine marshals
@@ -64,46 +61,20 @@ class ConnectedComponents1D:
     finalizes labels and reseeds instead of terminating.
     """
 
-    result_keys = ("lo", "hi")
-    charger_kwargs: dict = {}
-
     def __init__(self, csr: CSR, codec="raw"):
-        self.csr = csr
-        self.codec = codec
+        # No sieve: a target legitimately re-ships whenever a new lane
+        # reaches it.
+        super().__init__(csr, codec=codec)
 
     def setup(self, engine: TraversalEngine) -> None:
-        csr = self.csr
-        comm = engine.comm
-        self.comm = comm
-        self.charger = engine.charger
-        self.obs = engine.obs
-        self.threads = engine.threads
-        self.part = Partition1D(csr.n, comm.size)
-        self.lo, self.hi = self.part.range_of(comm.rank)
-        self.nloc = self.hi - self.lo
-        self.channel = CommChannel(
-            comm,
-            _partition_ranges(self.part, comm.size),
-            codec=self.codec,
-            sieve=None,
-            charger=engine.charger,
-            tracer=engine.obs,
-            metrics=engine.metrics,
-            faults=engine.faults,
-        )
+        super().setup(engine)
         #: Component label per owned vertex (the marshaled "parents").
-        self.comp = np.full(self.nloc, -1, dtype=np.int64)
-        self.parents = self.comp
-        self.levels = np.full(self.nloc, -1, dtype=np.int64)
+        self.comp = self.parents
         self.visit = np.zeros(self.nloc, dtype=np.uint64)
         self.fwords = np.zeros(self.nloc, dtype=np.uint64)
-        self.frontier = np.empty(0, dtype=np.int64)
         self.seeds = np.empty(0, dtype=np.int64)
         self.batch_index = 0
         self.spa = SPA(self.nloc, BIT_OR)
-
-    def vertex_range(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
 
     def initial_sync(self) -> int:
         return self._reseed()
@@ -218,9 +189,3 @@ class ConnectedComponents1D:
                     self.levels[s - self.lo] = 0
         self.frontier = owned
         return int(seeds.size)
-
-    def state(self) -> dict:
-        return {}
-
-    def restore(self, snapshot: dict) -> None:
-        return None

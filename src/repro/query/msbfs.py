@@ -29,11 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.comm import CommChannel
-from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.engine import partition_ranges as _partition_ranges
+from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
 from repro.core.frontier import dedup_candidates
-from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.sparse import BIT_OR, SPA
 
@@ -65,7 +62,7 @@ def prune_lane_candidates(
     return kernels.lane_prune(targets, sources, words, nlanes)
 
 
-class MSBFS1D:
+class MSBFS1D(Step1D):
     """64-way batched BFS level interior, as an engine step plugin.
 
     The rank's traversal arrays are 2-D: ``levels``/``parents`` have one
@@ -74,9 +71,6 @@ class MSBFS1D:
     checkpoint snapshots the full lane word per vertex (``state()``), so
     crash-restart resumes every lane consistently.
     """
-
-    result_keys = ("lo", "hi")
-    charger_kwargs: dict = {}
 
     def __init__(
         self,
@@ -90,34 +84,13 @@ class MSBFS1D:
             raise ValueError(
                 f"batch size must be in [1, {WORD_LANES}], got {sources.size}"
             )
-        self.csr = csr
+        super().__init__(csr, codec=codec)
         self.sources = sources
         self.nlanes = int(sources.size)
         self.dedup_sends = dedup_sends
-        self.codec = codec
 
     def setup(self, engine: TraversalEngine) -> None:
-        csr = self.csr
-        comm = engine.comm
-        self.comm = comm
-        self.charger = engine.charger
-        self.obs = engine.obs
-        self.metrics = engine.metrics
-        self.threads = engine.threads
-        self.part = Partition1D(csr.n, comm.size)
-        self.lo, self.hi = self.part.range_of(comm.rank)
-        self.nloc = self.hi - self.lo
-        self.channel = CommChannel(
-            comm,
-            _partition_ranges(self.part, comm.size),
-            codec=self.codec,
-            sieve=None,
-            charger=engine.charger,
-            tracer=engine.obs,
-            metrics=engine.metrics,
-            faults=engine.faults,
-        )
-
+        super().setup(engine)
         self.levels = np.full((self.nloc, self.nlanes), -1, dtype=np.int64)
         self.parents = np.full((self.nloc, self.nlanes), -1, dtype=np.int64)
         self.visit = np.zeros(self.nloc, dtype=np.uint64)
@@ -131,14 +104,6 @@ class MSBFS1D:
                 self.fwords[s - self.lo] |= lane_bit(b)
         self.frontier = np.flatnonzero(self.fwords) + self.lo
         self.spa = SPA(self.nloc, BIT_OR)
-
-    def vertex_range(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-    def initial_sync(self) -> None:
-        # Like the 1D top-down step: level 1 always runs (some rank owns
-        # at least one source, so the global frontier is never empty).
-        return None
 
     def begin_level(self, level: int) -> dict:
         return {"level": level, "lanes": self.nlanes}
@@ -218,9 +183,6 @@ class MSBFS1D:
             sieve_dropped=0,
             extra={"lanes": self.nlanes},
         )
-
-    def termination_sync(self) -> int:
-        return self.comm.allreduce(int(self.frontier.size))
 
     def state(self) -> dict:
         # The full lane word per vertex: both the visited and the

@@ -24,10 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import CommChannel
-from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.engine import partition_ranges as _partition_ranges
-from repro.core.partition import Partition1D
+from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
 from repro.graphs.csr import CSR
 from repro.sparse.semiring import INF
 
@@ -100,16 +97,13 @@ def _sync_op(a, b):
     return [a[0] + b[0], min(a[1], b[1])]
 
 
-class DeltaSSSP1D:
+class DeltaSSSP1D(Step1D):
     """Bucketed min-plus relaxation interior, as an engine step plugin.
 
     ``levels`` aliases the distance array (``INF`` = unreached; the
     driver converts to -1 after stitching) so the engine's marshaling
     needs no special case.
     """
-
-    result_keys = ("lo", "hi")
-    charger_kwargs: dict = {}
 
     def __init__(
         self,
@@ -121,35 +115,15 @@ class DeltaSSSP1D:
     ):
         if delta < 1:
             raise ValueError(f"delta must be >= 1, got {delta}")
-        self.csr = csr
+        super().__init__(csr, codec=codec)
         self.source = source
         self.weights = weights
         self.delta = delta
-        self.codec = codec
 
     def setup(self, engine: TraversalEngine) -> None:
-        csr = self.csr
-        comm = engine.comm
-        self.comm = comm
-        self.charger = engine.charger
-        self.obs = engine.obs
-        self.threads = engine.threads
-        self.part = Partition1D(csr.n, comm.size)
-        self.lo, self.hi = self.part.range_of(comm.rank)
-        self.nloc = self.hi - self.lo
-        self.channel = CommChannel(
-            comm,
-            _partition_ranges(self.part, comm.size),
-            codec=self.codec,
-            sieve=None,
-            charger=engine.charger,
-            tracer=engine.obs,
-            metrics=engine.metrics,
-            faults=engine.faults,
-        )
+        super().setup(engine)
         self.dist = np.full(self.nloc, INF, dtype=np.int64)
         self.levels = self.dist
-        self.parents = np.full(self.nloc, -1, dtype=np.int64)
         self.pending = np.zeros(self.nloc, dtype=bool)
         self.bucket = 0
         if self.lo <= self.source < self.hi:
@@ -157,11 +131,6 @@ class DeltaSSSP1D:
             self.parents[self.source - self.lo] = self.source
             self.pending[self.source - self.lo] = True
             self.frontier = np.array([self.source], dtype=np.int64)
-        else:
-            self.frontier = np.empty(0, dtype=np.int64)
-
-    def vertex_range(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
 
     def _sync(self) -> int:
         """Combined Allreduce: global pending count + next bucket."""

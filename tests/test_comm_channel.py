@@ -115,23 +115,45 @@ class TestPairAccounting:
 
 
 class TestGatherAccounting:
-    def test_expand_bitmap_counts_words_and_marks_sieve(self):
+    @pytest.mark.parametrize(
+        "los,nbits",
+        [
+            ([0, 64, 128], 64),  # tiling [0, n): the 1D bottom-up expand
+            ([64, 64, 64], 64),  # identical overlapping: a 2D column block
+            ([100, 132, 164], 32),  # disjoint, offset from zero: a 2D block row
+        ],
+        ids=["tiling", "overlapping", "offset"],
+    )
+    def test_gather_mask_counts_words_and_marks_sieve(self, los, nbits):
+        base, top = min(los), max(los) + nbits
+        # Two vertices of its own per rank, plus one that every rank
+        # contributes when the ranges coincide (the OR-union case).
+        shared = [los[0] + 40] if len(set(los)) == 1 else []
+        contributions = [
+            [lo + 2 * r, lo + 2 * r + 1] + shared for r, lo in enumerate(los)
+        ]
+        want = sorted({v for vs in contributions for v in vs})
+
         def fn(comm):
-            nbits = 64
-            ranges = [VertexRange(nbits * r, nbits) for r in range(comm.size)]
-            sieve = Sieve(nbits * comm.size)
+            ranges = [VertexRange(lo, nbits) for lo in los]
+            sieve = Sieve(256)
             channel = CommChannel(comm, ranges, codec="raw", sieve=sieve)
-            mine = ranges[comm.rank]
-            frontier = np.arange(mine.lo, mine.lo + 4, dtype=np.int64)
-            mask, info = channel.expand_bitmap(frontier, level=0)
-            assert mask.size == nbits * comm.size
-            assert int(mask.sum()) == 4 * comm.size
-            assert info.payload_words == info.wire_words == 1.0  # 64 bits
-            # The gathered frontier is globally visited: all marked.
-            assert int(sieve.seen.sum()) == 4 * comm.size
+            mine = np.array(contributions[comm.rank], dtype=np.int64)
+            mask, info = channel.gather_mask(mine, level=0)
+            # Index i of the mask is vertex base + i.
+            assert mask.size == top - base
+            assert (np.flatnonzero(mask) + base).tolist() == want
+            assert info.pairs == mine.size and info.dropped == 0
+            assert info.payload_words == info.wire_words == 1.0  # <= 64 bits
+            # The gathered vertices are discovered: exactly they are marked.
+            assert np.flatnonzero(sieve.seen).tolist() == want
             return True
 
-        assert all(run_spmd(2, fn).returns)
+        res = run_spmd(3, fn)
+        assert all(res.returns)
+        assert res.stats.calls("allgatherv") == 1
+        assert res.stats.payload_words("allgatherv") == 3 * 1.0
+        assert res.stats.wire_words("allgatherv") == 3 * 1.0
 
     def test_allgatherv_vertices_rank_order(self):
         def fn(comm):

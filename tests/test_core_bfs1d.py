@@ -7,14 +7,18 @@ import pytest
 
 import repro
 from repro.core import bfs_serial
-from repro.core.bfs1d import bfs_1d
+from repro.core.bfs1d import TopDown1D
+from repro.core.engine import traversal_body
 from repro.mpsim import run_spmd
+from repro.obs import MetricsRegistry
 
 from tests.conftest import make_disconnected_graph, make_path_graph, make_star_graph
 
 
-def run_1d(graph, source_internal, nranks, **kwargs):
-    res = run_spmd(nranks, bfs_1d, graph.csr, source_internal, **kwargs)
+def run_1d(graph, source_internal, nranks, **step_kwargs):
+    res = run_spmd(
+        nranks, traversal_body, TopDown1D, (graph.csr, source_internal), step_kwargs
+    )
     levels = np.empty(graph.n, dtype=np.int64)
     parents = np.empty(graph.n, dtype=np.int64)
     for out in res.returns:
@@ -110,6 +114,22 @@ class TestBfs1dCommunication:
         assert stats.words_sent("alltoallv") == stats.words_recv("alltoallv")
 
 
+class TestDirectRankBody:
+    def test_metrics_reach_the_engine(self, rmat_small):
+        """Launching the one rank body directly threads ``metrics=`` like
+        the driver does (the per-family wrappers it replaced dropped it)."""
+        src = int(
+            rmat_small.to_internal(rmat_small.random_nonisolated_vertices(1, 6)[0])
+        )
+        registry = MetricsRegistry()
+        res = run_spmd(
+            4, traversal_body, TopDown1D, (rmat_small.csr, src), {}, metrics=registry
+        )
+        nlevels = res.returns[0]["nlevels"]
+        assert nlevels > 1
+        assert registry.counter_value("engine_levels") == 4.0 * nlevels
+
+
 class TestBfs1dTimed:
     def test_machine_model_produces_times(self, rmat_small):
         src = int(
@@ -119,9 +139,10 @@ class TestBfs1dTimed:
 
         res = run_spmd(
             4,
-            bfs_1d,
-            rmat_small.csr,
-            src,
+            traversal_body,
+            TopDown1D,
+            (rmat_small.csr, src),
+            {},
             machine=FRANKLIN,
             cost_model=NetworkCostModel(FRANKLIN, total_ranks=4),
         )
@@ -144,12 +165,12 @@ class TestBfs1dTimed:
         from repro.model import FRANKLIN, NetworkCostModel
 
         flat = run_spmd(
-            4, bfs_1d, rmat_medium.csr, src,
+            4, traversal_body, TopDown1D, (rmat_medium.csr, src), {},
             machine=FRANKLIN, threads=1,
             cost_model=NetworkCostModel(FRANKLIN, threads=1, total_ranks=4),
         ).stats
         hybrid = run_spmd(
-            4, bfs_1d, rmat_medium.csr, src,
+            4, traversal_body, TopDown1D, (rmat_medium.csr, src), {},
             machine=FRANKLIN, threads=4,
             cost_model=NetworkCostModel(FRANKLIN, threads=4, total_ranks=4),
         ).stats

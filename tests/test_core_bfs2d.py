@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bfs_serial
-from repro.core.bfs2d import bfs_2d, build_2d_blocks
+from repro.core.bfs1d import TopDown1D
+from repro.core.bfs2d import SpMSV2D, build_2d_blocks
+from repro.core.engine import traversal_body
 from repro.core.partition import Decomp2D
 from repro.graphs.csr import CSR, build_csr
 from repro.mpsim import run_spmd
@@ -17,17 +19,19 @@ from repro.sparse import DCSC
 from tests.conftest import make_disconnected_graph, make_path_graph, make_star_graph
 
 
-def run_2d(graph, source_internal, side, threads=1, **kwargs):
-    decomp = Decomp2D(graph.n, side, diagonal_vectors=kwargs.pop("diagonal", False))
+def run_2d(
+    graph, source_internal, side, threads=1, diagonal=False, kernel="auto", **launch
+):
+    decomp = Decomp2D(graph.n, side, diagonal_vectors=diagonal)
     blocks = build_2d_blocks(graph.csr, decomp, threads=threads)
     res = run_spmd(
         side * side,
-        bfs_2d,
-        blocks,
-        decomp,
-        source_internal,
+        traversal_body,
+        SpMSV2D,
+        (blocks, decomp, source_internal),
+        {"kernel": kernel},
         threads=threads,
-        **kwargs,
+        **launch,
     )
     levels = np.empty(graph.n, dtype=np.int64)
     parents = np.empty(graph.n, dtype=np.int64)
@@ -229,12 +233,10 @@ class TestBfs2dCommunication:
 
     def test_fold_traffic_less_than_1d(self, rmat_medium):
         """The headline claim: 2D moves less all-to-all data than 1D."""
-        from repro.core.bfs1d import bfs_1d
-
         src = int(
             rmat_medium.to_internal(rmat_medium.random_nonisolated_vertices(1, 6)[0])
         )
-        res1d = run_spmd(16, bfs_1d, rmat_medium.csr, src)
+        res1d = run_spmd(16, traversal_body, TopDown1D, (rmat_medium.csr, src), {})
         _, _, stats2d = run_2d(rmat_medium, src, 4)
         assert stats2d.words_sent("alltoallv") < res1d.stats.words_sent("alltoallv")
 
@@ -301,7 +303,7 @@ class TestRectangularGrids:
         ref_levels, ref_parents = bfs_serial(rmat_small.csr, src)
         decomp = Decomp2D(rmat_small.n, pr, pc)
         blocks = build_2d_blocks(rmat_small.csr, decomp)
-        res = run_spmd(pr * pc, bfs_2d, blocks, decomp, src)
+        res = run_spmd(pr * pc, traversal_body, SpMSV2D, (blocks, decomp, src), {})
         levels = np.empty(rmat_small.n, dtype=np.int64)
         parents = np.empty(rmat_small.n, dtype=np.int64)
         for out in res.returns:

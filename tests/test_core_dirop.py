@@ -105,7 +105,8 @@ class TestDiropCorrectness:
         )
 
     def test_never_switch_matches_topdown_counters(self):
-        # alpha -> 0 degenerates to bfs_1d exactly, edge scans included.
+        # alpha -> 0 degenerates to TopDown1D exactly — DirOpt1D inherits
+        # its step — edge scans, wire bytes and sieve drops included.
         # The unreachable ring keeps the unexplored-edge count positive on
         # every level, so the switch predicate can never trivially fire.
         rng = np.random.default_rng(7)
@@ -117,10 +118,9 @@ class TestDiropCorrectness:
         dst = np.concatenate([dst, np.roll(ring, 1)])
         graph = Graph.from_edges(n, src, dst, shuffle=False)
         source = 0
-        td = run_bfs(graph, source, "1d", nprocs=3, trace=True)
-        do = run_bfs(
-            graph, source, "1d-dirop", nprocs=3, dirop_alpha=1e-12, trace=True
-        )
+        wire = dict(nprocs=3, codec="delta-varint", sieve=True, trace=True)
+        td = run_bfs(graph, source, "1d", **wire)
+        do = run_bfs(graph, source, "1d-dirop", dirop_alpha=1e-12, **wire)
         assert all(
             lvl["direction"] == "top-down" for lvl in do.meta["level_profile"]
         )
@@ -129,6 +129,14 @@ class TestDiropCorrectness:
             == do.stats.counter("edges_scanned")
         )
         assert np.array_equal(td.levels, do.levels)
+        assert np.array_equal(td.parents, do.parents)
+        # Modeled times legitimately differ (dirop's sync carries three
+        # words), so compare the per-level profile, not the clocks.
+        keys = ("candidates", "words_sent", "wire_words", "sieve_dropped", "discovered")
+        assert [[lvl[k] for k in keys] for lvl in td.meta["level_profile"]] == [
+            [lvl[k] for k in keys] for lvl in do.meta["level_profile"]
+        ]
+        assert sum(lvl["sieve_dropped"] for lvl in td.meta["level_profile"]) > 0
 
     def test_beta_controls_return_to_topdown(self):
         graph = rmat_graph(10, 16, seed=1)

@@ -196,14 +196,14 @@ class TestHysteresisCheckpoint:
         """state() -> restore() reproduces the switching hysteresis
         bit-for-bit, including the cached global statistics."""
         step = DirOpt2D([], None, 0, degrees=np.zeros(1, dtype=np.int64))
-        step.shared_sieve = None
+        step.sieve = None
         step.direction = BOTTOM_UP
         step.unexplored_edges = 12345
         step.g_front, step.g_fedges, step.g_unexplored = 7, 6500, 12345
         snap = step.state()
 
         twin = DirOpt2D([], None, 0, degrees=np.zeros(1, dtype=np.int64))
-        twin.shared_sieve = None
+        twin.sieve = None
         term = twin.restore(snap)
         assert term == 7
         assert twin.direction == BOTTOM_UP

@@ -443,60 +443,3 @@ def test_env_var_rejects_unknown_backend():
         REPRO_KERNELS="fortran",
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_numpy_absent_falls_back_to_python_backend():
-    """With numpy unimportable, repro.kernels still imports, silently
-    selects the reference backend, and the kernels run on plain lists."""
-    proc = _subprocess(
-        """
-        import sys
-        sys.modules["numpy"] = None  # makes ``import numpy`` raise ImportError
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            import repro.kernels as kernels
-            assert kernels.active_backend() == "python"
-        t, p = kernels.dedup_max([3, 1, 3], [5, 2, 9])
-        assert (t, p) == ([1, 3], [2, 9])
-        stream = kernels.varint_encode([0, 127, 128, -1])
-        assert kernels.varint_decode(stream) == [0, 127, 128, -1]
-        words = kernels.pack_bitmap([0, 64, 129], 0, 130)
-        assert kernels.popcount(words) == [1, 1, 1]
-        """
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_numpy_absent_explicit_numpy_request_warns():
-    proc = _subprocess(
-        """
-        import sys
-        sys.modules["numpy"] = None
-        import warnings
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.kernels as kernels
-            assert kernels.active_backend() == "python"
-        assert any("falling back" in str(w.message) for w in caught)
-        """,
-        REPRO_KERNELS="numpy",
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_numpy_absent_programmatic_numpy_request_raises():
-    proc = _subprocess(
-        """
-        import sys
-        sys.modules["numpy"] = None
-        import repro.kernels as kernels
-        try:
-            kernels.set_backend("numpy")
-        except ImportError:
-            pass
-        else:
-            raise SystemExit("set_backend('numpy') succeeded without numpy")
-        """
-    )
-    assert proc.returncode == 0, proc.stderr

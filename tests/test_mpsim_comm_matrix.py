@@ -53,12 +53,15 @@ class TestCommMatrix:
     def test_bfs_1d_traffic_is_all_to_all_shaped(self, rmat_small):
         """With random shuffling, every rank talks to every other rank
         (the Section 4.4 trade: balanced but cut-heavy)."""
-        from repro.core.bfs1d import bfs_1d
+        from repro.core.bfs1d import TopDown1D
+        from repro.core.engine import traversal_body
 
         src = int(
             rmat_small.to_internal(rmat_small.random_nonisolated_vertices(1, 0)[0])
         )
-        res = run_spmd(4, bfs_1d, rmat_small.csr, src, record_peers=True)
+        res = run_spmd(
+            4, traversal_body, TopDown1D, (rmat_small.csr, src), {}, record_peers=True
+        )
         matrix = res.stats.comm_matrix()
         off_diag = matrix[~np.eye(4, dtype=bool)]
         assert np.all(off_diag > 0)

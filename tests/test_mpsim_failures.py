@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.comm import RawCodec
-from repro.core.bfs1d import bfs_1d
-from repro.core.bfs_dirop import bfs_1d_dirop
+from repro.core.bfs1d import TopDown1D
+from repro.core.bfs_dirop import DirOpt1D
+from repro.core.engine import traversal_body
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
 from repro.runtime.threads import ThreadsEngine
@@ -101,11 +102,11 @@ class TestBottomUpExpandFailure:
             # alpha huge -> the very first level runs bottom-up, so every
             # surviving rank is parked inside the real allgatherv when
             # rank 1 raises.
-            return bfs_1d_dirop(
+            return traversal_body(
                 FailingComm(comm, fail_rank=1),
-                graph.csr,
-                source,
-                alpha=1e9,
+                DirOpt1D,
+                (graph.csr, source),
+                {"alpha": 1e9},
             )
 
         with pytest.raises(RuntimeError, match="rank 1 failed"):
@@ -121,7 +122,9 @@ class TestBottomUpExpandFailure:
                 )
             )
         )
-        res = run_spmd(4, bfs_1d_dirop, graph.csr, source, alpha=1e9)
+        res = run_spmd(
+            4, traversal_body, DirOpt1D, (graph.csr, source), {"alpha": 1e9}
+        )
         assert all(r["nlevels"] >= 1 for r in res.returns)
 
 
@@ -155,7 +158,9 @@ class TestMidDecodeFailure:
             # Codec *instances* are accepted wherever names are; that is
             # what makes this injection possible from outside the comm
             # package.
-            return bfs_1d(comm, graph.csr, source, codec=FailingDecode())
+            return traversal_body(
+                comm, TopDown1D, (graph.csr, source), {"codec": FailingDecode()}
+            )
 
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             run_spmd(4, fn)
@@ -164,8 +169,9 @@ class TestMidDecodeFailure:
         # Control: the same harness minus the injected raise terminates
         # and matches the name-configured raw codec.
         graph, source = _rmat_case()
-        res = run_spmd(4, bfs_1d, graph.csr, source, codec=RawCodec())
-        ref = run_spmd(4, bfs_1d, graph.csr, source, codec="raw")
+        args = (graph.csr, source)
+        res = run_spmd(4, traversal_body, TopDown1D, args, {"codec": RawCodec()})
+        ref = run_spmd(4, traversal_body, TopDown1D, args, {"codec": "raw"})
         for got, want in zip(res.returns, ref.returns):
             assert np.array_equal(got["levels"], want["levels"])
             assert np.array_equal(got["parents"], want["parents"])

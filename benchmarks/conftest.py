@@ -9,6 +9,7 @@ to ``results/<exp_id>.txt``, and asserts the paper's qualitative *shape*
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,24 @@ def reproduce(benchmark):
         return table
 
     return _run
+
+
+def _race(fast, slow, rounds=7):
+    """Best-of-``rounds`` wall time of each callable, rounds interleaved
+    so that a slow spell of the host falls on both.  Returns ``(fast
+    seconds, fast result, slow seconds, slow result)``."""
+    best = {fast: None, slow: None}
+    result = {}
+    for _ in range(rounds):
+        for fn in (fast, slow):
+            t0 = time.perf_counter()
+            result[fn] = fn()
+            elapsed = time.perf_counter() - t0
+            best[fn] = elapsed if best[fn] is None else min(best[fn], elapsed)
+    return best[fast], result[fast], best[slow], result[slow]
+
+
+@pytest.fixture
+def race():
+    """The within-run ratio smokes' timer (see :func:`_race`)."""
+    return _race

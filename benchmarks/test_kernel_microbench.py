@@ -12,14 +12,23 @@ realistic composite workload, or the dispatch layer is dead weight.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core.frontier import build_send_buffers, dedup_candidates
+from repro.comm import CommChannel, VertexRange
+from repro.core.frontier import (
+    bucket_by_owner,
+    build_send_buffers,
+    dedup_candidates,
+)
+from repro.core.partition import Partition1D
 from repro.graphs.csr import build_csr
 from repro.graphs.rmat import rmat_edges
+from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
+from repro.query.msbfs import resolve_lane_winners
 from repro.sparse.dcsc import DCSC
 from repro.sparse.spmsv import spmsv_heap, spmsv_spa
 
@@ -160,3 +169,136 @@ def test_numpy_backend_beats_reference_wallclock(smoke_load):
         f"({vec_time:.4f}s vs {ref_time:.4f}s); expected "
         f">= {MIN_SMOKE_SPEEDUP}x"
     )
+
+
+# -- msbfs level: one pass against the per-lane formulations ------------------
+
+MSBFS_LANES = 64
+MSBFS_RANKS = 16
+
+#: Loose CI-safe bars; measured on a noisy 2-CPU box 4.4-6.2x (update)
+#: and 3.2-3.6x (pack).
+MIN_UPDATE_SPEEDUP = 3.0
+MIN_PACK_SPEEDUP = 2.0
+
+
+@pytest.fixture(scope="module")
+def msbfs_level():
+    """The level of a 64-lane batch on the scale-14 graph that reaches
+    the most (vertex, lane) slots, as the exchange carries it: each of
+    16 senders prunes the adjacencies of its own frontier slice, and the
+    pruned triples of all of them meet at the owners (taken together, as
+    if one rank owned every vertex)."""
+    src, dst = rmat_edges(SMOKE_SCALE, 16, seed=5)
+    csr = build_csr(1 << SMOKE_SCALE, src, dst)
+    rng = np.random.default_rng(11)
+    seeds = rng.choice(np.flatnonzero(csr.degrees()), MSBFS_LANES, replace=False)
+    levels, _parents = msbfs_serial(csr, seeds)
+    lanes = np.arange(MSBFS_LANES, dtype=np.uint64)
+    level = int(np.argmax(np.bincount(levels[levels > 0])))
+    fwords = np.bitwise_or.reduce(
+        (levels == level - 1).astype(np.uint64) << lanes, axis=1
+    )
+    visit = np.bitwise_or.reduce(
+        ((levels >= 0) & (levels < level)).astype(np.uint64) << lanes, axis=1
+    )
+    part = Partition1D(csr.n, MSBFS_RANKS)
+    sent = []
+    for rank in range(MSBFS_RANKS):
+        lo, hi = part.range_of(rank)
+        targets, sources = csr.gather(np.flatnonzero(fwords[lo:hi]) + lo)
+        sent.append(
+            prune_lane_candidates(targets, sources, fwords[sources], MSBFS_LANES)
+        )
+    triples = tuple(np.concatenate(column) for column in zip(*sent))
+    return {"n": csr.n, "level": level, "visit": visit, "part": part, "triples": triples}
+
+
+def _update(load, resolve, levels, parents):
+    """``MSBFS1D``'s owner-side write of one level into ``(n, lanes)``
+    arrays, ``resolve`` turning the live triples into slot writes."""
+    rt, rs, rw = load["triples"]
+    fresh = rw & ~load["visit"][rt]
+    alive = fresh != 0
+    resolve(rt[alive], rs[alive], fresh[alive], levels, parents, load["level"])
+    return levels, parents
+
+
+def _resolve_one_pass(rt, rs, fresh, levels, parents, level):
+    wt, lanes, ws = resolve_lane_winners(rt, rs, fresh, MSBFS_LANES)
+    slots = wt * MSBFS_LANES + lanes
+    levels.reshape(-1)[slots] = level
+    parents.reshape(-1)[slots] = ws
+
+
+def _resolve_per_lane(rt, rs, fresh, levels, parents, level):
+    """The update as it was: a mask pass and a dedup sort per lane."""
+    for b in range(MSBFS_LANES):
+        mask = (fresh & lane_bit(b)) != 0
+        if not mask.any():
+            continue
+        tb, sb = dedup_candidates(rt[mask], rs[mask])
+        levels[tb, b] = level
+        parents[tb, b] = sb
+
+
+def _pack_bucket_then_lexsort(channel, targets, values, extras, owners):
+    """``pack_triples`` as it was: stable bucket by owner, then a
+    three-key lexsort per destination."""
+    buckets, _counts = bucket_by_owner(
+        owners, channel.comm.size, targets, values, extras
+    )
+    send = []
+    for dst, (t, v, x) in enumerate(buckets):
+        if t.size == 0:
+            send.append(np.empty(0, dtype=np.int64))
+            continue
+        order = np.lexsort((x, v, t))
+        pair_buf = channel.codec.encode_pairs(t[order], v[order], channel.ranges[dst])
+        send.append(
+            np.concatenate(
+                [np.array([pair_buf.size], dtype=np.int64), pair_buf, x[order]]
+            )
+        )
+    return send
+
+
+def _assert_speedup(what, fast, slow, bar):
+    speedup = slow / fast
+    assert speedup >= bar, (
+        f"{what} only {speedup:.1f}x its reference "
+        f"({fast:.4f}s vs {slow:.4f}s); expected >= {bar}x"
+    )
+
+
+def test_msbfs_level_one_pass_beats_per_lane(msbfs_level, race):
+    """One winner-kernel pass >= 3x the 64-iteration update loop, and the
+    single-sort ``pack_triples`` >= 2x bucket + per-destination lexsort,
+    on the busiest level of a scale-14 64-lane batch; results identical."""
+    # Four (n, lanes) arrays allocated outside the race: filling 8 MiB
+    # with -1 would otherwise be a third of the one-pass side's time.
+    got_arrays, want_arrays = (
+        [np.full((msbfs_level["n"], MSBFS_LANES), -1, dtype=np.int64) for _ in "lp"]
+        for _ in range(2)
+    )
+    fast, got, slow, want = race(
+        lambda: _update(msbfs_level, _resolve_one_pass, *got_arrays),
+        lambda: _update(msbfs_level, _resolve_per_lane, *want_arrays),
+    )
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert (got[0] >= 0).sum() > msbfs_level["n"]  # a real level's worth of slots
+    _assert_speedup("one-pass msbfs update", fast, slow, MIN_UPDATE_SPEEDUP)
+
+    part = msbfs_level["part"]
+    channel = CommChannel(
+        SimpleNamespace(size=MSBFS_RANKS, rank=0),
+        [VertexRange(lo, hi - lo) for lo, hi in map(part.range_of, range(MSBFS_RANKS))],
+    )
+    targets, sources, words = msbfs_level["triples"]
+    args = (targets, sources, words.view(np.int64), part.owner_of(targets))
+    fast, (send, _info), slow, want = race(
+        lambda: channel.pack_triples(*args),
+        lambda: _pack_bucket_then_lexsort(channel, *args),
+    )
+    assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
+    _assert_speedup("single-sort pack_triples", fast, slow, MIN_PACK_SPEEDUP)

@@ -13,8 +13,6 @@ the reference, on a scale-14 R-MAT, and assert identical results:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -38,20 +36,6 @@ MIN_SPEEDUP = 2.0
 def csr():
     src, dst = rmat_edges(SCALE, 16, seed=5)
     return build_csr(1 << SCALE, src, dst)
-
-
-def _race(fast, slow, rounds=7):
-    """Best-of-``rounds`` wall time of each callable, rounds interleaved
-    so that a slow spell of the host falls on both."""
-    best = {fast: None, slow: None}
-    result = {}
-    for _ in range(rounds):
-        for fn in (fast, slow):
-            t0 = time.perf_counter()
-            result[fn] = fn()
-            elapsed = time.perf_counter() - t0
-            best[fn] = elapsed if best[fn] is None else min(best[fn], elapsed)
-    return best[fast], result[fast], best[slow], result[slow]
 
 
 def _per_block_from_coo(csr, decomp):
@@ -83,9 +67,9 @@ def _assert_speedup(what, fast, slow):
     )
 
 
-def test_build_2d_blocks_beats_per_block_sort(csr):
+def test_build_2d_blocks_beats_per_block_sort(csr, race):
     decomp = Decomp2D(csr.n, GRID)
-    fast, blocks, slow, reference = _race(
+    fast, blocks, slow, reference = race(
         lambda: build_2d_blocks(csr, decomp),
         lambda: _per_block_from_coo(csr, decomp),
     )
@@ -97,7 +81,7 @@ def test_build_2d_blocks_beats_per_block_sort(csr):
     _assert_speedup("build_2d_blocks", fast, slow)
 
 
-def test_spa_occupancy_beats_unique_sorted(csr):
+def test_spa_occupancy_beats_unique_sorted(csr, race):
     """A dense level: every row of a block touched several times over."""
     length = csr.n // GRID
     positions = csr.indices[csr.indices < length]
@@ -105,7 +89,7 @@ def test_spa_occupancy_beats_unique_sorted(csr):
     spa = SPA(length)
     spa.accumulate(positions, values)
     # extract() leaves the SPA loaded, so every round reads the same level.
-    fast, (idx, val), slow, want = _race(
+    fast, (idx, val), slow, want = race(
         spa.extract, lambda: kernels.unique_sorted(positions)
     )
     assert np.array_equal(idx, want)

@@ -56,6 +56,49 @@ _SIEVE_BYTES_PER_FLAG = 8
 _CODEC_OPS_PER_WORD = 8.0
 
 
+def _bucket_triples(owners, nbuckets, targets, values, extras):
+    """Group triples by owner, each group in (target, value, extra) order.
+
+    One stable sort on an (owner, target offset, value offset) key
+    orders every destination at once; rows that tie on all three — an
+    SSSP level relaxing one target to one distance from several sources
+    — then get their extras ordered run by run.  The python-int guard
+    keeps the key clear of 64-bit wrap, as in ``kernels.dedup_max``;
+    past it the four-key ``lexsort`` gives the same order.
+    """
+    if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
+        raise ValueError(f"owners out of range [0, {nbuckets})")
+    if targets.size:
+        tmin, tmax = int(targets.min()), int(targets.max())
+        vmin, vmax = int(values.min()), int(values.max())
+        tbits = (tmax - tmin).bit_length()
+        vbits = (vmax - vmin).bit_length()
+        if (nbuckets - 1).bit_length() + tbits + vbits <= 64:
+            key = owners.astype(np.uint64)
+            key <<= np.uint64(tbits)
+            key |= (targets - np.int64(tmin)).view(np.uint64)
+            key <<= np.uint64(vbits)
+            key |= (values - np.int64(vmin)).view(np.uint64)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            extras = extras[order]
+            same = key[1:] == key[:-1]
+            if same.any():
+                run = np.zeros(key.size, dtype=np.int64)
+                np.cumsum(~same, out=run[1:])
+                tied = np.zeros(key.size, dtype=bool)
+                tied[1:] = same
+                tied[:-1] |= same
+                tied = np.flatnonzero(tied)
+                extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
+        else:
+            order = np.lexsort((extras, values, targets, owners))
+            extras = extras[order]
+        targets, values = targets[order], values[order]
+    splits = np.cumsum(np.bincount(owners, minlength=nbuckets))[:-1]
+    return zip(*(np.split(a, splits) for a in (targets, values, extras)))
+
+
 @dataclass(frozen=True)
 class ExchangeInfo:
     """Accounting for one channel operation (one collective, one level).
@@ -305,7 +348,8 @@ class CommChannel:
         batch carries.
 
         Each bucket is canonically sorted by (target, value, extra)
-        before encoding: the raw codec preserves order and delta-varint's
+        before encoding (:func:`_bucket_triples`, one sort for all
+        destinations): the raw codec preserves order and delta-varint's
         stable (target, value) sort is then the identity, so the decoded
         pair order always matches the raw extra column row for row.
         """
@@ -322,9 +366,10 @@ class CommChannel:
         targets = np.asarray(targets, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         extras = np.asarray(extras, dtype=np.int64)
+        owners = np.asarray(owners, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            buckets, _counts = bucket_by_owner(
+            buckets = _bucket_triples(
                 owners, self.comm.size, targets, values, extras
             )
             me = self.comm.rank
@@ -334,10 +379,6 @@ class CommChannel:
                 if dst_targets.size == 0:
                     buf = np.empty(0, dtype=np.int64)
                 else:
-                    order = np.lexsort((dst_extras, dst_values, dst_targets))
-                    dst_targets = dst_targets[order]
-                    dst_values = dst_values[order]
-                    dst_extras = dst_extras[order]
                     # The auto codec gets no range ctx, keeping its
                     # per-buffer choice off the bitmap path.
                     ctx = None if self.codec.name == "auto" else self.ranges[dst]

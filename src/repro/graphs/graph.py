@@ -10,6 +10,7 @@ be reported in the caller's vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,6 +157,11 @@ class Graph:
         return self.csr.degrees()
 
     # -- label translation ----------------------------------------------------
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """``original = _inverse[internal]``, computed once per graph."""
+        return invert_permutation(self.perm)
+
     def to_internal(self, vertices: np.ndarray | int) -> np.ndarray | int:
         """Translate original vertex ids to internal (relabeled) ids."""
         if self.perm is None:
@@ -166,24 +172,23 @@ class Graph:
         """Translate internal ids back to original ids."""
         if self.perm is None:
             return vertices
-        inv = invert_permutation(self.perm)
-        return inv[vertices]
+        return self._inverse[vertices]
 
     def relabel_vertex_array(self, internal_values: np.ndarray) -> np.ndarray:
         """Reorder a per-vertex array from internal to original indexing,
         translating vertex-id *values* (parents) as well.
 
-        ``internal_values[w]`` describes internal vertex ``w``; negative
-        values are sentinels (unreachable) and pass through unchanged.
+        ``internal_values[w]`` describes internal vertex ``w`` (one row
+        per vertex; lane columns ride along); negative values are
+        sentinels (unreachable) and pass through unchanged.
         """
         if self.perm is None:
             return internal_values
-        inv = invert_permutation(self.perm)
-        out = internal_values[self.perm]
-        ids = out >= 0
-        out = out.copy()
-        out[ids] = inv[out[ids]]
-        return out
+        # One lookup translates ids and sentinels alike: index ``-j``
+        # lands on the identity entry ``-j`` appended behind the inverse.
+        lowest = min(int(internal_values.min(initial=0)), 0)
+        table = np.concatenate([self._inverse, np.arange(lowest, 0)])
+        return table[internal_values[self.perm]]
 
     def relabel_level_array(self, internal_levels: np.ndarray) -> np.ndarray:
         """Reorder a per-vertex scalar array (levels) to original indexing."""

@@ -4,9 +4,9 @@ Every per-element inner loop the traversals are built from lives here,
 as a *pair* of implementations behind one dispatching facade:
 
 * :mod:`repro.kernels.numpy_backend` — the vectorized production
-  kernels (one numpy pass per byte position / lane / run, never one per
-  value); this is what lets the simulator run R-MAT scale 18+ recipes
-  in CI instead of topping out near scale 16;
+  kernels (one numpy pass per byte position / scan step / run, never
+  one per value); this is what lets the simulator run R-MAT scale 18+
+  recipes in CI instead of topping out near scale 16;
 * :mod:`repro.kernels.reference` — pure-python per-element loops, the
   executable specification the numpy kernels are differentially tested
   against (``tests/test_kernels_differential.py``).
@@ -60,6 +60,7 @@ KERNELS = (
     "unpack_bitmap",
     "popcount",
     "last_hit_scan",
+    "lane_winners",
     "lane_prune",
     "unique_sorted",
     "varint_sizes",
@@ -226,13 +227,28 @@ def last_hit_scan(hits, starts, counts):
     return _mod().last_hit_scan(hits, starts, counts)
 
 
+def lane_winners(targets, sources, words, nlanes: int):
+    """Resolve every lane's (select, max) race among (target, source,
+    word) triples in one pass.
+
+    Returns ``(targets int64, sources int64, words uint64, wins
+    uint64)`` in (target asc, source desc) order, equal pairs keeping
+    their input order.  Bit ``b < nlanes`` of ``wins[i]`` is set iff
+    candidate ``i`` carries lane ``b`` and no earlier candidate of its
+    target does — it is lane ``b``'s maximum-source contributor — so
+    every (target, lane) slot some word carries is won exactly once.
+    ``words`` come back as given; bits at or above ``nlanes`` never win.
+    """
+    return _mod().lane_winners(targets, sources, words, nlanes)
+
+
 def lane_prune(targets, sources, words, nlanes: int):
     """Sender-side lane-dominance prune of (target, source, word) triples.
 
     Keeps a candidate iff it is the maximum-source contributor of at
-    least one lane of its target; output is sorted by (target asc,
-    source desc).  Returns ``(targets int64, sources int64, words
-    uint64)``.
+    least one lane of its target — :func:`lane_winners` rows whose
+    ``wins`` word is nonzero, in the same (target asc, source desc)
+    order.  Returns ``(targets int64, sources int64, words uint64)``.
     """
     return _mod().lane_prune(targets, sources, words, nlanes)
 

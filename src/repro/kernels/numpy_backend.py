@@ -2,11 +2,11 @@
 
 The production backend of :mod:`repro.kernels`: every kernel is one or
 a few whole-array numpy passes — a pass per byte *position* for the
-varints, per *lane* for the prune, per *run boundary* for the reductions
-— never a pass per value.  Semantics (values, dtypes, error messages)
-are defined by the pure-python reference in
-:mod:`repro.kernels.reference`; the differential suite asserts the two
-agree bit for bit.
+varints, per *doubling step* for the lane scan, per *run boundary* for
+the reductions — never a pass per value or per lane.  Semantics
+(values, dtypes, error messages) are defined by the pure-python
+reference in :mod:`repro.kernels.reference`; the differential suite
+asserts the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -151,46 +151,70 @@ def last_hit_scan(hits, starts, counts):
     return np.maximum.reduceat(hit_pos, starts)
 
 
-def lane_prune(targets, sources, words, nlanes):
+def _target_major_order(targets, sources):
+    """Stable permutation into (targets asc, sources desc) order."""
+    n = targets.size
+    tmin, tmax = int(targets.min()), int(targets.max())
+    smin, smax = int(sources.min()), int(sources.max())
+    sbits = (smax - smin).bit_length()
+    ibits = (n - 1).bit_length()
+    if (tmax - tmin).bit_length() + sbits + ibits <= _WORD_BITS:
+        # One unsigned key per candidate — target offset, reversed source
+        # offset, input position — so a plain value sort is the stable
+        # two-key sort and the permutation is the key's low bits.  The
+        # python-int guard keeps the fields clear of 64-bit wrap,
+        # mirroring dedup_max; offsets make negative ids fit too.
+        key = (targets - np.int64(tmin)).view(np.uint64)
+        key <<= np.uint64(sbits)
+        key |= (np.int64(smax) - sources).view(np.uint64)
+        key <<= np.uint64(ibits)
+        key |= np.arange(n, dtype=np.uint64)
+        key.sort()
+        key &= np.uint64((1 << ibits) - 1)
+        return key.view(np.int64)
+    # ``~s`` = ``-s - 1`` reverses the source order without wrapping.
+    return np.lexsort((~sources, targets))
+
+
+def lane_winners(targets, sources, words, nlanes):
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     words = np.asarray(words, dtype=np.uint64)
-    if targets.size == 0:
-        return targets, sources, words
-    tmin, tmax = int(targets.min()), int(targets.max())
-    smin, smax = int(sources.min()), int(sources.max())
-    if tmin >= 0 and smin >= 0 and tmax + 1 <= (1 << 62) // (smax + 1):
-        # Composite single-key stable sort (targets asc, sources desc);
-        # one radix/merge pass beats lexsort's two.  Python-int guard
-        # keeps the key clear of int64 wrap, mirroring dedup_max.
-        span = np.int64(smax + 1)
-        key = targets * span + (np.int64(smax) - sources)
-        order = np.argsort(key, kind="stable")
-    else:
-        order = np.lexsort((-sources, targets))
+    n = targets.size
+    if n == 0:
+        return targets, sources, words, np.empty(0, dtype=np.uint64)
+    order = _target_major_order(targets, sources)
     targets, sources, words = targets[order], sources[order], words[order]
-    run_start = np.empty(targets.size, dtype=bool)
-    run_start[0] = True
-    np.not_equal(targets[1:], targets[:-1], out=run_start[1:])
-    # A candidate survives iff it carries a lane bit (below ``nlanes``)
-    # that no higher-source candidate of its target carries: its word
-    # must add a fresh bit over the run's exclusive prefix OR.  The
-    # prefix OR is a Hillis-Steele doubling scan — O(log max-run-length)
-    # whole-array passes instead of one pass per lane.
-    lanes = np.uint64((1 << nlanes) - 1)
-    inc = words & lanes
-    live = inc.copy()
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(targets[1:], targets[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    # A candidate wins the lanes (below ``nlanes``) that no higher-source
+    # candidate of its target carries: its word minus the run's exclusive
+    # prefix OR.  The prefix OR is a Hillis-Steele doubling scan over the
+    # candidates still ``off`` or more places into their run, so each
+    # pass touches only the runs longer than the last one reached.
+    live = words & np.uint64((1 << nlanes) - 1)
+    inc = live.copy()
+    depth = np.arange(n)
+    depth -= np.repeat(starts, np.diff(starts, append=n))
+    active = np.flatnonzero(depth)
     off = 1
-    while off < inc.size:
-        same = targets[off:] == targets[:-off]
-        if not same.any():
-            break
-        inc[off:][same] |= inc[:-off][same]
+    while active.size:
+        inc[active] |= inc[active - off]
         off <<= 1
-    ex = np.zeros_like(inc)
-    ex[1:] = inc[:-1]
-    ex[run_start] = 0
-    keep = (live & ~ex) != 0
+        active = active[depth[active] >= off]
+    wins = np.empty_like(inc)
+    wins[1:] = inc[:-1]
+    wins[starts] = 0
+    np.invert(wins, out=wins)
+    wins &= live
+    return targets, sources, words, wins
+
+
+def lane_prune(targets, sources, words, nlanes):
+    targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
+    keep = wins != 0
     return targets[keep], sources[keep], words[keep]
 
 

@@ -177,30 +177,34 @@ def last_hit_scan(hits, starts, counts):
     return _i64(out)
 
 
-def lane_prune(targets, sources, words, nlanes):
+def lane_winners(targets, sources, words, nlanes):
     targets = _ints(targets)
     sources = _ints(sources)
     words = _uints(words)
-    n = len(targets)
-    if n == 0:
-        return _i64([]), _i64([]), _u64([])
-    order = sorted(range(n), key=lambda i: (targets[i], -sources[i]))
+    order = sorted(range(len(targets)), key=lambda i: (targets[i], -sources[i]))
     lane_mask = (1 << nlanes) - 1
-    out_t, out_s, out_w = [], [], []
+    wins = []
     seen = 0
     prev_target = None
     for i in order:
-        t = targets[i]
-        if t != prev_target:
-            prev_target = t
+        if targets[i] != prev_target:
+            prev_target = targets[i]
             seen = 0
         lanes = words[i] & lane_mask
-        if lanes & ~seen & lane_mask:
-            out_t.append(t)
-            out_s.append(sources[i])
-            out_w.append(words[i])
+        wins.append(lanes & ~seen)
         seen |= lanes
-    return _i64(out_t), _i64(out_s), _u64(out_w)
+    return (
+        _i64([targets[i] for i in order]),
+        _i64([sources[i] for i in order]),
+        _u64([words[i] for i in order]),
+        _u64(wins),
+    )
+
+
+def lane_prune(targets, sources, words, nlanes):
+    targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
+    keep = [i for i, won in enumerate(_uints(wins)) if won]
+    return targets[keep], sources[keep], words[keep]
 
 
 def unique_sorted(values):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core import runner
-from repro.core.validate import count_traversed_edges
+from repro.core.validate import count_traversed_edges, count_traversed_edges_lanes
 from repro.graphs.graph import Graph
 from repro.query.landmark import DEFAULT_LANDMARKS, LandmarkIndex, select_landmarks
 from repro.query.msbfs import WORD_LANES
@@ -169,10 +169,7 @@ def _result(
 def _query_msbfs(session) -> QueryResult:
     graph = session.graph
     sources = _require_sources(session)
-    srcs_internal = np.array(
-        [int(np.asarray(graph.to_internal(int(s)))) for s in sources],
-        dtype=np.int64,
-    )
+    srcs_internal = np.asarray(graph.to_internal(sources), dtype=np.int64)
     spmd, fault_meta = session.launch(srcs_internal)
     levels_int, parents_int, nlevels = session.stitch(spmd, sources.size)
 
@@ -187,8 +184,7 @@ def _query_msbfs(session) -> QueryResult:
             )
 
     m_traversed = sum(
-        count_traversed_edges(graph.csr, levels_int[:, b], graph.m_input)
-        for b in range(sources.size)
+        count_traversed_edges_lanes(graph.csr, levels_int, graph.m_input)
     )
     return _result(
         session, levels_int, graph.relabel_vertex_array(parents_int), nlevels,

@@ -22,6 +22,13 @@ the 1D dedup: a candidate ships only if it is the maximum-source
 contributor for at least one lane of its target, so at most 64 candidates
 per target survive and owner-side per-lane (select, max) results are
 unchanged.
+
+Both ends of the exchange ask the same question — which candidate wins
+each (target, lane) slot — and :func:`repro.kernels.lane_winners`
+answers it once per call with a *winner word* per candidate: the sender
+ships the candidates whose winner word is nonzero, the owner
+(:func:`resolve_lane_winners`) unpacks the winner words of what arrived
+and writes exactly the winning slots.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import numpy as np
 
 from repro import kernels
 from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
-from repro.core.frontier import dedup_candidates
 from repro.graphs.csr import CSR
 from repro.sparse import BIT_OR, SPA
 
@@ -60,6 +66,30 @@ def prune_lane_candidates(
     Output is sorted by (target asc, source desc) — deterministic.
     """
     return kernels.lane_prune(targets, sources, words, nlanes)
+
+
+def resolve_lane_winners(
+    targets: np.ndarray, sources: np.ndarray, fresh: np.ndarray, nlanes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner-side (select, max) over every lane at once.
+
+    ``fresh`` holds each received candidate's not-yet-visited lanes.
+    Returns one ``(target, lane, parent)`` row per (target, lane) slot
+    some candidate carries, ``parent`` being the slot's maximum source —
+    what a ``dedup_candidates`` pass per lane would produce, from one
+    sort.  Everything allocated past the kernel call is sized by the
+    winning slots, not by the candidates.
+    """
+    targets, sources, _words, wins = kernels.lane_winners(
+        targets, sources, fresh, nlanes
+    )
+    won = np.flatnonzero(wins)
+    # Bit i of the unpacked winner words is lane i % 64 of winner i // 64.
+    bits = np.flatnonzero(
+        np.unpackbits(wins[won].view(np.uint8), bitorder="little").view(bool)
+    )
+    rows = won[bits >> 6]
+    return targets[rows], bits & (WORD_LANES - 1), sources[rows]
 
 
 class MSBFS1D(Step1D):
@@ -148,7 +178,8 @@ class MSBFS1D(Step1D):
 
         # 4. Owner-side update: mask off already-visited lanes, form the
         #    per-vertex union of new lanes with the BIT_OR SPA, then
-        #    resolve each active lane's (select, max) parent.
+        #    write each newly reached (vertex, lane) slot's level and
+        #    (select, max) parent.
         with obs.span("ms-update"):
             charger.random(float(rt.size), ws_words=max(nloc, 1))
             rw = rx.view(np.uint64)
@@ -163,13 +194,10 @@ class MSBFS1D(Step1D):
             # Every fresh word only carries bits below nlanes, so the
             # per-lane candidate count is the total set-bit count.
             lane_ops = int(kernels.popcount(fresh).sum()) if fresh.size else 0
-            for b in range(self.nlanes):
-                mask = (fresh & lane_bit(b)) != 0
-                if not mask.any():
-                    continue
-                tb, sb = dedup_candidates(rt[mask], rs[mask])
-                self.levels[tb - lo, b] = level
-                self.parents[tb - lo, b] = sb
+            wt, lanes, ws = resolve_lane_winners(rt, rs, fresh, self.nlanes)
+            slots = (wt - lo) * self.nlanes + lanes
+            self.levels.reshape(-1)[slots] = level
+            self.parents.reshape(-1)[slots] = ws
             self.frontier = pos + lo
             charger.intops(2.0 * lane_ops)
             if self.threads > 1:

@@ -229,6 +229,23 @@ class TestGraphContainer:
         # Unreachable sentinels survive the relabeling.
         assert np.array_equal(levels < 0, parents < 0)
 
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)])
+    def test_relabel_vertex_array_passes_sentinels_through(self, shape):
+        """1-D and lane-column input: ids translate, rows move to the
+        original indexing, and every negative sentinel (not only -1)
+        comes back unchanged — checked element by element."""
+        rng = np.random.default_rng(4)
+        g = Graph.from_edges(50, rng.integers(0, 50, 200), rng.integers(0, 50, 200), seed=9)
+        internal = rng.integers(-3, 50, shape)
+        inverse = invert_permutation(g.perm)
+        out = g.relabel_vertex_array(internal)
+        assert out.shape == shape and out.dtype == np.int64
+        for v in range(50):
+            for got, value in zip(np.atleast_1d(out[v]), np.atleast_1d(internal[g.perm[v]])):
+                assert got == (value if value < 0 else inverse[value])
+        assert g._inverse is g._inverse  # computed once per graph
+        assert np.array_equal(g.to_original(g.perm), np.arange(50))
+
     def test_random_sources_have_degree(self):
         g = rmat_graph(10, 4, seed=0)
         sources = g.random_nonisolated_vertices(8, seed=0)

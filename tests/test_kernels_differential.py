@@ -78,6 +78,18 @@ def _scatter_args(tag, op, length=24, n=70, dtype=np.int64):
         values = rng.integers(0, 1 << 40, n)
     return dense, positions, values, op
 
+def _lane_triples(tag, n, ntargets, nlanes, nsources=100):
+    """Random (target, source, word, nlanes) with duplicate contenders
+    per (target, lane) and lane bits above ``nlanes`` left set."""
+    rng = _rng(tag)
+    return (
+        rng.integers(0, ntargets, n),
+        rng.integers(0, nsources, n),
+        rng.integers(0, I64_MAX, n, dtype=np.uint64) << np.uint64(1),
+        nlanes,
+    )
+
+
 CASES: dict[str, dict] = {
     "dedup_max": {
         "empty": lambda: (_i64(), _i64()),
@@ -192,6 +204,53 @@ CASES: dict[str, dict] = {
         ),
         "random": lambda: _lhs_random("lhs"),
     },
+    "lane_winners": {
+        "empty": lambda: (_i64(), _i64(), _u64(), 64),
+        "single": lambda: (_i64(3), _i64(9), _u64(5), 64),
+        "all-ones-word": lambda: (
+            _i64(2, 2, 2), _i64(4, 6, 5), _u64((1 << 64) - 1, 1, 1 << 63), 64
+        ),
+        "bit-63": lambda: (
+            _i64(7, 7, 7), _i64(9, 8, 7), _u64(1 << 63, 1 << 63, 1), 64
+        ),
+        "nlanes-1": lambda: _lane_triples("lw-1", 120, 10, 1),
+        "nlanes-63": lambda: _lane_triples("lw-63", 200, 12, 63),
+        "nlanes-64": lambda: _lane_triples("lw-64", 200, 12, 64),
+        "hub-run-over-64": lambda: (
+            # 150 contenders for one target beside two short runs: the
+            # doubling scan crosses eight steps and most of the run wins
+            # nothing.
+            np.concatenate([np.full(150, 5), _i64(1, 9, 9)]),
+            np.concatenate([_rng("lw-hub").permutation(150), _i64(3, 2, 8)]),
+            _rng("lw-hub-w").integers(0, I64_MAX, 153, dtype=np.uint64),
+            64,
+        ),
+        "bits-above-nlanes": lambda: (
+            _i64(4, 4, 4), _i64(3, 2, 1), _u64(1 << 8, (1 << 9) | 1, 3), 8
+        ),
+        "equal-pairs-keep-input-order": lambda: (
+            _i64(6, 6, 6, 6), _i64(2, 5, 2, 5), _u64(1, 2, 3, 6), 64
+        ),
+        "negative-ids": lambda: (
+            _i64(-3, -3, 2, -3), _i64(-1, -7, 0, 4), _u64(3, 3, 1, 2), 64
+        ),
+        "packed-key-fills-64-bits": lambda: (
+            # 32 target bits + 30 source bits + 2 position bits.
+            _i64((1 << 32) - 1, 0, (1 << 32) - 1, 0),
+            _i64(0, (1 << 30) - 1, (1 << 30) - 1, 0),
+            _u64(1, 1, 3, 3),
+            64,
+        ),
+        "int64-wrap-lexsort-path": lambda: (
+            _i64(I64_MAX, 0, I64_MAX, 0, I64_MIN),
+            _i64(I64_MIN, I64_MAX, I64_MAX, I64_MIN, 0),
+            _u64(1, 3, 2, 7, 5),
+            64,
+        ),
+        "wide-targets-lexsort-path": lambda: (
+            _i64(1 << 62, 0, 1 << 62), _i64(5, 1 << 40, 9), _u64(1, 1, 3), 2
+        ),
+    },
     "lane_prune": {
         "empty": lambda: (_i64(), _i64(), _u64(), 64),
         "single": lambda: (_i64(3), _i64(9), _u64(5), 64),
@@ -304,6 +363,23 @@ def test_backends_bit_identical(kernel, case):
     python = _run_case(kernel, case, "python")
     numpy = _run_case(kernel, case, "numpy")
     assert python == numpy
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "kernel,case",
+    [kc for kc in DIFFERENTIAL_CASES if kc[0] in ("lane_winners", "lane_prune")],
+)
+def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
+    """The two views of one pass cannot drift: the prune is the winner
+    kernel's rows with a nonzero winner word, original words attached."""
+    with kernels.use_backend(backend):
+        targets, sources, words, wins = kernels.lane_winners(*CASES[kernel][case]())
+        pruned = kernels.lane_prune(*CASES[kernel][case]())
+    keep = wins != 0
+    assert _normalize(pruned) == _normalize(
+        (targets[keep], sources[keep], words[keep])
+    )
 
 
 #: (kernel, args-factory, error-message substring): both backends must

@@ -13,11 +13,18 @@ damaged buffers, and the driver surfaces the structural refusals
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import CodecError, CommChannel, Sieve, VertexRange
 from repro.core import run_bfs
+from repro.core.frontier import bucket_by_owner, dedup_candidates
+from repro.core.validate import count_traversed_edges, count_traversed_edges_lanes
+from repro.graphs import Graph
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
 from repro.query import (
@@ -28,6 +35,7 @@ from repro.query import (
     prune_lane_candidates,
     run_query,
 )
+from repro.query.msbfs import resolve_lane_winners
 
 NPROCS = 4
 
@@ -128,8 +136,116 @@ class TestLaneDominancePrune:
         assert pt.size == ps.size == pw.size == 0
 
 
+def _per_lane_update(targets, sources, fresh, nlanes):
+    """The executable spec of the owner-side update: one
+    ``dedup_candidates`` (select, max) pass per lane over the candidates
+    carrying that lane, as ``MSBFS1D.step`` did it before the winner
+    kernel.  Returns sorted ``(target, lane, parent)`` rows."""
+    rows = []
+    for b in range(nlanes):
+        mask = (fresh & lane_bit(b)) != 0
+        if not mask.any():
+            continue
+        tb, sb = dedup_candidates(targets[mask], sources[mask])
+        rows += [(int(t), b, int(p)) for t, p in zip(tb, sb)]
+    return sorted(rows)
+
+
+class TestOnePassUpdate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nlanes=st.sampled_from([1, 2, 7, 31, 63, 64]),
+        size=st.integers(0, 120),
+        ntargets=st.integers(1, 9),
+    )
+    def test_equals_per_lane_dedup(self, seed, nlanes, size, ntargets):
+        """Random received triples with several contenders per (target,
+        lane) slot, already-visited lanes masked off as the step does."""
+        rng = np.random.default_rng(seed)
+        lo = 40
+        rt = rng.integers(lo, lo + ntargets, size)
+        rs = rng.integers(0, 25, size)
+        lane_mask = np.uint64((1 << nlanes) - 1)
+        rw = rng.integers(0, 1 << 63, size, dtype=np.uint64) & lane_mask
+        visit = rng.integers(0, 1 << 63, ntargets, dtype=np.uint64)
+        fresh = rw & ~visit[rt - lo]
+        alive = fresh != 0
+        rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
+
+        wt, lanes, ws = resolve_lane_winners(rt, rs, fresh, nlanes)
+        got = sorted(zip(wt.tolist(), lanes.tolist(), ws.tolist()))
+        assert got == _per_lane_update(rt, rs, fresh, nlanes)
+        # One row per slot, so the step's fancy write never races itself.
+        assert len({(t, b) for t, b, _ in got}) == len(got)
+        assert wt.dtype == ws.dtype == np.int64
+
+
+def _pack_spec(channel, targets, values, extras, owners):
+    """The formulation ``pack_triples`` replaced, kept as its spec: stable
+    bucket by owner, then one three-key lexsort per destination."""
+    buckets, _ = bucket_by_owner(
+        owners, channel.comm.size, targets, values, extras
+    )
+    send = []
+    for dst, (t, v, x) in enumerate(buckets):
+        if t.size == 0:
+            send.append(np.empty(0, dtype=np.int64))
+            continue
+        order = np.lexsort((x, v, t))
+        t, v, x = t[order], v[order], x[order]
+        ctx = None if channel.codec.name == "auto" else channel.ranges[dst]
+        pair_buf = channel.codec.encode_pairs(t, v, ctx)
+        send.append(
+            np.concatenate([np.array([pair_buf.size], dtype=np.int64), pair_buf, x])
+        )
+    return send
+
+
 class TestTripleWire:
     """The (target, value, extra) exchange: alignment and damage detection."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        codec=st.sampled_from(["raw", "delta-varint", "auto"]),
+        nranks=st.integers(1, 5),
+        size=st.integers(0, 90),
+        wide=st.booleans(),
+    )
+    def test_single_sort_pack_is_byte_identical(self, seed, codec, nranks, size, wide):
+        """Duplicate ``(target, value)`` rows with different extras (an
+        SSSP level), extras with bit 63 set (lane words), and owners
+        drawn per row — not monotone in the target, not even a function
+        of it; ``wide`` values overflow the composite key and take the
+        lexsort path."""
+        rng = np.random.default_rng(seed)
+        comm = SimpleNamespace(size=nranks, rank=int(rng.integers(nranks)))
+        ranges = [VertexRange(16 * r, 16) for r in range(nranks)]
+        channel = CommChannel(comm, ranges, codec=codec)
+        targets = rng.integers(0, 16 * nranks, size)
+        values = rng.integers(0, 4, size)
+        if wide:
+            values = values * ((1 << 62) - 1)
+        extras = rng.integers(-(1 << 63), 1 << 63, size)
+        extras[rng.random(size) < 0.3] = 7  # full-row duplicates too
+        owners = rng.integers(0, nranks, size)
+
+        send, info = channel.pack_triples(targets, values, extras, owners)
+        want = _pack_spec(channel, targets, values, extras, owners)
+        assert len(send) == len(want) == nranks
+        for got_buf, want_buf in zip(send, want):
+            assert got_buf.dtype == want_buf.dtype
+            assert got_buf.tobytes() == want_buf.tobytes()
+        assert info.pairs == size
+
+    def test_pack_rejects_out_of_range_owners(self):
+        comm = SimpleNamespace(size=2, rank=0)
+        channel = CommChannel(comm, [VertexRange(0, 8), VertexRange(8, 8)])
+        t = np.array([1, 9], dtype=np.int64)
+        for owners in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match=r"owners out of range \[0, 2\)"):
+                channel.pack_triples(t, t, t, np.array(owners, dtype=np.int64))
 
     @pytest.mark.parametrize("codec", ["raw", "delta-varint", "auto"])
     def test_roundtrip_keeps_extras_row_aligned(self, codec):
@@ -204,6 +320,44 @@ class TestTripleWire:
 
         res = run_spmd(2, fn)
         assert all(res.returns)
+
+
+class TestLanesAtOnceEdgeCount:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nlanes=st.sampled_from([1, 7, 64]),
+        directed=st.booleans(),
+        with_m_input=st.booleans(),
+    )
+    def test_equals_per_lane_counts(self, seed, nlanes, directed, with_m_input):
+        """Any reached sets (not only BFS ones), one lane reaching
+        nothing, duplicate input edges so the ``m_input`` rounding is
+        exercised per lane."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, 4 * n))
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        src, dst = np.concatenate([src, src[: m // 3]]), np.concatenate([dst, dst[: m // 3]])
+        graph = Graph.from_edges(n, src, dst, symmetrize=not directed, seed=seed)
+        levels = rng.integers(-1, 3, (n, nlanes))
+        levels[:, int(rng.integers(nlanes))] = -1
+        m_input = graph.m_input if with_m_input else None
+        want = [
+            count_traversed_edges(graph.csr, levels[:, b], m_input)
+            for b in range(nlanes)
+        ]
+        assert count_traversed_edges_lanes(graph.csr, levels, m_input) == want
+
+    def test_query_total_is_the_per_lane_sum(self, graph, batch64):
+        res = run_query(graph, sources=batch64[:9], nprocs=NPROCS)
+        levels_int = np.empty_like(res.levels)
+        levels_int[np.asarray(graph.to_internal(np.arange(graph.n)))] = res.levels
+        assert res.m_traversed == sum(
+            count_traversed_edges(graph.csr, levels_int[:, b], graph.m_input)
+            for b in range(9)
+        )
 
 
 class TestCloseLaneClasses:

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.comm import CommChannel, VertexRange
+from repro.comm import (
+    AutoCodec,
+    BitmapCodec,
+    CommChannel,
+    DeltaVarintCodec,
+    RawCodec,
+    VertexRange,
+)
 from repro.core.frontier import (
     bucket_by_owner,
     build_send_buffers,
@@ -302,3 +309,91 @@ def test_msbfs_level_one_pass_beats_per_lane(msbfs_level, race):
     )
     assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
     _assert_speedup("single-sort pack_triples", fast, slow, MIN_PACK_SPEEDUP)
+
+
+# -- small exchanges: one codec pass against one buffer at a time -------------
+
+EXCHANGE_RANKS = 8
+EXCHANGE_PAIRS = 45
+EXCHANGE_LEVELS = 40
+
+#: Loose CI-safe bar; measured on a noisy 2-CPU box 4.5-5.1x.
+MIN_EXCHANGE_SPEEDUP = 3.0
+
+
+@pytest.fixture(scope="module")
+def small_exchanges():
+    """Forty levels of the exchange a 140-level crawl consists of: one
+    rank's sorted candidates for 8 destinations, ~45 pairs each, ids
+    and parents below 2**16 — every buffer ends up delta-varint."""
+    width = (1 << 16) // EXCHANGE_RANKS
+    ranges = [VertexRange(r * width, width) for r in range(EXCHANGE_RANKS)]
+    rng = np.random.default_rng(23)
+    levels = []
+    for _ in range(EXCHANGE_LEVELS):
+        counts = rng.poisson(EXCHANGE_PAIRS, EXCHANGE_RANKS)
+        targets = np.concatenate(
+            [
+                np.sort(rng.choice(width, count, replace=False)) + ctx.lo
+                for count, ctx in zip(counts, ranges)
+            ]
+        )
+        levels.append((targets, rng.integers(0, 1 << 16, targets.size), counts))
+    return levels, ranges, VertexRange(0, 1 << 16)
+
+
+def _exchange_one_pass(levels, ranges, everything):
+    auto = AutoCodec()
+    out = []
+    for targets, parents, counts in levels:
+        send = auto.encode_pairs_many(targets, parents, counts, ranges)
+        out.append((send, auto.decode_pairs_many(send, everything)))
+    return out
+
+
+def _exchange_per_buffer(levels, ranges, everything):
+    """The exchange as it was: every destination's buffer encoded with
+    every candidate codec to keep the smallest, every piece decoded
+    alone."""
+    auto = AutoCodec()
+    candidates = (RawCodec(), DeltaVarintCodec(), BitmapCodec())
+    out = []
+    for targets, parents, counts in levels:
+        ends = np.cumsum(counts)
+        send = []
+        for lo, hi, ctx in zip(ends - counts, ends, ranges):
+            tag, wire = min(
+                (
+                    (tag, codec.encode_pairs(targets[lo:hi], parents[lo:hi], ctx))
+                    for tag, codec in enumerate(candidates)
+                ),
+                key=lambda image: (image[1].size, image[0]),
+            )
+            send.append(np.concatenate([np.array([tag], dtype=np.int64), wire]))
+        decoded = [auto.decode_pairs(piece, everything) for piece in send]
+        out.append(
+            (
+                send,
+                (
+                    np.concatenate([t for t, _ in decoded]),
+                    np.concatenate([p for _, p in decoded]),
+                ),
+            )
+        )
+    return out
+
+
+def test_exchange_codec_one_pass_beats_per_buffer(small_exchanges, race):
+    """``auto`` over a whole 8-destination x ~45-pair exchange — sizes in
+    closed form, one varint pass to encode and one to decode — is >= 3x
+    encoding each buffer three ways and decoding each piece alone; wire
+    bytes and decoded pairs identical."""
+    fast, got, slow, want = race(
+        lambda: _exchange_one_pass(*small_exchanges),
+        lambda: _exchange_per_buffer(*small_exchanges),
+    )
+    for (send, pairs), (want_send, want_pairs) in zip(got, want):
+        assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want_send]
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, want_pairs))
+    assert all(buf[0] == AutoCodec.DELTA_VARINT for send, _ in got for buf in send)
+    _assert_speedup("one-pass exchange codec", fast, slow, MIN_EXCHANGE_SPEEDUP)

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.comm.codecs import Codec, CodecError, VertexRange, get_codec
 from repro.comm.sieve import Sieve
-from repro.core.frontier import bitmap_words, bucket_by_owner
+from repro.core.frontier import bitmap_words
 from repro.faults.injection import (
     NULL_RANK_FAULTS,
     UndetectedCorruptionError,
@@ -50,14 +51,18 @@ _SIEVE_BYTES_PER_FLAG = 8
 #: Integer ops charged per payload word of a non-raw encode/decode pass:
 #: delta, varint byte-count, and shift/mask work.  The transform is
 #: linear, not a sort — pair buckets arrive owner-sorted (the 1D dedup
-#: emits ascending targets and vertex ownership is monotone), and the
-#: ``auto`` polyalgorithm selects its codec from the buffer's measured
-#: density, one encode pass either way.
+#: emits ascending targets and vertex ownership is monotone; the codec
+#: checks with one adjacent compare), and the ``auto`` polyalgorithm
+#: selects its codec from closed-form sizes (count, varint byte count,
+#: distinct targets) and encodes only the winner: one encode pass
+#: either way.
 _CODEC_OPS_PER_WORD = 8.0
 
 
-def _bucket_triples(owners, nbuckets, targets, values, extras):
-    """Group triples by owner, each group in (target, value, extra) order.
+def _group_triples(owners, nbuckets, targets, values, extras):
+    """Order triples by owner, each owner's in (target, value, extra) order.
+
+    Returns the three reordered columns and the per-owner counts.
 
     One stable sort on an (owner, target offset, value offset) key
     orders every destination at once; rows that tie on all three — an
@@ -95,8 +100,7 @@ def _bucket_triples(owners, nbuckets, targets, values, extras):
             order = np.lexsort((extras, values, targets, owners))
             extras = extras[order]
         targets, values = targets[order], values[order]
-    splits = np.cumsum(np.bincount(owners, minlength=nbuckets))[:-1]
-    return zip(*(np.split(a, splits) for a in (targets, values, extras)))
+    return targets, values, extras, np.bincount(owners, minlength=nbuckets)
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,12 @@ class CommChannel:
             return
         self.charger.intops(_CODEC_OPS_PER_WORD * nitems)
         self.charger.stream(wire + nitems)
+
+    def _off_rank_words(self, payload, send) -> tuple[float, float]:
+        """(payload, wire) words of an all-to-all, self bucket excluded."""
+        me = self.comm.rank
+        wire = [float(buf.size) for buf in send]
+        return float(payload.sum() - payload[me]), sum(wire) - wire[me]
 
     def _record(self, kind: str, info: ExchangeInfo, level: int | None) -> None:
         self.comm.stats.record_channel(
@@ -275,20 +285,13 @@ class CommChannel:
             dropped = 0
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            buckets, _counts = bucket_by_owner(
+            (targets, parents), counts = kernels.group_by_owner(
                 owners, self.comm.size, targets, parents
             )
-            me = self.comm.rank
-            send: list[np.ndarray] = []
-            payload = wire = 0.0
-            for dst, (dst_targets, dst_parents) in enumerate(buckets):
-                buf = self.codec.encode_pairs(
-                    dst_targets, dst_parents, self.ranges[dst]
-                )
-                send.append(buf)
-                if dst != me:
-                    payload += 2.0 * dst_targets.size
-                    wire += float(buf.size)
+            send = self.codec.encode_pairs_many(
+                targets, parents, counts, self.ranges
+            )
+            payload, wire = self._off_rank_words(2.0 * counts, send)
             self._charge_encode(float(targets.size), 2.0 * targets.size, wire)
         info = ExchangeInfo(int(targets.size), payload, wire, dropped)
         return send, info
@@ -312,13 +315,7 @@ class CommChannel:
             "truncate",
         )
         with self.obs.span("decode", codec=self.codec.name):
-            decoded = [self.codec.decode_pairs(piece, ctx) for piece in pieces]
-            if decoded:
-                rv = np.concatenate([t for t, _ in decoded])
-                rp = np.concatenate([p for _, p in decoded])
-            else:
-                rv = np.empty(0, dtype=np.int64)
-                rp = np.empty(0, dtype=np.int64)
+            rv, rp = self.codec.decode_pairs_many(pieces, ctx)
             self._charge_decode(
                 float(rv.size),
                 float(sum(p.size for p in pieces)),
@@ -348,10 +345,11 @@ class CommChannel:
         batch carries.
 
         Each bucket is canonically sorted by (target, value, extra)
-        before encoding (:func:`_bucket_triples`, one sort for all
-        destinations): the raw codec preserves order and delta-varint's
-        stable (target, value) sort is then the identity, so the decoded
-        pair order always matches the raw extra column row for row.
+        before encoding (:func:`_group_triples`, one sort for all
+        destinations): the raw codec preserves order and delta-varint
+        finds every segment already in (target, value) order, so the
+        decoded pair order always matches the raw extra column row for
+        row.
         """
         if self.sieve is not None:
             raise ValueError(
@@ -369,33 +367,28 @@ class CommChannel:
         owners = np.asarray(owners, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            buckets = _bucket_triples(
+            targets, values, extras, counts = _group_triples(
                 owners, self.comm.size, targets, values, extras
             )
-            me = self.comm.rank
-            send: list[np.ndarray] = []
-            payload = wire = 0.0
-            for dst, (dst_targets, dst_values, dst_extras) in enumerate(buckets):
-                if dst_targets.size == 0:
-                    buf = np.empty(0, dtype=np.int64)
-                else:
-                    # The auto codec gets no range ctx, keeping its
-                    # per-buffer choice off the bitmap path.
-                    ctx = None if self.codec.name == "auto" else self.ranges[dst]
-                    pair_buf = self.codec.encode_pairs(
-                        dst_targets, dst_values, ctx
-                    )
-                    buf = np.concatenate(
-                        [
-                            np.array([pair_buf.size], dtype=np.int64),
-                            pair_buf,
-                            dst_extras,
-                        ]
-                    )
-                send.append(buf)
-                if dst != me:
-                    payload += 3.0 * dst_targets.size
-                    wire += float(buf.size)
+            # The auto codec gets no range ctx, keeping its per-buffer
+            # choice off the bitmap path.
+            pair_bufs = self.codec.encode_pairs_many(
+                targets,
+                values,
+                counts,
+                None if self.codec.name == "auto" else self.ranges,
+            )
+            send = [
+                np.concatenate(
+                    [np.array([pair_buf.size], dtype=np.int64), pair_buf, dst_extras]
+                )
+                if pair_buf.size
+                else pair_buf
+                for pair_buf, dst_extras in zip(
+                    pair_bufs, np.split(extras, np.cumsum(counts)[:-1])
+                )
+            ]
+            payload, wire = self._off_rank_words(3.0 * counts, send)
             self._charge_encode(float(targets.size), 3.0 * targets.size, wire)
         info = ExchangeInfo(int(targets.size), payload, wire, 0)
         return send, info

@@ -17,9 +17,28 @@ wire layer:
 * ``bitmap`` — dense presence bitmap over the destination's owned vertex
   range plus one parent word per set bit.  Wins once the per-destination
   frontier is denser than ~1/64 of the owned range.
-* ``auto`` — per-buffer polyalgorithm: encodes with every applicable
-  codec, ships the smallest (plus a one-word tag naming the choice),
-  mirroring the SpMSV kernel selection by measured density.
+* ``auto`` — per-buffer polyalgorithm: computes every applicable
+  codec's encoded size in closed form (raw ``2 x count``, delta-varint
+  from one ``varint_sizes`` pass, bitmap ``bitmap words + distinct
+  targets``), encodes only the smallest and ships it behind a one-word
+  tag naming the choice — Lv et al.'s selection by measured density,
+  with the measurement exact rather than estimated.
+
+**An exchange is one array of p segments.**  The paper's Algorithm 2
+ships a level as a single ``Alltoallv`` send array with counts and
+displacements, and the pair methods mirror that:
+``encode_pairs_many(targets, parents, counts, ranges)`` takes the
+owner-grouped candidate arrays plus per-destination counts and returns
+one wire buffer per destination; ``decode_pairs_many(pieces, ctx)``
+decodes everything a rank received.  ``raw``, ``delta-varint`` and
+``auto`` do each in one pass over the whole exchange (one sortedness
+check, one ``varint_sizes`` + one ``varint_encode`` / ``varint_decode``
+over the joined stream, cut or checked at the segment boundaries) —
+the 140-level, tiny-frontier traversals are otherwise dominated by
+per-buffer call overhead.  ``bitmap`` keeps the per-segment loop: its
+work is proportional to the owned range, not to the call count.  The
+one-buffer ``encode_pairs`` / ``decode_pairs`` are the one-segment
+form of the same code.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -29,17 +48,14 @@ output bit-identical to the serial oracle under every codec.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from repro import kernels
-from repro.comm.varint import (
-    bytes_to_words,
-    decode_varints,
-    encode_varints,
-    words_to_bytes,
-)
+from repro.comm.varint import bytes_to_words
 from repro.core.frontier import (
     bitmap_words,
     dedup_candidates,
@@ -103,13 +119,131 @@ def _as_pairs(targets, parents) -> tuple[np.ndarray, np.ndarray]:
     return targets, parents
 
 
-def _delta_stream(sorted_values: np.ndarray) -> np.ndarray:
-    """First value absolute, the rest as (non-negative) deltas."""
-    return kernels.delta_encode(sorted_values)
+def _empty_pairs() -> tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty.copy()
 
 
-def _undelta(deltas: np.ndarray) -> np.ndarray:
-    return kernels.delta_decode(deltas)
+def _concat_pairs(decoded) -> tuple[np.ndarray, np.ndarray]:
+    """Join decoded ``(targets, parents)`` runs in order."""
+    if not decoded:
+        return _empty_pairs()
+    if len(decoded) == 1:
+        return decoded[0]
+    return (
+        np.concatenate([t for t, _ in decoded]),
+        np.concatenate([p for _, p in decoded]),
+    )
+
+
+def _as_segments(targets, parents, counts, ranges):
+    """Validate one exchange: grouped pairs, per-segment counts and ranges.
+
+    Returns the arrays as int64, the ranges as a sequence (``None``
+    means "no range for any segment") and each segment's ``[start,
+    end)`` bounds in the grouped arrays.
+    """
+    targets, parents = _as_pairs(targets, parents)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or (counts < 0).any() or int(counts.sum()) != targets.size:
+        raise ValueError(
+            f"segment counts must be non-negative and sum to the "
+            f"{targets.size} pairs"
+        )
+    if ranges is None:
+        ranges = (None,) * counts.size
+    elif len(ranges) != counts.size:
+        raise ValueError(
+            f"need one VertexRange per segment: {len(ranges)} != {counts.size}"
+        )
+    ends = np.cumsum(counts)
+    return targets, parents, counts, ranges, ends - counts, ends
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``values[starts[s]:ends[s]].sum()`` per segment (empty ones sum to 0)."""
+    total = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return total[ends] - total[starts]
+
+
+def _sort_segments(targets, parents, counts, starts):
+    """Order every segment by (vertex, parent), segments staying in place.
+
+    Exchange buffers nearly always arrive that way (the dedup emits
+    ascending targets and ownership is monotone), so one adjacent
+    compare usually settles it; one ``lexsort`` runs only when it fails.
+    """
+    if targets.size < 2:
+        return targets, parents
+    prev_t, next_t = targets[:-1], targets[1:]
+    ordered = (prev_t < next_t) | ((prev_t == next_t) & (parents[:-1] <= parents[1:]))
+    if not ordered.all():
+        # A pair that straddles two segments constrains nothing.
+        ordered[starts[(starts > 0) & (starts < targets.size)] - 1] = True
+        if not ordered.all():
+            segment = np.repeat(np.arange(counts.size), counts)
+            order = np.lexsort((parents, targets, segment))
+            targets, parents = targets[order], parents[order]
+    return targets, parents
+
+
+def _varint_plan(targets, parents, counts, starts, ends):
+    """What delta-varint would ship for an exchange, before any bytes exist.
+
+    Returns the targets in shipping order (each segment sorted), the
+    interleaved (vertex delta, parent) values — the delta restarting
+    from the absolute id at every segment start — and each segment's
+    encoded byte count.
+    """
+    targets, parents = _sort_segments(targets, parents, counts, starts)
+    deltas = kernels.delta_encode(targets)
+    first = starts[counts > 0]
+    deltas[first] = targets[first]
+    seq = kernels.pack_pairs(deltas, parents)
+    nbytes = _segment_sums(kernels.varint_sizes(seq), 2 * starts, 2 * ends)
+    return targets, seq, nbytes
+
+
+def _undelta_segments(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Inverse of the per-segment delta: running sums restarting per segment."""
+    values = kernels.delta_decode(deltas)
+    if counts.size > 1:
+        starts = np.cumsum(counts) - counts
+        carry = np.zeros(counts.size, dtype=np.int64)
+        later = starts > 0
+        carry[later] = values[starts[later] - 1]
+        values = values - np.repeat(carry, counts)
+    return values
+
+
+def _varint_frames(stream, nbytes, live, heads) -> list[np.ndarray]:
+    """Cut one varint byte stream into per-segment wire buffers.
+
+    Segment ``s`` owns the next ``nbytes[s]`` bytes of ``stream``.  A
+    ``live`` segment ships ``heads`` (one array per header word, indexed
+    by segment) followed by its bytes zero-padded to whole words; the
+    others own no bytes and ship the empty buffer.
+    """
+    words = np.where(live, len(heads) + (nbytes + 7) // 8, 0)
+    word_ends = np.cumsum(words)
+    word_starts = word_ends - words
+    out = np.zeros(int(words.sum()), dtype=np.int64)
+    out[word_starts[live, None] + np.arange(len(heads))] = np.stack(heads, axis=1)[live]
+    body = out.view(np.uint8)
+    byte_ends = np.cumsum(nbytes)
+    frames = []
+    for word_lo, word_hi, byte_lo, byte_hi in zip(
+        word_starts.tolist(),
+        word_ends.tolist(),
+        (byte_ends - nbytes).tolist(),
+        byte_ends.tolist(),
+    ):
+        if byte_hi > byte_lo:
+            at = 8 * (word_lo + len(heads))
+            body[at : at + byte_hi - byte_lo] = stream[byte_lo:byte_hi]
+        frames.append(out[word_lo:word_hi])
+    return frames
 
 
 class Codec:
@@ -121,6 +255,15 @@ class Codec:
     accept ``None``.  ``dense=True`` marks exchange sites whose *payload*
     baseline is a packed bitmap (the bottom-up expand) rather than a
     vertex list.
+
+    Pairs come in two forms.  ``encode_pairs_many`` / ``decode_pairs_many``
+    handle a whole exchange — the grouped send array with one count and
+    one range per destination, or every piece a rank received — and are
+    what :class:`~repro.comm.channel.CommChannel` calls; ``encode_pairs``
+    / ``decode_pairs`` handle one buffer.  This base class loops the
+    one-buffer form over the segments; codecs whose cost is per call
+    rather than per word override the ``_many`` form and make the
+    one-buffer form its one-segment case.
     """
 
     name: str = "abstract"
@@ -134,6 +277,32 @@ class Codec:
         self, wire: np.ndarray, ctx: VertexRange | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def encode_pairs_many(
+        self,
+        targets: np.ndarray,
+        parents: np.ndarray,
+        counts: np.ndarray,
+        ranges: Sequence[VertexRange | None] | None = None,
+    ) -> list[np.ndarray]:
+        """Encode an exchange: segment ``s`` is the next ``counts[s]`` pairs.
+
+        Returns one wire buffer per segment, each identical to
+        ``encode_pairs`` of that segment under ``ranges[s]``.
+        """
+        targets, parents, _counts, ranges, starts, ends = _as_segments(
+            targets, parents, counts, ranges
+        )
+        return [
+            self.encode_pairs(targets[lo:hi], parents[lo:hi], ctx)
+            for lo, hi, ctx in zip(starts.tolist(), ends.tolist(), ranges)
+        ]
+
+    def decode_pairs_many(
+        self, pieces: Sequence[np.ndarray], ctx: VertexRange | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode received pieces into their concatenated (targets, parents)."""
+        return _concat_pairs([self.decode_pairs(piece, ctx) for piece in pieces])
 
     def encode_set(
         self, vertices: np.ndarray, ctx: VertexRange | None = None, dense: bool = False
@@ -156,6 +325,16 @@ class RawCodec(Codec):
 
     def encode_pairs(self, targets, parents, ctx=None):
         return pack_pairs(*_as_pairs(targets, parents))
+
+    def encode_pairs_many(self, targets, parents, counts, ranges=None):
+        # One interleave for the whole exchange; the buffers are its slices.
+        targets, parents, _counts, _ranges, starts, ends = _as_segments(
+            targets, parents, counts, ranges
+        )
+        wire = pack_pairs(targets, parents)
+        return [
+            wire[2 * lo : 2 * hi] for lo, hi in zip(starts.tolist(), ends.tolist())
+        ]
 
     def decode_pairs(self, wire, ctx=None):
         wire = np.asarray(wire, dtype=np.int64)
@@ -199,46 +378,96 @@ class DeltaVarintCodec(Codec):
     the input exactly.  Vertex ids must be non-negative (BFS ids always
     are); parents may be any int64 and round-trip through the unsigned
     varint view.
+
+    A whole exchange is one pass: the segments' values form one varint
+    stream (deltas restarting at every segment start) that is sized and
+    encoded once and cut at the segments' cumulative byte counts;
+    decoding joins the received streams, decodes once, and checks every
+    piece's own byte and value counts so no varint can straddle two
+    pieces.
     """
 
     name = "delta-varint"
 
-    #: Wire layout: ``[npairs, nbytes, packed varint words...]``.
+    #: Wire layout: ``[count, nbytes, packed varint words...]``.
     HEADER_WORDS = 2
 
     def encode_pairs(self, targets, parents, ctx=None):
-        targets, parents = _as_pairs(targets, parents)
-        if targets.size == 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((parents, targets))
-        targets, parents = targets[order], parents[order]
-        seq = np.empty(2 * targets.size, dtype=np.int64)
-        seq[0::2] = _delta_stream(targets)
-        seq[1::2] = parents
-        stream = encode_varints(seq)
-        header = np.array([targets.size, stream.size], dtype=np.int64)
-        return np.concatenate([header, bytes_to_words(stream)])
+        return self.encode_pairs_many(targets, parents, [len(targets)])[0]
 
-    def decode_pairs(self, wire, ctx=None):
-        wire = np.asarray(wire, dtype=np.int64)
-        if wire.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        if wire.size < self.HEADER_WORDS:
+    def encode_pairs_many(self, targets, parents, counts, ranges=None):
+        targets, parents, counts, _ranges, starts, ends = _as_segments(
+            targets, parents, counts, ranges
+        )
+        _ordered, seq, nbytes = _varint_plan(targets, parents, counts, starts, ends)
+        return _varint_frames(
+            kernels.varint_encode(seq), nbytes, counts > 0, (counts, nbytes)
+        )
+
+    def _decode_frames(self, pieces, per_item: int):
+        """Decode the varint streams of every non-empty frame in one pass.
+
+        Returns ``(values, counts)``: the decoded values of all frames
+        back to back and the item count of each frame's header.  Every
+        frame must be exactly its header plus ``ceil(nbytes / 8)`` words,
+        end on a terminal byte and hold ``per_item`` values per counted
+        item in its own bytes, so the joined stream decodes as the frames
+        would one by one.
+        """
+        pieces = [np.ascontiguousarray(piece, dtype=np.int64) for piece in pieces]
+        pieces = [piece for piece in pieces if piece.size]
+        empty = np.empty(0, dtype=np.int64)
+        if not pieces:
+            return empty, empty
+        sizes = np.array([piece.size for piece in pieces], dtype=np.int64)
+        if (sizes < self.HEADER_WORDS).any():
             raise CodecError(
                 f"corrupt delta-varint buffer: truncated header "
-                f"({wire.size} words)"
+                f"({int(sizes.min())} words)"
             )
-        npairs, nbytes = int(wire[0]), int(wire[1])
+        claimed, nbytes = np.concatenate(
+            [piece[: self.HEADER_WORDS] for piece in pieces]
+        ).reshape(-1, self.HEADER_WORDS).T
+        if ((nbytes < 0) | (sizes != self.HEADER_WORDS + (nbytes + 7) // 8)).any():
+            raise CodecError(
+                f"corrupt delta-varint buffer: {sizes.tolist()} words do not "
+                f"frame {nbytes.tolist()}-byte streams"
+            )
+        skip = 8 * self.HEADER_WORDS
+        stream = np.concatenate(
+            [
+                piece.view(np.uint8)[skip : skip + nb]
+                for piece, nb in zip(pieces, nbytes.tolist())
+            ]
+        )
+        terminal = (stream & 0x80) == 0
+        filled = nbytes > 0
+        byte_ends = np.cumsum(nbytes)
+        if not terminal[byte_ends[filled] - 1].all():
+            raise CodecError(
+                "corrupt delta-varint buffer: truncated varint stream "
+                "(last byte has continuation bit)"
+            )
         try:
-            seq = decode_varints(words_to_bytes(wire[self.HEADER_WORDS :], nbytes))
+            values = kernels.varint_decode(stream)
         except ValueError as exc:
             raise CodecError(f"corrupt delta-varint buffer: {exc}") from None
-        if seq.size != 2 * npairs:
+        found = np.zeros(nbytes.size, dtype=np.int64)
+        if filled.any():
+            found[filled] = np.add.reduceat(terminal, (byte_ends - nbytes)[filled])
+        if (found != per_item * claimed).any():
             raise CodecError(
-                f"corrupt delta-varint buffer: {seq.size} values for {npairs} pairs"
+                f"corrupt delta-varint buffer: {found.tolist()} values for "
+                f"{claimed.tolist()} items of {per_item}"
             )
-        targets = _undelta(seq[0::2])
+        return values, claimed
+
+    def decode_pairs(self, wire, ctx=None):
+        return self.decode_pairs_many([wire], ctx)
+
+    def decode_pairs_many(self, pieces, ctx=None):
+        seq, npairs = self._decode_frames(pieces, per_item=2)
+        targets = _undelta_segments(seq[0::2], npairs)
         _check_targets(targets, ctx, self.name)
         return targets, seq[1::2]
 
@@ -246,29 +475,13 @@ class DeltaVarintCodec(Codec):
         vertices = np.sort(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
             return np.empty(0, dtype=np.int64)
-        stream = encode_varints(_delta_stream(vertices))
+        stream = kernels.varint_encode(kernels.delta_encode(vertices))
         header = np.array([vertices.size, stream.size], dtype=np.int64)
         return np.concatenate([header, bytes_to_words(stream)])
 
     def decode_set(self, wire, ctx=None, dense=False):
-        wire = np.asarray(wire, dtype=np.int64)
-        if wire.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if wire.size < self.HEADER_WORDS:
-            raise CodecError(
-                f"corrupt delta-varint buffer: truncated header "
-                f"({wire.size} words)"
-            )
-        count, nbytes = int(wire[0]), int(wire[1])
-        try:
-            deltas = decode_varints(words_to_bytes(wire[self.HEADER_WORDS :], nbytes))
-        except ValueError as exc:
-            raise CodecError(f"corrupt delta-varint buffer: {exc}") from None
-        if deltas.size != count:
-            raise CodecError(
-                f"corrupt delta-varint buffer: {deltas.size} values for {count}"
-            )
-        vertices = _undelta(deltas)
+        deltas, _count = self._decode_frames([wire], per_item=1)
+        vertices = kernels.delta_decode(deltas)
         _check_targets(vertices, ctx, self.name)
         return vertices
 
@@ -280,7 +493,9 @@ class BitmapCodec(Codec):
     per set bit (ascending vertex order); duplicates are collapsed with
     the (select, max) rule the receiver applies anyway.  Wins once the
     buffer's density exceeds ~1/64 of the owned range — the hub-dominated
-    middle levels of an R-MAT traversal.
+    middle levels of an R-MAT traversal.  Its work is proportional to
+    the range, not to the number of calls, so an exchange is the base
+    class's loop over the one-buffer form.
     """
 
     name = "bitmap"
@@ -298,8 +513,7 @@ class BitmapCodec(Codec):
     def decode_pairs(self, wire, ctx=None):
         wire = np.asarray(wire, dtype=np.int64)
         if wire.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
+            return _empty_pairs()
         if ctx is None:
             raise ValueError("bitmap pair decoding requires a VertexRange ctx")
         nwords = bitmap_words(ctx.nbits)
@@ -343,19 +557,47 @@ class BitmapCodec(Codec):
         return np.flatnonzero(mask).astype(np.int64) + ctx.lo
 
 
+#: Encoded size of a candidate format that cannot carry the buffer.
+_INAPPLICABLE = np.iinfo(np.int64).max
+
+
+def _bitmap_usable(ctx: VertexRange | None) -> bool:
+    """The bitmap needs a real range; ``nbits == 0`` marks an unknown one."""
+    return ctx is not None and ctx.nbits > 0
+
+
+def _check_owned(first: int, last: int, ctx: VertexRange) -> None:
+    """Pack-time twin of :func:`pack_frontier_bitmap`'s range check."""
+    if first < ctx.lo or last >= ctx.lo + ctx.nbits:
+        raise ValueError(
+            f"vertices out of owned range [{ctx.lo}, {ctx.lo + ctx.nbits})"
+        )
+
+
 class AutoCodec(Codec):
     """Per-buffer codec polyalgorithm, mirroring the SpMSV kernel choice.
 
-    Each buffer is encoded with every applicable candidate and the
-    smallest wire image ships, prefixed by a one-word tag naming the
-    winner so the receiver can dispatch.  Sparse exchange levels pick
+    Each buffer ships in whichever candidate format is smallest,
+    prefixed by a one-word tag naming the winner so the receiver can
+    dispatch; ties go to the lowest tag.  Sparse exchange levels pick
     delta-varint, the dense middle levels pick the bitmap, and
-    adversarial payloads (huge ids with wide deltas) fall back to raw —
-    the per-level density measurement the compression literature uses,
-    with the measurement done exactly rather than by estimate.
+    single-pair or adversarial payloads (huge ids with wide deltas) fall
+    back to raw — the per-level density measurement the compression
+    literature uses, done exactly rather than by estimate.
+
+    The sizes are closed forms, so nothing is encoded to be thrown
+    away: raw is ``2 x count`` words (a set: its length, or the range's
+    bitmap when dense), delta-varint its header plus ``ceil(bytes / 8)``
+    from one ``varint_sizes`` pass, the bitmap its ``bitmap_words(nbits)``
+    plus one parent per *distinct* target.  Only the winner is encoded,
+    by the winner's own codec, so tag and wire words equal what encoding
+    every candidate and keeping the smallest would ship.
     """
 
     name = "auto"
+
+    #: Wire tags, in tie-break order.
+    RAW, DELTA_VARINT, BITMAP = range(3)
 
     def __init__(self):
         self._candidates: tuple[Codec, ...] = (
@@ -363,55 +605,108 @@ class AutoCodec(Codec):
             DeltaVarintCodec(),
             BitmapCodec(),
         )
-        self._by_tag = dict(enumerate(self._candidates))
-        self._tag_of = {codec.name: tag for tag, codec in self._by_tag.items()}
 
-    def _pick(self, images: list[tuple[int, np.ndarray]]) -> np.ndarray:
-        tag, wire = min(images, key=lambda item: (item[1].size, item[0]))
-        return np.concatenate([np.array([tag], dtype=np.int64), wire])
+    def _inner(self, tag: int) -> Codec:
+        if not 0 <= tag < len(self._candidates):
+            raise CodecError(f"corrupt auto buffer: unknown codec tag {tag}")
+        return self._candidates[tag]
 
-    def _inner(self, wire: np.ndarray) -> Codec:
-        codec = self._by_tag.get(int(wire[0]))
-        if codec is None:
-            raise CodecError(f"corrupt auto buffer: unknown codec tag {int(wire[0])}")
-        return codec
+    @staticmethod
+    def _tagged(tag: int, body: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.array([tag], dtype=np.int64), body])
+
+    @staticmethod
+    def _untagged(wire: np.ndarray) -> tuple[int, np.ndarray]:
+        if wire.size < 2:
+            raise CodecError("corrupt auto buffer: codec tag without a body")
+        return int(wire[0]), wire[1:]
 
     def encode_pairs(self, targets, parents, ctx=None):
-        targets, parents = _as_pairs(targets, parents)
-        if targets.size == 0:
-            return np.empty(0, dtype=np.int64)
-        images = []
-        for tag, codec in self._by_tag.items():
-            if codec.name == "bitmap" and (ctx is None or ctx.nbits == 0):
-                continue
-            images.append((tag, codec.encode_pairs(targets, parents, ctx)))
-        return self._pick(images)
+        return self.encode_pairs_many(targets, parents, [len(targets)], [ctx])[0]
+
+    def encode_pairs_many(self, targets, parents, counts, ranges=None):
+        targets, parents, counts, ranges, starts, ends = _as_segments(
+            targets, parents, counts, ranges
+        )
+        live = counts > 0
+        ordered, seq, nbytes = _varint_plan(targets, parents, counts, starts, ends)
+        words = np.full((3, counts.size), _INAPPLICABLE)
+        words[self.RAW] = 2 * counts
+        words[self.DELTA_VARINT] = DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8
+        ranged = [s for s in np.flatnonzero(live).tolist() if _bitmap_usable(ranges[s])]
+        if ranged:
+            for s in ranged:
+                _check_owned(
+                    int(ordered[starts[s]]), int(ordered[ends[s] - 1]), ranges[s]
+                )
+            # The bitmap ships at least one parent: count the distinct
+            # targets only if that floor undercuts a buffer somewhere.
+            floor = np.array([bitmap_words(ranges[s].nbits) for s in ranged])
+            if (floor + 1 < words[:, ranged].min(axis=0)).any():
+                distinct = np.ones(ordered.size, dtype=bool)
+                np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+                distinct[starts[live]] = True
+                words[self.BITMAP, ranged] = floor + _segment_sums(
+                    distinct, starts[ranged], ends[ranged]
+                )
+        tags = words.argmin(axis=0)  # first minimum: ties to the lowest tag
+        varint = live & (tags == self.DELTA_VARINT)
+        if not varint.all():
+            seq = seq[np.repeat(varint, 2 * counts)]
+        nbytes = np.where(varint, nbytes, 0)
+        frames = _varint_frames(
+            kernels.varint_encode(seq), nbytes, varint, (tags, counts, nbytes)
+        )
+        for s in np.flatnonzero(live & ~varint).tolist():
+            lo, hi = int(starts[s]), int(ends[s])
+            frames[s] = self._tagged(
+                tags[s],
+                self._candidates[tags[s]].encode_pairs(
+                    targets[lo:hi], parents[lo:hi], ranges[s]
+                ),
+            )
+        return frames
 
     def decode_pairs(self, wire, ctx=None):
-        wire = np.asarray(wire, dtype=np.int64)
-        if wire.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return self._inner(wire).decode_pairs(wire[1:], ctx)
+        return self.decode_pairs_many([wire], ctx)
+
+    def decode_pairs_many(self, pieces, ctx=None):
+        # Neighbouring pieces that chose the same codec decode together;
+        # on a sparse level that is every piece, in one pass.
+        tagged = [
+            self._untagged(piece)
+            for piece in (np.asarray(piece, dtype=np.int64) for piece in pieces)
+            if piece.size
+        ]
+        return _concat_pairs(
+            [
+                self._inner(tag).decode_pairs_many([body for _, body in run], ctx)
+                for tag, run in groupby(tagged, key=lambda item: item[0])
+            ]
+        )
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return np.empty(0, dtype=np.int64)
-        images = []
-        for tag, codec in self._by_tag.items():
-            if codec.name == "bitmap" and (ctx is None or ctx.nbits == 0):
-                continue
-            if codec.name == "raw" and dense and ctx is None:
-                continue
-            images.append((tag, codec.encode_set(vertices, ctx, dense)))
-        return self._pick(images)
+        ordered = np.sort(vertices)
+        words = {}
+        if not (dense and ctx is None):
+            words[self.RAW] = bitmap_words(ctx.nbits) if dense else vertices.size
+        nbytes = int(kernels.varint_sizes(kernels.delta_encode(ordered)).sum())
+        words[self.DELTA_VARINT] = DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8
+        if _bitmap_usable(ctx):
+            _check_owned(int(ordered[0]), int(ordered[-1]), ctx)
+            words[self.BITMAP] = bitmap_words(ctx.nbits)
+        tag = min(words, key=lambda tag: (words[tag], tag))
+        return self._tagged(tag, self._candidates[tag].encode_set(vertices, ctx, dense))
 
     def decode_set(self, wire, ctx=None, dense=False):
         wire = np.asarray(wire, dtype=np.int64)
         if wire.size == 0:
             return np.empty(0, dtype=np.int64)
-        return self._inner(wire).decode_set(wire[1:], ctx, dense)
+        tag, body = self._untagged(wire)
+        return self._inner(tag).decode_set(body, ctx, dense)
 
 
 #: Codec registry: name -> factory.

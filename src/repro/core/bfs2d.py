@@ -37,6 +37,7 @@ import numpy as np
 from repro import kernels
 from repro.comm import (
     CommChannel,
+    ExchangeInfo,
     VertexRange,
     make_sieve,
     restore_sieve,
@@ -242,7 +243,6 @@ class SpMSV2D:
             return transposed
 
     def step(self, level: int) -> LevelOutcome:
-        decomp, grid = self.decomp, self.grid
         charger, obs = self.charger, self.obs
         frontier = self.frontier
         # 1. TransposeVector (see _transpose_frontier).
@@ -306,17 +306,34 @@ class SpMSV2D:
             )
             charger.count(edges_scanned=float(f_col.size))
 
-        # 4. Fold: scatter candidates to vector-piece owners along the
-        #    row.
+        # 4-5. Fold and update.
+        xinfo = self._fold_update(trows, tvals, level)
+
+        return LevelOutcome(
+            candidates=int(trows.size),
+            words_sent=int(2 * xinfo.pairs + f_col.size),
+            wire_words=int(xinfo.wire_words + expand_info.wire_words),
+            sieve_dropped=xinfo.dropped,
+        )
+
+    def _fold_update(
+        self, trows: np.ndarray, tvals: np.ndarray, level: int
+    ) -> ExchangeInfo:
+        """Fold the (row, parent) candidates to their owners and update.
+
+        The tail both sweep directions share: candidates travel to their
+        vector-piece owners along the processor row, owners mask them
+        with pi-bar and record parents, levels and the next frontier
+        (Algorithm 3 lines 8-11).  Returns the fold's accounting.
+        """
+        charger, obs = self.charger, self.obs
         with obs.span("fold-pack"):
-            owners = decomp.vec_owner_col(grid.row, trows)
+            owners = self.decomp.vec_owner_col(self.grid.row, trows)
             send, xinfo = self.row_channel.pack_pairs(trows, tvals, owners)
             charger.intops(float(xinfo.pairs))
             charger.count(unique_sends=float(xinfo.pairs))
         with obs.span("fold-exchange"):
             rv, rp = self.row_channel.exchange_pairs(send, xinfo, level=level)
-
-        # 5. Mask with pi-bar and update (Algorithm 3 lines 9-11).
         with obs.span("update"):
             charger.random(float(rv.size), ws_words=float(max(self.nloc, 1)))
             unvisited = self.parents[rv - self.plo] == -1
@@ -326,13 +343,7 @@ class SpMSV2D:
             self.frontier = rv
             if self.threads > 1:
                 charger.thread_merge(float(self.frontier.size))
-
-        return LevelOutcome(
-            candidates=int(trows.size),
-            words_sent=int(2 * xinfo.pairs + f_col.size),
-            wire_words=int(xinfo.wire_words + expand_info.wire_words),
-            sieve_dropped=xinfo.dropped,
-        )
+        return xinfo
 
     def termination_sync(self) -> int:
         self.total = self.comm.allreduce(int(self.frontier.size))

@@ -51,7 +51,7 @@ from repro import kernels
 from repro.core.bfs2d import SpMSV2D
 from repro.core.bfs_dirop import DirectionSwitch
 from repro.core.engine import LevelOutcome, TraversalEngine
-from repro.core.frontier import bitmap_words, dedup_candidates
+from repro.core.frontier import bitmap_words
 
 
 class DirOpt2D(DirectionSwitch, SpMSV2D):
@@ -198,28 +198,11 @@ class DirOpt2D(DirectionSwitch, SpMSV2D):
             charger.stream(2.0 * scanned, edges_scanned=scanned)
             charger.count(candidates=scanned)
 
-        # 5. Fold: the surviving local winners travel to their vector-
-        #    piece owners along the row, like any top-down fold — only
-        #    far fewer of them (one candidate per newly-found row, not
-        #    one per edge).
-        with obs.span("fold-pack"):
-            owners = self.decomp.vec_owner_col(self.grid.row, trows)
-            send, xinfo = self.row_channel.pack_pairs(trows, tvals, owners)
-            charger.intops(float(xinfo.pairs))
-            charger.count(unique_sends=float(xinfo.pairs))
-        with obs.span("fold-exchange"):
-            rv, rp = self.row_channel.exchange_pairs(send, xinfo, level=level)
-
-        # 6. Mask with pi-bar and update, exactly as top-down.
-        with obs.span("update"):
-            charger.random(float(rv.size), ws_words=float(max(self.nloc, 1)))
-            unvisited = self.parents[rv - self.plo] == -1
-            rv, rp = dedup_candidates(rv[unvisited], rp[unvisited])
-            self.parents[rv - self.plo] = rp
-            self.levels[rv - self.plo] = level
-            self.frontier = rv
-            if self.threads > 1:
-                charger.thread_merge(float(self.frontier.size))
+        # 5-6. Fold and update: the surviving local winners travel to
+        #    their vector-piece owners along the row and are masked with
+        #    pi-bar, exactly as top-down — only far fewer of them (one
+        #    candidate per newly-found row, not one per edge).
+        xinfo = self._fold_update(trows, tvals, level)
 
         return LevelOutcome(
             candidates=int(scanned),

@@ -53,6 +53,7 @@ KERNELS = (
     "dedup_max",
     "reduce_runs",
     "scatter_reduce",
+    "group_by_owner",
     "bucket_by_owner",
     "pack_pairs",
     "unpack_pairs",
@@ -175,8 +176,19 @@ def scatter_reduce(dense, positions, values, op: str) -> None:
     return _mod().scatter_reduce(dense, positions, values, op)
 
 
+def group_by_owner(owners, nbuckets: int, *arrays):
+    """Order parallel arrays by destination rank (stable counting sort).
+
+    Returns ``(grouped, counts)``: each array reordered owner-major
+    with input order kept inside an owner — Algorithm 2's one send
+    array — plus the int64 per-owner counts that segment it.  Raises
+    ``ValueError`` when an owner falls outside ``[0, nbuckets)``.
+    """
+    return _mod().group_by_owner(owners, nbuckets, *arrays)
+
+
 def bucket_by_owner(owners, nbuckets: int, *arrays):
-    """Group parallel arrays by destination rank (stable counting sort).
+    """:func:`group_by_owner`, split at the owner boundaries.
 
     Returns ``(grouped, counts)``: one tuple of sub-arrays per bucket in
     bucket order, plus the int64 per-bucket counts.  Raises

@@ -77,19 +77,21 @@ def scatter_reduce(dense, positions, values, op):
     _AT_UFUNCS[op].at(dense, positions, values)
 
 
-def bucket_by_owner(owners, nbuckets, *arrays):
+def group_by_owner(owners, nbuckets, *arrays):
     owners = np.asarray(owners, dtype=np.int64)
     if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
         raise ValueError(f"owners out of range [0, {nbuckets})")
     order = np.argsort(owners, kind="stable")
     counts = np.bincount(owners, minlength=nbuckets).astype(np.int64)
+    return tuple(np.asarray(a)[order] for a in arrays), counts
+
+
+def bucket_by_owner(owners, nbuckets, *arrays):
+    grouped, counts = group_by_owner(owners, nbuckets, *arrays)
     splits = np.cumsum(counts)[:-1]
-    grouped = []
-    for bucket_parts in zip(
-        *(np.split(np.asarray(a)[order], splits) for a in arrays)
-    ):
-        grouped.append(tuple(bucket_parts))
-    return grouped, counts
+    return [
+        tuple(parts) for parts in zip(*(np.split(a, splits) for a in grouped))
+    ], counts
 
 
 def pack_pairs(vertices, parents):
@@ -225,8 +227,10 @@ def unique_sorted(values):
 def varint_sizes(values):
     values = np.ascontiguousarray(values).view(np.uint64)
     sizes = np.ones(values.size, dtype=np.int64)
-    for k in range(1, MAX_VARINT_BYTES):
-        sizes += (values >= (np.uint64(1) << np.uint64(7 * k))).astype(np.int64)
+    # One pass per byte position that the largest value reaches.
+    longest = -(-int(values.max()).bit_length() // 7) if values.size else 1
+    for k in range(1, longest):
+        sizes += values >= (np.uint64(1) << np.uint64(7 * k))
     return sizes
 
 
@@ -235,8 +239,9 @@ def varint_encode(values):
     if values.size == 0:
         return np.empty(0, dtype=np.uint8)
     sizes = varint_sizes(values)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
     for j in range(int(sizes.max())):
         sel = sizes > j
         group = (values[sel] >> np.uint64(7 * j)) & np.uint64(0x7F)

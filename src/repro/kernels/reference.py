@@ -104,7 +104,7 @@ def scatter_reduce(dense, positions, values, op):
             dense[p] = (cur & _MASK64) | v
 
 
-def bucket_by_owner(owners, nbuckets, *arrays):
+def group_by_owner(owners, nbuckets, *arrays):
     owners = _ints(owners)
     if owners and (min(owners) < 0 or max(owners) >= nbuckets):
         raise ValueError(f"owners out of range [0, {nbuckets})")
@@ -112,14 +112,22 @@ def bucket_by_owner(owners, nbuckets, *arrays):
     for i, owner in enumerate(owners):
         buckets[owner].append(i)
 
-    def _gather(a, idx):
-        picked = [a[i] for i in idx]
+    def _gather(a):
+        picked = [a[i] for idx in buckets for i in idx]
         dtype = a.dtype if isinstance(a, _np.ndarray) else _np.int64
         return _np.asarray(picked, dtype=dtype)
 
-    grouped = [tuple(_gather(a, idx) for a in arrays) for idx in buckets]
     counts = _i64([len(idx) for idx in buckets])
-    return grouped, counts
+    return tuple(_gather(a) for a in arrays), counts
+
+
+def bucket_by_owner(owners, nbuckets, *arrays):
+    grouped, counts = group_by_owner(owners, nbuckets, *arrays)
+    buckets, lo = [], 0
+    for count in counts.tolist():
+        buckets.append(tuple(a[lo : lo + count] for a in grouped))
+        lo += count
+    return buckets, counts
 
 
 def pack_pairs(vertices, parents):

@@ -18,9 +18,9 @@ pre-engine scaffolding (one hand-rolled level loop per algorithm file);
 :mod:`repro.core.engine` reproduces them bit-identically.  Regenerate
 (only when an intentional behavior change is being locked in) with::
 
-    PYTHONPATH=src python tests/golden/capture.py [family ...]
+    PYTHONPATH=src python tests/golden/capture.py [fixture ...]
 
-Passing family names regenerates only those fixtures, so locking in a
+Passing fixture names regenerates only those fixtures, so locking in a
 new algorithm (or an intentional change to one family) never rewrites
 the unrelated files.
 """
@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS
-from repro.graphs import rmat_graph
+from repro.graphs import rmat_graph, webcrawl_graph
 from repro.obs import Tracer, chrome_trace, run_report
 from repro.query import run_query
 
@@ -86,8 +86,25 @@ GRAPH = dict(scale=9, edgefactor=8, seed=5)
 SOURCE_SEED = 3
 QUERY_BATCH = 8
 
+#: The many-levels / small-frontiers input (the paper's uk-union regime)
+#: the ``auto`` fixtures run on: a chain of hosts, ~2 levels per host.
+CRAWL = dict(n=512, n_hosts=16, seed=5)
 
-def capture(algorithm: str) -> dict:
+#: Fixture name -> (graph spec, run kwargs).  One per family on the
+#: R-MAT graph, plus ``auto`` + sieve on the crawl for both partitions:
+#: the per-segment codec choice (tag and wire words of every level) is
+#: otherwise pinned only across kernel backends, not against a file.
+FIXTURES: dict[str, tuple[dict, dict]] = {
+    algorithm: (GRAPH, config) for algorithm, config in CONFIGS.items()
+}
+for _algorithm in ("1d", "2d"):
+    FIXTURES[f"{_algorithm}-auto-crawl"] = (
+        CRAWL,
+        dict(CONFIGS[_algorithm], codec="auto"),
+    )
+
+
+def capture(name: str) -> dict:
     """Run one fixture configuration and freeze its observables.
 
     Dispatches on the registry kind: single-source BFS families run
@@ -95,9 +112,12 @@ def capture(algorithm: str) -> dict:
     query families run through ``run_query`` with a deterministic source
     batch and freeze the 2-D lane arrays (``source`` holds the batch).
     """
-    graph = rmat_graph(GRAPH["scale"], GRAPH["edgefactor"], seed=GRAPH["seed"])
+    graph_spec, config = FIXTURES[name]
+    graph = (
+        rmat_graph(**graph_spec) if "scale" in graph_spec else webcrawl_graph(**graph_spec)
+    )
     tracer = Tracer()
-    config = dict(CONFIGS[algorithm])
+    config = dict(config)
     algorithm = config.pop("algorithm")
     if ALGORITHMS[algorithm].kind == "bfs":
         source = int(graph.random_nonisolated_vertices(1, seed=SOURCE_SEED)[0])
@@ -117,7 +137,7 @@ def capture(algorithm: str) -> dict:
             **config,
         )
     return {
-        "graph": dict(GRAPH),
+        "graph": dict(graph_spec),
         "source": source,
         "config": {"algorithm": algorithm, **config},
         "parents": result.parents.tolist(),
@@ -130,15 +150,15 @@ def capture(algorithm: str) -> dict:
 
 def main(argv: list[str] | None = None) -> None:
     names = argv if argv is not None else sys.argv[1:]
-    names = list(names) if names else sorted(CONFIGS)
-    unknown = sorted(set(names) - set(CONFIGS))
+    names = list(names) if names else sorted(FIXTURES)
+    unknown = sorted(set(names) - set(FIXTURES))
     if unknown:
         raise SystemExit(
-            f"unknown families {unknown}; known: {sorted(CONFIGS)}"
+            f"unknown fixtures {unknown}; known: {sorted(FIXTURES)}"
         )
-    for algorithm in names:
-        fixture = capture(algorithm)
-        path = GOLDEN_DIR / f"{algorithm}.json"
+    for name in names:
+        fixture = capture(name)
+        path = GOLDEN_DIR / f"{name}.json"
         path.write_text(
             json.dumps(fixture, indent=1, allow_nan=False, sort_keys=True) + "\n"
         )

@@ -73,6 +73,61 @@ class TestDamagedBuffersRaise:
         assert np.array_equal(rp[order], parents)
 
 
+class TestStrictFraming:
+    """Buffers no encoder emits are rejected, not read as empty: the
+    exchange-wide decode joins the pieces' streams, so each piece must
+    be exactly the words its own header accounts for."""
+
+    #: Decoders handed the damaged piece alone, and inside a batch.
+    PAIR_DECODERS = {
+        "one-piece": lambda codec, wire: codec.decode_pairs(wire, CTX),
+        "many-piece": lambda codec, wire: codec.decode_pairs_many(
+            [codec.encode_pairs(*_pairs(), CTX), wire, np.empty(0, np.int64)], CTX
+        ),
+    }
+
+    @pytest.mark.parametrize("decoder", sorted(PAIR_DECODERS))
+    def test_auto_tag_without_body(self, decoder):
+        auto = get_codec("auto")
+        for tag in (0, 1, 2):
+            with pytest.raises(CodecError, match="tag without a body"):
+                self.PAIR_DECODERS[decoder](auto, np.array([tag], np.int64))
+            with pytest.raises(CodecError, match="tag without a body"):
+                auto.decode_set(np.array([tag], np.int64), CTX)
+
+    @pytest.mark.parametrize("decoder", sorted(PAIR_DECODERS))
+    @pytest.mark.parametrize("codec_name", ["delta-varint", "auto"])
+    def test_words_beyond_the_varint_stream(self, codec_name, decoder):
+        codec = get_codec(codec_name)
+        decode = self.PAIR_DECODERS[decoder]
+        tag = np.array([1] if codec_name == "auto" else [], np.int64)
+        # An empty stream "followed" by a word: used to decode as empty.
+        with pytest.raises(CodecError, match="corrupt"):
+            decode(codec, np.append(tag, [0, 0, 123]))
+        valid = get_codec("delta-varint").encode_pairs(*_pairs())
+        framed = np.append(tag, valid)
+        assert decode(codec, framed)[0].size >= 12
+        with pytest.raises(CodecError, match="corrupt"):
+            decode(codec, np.append(framed, 0))
+        # A byte count that needs fewer words than the buffer holds.
+        short = framed.copy()
+        short[tag.size + 1] -= 8
+        with pytest.raises(CodecError, match="corrupt"):
+            decode(codec, short)
+
+    @pytest.mark.parametrize("codec_name", ["delta-varint", "auto"])
+    def test_words_beyond_the_varint_set_stream(self, codec_name):
+        codec = get_codec(codec_name)
+        tag = np.array([1] if codec_name == "auto" else [], np.int64)
+        with pytest.raises(CodecError, match="corrupt"):
+            codec.decode_set(np.append(tag, [0, 0, 123]), CTX)
+        valid = get_codec("delta-varint").encode_set(_vertices())
+        framed = np.append(tag, valid)
+        assert np.array_equal(codec.decode_set(framed, CTX), _vertices())
+        with pytest.raises(CodecError, match="corrupt"):
+            codec.decode_set(np.append(framed, 0), CTX)
+
+
 @pytest.mark.parametrize("codec_name", CODECS)
 @pytest.mark.parametrize("algorithm", ["1d", "2d"])
 def test_corruption_absorbed_end_to_end(rmat_small, algorithm, codec_name):

@@ -235,6 +235,22 @@ class TestValidationAndReporting:
 
         assert all(run_spmd(2, fn).returns)
 
+    @pytest.mark.parametrize("codec", ["auto", "bitmap"])
+    def test_misrouted_target_fails_at_pack_time(self, codec):
+        """A candidate bucketed to a rank that does not own it is caught
+        before it reaches the wire, whichever format ``auto`` would have
+        picked for the buffer (here: delta-varint, by a wide margin)."""
+
+        def fn(comm):
+            ranges = [VertexRange(4096 * r, 4096) for r in range(comm.size)]
+            channel = CommChannel(comm, ranges, codec=codec)
+            targets = np.array([10, 20, 4096 + 30], dtype=np.int64)
+            with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
+                channel.pack_pairs(targets, targets, np.zeros(3, dtype=np.int64))
+            return True
+
+        assert all(run_spmd(2, fn).returns)
+
     def test_serial_families_reject_wire_options(self):
         graph = rmat_graph(6, 8, seed=5)
         with pytest.raises(ValueError, match="codec/sieve"):

@@ -5,6 +5,12 @@ the receiver-side (select, max) dedup — including the empty buffer, a
 single element, adversarial delta gaps, and ids at the top of the int64
 range.  The varint primitives get their own exhaustive round-trips since
 every other codec property rests on them.
+
+The exchange-wide ``encode_pairs_many`` / ``decode_pairs_many`` are held
+byte for byte to a per-buffer oracle kept here (``oracle_encode`` /
+``oracle_decode``): one buffer at a time, the formats written out
+longhand, ``auto`` by encoding with every applicable candidate and
+keeping the smallest.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.comm import (
     CODECS,
     AutoCodec,
     BitmapCodec,
+    CodecError,
     DeltaVarintCodec,
     RawCodec,
     VertexRange,
@@ -27,7 +35,12 @@ from repro.comm import (
     varint_sizes,
 )
 from repro.comm.varint import MAX_VARINT_BYTES, bytes_to_words, words_to_bytes
-from repro.core.frontier import dedup_candidates
+from repro.core.frontier import (
+    bitmap_words,
+    dedup_candidates,
+    pack_frontier_bitmap,
+    unpack_frontier_bitmap,
+)
 
 MAX_ID = 2**63 - 1
 ALL_CODECS = sorted(CODECS)
@@ -215,6 +228,305 @@ class TestAutoPolicy:
         wire = AutoCodec().encode_set(vertices, ctx)
         bitmap = BitmapCodec().encode_set(vertices, ctx)
         assert wire.size == bitmap.size + 1
+
+
+# -- whole-exchange codecs against the per-buffer oracle ------------------------
+
+ORACLE_TAGS = ("raw", "delta-varint", "bitmap")
+
+
+def oracle_encode(name, targets, parents, ctx):
+    """One buffer, encoded the way the wire formats are documented."""
+    if targets.size == 0:
+        return np.empty(0, np.int64)
+    if name == "raw":
+        return np.stack([targets, parents], axis=1).ravel()
+    if name == "delta-varint":
+        order = np.lexsort((parents, targets))
+        seq = np.empty(2 * targets.size, np.int64)
+        seq[0::2] = np.diff(targets[order], prepend=0)
+        seq[1::2] = parents[order]
+        stream = encode_varints(seq)
+        return np.concatenate([[targets.size, stream.size], bytes_to_words(stream)])
+    if name == "bitmap":
+        unique, best = dedup_candidates(targets, parents)
+        bits = pack_frontier_bitmap(unique, ctx.lo, ctx.nbits).view(np.int64)
+        return np.concatenate([bits, best])
+    # auto: encode with every applicable candidate, keep the smallest,
+    # ties to the lowest tag.
+    images = [
+        (tag, oracle_encode(inner, targets, parents, ctx))
+        for tag, inner in enumerate(ORACLE_TAGS)
+        if inner != "bitmap" or (ctx is not None and ctx.nbits > 0)
+    ]
+    tag, wire = min(images, key=lambda image: (image[1].size, image[0]))
+    return np.concatenate([[tag], wire])
+
+
+def oracle_decode(name, wire, ctx):
+    """Decode one valid buffer (the strict decoders are tested apart)."""
+    if wire.size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    if name == "raw":
+        return wire[0::2], wire[1::2]
+    if name == "delta-varint":
+        seq = decode_varints(words_to_bytes(wire[2:], int(wire[1])))
+        return np.cumsum(seq[0::2]), seq[1::2]
+    if name == "bitmap":
+        nwords = bitmap_words(ctx.nbits)
+        mask = unpack_frontier_bitmap(wire[:nwords].view(np.uint64), ctx.nbits)
+        return np.flatnonzero(mask) + ctx.lo, wire[nwords:]
+    return oracle_decode(ORACLE_TAGS[int(wire[0])], wire[1:], ctx)
+
+
+def assert_same_buffers(got, want):
+    assert len(got) == len(want)
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == theirs.dtype == np.int64
+        assert ours.tolist() == theirs.tolist()
+
+
+@st.composite
+def exchange_case(draw):
+    """One rank's send array: p segments, each inside its own range.
+
+    Segments may be empty, unsorted and carry duplicate targets with
+    different parents; parents span the whole int64 range.  ``ranges``
+    is either real, degenerate (``nbits == 0``) or absent.  Hypothesis
+    draws the shape, a seeded generator fills it (drawing every pair
+    through hypothesis costs seconds over the suite).
+    """
+    p = draw(st.integers(1, 16))
+    nbits = draw(st.integers(1, 96))
+    lo = draw(st.sampled_from([0, 7, 1 << 40, MAX_ID - p * nbits]))
+    parent_lo, parent_hi = draw(
+        st.sampled_from([(0, 300), (-MAX_ID - 1, MAX_ID), (MAX_ID - 2, MAX_ID), (-3, 0)])
+    )
+    ranging = draw(st.sampled_from(["ranges", "degenerate", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 9, p) * (rng.random(p) < 0.7)
+    owners = np.repeat(np.arange(p), counts)
+    targets = lo + owners * nbits + rng.integers(0, nbits, owners.size)
+    parents = rng.integers(parent_lo, parent_hi, owners.size, endpoint=True)
+    if draw(st.booleans()):  # arrive sorted, as the 1D dedup leaves them
+        order = np.lexsort((parents, targets))
+        targets, parents = targets[order], parents[order]
+    if ranging == "none":
+        ranges = None
+    else:
+        width = nbits if ranging == "ranges" else 0
+        ranges = [VertexRange(lo + seg * nbits, width) for seg in range(p)]
+    return targets, parents, counts, ranges, VertexRange(lo, p * nbits)
+
+
+#: Both kernel backends must produce the same wire, byte for byte.
+both_backends = pytest.mark.parametrize("backend", sorted(kernels.BACKENDS))
+
+
+class TestWholeExchange:
+    @both_backends
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    @settings(max_examples=25, deadline=None)
+    @given(exchange_case())
+    def test_encode_many_equals_per_buffer_oracle(self, backend, name, case):
+        targets, parents, counts, ranges, _everything = case
+        if name == "bitmap" and (ranges is None or ranges[0].nbits == 0):
+            return  # inapplicable without a real range
+        ends = np.cumsum(counts)
+        segments = [
+            (targets[lo:hi], parents[lo:hi], ctx)
+            for lo, hi, ctx in zip(ends - counts, ends, ranges or [None] * counts.size)
+        ]
+        codec = get_codec(name)
+        with kernels.use_backend(backend):
+            want = [oracle_encode(name, *segment) for segment in segments]
+            assert_same_buffers(
+                codec.encode_pairs_many(targets, parents, counts, ranges), want
+            )
+            # The one-buffer form is the one-segment case of the same code.
+            assert_same_buffers(
+                [codec.encode_pairs(*segment) for segment in segments], want
+            )
+
+    @both_backends
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    @settings(max_examples=25, deadline=None)
+    @given(exchange_case())
+    def test_decode_many_equals_concatenated_pieces(self, backend, name, case):
+        """What a rank receives: p pieces, all against its own range."""
+        targets, parents, counts, _ranges, ctx = case
+        ends = np.cumsum(counts)
+        with kernels.use_backend(backend):
+            pieces = [
+                oracle_encode(name, targets[lo:hi], parents[lo:hi], ctx)
+                for lo, hi in zip(ends - counts, ends)
+            ]
+            decoded = [oracle_decode(name, piece, ctx) for piece in pieces]
+            got_t, got_p = get_codec(name).decode_pairs_many(pieces, ctx)
+        assert got_t.dtype == got_p.dtype == np.int64
+        assert got_t.tolist() == np.concatenate([t for t, _ in decoded]).tolist()
+        assert got_p.tolist() == np.concatenate([q for _, q in decoded]).tolist()
+
+    @pytest.mark.parametrize(
+        "targets, parents, ctx, tag",
+        [
+            # raw 4 words == delta-varint 2 + ceil(12 / 8): raw keeps it.
+            ([5, 9], [MAX_ID, 1], None, AutoCodec.RAW),
+            # delta-varint 2 + 1 == bitmap 1 + 2 distinct, raw is 4.
+            ([3, 9], [1, 2], VertexRange(0, 64), AutoCodec.DELTA_VARINT),
+            # raw 2 == bitmap 1 + 1, delta-varint is 3.
+            ([3], [1], VertexRange(0, 64), AutoCodec.RAW),
+            # Duplicate targets: the bitmap pays per *distinct* target.
+            ([3, 3, 3, 3], [MAX_ID, MAX_ID - 1, 9, 7], VertexRange(0, 64), AutoCodec.BITMAP),
+        ],
+        ids=["raw-ties-varint", "varint-ties-bitmap", "raw-ties-bitmap", "bitmap-dedups"],
+    )
+    def test_auto_size_ties_go_to_the_lowest_tag(self, targets, parents, ctx, tag):
+        targets, parents = np.array(targets, np.int64), np.array(parents, np.int64)
+        wire = AutoCodec().encode_pairs(targets, parents, ctx)
+        assert wire[0] == tag
+        assert wire.tolist() == oracle_encode("auto", targets, parents, ctx).tolist()
+
+    def test_segment_counts_are_validated(self):
+        one = np.array([1], np.int64)
+        for name in ALL_CODECS:
+            codec = get_codec(name)
+            with pytest.raises(ValueError, match="segment counts"):
+                codec.encode_pairs_many(one, one, [2])
+            with pytest.raises(ValueError, match="segment counts"):
+                codec.encode_pairs_many(one, one, [2, -1])
+            with pytest.raises(ValueError, match="one VertexRange per segment"):
+                codec.encode_pairs_many(one, one, [1], [None, None])
+
+    def test_auto_keeps_the_pack_time_range_check(self):
+        """A target outside its destination's range is a bucketing bug;
+        ``auto`` reports it whichever format would have won."""
+        ranges = [VertexRange(0, 4096), VertexRange(4096, 4096)]
+        targets = np.array([1, 2, 4096, 9000], np.int64)
+        parents = np.zeros(4, np.int64)
+        auto = AutoCodec()
+        with pytest.raises(ValueError, match=r"out of owned range \[4096, 8192\)"):
+            auto.encode_pairs_many(targets, parents, [2, 2], ranges)
+        with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
+            auto.encode_pairs(targets[2:3], parents[2:3], ranges[0])
+        with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
+            auto.encode_set(targets, ranges[0])
+        # Unknown ranges (none, or nbits == 0) cannot be checked.
+        auto.encode_pairs_many(targets, parents, [2, 2], None)
+        auto.encode_pairs_many(targets, parents, [2, 2], [VertexRange(0, 0)] * 2)
+
+
+# -- damage at every piece position of a batch -----------------------------------
+
+DAMAGE_CTX = VertexRange(1000, 512)
+
+
+def _batch(name):
+    """Five pieces (one empty) as a rank would receive them."""
+    rng = np.random.default_rng(11)
+    pieces = []
+    for count in (9, 0, 1, 17, 6):
+        targets = np.sort(rng.choice(DAMAGE_CTX.nbits, count, replace=False)) + DAMAGE_CTX.lo
+        parents = rng.integers(0, 1 << 20, count)
+        # No ranges at pack time keeps ``auto`` off the bitmap here.
+        pieces.append(get_codec(name).encode_pairs(targets, parents, None))
+    return pieces
+
+
+def _truncate(piece, head):
+    return piece[:-1]
+
+
+def _smash(piece, head):
+    piece[0] = MAX_ID - (1 << 40)
+    return piece
+
+
+def _continuation_on_last_byte(piece, head):
+    piece[head + 2 :].view(np.uint8)[int(piece[head + 1]) - 1] |= 0x80
+    return piece
+
+
+def _count_mismatch(piece, head):
+    piece[head] += 1
+    return piece
+
+
+def _byte_count_mismatch(piece, head):
+    piece[head + 1] -= 1
+    return piece
+
+
+def _trailing_word(piece, head):
+    return np.append(piece, 0)
+
+
+VARINT_DAMAGE = [
+    _truncate,
+    _smash,
+    _continuation_on_last_byte,
+    _count_mismatch,
+    _byte_count_mismatch,
+    _trailing_word,
+]
+
+
+class TestDamagedBatches:
+    """One damaged piece anywhere in a batch fails the whole decode:
+    every piece is held to its own byte and value counts, so no varint
+    (and no mistake) can straddle two pieces."""
+
+    @pytest.fixture(autouse=True)
+    def _use_backend(self, backend):
+        with kernels.use_backend(backend):
+            yield
+
+    @both_backends
+    @pytest.mark.parametrize("damage", VARINT_DAMAGE, ids=lambda f: f.__name__.strip("_"))
+    @pytest.mark.parametrize("name", ["delta-varint", "auto"])
+    def test_varint_damage_at_each_position(self, name, damage):
+        codec = get_codec(name)
+        pieces = _batch(name)
+        head = 1 if name == "auto" else 0  # words before [count, nbytes]
+        codec.decode_pairs_many(pieces, DAMAGE_CTX)  # intact: decodes
+        for position, piece in enumerate(pieces):
+            if name == "auto" and piece.size and piece[0] != AutoCodec.DELTA_VARINT:
+                continue  # the single-pair piece ships raw
+            if piece.size == 0:
+                continue
+            batch = list(pieces)
+            batch[position] = damage(piece.copy(), head)
+            with pytest.raises(CodecError, match="corrupt"):
+                codec.decode_pairs_many(batch, DAMAGE_CTX)
+            with pytest.raises(CodecError, match="corrupt"):
+                codec.decode_pairs(batch[position], DAMAGE_CTX)
+
+    @both_backends
+    @pytest.mark.parametrize("name", ["raw", "delta-varint", "auto"])
+    def test_out_of_range_id_at_each_position(self, name):
+        codec = get_codec(name)
+        pieces = _batch(name)
+        stray = codec.encode_pairs(
+            np.array([DAMAGE_CTX.lo + DAMAGE_CTX.nbits], np.int64),
+            np.array([3], np.int64),
+            None,
+        )
+        for position in range(len(pieces)):
+            batch = list(pieces)
+            batch[position] = stray
+            with pytest.raises(CodecError, match="outside"):
+                codec.decode_pairs_many(batch, DAMAGE_CTX)
+
+    @both_backends
+    def test_raw_truncation_at_each_position(self):
+        codec = get_codec("raw")
+        pieces = _batch("raw")
+        for position, piece in enumerate(pieces):
+            if piece.size:
+                batch = list(pieces)
+                batch[position] = piece[:-1]
+                with pytest.raises(CodecError, match="odd word count"):
+                    codec.decode_pairs_many(batch, DAMAGE_CTX)
 
 
 class TestVarints:

@@ -34,7 +34,7 @@ _spec = importlib.util.spec_from_file_location(
 capture = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(capture)
 
-FAMILIES = sorted(capture.CONFIGS)
+FAMILIES = sorted(capture.FIXTURES)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,8 @@ class TestGoldenParity:
         parity guarantee."""
         golden = committed(algorithm)
         config = golden["config"]
-        assert config["codec"] == "delta-varint"
-        if capture.ALGORITHMS[algorithm].kind == "bfs":
+        assert config["codec"] == ("auto" if "auto" in algorithm else "delta-varint")
+        if capture.ALGORITHMS[config["algorithm"]].kind == "bfs":
             assert config["sieve"]
         else:
             # Query kinds refuse the sieve structurally; the fixture must

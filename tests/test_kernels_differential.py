@@ -329,6 +329,9 @@ CASES: dict[str, dict] = {
     },
 }
 
+# The unsplit form of the same grouping takes the same inputs.
+CASES["group_by_owner"] = CASES["bucket_by_owner"]
+
 DIFFERENTIAL_CASES = sorted(
     (kernel, case) for kernel, cases in CASES.items() for case in cases
 )
@@ -382,6 +385,19 @@ def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES["bucket_by_owner"]))
+def test_buckets_are_the_grouped_arrays_split_at_the_counts(backend, case):
+    """The split and unsplit views of one grouping cannot drift."""
+    factory = CASES["bucket_by_owner"][case]
+    with kernels.use_backend(backend):
+        grouped, counts = kernels.group_by_owner(*factory())
+        buckets = kernels.bucket_by_owner(*factory())
+    splits = np.cumsum(counts)[:-1]
+    split = [tuple(parts) for parts in zip(*(np.split(a, splits) for a in grouped))]
+    assert _normalize(buckets) == _normalize((split, counts))
+
+
 #: (kernel, args-factory, error-message substring): both backends must
 #: reject invalid input with an identical ValueError, because the codec
 #: layer interpolates these messages into CodecError and the comm tests
@@ -396,6 +412,11 @@ ERROR_CASES = {
         "bucket_by_owner",
         lambda: (_i64(-1), 3, _i64(1)),
         "owners out of range [0, 3)",
+    ),
+    "group-owner-out-of-range": (
+        "group_by_owner",
+        lambda: (_i64(0, 5), 5, _i64(1, 2)),
+        "owners out of range [0, 5)",
     ),
     "pack-pairs-length-mismatch": (
         "pack_pairs",

@@ -3,10 +3,10 @@
 These are classic pytest-benchmark timings (many rounds, statistics) of
 the kernels every traversal is built from — useful both as a regression
 guard for the substrate and as the "profile before optimizing" baseline
-the HPC workflow prescribes.  The backend-comparison smoke at the bottom
-additionally pins the *point* of the numpy backend: the vectorized
-kernels must beat the pure-python reference by a wide margin on a
-realistic composite workload, or the dispatch layer is dead weight.
+the HPC workflow prescribes.  The numpy-vs-reference smoke at the bottom
+additionally pins the *point* of writing every kernel twice: the
+vectorized kernels must beat the pure-python reference by a wide margin
+on a realistic composite workload, or the reference could simply run.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from repro.comm import (
     RawCodec,
     VertexRange,
 )
-from repro.core.frontier import (
-    bucket_by_owner,
-    build_send_buffers,
-    dedup_candidates,
-)
+from repro.core.frontier import build_send_buffers, dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import build_csr
 from repro.graphs.rmat import rmat_edges
+from repro.kernels import numpy_backend, reference
 from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
 from repro.query.msbfs import resolve_lane_winners
 from repro.sparse.dcsc import DCSC
@@ -106,15 +103,14 @@ def test_kernel_spmsv_heap(benchmark, workload):
     assert work.candidates > 0
 
 
-# -- backend-comparison smoke -------------------------------------------------
+# -- numpy-vs-reference smoke --------------------------------------------------
 
 #: Composite scale for the numpy-vs-python wall-clock smoke: large
-#: enough that vectorization dominates dispatch overhead, small enough
+#: enough that vectorization dominates call overhead, small enough
 #: for the pure-python rounds to stay CI-friendly.
 SMOKE_SCALE = 14
 
-#: Loose CI-safe bar; the recorded scale-16 recipe comparison in
-#: ``benchmarks/BENCH_kernels.json`` lands far above it (>=5x).
+#: Loose CI-safe bar; whole scale-16 traversals measured 7x apart.
 MIN_SMOKE_SPEEDUP = 2.0
 
 
@@ -129,18 +125,19 @@ def smoke_load():
     return {"n": csr.n, "targets": targets, "sources": sources, "words": words}
 
 
-def _composite_pass(load):
-    """One pass over every kernel family a traversal level exercises."""
+def _composite_pass(load, impl):
+    """One pass over every kernel family a traversal level exercises,
+    on ``impl``: ``numpy_backend`` or ``reference``."""
     targets, sources = load["targets"], load["sources"]
-    unique, parents = kernels.dedup_max(targets, sources)
+    unique, parents = impl.dedup_max(targets, sources)
     owners = targets % 64
-    kernels.bucket_by_owner(owners, 64, targets, sources)
-    stream = kernels.varint_encode(kernels.delta_encode(unique))
-    decoded = kernels.delta_decode(kernels.varint_decode(stream))
-    bitmap = kernels.pack_bitmap(unique, 0, load["n"])
-    kernels.unpack_bitmap(bitmap, load["n"])
-    kernels.popcount(bitmap)
-    pt, ps, pw = kernels.lane_prune(targets, sources, load["words"], 64)
+    impl.bucket_by_owner(owners, 64, targets, sources)
+    stream = impl.varint_encode(impl.delta_encode(unique))
+    decoded = impl.delta_decode(impl.varint_decode(stream))
+    bitmap = impl.pack_bitmap(unique, 0, load["n"])
+    impl.unpack_bitmap(bitmap, load["n"])
+    impl.popcount(bitmap)
+    pt, ps, pw = impl.lane_prune(targets, sources, load["words"], 64)
     return (
         np.asarray(unique).tolist(),
         np.asarray(decoded).tolist(),
@@ -161,18 +158,18 @@ def _best_of(fn, rounds):
 
 
 def test_numpy_backend_beats_reference_wallclock(smoke_load):
-    """The vectorized backend is >= 2x the pure-python reference on a
+    """The vectorized kernels are >= 2x the pure-python reference on a
     scale-14 composite pass (dedup + bucketing + codec roundtrip +
     bitmap scan + lane prune), with bit-identical results."""
-    with kernels.use_backend("numpy"):
-        _composite_pass(smoke_load)  # warm-up, untimed
-        vec_time, vec_result = _best_of(lambda: _composite_pass(smoke_load), 3)
-    with kernels.use_backend("python"):
-        ref_time, ref_result = _best_of(lambda: _composite_pass(smoke_load), 2)
+    _composite_pass(smoke_load, numpy_backend)  # warm-up, untimed
+    vec_time, vec_result = _best_of(
+        lambda: _composite_pass(smoke_load, numpy_backend), 3
+    )
+    ref_time, ref_result = _best_of(lambda: _composite_pass(smoke_load, reference), 2)
     assert vec_result == ref_result
     speedup = ref_time / vec_time
     assert speedup >= MIN_SMOKE_SPEEDUP, (
-        f"numpy backend only {speedup:.1f}x the reference "
+        f"numpy kernels only {speedup:.1f}x the reference "
         f"({vec_time:.4f}s vs {ref_time:.4f}s); expected "
         f">= {MIN_SMOKE_SPEEDUP}x"
     )
@@ -252,7 +249,7 @@ def _resolve_per_lane(rt, rs, fresh, levels, parents, level):
 def _pack_bucket_then_lexsort(channel, targets, values, extras, owners):
     """``pack_triples`` as it was: stable bucket by owner, then a
     three-key lexsort per destination."""
-    buckets, _counts = bucket_by_owner(
+    buckets, _counts = kernels.bucket_by_owner(
         owners, channel.comm.size, targets, values, extras
     )
     send = []

@@ -27,11 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.frontier import (
-    build_send_buffers,
-    dedup_candidates,
-    unpack_pairs,
-)
+from repro import kernels
+from repro.core.frontier import build_send_buffers, dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.model.costmodel import Charger
@@ -84,7 +81,7 @@ def bfs_graph500_ref(
         )
 
         recv, _counts = comm.alltoallv_concat(send)
-        rv, rp = unpack_pairs(recv)
+        rv, rp = kernels.unpack_pairs(recv)
         # Scalar queue discipline: one visited probe + bookkeeping per pair.
         charger.random(float(rv.size), ws_words=max(nloc, 1))
         charger.intops(QUEUE_OPS_PER_PAIR * rv.size)

@@ -24,11 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.frontier import (
-    build_send_buffers,
-    dedup_candidates,
-    unpack_pairs,
-)
+from repro import kernels
+from repro.core.frontier import build_send_buffers, dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import CSR
 from repro.model.costmodel import Charger
@@ -82,7 +79,7 @@ def bfs_pbgl_like(
         )
 
         recv, _counts = comm.alltoallv_concat(send)
-        rv, rp = unpack_pairs(recv)
+        rv, rp = kernels.unpack_pairs(recv)
         # Per-message receive path: dispatch plus property-map probes.
         charger.intops(RECV_OVERHEAD_OPS * rv.size)
         charger.random(RECV_RANDOM_ACCESSES * rv.size, ws_words=max(nloc, 1))

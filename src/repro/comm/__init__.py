@@ -22,7 +22,6 @@ from repro.comm.codecs import (
     get_codec,
 )
 from repro.comm.sieve import Sieve, make_sieve, restore_sieve, sieve_state
-from repro.comm.varint import decode_varints, encode_varints, varint_sizes
 
 __all__ = [
     "CODECS",
@@ -36,11 +35,8 @@ __all__ = [
     "RawCodec",
     "Sieve",
     "VertexRange",
-    "decode_varints",
-    "encode_varints",
     "get_codec",
     "make_sieve",
     "restore_sieve",
     "sieve_state",
-    "varint_sizes",
 ]

@@ -55,14 +55,11 @@ from itertools import groupby
 import numpy as np
 
 from repro import kernels
-from repro.comm.varint import bytes_to_words
 from repro.core.frontier import (
     bitmap_words,
     dedup_candidates,
     pack_frontier_bitmap,
-    pack_pairs,
     unpack_frontier_bitmap,
-    unpack_pairs,
 )
 
 
@@ -246,6 +243,25 @@ def _varint_frames(stream, nbytes, live, heads) -> list[np.ndarray]:
     return frames
 
 
+def bytes_to_words(stream: np.ndarray) -> np.ndarray:
+    """Pad a byte stream to a whole number of 64-bit wire words."""
+    stream = np.ascontiguousarray(stream, dtype=np.uint8)
+    nwords = (stream.size + 7) // 8
+    padded = np.zeros(8 * nwords, dtype=np.uint8)
+    padded[: stream.size] = stream
+    return padded.view(np.int64)
+
+
+def words_to_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """Recover the first ``nbytes`` bytes of a word-packed stream."""
+    words = np.ascontiguousarray(words, dtype=np.int64)
+    if nbytes < 0 or nbytes > 8 * words.size:
+        raise ValueError(
+            f"nbytes {nbytes} out of range for {words.size}-word buffer"
+        )
+    return words.view(np.uint8)[:nbytes]
+
+
 class Codec:
     """Wire-format interface: (vertex, parent) pairs and vertex sets.
 
@@ -324,14 +340,14 @@ class RawCodec(Codec):
     name = "raw"
 
     def encode_pairs(self, targets, parents, ctx=None):
-        return pack_pairs(*_as_pairs(targets, parents))
+        return kernels.pack_pairs(*_as_pairs(targets, parents))
 
     def encode_pairs_many(self, targets, parents, counts, ranges=None):
         # One interleave for the whole exchange; the buffers are its slices.
         targets, parents, _counts, _ranges, starts, ends = _as_segments(
             targets, parents, counts, ranges
         )
-        wire = pack_pairs(targets, parents)
+        wire = kernels.pack_pairs(targets, parents)
         return [
             wire[2 * lo : 2 * hi] for lo, hi in zip(starts.tolist(), ends.tolist())
         ]
@@ -342,7 +358,7 @@ class RawCodec(Codec):
             raise CodecError(
                 f"corrupt raw pair buffer: odd word count {wire.size}"
             )
-        targets, parents = unpack_pairs(wire)
+        targets, parents = kernels.unpack_pairs(wire)
         _check_targets(targets, ctx, self.name)
         return targets, parents
 

@@ -11,9 +11,10 @@ bottom-up expand) and the Beamer-style density predicates that decide
 when the traversal flips between top-down and bottom-up sweeps.
 
 This module owns input validation and the paper-facing semantics; the
-per-element work dispatches through :mod:`repro.kernels`, so the
-``REPRO_KERNELS`` backend switch (vectorized numpy vs. pure-python
-reference) applies to every caller at once, bit-identically.
+per-element work is :mod:`repro.kernels`, looked up at call time
+(``kernels.dedup_max(...)``) so the tests can run every caller on the
+pure-python reference.  What needs no validation — pair interleaving,
+owner bucketing — callers take from ``kernels`` directly.
 """
 
 from __future__ import annotations
@@ -43,21 +44,6 @@ def dedup_candidates(
     return kernels.dedup_max(targets, parents)
 
 
-def pack_pairs(vertices: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Interleave (vertex, parent) pairs into one wire buffer.
-
-    A single buffer per destination keeps the all-to-all call count at one
-    per level (the 1D algorithm's only collective), and the layout
-    ``[v0, p0, v1, p1, ...]`` keeps each pair contiguous.
-    """
-    return kernels.pack_pairs(vertices, parents)
-
-
-def unpack_pairs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_pairs`."""
-    return kernels.unpack_pairs(buf)
-
-
 def build_send_buffers(
     targets: np.ndarray,
     parents: np.ndarray,
@@ -67,8 +53,8 @@ def build_send_buffers(
     """Bucket (target, parent) candidates by owner into wire buffers.
 
     The shared send-side path of every 1D-family algorithm: stable-sort by
-    destination, split at bucket boundaries, interleave each bucket with
-    :func:`pack_pairs`.  Returns one buffer per destination rank.
+    destination, split at bucket boundaries, interleave each bucket as
+    ``[v0, p0, v1, p1, ...]``.  Returns one buffer per destination rank.
     """
     targets = np.asarray(targets, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
@@ -133,17 +119,3 @@ def should_switch_top_down(frontier_vertices: int, n: int, beta: float) -> bool:
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     return frontier_vertices * beta < n
-
-
-def bucket_by_owner(
-    owners: np.ndarray, nbuckets: int, *arrays: np.ndarray
-) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
-    """Group parallel arrays by destination rank.
-
-    Returns one tuple of sub-arrays per bucket (in bucket order) plus the
-    per-bucket counts.  The stable counting-sort-style grouping is the
-    vectorized version of Algorithm 2's per-thread ``tBuf`` packing.
-    """
-    return kernels.bucket_by_owner(
-        np.asarray(owners, dtype=np.int64), nbuckets, *arrays
-    )

@@ -1,12 +1,13 @@
 """Vectorized numpy implementations of the hot-path kernels.
 
-The production backend of :mod:`repro.kernels`: every kernel is one or
-a few whole-array numpy passes — a pass per byte *position* for the
-varints, per *doubling step* for the lane scan, per *run boundary* for
-the reductions — never a pass per value or per lane.  Semantics
-(values, dtypes, error messages) are defined by the pure-python
-reference in :mod:`repro.kernels.reference`; the differential suite
-asserts the two agree bit for bit.
+What :mod:`repro.kernels` re-exports and every run uses: each kernel is
+one or a few whole-array numpy passes — a pass per byte *position* for
+the varints, per *doubling step* for the lane scan, per *run boundary*
+for the reductions — never a pass per value or per lane.  The docstring
+on each function is the kernel's contract; the pure-python
+:mod:`repro.kernels.reference` is the same contract in executable form,
+and the differential suite asserts the two agree bit for bit — values,
+dtypes, error messages.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ _WORD_BITS = 64
 
 
 def dedup_max(targets, parents):
+    """Collapse duplicate targets keeping the maximum parent.
+
+    Returns ``(unique targets ascending, max parent per target)`` as
+    int64 arrays — the (select, max) rule every algorithm in the repo
+    shares, so results are deterministic.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
     if targets.size == 0:
@@ -52,7 +59,12 @@ def dedup_max(targets, parents):
 _RUN_UFUNCS = {"min": np.minimum, "or": np.bitwise_or}
 
 
-def reduce_runs(keys, values, op):
+def reduce_runs(keys, values, op: str):
+    """Combine values sharing a key; keys return unique and ascending.
+
+    ``op`` is ``"max"`` (int64), ``"min"`` (int64) or ``"or"``
+    (uint64 lane words).  Input order is irrelevant.
+    """
     keys = np.asarray(keys, dtype=np.int64)
     values = np.asarray(values, dtype=np.uint64 if op == "or" else np.int64)
     if op == "max":
@@ -73,11 +85,25 @@ def reduce_runs(keys, values, op):
 _AT_UFUNCS = {"max": np.maximum, "min": np.minimum, "or": np.bitwise_or}
 
 
-def scatter_reduce(dense, positions, values, op):
+def scatter_reduce(dense, positions, values, op: str) -> None:
+    """In-place ``dense[positions] (+)= values`` under ``op``.
+
+    The SPA / semiring scatter: ``op`` in ``{"max", "min", "or"}``;
+    ``"or"`` is the 64-lane ``uint64`` OR path of the batched
+    traversals.  Positions may repeat; the combine is applied per
+    occurrence (order-insensitive for these ops).
+    """
     _AT_UFUNCS[op].at(dense, positions, values)
 
 
-def group_by_owner(owners, nbuckets, *arrays):
+def group_by_owner(owners, nbuckets: int, *arrays):
+    """Order parallel arrays by destination rank (stable counting sort).
+
+    Returns ``(grouped, counts)``: each array reordered owner-major
+    with input order kept inside an owner — Algorithm 2's one send
+    array — plus the int64 per-owner counts that segment it.  Raises
+    ``ValueError`` when an owner falls outside ``[0, nbuckets)``.
+    """
     owners = np.asarray(owners, dtype=np.int64)
     if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
         raise ValueError(f"owners out of range [0, {nbuckets})")
@@ -86,7 +112,14 @@ def group_by_owner(owners, nbuckets, *arrays):
     return tuple(np.asarray(a)[order] for a in arrays), counts
 
 
-def bucket_by_owner(owners, nbuckets, *arrays):
+def bucket_by_owner(owners, nbuckets: int, *arrays):
+    """:func:`group_by_owner`, split at the owner boundaries — the
+    vectorized form of Algorithm 2's per-thread ``tBuf`` packing.
+
+    Returns ``(grouped, counts)``: one tuple of sub-arrays per bucket in
+    bucket order, plus the int64 per-bucket counts.  Raises
+    ``ValueError`` when an owner falls outside ``[0, nbuckets)``.
+    """
     grouped, counts = group_by_owner(owners, nbuckets, *arrays)
     splits = np.cumsum(counts)[:-1]
     return [
@@ -95,6 +128,13 @@ def bucket_by_owner(owners, nbuckets, *arrays):
 
 
 def pack_pairs(vertices, parents):
+    """Interleave (vertex, parent) into one ``[v0, p0, v1, p1, ...]``
+    int64 wire buffer; raises ``ValueError`` on length mismatch.
+
+    One buffer per destination keeps the all-to-all call count at one
+    per level (the 1D algorithm's only collective), and the layout keeps
+    each pair contiguous.
+    """
     vertices = np.asarray(vertices, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
     if vertices.shape != parents.shape:
@@ -106,6 +146,8 @@ def pack_pairs(vertices, parents):
 
 
 def unpack_pairs(buf):
+    """Inverse of :func:`pack_pairs`; raises ``ValueError`` on odd
+    length."""
     buf = np.asarray(buf, dtype=np.int64)
     if buf.size % 2:
         raise ValueError(f"pair buffer has odd length {buf.size}")
@@ -116,7 +158,9 @@ def _bitmap_nwords(nbits):
     return (nbits + _WORD_BITS - 1) // _WORD_BITS
 
 
-def pack_bitmap(vertices, lo, nbits):
+def pack_bitmap(vertices, lo: int, nbits: int):
+    """Pack local vertex ids in ``[lo, lo + nbits)`` into little-endian
+    64-bit bitmap words (bit ``v - lo`` set per vertex)."""
     vertices = np.asarray(vertices, dtype=np.int64)
     bits = np.zeros(nbits, dtype=np.uint8)
     bits[vertices - lo] = 1
@@ -126,7 +170,9 @@ def pack_bitmap(vertices, lo, nbits):
     return out.view(np.uint64)
 
 
-def unpack_bitmap(words, nbits):
+def unpack_bitmap(words, nbits: int):
+    """Inverse of :func:`pack_bitmap`: words -> boolean mask of
+    ``nbits`` entries."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if nbits == 0:
         return np.zeros(0, dtype=bool)
@@ -136,6 +182,7 @@ def unpack_bitmap(words, nbits):
 
 
 def popcount(words):
+    """Per-word set-bit count of a ``uint64`` array (int64 result)."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(words).astype(np.int64)
@@ -145,6 +192,15 @@ def popcount(words):
 
 
 def last_hit_scan(hits, starts, counts):
+    """Last hit position of each run of a concatenated scan, -1 if none.
+
+    ``hits`` is one boolean per scanned candidate (frontier-bitmap
+    membership of each adjacency), runs are ``[starts[i], starts[i] +
+    counts[i])`` and tile ``hits`` contiguously with ``counts >= 1``.
+    Returns the int64 *global* position of each run's last hit — the
+    early-exit landing spot of the dirop bottom-up reverse scan, i.e.
+    the maximum frontier neighbour of a sorted adjacency list.
+    """
     hits = np.asarray(hits, dtype=bool)
     starts = np.asarray(starts, dtype=np.int64)
     if starts.size == 0:
@@ -178,7 +234,18 @@ def _target_major_order(targets, sources):
     return np.lexsort((~sources, targets))
 
 
-def lane_winners(targets, sources, words, nlanes):
+def lane_winners(targets, sources, words, nlanes: int):
+    """Resolve every lane's (select, max) race among (target, source,
+    word) triples in one pass.
+
+    Returns ``(targets int64, sources int64, words uint64, wins
+    uint64)`` in (target asc, source desc) order, equal pairs keeping
+    their input order.  Bit ``b < nlanes`` of ``wins[i]`` is set iff
+    candidate ``i`` carries lane ``b`` and no earlier candidate of its
+    target does — it is lane ``b``'s maximum-source contributor — so
+    every (target, lane) slot some word carries is won exactly once.
+    ``words`` come back as given; bits at or above ``nlanes`` never win.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     words = np.asarray(words, dtype=np.uint64)
@@ -214,17 +281,26 @@ def lane_winners(targets, sources, words, nlanes):
     return targets, sources, words, wins
 
 
-def lane_prune(targets, sources, words, nlanes):
+def lane_prune(targets, sources, words, nlanes: int):
+    """Sender-side lane-dominance prune of (target, source, word) triples.
+
+    Keeps a candidate iff it is the maximum-source contributor of at
+    least one lane of its target — :func:`lane_winners` rows whose
+    ``wins`` word is nonzero, in the same (target asc, source desc)
+    order.  Returns ``(targets int64, sources int64, words uint64)``.
+    """
     targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
     keep = wins != 0
     return targets[keep], sources[keep], words[keep]
 
 
 def unique_sorted(values):
+    """Sorted unique int64 values (the SPA's touched-index sort)."""
     return np.unique(np.asarray(values, dtype=np.int64))
 
 
 def varint_sizes(values):
+    """LEB128-encoded byte count of each 64-bit value (int64 array)."""
     values = np.ascontiguousarray(values).view(np.uint64)
     sizes = np.ones(values.size, dtype=np.int64)
     # One pass per byte position that the largest value reaches.
@@ -235,6 +311,10 @@ def varint_sizes(values):
 
 
 def varint_encode(values):
+    """LEB128-encode 64-bit values into a ``uint8`` stream: the minimum
+    number of 7-bit groups per value, least-significant first, the high
+    bit of every byte flagging continuation (the delta-varint wire
+    format of Lv et al., arXiv:1208.5542)."""
     values = np.ascontiguousarray(values, dtype=np.int64).view(np.uint64)
     if values.size == 0:
         return np.empty(0, dtype=np.uint8)
@@ -252,6 +332,8 @@ def varint_encode(values):
 
 
 def varint_decode(stream):
+    """Inverse of :func:`varint_encode`; int64 values.  Raises
+    ``ValueError`` on truncation or over-length varints."""
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     if stream.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -274,6 +356,7 @@ def varint_decode(stream):
 
 
 def delta_encode(sorted_values):
+    """First value absolute, the rest consecutive differences (int64)."""
     sorted_values = np.asarray(sorted_values, dtype=np.int64)
     deltas = np.empty_like(sorted_values)
     if sorted_values.size:
@@ -283,5 +366,7 @@ def delta_encode(sorted_values):
 
 
 def delta_decode(deltas):
+    """Inverse of :func:`delta_encode` with uint64 wraparound semantics
+    (matching the vectorized unsigned cumulative sum)."""
     deltas = np.ascontiguousarray(deltas, dtype=np.int64)
     return np.cumsum(deltas.view(np.uint64), dtype=np.uint64).view(np.int64)

@@ -2,15 +2,17 @@
 
 The executable specification of :mod:`repro.kernels`: every kernel is a
 plain per-element python loop with no vectorization tricks, so its
-correctness is auditable by inspection.  The numpy backend is
-differentially tested against this module; ``REPRO_KERNELS=python``
-selects it for whole runs.
+correctness is auditable by inspection.  It is a test oracle, not a run
+mode — nothing in ``src/`` imports it.  The numpy kernels are
+differentially tested against this module case by case, and the
+``reference_kernels`` fixture of ``tests/conftest.py`` swaps it in under
+every ``kernels.<name>`` to re-run whole traversals on it.
 
 Kernels compute on plain python ints over any indexable sequence; numpy
 appears only at the boundary, coercing outputs to arrays with the same
-dtypes the vectorized backend produces, so full traversals under
-``REPRO_KERNELS=python`` stay bit-identical to the numpy backend —
-parents, levels, modeled times, wire words and trace spans included.
+dtypes the vectorized kernels produce, so full traversals on the
+reference stay bit-identical to the numpy ones — parents, levels,
+modeled times, wire words and trace spans included.
 
 64-bit semantics are emulated explicitly (``_wrap64`` / ``_MASK64``):
 the vectorized kernels compute in ``int64``/``uint64`` with wraparound,

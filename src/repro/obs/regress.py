@@ -7,9 +7,8 @@ behind ``repro-bench perf-diff a.json b.json --threshold 0.05``.
 Gating metrics (``time.total`` and ``gteps``) fail the diff when the
 candidate regresses beyond the threshold; everything else — comm/comp
 split, per-phase critical-path times, wire volumes, fault/retry/restore
-accounting, measured kernel-backend wall-clock comparisons — is
-reported for attribution but does not gate, so a net win that shifts
-time between phases doesn't trip the gate.  Simulated
+accounting — is reported for attribution but does not gate, so a net
+win that shifts time between phases doesn't trip the gate.  Simulated
 runs are deterministic, so a self-comparison is exactly zero-delta and
 the gate can be tight.
 
@@ -85,12 +84,6 @@ def _flatten_metrics(report: dict) -> dict[str, float]:
     for key in ("queries_per_second", "batch"):
         if query.get(key) is not None:
             out[f"query.{key}"] = float(query[key])
-    # Optional wall-clock section (measured, not modeled): kernel-backend
-    # comparison points recorded by benchmarks/BENCH_kernels.json.  These
-    # are host-dependent, so they inform the trajectory but never gate.
-    for key, value in (report.get("wallclock") or {}).items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[f"wallclock.{key}"] = float(value)
     return out
 
 

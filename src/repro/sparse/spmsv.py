@@ -17,8 +17,8 @@ on the modeled concurrency (and memory pressure).
 
 The per-element combines run through the semiring's kernel ops
 (:mod:`repro.kernels`: ``scatter_reduce`` for the SPA scatter,
-``reduce_runs`` for the heap's run merge), so the ``REPRO_KERNELS``
-backend switch covers both kernels.
+``reduce_runs`` for the heap's run merge), so the pure-python
+reference checks both SpMSV kernels too.
 """
 
 from __future__ import annotations

@@ -51,6 +51,20 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def reference_kernels(monkeypatch) -> None:
+    """Run the rest of the test on the pure-python oracle: every
+    ``kernels.<name>`` points at ``repro.kernels.reference`` until
+    teardown.  ``src/`` looks kernels up at call time, so this one swap
+    reaches every caller.  A test that wants a numpy pass first asks for
+    it mid-body with ``request.getfixturevalue("reference_kernels")``."""
+    from repro import kernels
+    from repro.kernels import reference
+
+    for name in kernels.KERNELS:
+        monkeypatch.setattr(kernels, name, getattr(reference, name))
+
+
+@pytest.fixture
 def block_builds(monkeypatch) -> list:
     """One entry per ``build_2d_blocks`` call the driver makes."""
     import repro.core.runner as runner

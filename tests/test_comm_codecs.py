@@ -29,12 +29,9 @@ from repro.comm import (
     DeltaVarintCodec,
     RawCodec,
     VertexRange,
-    decode_varints,
-    encode_varints,
     get_codec,
-    varint_sizes,
 )
-from repro.comm.varint import MAX_VARINT_BYTES, bytes_to_words, words_to_bytes
+from repro.comm.codecs import bytes_to_words, words_to_bytes
 from repro.core.frontier import (
     bitmap_words,
     dedup_candidates,
@@ -246,7 +243,7 @@ def oracle_encode(name, targets, parents, ctx):
         seq = np.empty(2 * targets.size, np.int64)
         seq[0::2] = np.diff(targets[order], prepend=0)
         seq[1::2] = parents[order]
-        stream = encode_varints(seq)
+        stream = kernels.varint_encode(seq)
         return np.concatenate([[targets.size, stream.size], bytes_to_words(stream)])
     if name == "bitmap":
         unique, best = dedup_candidates(targets, parents)
@@ -270,7 +267,7 @@ def oracle_decode(name, wire, ctx):
     if name == "raw":
         return wire[0::2], wire[1::2]
     if name == "delta-varint":
-        seq = decode_varints(words_to_bytes(wire[2:], int(wire[1])))
+        seq = kernels.varint_decode(words_to_bytes(wire[2:], int(wire[1])))
         return np.cumsum(seq[0::2]), seq[1::2]
     if name == "bitmap":
         nwords = bitmap_words(ctx.nbits)
@@ -319,8 +316,18 @@ def exchange_case(draw):
     return targets, parents, counts, ranges, VertexRange(lo, p * nbits)
 
 
-#: Both kernel backends must produce the same wire, byte for byte.
-both_backends = pytest.mark.parametrize("backend", sorted(kernels.BACKENDS))
+@pytest.fixture
+def kernels_of(request, backend):
+    """Leave the numpy kernels in place or swap the reference in."""
+    if backend == "python":
+        request.getfixturevalue("reference_kernels")
+
+
+def both_backends(test):
+    """Both kernel implementations must produce the same wire, byte for
+    byte: run ``test`` on the numpy kernels and again on the reference."""
+    test = pytest.mark.usefixtures("kernels_of")(test)
+    return pytest.mark.parametrize("backend", ["numpy", "python"])(test)
 
 
 class TestWholeExchange:
@@ -328,7 +335,7 @@ class TestWholeExchange:
     @pytest.mark.parametrize("name", ALL_CODECS)
     @settings(max_examples=25, deadline=None)
     @given(exchange_case())
-    def test_encode_many_equals_per_buffer_oracle(self, backend, name, case):
+    def test_encode_many_equals_per_buffer_oracle(self, name, case):
         targets, parents, counts, ranges, _everything = case
         if name == "bitmap" and (ranges is None or ranges[0].nbits == 0):
             return  # inapplicable without a real range
@@ -338,31 +345,29 @@ class TestWholeExchange:
             for lo, hi, ctx in zip(ends - counts, ends, ranges or [None] * counts.size)
         ]
         codec = get_codec(name)
-        with kernels.use_backend(backend):
-            want = [oracle_encode(name, *segment) for segment in segments]
-            assert_same_buffers(
-                codec.encode_pairs_many(targets, parents, counts, ranges), want
-            )
-            # The one-buffer form is the one-segment case of the same code.
-            assert_same_buffers(
-                [codec.encode_pairs(*segment) for segment in segments], want
-            )
+        want = [oracle_encode(name, *segment) for segment in segments]
+        assert_same_buffers(
+            codec.encode_pairs_many(targets, parents, counts, ranges), want
+        )
+        # The one-buffer form is the one-segment case of the same code.
+        assert_same_buffers(
+            [codec.encode_pairs(*segment) for segment in segments], want
+        )
 
     @both_backends
     @pytest.mark.parametrize("name", ALL_CODECS)
     @settings(max_examples=25, deadline=None)
     @given(exchange_case())
-    def test_decode_many_equals_concatenated_pieces(self, backend, name, case):
+    def test_decode_many_equals_concatenated_pieces(self, name, case):
         """What a rank receives: p pieces, all against its own range."""
         targets, parents, counts, _ranges, ctx = case
         ends = np.cumsum(counts)
-        with kernels.use_backend(backend):
-            pieces = [
-                oracle_encode(name, targets[lo:hi], parents[lo:hi], ctx)
-                for lo, hi in zip(ends - counts, ends)
-            ]
-            decoded = [oracle_decode(name, piece, ctx) for piece in pieces]
-            got_t, got_p = get_codec(name).decode_pairs_many(pieces, ctx)
+        pieces = [
+            oracle_encode(name, targets[lo:hi], parents[lo:hi], ctx)
+            for lo, hi in zip(ends - counts, ends)
+        ]
+        decoded = [oracle_decode(name, piece, ctx) for piece in pieces]
+        got_t, got_p = get_codec(name).decode_pairs_many(pieces, ctx)
         assert got_t.dtype == got_p.dtype == np.int64
         assert got_t.tolist() == np.concatenate([t for t, _ in decoded]).tolist()
         assert got_p.tolist() == np.concatenate([q for _, q in decoded]).tolist()
@@ -476,11 +481,6 @@ class TestDamagedBatches:
     every piece is held to its own byte and value counts, so no varint
     (and no mistake) can straddle two pieces."""
 
-    @pytest.fixture(autouse=True)
-    def _use_backend(self, backend):
-        with kernels.use_backend(backend):
-            yield
-
     @both_backends
     @pytest.mark.parametrize("damage", VARINT_DAMAGE, ids=lambda f: f.__name__.strip("_"))
     @pytest.mark.parametrize("name", ["delta-varint", "auto"])
@@ -534,29 +534,29 @@ class TestVarints:
     @given(st.lists(int64s, max_size=80))
     def test_roundtrip_and_sizes(self, values):
         v = np.array(values, np.int64)
-        stream = encode_varints(v)
-        assert np.array_equal(decode_varints(stream), v)
-        assert stream.size == int(varint_sizes(v).sum()) if v.size else stream.size == 0
+        stream = kernels.varint_encode(v)
+        assert np.array_equal(kernels.varint_decode(stream), v)
+        assert stream.size == int(kernels.varint_sizes(v).sum()) if v.size else stream.size == 0
 
     def test_boundary_sizes(self):
-        for k in range(1, MAX_VARINT_BYTES):
+        for k in range(1, kernels.MAX_VARINT_BYTES):
             below = np.array([(1 << (7 * k)) - 1], np.int64)
             above = np.array([1 << (7 * k)], np.int64) if 7 * k < 63 else None
-            assert varint_sizes(below)[0] == k
-            assert encode_varints(below).size == k
+            assert kernels.varint_sizes(below)[0] == k
+            assert kernels.varint_encode(below).size == k
             if above is not None:
-                assert varint_sizes(above)[0] == k + 1
+                assert kernels.varint_sizes(above)[0] == k + 1
         # Negative values view as >= 2**63 and always need all 10 bytes.
-        assert varint_sizes(np.array([-1], np.int64))[0] == MAX_VARINT_BYTES
+        assert kernels.varint_sizes(np.array([-1], np.int64))[0] == kernels.MAX_VARINT_BYTES
 
     def test_truncated_stream_raises(self):
         with pytest.raises(ValueError, match="truncated"):
-            decode_varints(np.array([0x80], np.uint8))
+            kernels.varint_decode(np.array([0x80], np.uint8))
 
     def test_overlong_varint_raises(self):
-        stream = np.array([0x80] * MAX_VARINT_BYTES + [0x00], np.uint8)
+        stream = np.array([0x80] * kernels.MAX_VARINT_BYTES + [0x00], np.uint8)
         with pytest.raises(ValueError, match="longer than"):
-            decode_varints(stream)
+            kernels.varint_decode(stream)
 
     @settings(max_examples=40, deadline=None)
     @given(st.binary(max_size=64))

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import (
-    bucket_by_owner,
-    dedup_candidates,
-    pack_pairs,
-    unpack_pairs,
-)
+from repro.core.frontier import dedup_candidates
+from repro.kernels import bucket_by_owner, pack_pairs, unpack_pairs
 
 
 class TestDedupCandidates:

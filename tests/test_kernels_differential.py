@@ -4,28 +4,29 @@ Each :data:`repro.kernels.KERNELS` entry carries a battery of cases —
 randomized plus the adversarial shapes the hot paths actually hit (empty
 frontier, single vertex, all-ones bitmap, lane word ``0`` and ``2**63``,
 owner boundaries at ``p`` not dividing ``n``) — and every case is run
-through the dispatching facade under *both* backends, asserting the
-results are bit-identical: same values, same dtypes, same error
-messages.  The coverage meta-test at the bottom fails the suite when a
-kernel is added to :data:`~repro.kernels.KERNELS` without a differential
-case, mirroring the registry coverage pattern of
-``tests/test_registry_coverage.py``.
+through *both* implementation modules, ``numpy_backend`` and
+``reference``, asserting the results are bit-identical: same values,
+same dtypes, same error messages.  The coverage meta-test at the bottom
+fails the suite when a kernel is added to
+:data:`~repro.kernels.KERNELS` without a differential case, mirroring
+the registry coverage pattern of ``tests/test_registry_coverage.py``.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import textwrap
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import kernels
+from repro.kernels import numpy_backend, reference
 
-BACKENDS = sorted(kernels.BACKENDS)
+#: The two implementations of every kernel, by the name the case ids use.
+MODULES = {"numpy": numpy_backend, "python": reference}
+BACKENDS = sorted(MODULES)
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -351,9 +352,7 @@ def _normalize(result):
 def _run_case(kernel: str, case: str, backend: str):
     """One backend's (result, mutated-dense) pair for a case."""
     args = CASES[kernel][case]()
-    with kernels.use_backend(backend):
-        assert kernels.active_backend() == backend
-        result = getattr(kernels, kernel)(*args)
+    result = getattr(MODULES[backend], kernel)(*args)
     # scatter_reduce mutates its first argument in place.
     mutated = args[0] if kernel == "scatter_reduce" else None
     return _normalize(result), _normalize(mutated)
@@ -361,7 +360,7 @@ def _run_case(kernel: str, case: str, backend: str):
 
 @pytest.mark.parametrize("kernel,case", DIFFERENTIAL_CASES)
 def test_backends_bit_identical(kernel, case):
-    """The numpy backend matches the pure-python reference exactly —
+    """The numpy kernel matches the pure-python reference exactly —
     values and dtypes — on every adversarial and randomized case."""
     python = _run_case(kernel, case, "python")
     numpy = _run_case(kernel, case, "numpy")
@@ -376,9 +375,9 @@ def test_backends_bit_identical(kernel, case):
 def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
     """The two views of one pass cannot drift: the prune is the winner
     kernel's rows with a nonzero winner word, original words attached."""
-    with kernels.use_backend(backend):
-        targets, sources, words, wins = kernels.lane_winners(*CASES[kernel][case]())
-        pruned = kernels.lane_prune(*CASES[kernel][case]())
+    module = MODULES[backend]
+    targets, sources, words, wins = module.lane_winners(*CASES[kernel][case]())
+    pruned = module.lane_prune(*CASES[kernel][case]())
     keep = wins != 0
     assert _normalize(pruned) == _normalize(
         (targets[keep], sources[keep], words[keep])
@@ -390,15 +389,15 @@ def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
 def test_buckets_are_the_grouped_arrays_split_at_the_counts(backend, case):
     """The split and unsplit views of one grouping cannot drift."""
     factory = CASES["bucket_by_owner"][case]
-    with kernels.use_backend(backend):
-        grouped, counts = kernels.group_by_owner(*factory())
-        buckets = kernels.bucket_by_owner(*factory())
+    module = MODULES[backend]
+    grouped, counts = module.group_by_owner(*factory())
+    buckets = module.bucket_by_owner(*factory())
     splits = np.cumsum(counts)[:-1]
     split = [tuple(parts) for parts in zip(*(np.split(a, splits) for a in grouped))]
     assert _normalize(buckets) == _normalize((split, counts))
 
 
-#: (kernel, args-factory, error-message substring): both backends must
+#: (kernel, args-factory, error-message substring): both modules must
 #: reject invalid input with an identical ValueError, because the codec
 #: layer interpolates these messages into CodecError and the comm tests
 #: match on them.
@@ -445,9 +444,8 @@ ERROR_CASES = {
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
 def test_error_messages_identical(backend, name):
     kernel, factory, message = ERROR_CASES[name]
-    with kernels.use_backend(backend):
-        with pytest.raises(ValueError) as exc:
-            getattr(kernels, kernel)(*factory())
+    with pytest.raises(ValueError) as exc:
+        getattr(MODULES[backend], kernel)(*factory())
     assert str(exc.value) == message
 
 
@@ -467,76 +465,36 @@ def test_every_kernel_battery_is_adversarial():
 
 
 def test_both_backend_modules_export_every_kernel():
-    from repro.kernels import numpy_backend, reference
-
     for name in kernels.KERNELS:
         assert callable(getattr(numpy_backend, name)), name
         assert callable(getattr(reference, name)), name
 
 
-# -- backend selection --------------------------------------------------------
-
-def test_set_backend_unknown_name_rejected():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.set_backend("cupy")
-
-
-def test_use_backend_restores_previous():
-    before = kernels.active_backend()
-    with kernels.use_backend("python"):
-        assert kernels.active_backend() == "python"
-    assert kernels.active_backend() == before
-
-
-def test_set_backend_none_reapplies_env_policy(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    previous = kernels.active_backend()
-    try:
-        assert kernels.set_backend(None) == "numpy"
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        assert kernels.set_backend(None) == "python"
-        monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="not a kernel backend"):
-            kernels.set_backend(None)
-    finally:
-        kernels.set_backend(previous)
+def test_facade_is_the_numpy_functions():
+    """``repro.kernels`` is a plain re-export: its public callables are
+    exactly ``KERNELS`` and each one *is* the numpy function — no
+    dispatcher in between, no other way to choose an implementation."""
+    exported = {
+        name
+        for name, value in vars(kernels).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert exported == set(kernels.KERNELS)
+    for name in kernels.KERNELS:
+        assert getattr(kernels, name) is getattr(numpy_backend, name), name
+    assert kernels.MAX_VARINT_BYTES == reference.MAX_VARINT_BYTES == 10
 
 
-def _subprocess(code: str, **env_overrides) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != kernels.ENV_VAR}
-    env.update(env_overrides)
-    env.setdefault("PYTHONPATH", "src")
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-
-
-def test_env_var_selects_python_backend():
-    proc = _subprocess(
-        """
-        import repro.kernels as kernels
-        assert kernels.active_backend() == "python"
-        """,
-        REPRO_KERNELS="python",
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_env_var_rejects_unknown_backend():
-    proc = _subprocess(
-        """
-        import repro.kernels as kernels
-        try:
-            kernels.active_backend()
-        except ValueError as exc:
-            assert "not a kernel backend" in str(exc)
-        else:
-            raise SystemExit("unknown backend accepted")
-        """,
-        REPRO_KERNELS="fortran",
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_src_looks_kernels_up_at_call_time():
+    """``reference_kernels`` swaps attributes of ``repro.kernels``, so a
+    caller that bound a kernel at import time (``from repro.kernels
+    import dedup_max``) or reached past the facade would quietly escape
+    the oracle in every full-run sweep."""
+    package = Path(kernels.__file__).parent
+    binds = re.compile(r"^\s*(from repro\.kernels\b|import repro\.kernels\b)", re.MULTILINE)
+    offenders = [
+        str(path.relative_to(package.parent))
+        for path in package.parent.rglob("*.py")
+        if path.parent != package and binds.search(path.read_text())
+    ]
+    assert not offenders, offenders

@@ -172,28 +172,19 @@ class TestTrajectoryCli:
         assert main(["trajectory", str(tmp_path)]) == 2
 
     def test_committed_baselines_form_a_clean_trajectory(self):
-        # The committed s13 series must load and analyze cleanly with no
-        # regression: BENCH_kernels re-runs the exact baseline recipe, so
-        # its gated metrics sit on the trajectory; its extra wall-clock
-        # section flows through as informational points.
+        # The committed s13 series must load and analyze cleanly: it is
+        # the one regenerable point a candidate report is gated against.
         traj = analyze_trajectory("benchmarks")
         assert traj.ok
-        assert traj.names == ["BENCH_baseline", "BENCH_kernels"]
+        assert traj.names == ["BENCH_baseline"]
         assert traj.trend("time.total") is not None
-        speedup = traj.trend("wallclock.recipe.speedup")
-        assert speedup is not None and speedup.latest >= 5.0
-        assert not speedup.gated
 
     def test_committed_scale18_series_is_valid(self):
         # The scale-18 recipe opens its own series (different graph, so
         # its gated metrics must not share a trajectory with the s13
-        # points): the kernels anchor plus the runtime-backends point,
-        # whose gated metrics are identical (bit-identity contract) and
-        # whose wallclock.* measurements never gate.
+        # point).
         traj = analyze_trajectory("benchmarks/scale18")
         assert traj.ok
-        assert traj.names == ["BENCH_scale18", "BENCH_scale18_runtime"]
+        assert traj.names == ["BENCH_scale18"]
         assert traj.trend("time.total") is not None
-        wall = traj.trend("wallclock.recipe.processes_seconds")
-        assert wall is not None and not wall.gated
         assert "PASS" in traj.render()

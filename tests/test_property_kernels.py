@@ -1,12 +1,13 @@
-"""Backend-equivalence sweep: full runs under both kernel backends.
+"""Reference-equivalence sweep: full runs on both kernel implementations.
 
-For every registered algorithm, one complete timed traversal is run
-under ``REPRO_KERNELS=numpy`` and again under ``REPRO_KERNELS=python``
-and the *entire* observable output is asserted identical — levels,
-parents, level count, traversed-edge count, and the modeled time
-breakdown.  This is the end-to-end half of the kernels bit-identity
-contract (the per-kernel half is ``tests/test_kernels_differential.py``):
-swapping the backend may change wall-clock only, never results.
+For every registered algorithm, one complete timed traversal is run on
+the numpy kernels and again with the pure-python reference swapped in
+(the ``reference_kernels`` fixture of ``tests/conftest.py``) and the
+*entire* observable output is asserted identical — levels, parents,
+level count, traversed-edge count, and the modeled time breakdown.
+This is the end-to-end half of the kernels bit-identity contract (the
+per-kernel half is ``tests/test_kernels_differential.py``): the two
+implementations may differ in wall-clock only, never in results.
 
 ``KERNEL_BACKEND_ALGORITHMS`` is an import-time snapshot of the
 registry, wired into ``tests/test_registry_coverage.py`` as the
@@ -22,6 +23,7 @@ from repro import kernels
 from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS
 from repro.graphs.rmat import rmat_graph
+from repro.kernels import numpy_backend, reference
 from repro.query import run_query
 
 from tests.conftest import query_sources
@@ -32,7 +34,7 @@ KERNEL_BACKEND_ALGORITHMS = sorted(ALGORITHMS)
 
 #: Small-but-structured instance: R-MAT keeps hubs (dense middle levels,
 #: bottom-up switches) while staying cheap enough for the pure-python
-#: backend at full registry width.
+#: reference at full registry width.
 GRAPH = rmat_graph(8, 8, seed=2)
 SOURCE = 17
 NPROCS = 4
@@ -59,7 +61,7 @@ def _run(algorithm: str, **kwargs):
 
 
 def _observe(result) -> dict:
-    """Everything a backend switch must leave bit-identical."""
+    """Everything the two implementations must agree on, bit for bit."""
     return {
         "levels": result.levels.tolist(),
         "parents": result.parents.tolist(),
@@ -77,15 +79,26 @@ def test_every_kind_has_a_backend_sweep_runner():
         assert kind in ("bfs", "msbfs", "cc", "sssp", "landmark"), kind
 
 
+def _bound_to(module) -> bool:
+    """Whether every ``kernels.<name>`` currently is ``module``'s function."""
+    return all(getattr(kernels, k) is getattr(module, k) for k in kernels.KERNELS)
+
+
+def _both_ways(request, algorithm, **kwargs):
+    """Observables of one run on the numpy kernels and one on the reference."""
+    assert _bound_to(numpy_backend)
+    vectorized = _observe(_run(algorithm, **kwargs))
+    request.getfixturevalue("reference_kernels")
+    assert _bound_to(reference)
+    return vectorized, _observe(_run(algorithm, **kwargs))
+
+
 @pytest.mark.parametrize("algorithm", KERNEL_BACKEND_ALGORITHMS)
-def test_backend_switch_preserves_full_run(algorithm):
-    """numpy-backend and python-backend runs agree on every observable:
+def test_backend_switch_preserves_full_run(request, algorithm):
+    """numpy-kernel and reference-kernel runs agree on every observable:
     parents, levels, counts, and the modeled time breakdown."""
-    with kernels.use_backend("numpy"):
-        vectorized = _observe(_run(algorithm))
-    with kernels.use_backend("python"):
-        reference = _observe(_run(algorithm))
-    assert vectorized == reference
+    vectorized, spec = _both_ways(request, algorithm)
+    assert vectorized == spec
 
 
 @pytest.mark.parametrize(
@@ -96,12 +109,9 @@ def test_backend_switch_preserves_full_run(algorithm):
         if "wire" in spec.capabilities and not spec.hybrid
     ),
 )
-def test_backend_switch_preserves_codec_runs(algorithm):
+def test_backend_switch_preserves_codec_runs(request, algorithm):
     """The compressed wire path (auto codec picks per buffer, so raw,
-    delta-varint and bitmap images are all built) is backend-invariant
-    too — the varint/delta kernels feed real exchanges here."""
-    with kernels.use_backend("numpy"):
-        vectorized = _observe(_run(algorithm, codec="auto"))
-    with kernels.use_backend("python"):
-        reference = _observe(_run(algorithm, codec="auto"))
-    assert vectorized == reference
+    delta-varint and bitmap images are all built) is implementation-
+    invariant too — the varint/delta kernels feed real exchanges here."""
+    vectorized, spec = _both_ways(request, algorithm, codec="auto")
+    assert vectorized == spec

@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import build_send_buffers, unpack_pairs
+from repro.core.frontier import build_send_buffers
 from repro.core.partition import Decomp2D, Partition1D
+from repro.kernels import unpack_pairs
 from repro.model import FRANKLIN, HOPPER, RmatVolumeModel, alpha_L, cost_1d, cost_2d
 from repro.model.network import a2a_time, allgather_time
 

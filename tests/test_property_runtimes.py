@@ -201,7 +201,7 @@ class TestProcessesMechanics:
 
 
 class TestRuntimePolicy:
-    """REPRO_RUNTIME resolution mirrors the REPRO_KERNELS policy."""
+    """REPRO_RUNTIME resolution: unset means threads, unknown names raise."""
 
     @pytest.fixture(autouse=True)
     def _restore(self):

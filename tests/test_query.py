@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 from repro.comm import CodecError, CommChannel, Sieve, VertexRange
 from repro.core import run_bfs
-from repro.core.frontier import bucket_by_owner, dedup_candidates
+from repro.core.frontier import dedup_candidates
 from repro.core.validate import count_traversed_edges, count_traversed_edges_lanes
 from repro.graphs import Graph
 from repro.graphs.rmat import rmat_graph
+from repro.kernels import bucket_by_owner
 from repro.mpsim import run_spmd
 from repro.query import (
     WORD_LANES,

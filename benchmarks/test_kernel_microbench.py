@@ -394,3 +394,40 @@ def test_exchange_codec_one_pass_beats_per_buffer(small_exchanges, race):
         assert all(np.array_equal(a, b) for a, b in zip(pairs, want_pairs))
     assert all(buf[0] == AutoCodec.DELTA_VARINT for send, _ in got for buf in send)
     _assert_speedup("one-pass exchange codec", fast, slow, MIN_EXCHANGE_SPEEDUP)
+
+
+# -- wide-level dedup: scatter-max against the composite-key sort ------------
+
+#: Loose CI-safe bar for the dense branch over the sort it replaces.
+MIN_DENSE_DEDUP_SPEEDUP = 1.5
+
+
+def _dedup_max_by_sort(targets, parents):
+    """``dedup_max`` as it was for non-negative parents: one quicksort of
+    a (target major, parent minor) composite key, the last entry of each
+    target's run kept."""
+    span = np.int64(int(parents.max()) + 1)
+    key = targets * span + parents
+    key.sort()
+    out_targets = key // span
+    last = np.empty(key.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(out_targets[1:], out_targets[:-1], out=last[:-1])
+    out_targets = out_targets[last]
+    return out_targets, key[last] - out_targets * span
+
+
+def test_dense_dedup_max_beats_composite_sort(smoke_load, race):
+    """On the scale-14 wide-level gather (targets filling their span),
+    ``dedup_max``'s scatter-max branch is >= 1.5x the composite-key sort,
+    with identical output."""
+    targets, sources = smoke_load["targets"], smoke_load["sources"]
+    span = int(targets.max()) - int(targets.min()) + 1
+    assert span <= numpy_backend.DENSE_SPAN_FACTOR * targets.size
+    fast, got, slow, want = race(
+        lambda: numpy_backend.dedup_max(targets, sources),
+        lambda: _dedup_max_by_sort(targets, sources),
+    )
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    _assert_speedup("dense dedup_max", fast, slow, MIN_DENSE_DEDUP_SPEEDUP)

@@ -152,9 +152,10 @@ def count_traversed_edges(csr: CSR, levels: np.ndarray, m_input: int | None = No
     count within the component is used.
     """
     reached = np.asarray(levels) >= 0
-    edge_src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
-    within = reached[edge_src] & reached[csr.indices]
-    return _input_edges(within.sum(), csr, m_input)
+    # A 1-byte-per-edge row mask, not an int64 source id per edge.
+    within = np.repeat(reached, csr.degrees())
+    within &= reached[csr.indices]
+    return _input_edges(np.count_nonzero(within), csr, m_input)
 
 
 #: ``_BYTE_BITS[v, i]`` is bit ``i`` of byte value ``v``.

@@ -87,11 +87,11 @@ class CSR:
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        # offsets[k] enumerates, for each gathered slot, its position in the
-        # source vertex's adjacency list.
+        # Gathered slot k of vertex i reads indices[starts[i] + (k - first
+        # slot of i)]: repeat the per-vertex shift once, then add k.
         ends = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        flat = np.repeat(starts, counts) + offsets
+        flat = np.repeat(starts - (ends - counts), counts)
+        flat += np.arange(total, dtype=np.int64)
         targets = self.indices[flat]
         sources = np.repeat(vertices, counts)
         return targets, sources

@@ -19,6 +19,16 @@ MAX_VARINT_BYTES = 10
 
 _WORD_BITS = 64
 
+_INT64_MIN = np.iinfo(np.int64).min
+
+#: ``dedup_max`` scatters into a target-span-sized array when the span is
+#: at most this many times the candidate count, and sorts otherwise.
+#: Measured, not tuned per workload: on random inputs the scatter-max and
+#: the composite-key sort tie near span = 4N at N = 1e3-1e5, and on the
+#: 1D wide levels of a scale-18 R-MAT any factor from 4 to 16 is within
+#: 10 % of the best.
+DENSE_SPAN_FACTOR = 4
+
 
 def dedup_max(targets, parents):
     """Collapse duplicate targets keeping the maximum parent.
@@ -31,10 +41,21 @@ def dedup_max(targets, parents):
     parents = np.asarray(parents, dtype=np.int64)
     if targets.size == 0:
         return targets, parents
-    # Python-int span: ``parents.max() + 1`` would wrap int64 for parents
-    # near 2**63 and silently corrupt the composite keys below.
+    pmin = int(parents.min())
+    tmin = int(targets.min())
+    # Python-int spans: ``max + 1`` or ``max - min`` would wrap int64 near
+    # the ends of the range and silently corrupt the keys below.
+    tspan = int(targets.max()) - tmin + 1
+    if tspan <= DENSE_SPAN_FACTOR * targets.size and pmin > _INT64_MIN:
+        # Dense targets (a wide level's candidates fill their owner's
+        # range): one scatter-max over the span, no sort.  ``pmin - 1``
+        # marks an untouched slot, so every hit slot holds a real parent.
+        best = np.full(tspan, pmin - 1, dtype=np.int64)
+        np.maximum.at(best, targets - tmin, parents)
+        hit = np.flatnonzero(best >= pmin)
+        return hit + tmin, best[hit]
     span = int(parents.max()) + 1
-    if 0 <= parents.min() and span <= (1 << 62) and targets.max() < (1 << 62) // span:
+    if 0 <= pmin and span <= (1 << 62) and targets.max() < (1 << 62) // span:
         # Composite-key quicksort (targets major, parents minor) is far
         # faster than lexsort; the max parent of each target is the last
         # entry of its run.

@@ -74,8 +74,8 @@ def gather_weighted(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    flat = np.repeat(starts, counts) + offsets
+    flat = np.repeat(starts - (ends - counts), counts)
+    flat += np.arange(total, dtype=np.int64)
     return csr.indices[flat], np.repeat(vertices, counts), weights[flat]
 
 

@@ -93,7 +93,8 @@ CRAWL = dict(n=512, n_hosts=16, seed=5)
 #: Fixture name -> (graph spec, run kwargs).  One per family on the
 #: R-MAT graph, plus ``auto`` + sieve on the crawl for both partitions:
 #: the per-segment codec choice (tag and wire words of every level) is
-#: otherwise pinned only across kernel backends, not against a file.
+#: otherwise pinned only between the numpy kernels and their python
+#: reference, not against a file.
 FIXTURES: dict[str, tuple[dict, dict]] = {
     algorithm: (GRAPH, config) for algorithm, config in CONFIGS.items()
 }

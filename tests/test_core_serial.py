@@ -8,6 +8,7 @@ import pytest
 from repro.core import bfs_serial
 from repro.core.serial import bfs_queue
 from repro.core.validate import ValidationError, count_traversed_edges, validate_bfs
+from repro.graphs.csr import build_csr
 
 from tests.conftest import make_disconnected_graph, make_path_graph, make_star_graph
 
@@ -168,3 +169,21 @@ class TestTraversedEdges:
         g = make_disconnected_graph()
         levels, _ = bfs_serial(g.csr, 5)
         assert count_traversed_edges(g.csr, levels) == 0
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_matches_source_id_formula(self, symmetrize):
+        """The bool row mask counts what the int64 per-edge source-id
+        formula counts, on a directed graph and on reached sets that are
+        not closed under adjacency (arbitrary, not BFS levels)."""
+        rng = np.random.default_rng(7)
+        n = 200
+        csr = build_csr(n, rng.integers(0, n, 900), rng.integers(0, n, 900), symmetrize)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            levels = np.where(rng.random(n) < density, 1, -1)
+            reached = levels >= 0
+            edge_src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
+            within = int((reached[edge_src] & reached[csr.indices]).sum())
+            assert count_traversed_edges(csr, levels) == within // 2
+            assert count_traversed_edges(csr, levels, m_input=1234) == round(
+                1234 * (within // 2) / (csr.nnz // 2)
+            )

@@ -100,11 +100,38 @@ CASES: dict[str, dict] = {
             np.zeros(50, dtype=np.int64),
             _rng("dedup-same").permutation(50),
         ),
-        "negative-parent-lexsort-path": lambda: (
+        # Target span <= DENSE_SPAN_FACTOR * N: the scatter-max branch.
+        "dense-unsorted-dups": lambda: (
+            _rng("dedup-dense").integers(100, 400, 1000),
+            _rng("dedup-dense-p").integers(0, 1 << 40, 1000),
+        ),
+        "dense-negative-parents": lambda: (
+            _rng("dedup-dense-neg").integers(-30, 20, 300),
+            _rng("dedup-dense-neg-p").integers(-1000, 1000, 300),
+        ),
+        "negative-parent-dense": lambda: (
             _i64(5, 5, 2, 2), _i64(-1, 3, 7, -1)
         ),
-        "huge-parents-lexsort-path": lambda: (
+        "huge-parents-dense": lambda: (
             _i64(3, 3, 1), _i64(I64_MAX - 1, I64_MAX, 1 << 62)
+        ),
+        # ``pmin - 1`` would wrap: dense span, but the fallback must run.
+        "int64-min-parent": lambda: (
+            _i64(0, 1, 1, 2), _i64(I64_MIN, 5, I64_MIN, I64_MIN)
+        ),
+        # Span > DENSE_SPAN_FACTOR * N: the composite-key sort ...
+        "sparse-keys": lambda: (
+            _rng("dedup-sparse").choice(
+                _rng("dedup-sparse-k").integers(0, 10**6, 50), 200
+            ),
+            _rng("dedup-sparse-p").integers(0, 1000, 200),
+        ),
+        # ... and, when the composite key cannot hold the parents, lexsort.
+        "negative-parent-lexsort-path": lambda: (
+            _i64(5000, 5000, 2, 2), _i64(-1, 3, 7, -1)
+        ),
+        "huge-parents-lexsort-path": lambda: (
+            _i64(3000, 3000, 1), _i64(I64_MAX - 1, I64_MAX, 1 << 62)
         ),
     },
     "reduce_runs": {

@@ -13,11 +13,17 @@ implementations may differ in wall-clock only, never in results.
 registry, wired into ``tests/test_registry_coverage.py`` as the
 ``kernel-backend`` harness — registering an algorithm that skips this
 sweep fails the coverage meta-test by name.
+
+The one per-kernel property here draws ``dedup_max`` inputs on both
+sides of its dense/sort crossover, so every branch meets the reference.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core import run_bfs
@@ -115,3 +121,26 @@ def test_backend_switch_preserves_codec_runs(request, algorithm):
     invariant too — the varint/delta kernels feed real exchanges here."""
     vectorized, spec = _both_ways(request, algorithm, codec="auto")
     assert vectorized == spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    ratio=st.floats(0.25, 16.0),
+    tmin=st.integers(-(1 << 40), 1 << 40),
+    plo=st.sampled_from([-(1 << 63), -1000, 0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dedup_max_matches_reference_across_the_crossover(n, ratio, tmin, plo, seed):
+    """Target span drawn on both sides of ``DENSE_SPAN_FACTOR * N`` (and
+    parents reaching the int64 minimum): the scatter-max branch and the
+    sort fallbacks all equal the reference, values and dtypes."""
+    rng = np.random.default_rng(seed)
+    span = max(1, int(ratio * n))
+    targets = tmin + rng.integers(0, span, n)
+    parents = rng.integers(plo, 1 << 20, n)
+    got = numpy_backend.dedup_max(targets, parents)
+    want = reference.dedup_max(targets, parents)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)

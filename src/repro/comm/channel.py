@@ -65,11 +65,12 @@ def _group_triples(owners, nbuckets, targets, values, extras):
     Returns the three reordered columns and the per-owner counts.
 
     One stable sort on an (owner, target offset, value offset) key
-    orders every destination at once; rows that tie on all three — an
-    SSSP level relaxing one target to one distance from several sources
-    — then get their extras ordered run by run.  The python-int guard
-    keeps the key clear of 64-bit wrap, as in ``kernels.dedup_max``;
-    past it the four-key ``lexsort`` gives the same order.
+    orders every destination at once, or none when one adjacent compare
+    finds the key ordered (the msbfs lane prune emits wire order); rows
+    tying on all three — an SSSP level relaxing one target to one
+    distance from several sources — then get their extras ordered run
+    by run.  The python-int guard keeps the key clear of 64-bit wrap, as
+    in ``kernels.dedup_max``; past it ``lexsort`` gives the same order.
     """
     if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
         raise ValueError(f"owners out of range [0, {nbuckets})")
@@ -84,9 +85,10 @@ def _group_triples(owners, nbuckets, targets, values, extras):
             key |= (targets - np.int64(tmin)).view(np.uint64)
             key <<= np.uint64(vbits)
             key |= (values - np.int64(vmin)).view(np.uint64)
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            extras = extras[order]
+            if (key[1:] < key[:-1]).any():
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                targets, values, extras = targets[order], values[order], extras[order]
             same = key[1:] == key[:-1]
             if same.any():
                 run = np.zeros(key.size, dtype=np.int64)
@@ -95,11 +97,11 @@ def _group_triples(owners, nbuckets, targets, values, extras):
                 tied[1:] = same
                 tied[:-1] |= same
                 tied = np.flatnonzero(tied)
+                extras = extras.copy()  # may still be the caller's column
                 extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
         else:
             order = np.lexsort((extras, values, targets, owners))
-            extras = extras[order]
-        targets, values = targets[order], values[order]
+            targets, values, extras = targets[order], values[order], extras[order]
     return targets, values, extras, np.bincount(owners, minlength=nbuckets)
 
 
@@ -345,7 +347,7 @@ class CommChannel:
         batch carries.
 
         Each bucket is canonically sorted by (target, value, extra)
-        before encoding (:func:`_group_triples`, one sort for all
+        before encoding (:func:`_group_triples`, at most one sort for all
         destinations): the raw codec preserves order and delta-varint
         finds every segment already in (target, value) order, so the
         decoded pair order always matches the raw extra column row for

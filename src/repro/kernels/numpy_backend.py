@@ -230,29 +230,33 @@ def last_hit_scan(hits, starts, counts):
     return np.maximum.reduceat(hit_pos, starts)
 
 
-def _target_major_order(targets, sources):
-    """Stable permutation into (targets asc, sources desc) order."""
+def _wire_order(targets, sources):
+    """Both columns sorted into (target asc, source asc) order, equal
+    pairs keeping their input order, and the permutation that does it."""
     n = targets.size
     tmin, tmax = int(targets.min()), int(targets.max())
     smin, smax = int(sources.min()), int(sources.max())
     sbits = (smax - smin).bit_length()
     ibits = (n - 1).bit_length()
     if (tmax - tmin).bit_length() + sbits + ibits <= _WORD_BITS:
-        # One unsigned key per candidate — target offset, reversed source
-        # offset, input position — so a plain value sort is the stable
-        # two-key sort and the permutation is the key's low bits.  The
-        # python-int guard keeps the fields clear of 64-bit wrap,
-        # mirroring dedup_max; offsets make negative ids fit too.
+        # One unsigned key per candidate — target offset, source offset,
+        # input position — so a plain value sort is the stable two-key
+        # sort, and the sorted columns and the permutation are its bit
+        # fields, not gathers.  The python-int guard keeps the fields
+        # clear of 64-bit wrap, as in dedup_max; offsets fit negatives.
         key = (targets - np.int64(tmin)).view(np.uint64)
         key <<= np.uint64(sbits)
-        key |= (np.int64(smax) - sources).view(np.uint64)
+        key |= (sources - np.int64(smin)).view(np.uint64)
         key <<= np.uint64(ibits)
         key |= np.arange(n, dtype=np.uint64)
         key.sort()
-        key &= np.uint64((1 << ibits) - 1)
-        return key.view(np.int64)
-    # ``~s`` = ``-s - 1`` reverses the source order without wrapping.
-    return np.lexsort((~sources, targets))
+        order = (key & np.uint64((1 << ibits) - 1)).view(np.int64)
+        key >>= np.uint64(ibits)
+        sources = (key & np.uint64((1 << sbits) - 1)).view(np.int64) + np.int64(smin)
+        key >>= np.uint64(sbits)
+        return key.view(np.int64) + np.int64(tmin), sources, order
+    order = np.lexsort((sources, targets))
+    return targets[order], sources[order], order
 
 
 def lane_winners(targets, sources, words, nlanes: int):
@@ -260,46 +264,40 @@ def lane_winners(targets, sources, words, nlanes: int):
     word) triples in one pass.
 
     Returns ``(targets int64, sources int64, words uint64, wins
-    uint64)`` in (target asc, source desc) order, equal pairs keeping
-    their input order.  Bit ``b < nlanes`` of ``wins[i]`` is set iff
-    candidate ``i`` carries lane ``b`` and no earlier candidate of its
-    target does — it is lane ``b``'s maximum-source contributor — so
-    every (target, lane) slot some word carries is won exactly once.
-    ``words`` come back as given; bits at or above ``nlanes`` never win.
+    uint64)`` in (target asc, source asc) wire order, equal pairs in
+    input order.  Bit ``b < nlanes`` of ``wins[i]`` is set iff candidate
+    ``i`` carries lane ``b`` and no later candidate of its target does —
+    it is lane ``b``'s maximum-source contributor (of equal pairs, the
+    last) — so every (target, lane) slot some word carries is won
+    exactly once.  Bits at or above ``nlanes`` never win.
     """
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     words = np.asarray(words, dtype=np.uint64)
-    n = targets.size
-    if n == 0:
+    if targets.size == 0:
         return targets, sources, words, np.empty(0, dtype=np.uint64)
-    order = _target_major_order(targets, sources)
-    targets, sources, words = targets[order], sources[order], words[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(targets[1:], targets[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    # A candidate wins the lanes (below ``nlanes``) that no higher-source
-    # candidate of its target carries: its word minus the run's exclusive
-    # prefix OR.  The prefix OR is a Hillis-Steele doubling scan over the
-    # candidates still ``off`` or more places into their run, so each
-    # pass touches only the runs longer than the last one reached.
+    targets, sources, order = _wire_order(targets, sources)
+    words = words[order]
     live = words & np.uint64((1 << nlanes) - 1)
-    inc = live.copy()
-    depth = np.arange(n)
-    depth -= np.repeat(starts, np.diff(starts, append=n))
-    active = np.flatnonzero(depth)
+    return targets, sources, words, _suffix_winners(targets, live)
+
+
+def _suffix_winners(targets, live):
+    """``live`` minus the OR of the later words of each sorted target's
+    run: a Hillis-Steele doubling scan over contiguous slices, ``after``
+    starting as the run's next word, pass ``off`` ORing in the window
+    ``off`` places on, until no run is ``off`` long."""
+    same = targets[:-1] == targets[1:]
+    after = np.zeros(targets.size, dtype=np.uint64)
+    after[:-1] = live[1:] * same
     off = 1
-    while active.size:
-        inc[active] |= inc[active - off]
+    while same.any():
+        after[:-off] |= after[off:] * same
         off <<= 1
-        active = active[depth[active] >= off]
-    wins = np.empty_like(inc)
-    wins[1:] = inc[:-1]
-    wins[starts] = 0
-    np.invert(wins, out=wins)
-    wins &= live
-    return targets, sources, words, wins
+        same = targets[:-off] == targets[off:]
+    np.invert(after, out=after)
+    after &= live
+    return after
 
 
 def lane_prune(targets, sources, words, nlanes: int):
@@ -307,8 +305,8 @@ def lane_prune(targets, sources, words, nlanes: int):
 
     Keeps a candidate iff it is the maximum-source contributor of at
     least one lane of its target — :func:`lane_winners` rows whose
-    ``wins`` word is nonzero, in the same (target asc, source desc)
-    order.  Returns ``(targets int64, sources int64, words uint64)``.
+    ``wins`` word is nonzero, in the same (target, source) wire order.
+    Returns ``(targets int64, sources int64, words uint64)``.
     """
     targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
     keep = wins != 0

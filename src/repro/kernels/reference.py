@@ -191,14 +191,14 @@ def lane_winners(targets, sources, words, nlanes):
     targets = _ints(targets)
     sources = _ints(sources)
     words = _uints(words)
-    order = sorted(range(len(targets)), key=lambda i: (targets[i], -sources[i]))
+    order = sorted(range(len(targets)), key=lambda i: (targets[i], sources[i]))
     lane_mask = (1 << nlanes) - 1
-    wins = []
+    wins = []  # built from the back: a lane's winner is its run's last carrier
     seen = 0
-    prev_target = None
-    for i in order:
-        if targets[i] != prev_target:
-            prev_target = targets[i]
+    next_target = None
+    for i in reversed(order):
+        if targets[i] != next_target:
+            next_target = targets[i]
             seen = 0
         lanes = words[i] & lane_mask
         wins.append(lanes & ~seen)
@@ -207,7 +207,7 @@ def lane_winners(targets, sources, words, nlanes):
         _i64([targets[i] for i in order]),
         _i64([sources[i] for i in order]),
         _u64([words[i] for i in order]),
-        _u64(wins),
+        _u64(wins[::-1]),
     )
 
 

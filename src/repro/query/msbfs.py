@@ -26,9 +26,9 @@ unchanged.
 Both ends of the exchange ask the same question — which candidate wins
 each (target, lane) slot — and :func:`repro.kernels.lane_winners`
 answers it once per call with a *winner word* per candidate: the sender
-ships the candidates whose winner word is nonzero, the owner
-(:func:`resolve_lane_winners`) unpacks the winner words of what arrived
-and writes exactly the winning slots.
+ships the candidates whose winner word is nonzero, in wire order, the
+owner (:func:`resolve_lane_winners`) unpacks the winner words of what
+arrived and writes exactly the winning slots.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def prune_lane_candidates(
     winner is harmless because the lane's true winner is also present
     and wins the owner-side reduction again.
 
-    Output is sorted by (target asc, source desc) — deterministic.
+    Output is in (target asc, source asc) order: the wire order.
     """
     return kernels.lane_prune(targets, sources, words, nlanes)
 

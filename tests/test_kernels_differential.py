@@ -91,6 +91,23 @@ def _lane_triples(tag, n, ntargets, nlanes, nsources=100):
     )
 
 
+def _hub_run(tag, length):
+    """One hub target with ``length`` contenders between short runs.
+    Lane 0 rides only on its lowest and its highest source, so the
+    lowest loses it only if the suffix scan reaches across the whole run
+    (nine doubling passes, off = 1 .. 256, for a run over 256)."""
+    rng = _rng(tag)
+    sources = rng.permutation(length)
+    words = rng.integers(0, I64_MAX, length, dtype=np.uint64) & ~np.uint64(1)
+    words[(sources == 0) | (sources == length - 1)] |= np.uint64(1)
+    return (
+        np.concatenate([_i64(0, 0), np.full(length, 5), _i64(9)]),
+        np.concatenate([_i64(4, 1), sources, _i64(2)]),
+        np.concatenate([_u64(3, 1), words, _u64(7)]),
+        64,
+    )
+
+
 CASES: dict[str, dict] = {
     "dedup_max": {
         "empty": lambda: (_i64(), _i64()),
@@ -253,11 +270,35 @@ CASES: dict[str, dict] = {
             _rng("lw-hub-w").integers(0, I64_MAX, 153, dtype=np.uint64),
             64,
         ),
+        "hub-run-over-256": lambda: _hub_run("lw-hub300", 300),
+        "all-singleton-runs": lambda: (
+            # No two candidates share a target: the scan loop never runs.
+            _rng("lw-singletons").permutation(40),
+            _rng("lw-singletons-s").integers(0, 100, 40),
+            _rng("lw-singletons-w").integers(0, I64_MAX, 40, dtype=np.uint64),
+            64,
+        ),
+        "n-1-bits-above-nlanes": lambda: (
+            _i64(11), _i64(-4), _u64((1 << 64) - 1), 3
+        ),
         "bits-above-nlanes": lambda: (
             _i64(4, 4, 4), _i64(3, 2, 1), _u64(1 << 8, (1 << 9) | 1, 3), 8
         ),
+        "bits-at-and-above-nlanes-in-runs": lambda: (
+            # Every word carries bit ``nlanes`` and up; only bits 0-4 race.
+            _rng("lw-above").integers(0, 6, 60),
+            _rng("lw-above-s").integers(0, 30, 60),
+            _rng("lw-above-w").integers(0, I64_MAX, 60, dtype=np.uint64)
+            | np.uint64(((1 << 64) - 1) ^ 31),
+            5,
+        ),
         "equal-pairs-keep-input-order": lambda: (
             _i64(6, 6, 6, 6), _i64(2, 5, 2, 5), _u64(1, 2, 3, 6), 64
+        ),
+        "exact-duplicate-different-words": lambda: (
+            # (4, 7) three times with different words: each shared lane
+            # goes to its last carrier in input order.
+            _i64(4, 4, 4, 4), _i64(7, 7, 2, 7), _u64(0b0111, 0b0011, 0b1111, 0b0001), 64
         ),
         "negative-ids": lambda: (
             _i64(-3, -3, 2, -3), _i64(-1, -7, 0, 4), _u64(3, 3, 1, 2), 64
@@ -409,6 +450,18 @@ def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
     assert _normalize(pruned) == _normalize(
         (targets[keep], sources[keep], words[keep])
     )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lane_winners_tie_rule_is_last_in_input_order(backend):
+    """Wire order with equal pairs kept in input order, and a lane shared
+    by exact (target, source) duplicates won by the last of them."""
+    targets, sources, _words, wins = MODULES[backend].lane_winners(
+        *CASES["lane_winners"]["exact-duplicate-different-words"]()
+    )
+    assert targets.tolist() == [4, 4, 4, 4]
+    assert sources.tolist() == [2, 7, 7, 7]
+    assert wins.tolist() == [0b1000, 0b0100, 0b0010, 0b0001]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -14,8 +14,10 @@ registry, wired into ``tests/test_registry_coverage.py`` as the
 ``kernel-backend`` harness — registering an algorithm that skips this
 sweep fails the coverage meta-test by name.
 
-The one per-kernel property here draws ``dedup_max`` inputs on both
-sides of its dense/sort crossover, so every branch meets the reference.
+The two per-kernel properties here draw ``dedup_max`` inputs on both
+sides of its dense/sort crossover, so every branch meets the reference,
+and ``lane_winners`` target runs around each power of two, where its
+doubling scan stops.
 """
 
 from __future__ import annotations
@@ -141,6 +143,43 @@ def test_dedup_max_matches_reference_across_the_crossover(n, ratio, tmin, plo, s
     parents = rng.integers(plo, 1 << 20, n)
     got = numpy_backend.dedup_max(targets, parents)
     want = reference.dedup_max(targets, parents)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+#: Run lengths one either side of each power of two up to 512: the
+#: suffix scan's doubling passes stop exactly at these boundaries.
+_RUN_LENGTHS = st.integers(0, 9).flatmap(
+    lambda k: st.sampled_from(sorted({max(1, (1 << k) + d) for d in (-1, 0, 1)}))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(_RUN_LENGTHS, min_size=1, max_size=6),
+    nlanes=st.sampled_from([1, 5, 63, 64]),
+    density=st.sampled_from([1.0, 0.05, 0.005]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lane_winners_matches_reference_around_doubling_boundaries(
+    runs, nlanes, density, seed
+):
+    """Target runs of length ``2**k - 1``, ``2**k`` and ``2**k + 1``,
+    shuffled, with duplicate sources and full 64-bit words — or sparse
+    ones, so a lane's carriers can sit a whole run apart: the
+    contiguous-slice suffix scan equals the reference, values and
+    dtypes."""
+    rng = np.random.default_rng(seed)
+    targets = np.repeat(rng.permutation(len(runs)), runs)
+    sources = rng.integers(0, max(runs), targets.size)
+    words = rng.integers(0, 1 << 63, targets.size, dtype=np.uint64) << np.uint64(1)
+    words |= rng.integers(0, 2, targets.size, dtype=np.uint64)
+    words[rng.random(targets.size) >= density] = 0
+    shuffle = rng.permutation(targets.size)
+    args = (targets[shuffle], sources[shuffle], words[shuffle], nlanes)
+    got = numpy_backend.lane_winners(*args)
+    want = reference.lane_winners(*args)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)

@@ -127,7 +127,7 @@ class TestLaneDominancePrune:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         pt, ps, _ = a
-        order = np.lexsort((-ps, pt))
+        order = np.lexsort((ps, pt))
         assert np.array_equal(order, np.arange(pt.size))
 
     def test_empty_input_passes_through(self):
@@ -239,6 +239,42 @@ class TestTripleWire:
             assert got_buf.dtype == want_buf.dtype
             assert got_buf.tobytes() == want_buf.tobytes()
         assert info.pairs == size
+
+    @pytest.mark.parametrize("codec", ["raw", "delta-varint", "auto"])
+    @pytest.mark.parametrize("shape", ["pruned", "pruned-reversed", "sssp-ties"])
+    def test_ordered_input_pack_is_byte_identical(self, codec, shape):
+        """The no-sort path: triples straight from the lane prune are
+        already in wire order; reversed they take the sort; SSSP rows
+        tying on (owner, target, value) with unordered extras keep the
+        extras fix-up on an ordered key — and the caller's columns stay
+        untouched."""
+        nranks, per = 4, 16
+        rng = np.random.default_rng(17)
+        comm = SimpleNamespace(size=nranks, rank=1)
+        ranges = [VertexRange(per * r, per) for r in range(nranks)]
+        channel = CommChannel(comm, ranges, codec=codec)
+        if shape == "sssp-ties":
+            targets = np.repeat(np.arange(0, per * nranks, 3), 3)
+            values = targets // 2
+            extras = rng.integers(-(1 << 63), 1 << 63, targets.size)
+        else:
+            targets, values, words = prune_lane_candidates(
+                rng.integers(0, per * nranks, 400),
+                rng.integers(0, 200, 400),
+                rng.integers(0, 1 << 63, 400, dtype=np.uint64) << np.uint64(1),
+                WORD_LANES,
+            )
+            extras = words.view(np.int64)
+            if shape == "pruned-reversed":
+                targets, values, extras = targets[::-1], values[::-1], extras[::-1]
+        owners = targets // per
+        columns = [a.copy() for a in (targets, values, extras, owners)]
+        send, info = channel.pack_triples(targets, values, extras, owners)
+        want = _pack_spec(channel, *columns)
+        assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
+        assert info.pairs == targets.size
+        for given_col, kept in zip((targets, values, extras, owners), columns):
+            assert np.array_equal(given_col, kept)
 
     def test_pack_rejects_out_of_range_owners(self):
         comm = SimpleNamespace(size=2, rank=0)

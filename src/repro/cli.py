@@ -38,6 +38,7 @@ import sys
 import time
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.runtime import BACKENDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--runtime",
         default=None,
-        choices=["threads", "sequential", "processes"],
+        choices=BACKENDS,
         help=(
-            "execution backend for the SPMD ranks: threads (default), "
-            "sequential (deterministic round-robin, no timeouts), or "
-            "processes (forked workers, real parallelism); modeled "
-            "outputs are bit-identical across backends "
-            "(default: the REPRO_RUNTIME policy)"
+            "execution backend for the SPMD ranks: sequential "
+            "(deterministic round-robin, no timeouts; the default), "
+            "threads (preemptive rank threads), or processes (forked "
+            "workers, real parallelism); modeled outputs are "
+            "bit-identical across backends"
         ),
     )
     group.add_argument(

@@ -362,11 +362,12 @@ class RunConfig:
         ``result.meta["level_profile"]``.  Supported by the 1d/2d
         families; serial runs and baselines leave the profile ``None``.
     runtime:
-        Execution backend for the SPMD launch: ``"threads"`` (default),
-        ``"sequential"`` (deterministic round-robin scheduler), or
-        ``"processes"`` (forked workers, real parallelism).  ``None``
-        defers to the process-wide policy (``REPRO_RUNTIME``).  All
-        modeled outputs are bit-identical across backends.
+        Execution backend for the SPMD launch: ``"sequential"``
+        (deterministic round-robin scheduler, the default), ``"threads"``
+        (preemptive rank threads) or ``"processes"`` (forked workers,
+        real parallelism).  ``None`` means
+        :data:`repro.runtime.DEFAULT_RUNTIME`.  All modeled outputs are
+        bit-identical across backends.
     spmd_timeout:
         Seconds a rank may wait at a rendezvous before the run aborts
         as deadlocked.  ``None`` defers to ``REPRO_SPMD_TIMEOUT`` or

@@ -5,8 +5,9 @@ The paper's algorithms were written against MPI on Cray XT4/XE6 systems;
 here they run unmodified (same collectives, same buffers, same bucketing)
 against a pluggable SPMD engine (:mod:`repro.runtime`):
 
-* every simulated rank runs the real algorithm (one thread per rank by
-  default; sequential and forked-process backends are interchangeable),
+* every simulated rank runs the real algorithm (hosted by the
+  deterministic ``sequential`` scheduler by default; the ``threads`` and
+  forked ``processes`` backends are interchangeable with it),
 * collectives (``Alltoallv``, ``Allgatherv``, ``Allreduce``, ...) move real
   NumPy buffers between ranks, so communication **volumes are exact**,
 * a per-rank :class:`~repro.mpsim.clock.RankClock` tracks *virtual* time:
@@ -16,8 +17,8 @@ against a pluggable SPMD engine (:mod:`repro.runtime`):
   attributed to MPI time exactly the way the paper measures it (Fig. 4).
 
 Entry point: :func:`repro.runtime.run_spmd`, re-exported here together
-with the engine-side names (``SimEngine`` is the threads backend's
-engine) the communicator's users historically imported from this package.
+with the engine-side names the communicator's users import from this
+package.
 """
 
 from repro.mpsim.clock import RankClock
@@ -33,7 +34,6 @@ from repro.runtime import (
     ZeroCostModel,
     run_spmd,
 )
-from repro.runtime.threads import ThreadsEngine as SimEngine
 
 __all__ = [
     "RankClock",
@@ -41,7 +41,6 @@ __all__ = [
     "CollectiveCostModel",
     "ZeroCostModel",
     "SimAborted",
-    "SimEngine",
     "SpmdFailure",
     "SpmdResult",
     "run_spmd",

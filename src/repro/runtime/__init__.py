@@ -2,21 +2,20 @@
 
 The simulator's algorithms are written against one interface — a
 :class:`~repro.mpsim.communicator.Communicator` backed by an *execution
-engine* — and this package supplies interchangeable engines:
+engine* — and this package supplies interchangeable engines, each kept
+for one reason:
 
-* :mod:`repro.runtime.threads` — one OS thread per simulated rank
-  rendezvousing on ``threading.Barrier`` (the historical engine, moved
-  here verbatim).  The default: preemptive scheduling shakes out
-  ordering bugs, and shared memory makes obs/faults plumbing free.
-* :mod:`repro.runtime.sequential` — a deterministic single-runnable
-  round-robin scheduler that steps ranks between collective rendezvous
-  points.  No lock contention, no timeouts (a deadlock is *detected
-  structurally* the moment no rank can run); the fastest and most
-  debuggable path for tests and CI.
-* :mod:`repro.runtime.processes` — one ``fork``-ed worker process per
-  rank, a pipe-based coordinator for rendezvous, and
-  ``multiprocessing.shared_memory``-backed numpy transfers for large
-  buffers.  The only backend with real parallelism (no GIL); per-worker
+* :mod:`repro.runtime.sequential` — the default: a deterministic
+  single-runnable round-robin scheduler that steps ranks between
+  rendezvous points.  No lock contention, no timeouts (a deadlock is
+  *detected structurally* the moment no rank can run), reproducible
+  down to the interleaving.
+* :mod:`repro.runtime.threads` — the only backend whose rank bodies
+  interleave preemptively; the timeout and concurrency tests select it
+  explicitly.
+* :mod:`repro.runtime.processes` — the only backend with real
+  parallelism: one ``fork``-ed worker per rank, a pipe coordinator, and
+  ``multiprocessing.shared_memory``-backed numpy transfers; per-worker
   clock/stats/obs shards are merged into one report on exit.
 
 **The bit-identity contract.**  Completion times depend only on
@@ -26,11 +25,10 @@ backend; only wall-clock changes.  ``tests/test_property_runtimes.py``
 locks this in for every registered algorithm, and the golden fixtures
 pin the default backend bit for bit.
 
-**Choosing a backend.**  The ``REPRO_RUNTIME`` environment variable
-selects the startup backend (``threads`` is the default);
-:func:`set_runtime` / :func:`use_runtime` switch at runtime (the tests'
-mechanism), and ``runtime=`` / ``--runtime`` select per run through
-``RunConfig`` -> ``run_bfs`` / ``run_query`` -> the CLI.
+**Choosing a backend.**  :data:`DEFAULT_RUNTIME` hosts every run that
+does not name one; ``runtime=`` selects per run through ``RunConfig`` ->
+``run_bfs`` / ``run_query`` -> the CLI's ``--runtime``.  There is no
+process-wide switch.
 
 Adding a backend: subclass :class:`repro.runtime.base.EngineBase`,
 implement the :class:`ExecutionEngine` scheduling half (``collective``,
@@ -42,9 +40,8 @@ registry entry the sweep misses).
 
 from __future__ import annotations
 
-import os
+import importlib
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.runtime.base import (  # noqa: F401  (re-exports)
@@ -62,11 +59,11 @@ from repro.runtime.base import (  # noqa: F401  (re-exports)
 if TYPE_CHECKING:
     from repro.mpsim.stats import SimStats
 
-#: Environment variable naming the startup backend.
-ENV_VAR = "REPRO_RUNTIME"
-
-#: Recognized backend names.  ``threads`` is the default.
+#: Recognized backend names; each is a module of this package.
 BACKENDS = ("threads", "sequential", "processes")
+
+#: The backend hosting every run that does not pass ``runtime=``.
+DEFAULT_RUNTIME = "sequential"
 
 
 @runtime_checkable
@@ -128,7 +125,7 @@ class ExecutionEngine(Protocol):
 class ExecutionBackend(Protocol):
     """The per-backend module interface ``run_spmd`` dispatches to."""
 
-    #: Backend name as selected by ``REPRO_RUNTIME`` / ``runtime=``.
+    #: Backend name as selected by ``runtime=``.
     name: str
 
     def run_spmd(
@@ -147,76 +144,15 @@ class ExecutionBackend(Protocol):
         ...
 
 
-_active_name: str | None = None
-
-
-def _resolve_startup_runtime() -> str:
-    """Apply the ``REPRO_RUNTIME`` policy: threads unless overridden."""
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice and choice not in BACKENDS:
-        raise ValueError(
-            f"{ENV_VAR}={choice!r} is not an execution runtime; "
-            f"known: {sorted(BACKENDS)}"
-        )
-    return choice or "threads"
-
-
-def _load(name: str) -> ExecutionBackend:
-    if name == "threads":
-        from repro.runtime import threads as mod
-    elif name == "sequential":
-        from repro.runtime import sequential as mod
-    else:
-        from repro.runtime import processes as mod
-    return mod
-
-
-def active_runtime() -> str:
-    """Name of the backend ``run_spmd`` currently dispatches to."""
-    global _active_name
-    if _active_name is None:
-        _active_name = _resolve_startup_runtime()
-    return _active_name
-
-
-def set_runtime(name: str | None) -> str:
-    """Switch the execution runtime process-wide.
-
-    ``name`` is one of :data:`BACKENDS`, or ``None`` to re-apply the
-    ``REPRO_RUNTIME`` startup policy.  Returns the active name.
-    """
-    global _active_name
-    if name is None:
-        _active_name = None
-        return active_runtime()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown execution runtime {name!r}; known: {sorted(BACKENDS)}"
-        )
-    _active_name = name
-    return _active_name
-
-
-@contextmanager
-def use_runtime(name: str):
-    """Context manager pinning the runtime, restoring the previous one."""
-    previous = active_runtime()
-    set_runtime(name)
-    try:
-        yield
-    finally:
-        set_runtime(previous)
-
-
 def get_backend(name: str | None = None) -> ExecutionBackend:
-    """The backend module for ``name`` (default: the active runtime)."""
+    """The backend module for ``name`` (default: :data:`DEFAULT_RUNTIME`)."""
     if name is None:
-        name = active_runtime()
+        name = DEFAULT_RUNTIME
     elif name not in BACKENDS:
         raise ValueError(
             f"unknown execution runtime {name!r}; known: {sorted(BACKENDS)}"
         )
-    return _load(name)
+    return importlib.import_module(f"repro.runtime.{name}")
 
 
 def run_spmd(
@@ -233,10 +169,10 @@ def run_spmd(
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
 
-    Dispatches to the active execution runtime (or ``runtime=`` when
-    given): one rank per thread (``threads``), a deterministic
-    round-robin scheduler (``sequential``), or one forked worker process
-    per rank (``processes``).  All modeled outputs are bit-identical
+    Dispatches to ``runtime=`` (default :data:`DEFAULT_RUNTIME`): a
+    deterministic round-robin scheduler (``sequential``), one rank per
+    thread (``threads``), or one forked worker process per rank
+    (``processes``).  All modeled outputs are bit-identical
     across backends; exceptions raised by any rank abort the whole run
     and re-raise as :class:`SpmdFailure` in the caller.
 

@@ -56,7 +56,7 @@ from repro.runtime.base import (
     SpmdResult,
 )
 
-#: Backend name as selected by ``REPRO_RUNTIME`` / ``runtime=``.
+#: Backend name; only ``runtime="processes"`` selects it (real parallelism).
 name = "processes"
 
 #: Arrays at least this many bytes ride shared memory instead of the

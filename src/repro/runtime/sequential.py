@@ -14,7 +14,8 @@ of rendezvous points, the interleaving is identical on every run — no
 lock contention, no preemption races, and *no timeouts*: a deadlock is
 detected structurally the moment no rank can run (every live rank
 blocked), and aborts the simulation immediately instead of waiting for
-a timer.  This is the fastest and most debuggable path for tests/CI.
+a timer.  That makes it the default backend
+(:data:`repro.runtime.DEFAULT_RUNTIME`).
 
 Rank bodies still execute on (daemon) OS threads so that blocking is an
 ordinary wait, but the baton discipline means the threads never run
@@ -37,7 +38,7 @@ from repro.runtime.base import (
     SpmdResult,
 )
 
-#: Backend name as selected by ``REPRO_RUNTIME`` / ``runtime=``.
+#: Backend name; also :data:`repro.runtime.DEFAULT_RUNTIME`, so ``runtime=None`` lands here.
 name = "sequential"
 
 

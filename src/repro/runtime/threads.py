@@ -1,4 +1,4 @@
-"""Thread-based execution backend (the historical SPMD engine).
+"""Thread-based execution backend: the only preemptive one.
 
 One OS thread per simulated rank; collectives rendezvous on a
 ``threading.Barrier`` and a timeout converts a genuine deadlock into an
@@ -26,7 +26,7 @@ from repro.runtime.base import (
     SpmdResult,
 )
 
-#: Backend name as selected by ``REPRO_RUNTIME`` / ``runtime=``.
+#: Backend name; only ``runtime="threads"`` selects it (preemptive interleaving).
 name = "threads"
 
 

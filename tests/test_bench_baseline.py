@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro import runtime
 from repro.cli import main
 from repro.obs.regress import perf_diff
 
@@ -59,11 +60,12 @@ def test_baseline_self_diff_passes_the_gate(tmp_path):
 
 def test_baseline_recipe_is_runtime_invariant(tmp_path):
     """The acceptance check of the runtime split: the exact committed
-    baseline recipe, re-run under the sequential and processes
-    execution backends, reproduces ``BENCH_baseline.json`` bit for bit
-    — parents, levels, modeled times, wire words, spans, metrics."""
+    baseline recipe, re-run under every non-default execution backend,
+    reproduces ``BENCH_baseline.json`` bit for bit — parents, levels,
+    modeled times, wire words, spans, metrics."""
     committed = json.loads(BASELINE.read_text())
-    for runtime_name in ("sequential", "processes"):
+    others = [name for name in runtime.BACKENDS if name != runtime.DEFAULT_RUNTIME]
+    for runtime_name in others:
         fresh = tmp_path / f"candidate-{runtime_name}.json"
         assert (
             main(RECIPE + ["--runtime", runtime_name, "--report-out", str(fresh)])

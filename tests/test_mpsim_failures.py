@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,25 @@ from repro.core.bfs1d import TopDown1D
 from repro.core.bfs_dirop import DirOpt1D
 from repro.core.engine import traversal_body
 from repro.graphs.rmat import rmat_graph
-from repro.mpsim import run_spmd
+from repro.mpsim import SpmdFailure, run_spmd
 from repro.runtime.threads import ThreadsEngine
+
+
+def assert_deadlock_aborts(nranks, fn):
+    """Both ways a deadlocked run must end, one per scheduler.
+
+    ``threads`` waits at a barrier until its (here 0.5 s) timeout breaks
+    it; ``sequential`` is given no timeout and must name the deadlock the
+    moment every live rank is blocked.
+    """
+    with pytest.raises(SpmdFailure, match="failed"):
+        run_spmd(nranks, fn, runtime="threads", timeout=0.5)
+    start = time.perf_counter()
+    with pytest.raises(SpmdFailure) as info:
+        run_spmd(nranks, fn, runtime="sequential")
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(info.value.exc, TimeoutError)
+    assert str(info.value.exc).startswith("deadlock: every live rank is blocked")
 
 
 class TestAbortPaths:
@@ -57,15 +76,15 @@ class TestAbortPaths:
         """Rank 0 calls a different collective than the others; the
         deterministic protocol still exchanges payloads (the mismatch is
         a semantic bug), but a hard *count* mismatch — one rank exiting
-        early — must abort via the timeout rather than hang."""
+        early — must abort (timeout or structural detection) rather than
+        hang."""
 
         def fn(comm):
             if comm.rank == 0:
                 return None  # leaves the group short-handed
             comm.barrier()
 
-        with pytest.raises(RuntimeError, match="failed|Barrier"):
-            run_spmd(2, fn, timeout=0.5)
+        assert_deadlock_aborts(2, fn)
 
 
 class TestBottomUpExpandFailure:
@@ -185,8 +204,7 @@ class TestTimeout:
             else:
                 comm.barrier()  # rank 0 never joins
 
-        with pytest.raises(RuntimeError):
-            run_spmd(2, fn, timeout=0.5)
+        assert_deadlock_aborts(2, fn)
 
 
 class TestEngineValidation:
@@ -246,8 +264,6 @@ class TestFailurePickling:
 
     def test_spmd_failure_round_trips_rank_exc_stats(self):
         import pickle
-
-        from repro.mpsim import SpmdFailure
 
         def fn(comm):
             comm.allreduce(comm.rank)

@@ -109,15 +109,7 @@ class TestImbalance:
                     comm.allreduce(1)
             return True
 
-        # Pinned to the shared-memory runtime: the tracer here is a
-        # closure capture, which only the runner's ``tracer=`` kwarg
-        # plumbing can ship back from process workers.
-        run_spmd(
-            4,
-            fn,
-            cost_model=NetworkCostModel(FRANKLIN, total_ranks=4),
-            runtime="threads",
-        )
+        run_spmd(4, fn, cost_model=NetworkCostModel(FRANKLIN, total_ranks=4))
         (work,) = [r for r in load_imbalance(tracer) if r.phase == "work"]
         assert work.straggler == 2
         assert work.imbalance == pytest.approx(4 / ((3 * 1 + 4) / 4))

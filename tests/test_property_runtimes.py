@@ -1,18 +1,24 @@
 """Runtime-equivalence sweep: full runs under every execution backend.
 
 For every registered algorithm, one complete timed traversal runs under
-each execution runtime — ``threads``, ``sequential``, ``processes`` —
-and the *entire* observable output is asserted identical: levels,
-parents, level count, traversed-edge count, the modeled time breakdown,
-and (for the instrumented families) the full span stream.  This is the
-end-to-end half of the runtime bit-identity contract (see
-:mod:`repro.runtime`): swapping the backend may change wall-clock only,
-never results.
+each execution runtime — the default ``sequential``, then ``threads``
+and ``processes`` — and the *entire* observable output is asserted
+identical: levels, parents, level count, traversed-edge count, the
+modeled time breakdown, and (for the instrumented families) the full
+span stream.  This is the end-to-end half of the runtime bit-identity
+contract (see :mod:`repro.runtime`): swapping the backend may change
+wall-clock only, never results.
 
 The fault half of the contract gets its own sweep: an injected crash
 plus checkpoint-restart must recover identically — same recovered tree,
 same attempt count, same restore records on the same virtual timeline —
 on every backend, for every flat fault-capable family.
+
+Below the algorithms, hypothesis drives the communicator itself with
+random programs of collectives, splits and ring messages: the
+``sequential`` and ``threads`` schedules must agree on every return,
+clock and counter, and a program with one collective left out must be
+caught by ``sequential``'s structural deadlock detector, not a timer.
 
 ``RUNTIME_BACKEND_ALGORITHMS`` is an import-time snapshot of the
 registry, wired into ``tests/test_registry_coverage.py`` as the
@@ -25,14 +31,18 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import runtime
 from repro.core.runner import ALGORITHMS, RunConfig
 from repro.graphs.rmat import rmat_graph
-from repro.mpsim import run_spmd
+from repro.model import NetworkCostModel
+from repro.mpsim import SpmdFailure, run_spmd
 from repro.obs import Tracer
 
 from tests.conftest import launch_any
@@ -55,7 +65,8 @@ CRASH_ALGORITHMS = sorted(
     if "faults" in spec.capabilities and not spec.hybrid
 )
 
-RUNTIMES = runtime.BACKENDS
+#: The backends a sweep compares against the default's run.
+OTHER_RUNTIMES = tuple(b for b in runtime.BACKENDS if b != runtime.DEFAULT_RUNTIME)
 
 #: Small-but-structured instance: R-MAT keeps hubs (dense middle levels,
 #: bottom-up switches) while staying cheap enough to fork a worker set
@@ -92,9 +103,9 @@ def _observe(result) -> dict:
 
 @pytest.mark.parametrize("algorithm", RUNTIME_BACKEND_ALGORITHMS)
 def test_runtime_switch_preserves_full_run(algorithm):
-    """threads / sequential / processes agree on every observable."""
-    baseline = _observe(_run(algorithm, "threads"))
-    for name in RUNTIMES[1:]:
+    """sequential / threads / processes agree on every observable."""
+    baseline = _observe(_run(algorithm, runtime.DEFAULT_RUNTIME))
+    for name in OTHER_RUNTIMES:
         assert _observe(_run(algorithm, name)) == baseline, name
 
 
@@ -103,15 +114,15 @@ def test_runtime_switch_preserves_spans(algorithm):
     """The virtual-time span stream is backend-invariant, including for
     the processes backend where spans are shipped home as shards."""
     streams = {}
-    for name in RUNTIMES:
+    for name in runtime.BACKENDS:
         tracer = Tracer()
         _run(algorithm, name, tracer=tracer)
         streams[name] = [
             (s.rank, s.phase, s.t_start, s.t_end, s.level, s.depth, s.parent)
             for s in tracer.all_spans()
         ]
-    assert streams["sequential"] == streams["threads"]
-    assert streams["processes"] == streams["threads"]
+    for name in OTHER_RUNTIMES:
+        assert streams[name] == streams[runtime.DEFAULT_RUNTIME], name
 
 
 @pytest.mark.parametrize("algorithm", CRASH_ALGORITHMS)
@@ -119,11 +130,11 @@ def test_runtime_switch_preserves_crash_recovery(algorithm):
     """A permanent rank loss plus checkpoint-restart recovers to the
     same tree, with the same attempt count and the same restore records
     on the same virtual timeline, under every backend."""
-    oracle = _run(algorithm, "threads")
+    oracle = _run(algorithm, runtime.DEFAULT_RUNTIME)
     crash_level = max(1, min(2, oracle.nlevels - 1))
     fault_spec = f"crash:rank=1,level={crash_level};seed=3"
     observed = {}
-    for name in RUNTIMES:
+    for name in runtime.BACKENDS:
         result = _run(
             algorithm, name, faults=fault_spec, checkpoint_every=1
         )
@@ -136,13 +147,12 @@ def test_runtime_switch_preserves_crash_recovery(algorithm):
                 for r in meta["restores"]
             ),
         )
+    default = observed[runtime.DEFAULT_RUNTIME]
     # The crash actually fired and the driver actually restarted.
-    assert observed["threads"][1] == 2
-    assert observed["sequential"] == observed["threads"]
-    assert observed["processes"] == observed["threads"]
-    assert np.array_equal(
-        observed["threads"][0]["levels"], _observe(oracle)["levels"]
-    )
+    assert default[1] == 2
+    for name in OTHER_RUNTIMES:
+        assert observed[name] == default, name
+    assert np.array_equal(default[0]["levels"], _observe(oracle)["levels"])
 
 
 class TestProcessesMechanics:
@@ -150,7 +160,7 @@ class TestProcessesMechanics:
 
     def test_workers_run_concurrently_in_distinct_processes(self):
         """All ranks rendezvous at one collective while alive at once,
-        each in its own forked interpreter (the CI smoke's assertion)."""
+        each in its own forked interpreter."""
 
         def body(comm):
             pids = comm.allgatherv(np.array([os.getpid()], dtype=np.int64))
@@ -189,8 +199,6 @@ class TestProcessesMechanics:
             comm.barrier()
             return comm.rank
 
-        from repro.mpsim import SpmdFailure
-
         with pytest.raises(SpmdFailure, match="rank 2 failed") as info:
             run_spmd(4, body, runtime="processes")
         failure = info.value
@@ -201,36 +209,22 @@ class TestProcessesMechanics:
 
 
 class TestRuntimePolicy:
-    """REPRO_RUNTIME resolution: unset means threads, unknown names raise."""
+    """One default backend, selected only per run by ``runtime=``."""
 
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        previous = runtime.active_runtime()
-        yield
-        runtime.set_runtime(previous)
-
-    def test_default_is_threads(self, monkeypatch):
-        monkeypatch.delenv(runtime.ENV_VAR, raising=False)
-        assert runtime.set_runtime(None) == "threads"
-
-    def test_env_selects_startup_runtime(self, monkeypatch):
-        monkeypatch.setenv(runtime.ENV_VAR, "sequential")
-        assert runtime.set_runtime(None) == "sequential"
+    def test_default_is_sequential(self):
+        assert runtime.DEFAULT_RUNTIME == "sequential"
         assert runtime.get_backend().name == "sequential"
-
-    def test_env_rejects_unknown_name(self, monkeypatch):
-        monkeypatch.setenv(runtime.ENV_VAR, "fibers")
-        with pytest.raises(ValueError, match="REPRO_RUNTIME='fibers'"):
-            runtime.set_runtime(None)
-
-    def test_set_and_use_runtime(self):
-        runtime.set_runtime("sequential")
-        assert runtime.active_runtime() == "sequential"
-        with runtime.use_runtime("threads"):
-            assert runtime.active_runtime() == "threads"
-        assert runtime.active_runtime() == "sequential"
+        engines = run_spmd(2, lambda comm: type(comm.engine).__name__).returns
+        assert engines == ["SequentialEngine"] * 2
         with pytest.raises(ValueError, match="unknown execution runtime"):
-            runtime.set_runtime("green")
+            runtime.get_backend("fibers")
+
+    def test_cli_offers_the_backend_list(self):
+        from repro.cli import build_parser
+
+        (action,) = [a for a in build_parser()._actions if a.dest == "runtime"]
+        assert action.default is None
+        assert tuple(action.choices) == runtime.BACKENDS
 
     def test_run_config_validates_runtime(self):
         with pytest.raises(ValueError, match="unknown execution runtime"):
@@ -247,13 +241,13 @@ class TestTimeoutPolicy:
         assert runtime.default_timeout() == runtime.DEFAULT_TIMEOUT
 
     def test_env_overrides_engine_default(self, monkeypatch):
-        from repro.mpsim import SimEngine
+        from repro.runtime.threads import ThreadsEngine
 
         monkeypatch.setenv(runtime.TIMEOUT_ENV_VAR, "42.5")
         assert runtime.default_timeout() == 42.5
-        assert SimEngine(2).timeout == 42.5
+        assert ThreadsEngine(2).timeout == 42.5
         # An explicit timeout= still wins over the environment.
-        assert SimEngine(2, timeout=7.0).timeout == 7.0
+        assert ThreadsEngine(2, timeout=7.0).timeout == 7.0
 
     def test_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv(runtime.TIMEOUT_ENV_VAR, "soon")
@@ -273,7 +267,106 @@ class TestTimeoutPolicy:
                 comm.barrier()
             return True
 
-        from repro.mpsim import SpmdFailure
-
         with pytest.raises(SpmdFailure, match="failed"):
             run_spmd(2, stuck, runtime="threads", timeout=0.4)
+
+
+# -- the communicator under random programs --------------------------------
+
+#: World collectives a program step may issue (also run on sub-communicators).
+COLLECTIVES = ("allreduce", "alltoallv", "allgatherv", "bcast")
+
+
+@st.composite
+def comm_programs(draw):
+    """``(nranks, ops, seed)``: each op is ``("world", collective)``,
+    ``("split", collective, k)`` — split by ``rank % k``, then the
+    collective on the sub-communicator — or ``("ring",)``, a send to the
+    next rank and a receive from the previous one.  ``k <= nranks // 2``
+    keeps every sub-communicator at two members or more, so leaving one
+    of its collectives out always strands a peer."""
+    nranks = draw(st.integers(2, 5))
+    op = st.one_of(
+        st.tuples(st.just("world"), st.sampled_from(COLLECTIVES)),
+        st.tuples(
+            st.just("split"),
+            st.sampled_from(COLLECTIVES),
+            st.integers(1, max(1, nranks // 2)),
+        ),
+        st.tuples(st.just("ring")),
+    )
+    ops = draw(st.lists(op, min_size=1, max_size=12))
+    return nranks, ops, draw(st.integers(0, 2**16))
+
+
+def _collective(comm, kind, rng):
+    if kind == "allreduce":
+        return comm.allreduce(int(rng.integers(-50, 50)))
+    if kind == "alltoallv":
+        return comm.alltoallv(
+            [rng.integers(0, 100, size=int(rng.integers(0, 5))) for _ in range(comm.size)]
+        )
+    if kind == "allgatherv":
+        return comm.allgatherv(rng.integers(0, 100, size=int(rng.integers(0, 6))), concat=False)
+    return comm.bcast(int(rng.integers(0, 1000)) if comm.rank == 0 else None, root=0)
+
+
+def _program(comm, ops, seed, skip=None):
+    """Run ``ops`` on this rank.  ``skip = (rank, step)`` makes that rank
+    leave out the collective of that step (a ``split`` itself still runs)."""
+    outputs = []
+    for step, (kind, *params) in enumerate(ops):
+        rng = np.random.default_rng((seed, comm.rank, step))
+        if kind == "ring":
+            message = rng.integers(0, 100, size=int(rng.integers(0, 5)))
+            comm.send(message, (comm.rank + 1) % comm.size)
+            out = comm.recv((comm.rank - 1) % comm.size)
+        else:
+            target = comm.split(color=comm.rank % params[1]) if kind == "split" else comm
+            if skip == (comm.rank, step):
+                continue
+            out = _collective(target, params[0], rng)
+        if isinstance(out, list):
+            outputs.append([np.asarray(piece).tolist() for piece in out])
+        else:
+            outputs.append(np.asarray(out).tolist())
+        # Skewed local work, so collectives book real waits on the clocks.
+        comm.charge_compute(float(rng.random()) * 1e-5, steps=1.0)
+    return outputs
+
+
+def _observe_spmd(spmd) -> tuple:
+    return (
+        spmd.returns,
+        [(c.snapshot(), dict(c.counters)) for c in spmd.stats.clocks],
+        [
+            (dict(s.words_sent), dict(s.words_recv), dict(s.calls), dict(s.mpi_time_by_kind))
+            for s in spmd.stats.comm
+        ],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(comm_programs())
+def test_random_programs_match_across_schedulers_and_deadlock_structurally(program):
+    nranks, ops, seed = program
+
+    def run(name, **kwargs):
+        cost = NetworkCostModel("hopper", total_ranks=nranks)
+        return run_spmd(nranks, _program, ops, seed, cost_model=cost, runtime=name, **kwargs)
+
+    assert _observe_spmd(run("sequential")) == _observe_spmd(run("threads"))
+
+    collective_steps = [step for step, op in enumerate(ops) if op[0] != "ring"]
+    if not collective_steps:
+        return
+    # Rank r leaves out its last collective: only ring messages follow,
+    # so the stranded peers can never be released and every live rank
+    # ends up blocked.
+    skip = (seed % nranks, collective_steps[-1])
+    start = time.perf_counter()
+    with pytest.raises(SpmdFailure) as info:
+        run("sequential", skip=skip)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(info.value.exc, TimeoutError)
+    assert str(info.value.exc).startswith("deadlock: every live rank is blocked")

@@ -29,7 +29,9 @@ from repro.comm import (
 from repro.core.frontier import build_send_buffers, dedup_candidates
 from repro.core.partition import Partition1D
 from repro.graphs.csr import build_csr
-from repro.graphs.rmat import rmat_edges
+from repro.graphs.graph import Graph
+from repro.graphs.permutation import apply_permutation, random_permutation
+from repro.graphs.rmat import GRAPH500_PARAMS, rmat_edges
 from repro.kernels import numpy_backend, reference
 from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
 from repro.query.msbfs import resolve_lane_winners
@@ -488,3 +490,71 @@ def test_lane_scan_contiguous_beats_index_scan(msbfs_level, race):
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     _assert_speedup("contiguous lane scan", fast, slow, MIN_LANE_SCAN_SPEEDUP)
+
+
+# -- kernel 1: reused buffers and one in-place key against per-bit temporaries
+
+KERNEL1_SCALE = 16
+
+#: Loose CI-safe bar; measured on a noisy 2-CPU box 1.56-1.64x (the gap
+#: widens with scale: freshly faulted temporaries cost more at scale 18).
+MIN_KERNEL1_SPEEDUP = 1.3
+
+
+def _rmat_edges_per_bit(scale, seed):
+    """``rmat_edges`` as it was (Graph 500 parameters, no noise): a fresh
+    draw, fresh masks and two int64 copies per bit."""
+    a, b, c, _d = GRAPH500_PARAMS
+    m = 16 << scale
+    rng = np.random.default_rng(seed)
+    src = np.zeros(m, dtype=np.int64)
+    dst = np.zeros(m, dtype=np.int64)
+    for bit in range(scale):
+        draw = rng.random(m)
+        src_bit = draw >= a + b
+        dst_bit = ((draw >= a) & (draw < a + b)) | (draw >= a + b + c)
+        src |= src_bit.astype(np.int64) << bit
+        dst |= dst_bit.astype(np.int64) << bit
+    return src, dst
+
+
+def _from_edges_with_copies(n, src, dst, seed):
+    """``Graph.from_edges`` as it was: a permuted copy of the edges, a
+    self-loop-free copy, a symmetrising ``concatenate`` pair, the key and
+    ``bincount``.  Returns ``(perm, indptr, indices)``."""
+    perm = random_permutation(n, seed)
+    src, dst = apply_permutation(perm, src, dst)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    key = src * np.int64(n) + dst
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    src = key // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return perm, indptr, key - src * n
+
+
+def test_kernel1_in_place_beats_per_bit_temporaries(race):
+    """Scale-16 generate + construct on reused per-bit buffers and one
+    in-place composite key is >= 1.3x the per-bit temporaries and edge
+    list copies it replaced; edges, permutation and CSR identical."""
+    n = 1 << KERNEL1_SCALE
+
+    def in_place():
+        src, dst = rmat_edges(KERNEL1_SCALE, 16, seed=4)
+        graph = Graph.from_edges(n, src, dst, seed=4)
+        return src, dst, graph.perm, graph.csr.indptr, graph.csr.indices
+
+    def with_temporaries():
+        src, dst = _rmat_edges_per_bit(KERNEL1_SCALE, seed=4)
+        return (src, dst, *_from_edges_with_copies(n, src, dst, seed=4))
+
+    fast, got, slow, want = race(in_place, with_temporaries, rounds=3)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    _assert_speedup("in-place kernel 1", fast, slow, MIN_KERNEL1_SPEEDUP)

@@ -14,12 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.graphs.csr import CSR, build_csr
-from repro.graphs.permutation import (
-    apply_permutation,
-    invert_permutation,
-    random_permutation,
-)
+from repro.graphs.csr import CSR, _build_csr
+from repro.graphs.permutation import invert_permutation, random_permutation
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,9 @@ class Graph:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         m_input = int(src.size)
-        perm = None
-        if shuffle:
-            perm = random_permutation(n, seed)
-            src, dst = apply_permutation(perm, src, dst)
-        csr = build_csr(
-            n, src, dst, symmetrize=symmetrize, drop_self_loops=drop_self_loops
+        perm = random_permutation(n, seed) if shuffle else None
+        csr = _build_csr(
+            n, src, dst, perm, symmetrize=symmetrize, drop_self_loops=drop_self_loops
         )
         return cls(
             csr=csr,

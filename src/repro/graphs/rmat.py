@@ -10,6 +10,8 @@ diameter — the properties that make traversal load balancing hard.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 #: Graph 500 / paper R-MAT parameters (Section 6).  The paper prints
@@ -61,6 +63,18 @@ def rmat_edges(
     rng = np.random.default_rng(seed)
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
+    # Every pass reuses the same buffers: one float64 draw, three bool
+    # masks and, per id, one uint8 byte that gathers eight bits before it
+    # is stored into its byte plane of the int64 output.
+    draw = np.empty(m)
+    src_bit = np.empty(m, dtype=bool)
+    dst_bit = np.empty(m, dtype=bool)
+    upper = np.empty(m, dtype=bool)
+    weighted = np.empty(m, dtype=np.uint8)
+    gathered = [
+        (bits, np.empty(m, dtype=np.uint8), ids.view(np.uint8).reshape(m, 8))
+        for bits, ids in ((src_bit, src), (dst_bit, dst))
+    ]
     for bit in range(scale):
         aa, bb, cc, dd = a, b, c, d
         if noise:
@@ -68,12 +82,24 @@ def rmat_edges(
             aa, bb, cc, dd = np.array([a, b, c, d]) * jitter
             total = aa + bb + cc + dd
             aa, bb, cc, dd = aa / total, bb / total, cc / total, dd / total
-        draw = rng.random(m)
-        # Quadrants in row-major order: (0,0)=a, (0,1)=b, (1,0)=c, (1,1)=d.
-        src_bit = draw >= aa + bb
-        dst_bit = ((draw >= aa) & (draw < aa + bb)) | (draw >= aa + bb + cc)
-        src |= src_bit.astype(np.int64) << bit
-        dst |= dst_bit.astype(np.int64) << bit
+        rng.random(out=draw)
+        # Quadrants in row-major order: (0,0)=a, (0,1)=b, (1,0)=c, (1,1)=d,
+        # drawn as [0, a), [a, a+b), [a+b, a+b+c), the rest.  The source
+        # bit is set in c and d; the destination bit in b (a bool ``>``
+        # is and-not) and d.
+        np.greater_equal(draw, aa + bb, out=src_bit)
+        np.greater_equal(draw, aa, out=dst_bit)
+        np.greater(dst_bit, src_bit, out=dst_bit)
+        dst_bit |= np.greater_equal(draw, aa + bb + cc, out=upper)
+        shift = bit % 8
+        for bits, byte, planes in gathered:
+            if shift == 0:
+                np.copyto(byte, bits)
+            else:
+                byte |= np.multiply(bits.view(np.uint8), 1 << shift, out=weighted)
+            if shift == 7 or bit == scale - 1:
+                plane = bit // 8
+                planes[:, plane if sys.byteorder == "little" else 7 - plane] = byte
     return src, dst
 
 

@@ -20,11 +20,11 @@ and the batched-query flow (the ``repro.query`` algorithm zoo)::
 With ``--trace-out``/``--report-out`` the graph500 and query flows
 additionally write a Chrome ``trace_event`` file (open in Perfetto) and
 the machine-readable run report of the first search; reports feed the
-perf-regression gate and the cross-run trajectory analyzer::
+perf gate, spelled for a committed series or for two reports::
 
     repro-bench graph500 --scale 13 --report-out base.json
-    repro-bench perf-diff base.json candidate.json --threshold 0.05
     repro-bench trajectory benchmarks/ --candidate candidate.json
+    repro-bench perf-diff base.json candidate.json --threshold 0.05
 
 ``--events-out``/``--flamegraph-out``/``--metrics-out`` add the JSONL
 event log, the collapsed-stack flamegraph (speedscope/flamegraph.pl)
@@ -253,20 +253,6 @@ def build_perf_diff_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_perf_diff(argv: list[str]) -> int:
-    from repro.obs.regress import DEFAULT_THRESHOLD, perf_diff
-
-    args = build_perf_diff_parser().parse_args(argv)
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    try:
-        diff = perf_diff(args.baseline, args.candidate, threshold=threshold)
-    except (OSError, ValueError) as exc:
-        print(f"perf-diff: {exc}", file=sys.stderr)
-        return 2
-    print(diff.render())
-    return 0 if diff.ok else 1
-
-
 def build_trajectory_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench trajectory",
@@ -314,32 +300,38 @@ def build_trajectory_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_trajectory(argv: list[str]) -> int:
-    from repro.obs.regress import DEFAULT_THRESHOLD
-    from repro.obs.trajectory import analyze_trajectory
-
-    args = build_trajectory_parser().parse_args(argv)
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    try:
-        trajectory = analyze_trajectory(
-            args.baselines, candidate=args.candidate, threshold=threshold
-        )
-    except (OSError, ValueError) as exc:
-        print(f"trajectory: {exc}", file=sys.stderr)
-        return 2
-    print(trajectory.render())
+def _run_gate(command: str, argv: list[str]) -> int:
+    """Both gate spellings: print the analysis, write any dashboards,
+    exit 0 on pass, 1 on regression, 2 on unusable input."""
     from pathlib import Path
 
-    if args.markdown_out:
-        path = Path(args.markdown_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(trajectory.render_markdown())
-        print(f"wrote {path}")
-    if args.html_out:
-        path = Path(args.html_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(trajectory.render_html())
-        print(f"wrote {path}")
+    from repro.obs.regress import DEFAULT_THRESHOLD, analyze_trajectory, perf_diff
+
+    perf = command == "perf-diff"
+    parser = build_perf_diff_parser() if perf else build_trajectory_parser()
+    args = parser.parse_args(argv)
+    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+    try:
+        if perf:
+            trajectory = perf_diff(args.baseline, args.candidate, threshold=threshold)
+        else:
+            trajectory = analyze_trajectory(
+                args.baselines, candidate=args.candidate, threshold=threshold
+            )
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+    print(trajectory.render())
+    dashboards = (
+        (getattr(args, "markdown_out", None), trajectory.render_markdown),
+        (getattr(args, "html_out", None), trajectory.render_html),
+    )
+    for out, render in dashboards:
+        if out:
+            path = Path(out)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(render())
+            print(f"wrote {path}")
     return 0 if trajectory.ok else 1
 
 
@@ -456,11 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # The main parser's positional would swallow the report paths, so the
-    # perf-diff/trajectory subcommands are dispatched before it.
-    if argv and argv[0] == "perf-diff":
-        return _run_perf_diff(argv[1:])
-    if argv and argv[0] == "trajectory":
-        return _run_trajectory(argv[1:])
+    # perf-diff/trajectory gate spellings are dispatched before it.
+    if argv and argv[0] in ("perf-diff", "trajectory"):
+        return _run_gate(argv[0], argv[1:])
     args = build_parser().parse_args(argv)
 
     if args.experiment == "list":

@@ -17,12 +17,11 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
 * :mod:`~repro.obs.analysis` — per-level critical paths that sum exactly
   to the modeled makespan, load-imbalance metrics with straggler
   attribution, and comm/comp decompositions (programmatic Figure 6/8).
-* :mod:`~repro.obs.regress` — the perf gate: ``repro-bench perf-diff``
-  compares two run reports and fails on regression.
-* :mod:`~repro.obs.trajectory` — the cross-run analyzer behind
-  ``repro-bench trajectory``: committed ``BENCH_*.json`` baselines
-  become per-metric time series with median-reference gating,
-  changepoint detection and a markdown/HTML dashboard.
+* :mod:`~repro.obs.regress` — the perf gate: run reports become
+  per-metric series with median-reference gating, changepoint detection
+  and a markdown/HTML dashboard.  ``repro-bench trajectory`` gates a
+  fresh report against the committed ``BENCH_*.json`` series;
+  ``repro-bench perf-diff`` is its two-point case.
 
 Typical flow::
 
@@ -81,11 +80,12 @@ from repro.obs.metrics import (
 from repro.obs.regress import (
     DEFAULT_THRESHOLD,
     GATED_METRICS,
-    MetricDelta,
-    PerfDiff,
-    compare_reports,
+    MetricTrend,
+    Trajectory,
+    analyze_reports,
+    analyze_trajectory,
     perf_diff,
-    resolve_baseline,
+    resolve_series,
 )
 from repro.obs.tracer import (
     NULL_RANK_TRACER,
@@ -96,13 +96,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     resolve_tracer,
-)
-from repro.obs.trajectory import (
-    MetricTrend,
-    Trajectory,
-    analyze_reports,
-    analyze_trajectory,
-    resolve_series,
 )
 
 __all__ = [
@@ -124,11 +117,12 @@ __all__ = [
     "write_run_report",
     "DEFAULT_THRESHOLD",
     "GATED_METRICS",
-    "MetricDelta",
-    "PerfDiff",
-    "compare_reports",
+    "MetricTrend",
+    "Trajectory",
+    "analyze_reports",
+    "analyze_trajectory",
     "perf_diff",
-    "resolve_baseline",
+    "resolve_series",
     "EVENTS_SCHEMA",
     "collapsed_stacks",
     "load_events_jsonl",
@@ -137,11 +131,6 @@ __all__ = [
     "validate_events",
     "write_events_jsonl",
     "write_flamegraph",
-    "MetricTrend",
-    "Trajectory",
-    "analyze_reports",
-    "analyze_trajectory",
-    "resolve_series",
     "METRICS_SCHEMA",
     "NULL_METRICS",
     "NULL_RANK_METRICS",

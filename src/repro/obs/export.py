@@ -8,7 +8,7 @@ Two machine-readable artifacts per traced run:
   virtual seconds are exported as microseconds, the format's native unit.
 * :func:`run_report` — a self-contained JSON run report (graph, machine,
   algorithm and wire-format config, per-phase and per-level times, comm
-  volumes, GTEPS) that :mod:`repro.obs.regress` diffs for the perf gate.
+  volumes, GTEPS) that :mod:`repro.obs.regress` gates on.
 
 Both take the run's :class:`~repro.obs.tracer.Tracer`; ``run_report``
 additionally takes the :class:`~repro.core.runner.BFSResult` and finds
@@ -223,8 +223,8 @@ def validate_chrome_trace(trace: dict) -> None:
     scope, non-finite timestamps, or malformed span metadata — a
     ``level`` arg that is not a non-negative integer, or a query span's
     ``lanes`` arg outside ``[1, 64]`` (the uint64 lane-word capacity of
-    ``msbfs-1d``).  Used by the tests and the CI perf-gate/telemetry
-    jobs before uploading artifacts.
+    ``msbfs-1d``).  Used by the tests and the CI telemetry job before
+    uploading artifacts.
     """
     events = trace.get("traceEvents")
     if not isinstance(events, list) or not events:

@@ -53,9 +53,10 @@ def test_baseline_self_diff_passes_the_gate(tmp_path):
     diff = perf_diff(BASELINE, fresh, threshold=0.05)
     assert diff.ok
     # Deterministic simulation: the self-comparison is exactly zero.
-    for delta in diff.deltas:
-        if delta.baseline is not None and delta.candidate is not None:
-            assert delta.baseline == delta.candidate, delta
+    for trend in diff.trends:
+        assert len(trend.points) == 2, trend
+        assert trend.reference == trend.latest, trend
+    assert {t.metric for t in diff.trends if t.gated} == {"time.total", "gteps"}
 
 
 def test_baseline_recipe_is_runtime_invariant(tmp_path):

@@ -1,4 +1,4 @@
-"""Cross-run perf-trajectory analyzer and the ``trajectory`` CLI."""
+"""The perf gate over a series of run reports and the ``trajectory`` CLI."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.obs import (
     run_report,
     write_run_report,
 )
-from repro.obs.trajectory import _sparkline
+from repro.obs.regress import _sparkline
 
 
 @pytest.fixture(scope="module")

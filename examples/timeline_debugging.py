@@ -2,17 +2,17 @@
 """See a schedule: virtual-time Gantt charts of the 2D algorithm.
 
 Figure 4 of the paper is a heat map of time spent in MPI under two vector
-distributions.  The simulator can show the *schedule itself*: with
-``record_timeline=True`` every collective leaves a span on its rank's
-virtual clock, and the ASCII renderer makes load imbalance visible at a
-glance — watch the off-diagonal ranks sit inside collectives (waiting for
-the diagonal's merge) under the 1D vector distribution, and the balanced
-rows under the 2D distribution.
+distributions.  The simulator can show the *schedule itself*: a traced
+run records every collective as a span on its rank's virtual clock, and
+``repro.obs.render_timeline`` draws those spans as an ASCII Gantt chart
+that makes load imbalance visible at a glance — watch the off-diagonal
+ranks sit inside collectives (waiting for the diagonal's merge) under
+the 1D vector distribution, and the balanced rows under the 2D
+distribution.
 
-For structured profiling — critical paths, per-phase time decompositions,
-straggler attribution, Chrome traces — use the ``repro.obs`` tracing
-subsystem instead; see ``examples/trace_profiling.py`` and
-``docs/observability.md``.
+For structured profiling of the same spans — critical paths, per-phase
+time decompositions, straggler attribution, Chrome traces — see
+``examples/trace_profiling.py`` and ``docs/observability.md``.
 
 Run::
 
@@ -22,43 +22,26 @@ Run::
 import numpy as np
 
 import repro
-from repro.core.bfs2d import SpMSV2D, build_2d_blocks
-from repro.core.engine import traversal_body
-from repro.core.partition import Decomp2D
-from repro.model import FRANKLIN, NetworkCostModel
-from repro.mpsim import render_timeline, run_spmd
+from repro.model import FRANKLIN
+from repro.obs import Tracer, render_timeline
 
-
-def traverse(graph, source, side, diagonal):
-    machine = FRANKLIN.with_overrides(net_latency=1e-9)  # isolate imbalance
-    decomp = Decomp2D(graph.n, side, diagonal_vectors=diagonal)
-    blocks = build_2d_blocks(graph.csr, decomp)
-    return run_spmd(
-        side * side,
-        traversal_body,
-        SpMSV2D,
-        (blocks, decomp, source),
-        {},
-        machine=machine,
-        cost_model=NetworkCostModel(machine, total_ranks=side * side),
-        record_timeline=True,
-    )
+SIDE = 4
 
 
 def main() -> None:
-    side = 4
     graph = repro.rmat_graph(14, 16, seed=21)
-    source = int(
-        np.asarray(graph.to_internal(graph.random_nonisolated_vertices(1, 1)[0]))
-    )
+    source = int(graph.random_nonisolated_vertices(1, 1)[0])
+    machine = FRANKLIN.with_overrides(net_latency=1e-9)  # isolate imbalance
 
-    for diagonal, label in ((True, "1D (diagonal-only) vector distribution"),
-                            (False, "2D vector distribution")):
-        res = traverse(graph, source, side, diagonal)
-        print(f"\n=== {label} — {side}x{side} grid, R-MAT scale 14 ===")
-        print(render_timeline(res.stats, width=70))
-        diag = [i * side + i for i in range(side)]
-        off = [r for r in range(side * side) if r not in diag]
+    for dist, label in (("1d", "1D (diagonal-only) vector distribution"),
+                        ("2d", "2D vector distribution")):
+        tracer = Tracer()
+        res = repro.run_bfs(graph, source, "2d", nprocs=SIDE * SIDE,
+                            vector_dist=dist, machine=machine, tracer=tracer)
+        print(f"\n=== {label} — {SIDE}x{SIDE} grid, R-MAT scale 14 ===")
+        print(render_timeline(tracer, width=70))
+        diag = [i * SIDE + i for i in range(SIDE)]
+        off = [r for r in range(SIDE * SIDE) if r not in diag]
         wait_off = np.mean([res.stats.clocks[r].mpi_wait_time for r in off])
         wait_diag = np.mean([res.stats.clocks[r].mpi_wait_time for r in diag])
         print(f"mean idle: off-diagonal {wait_off * 1e6:7.1f} us, "

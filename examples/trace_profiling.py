@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Profile a simulated BFS with the structured tracing subsystem.
 
-Where ``timeline_debugging.py`` eyeballs collectives on an ASCII Gantt
-chart, this example uses ``repro.obs`` to answer the profiling questions
-programmatically:
+Where ``timeline_debugging.py`` draws a traced run's collectives as an
+ASCII Gantt chart, this example reads the same ``repro.obs`` spans to
+answer the profiling questions programmatically:
 
 * which rank and phase bound each BFS level (critical path),
 * where the run's modeled time went per phase (the paper's Figure 6/8

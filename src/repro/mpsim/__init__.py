@@ -25,7 +25,6 @@ from repro.mpsim.clock import RankClock
 from repro.mpsim.communicator import Communicator
 from repro.mpsim.grid import ProcessorGrid, closest_square
 from repro.mpsim.stats import RankStats, SimStats
-from repro.mpsim.timeline import TimelineEvent, render_timeline
 from repro.runtime import (
     CollectiveCostModel,
     SimAborted,
@@ -48,6 +47,4 @@ __all__ = [
     "closest_square",
     "RankStats",
     "SimStats",
-    "TimelineEvent",
-    "render_timeline",
 ]

@@ -117,12 +117,6 @@ class Communicator:
         elapsed = completions[self.rank] - arrival
         self.clock.complete_collective(completions[self.rank], transfers[self.rank])
         self.stats.record(kind, sent, recv, elapsed)
-        if self.engine.record_timeline and kind not in _CONTROL_KINDS:
-            from repro.mpsim.timeline import TimelineEvent
-
-            self.stats.events.append(
-                TimelineEvent(kind, arrival, completions[self.rank], sent + recv)
-            )
         return out
 
     # -- collectives ----------------------------------------------------
@@ -237,16 +231,9 @@ class Communicator:
             raise ValueError(f"send destination {dest} out of range")
         arr = np.asarray(buf) if buf is not None else np.empty(0, dtype=np.int64)
         cost = self.engine.cost_model.p2p_cost(float(arr.size))
-        start = self.clock.time
-        departure = start + cost
+        departure = self.clock.time + cost
         self.clock.complete_collective(departure, cost)
         self.stats.record("p2p", float(arr.size), 0.0, cost)
-        if self.engine.record_timeline:
-            from repro.mpsim.timeline import TimelineEvent
-
-            self.stats.events.append(
-                TimelineEvent("p2p", start, departure, float(arr.size))
-            )
         if self.engine.record_peers and dest != self.rank:
             self.stats.peer_words[self._st.members[dest]] += float(arr.size)
         self.engine.mailbox_put(
@@ -264,12 +251,6 @@ class Communicator:
         finish = max(arrival, departure)
         self.clock.complete_collective(finish, 0.0)
         self.stats.record("p2p", 0.0, float(np.asarray(arr).size), finish - arrival)
-        if self.engine.record_timeline:
-            from repro.mpsim.timeline import TimelineEvent
-
-            self.stats.events.append(
-                TimelineEvent("p2p", arrival, finish, float(np.asarray(arr).size))
-            )
         return arr
 
     # -- sub-communicators --------------------------------------------------

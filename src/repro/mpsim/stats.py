@@ -40,9 +40,6 @@ class RankStats:
     #: Words sent per destination *global* rank (populated only when the
     #: run was launched with ``record_peers=True``).
     peer_words: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    #: Collective spans on this rank's virtual clock (populated only when
-    #: the run was launched with ``record_timeline=True``).
-    events: list = field(default_factory=list)
 
     def record(
         self,

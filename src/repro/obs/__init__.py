@@ -11,7 +11,8 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   and query steps are instrumented, and every counter reconciles
   exactly with the span/stats-derived quantities.
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (one track per
-  rank; open in Perfetto) and the machine-readable run report.
+  rank; open in Perfetto), the machine-readable run report, and the
+  ASCII Gantt chart of each rank's collectives (:func:`render_timeline`).
 * :mod:`~repro.obs.events` — the schema-versioned JSONL event log and
   the collapsed-stack flamegraph exporter (speedscope/flamegraph.pl).
 * :mod:`~repro.obs.analysis` — per-level critical paths that sum exactly
@@ -61,6 +62,7 @@ from repro.obs.export import (
     REPORT_SCHEMA,
     chrome_trace,
     load_run_report,
+    render_timeline,
     run_report,
     validate_chrome_trace,
     write_chrome_trace,
@@ -111,6 +113,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "chrome_trace",
     "load_run_report",
+    "render_timeline",
     "run_report",
     "validate_chrome_trace",
     "write_chrome_trace",

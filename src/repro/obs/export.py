@@ -1,4 +1,4 @@
-"""Trace and run-report exporters.
+"""Trace and run-report exporters, and the ASCII Gantt view.
 
 Two machine-readable artifacts per traced run:
 
@@ -13,6 +13,14 @@ Two machine-readable artifacts per traced run:
 Both take the run's :class:`~repro.obs.tracer.Tracer`; ``run_report``
 additionally takes the :class:`~repro.core.runner.BFSResult` and finds
 the tracer in ``result.meta["tracer"]`` when one was installed.
+
+:func:`render_timeline` draws the same tracer for a human: one ASCII
+Gantt row per rank, its communication spans lettered by phase — the
+fastest way to *see* where a schedule loses time (e.g. Figure 4's
+off-diagonal ranks parked inside the fold's all-to-all)::
+
+    rank 0 |g.g..aaaaggg.....aaaaaaaa.gggg....aaaag..rr|
+    rank 1 |g.g..arrrggg.....aaaaaaarrgggg....aaarg..rr|
 """
 
 from __future__ import annotations
@@ -21,8 +29,13 @@ import json
 import math
 from pathlib import Path
 
-from repro.obs.analysis import comm_comp_summary, critical_path, load_imbalance
-from repro.obs.tracer import Tracer
+from repro.obs.analysis import (
+    COMM_PHASES,
+    comm_comp_summary,
+    critical_path,
+    load_imbalance,
+)
+from repro.obs.tracer import Span, Tracer
 
 #: Schema tag stamped into every run report (bump on breaking changes).
 #: v2 added the ``faults`` section (fault/retry/checkpoint accounting);
@@ -88,6 +101,80 @@ def write_chrome_trace(path: str | Path, tracer: Tracer, pid: int = 0) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(chrome_trace(tracer, pid=pid)) + "\n")
     return path
+
+
+#: Communication phase -> Gantt glyph, one per :data:`COMM_PHASES` member.
+TIMELINE_GLYPHS = {
+    "alltoallv": "a",
+    "allgatherv": "g",
+    "allreduce": "r",
+    "transpose": "x",
+    "exchange": "e",
+    "bcast": "c",
+}
+
+
+def comm_spans(tracer: Tracer, rank: int) -> list[Span]:
+    """``rank``'s outermost communication spans, in the order they opened.
+
+    A span counts when its phase is in :data:`COMM_PHASES` and no
+    enclosing span's is, so a collective nested inside another is drawn
+    (and timed) once.  The spans include waiting for slower ranks, so on
+    a fully spanned path their seconds sum to the rank's ``mpi_time``.
+    """
+    spans = tracer.spans_for(rank)
+    inside = [False] * len(spans)
+    out = []
+    for i, span in enumerate(spans):
+        enclosed = span.parent is not None and inside[span.parent]
+        inside[i] = enclosed or span.phase in COMM_PHASES
+        if inside[i] and not enclosed and not span.instant:
+            out.append(span)
+    return out
+
+
+def render_timeline(
+    tracer: Tracer, width: int = 72, ranks: list[int] | None = None
+) -> str:
+    """ASCII Gantt chart of a traced run's communication.
+
+    Each rank gets one row spanning ``[0, tracer.makespan]`` in virtual
+    time; its :func:`comm_spans` are drawn with their phase's glyph
+    (:data:`TIMELINE_GLYPHS`), everything else (local computation, and
+    collectives outside any span) with ``.``.  ``ranks`` picks and orders
+    the rows (default: every traced rank).
+    """
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if ranks is None:
+        ranks = tracer.ranks
+    elif not ranks:
+        raise ValueError("ranks must name at least one rank")
+    else:
+        unknown = sorted(set(ranks) - set(tracer.ranks))
+        if unknown:
+            raise ValueError(
+                f"ranks {unknown} were not traced (traced: {tracer.ranks})"
+            )
+    makespan = tracer.makespan
+    if makespan <= 0:
+        raise ValueError(
+            "nothing to render: trace a run with a cost model (machine=...)"
+        )
+    label_width = max(len(f"rank {rank}") for rank in ranks)
+    scale = (width - 1) / makespan
+    lines = []
+    for rank in ranks:
+        row = ["."] * width
+        for span in comm_spans(tracer, rank):
+            lo = int(span.t_start * scale)
+            hi = max(lo, int(span.t_end * scale))
+            row[lo : hi + 1] = TIMELINE_GLYPHS[span.phase] * (hi + 1 - lo)
+        lines.append(f"{f'rank {rank}'.rjust(label_width)} |{''.join(row)}|")
+    legend = "  ".join(f"{g}={phase}" for phase, g in TIMELINE_GLYPHS.items())
+    lines.append(f"{' ' * label_width}  0{' ' * (width - 10)}{makespan:.3g}s")
+    lines.append(f"legend: {legend}, .=compute")
+    return "\n".join(lines)
 
 
 def _stringify_levels(by_level: dict) -> dict:

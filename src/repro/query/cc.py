@@ -172,7 +172,8 @@ class ConnectedComponents1D(Step1D):
         """Seed the next batch with the 64 smallest unlabeled vertices."""
         self.batch_index += 1
         mine = np.flatnonzero(self.comp < 0)[:WORD_LANES] + self.lo
-        proposals = self.comm.allgatherv(mine.astype(np.int64), concat=True)
+        with self.obs.span("allgatherv"):
+            proposals = self.comm.allgatherv(mine.astype(np.int64), concat=True)
         seeds = np.sort(proposals)[:WORD_LANES]
         self.seeds = seeds
         self.fwords.fill(0)

@@ -81,7 +81,6 @@ class ExecutionEngine(Protocol):
     cost_model: CollectiveCostModel
     timeout: float
     record_peers: bool
-    record_timeline: bool
     base_time: float
     clocks: list
     stats: list
@@ -136,7 +135,6 @@ class ExecutionBackend(Protocol):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        record_timeline: bool = False,
         base_time: float = 0.0,
         **kwargs: Any,
     ) -> SpmdResult:
@@ -162,7 +160,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    record_timeline: bool = False,
     base_time: float = 0.0,
     runtime: str | None = None,
     **kwargs: Any,
@@ -191,7 +188,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        record_timeline=record_timeline,
         base_time=base_time,
         **kwargs,
     )

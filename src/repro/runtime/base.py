@@ -145,7 +145,6 @@ class EngineBase:
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        record_timeline: bool = False,
         base_time: float = 0.0,
     ):
         from repro.mpsim.clock import RankClock
@@ -161,9 +160,6 @@ class EngineBase:
         #: When set, per-destination traffic is recorded in RankStats
         #: (the rank-to-rank heat-map data of Figure 4-style analyses).
         self.record_peers = record_peers
-        #: When set, every collective leaves a TimelineEvent on its rank
-        #: (render with repro.mpsim.timeline.render_timeline).
-        self.record_timeline = record_timeline
         #: Virtual time all rank clocks start at.  Zero for fresh runs; a
         #: checkpoint-restart attempt resumes where the failed one aborted.
         self.base_time = base_time

@@ -165,7 +165,6 @@ class ProcessEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        record_timeline: bool = False,
         base_time: float = 0.0,
     ):
         self._gid_counts: dict[tuple, int] = {}
@@ -181,7 +180,6 @@ class ProcessEngine(EngineBase):
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            record_timeline=record_timeline,
             base_time=base_time,
         )
 
@@ -386,7 +384,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    record_timeline: bool = False,
     base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -412,7 +409,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        record_timeline=record_timeline,
         base_time=base_time,
     )
     pipes = [ctx.Pipe() for _ in range(nranks)]

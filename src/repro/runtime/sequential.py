@@ -71,7 +71,6 @@ class SequentialEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        record_timeline: bool = False,
         base_time: float = 0.0,
     ):
         super().__init__(
@@ -79,7 +78,6 @@ class SequentialEngine(EngineBase):
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            record_timeline=record_timeline,
             base_time=base_time,
         )
         self._batons = [threading.Event() for _ in range(nranks)]
@@ -188,7 +186,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    record_timeline: bool = False,
     base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -205,7 +202,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        record_timeline=record_timeline,
         base_time=base_time,
     )
     returns: list[Any] = [None] * nranks

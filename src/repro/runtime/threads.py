@@ -51,7 +51,6 @@ class ThreadsEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        record_timeline: bool = False,
         base_time: float = 0.0,
     ):
         self._lock = threading.Lock()
@@ -63,7 +62,6 @@ class ThreadsEngine(EngineBase):
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            record_timeline=record_timeline,
             base_time=base_time,
         )
 
@@ -157,7 +155,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    record_timeline: bool = False,
     base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -175,7 +172,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        record_timeline=record_timeline,
         base_time=base_time,
     )
     returns: list[Any] = [None] * nranks

@@ -1,103 +1,159 @@
-"""Tests for timeline recording and the ASCII Gantt renderer."""
+"""Tests for the ASCII Gantt view of a simulated run's communication spans.
+
+The synthetic workload opens its own ``repro.obs`` spans around each
+collective, the way the comm channel and the engine do on the BFS paths.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import repro
 from repro.model import FRANKLIN, NetworkCostModel
 from repro.mpsim import run_spmd
-from repro.mpsim.timeline import GLYPHS, TimelineEvent, render_timeline
+from repro.obs import COMM_PHASES, Tracer, render_timeline
+from repro.obs.export import TIMELINE_GLYPHS, comm_spans
 
 
-def _workload(comm):
+def _workload(comm, tracer):
+    obs = tracer.for_rank(comm)
     comm.charge_compute(1e-5 * (comm.rank + 1))
-    comm.alltoallv([np.arange(100)] * comm.size)
-    comm.allgatherv(np.arange(50))
-    comm.allreduce(1)
+    with obs.span("alltoallv"):
+        comm.alltoallv([np.arange(100)] * comm.size)
+    with obs.span("allgatherv"):
+        comm.allgatherv(np.arange(50))
+    with obs.span("allreduce"):
+        comm.allreduce(1)
     return None
 
 
-def _timed_run(**kwargs):
-    return run_spmd(
-        3,
+def _timed_run(nranks=3):
+    tracer = Tracer()
+    res = run_spmd(
+        nranks,
         _workload,
-        cost_model=NetworkCostModel(FRANKLIN, total_ranks=3),
-        **kwargs,
+        tracer,
+        cost_model=NetworkCostModel(FRANKLIN, total_ranks=nranks),
     )
+    return tracer, res
 
 
 class TestRecording:
-    def test_disabled_by_default(self):
-        res = _timed_run()
-        assert all(not r.events for r in res.stats.comm)
-
     def test_events_cover_every_collective(self):
-        res = _timed_run(record_timeline=True)
-        for rank_stats in res.stats.comm:
-            kinds = [e.kind for e in rank_stats.events]
-            assert kinds == ["alltoallv", "allgatherv", "allreduce"]
+        tracer, _res = _timed_run()
+        for rank in tracer.ranks:
+            phases = [s.phase for s in comm_spans(tracer, rank)]
+            assert phases == ["alltoallv", "allgatherv", "allreduce"]
 
     def test_event_times_ordered_and_positive(self):
-        res = _timed_run(record_timeline=True)
-        for rank_stats in res.stats.comm:
-            for prev, cur in zip(rank_stats.events, rank_stats.events[1:]):
-                assert cur.t_arrive >= prev.t_complete - 1e-15
-            assert all(e.duration >= 0 for e in rank_stats.events)
+        tracer, _res = _timed_run()
+        for rank in tracer.ranks:
+            spans = comm_spans(tracer, rank)
+            for prev, cur in zip(spans, spans[1:]):
+                assert cur.t_start >= prev.t_end - 1e-15
+            assert all(s.duration >= 0 for s in spans)
 
     def test_event_durations_sum_to_mpi_time(self):
-        res = _timed_run(record_timeline=True)
-        for rank, rank_stats in enumerate(res.stats.comm):
-            total = sum(e.duration for e in rank_stats.events)
+        tracer, res = _timed_run()
+        for rank in tracer.ranks:
+            total = sum(s.duration for s in comm_spans(tracer, rank))
             assert total == pytest.approx(res.stats.clocks[rank].mpi_time)
 
     def test_waiting_visible_in_spans(self):
         # Rank 0 does the least compute, so it waits longest at the first
         # collective: its span must start earliest and end with the rest.
-        res = _timed_run(record_timeline=True)
-        first = [rs.events[0] for rs in res.stats.comm]
-        assert first[0].t_arrive < first[2].t_arrive
-        assert first[0].t_complete == pytest.approx(first[2].t_complete)
+        tracer, _res = _timed_run()
+        first = [comm_spans(tracer, rank)[0] for rank in tracer.ranks]
+        assert first[0].t_start < first[2].t_start
+        assert first[0].t_end == pytest.approx(first[2].t_end)
+
+    def test_nested_comm_span_counted_once(self):
+        # A collective issued inside another comm span (cc's batch
+        # finalize inside the engine's termination allreduce) belongs to
+        # the outer span: drawn with its glyph, timed once.
+        def fn(comm, tracer):
+            obs = tracer.for_rank(comm)
+            with obs.span("allreduce"):
+                comm.allreduce(1)
+                with obs.span("allgatherv"):
+                    comm.allgatherv(np.arange(4))
+
+        tracer = Tracer()
+        res = run_spmd(
+            2, fn, tracer, cost_model=NetworkCostModel(FRANKLIN, total_ranks=2)
+        )
+        for rank in tracer.ranks:
+            spans = comm_spans(tracer, rank)
+            assert [s.phase for s in spans] == ["allreduce"]
+            assert spans[0].duration == pytest.approx(res.stats.clocks[rank].mpi_time)
+        assert "g" not in render_timeline(tracer, width=20).split("legend:")[0]
 
 
 class TestRenderer:
     def test_renders_rows_and_legend(self):
-        res = _timed_run(record_timeline=True)
-        chart = render_timeline(res.stats, width=40)
+        tracer, _res = _timed_run()
+        chart = render_timeline(tracer, width=40)
         lines = chart.splitlines()
         assert sum(1 for ln in lines if ln.startswith("rank ")) == 3
         assert "legend:" in lines[-1]
         assert "a" in chart and "g" in chart and "r" in chart
 
     def test_rank_subset(self):
-        res = _timed_run(record_timeline=True)
-        chart = render_timeline(res.stats, width=30, ranks=[1])
+        tracer, _res = _timed_run()
+        chart = render_timeline(tracer, width=30, ranks=[1])
         assert chart.count("rank ") == 1
+        assert chart.startswith("rank 1 |")
 
     def test_untimed_run_rejected(self):
-        res = run_spmd(2, lambda comm: comm.barrier())
-        with pytest.raises(ValueError, match="nothing to render"):
-            render_timeline(res.stats)
+        def fn(comm, tracer):
+            with tracer.for_rank(comm).span("allreduce"):
+                comm.allreduce(1)
 
-    def test_unrecorded_run_rejected(self):
-        res = _timed_run()  # timed but no events
-        with pytest.raises(ValueError, match="record_timeline"):
-            render_timeline(res.stats)
+        tracer = Tracer()
+        run_spmd(2, fn, tracer)  # no cost model: virtual time stays at 0
+        with pytest.raises(ValueError, match="nothing to render"):
+            render_timeline(tracer)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"ranks": [-1]}, "ranks"),
+            ({"ranks": []}, "ranks"),
+            ({"ranks": [7]}, "ranks"),
+            ({"width": 0}, "width"),
+        ],
+        ids=["negative-rank", "empty-ranks", "untraced-rank", "zero-width"],
+    )
+    def test_bad_arguments_rejected(self, kwargs, name):
+        tracer, _res = _timed_run()
+        with pytest.raises(ValueError, match=name):
+            render_timeline(tracer, **kwargs)
 
     def test_glyph_table_consistent(self):
-        assert len(set(GLYPHS.values())) == len(GLYPHS)
-        event = TimelineEvent("alltoallv", 0.0, 1.0, 10.0)
-        assert event.duration == 1.0
+        assert set(TIMELINE_GLYPHS) == COMM_PHASES
+        assert len(set(TIMELINE_GLYPHS.values())) == len(TIMELINE_GLYPHS)
+        assert TIMELINE_GLYPHS["transpose"] == "x"
+        tracer, _res = _timed_run()
+        legend = render_timeline(tracer, width=40).splitlines()[-1]
+        for phase, glyph in TIMELINE_GLYPHS.items():
+            assert f"{glyph}={phase}" in legend
 
-    def test_unknown_kind_renders_fallback_glyph(self):
-        # The docstring's o=other fallback must exist in the table so the
-        # legend explains glyphs that unknown collective kinds produce.
-        assert GLYPHS["other"] == "o"
-        res = _timed_run(record_timeline=True)
-        makespan = res.stats.makespan
-        res.stats.comm[0].events.append(
-            TimelineEvent("mystery-collective", 0.0, makespan / 2, 1.0)
+
+class TestCoverage:
+    def test_1d_comm_spans_cover_mpi_time(self):
+        # Every collective on the 1D path runs inside a comm span, so the
+        # Gantt accounts for each rank's whole MPI time; a collective
+        # added outside a span fails here instead of leaving the chart.
+        graph = repro.rmat_graph(10, 16, seed=3)
+        source = int(graph.random_nonisolated_vertices(1, 1)[0])
+        tracer = Tracer()
+        result = repro.run_bfs(
+            graph, source, "1d", nprocs=16, machine="hopper", tracer=tracer
         )
-        chart = render_timeline(res.stats, width=40)
-        assert "o" in chart.splitlines()[0]
-        assert "o=other" in chart
+        assert tracer.ranks == list(range(16))
+        for rank in tracer.ranks:
+            drawn = sum(s.duration for s in comm_spans(tracer, rank))
+            mpi = result.stats.clocks[rank].mpi_time
+            assert mpi > 0
+            assert drawn == pytest.approx(mpi, rel=0, abs=1e-12)

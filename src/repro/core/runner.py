@@ -34,7 +34,7 @@ from repro.core.bfs_dirop import DirOpt1D
 from repro.core.engine import traversal_body
 from repro.core.partition import Decomp2D
 from repro.core.serial import bfs_serial
-from repro.core.validate import count_traversed_edges, validate_bfs
+from repro.core.validate import count_lane_edges, lane_words, validate_bfs
 from repro.faults import (
     CheckpointConfig,
     CheckpointStore,
@@ -196,9 +196,7 @@ _NO_FAULTS = ENGINE_CAPABILITIES - {"faults"}
 ALGORITHMS: dict[str, AlgorithmSpec] = {
     "serial": AlgorithmSpec("serial", False),
     "1d": AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d),
-    "1d-hybrid": AlgorithmSpec(
-        "1d", True, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d
-    ),
+    "1d-hybrid": AlgorithmSpec("1d", True, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d),
     "1d-dirop": AlgorithmSpec(
         "1d-dirop", False, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
     ),
@@ -206,18 +204,14 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         "1d-dirop", True, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
     ),
     "2d": AlgorithmSpec("2d", False, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d),
-    "2d-hybrid": AlgorithmSpec(
-        "2d", True, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d
-    ),
+    "2d-hybrid": AlgorithmSpec("2d", True, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d),
     "2d-dirop": AlgorithmSpec(
         "2d-dirop", False, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
     ),
     "2d-dirop-hybrid": AlgorithmSpec(
         "2d-dirop", True, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
     ),
-    "pbgl": AlgorithmSpec(
-        "pbgl", False, prepare=partial(_plan_baseline, bfs_pbgl_like)
-    ),
+    "pbgl": AlgorithmSpec("pbgl", False, prepare=partial(_plan_baseline, bfs_pbgl_like)),
     "graph500-ref": AlgorithmSpec(
         "graph500-ref", False, prepare=partial(_plan_baseline, bfs_graph500_ref)
     ),
@@ -227,17 +221,11 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
     "msbfs-1d": AlgorithmSpec(
         "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs
     ),
-    "cc": AlgorithmSpec(
-        "cc", False, ConnectedComponents1D, _NO_FAULTS, "cc", _plan_cc
-    ),
-    "sssp-delta": AlgorithmSpec(
-        "sssp-delta", False, DeltaSSSP1D, _NO_FAULTS, "sssp", _plan_sssp
-    ),
+    "cc": AlgorithmSpec("cc", False, ConnectedComponents1D, _NO_FAULTS, "cc", _plan_cc),
+    "sssp-delta": AlgorithmSpec("sssp-delta", False, DeltaSSSP1D, _NO_FAULTS, "sssp", _plan_sssp),
     # landmark wraps an internal msbfs-1d session; it is an offline index
     # build, so the fault battery covers the underlying msbfs-1d instead.
-    "landmark": AlgorithmSpec(
-        "landmark", False, None, _NO_FAULTS, "landmark"
-    ),
+    "landmark": AlgorithmSpec("landmark", False, None, _NO_FAULTS, "landmark"),
 }
 
 
@@ -582,39 +570,40 @@ class Session:
         src_internal = int(np.asarray(graph.to_internal(source)))
         if self.plan is None:  # the serial reference launches nothing
             levels_int, parents_int = bfs_serial(graph.csr, src_internal)
-            nlevels = int(levels_int.max()) if levels_int.max() >= 0 else 0
             spmd = fault_meta = None
+            returns = [dict(lo=0, hi=graph.n, levels=levels_int, parents=parents_int,
+                            nlevels=max(int(levels_int.max()), 0))]
         else:
             spmd, fault_meta = self.launch(src_internal)
-            levels_int, parents_int, nlevels = self.stitch(spmd)
+            returns = spmd.returns
+        check = None
+        if config.validate:  # validate_bfs reads internal labels: keep a copy
+            internal = np.empty((2, graph.n), dtype=np.int64)
+
+            def check(lo, slice_levels, slice_parents):
+                internal[:, lo:lo + len(slice_levels)] = slice_levels, slice_parents
+
+        levels, parents, nlevels, reached = self.stitch(returns, check)
         if config.validate:
             validate_bfs(
-                graph.csr,
-                src_internal,
-                levels_int,
-                parents_int,
+                graph.csr, src_internal, *internal, undirected=not graph.directed,
                 reference_levels=bfs_serial(graph.csr, src_internal)[0],
-                undirected=not graph.directed,
             )
         return BFSResult(
-            levels=graph.relabel_level_array(levels_int),
-            parents=graph.relabel_vertex_array(parents_int),
+            levels=levels,
+            parents=parents,
             source=source,
             algorithm=config.algorithm,
             nranks=self.nranks,
             threads=self.threads,
             nlevels=nlevels,
-            m_traversed=count_traversed_edges(graph.csr, levels_int, graph.m_input),
+            m_traversed=count_lane_edges(graph.csr, reached, 1, graph.m_input)[0],
             stats=spmd.stats if spmd is not None else None,
             meta=self.meta(
                 fault_meta,
                 self.level_profile(spmd),
-                dirop_alpha=(
-                    DIROP_ALPHA if config.dirop_alpha is None else config.dirop_alpha
-                ),
-                dirop_beta=(
-                    DIROP_BETA if config.dirop_beta is None else config.dirop_beta
-                ),
+                dirop_alpha=DIROP_ALPHA if config.dirop_alpha is None else config.dirop_alpha,
+                dirop_beta=DIROP_BETA if config.dirop_beta is None else config.dirop_beta,
             ),
         )
 
@@ -654,21 +643,38 @@ class Session:
         )
         return _run_resilient(spawn, plan.nranks, config)
 
-    def stitch(self, spmd, columns: int | None = None):
-        """Reassemble the per-rank slices into full internal-label arrays
-        (``(n, columns)`` lane columns when ``columns`` is given);
-        returns ``(levels, parents, nlevels)``."""
-        n = self.graph.n
-        shape = (n,) if columns is None else (n, columns)
-        levels = np.empty(shape, dtype=np.int64)
-        parents = np.empty(shape, dtype=np.int64)
+    def stitch(self, returns, check=None):
+        """Write each rank's slice straight into fresh caller-label
+        outputs, ``(n,)`` or ``(n, lanes)`` as the slices are: rows land
+        at :meth:`Graph.original_rows`, parent ids pass through
+        :meth:`Graph.original_ids`, and each slice leaves ``returns`` once
+        consumed, so no full internal-label array is ever built.
+
+        ``check(lo, slice_levels, slice_parents)`` sees each slice in
+        internal labels first.  Returns ``(levels, parents, nlevels,
+        words)``: ``words`` holds every vertex's reached-lane
+        :func:`~repro.core.validate.lane_words` in internal labels, the
+        input of :func:`~repro.core.validate.count_lane_edges`.
+        """
+        graph = self.graph
         step = self.spec.step
         lo_key, hi_key = step.result_keys if step is not None else ("lo", "hi")
-        for rank_out in spmd.returns:
-            owned = slice(rank_out[lo_key], rank_out[hi_key])
-            levels[owned] = rank_out["levels"]
-            parents[owned] = rank_out["parents"]
-        return levels, parents, max(r["nlevels"] for r in spmd.returns)
+        words = None
+        for rank_out in returns:
+            lo, hi = rank_out[lo_key], rank_out[hi_key]
+            slice_levels, slice_parents = rank_out.pop("levels"), rank_out.pop("parents")
+            if check is not None:
+                check(lo, slice_levels, slice_parents)
+            reached = lane_words(slice_levels >= 0)
+            if words is None:
+                shape = (graph.n, *slice_levels.shape[1:])
+                levels, parents = np.empty(shape, np.int64), np.empty(shape, np.int64)
+                words = np.zeros(graph.n, dtype=reached.dtype)
+            rows = graph.original_rows(lo, hi)
+            levels[rows] = slice_levels
+            parents[rows] = graph.original_ids(slice_parents)
+            words[lo:hi] = reached
+        return levels, parents, max(r["nlevels"] for r in returns), words
 
     def level_profile(self, spmd) -> list[dict] | None:
         """The merged per-level profile of a ``trace=True`` run."""
@@ -786,14 +792,8 @@ def _run_resilient(spawn: Callable, nranks: int, config: RunConfig):
         spmd = spawn(
             base_time=base, faults=fault_ctx, checkpoint=checkpoint, resume_level=resume
         )
-        crash = next(
-            (
-                r["crashed"]
-                for r in spmd.returns
-                if isinstance(r, dict) and "crashed" in r
-            ),
-            None,
-        )
+        crashes = (r["crashed"] for r in spmd.returns if isinstance(r, dict) and "crashed" in r)
+        crash = next(crashes, None)
         if crash is None:
             break
         accumulate(spmd.stats)
@@ -828,6 +828,10 @@ def _run_resilient(spawn: Callable, nranks: int, config: RunConfig):
     return spmd, fault_meta
 
 
+#: Per-level profile counters summed across ranks.
+_TRACE_SUMS = ("frontier", "candidates", "words_sent", "wire_words", "sieve_dropped", "discovered")
+
+
 def _merge_traces(rank_traces: list[list[dict]]) -> list[dict]:
     """Sum per-level counters across ranks (levels are lockstep).
 
@@ -840,14 +844,11 @@ def _merge_traces(rank_traces: list[list[dict]]) -> list[dict]:
     for i in range(nlevels):
         # Levels are lockstep but need not start at 1: a checkpoint-
         # restarted run's profile covers resume_level+1 onward.
-        entry = {"level": i + 1, "frontier": 0, "candidates": 0,
-                 "words_sent": 0, "wire_words": 0, "sieve_dropped": 0,
-                 "discovered": 0}
+        entry = {"level": i + 1, **dict.fromkeys(_TRACE_SUMS, 0)}
         for t in rank_traces:
             if i < len(t):
                 entry["level"] = t[i].get("level", i + 1)
-                for key in ("frontier", "candidates", "words_sent",
-                            "wire_words", "sieve_dropped", "discovered"):
+                for key in _TRACE_SUMS:
                     entry[key] += t[i].get(key, 0)
                 # Collective per-level choices (traversal direction, lane
                 # count, CC batch, SSSP bucket): first rank's value stands.

@@ -151,11 +151,23 @@ def count_traversed_edges(csr: CSR, levels: np.ndarray, m_input: int | None = No
     original input multiplicity is unknown, the stored undirected edge
     count within the component is used.
     """
-    reached = np.asarray(levels) >= 0
-    # A 1-byte-per-edge row mask, not an int64 source id per edge.
-    within = np.repeat(reached, csr.degrees())
-    within &= reached[csr.indices]
-    return _input_edges(np.count_nonzero(within), csr, m_input)
+    return count_lane_edges(csr, lane_words(np.asarray(levels) >= 0), 1, m_input)[0]
+
+
+def lane_words(reached: np.ndarray) -> np.ndarray:
+    """Pack ``(rows, k <= 64)`` reached flags (``(rows,)`` for one lane)
+    into one word per row, bit ``b`` for lane ``b``, in the narrowest
+    unsigned dtype that holds ``k`` bits."""
+    if reached.ndim == 1:  # one lane: the flag byte is the word
+        return reached.view(np.uint8)
+    rows = reached.shape[0]
+    packed = np.packbits(reached, axis=1, bitorder="little")
+    width = 1 << (packed.shape[1] - 1).bit_length()
+    if width != packed.shape[1]:
+        packed = np.concatenate(
+            [packed, np.zeros((rows, width - packed.shape[1]), dtype=np.uint8)], axis=1
+        )
+    return packed.view(f"<u{width}").reshape(rows)
 
 
 #: ``_BYTE_BITS[v, i]`` is bit ``i`` of byte value ``v``.
@@ -164,31 +176,29 @@ _BYTE_BITS = np.unpackbits(
 ).astype(np.int64)
 
 
-def count_traversed_edges_lanes(
-    csr: CSR, levels: np.ndarray, m_input: int | None = None
+def count_lane_edges(
+    csr: CSR, words: np.ndarray, lanes: int, m_input: int | None = None
 ) -> list[int]:
-    """:func:`count_traversed_edges` of every column of ``(n, k <= 64)``
-    lane levels, from one pass over the edge list.
+    """The TEPS edge count of each of ``lanes`` traversals, from one pass
+    over the edge list.
 
-    Each vertex's reached lanes pack into one ``uint64`` word; an edge
-    lies inside lane ``b``'s component iff bit ``b`` survives the AND of
-    its endpoints' words, and the per-lane totals come off a 256-bin
-    histogram of each byte of the ANDed words.  Rounding against
-    ``m_input`` is per lane, exactly as the single-source count does it.
+    ``words[v]`` holds :func:`lane_words` of internal vertex ``v``: an
+    edge lies inside lane ``b``'s component iff bit ``b`` survives the
+    AND of its endpoints' words.  One lane counts the surviving edges;
+    more take per-lane totals off a 256-bin histogram of each byte of
+    the ANDed words.  Rounding against ``m_input`` is per lane.
     """
-    levels = np.asarray(levels)
-    n, k = levels.shape
-    packed = np.packbits(levels >= 0, axis=1, bitorder="little")
-    words = np.zeros((n, 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    words = words.view(np.uint64).reshape(n)
+    # One word per edge at the lanes' width, not an int64 source id.
     within = np.repeat(words, csr.degrees())
     within &= words[csr.indices]
-    lanes = within.view(np.uint8).reshape(-1, 8)
-    counts = np.concatenate(
-        [
-            np.bincount(lanes[:, j], minlength=256) @ _BYTE_BITS
-            for j in range(packed.shape[1])
-        ]
-    )
-    return [_input_edges(c, csr, m_input) for c in counts[:k]]
+    if lanes == 1:  # 0/1 bytes: count them as flags
+        counts = [np.count_nonzero(within.view(bool))]
+    else:
+        octets = within.view(np.uint8).reshape(-1, within.itemsize)
+        counts = np.concatenate(
+            [
+                np.bincount(octets[:, j], minlength=256) @ _BYTE_BITS
+                for j in range((lanes + 7) // 8)
+            ]
+        )
+    return [_input_edges(c, csr, m_input) for c in counts[:lanes]]

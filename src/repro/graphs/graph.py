@@ -167,6 +167,27 @@ class Graph:
             return vertices
         return self._inverse[vertices]
 
+    def original_rows(self, lo: int, hi: int) -> np.ndarray | slice:
+        """Where internal vertices ``lo .. hi-1`` sit in a caller-label array."""
+        if self.perm is None:
+            return slice(lo, hi)
+        return self._inverse[lo:hi]
+
+    def original_ids(self, internal_ids: np.ndarray) -> np.ndarray:
+        """Translate vertex-id *values* (parents, labels) to original ids;
+        negative values are sentinels (unreachable) and pass through."""
+        if self.perm is None:
+            return internal_ids
+        # One lookup translates ids and sentinels alike: index ``-j``
+        # lands on the identity entry ``-j`` appended behind the inverse.
+        # The table is cached and only regrows for a lower sentinel.
+        lowest = min(int(internal_ids.min(initial=0)), -1)
+        table = self.__dict__.get("_id_table")
+        if table is None or table.size - self.n < -lowest:
+            table = np.concatenate([self._inverse, np.arange(lowest, 0)])
+            self.__dict__["_id_table"] = table
+        return table[internal_ids]
+
     def relabel_vertex_array(self, internal_values: np.ndarray) -> np.ndarray:
         """Reorder a per-vertex array from internal to original indexing,
         translating vertex-id *values* (parents) as well.
@@ -177,11 +198,7 @@ class Graph:
         """
         if self.perm is None:
             return internal_values
-        # One lookup translates ids and sentinels alike: index ``-j``
-        # lands on the identity entry ``-j`` appended behind the inverse.
-        lowest = min(int(internal_values.min(initial=0)), 0)
-        table = np.concatenate([self._inverse, np.arange(lowest, 0)])
-        return table[internal_values[self.perm]]
+        return self.original_ids(internal_values[self.perm])
 
     def relabel_level_array(self, internal_levels: np.ndarray) -> np.ndarray:
         """Reorder a per-vertex scalar array (levels) to original indexing."""

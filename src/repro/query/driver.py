@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core import runner
-from repro.core.validate import count_traversed_edges, count_traversed_edges_lanes
+from repro.core.validate import ValidationError, count_lane_edges
 from repro.graphs.graph import Graph
 from repro.query.landmark import DEFAULT_LANDMARKS, LandmarkIndex, select_landmarks
 from repro.query.msbfs import WORD_LANES
@@ -115,32 +115,27 @@ def _require_sources(session) -> np.ndarray:
     graph, config = session.graph, session.config
     if not config.sources:
         raise ValueError(
-            f"{config.algorithm} needs explicit sources; pass up to "
-            f"{WORD_LANES} vertex ids"
+            f"{config.algorithm} needs explicit sources; pass up to {WORD_LANES} vertex ids"
         )
     sources = np.asarray(config.sources, dtype=np.int64)
     if not 1 <= sources.size <= WORD_LANES:
-        raise ValueError(
-            f"batch size must be in [1, {WORD_LANES}], got {sources.size}"
-        )
+        raise ValueError(f"batch size must be in [1, {WORD_LANES}], got {sources.size}")
     bad = (sources < 0) | (sources >= graph.n)
     if bad.any():
-        raise ValueError(
-            f"sources out of range [0, {graph.n}): {sources[bad].tolist()}"
-        )
+        raise ValueError(f"sources out of range [0, {graph.n}): {sources[bad].tolist()}")
     return sources
 
 
 def _result(
-    session, levels_int, parents, nlevels, m_traversed, stats, fault_meta,
+    session, levels, parents, nlevels, m_traversed, stats, fault_meta,
     level_profile, *, sources=(), batch=None, times=None, **extra_meta,
 ) -> QueryResult:
     """The one :class:`QueryResult` constructor.
 
-    ``levels_int`` is relabeled here; ``parents`` arrives in the caller's
-    labels (``cc`` canonicalizes its own).  ``batch`` defaults to the
-    number of ``sources``; ``times`` overrides the modeled breakdown read
-    off ``stats`` (``sssp`` sums one engine run per lane).
+    ``levels`` / ``parents`` arrive stitched into the caller's labels.
+    ``batch`` defaults to the number of ``sources``; ``times`` overrides
+    the modeled breakdown read off ``stats`` (``sssp`` sums one engine
+    run per lane).
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size:
@@ -148,7 +143,7 @@ def _result(
     if times is None:
         times = (stats.makespan, stats.max_mpi_time, stats.max_compute_time)
     return QueryResult(
-        levels=session.graph.relabel_level_array(levels_int),
+        levels=levels,
         parents=parents,
         sources=sources,
         algorithm=session.config.algorithm,
@@ -166,30 +161,47 @@ def _result(
     )
 
 
+def _oracle_check(session, what: str, oracle):
+    """The :meth:`~repro.core.runner.Session.stitch` check of a
+    ``validate=True`` query (``None`` otherwise): each internal slice
+    must equal the rows of ``oracle()``'s ``(levels, parents)``, and the
+    :class:`ValidationError` names the first diverging vertex (caller
+    labels) and lane.  ``levels=None`` checks the parents only."""
+    if not session.config.validate:
+        return None
+    graph = session.graph
+    ref_levels, ref_parents = oracle()
+
+    def check(lo, levels, parents):
+        rows = slice(lo, lo + len(parents))
+        want = (levels if ref_levels is None else ref_levels[rows], ref_parents[rows])
+        bad = np.argwhere((levels != want[0]) | (parents != want[1]))
+        if bad.size:
+            at = tuple(bad[0])
+            lane = f" lane {at[1]}" if len(at) > 1 else ""
+            raise ValidationError(
+                f"{what} at vertex {graph.to_original(lo + int(at[0]))}{lane}: "
+                f"level {levels[at]}, parent {graph.original_ids(parents[at])}; "
+                f"expected {want[0][at]}, {graph.original_ids(want[1][at])}"
+            )
+
+    return check
+
+
 def _query_msbfs(session) -> QueryResult:
     graph = session.graph
     sources = _require_sources(session)
     srcs_internal = np.asarray(graph.to_internal(sources), dtype=np.int64)
     spmd, fault_meta = session.launch(srcs_internal)
-    levels_int, parents_int, nlevels = session.stitch(spmd, sources.size)
-
-    if session.config.validate:
-        ref_levels, ref_parents = msbfs_serial(graph.csr, srcs_internal)
-        if not (
-            np.array_equal(levels_int, ref_levels)
-            and np.array_equal(parents_int, ref_parents)
-        ):
-            raise AssertionError(
-                "msbfs lanes diverge from the per-lane serial oracle"
-            )
-
-    m_traversed = sum(
-        count_traversed_edges_lanes(graph.csr, levels_int, graph.m_input)
+    check = _oracle_check(
+        session, "msbfs lanes diverge from the per-lane serial oracle",
+        lambda: msbfs_serial(graph.csr, srcs_internal),
     )
+    levels, parents, nlevels, reached = session.stitch(spmd.returns, check)
+    m_traversed = sum(count_lane_edges(graph.csr, reached, sources.size, graph.m_input))
     return _result(
-        session, levels_int, graph.relabel_vertex_array(parents_int), nlevels,
-        m_traversed, spmd.stats, fault_meta, session.level_profile(spmd),
-        sources=sources,
+        session, levels, parents, nlevels, m_traversed, spmd.stats, fault_meta,
+        session.level_profile(spmd), sources=sources,
     )
 
 
@@ -205,17 +217,14 @@ def _query_cc(session) -> QueryResult:
     if graph.directed:
         raise ValueError("cc requires an undirected graph")
     spmd, fault_meta = session.launch()
-    levels_int, comp_int, nlevels = session.stitch(spmd)
-
-    if session.config.validate and not np.array_equal(comp_int, cc_serial(graph.csr)):
-        raise AssertionError("components diverge from the serial sweep")
-
-    comp = _canonical_components(
-        graph.n, np.asarray(graph.relabel_vertex_array(comp_int))
+    check = _oracle_check(
+        session, "components diverge from the serial sweep", lambda: (None, cc_serial(graph.csr))
     )
+    levels, comp, nlevels, reached = session.stitch(spmd.returns, check)
+    comp = _canonical_components(graph.n, comp)
     return _result(
-        session, levels_int, comp, nlevels,
-        count_traversed_edges(graph.csr, levels_int, graph.m_input),
+        session, levels, comp, nlevels,
+        count_lane_edges(graph.csr, reached, 1, graph.m_input)[0],
         spmd.stats, fault_meta, session.level_profile(spmd),
         batch=WORD_LANES, components=int(np.unique(comp).size),
     )
@@ -227,32 +236,24 @@ def _query_sssp(session) -> QueryResult:
     weights = session.plan.kwargs["weights"]
 
     n, k = graph.n, sources.size
-    levels_int = np.empty((n, k), dtype=np.int64)
-    parents_int = np.empty((n, k), dtype=np.int64)
-    nlevels = 0
+    levels = np.empty((n, k), dtype=np.int64)
+    parents = np.empty((n, k), dtype=np.int64)
+    nlevels = m_traversed = 0
     times = np.zeros(3)
-    m_traversed = 0
-    stats = None
-    fault_meta = None
     lane_profiles = []
     for b, s in enumerate(sources):
         src_internal = int(np.asarray(graph.to_internal(int(s))))
         spmd, fault_meta = session.launch(src_internal)
-        dist, parents, levels_run = session.stitch(spmd)
-        dist = np.where(dist >= INF, np.int64(-1), dist)
-        if session.config.validate:
-            ref_dist, ref_parents = sssp_serial(graph.csr, src_internal, weights)
-            if not (
-                np.array_equal(dist, ref_dist)
-                and np.array_equal(parents, ref_parents)
-            ):
-                raise AssertionError(
-                    f"sssp lane {b} diverges from the Dijkstra oracle"
-                )
-        levels_int[:, b] = dist
-        parents_int[:, b] = parents
+        for rank_out in spmd.returns:  # unreached distances read -1
+            np.putmask(rank_out["levels"], rank_out["levels"] >= INF, -1)
+        check = _oracle_check(
+            session, f"sssp lane {b} diverges from the Dijkstra oracle",
+            lambda: sssp_serial(graph.csr, src_internal, weights),
+        )
+        lane_levels, lane_parents, levels_run, reached = session.stitch(spmd.returns, check)
+        levels[:, b], parents[:, b] = lane_levels, lane_parents
         nlevels = max(nlevels, levels_run)
-        m_traversed += count_traversed_edges(graph.csr, dist, graph.m_input)
+        m_traversed += count_lane_edges(graph.csr, reached, 1, graph.m_input)[0]
         stats = spmd.stats
         times += (stats.makespan, stats.max_mpi_time, stats.max_compute_time)
         profile = session.level_profile(spmd)
@@ -263,7 +264,7 @@ def _query_sssp(session) -> QueryResult:
     # representative, the full set rides under "lane_profiles".
     extra = {"lane_profiles": lane_profiles} if lane_profiles else {}
     return _result(
-        session, levels_int, graph.relabel_vertex_array(parents_int), nlevels,
+        session, levels, parents, nlevels,
         m_traversed, stats, fault_meta, lane_profiles[0] if lane_profiles else None,
         sources=sources, times=tuple(float(t) for t in times), **extra,
     )
@@ -275,12 +276,8 @@ def _query_landmark(session) -> QueryResult:
         raise ValueError("landmark requires an undirected graph")
     k = DEFAULT_LANDMARKS if config.landmarks is None else config.landmarks
     landmarks = select_landmarks(graph, min(k, max(graph.n, 1)))
-    inner = replace(
-        config,
-        algorithm="msbfs-1d",
-        sources=tuple(int(v) for v in landmarks),
-        landmarks=None,
-    )
+    sources = tuple(int(v) for v in landmarks)
+    inner = replace(config, algorithm="msbfs-1d", sources=sources, landmarks=None)
     res = runner.prepare(graph, inner).query()
     index = LandmarkIndex(landmarks=landmarks, dist=res.levels)
     meta = dict(res.meta, landmarks=landmarks.tolist(), index=index)

@@ -8,10 +8,20 @@ registry).  Backend modules (:mod:`repro.runtime.threads`,
 :mod:`repro.runtime.sequential`, :mod:`repro.runtime.processes`)
 subclass :class:`EngineBase` and add their scheduling and rendezvous
 machinery.
+
+The two thread-hosted backends also share :func:`one_malloc_arena`:
+glibc gives every new thread its own malloc arena, so a rank thread's
+freed level temporaries could never serve the next rank, and a 16-rank
+run's resident set grew to sixteen private heaps.  Capping the process
+at one arena before the first rank thread starts makes peak memory the
+live set.  The cap is process-wide and permanent: it holds for every
+thread the host process starts afterwards, not only for rank threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,6 +57,39 @@ def default_timeout() -> float:
     if value <= 0:
         raise ValueError(f"{TIMEOUT_ENV_VAR} must be > 0, got {value}")
     return value
+
+
+#: ``mallopt`` parameter number of glibc's arena cap (``<malloc.h>``).
+M_ARENA_MAX = -8
+
+
+def cap_malloc_arenas(libc) -> bool:
+    """Ask ``libc`` for one malloc arena; ``True`` when it took the cap.
+
+    A C library without ``mallopt`` (macOS, Windows) is left alone, and
+    one that rejects the parameter (musl's stub) reports ``False``:
+    either way nothing is raised.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    return bool(mallopt(M_ARENA_MAX, 1))
+
+
+@functools.cache
+def one_malloc_arena() -> bool:
+    """Cap this process at one malloc arena, once, before rank threads start.
+
+    Safe for the thread-hosted backends: under ``sequential`` one rank
+    runs at a time, and under ``threads`` numpy allocates holding the
+    GIL, so one arena costs no contention.  ``processes`` workers are
+    separate processes and do not call it.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide symbol table (Windows)
+        return False
+    return cap_malloc_arenas(libc)
 
 
 class SimAborted(RuntimeError):

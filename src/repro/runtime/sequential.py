@@ -20,7 +20,12 @@ a timer.  That makes it the default backend
 Rank bodies still execute on (daemon) OS threads so that blocking is an
 ordinary wait, but the baton discipline means the threads never run
 concurrently; the ``timeout`` parameter is accepted for interface
-compatibility and ignored.
+compatibility and ignored.  Before the first rank thread starts, the
+process is capped at one malloc arena
+(:func:`repro.runtime.base.one_malloc_arena`): with one rank running at
+a time, each rank reuses the memory its predecessor freed instead of
+growing a private glibc arena of its own.  The cap is process-wide and
+stays in force for every thread the host process starts afterwards.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.runtime.base import (
     SimAborted,
     SpmdFailure,
     SpmdResult,
+    one_malloc_arena,
 )
 
 #: Backend name; also :data:`repro.runtime.DEFAULT_RUNTIME`, so ``runtime=None`` lands here.
@@ -197,6 +203,7 @@ def run_spmd(
     """
     from repro.mpsim.communicator import Communicator
 
+    one_malloc_arena()
     engine = SequentialEngine(
         nranks,
         cost_model=cost_model,

@@ -24,6 +24,7 @@ from repro.runtime.base import (
     SimAborted,
     SpmdFailure,
     SpmdResult,
+    one_malloc_arena,
 )
 
 #: Backend name; only ``runtime="threads"`` selects it (preemptive interleaving).
@@ -167,6 +168,7 @@ def run_spmd(
     """
     from repro.mpsim.communicator import Communicator
 
+    one_malloc_arena()
     engine = ThreadsEngine(
         nranks,
         cost_model=cost_model,

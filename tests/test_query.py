@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.comm import CodecError, CommChannel, Sieve, VertexRange
 from repro.core import run_bfs
 from repro.core.frontier import dedup_candidates
-from repro.core.validate import count_traversed_edges, count_traversed_edges_lanes
+from repro.core.validate import count_lane_edges, count_traversed_edges, lane_words
 from repro.graphs import Graph
 from repro.graphs.rmat import rmat_graph
 from repro.kernels import bucket_by_owner
@@ -363,7 +363,7 @@ class TestLanesAtOnceEdgeCount:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        nlanes=st.sampled_from([1, 7, 64]),
+        nlanes=st.sampled_from([1, 7, 12, 30, 64]),
         directed=st.booleans(),
         with_m_input=st.booleans(),
     )
@@ -385,7 +385,7 @@ class TestLanesAtOnceEdgeCount:
             count_traversed_edges(graph.csr, levels[:, b], m_input)
             for b in range(nlanes)
         ]
-        assert count_traversed_edges_lanes(graph.csr, levels, m_input) == want
+        assert count_lane_edges(graph.csr, lane_words(levels >= 0), nlanes, m_input) == want
 
     def test_query_total_is_the_per_lane_sum(self, graph, batch64):
         res = run_query(graph, sources=batch64[:9], nprocs=NPROCS)

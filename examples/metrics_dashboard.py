@@ -45,7 +45,7 @@ def main() -> None:
     tracer = Tracer()
     result = repro.run_bfs(
         graph, source, "1d-dirop", nprocs=NPROCS, machine="hopper",
-        codec="delta-varint", sieve=True, tracer=tracer, metrics=registry,
+        codec="auto", sieve=True, tracer=tracer, metrics=registry,
     )
     print(f"=== {result.algorithm} on {result.nranks} ranks: "
           f"{result.time_total * 1e3:.3f} ms, {result.gteps():.3f} GTEPS ===")
@@ -81,12 +81,12 @@ def main() -> None:
 
     # -- cross-run trajectory -----------------------------------------
     # Simulate a baseline history: the same workload, with the wire
-    # codec silently reverted to raw at the third point.  At this small
-    # scale raw is even a bit *faster* (encode compute dominates), so
-    # the time gate stays green — but the changepoint scan still
-    # pinpoints the 30%+ wire-volume blowup at exactly BENCH_02.
+    # codec silently reverted to raw at the third point.  Raw ships about
+    # twice auto's words here and models ~20% slower, so the time gate
+    # fails, and the changepoint scan pinpoints the wire-volume blowup
+    # at exactly BENCH_02.
     series = []
-    for i, codec in enumerate(["delta-varint", "delta-varint", "raw", "raw"]):
+    for i, codec in enumerate(["auto", "auto", "raw", "raw"]):
         r = repro.run_bfs(
             graph, source, "1d-dirop", nprocs=NPROCS, machine="hopper",
             codec=codec, sieve=True,

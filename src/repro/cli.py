@@ -38,6 +38,7 @@ import sys
 import time
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.comm import CODECS
 from repro.runtime import BACKENDS
 
 
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--codec",
         default="raw",
-        choices=["raw", "delta-varint", "bitmap", "auto"],
+        choices=sorted(CODECS),
         help=(
             "wire format for the exchange buffers; the alpha-beta model "
             "prices the encoded size, so compression is modeled speedup "

@@ -2,7 +2,8 @@
 
 The compression + sieve layer of Lv et al. (arXiv:1208.5542) applied to
 this repo's 1D/2D BFS: :mod:`~repro.comm.codecs` defines the wire
-formats (``raw``, ``delta-varint``, ``bitmap``, ``auto``),
+formats (the ``raw`` and ``auto`` names, and :class:`DeltaVarintCodec`,
+``auto``'s main inner form, as an instance),
 :mod:`~repro.comm.sieve` the exact duplicate-candidate filter, and
 :mod:`~repro.comm.channel` the :class:`CommChannel` every exchange site
 goes through.  Select with ``run_bfs(..., codec=..., sieve=...)`` or the
@@ -13,7 +14,6 @@ from repro.comm.channel import CommChannel, ExchangeInfo
 from repro.comm.codecs import (
     CODECS,
     AutoCodec,
-    BitmapCodec,
     Codec,
     CodecError,
     DeltaVarintCodec,
@@ -26,7 +26,6 @@ from repro.comm.sieve import Sieve, make_sieve, restore_sieve, sieve_state
 __all__ = [
     "CODECS",
     "AutoCodec",
-    "BitmapCodec",
     "Codec",
     "CodecError",
     "CommChannel",

@@ -53,9 +53,9 @@ _SIEVE_BYTES_PER_FLAG = 8
 #: linear, not a sort — pair buckets arrive owner-sorted (the 1D dedup
 #: emits ascending targets and vertex ownership is monotone; the codec
 #: checks with one adjacent compare), and the ``auto`` polyalgorithm
-#: selects its codec from closed-form sizes (count, varint byte count,
-#: distinct targets) and encodes only the winner: one encode pass
-#: either way.
+#: selects its form from closed-form sizes (count, varint byte count,
+#: bitmap width) and encodes only the winner: one encode pass either
+#: way.
 _CODEC_OPS_PER_WORD = 8.0
 
 
@@ -342,9 +342,7 @@ class CommChannel:
         header so a damaged buffer is detectable (header/pair/extra sizes
         must agree, else :class:`CodecError`).  The sieve is structurally
         incompatible — a target legitimately re-ships whenever a *new
-        lane* reaches it — so triple sites refuse one outright, and so is
-        the bitmap codec, which collapses the duplicate targets a lane
-        batch carries.
+        lane* reaches it — so triple sites refuse one outright.
 
         Each bucket is canonically sorted by (target, value, extra)
         before encoding (:func:`_group_triples`, at most one sort for all
@@ -358,11 +356,6 @@ class CommChannel:
                 "sieve is unsupported for triple exchanges: lane payloads "
                 "re-ship targets whenever a new lane reaches them"
             )
-        if self.codec.name == "bitmap":
-            raise ValueError(
-                "bitmap codec is unsupported for triple exchanges: it "
-                "collapses the duplicate targets a lane batch carries"
-            )
         targets = np.asarray(targets, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         extras = np.asarray(extras, dtype=np.int64)
@@ -372,13 +365,8 @@ class CommChannel:
             targets, values, extras, counts = _group_triples(
                 owners, self.comm.size, targets, values, extras
             )
-            # The auto codec gets no range ctx, keeping its per-buffer
-            # choice off the bitmap path.
             pair_bufs = self.codec.encode_pairs_many(
-                targets,
-                values,
-                counts,
-                None if self.codec.name == "auto" else self.ranges,
+                targets, values, counts, self.ranges
             )
             send = [
                 np.concatenate(
@@ -517,16 +505,15 @@ class CommChannel:
             int(vertices.size), float(vertices.size), float(buf.size), 0
         )
         # Truncating a raw vertex list yields a shorter-but-valid list, so
-        # sparse-list sites smash a header/id word instead — except the
-        # bitmap codec, whose image is dense and length-checked anyway.
-        mode = "truncate" if self.codec.name == "bitmap" else "smash"
+        # sparse-list sites smash the first word: a range-checked id, or
+        # the tag in front of every ``auto`` body.
         pieces = self._collect_with_retry(
             "allgatherv",
             info,
             level,
             lambda: self.comm.allgatherv(buf, concat=False),
             lambda r, piece: self.codec.decode_set(piece, self.ranges[r], dense=False),
-            mode,
+            "smash",
         )
         with self.obs.span("decode", codec=self.codec.name):
             decoded = [

@@ -2,27 +2,27 @@
 
 The paper's cost model charges network time as ``words x beta_N``, so
 every word shaved off a collective payload is modeled speedup.  Lv et
-al. ("Compression and Sieve", arXiv:1208.5542) show that delta/bitmap
-compression of the frontier exchanges cuts BFS communication volume
-severalfold on exactly this 1D/2D design; these codecs reproduce that
-wire layer:
+al. ("Compression and Sieve", arXiv:1208.5542) show that compressing
+the frontier exchanges cuts BFS communication volume severalfold on
+exactly this 1D/2D design, choosing each buffer's form by its density.
+Two codec names reproduce that wire layer:
 
 * ``raw`` — the identity format: interleaved ``[v0, p0, v1, p1, ...]``
   int64 pairs, plain vertex lists, packed 64-bit frontier bitmaps.  Wire
   words equal payload words; this is the pre-existing behaviour and the
   default.
-* ``delta-varint`` — sort, delta-encode the vertex ids, and LEB128-pack
-  the interleaved (delta, parent) stream.  Sorted ids become 1-3 byte
-  varints at benchmark scales, against 8-byte raw words.
-* ``bitmap`` — dense presence bitmap over the destination's owned vertex
-  range plus one parent word per set bit.  Wins once the per-destination
-  frontier is denser than ~1/64 of the owned range.
-* ``auto`` — per-buffer polyalgorithm: computes every applicable
-  codec's encoded size in closed form (raw ``2 x count``, delta-varint
-  from one ``varint_sizes`` pass, bitmap ``bitmap words + distinct
-  targets``), encodes only the smallest and ships it behind a one-word
-  tag naming the choice — Lv et al.'s selection by measured density,
-  with the measurement exact rather than estimated.
+* ``auto`` — per-buffer polyalgorithm: computes each candidate form's
+  encoded size in closed form (raw ``2 x count``, delta-varint from one
+  ``varint_sizes`` pass and, for a vertex set with a known range, its
+  presence bitmap), encodes only the smallest and ships it behind a
+  one-word tag naming the choice — Lv et al.'s selection by measured
+  density, with the measurement exact rather than estimated.
+
+``auto``'s main inner form is :class:`DeltaVarintCodec`: sort,
+delta-encode the vertex ids, and LEB128-pack the interleaved (delta,
+parent) stream, so sorted ids become 1-3 byte varints at benchmark
+scales, against 8-byte raw words.  It is not a registered name; a
+caller that wants it alone passes an instance.
 
 **An exchange is one array of p segments.**  The paper's Algorithm 2
 ships a level as a single ``Alltoallv`` send array with counts and
@@ -30,15 +30,13 @@ displacements, and the pair methods mirror that:
 ``encode_pairs_many(targets, parents, counts, ranges)`` takes the
 owner-grouped candidate arrays plus per-destination counts and returns
 one wire buffer per destination; ``decode_pairs_many(pieces, ctx)``
-decodes everything a rank received.  ``raw``, ``delta-varint`` and
-``auto`` do each in one pass over the whole exchange (one sortedness
-check, one ``varint_sizes`` + one ``varint_encode`` / ``varint_decode``
-over the joined stream, cut or checked at the segment boundaries) —
-the 140-level, tiny-frontier traversals are otherwise dominated by
-per-buffer call overhead.  ``bitmap`` keeps the per-segment loop: its
-work is proportional to the owned range, not to the call count.  The
-one-buffer ``encode_pairs`` / ``decode_pairs`` are the one-segment
-form of the same code.
+decodes everything a rank received.  Every codec does each in one pass
+over the whole exchange (one sortedness check, one ``varint_sizes`` +
+one ``varint_encode`` / ``varint_decode`` over the joined stream, cut
+or checked at the segment boundaries) — the 140-level, tiny-frontier
+traversals are otherwise dominated by per-buffer call overhead.  The
+one-buffer ``encode_pairs`` / ``decode_pairs`` are the one-segment form
+of the same code.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -55,12 +53,7 @@ from itertools import groupby
 import numpy as np
 
 from repro import kernels
-from repro.core.frontier import (
-    bitmap_words,
-    dedup_candidates,
-    pack_frontier_bitmap,
-    unpack_frontier_bitmap,
-)
+from repro.core.frontier import bitmap_words, pack_frontier_bitmap, unpack_frontier_bitmap
 
 
 class CodecError(ValueError):
@@ -79,9 +72,8 @@ class CodecError(ValueError):
 def _check_targets(targets: np.ndarray, ctx: VertexRange | None, name: str) -> None:
     """Validate decoded vertex ids against the agreed range, if usable.
 
-    ``ctx.nbits == 0`` marks a degenerate/unknown range (some callers
-    pass one merely to steer codec applicability), so only positive
-    widths are enforceable.
+    ``ctx.nbits == 0`` marks a degenerate/unknown range (a rank that
+    owns nothing), so only positive widths are enforceable.
     """
     if ctx is None or ctx.nbits <= 0 or targets.size == 0:
         return
@@ -96,8 +88,8 @@ def _check_targets(targets: np.ndarray, ctx: VertexRange | None, name: str) -> N
 class VertexRange:
     """Contiguous global-id range ``[lo, lo + nbits)`` owned by one rank.
 
-    The bitmap codec needs it to size the presence bitmap; the other
-    codecs ignore it.
+    ``auto`` checks packed targets against it and sizes a vertex set's
+    presence bitmap from it; dense sets need it for their bitmap.
     """
 
     lo: int
@@ -116,15 +108,10 @@ def _as_pairs(targets, parents) -> tuple[np.ndarray, np.ndarray]:
     return targets, parents
 
 
-def _empty_pairs() -> tuple[np.ndarray, np.ndarray]:
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty.copy()
-
-
 def _concat_pairs(decoded) -> tuple[np.ndarray, np.ndarray]:
     """Join decoded ``(targets, parents)`` runs in order."""
     if not decoded:
-        return _empty_pairs()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if len(decoded) == 1:
         return decoded[0]
     return (
@@ -276,10 +263,7 @@ class Codec:
     handle a whole exchange — the grouped send array with one count and
     one range per destination, or every piece a rank received — and are
     what :class:`~repro.comm.channel.CommChannel` calls; ``encode_pairs``
-    / ``decode_pairs`` handle one buffer.  This base class loops the
-    one-buffer form over the segments; codecs whose cost is per call
-    rather than per word override the ``_many`` form and make the
-    one-buffer form its one-segment case.
+    / ``decode_pairs`` handle one buffer, as the one-segment case.
     """
 
     name: str = "abstract"
@@ -306,13 +290,7 @@ class Codec:
         Returns one wire buffer per segment, each identical to
         ``encode_pairs`` of that segment under ``ranges[s]``.
         """
-        targets, parents, _counts, ranges, starts, ends = _as_segments(
-            targets, parents, counts, ranges
-        )
-        return [
-            self.encode_pairs(targets[lo:hi], parents[lo:hi], ctx)
-            for lo, hi, ctx in zip(starts.tolist(), ends.tolist(), ranges)
-        ]
+        raise NotImplementedError
 
     def decode_pairs_many(
         self, pieces: Sequence[np.ndarray], ctx: VertexRange | None = None
@@ -502,130 +480,55 @@ class DeltaVarintCodec(Codec):
         return vertices
 
 
-class BitmapCodec(Codec):
-    """Dense presence bitmap over the buffer's agreed vertex range.
+def _check_owned(first: int, last: int, ctx: VertexRange | None) -> bool:
+    """Whether ``ctx`` is a known range, once ``[first, last]`` is inside it.
 
-    Pairs ship as ``ceil(nbits/64)`` bitmap words plus one parent word
-    per set bit (ascending vertex order); duplicates are collapsed with
-    the (select, max) rule the receiver applies anyway.  Wins once the
-    buffer's density exceeds ~1/64 of the owned range — the hub-dominated
-    middle levels of an R-MAT traversal.  Its work is proportional to
-    the range, not to the number of calls, so an exchange is the base
-    class's loop over the one-buffer form.
+    A target outside its destination's range is a bucketing bug, caught
+    at pack time whichever form ships.  ``None`` or ``nbits == 0`` marks
+    an unknown range, which cannot be checked.
     """
-
-    name = "bitmap"
-
-    def encode_pairs(self, targets, parents, ctx=None):
-        targets, parents = _as_pairs(targets, parents)
-        if targets.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if ctx is None:
-            raise ValueError("bitmap pair encoding requires a VertexRange ctx")
-        targets, parents = dedup_candidates(targets, parents)
-        words = pack_frontier_bitmap(targets, ctx.lo, ctx.nbits).view(np.int64)
-        return np.concatenate([words, parents])
-
-    def decode_pairs(self, wire, ctx=None):
-        wire = np.asarray(wire, dtype=np.int64)
-        if wire.size == 0:
-            return _empty_pairs()
-        if ctx is None:
-            raise ValueError("bitmap pair decoding requires a VertexRange ctx")
-        nwords = bitmap_words(ctx.nbits)
-        if wire.size < nwords:
-            raise CodecError(
-                f"corrupt bitmap buffer: {wire.size} words, shorter than "
-                f"the {nwords}-word bitmap"
-            )
-        mask = unpack_frontier_bitmap(wire[:nwords].view(np.uint64), ctx.nbits)
-        targets = np.flatnonzero(mask).astype(np.int64) + ctx.lo
-        parents = wire[nwords:]
-        if parents.size != targets.size:
-            raise CodecError(
-                f"corrupt bitmap buffer: {parents.size} parents for "
-                f"{targets.size} set bits"
-            )
-        return targets, parents
-
-    def encode_set(self, vertices, ctx=None, dense=False):
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if ctx is None:
-            raise ValueError("bitmap set encoding requires a VertexRange ctx")
-        return pack_frontier_bitmap(
-            kernels.unique_sorted(vertices), ctx.lo, ctx.nbits
-        ).view(np.int64)
-
-    def decode_set(self, wire, ctx=None, dense=False):
-        wire = np.asarray(wire, dtype=np.int64)
-        if wire.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if ctx is None:
-            raise ValueError("bitmap set decoding requires a VertexRange ctx")
-        if wire.size != bitmap_words(ctx.nbits):
-            raise CodecError(
-                f"corrupt bitmap set buffer: {wire.size} bitmap words for "
-                f"a {ctx.nbits}-bit range"
-            )
-        mask = unpack_frontier_bitmap(wire.view(np.uint64), ctx.nbits)
-        return np.flatnonzero(mask).astype(np.int64) + ctx.lo
-
-
-#: Encoded size of a candidate format that cannot carry the buffer.
-_INAPPLICABLE = np.iinfo(np.int64).max
-
-
-def _bitmap_usable(ctx: VertexRange | None) -> bool:
-    """The bitmap needs a real range; ``nbits == 0`` marks an unknown one."""
-    return ctx is not None and ctx.nbits > 0
-
-
-def _check_owned(first: int, last: int, ctx: VertexRange) -> None:
-    """Pack-time twin of :func:`pack_frontier_bitmap`'s range check."""
+    if ctx is None or ctx.nbits <= 0:
+        return False
     if first < ctx.lo or last >= ctx.lo + ctx.nbits:
         raise ValueError(
             f"vertices out of owned range [{ctx.lo}, {ctx.lo + ctx.nbits})"
         )
+    return True
 
 
 class AutoCodec(Codec):
     """Per-buffer codec polyalgorithm, mirroring the SpMSV kernel choice.
 
-    Each buffer ships in whichever candidate format is smallest,
-    prefixed by a one-word tag naming the winner so the receiver can
-    dispatch; ties go to the lowest tag.  Sparse exchange levels pick
-    delta-varint, the dense middle levels pick the bitmap, and
-    single-pair or adversarial payloads (huge ids with wide deltas) fall
-    back to raw — the per-level density measurement the compression
-    literature uses, done exactly rather than by estimate.
+    Each buffer ships in whichever candidate form is smallest, prefixed
+    by a one-word tag naming the winner so the receiver can dispatch;
+    ties go to the lowest tag.  Sparse exchange levels pick
+    delta-varint, while single-pair or adversarial payloads (huge ids
+    with wide deltas) fall back to raw — the per-level density
+    measurement the compression literature uses, done exactly rather
+    than by estimate.
 
     The sizes are closed forms, so nothing is encoded to be thrown
     away: raw is ``2 x count`` words (a set: its length, or the range's
     bitmap when dense), delta-varint its header plus ``ceil(bytes / 8)``
-    from one ``varint_sizes`` pass, the bitmap its ``bitmap_words(nbits)``
-    plus one parent per *distinct* target.  Only the winner is encoded,
-    by the winner's own codec, so tag and wire words equal what encoding
-    every candidate and keeping the smallest would ship.
+    from one ``varint_sizes`` pass.  A sparse vertex set with a known
+    range has a third form, ``BITMAP``: raw's dense image of the set,
+    ``bitmap_words(nbits)`` words, which wins on dense frontier pieces.
+    Pairs have no bitmap form, so a pair buffer tagged ``BITMAP`` is
+    corrupt.
     """
 
     name = "auto"
 
-    #: Wire tags, in tie-break order.
+    #: Wire tags, in tie-break order; ``BITMAP`` tags vertex sets only.
     RAW, DELTA_VARINT, BITMAP = range(3)
 
     def __init__(self):
-        self._candidates: tuple[Codec, ...] = (
-            RawCodec(),
-            DeltaVarintCodec(),
-            BitmapCodec(),
-        )
+        self._forms: tuple[Codec, ...] = (RawCodec(), DeltaVarintCodec())
 
     def _inner(self, tag: int) -> Codec:
-        if not 0 <= tag < len(self._candidates):
+        if not 0 <= tag < len(self._forms):
             raise CodecError(f"corrupt auto buffer: unknown codec tag {tag}")
-        return self._candidates[tag]
+        return self._forms[tag]
 
     @staticmethod
     def _tagged(tag: int, body: np.ndarray) -> np.ndarray:
@@ -646,40 +549,21 @@ class AutoCodec(Codec):
         )
         live = counts > 0
         ordered, seq, nbytes = _varint_plan(targets, parents, counts, starts, ends)
-        words = np.full((3, counts.size), _INAPPLICABLE)
-        words[self.RAW] = 2 * counts
-        words[self.DELTA_VARINT] = DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8
-        ranged = [s for s in np.flatnonzero(live).tolist() if _bitmap_usable(ranges[s])]
-        if ranged:
-            for s in ranged:
-                _check_owned(
-                    int(ordered[starts[s]]), int(ordered[ends[s] - 1]), ranges[s]
-                )
-            # The bitmap ships at least one parent: count the distinct
-            # targets only if that floor undercuts a buffer somewhere.
-            floor = np.array([bitmap_words(ranges[s].nbits) for s in ranged])
-            if (floor + 1 < words[:, ranged].min(axis=0)).any():
-                distinct = np.ones(ordered.size, dtype=bool)
-                np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-                distinct[starts[live]] = True
-                words[self.BITMAP, ranged] = floor + _segment_sums(
-                    distinct, starts[ranged], ends[ranged]
-                )
-        tags = words.argmin(axis=0)  # first minimum: ties to the lowest tag
-        varint = live & (tags == self.DELTA_VARINT)
+        for s in np.flatnonzero(live).tolist():
+            _check_owned(int(ordered[starts[s]]), int(ordered[ends[s] - 1]), ranges[s])
+        # Delta-varint must undercut raw's 2 x count words; ties keep raw.
+        varint = live & (DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8 < 2 * counts)
         if not varint.all():
             seq = seq[np.repeat(varint, 2 * counts)]
         nbytes = np.where(varint, nbytes, 0)
+        tags = np.where(varint, self.DELTA_VARINT, self.RAW)
         frames = _varint_frames(
             kernels.varint_encode(seq), nbytes, varint, (tags, counts, nbytes)
         )
         for s in np.flatnonzero(live & ~varint).tolist():
             lo, hi = int(starts[s]), int(ends[s])
             frames[s] = self._tagged(
-                tags[s],
-                self._candidates[tags[s]].encode_pairs(
-                    targets[lo:hi], parents[lo:hi], ranges[s]
-                ),
+                self.RAW, kernels.pack_pairs(targets[lo:hi], parents[lo:hi])
             )
         return frames
 
@@ -711,25 +595,28 @@ class AutoCodec(Codec):
             words[self.RAW] = bitmap_words(ctx.nbits) if dense else vertices.size
         nbytes = int(kernels.varint_sizes(kernels.delta_encode(ordered)).sum())
         words[self.DELTA_VARINT] = DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8
-        if _bitmap_usable(ctx):
-            _check_owned(int(ordered[0]), int(ordered[-1]), ctx)
+        if _check_owned(int(ordered[0]), int(ordered[-1]), ctx):
             words[self.BITMAP] = bitmap_words(ctx.nbits)
         tag = min(words, key=lambda tag: (words[tag], tag))
-        return self._tagged(tag, self._candidates[tag].encode_set(vertices, ctx, dense))
+        if tag == self.BITMAP:
+            return self._tagged(tag, self._forms[self.RAW].encode_set(vertices, ctx, True))
+        return self._tagged(tag, self._forms[tag].encode_set(vertices, ctx, dense))
 
     def decode_set(self, wire, ctx=None, dense=False):
         wire = np.asarray(wire, dtype=np.int64)
         if wire.size == 0:
             return np.empty(0, dtype=np.int64)
         tag, body = self._untagged(wire)
+        if tag == self.BITMAP:
+            tag, dense = self.RAW, True
         return self._inner(tag).decode_set(body, ctx, dense)
 
 
-#: Codec registry: name -> factory.
+#: Codec registry: name -> factory.  ``DeltaVarintCodec`` is ``auto``'s
+#: main inner form, not a name; a caller that wants it alone passes an
+#: instance, which every codec argument accepts.
 CODECS: dict[str, type[Codec]] = {
     RawCodec.name: RawCodec,
-    DeltaVarintCodec.name: DeltaVarintCodec,
-    BitmapCodec.name: BitmapCodec,
     AutoCodec.name: AutoCodec,
 }
 

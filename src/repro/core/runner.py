@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.baselines.graph500_ref import bfs_graph500_ref
 from repro.baselines.pbgl_like import bfs_pbgl_like
+from repro.comm import CODECS
 from repro.core.bfs1d import TopDown1D
 from repro.core.bfs2d import SpMSV2D, build_2d_blocks
 from repro.core.bfs2d_dirop import DirOpt2D
@@ -291,9 +292,10 @@ class RunConfig:
     """One run's full configuration, validated in one place.
 
     :func:`run_bfs` / :func:`repro.query.run_query` take these fields as
-    keywords.  Construction checks the algorithm name; :meth:`resolve`
-    checks every cross-field constraint (machine, threads, capability
-    gating) and returns the resolved machine/thread choices.
+    keywords.  Construction checks the algorithm, runtime and codec
+    names; :meth:`resolve` checks every cross-field constraint (machine,
+    threads, capability gating) and returns the resolved machine/thread
+    choices.
 
     Parameters
     ----------
@@ -315,9 +317,10 @@ class RunConfig:
     dedup_sends:
         1D send-side deduplication (ablation switch).
     codec:
-        Wire format for the exchange buffers (``"raw"``,
-        ``"delta-varint"``, ``"bitmap"``, ``"auto"`` or a
-        :class:`~repro.comm.Codec` instance); the alpha-beta model prices
+        Wire format for the exchange buffers: a name in
+        :data:`~repro.comm.CODECS` (``"raw"``, ``"auto"``) or a
+        :class:`~repro.comm.Codec` instance such as
+        :class:`~repro.comm.DeltaVarintCodec`; the alpha-beta model prices
         the *encoded* buffers, so compression is modeled speedup.
         Distributed 1d/2d families only.
     sieve:
@@ -433,6 +436,8 @@ class RunConfig:
                 f"unknown execution runtime {self.runtime!r}; "
                 f"known: {sorted(RUNTIME_BACKENDS)}"
             )
+        if isinstance(self.codec, str) and self.codec not in CODECS:
+            raise ValueError(f"unknown codec {self.codec!r}; known: {sorted(CODECS)}")
         if self.spmd_timeout is not None and self.spmd_timeout <= 0:
             raise ValueError(
                 f"spmd_timeout must be > 0, got {self.spmd_timeout}"
@@ -499,13 +504,6 @@ class RunConfig:
                 f"{self.algorithm} re-ships targets whose lane words grow, "
                 "so the sender sieve would drop live updates; sieve applies "
                 "to the single-source families only"
-            )
-        codec_name = getattr(self.codec, "name", self.codec)
-        if codec_name == "bitmap" and spec.kind in ("msbfs", "sssp", "landmark"):
-            raise ValueError(
-                f"{self.algorithm} ships candidate triples, and the bitmap "
-                "codec collapses their duplicate targets; use raw, "
-                "delta-varint or auto"
             )
         if self.sources and spec.kind in ("cc", "landmark"):
             raise ValueError(

@@ -7,9 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.comm import AutoCodec, DeltaVarintCodec, RawCodec
 from repro.graphs import Graph, rmat_graph, webcrawl_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The pair forms a codec argument can take, by the name each reports:
+#: the two codec names and ``auto``'s main inner form, which is passed
+#: as an instance.
+CODEC_FORMS = {codec.name: codec for codec in (RawCodec, DeltaVarintCodec, AutoCodec)}
 
 
 @pytest.fixture(scope="session", autouse=True)

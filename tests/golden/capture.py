@@ -31,6 +31,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS
 from repro.graphs import rmat_graph, webcrawl_graph
@@ -58,7 +59,7 @@ CONFIGS: dict[str, dict] = {
         algorithm=algorithm,
         nprocs=4,
         machine="hopper",
-        codec="delta-varint",
+        codec=DeltaVarintCodec(),
         sieve=True,
         trace=True,
         faults=FAULT_SPEC,
@@ -75,7 +76,7 @@ CONFIGS["msbfs-1d"] = dict(
     algorithm="msbfs-1d",
     nprocs=4,
     machine="hopper",
-    codec="delta-varint",
+    codec=DeltaVarintCodec(),
     trace=True,
     faults=FAULT_SPEC,
     checkpoint_every=2,
@@ -140,7 +141,7 @@ def capture(name: str) -> dict:
     return {
         "graph": dict(graph_spec),
         "source": source,
-        "config": {"algorithm": algorithm, **config},
+        "config": {"algorithm": algorithm, **config, "codec": result.meta["codec"]},
         "parents": result.parents.tolist(),
         "levels": result.levels.tolist(),
         "report": run_report(result),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bench.report import comm_breakdown_table
-from repro.comm import CommChannel, Sieve, VertexRange
+from repro.comm import CommChannel, DeltaVarintCodec, Sieve, VertexRange
 from repro.core import run_bfs
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
@@ -56,7 +56,7 @@ class TestPairAccounting:
         def fn(comm):
             per = 128
             ranges = [VertexRange(per * r, per) for r in range(comm.size)]
-            channel = CommChannel(comm, ranges, codec="delta-varint")
+            channel = CommChannel(comm, ranges, codec=DeltaVarintCodec())
             dst = (comm.rank + 1) % comm.size
             targets = np.arange(per * dst, per * (dst + 1), dtype=np.int64)
             parents = np.full(per, comm.rank, dtype=np.int64)
@@ -158,7 +158,7 @@ class TestGatherAccounting:
     def test_allgatherv_vertices_rank_order(self):
         def fn(comm):
             ranges = [VertexRange(10 * r, 10) for r in range(comm.size)]
-            channel = CommChannel(comm, ranges, codec="delta-varint")
+            channel = CommChannel(comm, ranges, codec=DeltaVarintCodec())
             mine = np.array([10 * comm.rank + 1, 10 * comm.rank + 7], np.int64)
             gathered, info = channel.allgatherv_vertices(mine, level=2)
             want = np.concatenate(
@@ -235,7 +235,7 @@ class TestValidationAndReporting:
 
         assert all(run_spmd(2, fn).returns)
 
-    @pytest.mark.parametrize("codec", ["auto", "bitmap"])
+    @pytest.mark.parametrize("codec", ["auto"])
     def test_misrouted_target_fails_at_pack_time(self, codec):
         """A candidate bucketed to a rank that does not own it is caught
         before it reaches the wire, whichever format ``auto`` would have
@@ -251,17 +251,35 @@ class TestValidationAndReporting:
 
         assert all(run_spmd(2, fn).returns)
 
+    def test_misrouted_triple_fails_at_pack_time(self):
+        """The triple site hands ``auto`` the same owned ranges as the
+        pair site, so a misrouted lane candidate is caught there too;
+        the last triple alone ships raw, so the check is not varint's."""
+
+        def fn(comm):
+            ranges = [VertexRange(4096 * r, 4096) for r in range(comm.size)]
+            channel = CommChannel(comm, ranges, codec="auto")
+            for targets in ([10, 20, 4096 + 30], [4096 + 30]):
+                targets = np.array(targets, dtype=np.int64)
+                with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
+                    channel.pack_triples(
+                        targets, targets, targets, np.zeros(targets.size, dtype=np.int64)
+                    )
+            return True
+
+        assert all(run_spmd(2, fn).returns)
+
     def test_serial_families_reject_wire_options(self):
         graph = rmat_graph(6, 8, seed=5)
         with pytest.raises(ValueError, match="codec/sieve"):
-            run_bfs(graph, 0, "serial", codec="delta-varint")
+            run_bfs(graph, 0, "serial", codec=DeltaVarintCodec())
         with pytest.raises(ValueError, match="codec/sieve"):
             run_bfs(graph, 0, "graph500-ref", nprocs=2, sieve=True)
 
     def test_comm_breakdown_table_from_run(self):
         graph = rmat_graph(8, 8, seed=2)
         res = run_bfs(
-            graph, 17, "1d", nprocs=4, codec="delta-varint", sieve=True
+            graph, 17, "1d", nprocs=4, codec=DeltaVarintCodec(), sieve=True
         )
         stats = res.stats
         assert stats.wire_words("alltoallv") < stats.payload_words("alltoallv")

@@ -9,8 +9,9 @@ every other codec property rests on them.
 The exchange-wide ``encode_pairs_many`` / ``decode_pairs_many`` are held
 byte for byte to a per-buffer oracle kept here (``oracle_encode`` /
 ``oracle_decode``): one buffer at a time, the formats written out
-longhand, ``auto`` by encoding with every applicable candidate and
-keeping the smallest.
+longhand, ``auto`` by encoding with every candidate and keeping the
+smallest.  ``auto``'s vertex sets are held to the same kind of oracle
+(``oracle_encode_set``), bitmap set form included.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro import kernels
 from repro.comm import (
     CODECS,
     AutoCodec,
-    BitmapCodec,
     CodecError,
     DeltaVarintCodec,
     RawCodec,
@@ -32,19 +32,12 @@ from repro.comm import (
     get_codec,
 )
 from repro.comm.codecs import bytes_to_words, words_to_bytes
-from repro.core.frontier import (
-    bitmap_words,
-    dedup_candidates,
-    pack_frontier_bitmap,
-    unpack_frontier_bitmap,
-)
+from repro.core.frontier import dedup_candidates, pack_frontier_bitmap
+
+from tests.conftest import CODEC_FORMS
 
 MAX_ID = 2**63 - 1
-ALL_CODECS = sorted(CODECS)
-#: Codecs that preserve the pair multiset exactly (reordering allowed).
-#: bitmap/auto may instead collapse duplicates with the receiver's
-#: (select, max) rule, which the BFS applies anyway.
-MULTISET_CODECS = ("raw", "delta-varint")
+ALL_CODECS = sorted(CODEC_FORMS)
 
 int64s = st.integers(-(2**63), MAX_ID)
 vertex_ids = st.integers(0, MAX_ID)
@@ -59,19 +52,15 @@ def _norm(targets, parents):
 
 
 def assert_pairs_roundtrip(name, targets, parents, ctx):
-    codec = get_codec(name)
+    """Every pair form ships the multiset exactly (reordering allowed)."""
+    codec = CODEC_FORMS[name]()
     targets = np.asarray(targets, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
     wire = codec.encode_pairs(targets, parents, ctx)
     assert wire.dtype == np.int64
     assert (wire.size == 0) == (targets.size == 0)
-    got_t, got_p = codec.decode_pairs(wire, ctx)
-    if name in MULTISET_CODECS:
-        want = _norm(targets, parents)
-        got = _norm(got_t, got_p)
-    else:
-        want = dedup_candidates(targets, parents)
-        got = dedup_candidates(got_t, got_p)
+    want = _norm(targets, parents)
+    got = _norm(*codec.decode_pairs(wire, ctx))
     assert np.array_equal(got[0], want[0]), name
     assert np.array_equal(got[1], want[1]), name
 
@@ -103,7 +92,7 @@ def ranged_pair_case(draw):
 
 
 class TestPairRoundTrips:
-    @pytest.mark.parametrize("name", ["raw", "delta-varint", "auto"])
+    @pytest.mark.parametrize("name", ALL_CODECS)
     @settings(max_examples=50, deadline=None)
     @given(pair_case())
     def test_without_range_context(self, name, case):
@@ -119,11 +108,11 @@ class TestPairRoundTrips:
 
 
 class TestSetRoundTrips:
-    @pytest.mark.parametrize("name", ["raw", "delta-varint", "auto"])
+    @pytest.mark.parametrize("name", ALL_CODECS)
     @settings(max_examples=50, deadline=None)
     @given(st.lists(vertex_ids, max_size=60))
     def test_sparse(self, name, vertices):
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         v = np.array(vertices, np.int64)
         out = codec.decode_set(codec.encode_set(v), dense=False)
         assert np.array_equal(np.sort(out), np.sort(v))
@@ -134,7 +123,7 @@ class TestSetRoundTrips:
     def test_dense(self, name, case):
         """Dense sets are presence sets: round-trips up to uniqueness."""
         ctx, vertices, _ = case
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         wire = codec.encode_set(vertices, ctx, dense=True)
         out = codec.decode_set(wire, ctx, dense=True)
         assert np.array_equal(np.unique(out), np.unique(vertices))
@@ -145,7 +134,7 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("name", ALL_CODECS)
     def test_empty_pairs(self, name):
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         empty = np.empty(0, np.int64)
         wire = codec.encode_pairs(empty, empty, self.CTX)
         assert wire.size == 0
@@ -156,7 +145,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("name", ALL_CODECS)
     @pytest.mark.parametrize("dense", [False, True])
     def test_empty_set(self, name, dense):
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         empty = np.empty(0, np.int64)
         wire = codec.encode_set(empty, self.CTX, dense=dense)
         if not (name == "raw" and dense):
@@ -175,38 +164,29 @@ class TestEdgeCases:
     def test_adversarial_deltas(self, name):
         """Near-maximal gaps between consecutive sorted ids: the deltas
         themselves are ~2**63 and need the full 10-byte varint."""
-        lo = 0
-        ctx = VertexRange(lo, 0)  # bitmap inapplicable; auto must skip it
+        ctx = VertexRange(0, 0)  # an unknown range: nothing to check against
         targets = np.array([0, 1, MAX_ID - 1, MAX_ID], np.int64)
         parents = np.array([MAX_ID, 0, -1, -(2**63)], np.int64)
-        if name == "bitmap":
-            # A bitmap over the full id space is absurd; the codec is
-            # simply not applicable here (auto knows to skip it).
-            with pytest.raises(ValueError):
-                get_codec(name).encode_pairs(targets, parents, None)
-            return
         assert_pairs_roundtrip(name, targets, parents, ctx=None if name != "auto" else ctx)
 
     def test_duplicate_targets_keep_max_parent(self):
-        """Codecs that dedup must apply exactly the receiver's rule."""
+        """No pair form collapses duplicates: ``auto`` ships every pair,
+        and the receiver's (select, max) rule alone keeps the max parent."""
         ctx = VertexRange(10, 8)
         targets = np.array([12, 12, 15, 12], np.int64)
         parents = np.array([3, 9, 1, 7], np.int64)
-        for name in ("bitmap", "auto"):
-            t, p = get_codec(name).decode_pairs(
-                get_codec(name).encode_pairs(targets, parents, ctx), ctx
-            )
-            want_t, want_p = dedup_candidates(targets, parents)
-            got_t, got_p = dedup_candidates(t, p)
-            assert np.array_equal(got_t, want_t)
-            assert np.array_equal(got_p, want_p)
+        auto = AutoCodec()
+        t, p = auto.decode_pairs(auto.encode_pairs(targets, parents, ctx), ctx)
+        assert all(np.array_equal(a, b) for a, b in zip(_norm(t, p), _norm(targets, parents)))
+        got_t, got_p = dedup_candidates(t, p)
+        assert got_t.tolist() == [12, 15] and got_p.tolist() == [9, 1]
 
 
 class TestAutoPolicy:
     def test_picks_smallest_image_plus_tag(self):
         ctx = VertexRange(0, 256)
         auto = AutoCodec()
-        candidates = (RawCodec(), DeltaVarintCodec(), BitmapCodec())
+        candidates = (RawCodec(), DeltaVarintCodec())
         dense = np.arange(256, dtype=np.int64)
         sparse = np.array([3, 250], dtype=np.int64)
         for targets in (dense, sparse):
@@ -223,13 +203,43 @@ class TestAutoPolicy:
         ctx = VertexRange(0, 512)
         vertices = np.arange(512, dtype=np.int64)
         wire = AutoCodec().encode_set(vertices, ctx)
-        bitmap = BitmapCodec().encode_set(vertices, ctx)
-        assert wire.size == bitmap.size + 1
+        assert wire.tolist() == oracle_encode_set(vertices, ctx, dense=False).tolist()
+        assert wire[0] == AutoCodec.BITMAP and wire.size == 8 + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(ranged_pair_case(), st.booleans(), st.booleans())
+    def test_set_equals_smallest_image(self, case, dense, known):
+        """Sparse and dense sets, ranges known or not: ``auto`` ships
+        exactly the oracle's smallest image and reads it back."""
+        ctx, vertices, _ = case
+        ctx = ctx if known else VertexRange(ctx.lo, 0)
+        if dense and not known:
+            return  # a dense set has no image without its range
+        auto = AutoCodec()
+        wire = auto.encode_set(vertices, ctx, dense)
+        assert wire.tolist() == oracle_encode_set(vertices, ctx, dense).tolist()
+        assert np.array_equal(np.unique(auto.decode_set(wire, ctx, dense)), np.unique(vertices))
 
 
 # -- whole-exchange codecs against the per-buffer oracle ------------------------
 
-ORACLE_TAGS = ("raw", "delta-varint", "bitmap")
+ORACLE_TAGS = ("raw", "delta-varint")
+
+
+def oracle_encode_set(vertices, ctx, dense):
+    """``auto``'s image of one vertex set: the smallest of the raw list
+    (or raw bitmap, when dense), the delta-varint stream and, with a known
+    range, the presence bitmap under tag 2; ties to the lowest tag."""
+    if vertices.size == 0:
+        return np.empty(0, np.int64)
+    images = [(0, vertices), (1, DeltaVarintCodec().encode_set(vertices))]
+    if ctx.nbits > 0:
+        bits = pack_frontier_bitmap(vertices, ctx.lo, ctx.nbits).view(np.int64)
+        images.append((2, bits))
+        if dense:
+            images[0] = (0, bits)
+    tag, wire = min(images, key=lambda image: (image[1].size, image[0]))
+    return np.concatenate([[tag], wire])
 
 
 def oracle_encode(name, targets, parents, ctx):
@@ -245,16 +255,11 @@ def oracle_encode(name, targets, parents, ctx):
         seq[1::2] = parents[order]
         stream = kernels.varint_encode(seq)
         return np.concatenate([[targets.size, stream.size], bytes_to_words(stream)])
-    if name == "bitmap":
-        unique, best = dedup_candidates(targets, parents)
-        bits = pack_frontier_bitmap(unique, ctx.lo, ctx.nbits).view(np.int64)
-        return np.concatenate([bits, best])
-    # auto: encode with every applicable candidate, keep the smallest,
-    # ties to the lowest tag.
+    # auto: encode with every candidate, keep the smallest, ties to the
+    # lowest tag.
     images = [
         (tag, oracle_encode(inner, targets, parents, ctx))
         for tag, inner in enumerate(ORACLE_TAGS)
-        if inner != "bitmap" or (ctx is not None and ctx.nbits > 0)
     ]
     tag, wire = min(images, key=lambda image: (image[1].size, image[0]))
     return np.concatenate([[tag], wire])
@@ -269,10 +274,6 @@ def oracle_decode(name, wire, ctx):
     if name == "delta-varint":
         seq = kernels.varint_decode(words_to_bytes(wire[2:], int(wire[1])))
         return np.cumsum(seq[0::2]), seq[1::2]
-    if name == "bitmap":
-        nwords = bitmap_words(ctx.nbits)
-        mask = unpack_frontier_bitmap(wire[:nwords].view(np.uint64), ctx.nbits)
-        return np.flatnonzero(mask) + ctx.lo, wire[nwords:]
     return oracle_decode(ORACLE_TAGS[int(wire[0])], wire[1:], ctx)
 
 
@@ -337,14 +338,12 @@ class TestWholeExchange:
     @given(exchange_case())
     def test_encode_many_equals_per_buffer_oracle(self, name, case):
         targets, parents, counts, ranges, _everything = case
-        if name == "bitmap" and (ranges is None or ranges[0].nbits == 0):
-            return  # inapplicable without a real range
         ends = np.cumsum(counts)
         segments = [
             (targets[lo:hi], parents[lo:hi], ctx)
             for lo, hi, ctx in zip(ends - counts, ends, ranges or [None] * counts.size)
         ]
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         want = [oracle_encode(name, *segment) for segment in segments]
         assert_same_buffers(
             codec.encode_pairs_many(targets, parents, counts, ranges), want
@@ -367,7 +366,7 @@ class TestWholeExchange:
             for lo, hi in zip(ends - counts, ends)
         ]
         decoded = [oracle_decode(name, piece, ctx) for piece in pieces]
-        got_t, got_p = get_codec(name).decode_pairs_many(pieces, ctx)
+        got_t, got_p = CODEC_FORMS[name]().decode_pairs_many(pieces, ctx)
         assert got_t.dtype == got_p.dtype == np.int64
         assert got_t.tolist() == np.concatenate([t for t, _ in decoded]).tolist()
         assert got_p.tolist() == np.concatenate([q for _, q in decoded]).tolist()
@@ -377,14 +376,8 @@ class TestWholeExchange:
         [
             # raw 4 words == delta-varint 2 + ceil(12 / 8): raw keeps it.
             ([5, 9], [MAX_ID, 1], None, AutoCodec.RAW),
-            # delta-varint 2 + 1 == bitmap 1 + 2 distinct, raw is 4.
-            ([3, 9], [1, 2], VertexRange(0, 64), AutoCodec.DELTA_VARINT),
-            # raw 2 == bitmap 1 + 1, delta-varint is 3.
-            ([3], [1], VertexRange(0, 64), AutoCodec.RAW),
-            # Duplicate targets: the bitmap pays per *distinct* target.
-            ([3, 3, 3, 3], [MAX_ID, MAX_ID - 1, 9, 7], VertexRange(0, 64), AutoCodec.BITMAP),
         ],
-        ids=["raw-ties-varint", "varint-ties-bitmap", "raw-ties-bitmap", "bitmap-dedups"],
+        ids=["raw-ties-varint"],
     )
     def test_auto_size_ties_go_to_the_lowest_tag(self, targets, parents, ctx, tag):
         targets, parents = np.array(targets, np.int64), np.array(parents, np.int64)
@@ -394,8 +387,7 @@ class TestWholeExchange:
 
     def test_segment_counts_are_validated(self):
         one = np.array([1], np.int64)
-        for name in ALL_CODECS:
-            codec = get_codec(name)
+        for codec in (form() for form in CODEC_FORMS.values()):
             with pytest.raises(ValueError, match="segment counts"):
                 codec.encode_pairs_many(one, one, [2])
             with pytest.raises(ValueError, match="segment counts"):
@@ -433,8 +425,7 @@ def _batch(name):
     for count in (9, 0, 1, 17, 6):
         targets = np.sort(rng.choice(DAMAGE_CTX.nbits, count, replace=False)) + DAMAGE_CTX.lo
         parents = rng.integers(0, 1 << 20, count)
-        # No ranges at pack time keeps ``auto`` off the bitmap here.
-        pieces.append(get_codec(name).encode_pairs(targets, parents, None))
+        pieces.append(CODEC_FORMS[name]().encode_pairs(targets, parents, None))
     return pieces
 
 
@@ -485,7 +476,7 @@ class TestDamagedBatches:
     @pytest.mark.parametrize("damage", VARINT_DAMAGE, ids=lambda f: f.__name__.strip("_"))
     @pytest.mark.parametrize("name", ["delta-varint", "auto"])
     def test_varint_damage_at_each_position(self, name, damage):
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         pieces = _batch(name)
         head = 1 if name == "auto" else 0  # words before [count, nbytes]
         codec.decode_pairs_many(pieces, DAMAGE_CTX)  # intact: decodes
@@ -502,9 +493,9 @@ class TestDamagedBatches:
                 codec.decode_pairs(batch[position], DAMAGE_CTX)
 
     @both_backends
-    @pytest.mark.parametrize("name", ["raw", "delta-varint", "auto"])
+    @pytest.mark.parametrize("name", ALL_CODECS)
     def test_out_of_range_id_at_each_position(self, name):
-        codec = get_codec(name)
+        codec = CODEC_FORMS[name]()
         pieces = _batch(name)
         stray = codec.encode_pairs(
             np.array([DAMAGE_CTX.lo + DAMAGE_CTX.nbits], np.int64),
@@ -519,7 +510,7 @@ class TestDamagedBatches:
 
     @both_backends
     def test_raw_truncation_at_each_position(self):
-        codec = get_codec("raw")
+        codec = RawCodec()
         pieces = _batch("raw")
         for position, piece in enumerate(pieces):
             if piece.size:
@@ -577,6 +568,11 @@ class TestValidation:
     def test_get_codec_unknown_name(self):
         with pytest.raises(ValueError, match="unknown codec"):
             get_codec("zstd")
+        # The two names; ``auto``'s inner forms are instances, not names.
+        assert sorted(CODECS) == ["auto", "raw"]
+        for name in ("delta-varint", "bitmap"):
+            with pytest.raises(ValueError, match=f"unknown codec '{name}'"):
+                get_codec(name)
 
     def test_get_codec_instance_passthrough(self):
         codec = DeltaVarintCodec()
@@ -587,13 +583,20 @@ class TestValidation:
             VertexRange(0, -1)
 
     def test_bitmap_requires_context(self):
-        codec = BitmapCodec()
+        """Only a known range makes a bitmap: without one ``auto`` never
+        ships its bitmap set form, which cannot be read back without it,
+        and no raw dense set can be built or read."""
+        auto, raw = AutoCodec(), RawCodec()
         one = np.array([1], np.int64)
+        full = np.arange(512, dtype=np.int64)
+        for ctx in (None, VertexRange(0, 0)):
+            assert auto.encode_set(full, ctx)[0] != AutoCodec.BITMAP
+        wire = auto.encode_set(full, VertexRange(0, 512))
+        assert wire[0] == AutoCodec.BITMAP
         for call in (
-            lambda: codec.encode_pairs(one, one, None),
-            lambda: codec.decode_pairs(one, None),
-            lambda: codec.encode_set(one, None),
-            lambda: codec.decode_set(one, None),
+            lambda: auto.decode_set(wire, None),
+            lambda: raw.encode_set(one, None, dense=True),
+            lambda: raw.decode_set(one, None, dense=True),
         ):
             with pytest.raises(ValueError, match="VertexRange"):
                 call()
@@ -605,12 +608,3 @@ class TestValidation:
         wire[0] = 2  # claim two pairs; the stream holds one
         with pytest.raises(ValueError, match="corrupt"):
             codec.decode_pairs(wire)
-
-    def test_corrupt_bitmap_parent_count_raises(self):
-        ctx = VertexRange(0, 64)
-        codec = BitmapCodec()
-        wire = codec.encode_pairs(
-            np.array([3, 9], np.int64), np.array([1, 2], np.int64), ctx
-        )
-        with pytest.raises(ValueError, match="corrupt"):
-            codec.decode_pairs(wire[:-1], ctx)

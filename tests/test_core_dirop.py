@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
 from repro.core.frontier import (
     bitmap_words,
@@ -118,7 +119,7 @@ class TestDiropCorrectness:
         dst = np.concatenate([dst, np.roll(ring, 1)])
         graph = Graph.from_edges(n, src, dst, shuffle=False)
         source = 0
-        wire = dict(nprocs=3, codec="delta-varint", sieve=True, trace=True)
+        wire = dict(nprocs=3, codec=DeltaVarintCodec(), sieve=True, trace=True)
         td = run_bfs(graph, source, "1d", **wire)
         do = run_bfs(graph, source, "1d-dirop", dirop_alpha=1e-12, **wire)
         assert all(

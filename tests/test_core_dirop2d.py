@@ -248,12 +248,12 @@ class TestHysteresisCheckpoint:
         at every level boundary, bit-identically."""
         oracle = run_bfs(
             rmat_small, 5, "2d-dirop", nprocs=4, machine="hopper",
-            codec="bitmap", sieve=True,
+            codec="auto", sieve=True,
         )
         for level in range(1, oracle.nlevels + 1):
             res = run_bfs(
                 rmat_small, 5, "2d-dirop", nprocs=4, machine="hopper",
-                codec="bitmap", sieve=True,
+                codec="auto", sieve=True,
                 faults=f"crash:rank={level % 4},level={level}",
                 checkpoint_every=2,
             )

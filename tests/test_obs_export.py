@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
 from repro.obs import (
     REPORT_SCHEMA,
@@ -55,7 +56,7 @@ class TestChromeTrace:
         assert all(e["args"]["kernel"] in ("spa", "heap") for e in instants)
 
     def test_level_and_meta_in_args(self, rmat_small):
-        _result, tracer = _traced_run(rmat_small, "1d", codec="delta-varint")
+        _result, tracer = _traced_run(rmat_small, "1d", codec=DeltaVarintCodec())
         trace = chrome_trace(tracer)
         exchanges = [
             e for e in trace["traceEvents"] if e.get("name") == "alltoallv"
@@ -149,7 +150,7 @@ class TestQueryChromeTrace:
 class TestRunReport:
     def test_report_contents(self, rmat_small):
         result, _tracer = _traced_run(
-            rmat_small, "1d-dirop", codec="delta-varint", sieve=True
+            rmat_small, "1d-dirop", codec=DeltaVarintCodec(), sieve=True
         )
         report = run_report(result)  # tracer found in result.meta
         assert report["schema"] == REPORT_SCHEMA

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
 from repro.obs import (
     METRICS_SCHEMA,
@@ -198,7 +199,7 @@ class TestReconciliation:
         registry = MetricsRegistry()
         result = run_bfs(
             rmat_small, 5, "1d-dirop", nprocs=4, machine="hopper",
-            codec="delta-varint", sieve=True, metrics=registry,
+            codec=DeltaVarintCodec(), sieve=True, metrics=registry,
         )
         return result, registry
 

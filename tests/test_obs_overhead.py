@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
 from repro.obs import Tracer
 
@@ -30,7 +31,7 @@ def _stats_fingerprint(result):
     "algorithm,kwargs",
     [
         ("1d", {}),
-        ("1d", {"codec": "delta-varint", "sieve": True}),
+        ("1d", {"codec": DeltaVarintCodec(), "sieve": True}),
         ("1d-dirop", {}),
         ("1d-dirop-hybrid", {}),
         ("2d", {"kernel": "spa"}),

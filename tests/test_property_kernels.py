@@ -119,7 +119,7 @@ def test_backend_switch_preserves_full_run(request, algorithm):
 )
 def test_backend_switch_preserves_codec_runs(request, algorithm):
     """The compressed wire path (auto codec picks per buffer, so raw,
-    delta-varint and bitmap images are all built) is implementation-
+    delta-varint and bitmap set images are all built) is implementation-
     invariant too — the varint/delta kernels feed real exchanges here."""
     vectorized, spec = _both_ways(request, algorithm, codec="auto")
     assert vectorized == spec

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CodecError, CommChannel, Sieve, VertexRange
+from repro.comm import CodecError, CommChannel, DeltaVarintCodec, Sieve, VertexRange
 from repro.core import run_bfs
 from repro.core.frontier import dedup_candidates
 from repro.core.validate import count_lane_edges, count_traversed_edges, lane_words
@@ -37,6 +37,8 @@ from repro.query import (
     run_query,
 )
 from repro.query.msbfs import resolve_lane_winners
+
+from tests.conftest import CODEC_FORMS
 
 NPROCS = 4
 
@@ -195,8 +197,7 @@ def _pack_spec(channel, targets, values, extras, owners):
             continue
         order = np.lexsort((x, v, t))
         t, v, x = t[order], v[order], x[order]
-        ctx = None if channel.codec.name == "auto" else channel.ranges[dst]
-        pair_buf = channel.codec.encode_pairs(t, v, ctx)
+        pair_buf = channel.codec.encode_pairs(t, v, channel.ranges[dst])
         send.append(
             np.concatenate([np.array([pair_buf.size], dtype=np.int64), pair_buf, x])
         )
@@ -218,12 +219,13 @@ class TestTripleWire:
         """Duplicate ``(target, value)`` rows with different extras (an
         SSSP level), extras with bit 63 set (lane words), and owners
         drawn per row — not monotone in the target, not even a function
-        of it; ``wide`` values overflow the composite key and take the
-        lexsort path."""
+        of it, so every rank's range spans all targets (``auto`` checks
+        packed targets against it); ``wide`` values overflow the
+        composite key and take the lexsort path."""
         rng = np.random.default_rng(seed)
         comm = SimpleNamespace(size=nranks, rank=int(rng.integers(nranks)))
-        ranges = [VertexRange(16 * r, 16) for r in range(nranks)]
-        channel = CommChannel(comm, ranges, codec=codec)
+        ranges = [VertexRange(0, 16 * nranks)] * nranks
+        channel = CommChannel(comm, ranges, codec=CODEC_FORMS[codec]())
         targets = rng.integers(0, 16 * nranks, size)
         values = rng.integers(0, 4, size)
         if wide:
@@ -252,7 +254,7 @@ class TestTripleWire:
         rng = np.random.default_rng(17)
         comm = SimpleNamespace(size=nranks, rank=1)
         ranges = [VertexRange(per * r, per) for r in range(nranks)]
-        channel = CommChannel(comm, ranges, codec=codec)
+        channel = CommChannel(comm, ranges, codec=CODEC_FORMS[codec]())
         if shape == "sssp-ties":
             targets = np.repeat(np.arange(0, per * nranks, 3), 3)
             values = targets // 2
@@ -289,7 +291,7 @@ class TestTripleWire:
         def fn(comm):
             per = 16
             ranges = [VertexRange(per * r, per) for r in range(comm.size)]
-            channel = CommChannel(comm, ranges, codec=codec)
+            channel = CommChannel(comm, ranges, codec=CODEC_FORMS[codec]())
             dst = (comm.rank + 1) % comm.size
             # Duplicate targets with distinct values — exactly what a
             # lane batch ships — tied to their extras by construction.
@@ -314,7 +316,7 @@ class TestTripleWire:
         def fn(comm):
             per = 8
             ranges = [VertexRange(per * r, per) for r in range(comm.size)]
-            channel = CommChannel(comm, ranges, codec="delta-varint")
+            channel = CommChannel(comm, ranges, codec=DeltaVarintCodec())
             dst = (comm.rank + 1) % comm.size
             targets = np.arange(per * dst, per * dst + 4, dtype=np.int64)
             values = targets * 7 + 1
@@ -350,9 +352,9 @@ class TestTripleWire:
             )
             with pytest.raises(ValueError, match="sieve"):
                 sieved.pack_triples(t, t, t, owners)
-            bitmapped = CommChannel(comm, ranges, codec="bitmap")
-            with pytest.raises(ValueError, match="bitmap"):
-                bitmapped.pack_triples(t, t, t, owners)
+            # The bitmap pair form is gone: the name is unknown.
+            with pytest.raises(ValueError, match="unknown codec 'bitmap'"):
+                CommChannel(comm, ranges, codec="bitmap")
             return True
 
         res = run_spmd(2, fn)
@@ -445,8 +447,11 @@ class TestDriverApi:
     def test_structural_refusals_surface_at_config_time(self, graph):
         with pytest.raises(ValueError, match="sieve"):
             run_query(graph, sources=[1], nprocs=2, sieve=True)
-        with pytest.raises(ValueError, match="bitmap"):
-            run_query(graph, sources=[1], nprocs=2, codec="bitmap")
+        for name in ("bitmap", "delta-varint"):
+            with pytest.raises(ValueError, match=f"unknown codec '{name}'"):
+                run_query(graph, sources=[1], nprocs=2, codec=name)
+            with pytest.raises(ValueError, match=f"unknown codec '{name}'"):
+                run_bfs(graph, 1, "1d", nprocs=2, codec=name)
         with pytest.raises(ValueError, match="sources"):
             run_query(graph, sources=[1], algorithm="cc", nprocs=2)
         with pytest.raises(ValueError, match="landmarks"):

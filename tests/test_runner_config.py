@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.core.runner as runner_mod
+from repro.comm import DeltaVarintCodec
 from repro.core import RunConfig, run, run_bfs
 from repro.obs import Tracer
 
@@ -54,11 +55,11 @@ class TestShimMapping:
         # The strong-scaling sweeps: flat 1d with the ablation switches.
         run_bfs(
             object(), 0, "1d", nprocs=16, machine="franklin",
-            dedup_sends=False, codec="delta-varint", sieve=True,
+            dedup_sends=False, codec="auto", sieve=True,
         )
         assert captured[0][2] == RunConfig(
             algorithm="1d", nprocs=16, machine="franklin",
-            dedup_sends=False, codec="delta-varint", sieve=True,
+            dedup_sends=False, codec="auto", sieve=True,
         )
 
     def test_hybrid_threads(self, captured):
@@ -129,6 +130,16 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=msg):
             RunConfig(algorithm="bogus")
 
+    def test_unknown_codec(self, graph):
+        """A codec name outside ``CODECS`` fails when the config is
+        built, not inside a rank; an instance is taken as it is."""
+        msg = re.escape("unknown codec 'lz4'; known: ['auto', 'raw']")
+        with pytest.raises(ValueError, match=msg):
+            run_bfs(graph, 1, "1d", nprocs=2, codec="lz4")
+        with pytest.raises(ValueError, match=msg):
+            RunConfig(codec="lz4")
+        assert RunConfig(codec=DeltaVarintCodec()).codec.name == "delta-varint"
+
     def test_source_out_of_range(self, graph):
         with pytest.raises(
             ValueError, match=re.escape("source 32 out of range [0, 32)")
@@ -161,7 +172,7 @@ class TestValidationMessages:
             "codec/sieve apply to the 1d/2d families only"
         )
         with pytest.raises(ValueError, match=msg):
-            run_bfs(graph, 0, algorithm, codec="delta-varint")
+            run_bfs(graph, 0, algorithm, codec=DeltaVarintCodec())
         with pytest.raises(ValueError, match=msg):
             run_bfs(graph, 0, algorithm, sieve=True)
 
@@ -223,7 +234,7 @@ class TestRunEquivalence:
         source = int(rmat_small.random_nonisolated_vertices(1, seed=11)[0])
         kwargs = dict(
             algorithm="1d-dirop", nprocs=4, machine="hopper",
-            codec="delta-varint", sieve=True, trace=True,
+            codec=DeltaVarintCodec(), sieve=True, trace=True,
         )
         via_shim = run_bfs(rmat_small, source, **kwargs)
         via_config = run(rmat_small, source, RunConfig(**kwargs))

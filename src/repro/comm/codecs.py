@@ -11,10 +11,9 @@ Two codec names reproduce that wire layer:
   int64 pairs, plain vertex lists, packed 64-bit frontier bitmaps.  Wire
   words equal payload words; this is the pre-existing behaviour and the
   default.
-* ``auto`` — per-buffer polyalgorithm: computes each candidate form's
-  encoded size in closed form (raw ``2 x count``, delta-varint from one
-  ``varint_sizes`` pass and, for a vertex set with a known range, its
-  presence bitmap), encodes only the smallest and ships it behind a
+* ``auto`` — per-buffer polyalgorithm: ships each buffer in its smallest
+  form (raw ``2 x count`` words, delta-varint's exact encoded size or,
+  for a vertex set with a known range, its presence bitmap) behind a
   one-word tag naming the choice — Lv et al.'s selection by measured
   density, with the measurement exact rather than estimated.
 
@@ -30,13 +29,14 @@ displacements, and the pair methods mirror that:
 ``encode_pairs_many(targets, parents, counts, ranges)`` takes the
 owner-grouped candidate arrays plus per-destination counts and returns
 one wire buffer per destination; ``decode_pairs_many(pieces, ctx)``
-decodes everything a rank received.  Every codec does each in one pass
-over the whole exchange (one sortedness check, one ``varint_sizes`` +
-one ``varint_encode`` / ``varint_decode`` over the joined stream, cut
-or checked at the segment boundaries) — the 140-level, tiny-frontier
-traversals are otherwise dominated by per-buffer call overhead.  The
-one-buffer ``encode_pairs`` / ``decode_pairs`` are the one-segment form
-of the same code.
+decodes everything a rank received.  Each is a fixed number of
+whole-array passes over the exchange, whatever p: one sortedness check
+and one ``varint_encode`` whose stream is sized per segment at its
+terminal bytes and framed with one index; one join of the received
+pieces, read at their offsets, and one ``varint_decode`` — the
+140-level, tiny-frontier traversals are otherwise dominated by
+per-buffer call overhead.  ``encode_pairs`` / ``decode_pairs`` are the
+one-segment form of the same code.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -100,14 +100,6 @@ class VertexRange:
             raise ValueError(f"nbits must be >= 0, got {self.nbits}")
 
 
-def _as_pairs(targets, parents) -> tuple[np.ndarray, np.ndarray]:
-    targets = np.asarray(targets, dtype=np.int64)
-    parents = np.asarray(parents, dtype=np.int64)
-    if targets.shape != parents.shape:
-        raise ValueError("targets/parents must be equal length")
-    return targets, parents
-
-
 def _concat_pairs(decoded) -> tuple[np.ndarray, np.ndarray]:
     """Join decoded ``(targets, parents)`` runs in order."""
     if not decoded:
@@ -120,35 +112,39 @@ def _concat_pairs(decoded) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _joined(pieces):
+    """The non-empty received pieces as one int64 word array, and each
+    one's offset and length in it (python ints)."""
+    pieces = [piece for piece in pieces if len(piece)]
+    sizes = [len(piece) for piece in pieces]
+    words = np.concatenate(pieces or [[]]).astype(np.int64, copy=False)
+    return words, list(accumulate(sizes, initial=0))[:-1], sizes
+
+
 def _as_segments(targets, parents, counts, ranges):
     """Validate one exchange: grouped pairs, per-segment counts and ranges.
 
-    Returns the arrays as int64, the ranges as a sequence (``None``
-    means "no range for any segment") and each segment's ``[start,
-    end)`` bounds in the grouped arrays.
+    Returns the arrays as int64, the counts, the ranges (``None``: none
+    known) and each segment's start in the grouped arrays (python ints).
     """
-    targets, parents = _as_pairs(targets, parents)
+    targets = np.asarray(targets, dtype=np.int64)
+    parents = np.asarray(parents, dtype=np.int64)
+    if targets.shape != parents.shape:
+        raise ValueError("targets/parents must be equal length")
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or (counts < 0).any() or int(counts.sum()) != targets.size:
+    counts = counts.tolist() if counts.ndim == 1 else None
+    if counts is None or min(counts, default=0) < 0 or sum(counts) != targets.size:
         raise ValueError(
             f"segment counts must be non-negative and sum to the "
             f"{targets.size} pairs"
         )
     if ranges is None:
-        ranges = (None,) * counts.size
-    elif len(ranges) != counts.size:
+        ranges = (None,) * len(counts)
+    elif len(ranges) != len(counts):
         raise ValueError(
-            f"need one VertexRange per segment: {len(ranges)} != {counts.size}"
+            f"need one VertexRange per segment: {len(ranges)} != {len(counts)}"
         )
-    ends = np.cumsum(counts)
-    return targets, parents, counts, ranges, ends - counts, ends
-
-
-def _segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``values[starts[s]:ends[s]].sum()`` per segment (empty ones sum to 0)."""
-    total = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=total[1:])
-    return total[ends] - total[starts]
+    return targets, parents, counts, ranges, list(accumulate(counts, initial=0))[:-1]
 
 
 def _sort_segments(targets, parents, counts, starts):
@@ -161,73 +157,76 @@ def _sort_segments(targets, parents, counts, starts):
     if targets.size < 2:
         return targets, parents
     prev_t, next_t = targets[:-1], targets[1:]
-    ordered = (prev_t < next_t) | ((prev_t == next_t) & (parents[:-1] <= parents[1:]))
+    ordered = prev_t < next_t
+    if ordered.all():
+        return targets, parents
+    ordered |= (prev_t == next_t) & (parents[:-1] <= parents[1:])
     if not ordered.all():
         # A pair that straddles two segments constrains nothing.
-        ordered[starts[(starts > 0) & (starts < targets.size)] - 1] = True
+        ordered[[at - 1 for at in starts if 0 < at < targets.size]] = True
         if not ordered.all():
-            segment = np.repeat(np.arange(counts.size), counts)
+            segment = np.repeat(np.arange(len(counts)), counts)
             order = np.lexsort((parents, targets, segment))
             targets, parents = targets[order], parents[order]
     return targets, parents
 
 
-def _varint_plan(targets, parents, counts, starts, ends):
-    """What delta-varint would ship for an exchange, before any bytes exist.
+def _varint_plan(targets, parents, counts, starts):
+    """Encode a whole exchange as delta-varint, once.
 
     Returns the targets in shipping order (each segment sorted), the
-    interleaved (vertex delta, parent) values — the delta restarting
-    from the absolute id at every segment start — and each segment's
-    encoded byte count.
+    varint stream of the interleaved (vertex delta, parent) values, the
+    delta restarting at every segment start, and each segment's byte
+    count, read off the stream at its last value's terminal byte.
     """
     targets, parents = _sort_segments(targets, parents, counts, starts)
     deltas = kernels.delta_encode(targets)
-    first = starts[counts > 0]
+    first = [at for at, count in zip(starts, counts) if count]
     deltas[first] = targets[first]
-    seq = kernels.pack_pairs(deltas, parents)
-    nbytes = _segment_sums(kernels.varint_sizes(seq), 2 * starts, 2 * ends)
-    return targets, seq, nbytes
+    stream = kernels.varint_encode(kernels.pack_pairs(deltas, parents))
+    terminal = (stream < 0x80).nonzero()[0]
+    ends = [2 * (at + count) for at, count in zip(starts, counts)]
+    cuts = [0] + [int(terminal[end - 1]) + 1 if end else 0 for end in ends]
+    return targets, stream, [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _undelta_segments(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Inverse of the per-segment delta: running sums restarting per segment."""
-    values = kernels.delta_decode(deltas)
-    if counts.size > 1:
-        starts = np.cumsum(counts) - counts
-        carry = np.zeros(counts.size, dtype=np.int64)
-        later = starts > 0
-        carry[later] = values[starts[later] - 1]
-        values = values - np.repeat(carry, counts)
-    return values
+def _undelta_segments(deltas: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Inverse of the per-segment delta: running sums restarting per segment.
+
+    A segment's deltas sum to its last value, so taking the previous
+    segment's sum off each later segment's absolute first delta (in
+    place) makes one running sum, wrapping like it, restart per segment.
+    """
+    firsts = [at for at, count in zip(accumulate(counts, initial=0), counts) if count]
+    if len(firsts) > 1:
+        firsts = np.array(firsts)
+        deltas[firsts[1:]] -= np.add.reduceat(deltas, firsts)[:-1]
+    return kernels.delta_decode(deltas)
 
 
-def _varint_frames(stream, nbytes, live, heads) -> list[np.ndarray]:
+def _varint_frames(stream, heads, nbytes) -> list[np.ndarray]:
     """Cut one varint byte stream into per-segment wire buffers.
 
-    Segment ``s`` owns the next ``nbytes[s]`` bytes of ``stream``.  A
-    ``live`` segment ships ``heads`` (one array per header word, indexed
-    by segment) followed by its bytes zero-padded to whole words; the
-    others own no bytes and ship the empty buffer.
+    Segment ``s`` owns the next ``nbytes[s]`` bytes of ``stream`` and
+    ships its header words ``heads[s]`` followed by its bytes zero-padded
+    to whole words; a segment without header words owns no bytes and
+    ships the empty buffer.  Every frame is a slice of one array, its
+    headers and its bytes each written by one index.
     """
-    words = np.where(live, len(heads) + (nbytes + 7) // 8, 0)
-    word_ends = np.cumsum(words)
-    word_starts = word_ends - words
-    out = np.zeros(int(words.sum()), dtype=np.int64)
-    out[word_starts[live, None] + np.arange(len(heads))] = np.stack(heads, axis=1)[live]
-    body = out.view(np.uint8)
-    byte_ends = np.cumsum(nbytes)
-    frames = []
-    for word_lo, word_hi, byte_lo, byte_hi in zip(
-        word_starts.tolist(),
-        word_ends.tolist(),
-        (byte_ends - nbytes).tolist(),
-        byte_ends.tolist(),
-    ):
-        if byte_hi > byte_lo:
-            at = 8 * (word_lo + len(heads))
-            body[at : at + byte_hi - byte_lo] = stream[byte_lo:byte_hi]
-        frames.append(out[word_lo:word_hi])
-    return frames
+    sizes = [len(head) + (n + 7) // 8 if head else 0 for head, n in zip(heads, nbytes)]
+    starts = list(accumulate(sizes, initial=0))
+    out = np.zeros(starts[-1], dtype=np.int64)
+    out[[at + k for at, head in zip(starts, heads) for k in range(len(head))]] = [
+        word for head in heads for word in head
+    ]
+    # Stream byte i lands at its segment's body start plus its offset in it.
+    shift = [
+        8 * (at + len(head)) - done
+        for at, head, done in zip(starts, heads, accumulate(nbytes, initial=0))
+    ]
+    at = np.array(shift, dtype=np.int64).repeat(nbytes) + np.arange(stream.size)
+    out.view(np.uint8)[at] = stream
+    return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def bytes_to_words(stream: np.ndarray) -> np.ndarray:
@@ -263,7 +262,8 @@ class Codec:
     handle a whole exchange — the grouped send array with one count and
     one range per destination, or every piece a rank received — and are
     what :class:`~repro.comm.channel.CommChannel` calls; ``encode_pairs``
-    / ``decode_pairs`` handle one buffer, as the one-segment case.
+    / ``decode_pairs`` handle one buffer, as the one-segment case.  A
+    codec implements ``encode_pairs_many`` and one of the two decoders.
     """
 
     name: str = "abstract"
@@ -271,12 +271,12 @@ class Codec:
     def encode_pairs(
         self, targets: np.ndarray, parents: np.ndarray, ctx: VertexRange | None = None
     ) -> np.ndarray:
-        raise NotImplementedError
+        return self.encode_pairs_many(targets, parents, [len(targets)], [ctx])[0]
 
     def decode_pairs(
         self, wire: np.ndarray, ctx: VertexRange | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.decode_pairs_many([wire], ctx)
 
     def encode_pairs_many(
         self,
@@ -317,18 +317,13 @@ class RawCodec(Codec):
 
     name = "raw"
 
-    def encode_pairs(self, targets, parents, ctx=None):
-        return kernels.pack_pairs(*_as_pairs(targets, parents))
-
     def encode_pairs_many(self, targets, parents, counts, ranges=None):
         # One interleave for the whole exchange; the buffers are its slices.
-        targets, parents, _counts, _ranges, starts, ends = _as_segments(
+        targets, parents, counts, _ranges, starts = _as_segments(
             targets, parents, counts, ranges
         )
         wire = kernels.pack_pairs(targets, parents)
-        return [
-            wire[2 * lo : 2 * hi] for lo, hi in zip(starts.tolist(), ends.tolist())
-        ]
+        return [wire[2 * lo : 2 * (lo + n)] for lo, n in zip(starts, counts)]
 
     def decode_pairs(self, wire, ctx=None):
         wire = np.asarray(wire, dtype=np.int64)
@@ -373,12 +368,11 @@ class DeltaVarintCodec(Codec):
     are); parents may be any int64 and round-trip through the unsigned
     varint view.
 
-    A whole exchange is one pass: the segments' values form one varint
-    stream (deltas restarting at every segment start) that is sized and
-    encoded once and cut at the segments' cumulative byte counts;
-    decoding joins the received streams, decodes once, and checks every
-    piece's own byte and value counts so no varint can straddle two
-    pieces.
+    A whole exchange is one varint stream (deltas restarting at every
+    segment start), encoded once and cut where each segment's last value
+    ends; decoding joins the received pieces, decodes their streams
+    once, and holds every piece to its own byte and value counts, so no
+    varint can straddle two pieces.
     """
 
     name = "delta-varint"
@@ -386,58 +380,46 @@ class DeltaVarintCodec(Codec):
     #: Wire layout: ``[count, nbytes, packed varint words...]``.
     HEADER_WORDS = 2
 
-    def encode_pairs(self, targets, parents, ctx=None):
-        return self.encode_pairs_many(targets, parents, [len(targets)])[0]
-
     def encode_pairs_many(self, targets, parents, counts, ranges=None):
-        targets, parents, counts, _ranges, starts, ends = _as_segments(
+        targets, parents, counts, _ranges, starts = _as_segments(
             targets, parents, counts, ranges
         )
-        _ordered, seq, nbytes = _varint_plan(targets, parents, counts, starts, ends)
-        return _varint_frames(
-            kernels.varint_encode(seq), nbytes, counts > 0, (counts, nbytes)
-        )
+        _ordered, stream, nbytes = _varint_plan(targets, parents, counts, starts)
+        heads = [(count, n) if count else () for count, n in zip(counts, nbytes)]
+        return _varint_frames(stream, heads, nbytes)
 
-    def _decode_frames(self, pieces, per_item: int):
-        """Decode the varint streams of every non-empty frame in one pass.
+    def _decode_frames(self, words, starts, sizes, per_item: int):
+        """Decode the frames ``words[starts[f] : starts[f] + sizes[f]]``.
 
-        Returns ``(values, counts)``: the decoded values of all frames
-        back to back and the item count of each frame's header.  Every
-        frame must be exactly its header plus ``ceil(nbytes / 8)`` words,
-        end on a terminal byte and hold ``per_item`` values per counted
-        item in its own bytes, so the joined stream decodes as the frames
-        would one by one.
+        Returns the values of all frames back to back and each header's
+        item count.  Every frame must be exactly its header plus
+        ``ceil(nbytes / 8)`` words, end on a terminal byte and hold
+        ``per_item`` values per item in its own bytes, so the joined
+        stream decodes as the frames would one by one.
         """
-        pieces = [np.ascontiguousarray(piece, dtype=np.int64) for piece in pieces]
-        pieces = [piece for piece in pieces if piece.size]
-        empty = np.empty(0, dtype=np.int64)
-        if not pieces:
-            return empty, empty
-        sizes = np.array([piece.size for piece in pieces], dtype=np.int64)
-        if (sizes < self.HEADER_WORDS).any():
+        heads = self.HEADER_WORDS
+        if min(sizes) < heads:
             raise CodecError(
-                f"corrupt delta-varint buffer: truncated header "
-                f"({int(sizes.min())} words)"
+                f"corrupt delta-varint buffer: truncated header ({min(sizes)} words)"
             )
-        claimed, nbytes = np.concatenate(
-            [piece[: self.HEADER_WORDS] for piece in pieces]
-        ).reshape(-1, self.HEADER_WORDS).T
-        if ((nbytes < 0) | (sizes != self.HEADER_WORDS + (nbytes + 7) // 8)).any():
+        header = words[[at + k for at in starts for k in range(heads)]].tolist()
+        claimed, nbytes = header[0::heads], header[1::heads]
+        if any(n < 0 or size != heads + (n + 7) // 8 for n, size in zip(nbytes, sizes)):
             raise CodecError(
-                f"corrupt delta-varint buffer: {sizes.tolist()} words do not "
-                f"frame {nbytes.tolist()}-byte streams"
+                f"corrupt delta-varint buffer: {list(sizes)} words do not "
+                f"frame {nbytes}-byte streams"
             )
-        skip = 8 * self.HEADER_WORDS
+        # Every frame's bytes, in frame order, cut from the joined words.
+        octets = words.view(np.uint8)
         stream = np.concatenate(
-            [
-                piece.view(np.uint8)[skip : skip + nb]
-                for piece, nb in zip(pieces, nbytes.tolist())
-            ]
+            [octets[8 * (at + heads) :][:n] for at, n in zip(starts, nbytes)]
         )
-        terminal = (stream & 0x80) == 0
-        filled = nbytes > 0
-        byte_ends = np.cumsum(nbytes)
-        if not terminal[byte_ends[filled] - 1].all():
+        # Terminal bytes before each frame's end and before its last byte:
+        # a frame ends on a terminal byte iff the two counts differ.
+        ends = list(accumulate(nbytes))
+        seen = (stream < 0x80).nonzero()[0].searchsorted(ends + [e - 1 for e in ends])
+        at_end, before_last = seen[: len(ends)].tolist(), seen[len(ends) :].tolist()
+        if any(n and a == b for n, a, b in zip(nbytes, at_end, before_last)):
             raise CodecError(
                 "corrupt delta-varint buffer: truncated varint stream "
                 "(last byte has continuation bit)"
@@ -446,24 +428,25 @@ class DeltaVarintCodec(Codec):
             values = kernels.varint_decode(stream)
         except ValueError as exc:
             raise CodecError(f"corrupt delta-varint buffer: {exc}") from None
-        found = np.zeros(nbytes.size, dtype=np.int64)
-        if filled.any():
-            found[filled] = np.add.reduceat(terminal, (byte_ends - nbytes)[filled])
-        if (found != per_item * claimed).any():
+        found = [end - begin for begin, end in zip([0] + at_end, at_end)]
+        if found != [per_item * count for count in claimed]:
             raise CodecError(
-                f"corrupt delta-varint buffer: {found.tolist()} values for "
-                f"{claimed.tolist()} items of {per_item}"
+                f"corrupt delta-varint buffer: {found} values for "
+                f"{claimed} items of {per_item}"
             )
         return values, claimed
 
-    def decode_pairs(self, wire, ctx=None):
-        return self.decode_pairs_many([wire], ctx)
-
-    def decode_pairs_many(self, pieces, ctx=None):
-        seq, npairs = self._decode_frames(pieces, per_item=2)
+    def _decode_pairs_at(self, words, starts, sizes, ctx):
+        """Decode the pair frames at ``starts`` / ``sizes`` of ``words``."""
+        if not sizes:
+            return _concat_pairs([])
+        seq, npairs = self._decode_frames(words, starts, sizes, per_item=2)
         targets = _undelta_segments(seq[0::2], npairs)
         _check_targets(targets, ctx, self.name)
         return targets, seq[1::2]
+
+    def decode_pairs_many(self, pieces, ctx=None):
+        return self._decode_pairs_at(*_joined(pieces), ctx)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.sort(np.asarray(vertices, dtype=np.int64))
@@ -474,7 +457,10 @@ class DeltaVarintCodec(Codec):
         return np.concatenate([header, bytes_to_words(stream)])
 
     def decode_set(self, wire, ctx=None, dense=False):
-        deltas, _count = self._decode_frames([wire], per_item=1)
+        wire = np.ascontiguousarray(wire, dtype=np.int64)
+        if wire.size == 0:
+            return np.empty(0, dtype=np.int64)
+        deltas, _count = self._decode_frames(wire, [0], [wire.size], per_item=1)
         vertices = kernels.delta_decode(deltas)
         _check_targets(vertices, ctx, self.name)
         return vertices
@@ -507,14 +493,14 @@ class AutoCodec(Codec):
     measurement the compression literature uses, done exactly rather
     than by estimate.
 
-    The sizes are closed forms, so nothing is encoded to be thrown
-    away: raw is ``2 x count`` words (a set: its length, or the range's
-    bitmap when dense), delta-varint its header plus ``ceil(bytes / 8)``
-    from one ``varint_sizes`` pass.  A sparse vertex set with a known
-    range has a third form, ``BITMAP``: raw's dense image of the set,
-    ``bitmap_words(nbits)`` words, which wins on dense frontier pieces.
-    Pairs have no bitmap form, so a pair buffer tagged ``BITMAP`` is
-    corrupt.
+    The sizes are exact: raw is ``2 x count`` words (a set: its length,
+    or the range's bitmap when dense), delta-varint its header plus
+    ``ceil(bytes / 8)`` — for pairs read off the one stream the whole
+    exchange is encoded into, for a set from one ``varint_sizes`` pass.
+    A sparse vertex set with a known range has a third form, ``BITMAP``:
+    raw's dense image of the set, ``bitmap_words(nbits)`` words, which
+    wins on dense frontier pieces.  Pairs have no bitmap form, so a pair
+    buffer tagged ``BITMAP`` is corrupt.
     """
 
     name = "auto"
@@ -540,50 +526,55 @@ class AutoCodec(Codec):
             raise CodecError("corrupt auto buffer: codec tag without a body")
         return int(wire[0]), wire[1:]
 
-    def encode_pairs(self, targets, parents, ctx=None):
-        return self.encode_pairs_many(targets, parents, [len(targets)], [ctx])[0]
-
     def encode_pairs_many(self, targets, parents, counts, ranges=None):
-        targets, parents, counts, ranges, starts, ends = _as_segments(
+        targets, parents, counts, ranges, starts = _as_segments(
             targets, parents, counts, ranges
         )
-        live = counts > 0
-        ordered, seq, nbytes = _varint_plan(targets, parents, counts, starts, ends)
-        for s in np.flatnonzero(live).tolist():
-            _check_owned(int(ordered[starts[s]]), int(ordered[ends[s] - 1]), ranges[s])
-        # Delta-varint must undercut raw's 2 x count words; ties keep raw.
-        varint = live & (DeltaVarintCodec.HEADER_WORDS + (nbytes + 7) // 8 < 2 * counts)
-        if not varint.all():
-            seq = seq[np.repeat(varint, 2 * counts)]
-        nbytes = np.where(varint, nbytes, 0)
-        tags = np.where(varint, self.DELTA_VARINT, self.RAW)
-        frames = _varint_frames(
-            kernels.varint_encode(seq), nbytes, varint, (tags, counts, nbytes)
-        )
-        for s in np.flatnonzero(live & ~varint).tolist():
-            lo, hi = int(starts[s]), int(ends[s])
+        ordered, stream, nbytes = _varint_plan(targets, parents, counts, starts)
+        live = [s for s, count in enumerate(counts) if count]
+        firsts = ordered[[starts[s] for s in live]].tolist()
+        lasts = ordered[[starts[s] + counts[s] - 1 for s in live]].tolist()
+        for s, first, last in zip(live, firsts, lasts):
+            _check_owned(first, last, ranges[s])
+        # Delta-varint must undercut raw's 2 x count words; ties keep raw
+        # (and an empty segment, whose 0 words no header undercuts).
+        varint = [
+            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < 2 * count
+            for n, count in zip(nbytes, counts)
+        ]
+        raw = [s for s in live if not varint[s]]
+        if raw:
+            stream = stream[np.repeat(varint, nbytes)]
+            nbytes = [n if keep else 0 for n, keep in zip(nbytes, varint)]
+        heads = [
+            (self.DELTA_VARINT, count, n) if keep else ()
+            for count, n, keep in zip(counts, nbytes, varint)
+        ]
+        frames = _varint_frames(stream, heads, nbytes)
+        for s in raw:
+            lo, hi = starts[s], starts[s] + counts[s]
             frames[s] = self._tagged(
                 self.RAW, kernels.pack_pairs(targets[lo:hi], parents[lo:hi])
             )
         return frames
 
-    def decode_pairs(self, wire, ctx=None):
-        return self.decode_pairs_many([wire], ctx)
-
     def decode_pairs_many(self, pieces, ctx=None):
-        # Neighbouring pieces that chose the same codec decode together;
-        # on a sparse level that is every piece, in one pass.
-        tagged = [
-            self._untagged(piece)
-            for piece in (np.asarray(piece, dtype=np.int64) for piece in pieces)
-            if piece.size
-        ]
-        return _concat_pairs(
-            [
-                self._inner(tag).decode_pairs_many([body for _, body in run], ctx)
-                for tag, run in groupby(tagged, key=lambda item: item[0])
-            ]
-        )
+        # One joined buffer; each run of neighbouring pieces with the same
+        # tag decodes from it together — on a sparse level that is every
+        # piece, in one pass.
+        words, starts, sizes = _joined(pieces)
+        if sizes and min(sizes) < 2:
+            raise CodecError("corrupt auto buffer: codec tag without a body")
+        tags = words[starts].tolist()
+        decoded = []
+        for tag, run in groupby(zip(tags, starts, sizes), key=lambda piece: piece[0]):
+            inner = self._inner(tag)
+            bodies = [(at + 1, size - 1) for _tag, at, size in run]
+            if tag == self.RAW:
+                decoded += [inner.decode_pairs(words[at : at + n], ctx) for at, n in bodies]
+            else:
+                decoded.append(inner._decode_pairs_at(words, *zip(*bodies), ctx))
+        return _concat_pairs(decoded)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)

@@ -4,9 +4,10 @@ Every per-element inner loop the traversals are built from lives in
 this package, written twice:
 
 * :mod:`repro.kernels.numpy_backend` — the vectorized kernels every run
-  uses (one numpy pass per byte position / scan step / run, never one
-  per value); this is what lets the simulator run R-MAT scale 18+
-  recipes in CI instead of topping out near scale 16.  This module
+  uses (a fixed few numpy passes per call — one (byte position, value)
+  grid per varint stream, a pass per scan step or run — never one per
+  value); this is what lets the simulator run R-MAT scale 18+ recipes in
+  CI instead of topping out near scale 16.  This module
   re-exports them, so ``kernels.dedup_max`` *is*
   ``numpy_backend.dedup_max`` and each kernel's contract is the
   docstring on that function;

@@ -1,9 +1,9 @@
 """Vectorized numpy implementations of the hot-path kernels.
 
 What :mod:`repro.kernels` re-exports and every run uses: each kernel is
-one or a few whole-array numpy passes — a pass per byte *position* for
-the varints, per *doubling step* for the lane scan, per *run boundary*
-for the reductions — never a pass per value or per lane.  The docstring
+one or a few whole-array numpy passes — one (byte position, value) grid
+for the varints, a pass per *doubling step* for the lane scan, per *run
+boundary* for the reductions — never a pass per value or per lane.  The docstring
 on each function is the kernel's contract; the pure-python
 :mod:`repro.kernels.reference` is the same contract in executable form,
 and the differential suite asserts the two agree bit for bit — values,
@@ -329,6 +329,11 @@ def varint_sizes(values):
     return sizes
 
 
+#: ``7 x`` each byte position of a varint, and the positions, as columns.
+_GROUP_SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)[:, None]
+_POSITIONS = np.arange(MAX_VARINT_BYTES)[:, None]
+
+
 def varint_encode(values):
     """LEB128-encode 64-bit values into a ``uint8`` stream: the minimum
     number of 7-bit groups per value, least-significant first, the high
@@ -337,17 +342,20 @@ def varint_encode(values):
     values = np.ascontiguousarray(values, dtype=np.int64).view(np.uint64)
     if values.size == 0:
         return np.empty(0, dtype=np.uint8)
-    sizes = varint_sizes(values)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    out = np.empty(int(ends[-1]), dtype=np.uint8)
-    for j in range(int(sizes.max())):
-        sel = sizes > j
-        group = (values[sel] >> np.uint64(7 * j)) & np.uint64(0x7F)
-        byte = group.astype(np.uint8)
-        byte |= ((sizes[sel] - 1 > j).astype(np.uint8)) << 7
-        out[starts[sel] + j] = byte
-    return out
+    # A (byte position, value) grid as deep as the longest value: each
+    # value shifted by 7 x each position and cut to its low byte, whose
+    # bit 7 can be set only where the value reaches the next position —
+    # there it becomes the continuation bit.
+    longest = max(-(-int(values.max()).bit_length() // 7), 1)
+    groups = values >> _GROUP_SHIFTS[:longest]
+    grid = groups.astype(np.uint8)
+    grid[:-1] |= (groups[1:] != 0).view(np.uint8) << 7
+    # Value-major.  Past its first byte a minimal varint has no zero byte,
+    # so the zeros there are exactly the positions beyond a value's end.
+    grid = np.ascontiguousarray(grid.T)
+    keep = grid != 0
+    keep[:, 0] = True
+    return grid[keep]
 
 
 def varint_decode(stream):
@@ -356,22 +364,23 @@ def varint_decode(stream):
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     if stream.size == 0:
         return np.empty(0, dtype=np.int64)
-    terminal = (stream & 0x80) == 0
+    terminal = stream < 0x80
     if not terminal[-1]:
         raise ValueError("truncated varint stream: last byte has continuation bit")
-    ends = np.flatnonzero(terminal)
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    lengths = ends - starts + 1
-    if int(lengths.max()) > MAX_VARINT_BYTES:
-        raise ValueError(
-            f"varint longer than {MAX_VARINT_BYTES} bytes in stream"
-        )
-    values = np.zeros(ends.size, dtype=np.uint64)
-    for j in range(int(lengths.max())):
-        sel = lengths > j
-        group = stream[starts[sel] + j].astype(np.uint64) & np.uint64(0x7F)
-        values[sel] |= group << np.uint64(7 * j)
-    return values.view(np.int64)
+    ends = terminal.nonzero()[0]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    longest = int((ends - starts).max()) + 1
+    if longest > MAX_VARINT_BYTES:
+        raise ValueError(f"varint longer than {MAX_VARINT_BYTES} bytes in stream")
+    # A (byte position, varint) grid of the stream's 7-bit groups; past a
+    # terminal byte it reads later varints, so those positions are zeroed.
+    at = starts + _POSITIONS[:longest]
+    grid = np.take(stream, at, mode="clip") & 0x7F
+    grid *= at <= ends
+    groups = grid.astype(np.uint64)
+    groups <<= _GROUP_SHIFTS[:longest]
+    return np.bitwise_or.reduce(groups, axis=0).view(np.int64)
 
 
 def delta_encode(sorted_values):

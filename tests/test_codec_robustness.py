@@ -14,11 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.codecs import AutoCodec, CodecError, DeltaVarintCodec, VertexRange
+from repro.comm.codecs import (
+    AutoCodec,
+    CodecError,
+    DeltaVarintCodec,
+    VertexRange,
+    bytes_to_words,
+)
 from repro.core import run_bfs
 from repro.faults import corrupt_pieces
 
 from tests.conftest import CODEC_FORMS
+from tests.test_property_pair_codec import auto_decode_many, delta_varint_decode_many
 
 CODECS = sorted(CODEC_FORMS)
 # Two bitmap words wide, so even the densest encoding is truncatable.
@@ -140,6 +147,129 @@ class TestStrictFraming:
         for wire in ([AutoCodec.BITMAP, *bits, 1, 2], [AutoCodec.BITMAP, 0]):
             with pytest.raises(CodecError, match="unknown codec tag 2"):
                 self.PAIR_DECODERS[decoder](AutoCodec(), np.array(wire, np.int64))
+
+
+class TestJoinedDecode:
+    """Damage to a piece that is not the first, inside a received batch.
+
+    ``auto`` and delta-varint decode every piece of an exchange from one
+    joined buffer, so each damage must still be caught and named as it
+    was when pieces decoded one by one (the piece-by-piece decode of
+    ``tests/test_property_pair_codec.py`` is the reference for the
+    message), and no piece's bytes may complete a varint begun in the
+    piece before it.
+    """
+
+    #: Three destinations' worth of pairs; the middle piece is the largest,
+    #: so ``corrupt_pieces`` picks it.
+    COUNTS = (3, 12, 4)
+
+    def _pieces(self, codec_name):
+        rng = np.random.default_rng(11)
+        targets = np.concatenate(
+            [np.sort(rng.choice(CTX.nbits, count, replace=False)) for count in self.COUNTS]
+        )
+        parents = rng.integers(0, 1 << 12, targets.size)
+        pieces = CODEC_FORMS[codec_name]().encode_pairs_many(targets, parents, self.COUNTS)
+        if codec_name == "auto":
+            assert all(piece[0] == AutoCodec.DELTA_VARINT for piece in pieces)
+        return pieces
+
+    @staticmethod
+    def _stream(piece, head):
+        """The frame's varint bytes, writable in place."""
+        nbytes = int(piece[head + 1])
+        return piece.view(np.uint8)[8 * (head + DeltaVarintCodec.HEADER_WORDS) :][:nbytes]
+
+    @staticmethod
+    def _frame(stream, count, head):
+        frame = np.concatenate([[count, stream.size], bytes_to_words(stream)])
+        return np.concatenate([[AutoCodec.DELTA_VARINT], frame]) if head else frame
+
+    def _damage(self, how, piece, head):
+        piece = piece.copy()
+        if how == "nbytes+1":
+            # Still framed by the same words: the pad byte joins the stream.
+            assert int(piece[head + 1]) % 8
+            piece[head + 1] += 1
+        elif how == "continued":
+            self._stream(piece, head)[-1] |= 0x80
+        elif how == "header-cut":
+            piece = piece[: head + 1]
+        elif how == "11-byte-varint":
+            self._stream(piece, head)[:11] = 0x81
+        elif how == "tag-7":
+            piece[0] = 7
+        else:
+            piece = corrupt_pieces([piece], how)[1]
+        return piece
+
+    #: Damage -> the condition the error names, as at the piece-by-piece decode.
+    CONDITIONS = {
+        "truncate": "words do not frame",
+        "smash": "values for",
+        "nbytes+1": "values for",
+        "continued": r"truncated varint stream \(last byte has continuation bit\)",
+        "header-cut": r"truncated header \(1 words\)",
+        "11-byte-varint": "varint longer than 10 bytes in stream",
+        "tag-7": "unknown codec tag 7",
+    }
+
+    @pytest.mark.parametrize(
+        "codec_name,how",
+        [("auto", how) for how in sorted(CONDITIONS)]
+        + [("delta-varint", how) for how in sorted(CONDITIONS) if how != "tag-7"],
+    )
+    def test_damaged_later_piece_names_its_condition(self, codec_name, how):
+        head = int(codec_name == "auto")
+        pieces = self._pieces(codec_name)
+        if how in ("truncate", "smash"):
+            assert corrupt_pieces(pieces, how)[0] == 1
+        pieces[1] = self._damage(how, pieces[1], head)
+        condition = self.CONDITIONS[how]
+        if how == "smash" and head:
+            condition = "unknown codec tag"
+        spec = auto_decode_many if head else delta_varint_decode_many
+        with pytest.raises(CodecError, match=condition) as want:
+            spec(pieces, CTX)
+        with pytest.raises(CodecError, match=condition) as got:
+            CODEC_FORMS[codec_name]().decode_pairs_many(pieces, CTX)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("codec_name", ["delta-varint", "auto"])
+    def test_count_with_sign_bit_flipped(self, codec_name):
+        """A count of ``k - 2**63`` doubles, in int64, to the ``2k``
+        values its frame holds; the count check is on python ints, so
+        the flipped sign bit is caught rather than decoded."""
+        head = int(codec_name == "auto")
+        pieces = self._pieces(codec_name)
+        pieces[1] = pieces[1].copy()
+        pieces[1][head] += np.iinfo(np.int64).min
+        with pytest.raises(CodecError, match=r"\[6, 24, 8\] values for \[3, -\d+, 4\] items of 2"):
+            CODEC_FORMS[codec_name]().decode_pairs_many(pieces, CTX)
+
+    @pytest.mark.parametrize("codec_name", ["delta-varint", "auto"])
+    def test_no_varint_straddles_two_pieces(self, codec_name):
+        """Moving the last byte of piece 0's stream to the front of piece
+        1's leaves the joined stream byte for byte what it was, yet piece
+        0 now ends inside a varint: the decode refuses it rather than let
+        piece 1's first byte finish it."""
+        head = int(codec_name == "auto")
+        pieces = self._pieces(codec_name)
+        codec = CODEC_FORMS[codec_name]()
+        first, second = (self._stream(piece, head).copy() for piece in pieces[:2])
+        count_first, count_second = (int(piece[head]) for piece in pieces[:2])
+        moved = [
+            self._frame(first[:-1], count_first, head),
+            self._frame(np.concatenate([first[-1:], second]), count_second, head),
+            pieces[2],
+        ]
+        joined = np.concatenate([self._stream(p, head) for p in moved])
+        assert np.array_equal(
+            joined, np.concatenate([self._stream(p, head) for p in pieces])
+        )
+        with pytest.raises(CodecError, match="last byte has continuation bit"):
+            codec.decode_pairs_many(moved, CTX)
 
 
 @pytest.mark.parametrize("codec_name", CODECS)

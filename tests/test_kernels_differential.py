@@ -45,6 +45,13 @@ def _u64(*values) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
+#: Every varint byte-count edge: ``2**(7k) - 1`` takes k bytes and
+#: ``2**(7k)`` takes k + 1, for k = 1..9 (``2**63`` is the int64 minimum).
+VARINT_EDGES = _u64(
+    *(v for k in range(1, 10) for v in ((1 << (7 * k)) - 1, 1 << (7 * k)))
+).view(np.int64)
+
+
 # -- case table ---------------------------------------------------------------
 #
 # kernel name -> {case name -> zero-arg factory returning the call args}.
@@ -355,6 +362,8 @@ CASES: dict[str, dict] = {
     },
     "varint_encode": {
         "empty": lambda: (_i64(),),
+        "single": lambda: (_i64(300),),
+        "byte-count-edges": lambda: (VARINT_EDGES.copy(),),
         "thresholds": lambda: (
             _i64(0, 1, 127, 128, (1 << 14) - 1, 1 << 14, I64_MAX, -1, I64_MIN),
         ),
@@ -364,6 +373,8 @@ CASES: dict[str, dict] = {
     },
     "varint_decode": {
         "empty": lambda: (np.empty(0, dtype=np.uint8),),
+        "single": lambda: (kernels.varint_encode(_i64(300)),),
+        "byte-count-edges": lambda: (kernels.varint_encode(VARINT_EDGES),),
         "roundtrip-thresholds": lambda: (
             kernels.varint_encode(
                 _i64(0, 1, 127, 128, I64_MAX, -1, I64_MIN)

@@ -31,9 +31,11 @@ from repro.graphs.csr import build_csr
 from repro.graphs.graph import Graph
 from repro.graphs.permutation import apply_permutation, random_permutation
 from repro.graphs.rmat import GRAPH500_PARAMS, rmat_edges
+from repro.comm import channel as channel_module
 from repro.kernels import numpy_backend, reference
 from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
 from repro.query.msbfs import resolve_lane_winners
+from repro.sparse import BIT_OR, SPA
 from repro.sparse.dcsc import DCSC
 from repro.sparse.spmsv import spmsv_heap, spmsv_spa
 
@@ -219,6 +221,7 @@ def msbfs_level():
         "n": csr.n,
         "level": level,
         "visit": visit,
+        "fwords": fwords,
         "part": part,
         "senders": senders,
         "triples": triples,
@@ -575,16 +578,145 @@ def test_lane_scan_contiguous_beats_index_scan(msbfs_level, race):
     with identical winner words."""
     inputs = []
     for targets, sources, words in msbfs_level["senders"]:
-        t, _s, w, _wins = numpy_backend.lane_winners(targets, sources, words, MSBFS_LANES)
-        inputs.append((t, w))  # 64 lanes: every word bit is live
+        order = np.lexsort((sources, targets))
+        inputs.append((targets[order], words[order]))  # 64 lanes: every bit is live
     assert sum(t.size for t, _w in inputs) > 400_000
+
+    def contiguous(t, w):
+        return numpy_backend._wins(w, numpy_backend._suffix_or(t[:-1] == t[1:], w))
+
     fast, got, slow, want = race(
-        lambda: [numpy_backend._suffix_winners(t, w) for t, w in inputs],
+        lambda: [contiguous(t, w) for t, w in inputs],
         lambda: [_suffix_winners_by_index(t, w) for t, w in inputs],
     )
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     _assert_speedup("contiguous lane scan", fast, slow, MIN_LANE_SCAN_SPEEDUP)
+
+
+# -- msbfs level on narrow keys: one sort per side against composite keys ----
+
+#: Loose CI-safe bar for the whole level interior.
+MIN_NARROW_LEVEL_SPEEDUP = 1.2
+
+
+def _composite_wire_order(targets, sources):
+    """The wire order as it was: one (target, source, input position)
+    uint64 key per candidate."""
+    n = targets.size
+    tmin, smin = int(targets.min()), int(sources.min())
+    sbits = (int(sources.max()) - smin).bit_length()
+    ibits = (n - 1).bit_length()
+    assert (int(targets.max()) - tmin).bit_length() + sbits + ibits <= 64
+    key = (targets - np.int64(tmin)).view(np.uint64)
+    key <<= np.uint64(sbits)
+    key |= (sources - np.int64(smin)).view(np.uint64)
+    key <<= np.uint64(ibits)
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    order = (key & np.uint64((1 << ibits) - 1)).view(np.int64)
+    key >>= np.uint64(ibits)
+    sources = (key & np.uint64((1 << sbits) - 1)).view(np.int64) + np.int64(smin)
+    key >>= np.uint64(sbits)
+    return key.view(np.int64) + np.int64(tmin), sources, order
+
+
+def _composite_lane_winners(targets, sources, words):
+    """``lane_winners`` as it was: the composite key, the gathered words
+    permuted after the sort, a doubling scan re-comparing int64 targets
+    every pass."""
+    targets, sources, order = _composite_wire_order(targets, sources)
+    words = words[order]
+    same = targets[:-1] == targets[1:]
+    after = np.zeros(targets.size, dtype=np.uint64)
+    after[:-1] = words[1:] * same
+    off = 1
+    while same.any():
+        after[:-off] |= after[off:] * same
+        off <<= 1
+        same = targets[:-off] == targets[off:]
+    np.invert(after, out=after)
+    after &= words
+    return targets, sources, words, after
+
+
+def _composite_group_triples(owners, nbuckets, targets, values, extras):
+    """``_group_triples`` as it was on wire-ordered input: the (owner,
+    target, value) key built to find it ordered."""
+    tmin, vmin = int(targets.min()), int(values.min())
+    tbits = (int(targets.max()) - tmin).bit_length()
+    vbits = (int(values.max()) - vmin).bit_length()
+    key = owners.astype(np.uint64)
+    key <<= np.uint64(tbits)
+    key |= (targets - np.int64(tmin)).view(np.uint64)
+    key <<= np.uint64(vbits)
+    key |= (values - np.int64(vmin)).view(np.uint64)
+    assert not (key[1:] < key[:-1]).any()  # no sort
+    assert not (key[1:] == key[:-1]).any()  # no ties to order extras in
+    return targets, values, extras, np.bincount(owners, minlength=nbuckets)
+
+
+def _level_composite(load):
+    """A level's interior as it was: per sender, a word gathered per
+    candidate, the composite-key prune, ``owner_of`` and the keyed
+    grouping; at the owner, the composite-key resolve and the BIT_OR
+    SPA's union."""
+    part = load["part"]
+    sent = []
+    for targets, sources, _words in load["senders"]:
+        words = load["fwords"][sources]
+        targets, sources, words, wins = _composite_lane_winners(targets, sources, words)
+        keep = wins != 0
+        triple = (targets[keep], sources[keep], words[keep])
+        sent.append(_composite_group_triples(part.owner_of(triple[0]), MSBFS_RANKS, *triple))
+    rt, rs, rw = (np.concatenate(column) for column in list(zip(*sent))[:3])
+    fresh = rw & ~load["visit"][rt]
+    alive = fresh != 0
+    rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
+    spa = SPA(load["n"], BIT_OR)
+    spa.accumulate(rt, fresh)
+    reached, unions = spa.extract_and_reset()
+    targets, sources, _words, wins = _composite_lane_winners(rt, rs, fresh)
+    return [column for *column, _counts in sent], reached, unions, wins
+
+
+def _level_narrow(load):
+    """The same level on narrow keys: the source-word prune, the pack's
+    searchsorted counts, the owner's by-target sort and run heads."""
+    part = load["part"]
+    bounds = np.asarray(part.bounds)
+    sent = []
+    for rank, (targets, sources, _words) in enumerate(load["senders"]):
+        lo, hi = part.range_of(rank)
+        triple = kernels.lane_prune_by_source(
+            targets, sources, load["fwords"][lo:hi], lo, MSBFS_LANES
+        )
+        sent.append(channel_module._group_triples(*triple, None, bounds))
+    rt, rs, rw = (np.concatenate(column) for column in list(zip(*sent))[:3])
+    fresh = rw & ~load["visit"][rt]
+    alive = np.flatnonzero(fresh)
+    rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
+    _t, _s, wins, reached, unions = kernels.lane_winners(rt, rs, fresh, MSBFS_LANES)
+    return [column for *column, _counts in sent], reached, unions, wins
+
+
+def test_msbfs_narrow_keys_beat_composite(msbfs_level, race):
+    """The busiest level of the scale-14 64-lane batch — 16 senders'
+    prune and pack grouping, then the owner's winners and lane unions —
+    is >= 1.2x on narrow keys (one sort per side, no re-keying in the
+    pack, unions off the scan's run heads) than on the composite keys
+    and the BIT_OR SPA it replaced, with identical sends, unions and
+    winner words."""
+    fast, got, slow, want = race(
+        lambda: _level_narrow(msbfs_level),
+        lambda: _level_composite(msbfs_level),
+    )
+    for g_send, w_send in zip(got[0], want[0]):
+        for g, w in zip(g_send, w_send):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    _assert_speedup("narrow-key msbfs level", fast, slow, MIN_NARROW_LEVEL_SPEEDUP)
 
 
 # -- kernel 1: reused buffers and one in-place key against per-bit temporaries

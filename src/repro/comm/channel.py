@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.comm.codecs import Codec, CodecError, VertexRange, get_codec
+from repro.comm.codecs import Codec, CodecError, VertexRange, _cut, _joined, get_codec
 from repro.comm.sieve import Sieve
 from repro.core.frontier import bitmap_words
 from repro.faults.injection import (
@@ -59,22 +59,54 @@ _SIEVE_BYTES_PER_FLAG = 8
 _CODEC_OPS_PER_WORD = 8.0
 
 
-def _group_triples(owners, nbuckets, targets, values, extras):
+def _ordered(*columns):
+    """Whether the rows of the columns ascend lexicographically, by one
+    adjacent compare per column, and (if they do) which neighbours tie
+    on every column."""
+    ties = None
+    for column in columns:
+        before, after = column[:-1], column[1:]
+        down = after < before
+        if ties is not None:
+            down &= ties
+        if down.any():
+            return False, None
+        ties = after == before if ties is None else ties & (after == before)
+    return True, ties
+
+
+def _group_triples(targets, values, extras, owners, bounds):
     """Order triples by owner, each owner's in (target, value, extra) order.
 
     Returns the three reordered columns and the per-owner counts.
+    ``owners=None`` sends each target to the rank whose ``[bounds[j],
+    bounds[j + 1])`` holds it (a 1D partition's owned ranges); a target
+    outside ``[bounds[0], bounds[-1])`` raises ``ValueError``.
 
-    One stable sort on an (owner, target offset, value offset) key
-    orders every destination at once, or none when one adjacent compare
-    finds the key ordered (the msbfs lane prune emits wire order); rows
-    tying on all three — an SSSP level relaxing one target to one
-    distance from several sources — then get their extras ordered run
-    by run.  The python-int guard keeps the key clear of 64-bit wrap, as
-    in ``kernels.dedup_max``; past it ``lexsort`` gives the same order.
+    One adjacent compare per column usually settles the order — the
+    msbfs lane prune emits wire order, and a target's owner then takes
+    no key at all: its counts are one ``searchsorted`` of the bounds in
+    the sorted targets.  Input found out of order (an SSSP level's
+    relaxations) gets one stable sort on an (owner, target offset, value
+    offset) key, ordering every destination at once.  Rows tying on all
+    three — an SSSP level relaxing one target to one distance from
+    several sources — then get their extras ordered run by run.  The
+    python-int guard keeps the key clear of 64-bit wrap, as in
+    ``kernels.dedup_max``; past it ``lexsort`` gives the same order.
     """
-    if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
-        raise ValueError(f"owners out of range [0, {nbuckets})")
-    if targets.size:
+    nbuckets = bounds.size - 1
+    if owners is not None:
+        if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
+            raise ValueError(f"owners out of range [0, {nbuckets})")
+        ordered, ties = _ordered(owners, targets, values)
+    else:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        if targets.size and (targets.min() < lo or targets.max() >= hi):
+            raise ValueError(f"vertex ids out of range [{lo}, {hi})")
+        ordered, ties = _ordered(targets, values)
+    if not ordered:
+        if owners is None:
+            owners = np.searchsorted(bounds, targets, side="right") - 1
         tmin, tmax = int(targets.min()), int(targets.max())
         vmin, vmax = int(values.min()), int(values.max())
         tbits = (tmax - tmin).bit_length()
@@ -85,23 +117,25 @@ def _group_triples(owners, nbuckets, targets, values, extras):
             key |= (targets - np.int64(tmin)).view(np.uint64)
             key <<= np.uint64(vbits)
             key |= (values - np.int64(vmin)).view(np.uint64)
-            if (key[1:] < key[:-1]).any():
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                targets, values, extras = targets[order], values[order], extras[order]
-            same = key[1:] == key[:-1]
-            if same.any():
-                run = np.zeros(key.size, dtype=np.int64)
-                np.cumsum(~same, out=run[1:])
-                tied = np.zeros(key.size, dtype=bool)
-                tied[1:] = same
-                tied[:-1] |= same
-                tied = np.flatnonzero(tied)
-                extras = extras.copy()  # may still be the caller's column
-                extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            targets, values, extras = targets[order], values[order], extras[order]
+            ties = key[1:] == key[:-1]
         else:
             order = np.lexsort((extras, values, targets, owners))
             targets, values, extras = targets[order], values[order], extras[order]
+            ties = None  # the extras are the last sort key
+    if ties is not None and ties.any():
+        run = np.zeros(targets.size, dtype=np.int64)
+        np.cumsum(~ties, out=run[1:])
+        tied = np.zeros(targets.size, dtype=bool)
+        tied[1:] = ties
+        tied[:-1] |= ties
+        tied = np.flatnonzero(tied)
+        extras = extras.copy()  # may still be the caller's column
+        extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
+    if owners is None:
+        return targets, values, extras, np.diff(np.searchsorted(targets, bounds))
     return targets, values, extras, np.bincount(owners, minlength=nbuckets)
 
 
@@ -147,6 +181,12 @@ class CommChannel:
             )
         self.comm = comm
         self.ranges = list(ranges)
+        #: Where each range starts, and where the last one ends: the
+        #: owner bounds of a triple exchange packed without owners.
+        self._bounds = np.array(
+            [r.lo for r in self.ranges] + [self.ranges[-1].lo + self.ranges[-1].nbits],
+            dtype=np.int64,
+        )
         self.codec = get_codec(codec)
         self.sieve = sieve
         self.charger = charger
@@ -330,7 +370,7 @@ class CommChannel:
         targets: np.ndarray,
         values: np.ndarray,
         extras: np.ndarray,
-        owners: np.ndarray,
+        owners: np.ndarray | None = None,
     ) -> tuple[list[np.ndarray], ExchangeInfo]:
         """Bucket and encode ``(target, value, extra)`` candidate triples.
 
@@ -344,12 +384,18 @@ class CommChannel:
         incompatible — a target legitimately re-ships whenever a *new
         lane* reaches it — so triple sites refuse one outright.
 
-        Each bucket is canonically sorted by (target, value, extra)
-        before encoding (:func:`_group_triples`, at most one sort for all
-        destinations): the raw codec preserves order and delta-varint
-        finds every segment already in (target, value) order, so the
-        decoded pair order always matches the raw extra column row for
-        row.
+        ``owners`` names each triple's destination rank; ``None`` sends
+        each target to the rank whose range holds it, the ranges tiling
+        ascending as a 1D partition's do (a target outside them raises
+        ``ValueError``).  Each bucket is canonically sorted by (target,
+        value, extra) before encoding (:func:`_group_triples`): input
+        already in that order — the msbfs lane prune's output — is only
+        checked, by adjacent compares, and takes its per-owner counts
+        from one ``searchsorted`` when ``owners`` is ``None``; other
+        input gets one sort for all destinations.  The raw codec
+        preserves order and delta-varint finds every segment already in
+        (target, value) order, so the decoded pair order always matches
+        the raw extra column row for row.
         """
         if self.sieve is not None:
             raise ValueError(
@@ -359,11 +405,12 @@ class CommChannel:
         targets = np.asarray(targets, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         extras = np.asarray(extras, dtype=np.int64)
-        owners = np.asarray(owners, dtype=np.int64)
+        if owners is not None:
+            owners = np.asarray(owners, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
             targets, values, extras, counts = _group_triples(
-                owners, self.comm.size, targets, values, extras
+                targets, values, extras, owners, self._bounds
             )
             pair_bufs = self.codec.encode_pairs_many(
                 targets, values, counts, self.ranges
@@ -383,27 +430,48 @@ class CommChannel:
         info = ExchangeInfo(int(targets.size), payload, wire, 0)
         return send, info
 
-    def _decode_triples_piece(
-        self, piece: np.ndarray, ctx: VertexRange
+    def _decode_triples(
+        self, pieces: list[np.ndarray], ctx: VertexRange
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        piece = np.asarray(piece, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        if piece.size == 0:
-            return empty, empty, empty
-        pair_words = int(piece[0])
-        if pair_words < 0 or pair_words > piece.size - 1:
-            raise CodecError(
-                f"triple buffer header claims {pair_words} pair words "
-                f"but only {piece.size - 1} words follow"
-            )
-        targets, values = self.codec.decode_pairs(piece[1 : 1 + pair_words], ctx)
-        extras = piece[1 + pair_words :]
-        if extras.size != targets.size:
-            raise CodecError(
-                f"triple buffer carries {extras.size} extra words "
-                f"for {targets.size} pairs"
-            )
-        return targets, values, extras
+        """Received triple buffers, decoded from one joined buffer.
+
+        Each piece's header, pair frame and extra column are read at its
+        offsets; the pair frames take one codec call and the extras one
+        gather.  When that finds damage, the pieces are decoded again
+        one at a time, so the :class:`CodecError` names the first
+        damaged piece exactly as a piece-by-piece decode would — a
+        joined codec decode reports on all its frames at once.
+        """
+        try:
+            return self._decode_joined_triples(pieces, ctx)
+        except CodecError:
+            for piece in pieces:
+                self._decode_joined_triples([piece], ctx)
+            raise
+
+    def _decode_joined_triples(self, pieces, ctx):
+        words, starts, sizes = _joined(pieces)
+        heads = words[starts].tolist()
+        for pair_words, size in zip(heads, sizes):
+            if pair_words < 0 or pair_words > size - 1:
+                raise CodecError(
+                    f"triple buffer header claims {pair_words} pair words "
+                    f"but only {size - 1} words follow"
+                )
+        framed = [(at + 1, n) for at, n in zip(starts, heads) if n]
+        targets, values, found = self.codec.decode_pairs_at(
+            words, [at for at, _ in framed], [n for _, n in framed], ctx
+        )
+        found = iter(found)
+        npairs = [next(found) if n else 0 for n in heads]
+        for pair_words, size, count in zip(heads, sizes, npairs):
+            if size - 1 - pair_words != count:
+                raise CodecError(
+                    f"triple buffer carries {size - 1 - pair_words} extra words "
+                    f"for {count} pairs"
+                )
+        tails = [at + 1 + n for at, n in zip(starts, heads)]
+        return targets, values, _cut(words, tails, npairs)
 
     def exchange_triples(
         self, send: list[np.ndarray], info: ExchangeInfo, level: int | None = None
@@ -415,17 +483,11 @@ class CommChannel:
             info,
             level,
             lambda: self.comm.alltoallv(send),
-            lambda _r, piece: self._decode_triples_piece(piece, ctx),
+            lambda _r, piece: self._decode_triples([piece], ctx),
             "truncate",
         )
         with self.obs.span("decode", codec=self.codec.name):
-            decoded = [self._decode_triples_piece(piece, ctx) for piece in pieces]
-            if decoded:
-                rt = np.concatenate([t for t, _, _ in decoded])
-                rv = np.concatenate([v for _, v, _ in decoded])
-                rx = np.concatenate([x for _, _, x in decoded])
-            else:
-                rt = rv = rx = np.empty(0, dtype=np.int64)
+            rt, rv, rx = self._decode_triples(pieces, ctx)
             self._charge_decode(
                 float(rt.size),
                 float(sum(np.asarray(p).size for p in pieces)),

@@ -121,6 +121,12 @@ def _joined(pieces):
     return words, list(accumulate(sizes, initial=0))[:-1], sizes
 
 
+def _cut(words, starts, sizes) -> np.ndarray:
+    """The runs ``words[starts[k] : starts[k] + sizes[k]]``, back to back."""
+    runs = [words[at : at + n] for at, n in zip(starts, sizes)]
+    return runs[0] if len(runs) == 1 else np.concatenate(runs or [words[:0]])
+
+
 def _as_segments(targets, parents, counts, ranges):
     """Validate one exchange: grouped pairs, per-segment counts and ranges.
 
@@ -262,8 +268,12 @@ class Codec:
     handle a whole exchange — the grouped send array with one count and
     one range per destination, or every piece a rank received — and are
     what :class:`~repro.comm.channel.CommChannel` calls; ``encode_pairs``
-    / ``decode_pairs`` handle one buffer, as the one-segment case.  A
-    codec implements ``encode_pairs_many`` and one of the two decoders.
+    / ``decode_pairs`` handle one buffer, as the one-segment case.
+    ``decode_pairs_at`` decodes pair frames that sit at known offsets of
+    one joined buffer — the triple exchange's pieces, each a header, a
+    pair frame and an extra column — and also says how many pairs each
+    frame held.  A codec implements ``encode_pairs_many`` and one of
+    ``decode_pairs`` / ``decode_pairs_many``.
     """
 
     name: str = "abstract"
@@ -297,6 +307,23 @@ class Codec:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Decode received pieces into their concatenated (targets, parents)."""
         return _concat_pairs([self.decode_pairs(piece, ctx) for piece in pieces])
+
+    def decode_pairs_at(
+        self,
+        words: np.ndarray,
+        starts: Sequence[int],
+        sizes: Sequence[int],
+        ctx: VertexRange | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Decode the non-empty frames ``words[starts[f] : starts[f] +
+        sizes[f]]`` of one joined int64 buffer.
+
+        Returns their concatenated ``(targets, parents)`` and the number
+        of pairs each frame held (python ints).  Raises what decoding
+        each frame alone raises.
+        """
+        decoded = [self.decode_pairs(words[at : at + n], ctx) for at, n in zip(starts, sizes)]
+        return (*_concat_pairs(decoded), [t.size for t, _ in decoded])
 
     def encode_set(
         self, vertices: np.ndarray, ctx: VertexRange | None = None, dense: bool = False
@@ -334,6 +361,15 @@ class RawCodec(Codec):
         targets, parents = kernels.unpack_pairs(wire)
         _check_targets(targets, ctx, self.name)
         return targets, parents
+
+    def decode_pairs_at(self, words, starts, sizes, ctx=None):
+        # Every frame's words cut out as one array, unpacked at once.
+        odd = [size for size in sizes if size % 2]
+        if odd:
+            raise CodecError(f"corrupt raw pair buffer: odd word count {odd[0]}")
+        targets, parents = kernels.unpack_pairs(_cut(words, starts, sizes))
+        _check_targets(targets, ctx, self.name)
+        return targets, parents, [size // 2 for size in sizes]
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -436,17 +472,16 @@ class DeltaVarintCodec(Codec):
             )
         return values, claimed
 
-    def _decode_pairs_at(self, words, starts, sizes, ctx):
-        """Decode the pair frames at ``starts`` / ``sizes`` of ``words``."""
+    def decode_pairs_at(self, words, starts, sizes, ctx=None):
         if not sizes:
-            return _concat_pairs([])
+            return (*_concat_pairs([]), [])
         seq, npairs = self._decode_frames(words, starts, sizes, per_item=2)
         targets = _undelta_segments(seq[0::2], npairs)
         _check_targets(targets, ctx, self.name)
-        return targets, seq[1::2]
+        return targets, seq[1::2], npairs
 
     def decode_pairs_many(self, pieces, ctx=None):
-        return self._decode_pairs_at(*_joined(pieces), ctx)
+        return self.decode_pairs_at(*_joined(pieces), ctx)[:2]
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.sort(np.asarray(vertices, dtype=np.int64))
@@ -559,22 +594,27 @@ class AutoCodec(Codec):
         return frames
 
     def decode_pairs_many(self, pieces, ctx=None):
-        # One joined buffer; each run of neighbouring pieces with the same
-        # tag decodes from it together — on a sparse level that is every
-        # piece, in one pass.
-        words, starts, sizes = _joined(pieces)
+        return self.decode_pairs_at(*_joined(pieces), ctx)[:2]
+
+    def decode_pairs_at(self, words, starts, sizes, ctx=None):
+        # Each run of neighbouring frames with the same tag decodes
+        # together — on a sparse level that is every frame, in one pass.
         if sizes and min(sizes) < 2:
             raise CodecError("corrupt auto buffer: codec tag without a body")
-        tags = words[starts].tolist()
-        decoded = []
+        tags = words[list(starts)].tolist()  # a tuple would index axes
+        decoded, npairs = [], []
         for tag, run in groupby(zip(tags, starts, sizes), key=lambda piece: piece[0]):
             inner = self._inner(tag)
             bodies = [(at + 1, size - 1) for _tag, at, size in run]
             if tag == self.RAW:
-                decoded += [inner.decode_pairs(words[at : at + n], ctx) for at, n in bodies]
+                raw = [inner.decode_pairs(words[at : at + n], ctx) for at, n in bodies]
+                decoded += raw
+                npairs += [t.size for t, _ in raw]
             else:
-                decoded.append(inner._decode_pairs_at(words, *zip(*bodies), ctx))
-        return _concat_pairs(decoded)
+                targets, parents, counts = inner.decode_pairs_at(words, *zip(*bodies), ctx)
+                decoded.append((targets, parents))
+                npairs += counts
+        return (*_concat_pairs(decoded), npairs)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)

@@ -185,8 +185,10 @@ def count_lane_edges(
     ``words[v]`` holds :func:`lane_words` of internal vertex ``v``: an
     edge lies inside lane ``b``'s component iff bit ``b`` survives the
     AND of its endpoints' words.  One lane counts the surviving edges;
-    more take per-lane totals off a 256-bin histogram of each byte of
-    the ANDed words.  Rounding against ``m_input`` is per lane.
+    more take per-lane totals off one histogram per 16-bit column of the
+    ANDed words (per byte while the words are one byte wide), each
+    folded into its low and its high byte's 256-bin histograms.
+    Rounding against ``m_input`` is per lane.
     """
     # One word per edge at the lanes' width, not an int64 source id.
     within = np.repeat(words, csr.degrees())
@@ -194,11 +196,12 @@ def count_lane_edges(
     if lanes == 1:  # 0/1 bytes: count them as flags
         counts = [np.count_nonzero(within.view(bool))]
     else:
-        octets = within.view(np.uint8).reshape(-1, within.itemsize)
-        counts = np.concatenate(
-            [
-                np.bincount(octets[:, j], minlength=256) @ _BYTE_BITS
-                for j in range((lanes + 7) // 8)
-            ]
-        )
+        width = min(within.itemsize, 2)
+        columns = within.view(f"<u{width}").reshape(-1, within.itemsize // width)
+        octets = []
+        for j in range(-(-lanes // (8 * width))):
+            # Row = high byte, column = low byte of the column's values.
+            hist = np.bincount(columns[:, j], minlength=1 << (8 * width)).reshape(-1, 256)
+            octets += [hist.sum(axis=0), hist.sum(axis=1)][:width]
+        counts = np.concatenate([octet @ _BYTE_BITS for octet in octets])
     return [_input_edges(c, csr, m_input) for c in counts[:lanes]]

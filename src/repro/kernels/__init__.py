@@ -43,6 +43,7 @@ from repro.kernels.numpy_backend import (
     delta_encode,
     group_by_owner,
     lane_prune,
+    lane_prune_by_source,
     lane_winners,
     last_hit_scan,
     pack_bitmap,
@@ -76,6 +77,7 @@ KERNELS = (
     "last_hit_scan",
     "lane_winners",
     "lane_prune",
+    "lane_prune_by_source",
     "unique_sorted",
     "varint_sizes",
     "varint_encode",

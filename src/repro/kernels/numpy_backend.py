@@ -230,6 +230,14 @@ def last_hit_scan(hits, starts, counts):
     return np.maximum.reduceat(hit_pos, starts)
 
 
+def _key_dtype(bits: int):
+    """The narrowest unsigned dtype of a ``bits``-wide sort key, ``None``
+    past 64 bits: a uint32 key sorts in about half the time of a uint64."""
+    if bits <= 32:
+        return np.uint32
+    return np.uint64 if bits <= _WORD_BITS else None
+
+
 def _wire_order(targets, sources):
     """Both columns sorted into (target asc, source asc) order, equal
     pairs keeping their input order, and the permutation that does it."""
@@ -259,45 +267,113 @@ def _wire_order(targets, sources):
     return targets[order], sources[order], order
 
 
+def _grouped_wire_order(targets, sources):
+    """:func:`_wire_order` for candidates whose sources already ascend
+    within each target — pieces that arrive in rank order, each in wire
+    order — plus the run mask ``same[i]``: rows ``i`` and ``i + 1``
+    share a target.
+
+    Such input needs only a stable sort by target: one (target offset,
+    input position) key in the narrowest dtype that holds it.  One
+    adjacent compare of the sorted sources checks the premise, and any
+    input that breaks it (or whose key passes 64 bits) takes the full
+    :func:`_wire_order` key instead, so the result is the same for
+    every input.
+    """
+    n = targets.size
+    tmin = int(targets.min())
+    tbits = (int(targets.max()) - tmin).bit_length()
+    ibits = (n - 1).bit_length()
+    dtype = _key_dtype(tbits + ibits)
+    if dtype is not None:
+        key = (targets - np.int64(tmin)).view(np.uint64)
+        key <<= np.uint64(ibits)
+        key |= np.arange(n, dtype=np.uint64)
+        key = key.astype(dtype, copy=False)
+        key.sort()
+        order = (key & dtype((1 << ibits) - 1)).astype(np.int64)
+        key >>= dtype(ibits)
+        same = key[:-1] == key[1:]
+        ordered = sources[order]
+        if not (same & (ordered[1:] < ordered[:-1])).any():
+            return key.astype(np.int64) + np.int64(tmin), ordered, order, same
+    targets, sources, order = _wire_order(targets, sources)
+    return targets, sources, order, targets[:-1] == targets[1:]
+
+
+def _live(words, nlanes: int):
+    """The racing bits of each word: those below ``nlanes``."""
+    if nlanes == _WORD_BITS:
+        return words
+    return words & np.uint64((1 << nlanes) - 1)
+
+
+def _suffix_or(same, live):
+    """The OR of the later words of each row's run, ``live`` in runs of
+    sorted rows (``same[i]``: rows ``i`` and ``i + 1`` share a target).
+
+    A Hillis-Steele doubling scan over contiguous slices: ``after``
+    starts as the run's next word, pass ``off`` ORs in the window
+    ``off`` places on through one reused scratch buffer, and the run
+    mask for twice the reach is the AND of two shifted copies of this
+    one, until no run is ``off`` long.
+    """
+    after = np.zeros(live.size, dtype=np.uint64)
+    np.multiply(live[1:], same, out=after[:-1])
+    scratch = np.empty(same.size, dtype=np.uint64)
+    off = 1
+    while same.any():
+        hop = scratch[: same.size]
+        np.multiply(after[off:], same, out=hop)
+        after[:-off] |= hop
+        same = same[:-off] & same[off:]
+        off <<= 1
+    return after
+
+
+def _wins(live, after):
+    """``live & ~after`` in place of ``after``: the lanes no later row of
+    the run carries."""
+    np.invert(after, out=after)
+    after &= live
+    return after
+
+
 def lane_winners(targets, sources, words, nlanes: int):
     """Resolve every lane's (select, max) race among (target, source,
     word) triples in one pass.
 
-    Returns ``(targets int64, sources int64, words uint64, wins
-    uint64)`` in (target asc, source asc) wire order, equal pairs in
-    input order.  Bit ``b < nlanes`` of ``wins[i]`` is set iff candidate
-    ``i`` carries lane ``b`` and no later candidate of its target does —
-    it is lane ``b``'s maximum-source contributor (of equal pairs, the
-    last) — so every (target, lane) slot some word carries is won
-    exactly once.  Bits at or above ``nlanes`` never win.
+    Returns ``(targets int64, sources int64, wins uint64)`` in (target
+    asc, source asc) wire order, equal pairs in input order, and
+    ``(run_targets int64, unions uint64)``: each distinct target,
+    ascending, and the OR of its candidates' bits below ``nlanes``.
+    Bit ``b < nlanes`` of ``wins[i]`` is set iff candidate ``i`` carries
+    lane ``b`` and no later candidate of its target does — it is lane
+    ``b``'s maximum-source contributor (of equal pairs, the last) — so
+    every (target, lane) slot some word carries is won exactly once, and
+    a target's union is the OR of its winner words.  Bits at or above
+    ``nlanes`` never win.
+
+    Candidates that arrive in rank order, each rank's in wire order
+    (an owner's received triples), sort on a narrow key by target alone;
+    any other input takes the full (target, source, position) key.
     """
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     words = np.asarray(words, dtype=np.uint64)
     if targets.size == 0:
-        return targets, sources, words, np.empty(0, dtype=np.uint64)
-    targets, sources, order = _wire_order(targets, sources)
-    words = words[order]
-    live = words & np.uint64((1 << nlanes) - 1)
-    return targets, sources, words, _suffix_winners(targets, live)
-
-
-def _suffix_winners(targets, live):
-    """``live`` minus the OR of the later words of each sorted target's
-    run: a Hillis-Steele doubling scan over contiguous slices, ``after``
-    starting as the run's next word, pass ``off`` ORing in the window
-    ``off`` places on, until no run is ``off`` long."""
-    same = targets[:-1] == targets[1:]
-    after = np.zeros(targets.size, dtype=np.uint64)
-    after[:-1] = live[1:] * same
-    off = 1
-    while same.any():
-        after[:-off] |= after[off:] * same
-        off <<= 1
-        same = targets[:-off] == targets[off:]
-    np.invert(after, out=after)
-    after &= live
-    return after
+        none = np.empty(0, dtype=np.uint64)
+        return targets, sources, none, targets, none
+    targets, sources, order, same = _grouped_wire_order(targets, sources)
+    live = _live(words[order], nlanes)
+    after = _suffix_or(same, live)
+    # A run's union is its head's word ORed with everything after it.
+    head = np.empty(targets.size, dtype=bool)
+    head[0] = True
+    np.logical_not(same, out=head[1:])
+    heads = np.flatnonzero(head)
+    unions = live[heads] | after[heads]
+    return targets, sources, _wins(live, after), targets[heads], unions
 
 
 def lane_prune(targets, sources, words, nlanes: int):
@@ -308,9 +384,70 @@ def lane_prune(targets, sources, words, nlanes: int):
     ``wins`` word is nonzero, in the same (target, source) wire order.
     Returns ``(targets int64, sources int64, words uint64)``.
     """
-    targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
-    keep = wins != 0
+    targets = np.asarray(targets, dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64)
+    words = np.asarray(words, dtype=np.uint64)
+    if targets.size == 0:
+        return targets, sources, words
+    targets, sources, order = _wire_order(targets, sources)
+    words = words[order]
+    live = _live(words, nlanes)
+    keep = np.flatnonzero(_wins(live, _suffix_or(targets[:-1] == targets[1:], live)))
     return targets[keep], sources[keep], words[keep]
+
+
+def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int):
+    """:func:`lane_prune` of candidates that carry their source's word.
+
+    Candidate ``i``'s word is ``source_words[sources[i] - base]`` — a
+    sender's frontier word per owned vertex — so equal (target, source)
+    pairs carry equal words and the wire order needs no input position:
+    one (target offset, source offset) key, uint32 while it fits (an
+    R-MAT scale-18 graph on 16 ranks), sorts the candidates, and the
+    words are read at the sorted sources.  Returns ``(targets int64,
+    sources int64, words uint64)`` as :func:`lane_prune` of the gathered
+    words does.  Raises ``ValueError`` when a source falls outside
+    ``[base, base + source_words.size)``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64)
+    source_words = np.asarray(source_words, dtype=np.uint64)
+    if targets.size == 0:
+        return targets, sources, np.empty(0, dtype=np.uint64)
+    smin, smax = int(sources.min()), int(sources.max())
+    if smin < base or smax >= base + source_words.size:
+        raise ValueError(
+            f"sources out of range [{base}, {base + source_words.size})"
+        )
+    tmin = int(targets.min())
+    tbits = (int(targets.max()) - tmin).bit_length()
+    sbits = (smax - smin).bit_length()
+    dtype = _key_dtype(tbits + sbits)
+    if dtype is None:
+        order = np.lexsort((sources, targets))
+        targets, sources = targets[order], sources[order]
+        words = source_words[sources - base]
+        tmin = smin = 0  # the columns hold the ids themselves
+    else:
+        key = (targets - np.int64(tmin)).view(np.uint64)
+        key <<= np.uint64(sbits)
+        key |= (sources - np.int64(smin)).view(np.uint64)
+        key = key.astype(dtype, copy=False)
+        key.sort()
+        # The key's two bit fields, as offsets: the columns are rebuilt
+        # for the survivors only.
+        sources = key & dtype((1 << sbits) - 1)
+        words = source_words[smin - base :][sources]
+        key >>= dtype(sbits)
+        targets = key
+    live = _live(words, nlanes)
+    # An index, not a mask: three gathers by it beat three masked copies.
+    keep = np.flatnonzero(_wins(live, _suffix_or(targets[:-1] == targets[1:], live)))
+    targets = targets[keep].astype(np.int64)
+    targets += np.int64(tmin)
+    sources = sources[keep].astype(np.int64)
+    sources += np.int64(smin)
+    return targets, sources, words[keep]
 
 
 def unique_sorted(values):

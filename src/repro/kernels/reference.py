@@ -187,34 +187,55 @@ def last_hit_scan(hits, starts, counts):
     return _i64(out)
 
 
-def lane_winners(targets, sources, words, nlanes):
+def _lane_race(targets, sources, words, nlanes):
+    """The rows in wire order (equal pairs in input order) as
+    ``(target, source, word, winner word)`` tuples, and each target's
+    union of racing lanes."""
     targets = _ints(targets)
     sources = _ints(sources)
     words = _uints(words)
     order = sorted(range(len(targets)), key=lambda i: (targets[i], sources[i]))
     lane_mask = (1 << nlanes) - 1
-    wins = []  # built from the back: a lane's winner is its run's last carrier
-    seen = 0
-    next_target = None
+    rows = []  # built from the back: a lane's winner is its run's last carrier
+    unions: dict = {}
     for i in reversed(order):
-        if targets[i] != next_target:
-            next_target = targets[i]
-            seen = 0
+        seen = unions.get(targets[i], 0)
         lanes = words[i] & lane_mask
-        wins.append(lanes & ~seen)
-        seen |= lanes
+        rows.append((targets[i], sources[i], words[i], lanes & ~seen))
+        unions[targets[i]] = seen | lanes
+    return rows[::-1], unions
+
+
+def lane_winners(targets, sources, words, nlanes):
+    rows, unions = _lane_race(targets, sources, words, nlanes)
+    run_targets = sorted(unions)
     return (
-        _i64([targets[i] for i in order]),
-        _i64([sources[i] for i in order]),
-        _u64([words[i] for i in order]),
-        _u64(wins[::-1]),
+        _i64([t for t, _s, _w, _won in rows]),
+        _i64([s for _t, s, _w, _won in rows]),
+        _u64([won for _t, _s, _w, won in rows]),
+        _i64(run_targets),
+        _u64([unions[t] for t in run_targets]),
     )
 
 
 def lane_prune(targets, sources, words, nlanes):
-    targets, sources, words, wins = lane_winners(targets, sources, words, nlanes)
-    keep = [i for i, won in enumerate(_uints(wins)) if won]
-    return targets[keep], sources[keep], words[keep]
+    rows, _unions = _lane_race(targets, sources, words, nlanes)
+    kept = [row for row in rows if row[3]]
+    return (
+        _i64([t for t, _s, _w, _won in kept]),
+        _i64([s for _t, s, _w, _won in kept]),
+        _u64([w for _t, _s, w, _won in kept]),
+    )
+
+
+def lane_prune_by_source(targets, sources, source_words, base, nlanes):
+    sources = _ints(sources)
+    if sources and (min(sources) < base or max(sources) >= base + len(source_words)):
+        raise ValueError(
+            f"sources out of range [{base}, {base + len(source_words)})"
+        )
+    words = [int(source_words[s - base]) for s in sources]
+    return lane_prune(targets, sources, words, nlanes)
 
 
 def unique_sorted(values):

@@ -2,13 +2,12 @@
 
 One traversal advances up to 64 independent BFS searches at once: every
 vertex carries a single ``uint64`` *lane word* in which bit *b* is source
-*b*'s visited flag, and the per-level combine is one scatter-OR over the
-:data:`~repro.sparse.semiring.BIT_OR` semiring (the SPA forms the lane
-union exactly as it forms the 2D column union).  Batching amortizes the
-per-level latency terms — the Alltoallv startup and the termination
-Allreduce fire once per level for the whole batch instead of once per
-query — which is where the `query-throughput` experiment's modeled
-queries/sec win comes from.
+*b*'s visited flag, and the per-level combine is the OR of the lane
+words that reach a vertex.  Batching amortizes the per-level latency
+terms — the Alltoallv startup and the termination Allreduce fire once
+per level for the whole batch instead of once per query — which is
+where the `query-throughput` experiment's modeled queries/sec win comes
+from.
 
 Per-lane *exactness* is preserved: levels and parents of lane *b* are
 bit-identical to a single-source run from source *b* (the paper's
@@ -24,11 +23,19 @@ per target survive and owner-side per-lane (select, max) results are
 unchanged.
 
 Both ends of the exchange ask the same question — which candidate wins
-each (target, lane) slot — and :func:`repro.kernels.lane_winners`
-answers it once per call with a *winner word* per candidate: the sender
-ships the candidates whose winner word is nonzero, in wire order, the
-owner (:func:`resolve_lane_winners`) unpacks the winner words of what
-arrived and writes exactly the winning slots.
+each (target, lane) slot — and each answers it with one sort, on a key
+in the narrowest unsigned dtype that holds it, and one suffix-OR scan
+over the target runs.  The sender
+(:func:`repro.kernels.lane_prune_by_source`) sorts (target, source)
+pairs and reads each candidate's word off its source's frontier word;
+the survivors are already in wire order, so the pack takes its
+per-owner counts without re-keying them.  The owner
+(:func:`repro.kernels.lane_winners`) receives the pieces in rank order,
+each in wire order, so a stable sort by target orders them; the scan's
+winner words give each (target, lane) slot's parent
+(:func:`resolve_lane_winners`), and its run heads give each target's
+lane union — the visited update and the next frontier — with no
+scatter.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ import numpy as np
 from repro import kernels
 from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
 from repro.graphs.csr import CSR
-from repro.sparse import BIT_OR, SPA
 
 #: Lane capacity of one machine word; the hard batch ceiling.
 WORD_LANES = 64
@@ -77,12 +83,20 @@ def resolve_lane_winners(
     Returns one ``(target, lane, parent)`` row per (target, lane) slot
     some candidate carries, ``parent`` being the slot's maximum source —
     what a ``dedup_candidates`` pass per lane would produce, from one
-    sort.  Everything allocated past the kernel call is sized by the
-    winning slots, not by the candidates.
+    sort.
     """
-    targets, sources, _words, wins = kernels.lane_winners(
+    targets, sources, wins, _reached, _unions = kernels.lane_winners(
         targets, sources, fresh, nlanes
     )
+    return _winning_slots(targets, sources, wins)
+
+
+def _winning_slots(
+    targets: np.ndarray, sources: np.ndarray, wins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``(target, lane, parent)`` row per set bit of the winner
+    words.  Everything allocated is sized by the winning slots, not by
+    the candidates."""
     won = np.flatnonzero(wins)
     # Bit i of the unpacked winner words is lane i % 64 of winner i // 64.
     bits = np.flatnonzero(
@@ -133,7 +147,6 @@ class MSBFS1D(Step1D):
                 self.visit[s - self.lo] |= lane_bit(b)
                 self.fwords[s - self.lo] |= lane_bit(b)
         self.frontier = np.flatnonzero(self.fwords) + self.lo
-        self.spa = SPA(self.nloc, BIT_OR)
 
     def begin_level(self, level: int) -> dict:
         return {"level": level, "lanes": self.nlanes}
@@ -142,29 +155,29 @@ class MSBFS1D(Step1D):
         csr, charger, obs = self.csr, self.charger, self.obs
         lo, nloc = self.lo, self.nloc
         frontier = self.frontier
-        # 1. Enumerate adjacencies; every gathered edge carries its
-        #    frontier vertex's lane word (which lanes reached it anew).
+        # 1. Enumerate adjacencies; each gathered edge carries its
+        #    frontier source's lane word (which lanes reached it anew).
         with obs.span("ms-scan"):
             targets, sources = csr.gather(frontier)
-            words = self.fwords[sources - lo]
             charger.random(frontier.size, ws_words=2 * max(nloc, 1))
             charger.stream(3.0 * targets.size, edges_scanned=float(targets.size))
 
         # 2. Lane-dominance prune (the batched dedup): at most one
-        #    surviving candidate per (target, lane).
+        #    surviving candidate per (target, lane), in wire order.
         candidates = int(targets.size)
         if self.dedup_sends:
             with obs.span("ms-dedup"):
-                targets, sources, words = prune_lane_candidates(
-                    targets, sources, words, self.nlanes
+                targets, sources, words = kernels.lane_prune_by_source(
+                    targets, sources, self.fwords, lo, self.nlanes
                 )
                 charger.sort(candidates)
                 self.metrics.inc("lane_prune_candidates", float(candidates))
                 self.metrics.inc("lane_prune_kept", float(targets.size))
+        else:
+            words = self.fwords[sources - lo]
         with obs.span("ms-pack"):
-            owners = self.part.owner_of(targets)
             send, xinfo = self.channel.pack_triples(
-                targets, sources, words.view(np.int64), owners
+                targets, sources, words.view(np.int64)
             )
             charger.intops(3.0 * xinfo.pairs)
             charger.stream(3.0 * xinfo.pairs)
@@ -176,29 +189,30 @@ class MSBFS1D(Step1D):
         with obs.span("ms-exchange"):
             rt, rs, rx = self.channel.exchange_triples(send, xinfo, level=level)
 
-        # 4. Owner-side update: mask off already-visited lanes, form the
-        #    per-vertex union of new lanes with the BIT_OR SPA, then
-        #    write each newly reached (vertex, lane) slot's level and
-        #    (select, max) parent.
+        # 4. Owner-side update: mask off already-visited lanes, then one
+        #    pass resolves every (vertex, lane) slot's (select, max)
+        #    parent and each vertex's union of new lanes — its visited
+        #    bits and its frontier word for the next level.
         with obs.span("ms-update"):
             charger.random(float(rt.size), ws_words=max(nloc, 1))
-            rw = rx.view(np.uint64)
-            fresh = rw & ~self.visit[rt - lo]
-            alive = fresh != 0
+            fresh = rx.view(np.uint64) & ~self.visit[rt - lo]
+            alive = np.flatnonzero(fresh)
             rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
-            self.spa.accumulate(rt - lo, fresh)
-            pos, won = self.spa.extract_and_reset()
-            self.visit[pos] |= won
-            self.fwords.fill(0)
-            self.fwords[pos] = won
             # Every fresh word only carries bits below nlanes, so the
             # per-lane candidate count is the total set-bit count.
             lane_ops = int(kernels.popcount(fresh).sum()) if fresh.size else 0
-            wt, lanes, ws = resolve_lane_winners(rt, rs, fresh, self.nlanes)
+            rt, rs, wins, reached, won = kernels.lane_winners(
+                rt, rs, fresh, self.nlanes
+            )
+            pos = reached - lo
+            self.visit[pos] |= won
+            self.fwords.fill(0)
+            self.fwords[pos] = won
+            wt, lanes, ws = _winning_slots(rt, rs, wins)
             slots = (wt - lo) * self.nlanes + lanes
             self.levels.reshape(-1)[slots] = level
             self.parents.reshape(-1)[slots] = ws
-            self.frontier = pos + lo
+            self.frontier = reached
             charger.intops(2.0 * lane_ops)
             if self.threads > 1:
                 charger.thread_merge(float(self.frontier.size))

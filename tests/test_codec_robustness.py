@@ -11,9 +11,12 @@ whole loop end to end through ``run_bfs``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.comm import CommChannel
 from repro.comm.codecs import (
     AutoCodec,
     CodecError,
@@ -270,6 +273,130 @@ class TestJoinedDecode:
         )
         with pytest.raises(CodecError, match="last byte has continuation bit"):
             codec.decode_pairs_many(moved, CTX)
+
+
+def _decode_triple_piece(codec, piece, ctx):
+    """One received triple buffer decoded on its own — the exchange's
+    decode as it was, kept as the reference for what each damage is
+    called."""
+    piece = np.asarray(piece, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    if piece.size == 0:
+        return empty, empty, empty
+    pair_words = int(piece[0])
+    if pair_words < 0 or pair_words > piece.size - 1:
+        raise CodecError(
+            f"triple buffer header claims {pair_words} pair words "
+            f"but only {piece.size - 1} words follow"
+        )
+    targets, values = codec.decode_pairs(piece[1 : 1 + pair_words], ctx)
+    extras = piece[1 + pair_words :]
+    if extras.size != targets.size:
+        raise CodecError(
+            f"triple buffer carries {extras.size} extra words "
+            f"for {targets.size} pairs"
+        )
+    return targets, values, extras
+
+
+@pytest.mark.parametrize("codec_name", CODECS)
+class TestJoinedTripleDecode:
+    """Damage to the middle one of three received triple pieces.
+
+    The triple exchange decodes every piece from one joined buffer —
+    headers, pair frames and extra columns read at their offsets — so
+    each damage must still raise :class:`CodecError` with the message
+    decoding the damaged piece alone gives, and undamaged pieces must
+    decode to the piece-by-piece concatenation.
+    """
+
+    #: Triples per sender; the middle piece is the largest, so
+    #: ``corrupt_pieces`` picks it.
+    COUNTS = (3, 12, 4)
+
+    def _pieces(self, codec_name):
+        """What one rank receives from three senders: each packs its
+        triples for ``CTX`` (every rank of the fake group owns it)."""
+        rng = np.random.default_rng(23)
+        codec = CODEC_FORMS[codec_name]()
+        pieces = []
+        for count in self.COUNTS:
+            channel = CommChannel(SimpleNamespace(size=1, rank=0), [CTX], codec=codec)
+            targets = np.sort(rng.choice(CTX.nbits, count, replace=False))
+            values = rng.integers(0, 1 << 12, count)
+            extras = rng.integers(-(1 << 63), 1 << 63, count)
+            send, _info = channel.pack_triples(targets, values, extras)
+            pieces.append(send[0])
+        return channel, codec, pieces
+
+    @staticmethod
+    def _damage(how, piece, codec_name):
+        piece = piece.copy()
+        pair_words = int(piece[0])
+        frame = piece[1 : 1 + pair_words]
+        if how in ("truncate", "smash"):
+            piece = corrupt_pieces([piece], how)[1]
+        elif how == "header-past-end":
+            piece[0] = piece.size
+        elif how == "header-negative":
+            piece[0] = -3
+        elif how == "extra-dropped":
+            piece = piece[:-1]
+        elif how == "extra-added":
+            piece = np.append(piece, 5)
+        elif how == "pair-frame-cut":
+            # One pair word less for the frame, one more for the extras.
+            piece[0] = pair_words - 1
+        elif how == "frame-count":
+            frame[int(codec_name == "auto")] += 1  # varint header's item count
+        elif how == "target-out-of-range":
+            assert codec_name == "raw"
+            frame[0] = CTX.nbits + 7
+        return piece
+
+    #: Damages every codec detects, and the ones a form's framing adds.
+    DAMAGES = [
+        "truncate", "smash", "header-past-end", "header-negative",
+        "extra-dropped", "extra-added", "pair-frame-cut",
+    ]
+
+    def _cases(self, codec_name):
+        extra = ["target-out-of-range"] if codec_name == "raw" else ["frame-count"]
+        return self.DAMAGES + extra
+
+    def test_damaged_middle_piece_names_its_condition(self, codec_name):
+        for how in self._cases(codec_name):
+            channel, codec, pieces = self._pieces(codec_name)
+            if how in ("truncate", "smash"):
+                assert corrupt_pieces(pieces, how)[0] == 1
+            pieces[1] = self._damage(how, pieces[1], codec_name)
+            with pytest.raises(CodecError) as want:
+                _decode_triple_piece(codec, pieces[1], CTX)
+            with pytest.raises(CodecError) as got:
+                channel._decode_triples(pieces, CTX)
+            assert str(got.value) == str(want.value), how
+
+    def test_first_damaged_piece_is_the_one_named(self, codec_name):
+        """Two damaged pieces: the error is the earlier one's, as when
+        the pieces decoded in order."""
+        channel, codec, pieces = self._pieces(codec_name)
+        pieces[1] = self._damage("extra-added", pieces[1], codec_name)
+        pieces[2] = self._damage("header-negative", pieces[2], codec_name)
+        with pytest.raises(CodecError) as want:
+            _decode_triple_piece(codec, pieces[1], CTX)
+        with pytest.raises(CodecError) as got:
+            channel._decode_triples(pieces, CTX)
+        assert str(got.value) == str(want.value)
+
+    def test_undamaged_pieces_decode_as_one_by_one(self, codec_name):
+        channel, codec, pieces = self._pieces(codec_name)
+        pieces.insert(1, np.empty(0, dtype=np.int64))  # a sender with nothing
+        got = channel._decode_triples(pieces, CTX)
+        decoded = [_decode_triple_piece(codec, piece, CTX) for piece in pieces]
+        want = [np.concatenate(column) for column in zip(*decoded)]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[0].size == sum(self.COUNTS)
 
 
 @pytest.mark.parametrize("codec_name", CODECS)

@@ -115,6 +115,42 @@ def _hub_run(tag, length):
     )
 
 
+def _rank_pieces(tag, nranks, per_rank, span, swap=False):
+    """An owner's received triples: pieces in rank order, rank ``r``'s
+    sources in its own range and its rows in wire order — or, with
+    ``swap``, the first two pieces exchanged, so the narrow by-target
+    sort must give way to the full key."""
+    rng = _rng(tag)
+    pieces = []
+    for r in range(nranks):
+        targets = rng.integers(0, span, per_rank)
+        sources = rng.integers(100 * r, 100 * r + 100, per_rank)
+        order = np.lexsort((sources, targets))
+        pieces.append((targets[order], sources[order]))
+    if swap:
+        pieces[0], pieces[1] = pieces[1], pieces[0]
+    return (
+        np.concatenate([t for t, _ in pieces]),
+        np.concatenate([s for _, s in pieces]),
+        rng.integers(0, I64_MAX, nranks * per_rank, dtype=np.uint64) << np.uint64(1),
+        64,
+    )
+
+
+def _source_words(tag, n, ntargets, nsources, base, nlanes, tspan=None):
+    """(target, source, per-source word table, base, nlanes), with
+    repeated (target, source) rows as a non-canonical CSR gathers them."""
+    rng = _rng(tag)
+    targets = rng.integers(0, ntargets, n)
+    if tspan is not None:
+        targets = targets * tspan
+    sources = rng.integers(base, base + nsources, n)
+    dup = rng.integers(0, n, n // 4)
+    targets[dup[1:]], sources[dup[1:]] = targets[dup[:-1]], sources[dup[:-1]]
+    table = rng.integers(0, I64_MAX, nsources, dtype=np.uint64) << np.uint64(1)
+    return targets, sources, table, base, nlanes
+
+
 CASES: dict[str, dict] = {
     "dedup_max": {
         "empty": lambda: (_i64(), _i64()),
@@ -326,6 +362,35 @@ CASES: dict[str, dict] = {
         "wide-targets-lexsort-path": lambda: (
             _i64(1 << 62, 0, 1 << 62), _i64(5, 1 << 40, 9), _u64(1, 1, 3), 2
         ),
+        "rank-ordered-pieces": lambda: _rank_pieces("lw-ranks", 4, 60, 25),
+        "rank-ordered-pieces-swapped": lambda: _rank_pieces("lw-swap", 4, 60, 25, swap=True),
+        "rank-ordered-key-over-32-bits": lambda: (
+            # 27 target bits + 6 position bits: the by-target key is uint64.
+            np.concatenate([_i64(0, 1 << 26, (1 << 27) - 1)] * 20),
+            np.repeat(np.arange(20), 3),
+            _rng("lw-wide").integers(0, I64_MAX, 60, dtype=np.uint64),
+            64,
+        ),
+    },
+    "lane_prune_by_source": {
+        "empty": lambda: (_i64(), _i64(), _u64(1, 2), 0, 64),
+        "single": lambda: (_i64(3), _i64(9), _u64(5), 9, 64),
+        "duplicate-rows": lambda: _source_words("lps-dup", 120, 12, 20, 40, 64),
+        "nlanes-1": lambda: _source_words("lps-1", 90, 10, 15, 0, 1),
+        "nlanes-37": lambda: _source_words("lps-37", 150, 9, 30, 7, 37),
+        "negative-base": lambda: _source_words("lps-neg", 80, 6, 12, -20, 64),
+        "key-over-32-bits": lambda: _source_words("lps-64", 100, 8, 500, 3, 64, tspan=1 << 26),
+        "key-over-64-bits-lexsort-path": lambda: (
+            # A 64-bit target span and a source bit: past any one key.
+            _i64(I64_MAX, I64_MIN, I64_MAX, I64_MIN, 0),
+            _i64(-5, -4, -4, -5, -4),
+            _u64(3, 1 << 63),
+            -5,
+            64,
+        ),
+        "table-zero-words": lambda: (
+            _i64(4, 4, 2), _i64(1, 0, 1), _u64(0, 6), 0, 64
+        ),
     },
     "lane_prune": {
         "empty": lambda: (_i64(), _i64(), _u64(), 64),
@@ -452,27 +517,52 @@ def test_backends_bit_identical(kernel, case):
     [kc for kc in DIFFERENTIAL_CASES if kc[0] in ("lane_winners", "lane_prune")],
 )
 def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
-    """The two views of one pass cannot drift: the prune is the winner
-    kernel's rows with a nonzero winner word, original words attached."""
+    """The two views of one race cannot drift: the prune is the winner
+    kernel's rows with a nonzero winner word, original words attached in
+    the same stable (target, source) order; each target's union is the
+    OR of its winner words."""
     module = MODULES[backend]
-    targets, sources, words, wins = module.lane_winners(*CASES[kernel][case]())
-    pruned = module.lane_prune(*CASES[kernel][case]())
+    given_t, given_s, given_w, nlanes = CASES[kernel][case]()
+    targets, sources, wins, run_targets, unions = module.lane_winners(
+        given_t, given_s, given_w, nlanes
+    )
+    pruned = module.lane_prune(given_t, given_s, given_w, nlanes)
     keep = wins != 0
+    words = np.asarray(given_w, dtype=np.uint64)[np.lexsort((given_s, given_t))]
     assert _normalize(pruned) == _normalize(
         (targets[keep], sources[keep], words[keep])
     )
+    assert run_targets.tolist() == np.unique(targets).tolist()
+    run_of = np.searchsorted(run_targets, targets)
+    ored = np.zeros(run_targets.size, dtype=np.uint64)
+    np.bitwise_or.at(ored, run_of, wins)
+    assert unions.tolist() == ored.tolist()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES["lane_prune_by_source"]))
+def test_source_prune_is_the_prune_of_the_gathered_words(backend, case):
+    """Reading each candidate's word off its source's entry is the
+    generic prune of the words gathered up front."""
+    module = MODULES[backend]
+    targets, sources, table, base, nlanes = CASES["lane_prune_by_source"][case]()
+    gathered = np.asarray(table, dtype=np.uint64)[np.asarray(sources) - base]
+    assert _normalize(
+        module.lane_prune_by_source(targets, sources, table, base, nlanes)
+    ) == _normalize(module.lane_prune(targets, sources, gathered, nlanes))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lane_winners_tie_rule_is_last_in_input_order(backend):
     """Wire order with equal pairs kept in input order, and a lane shared
     by exact (target, source) duplicates won by the last of them."""
-    targets, sources, _words, wins = MODULES[backend].lane_winners(
+    targets, sources, wins, run_targets, unions = MODULES[backend].lane_winners(
         *CASES["lane_winners"]["exact-duplicate-different-words"]()
     )
     assert targets.tolist() == [4, 4, 4, 4]
     assert sources.tolist() == [2, 7, 7, 7]
     assert wins.tolist() == [0b1000, 0b0100, 0b0010, 0b0001]
+    assert run_targets.tolist() == [4] and unions.tolist() == [0b1111]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -507,6 +597,16 @@ ERROR_CASES = {
         "group_by_owner",
         lambda: (_i64(0, 5), 5, _i64(1, 2)),
         "owners out of range [0, 5)",
+    ),
+    "source-prune-below-base": (
+        "lane_prune_by_source",
+        lambda: (_i64(1, 2), _i64(4, 2), _u64(1, 2, 3), 3, 64),
+        "sources out of range [3, 6)",
+    ),
+    "source-prune-past-table": (
+        "lane_prune_by_source",
+        lambda: (_i64(1, 2), _i64(4, 6), _u64(1, 2, 3), 3, 64),
+        "sources out of range [3, 6)",
     ),
     "pack-pairs-length-mismatch": (
         "pack_pairs",

@@ -326,17 +326,17 @@ class TestTripleWire:
             buf, ctx = send[dst], ranges[dst]
             # Truncation desyncs the extras column behind the header.
             with pytest.raises(CodecError):
-                channel._decode_triples_piece(buf[:-1], ctx)
+                channel._decode_triples([buf[:-1]], ctx)
             # A header claiming more pair words than the buffer holds.
             bad = buf.copy()
             bad[0] = buf.size + 5
             with pytest.raises(CodecError):
-                channel._decode_triples_piece(bad, ctx)
+                channel._decode_triples([bad], ctx)
             # A negative header is equally out of bounds.
             bad = buf.copy()
             bad[0] = -1
             with pytest.raises(CodecError):
-                channel._decode_triples_piece(bad, ctx)
+                channel._decode_triples([bad], ctx)
             return True
 
         res = run_spmd(2, fn)

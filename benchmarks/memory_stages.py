@@ -10,7 +10,8 @@ the tiny fixed graph, then one search through ``Session.query`` (or
   at its end (numpy reports its buffers to ``tracemalloc``).
 
 Stages: ``generate`` (edges), ``construct`` (CSR + relabeling), ``keys``,
-``warm-up``, ``launch`` (the SPMD run; rank slices live), ``stitch``
+``warm-up``, ``partition`` (``runner.prepare``: a 2D workload's DCSC
+blocks), ``launch`` (the SPMD run; rank slices live), ``stitch``
 (slices written into the caller-label outputs), ``result`` (edge count
 and the result object).  ``--no-tracemalloc`` reads ``ru_maxrss``
 without the tracer's own overhead.  Run from the repository root::
@@ -99,6 +100,7 @@ def main(argv=None) -> None:
 
     runner.Session.launch, runner.Session.stitch = marked_launch, marked_stitch
     session = runner.prepare(graph, config)
+    stages.mark("partition")
     if spec.batch == 1:
         result = session.bfs(int(key_row[0]))
     else:

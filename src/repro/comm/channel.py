@@ -75,6 +75,14 @@ def _ordered(*columns):
     return True, ties
 
 
+def _check_in_range(targets, bounds):
+    """Raise ``ValueError`` unless every target lies in ``[bounds[0],
+    bounds[-1])``, the span of a channel's routing bounds."""
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    if targets.size and (targets.min() < lo or targets.max() >= hi):
+        raise ValueError(f"vertex ids out of range [{lo}, {hi})")
+
+
 def _group_triples(targets, values, extras, owners, bounds):
     """Order triples by owner, each owner's in (target, value, extra) order.
 
@@ -100,9 +108,7 @@ def _group_triples(targets, values, extras, owners, bounds):
             raise ValueError(f"owners out of range [0, {nbuckets})")
         ordered, ties = _ordered(owners, targets, values)
     else:
-        lo, hi = int(bounds[0]), int(bounds[-1])
-        if targets.size and (targets.min() < lo or targets.max() >= hi):
-            raise ValueError(f"vertex ids out of range [{lo}, {hi})")
+        _check_in_range(targets, bounds)
         ordered, ties = _ordered(targets, values)
     if not ordered:
         if owners is None:
@@ -181,11 +187,16 @@ class CommChannel:
             )
         self.comm = comm
         self.ranges = list(ranges)
-        #: Where each range starts, and where the last one ends: the
-        #: owner bounds of a triple exchange packed without owners.
-        self._bounds = np.array(
-            [r.lo for r in self.ranges] + [self.ranges[-1].lo + self.ranges[-1].nbits],
-            dtype=np.int64,
+        #: The routing bounds: the first range's start plus the sizes
+        #: before each range.  Only ranges whose non-empty members tile one
+        #: interval in rank order route (empty ones may sit anywhere, as
+        #: the diagonal vector distribution's do); overlapping 2D column
+        #: ranges only gather.
+        self._bounds = self.ranges[0].lo + np.cumsum(
+            [0] + [r.nbits for r in self.ranges], dtype=np.int64
+        )
+        self._routable = all(
+            r.lo == lo for r, lo in zip(self.ranges, self._bounds.tolist()) if r.nbits
         )
         self.codec = get_codec(codec)
         self.sieve = sieve
@@ -206,6 +217,11 @@ class CommChannel:
     @property
     def _transcoding(self) -> bool:
         return self.codec.name != "raw"
+
+    def _route_bounds(self) -> np.ndarray:
+        if not self._routable:
+            raise ValueError("cannot route by range: the ranges do not tile one interval")
+        return self._bounds
 
     def _charge_encode(self, nitems: float, payload: float, wire: float) -> None:
         if self.charger is None or not self._transcoding:
@@ -292,9 +308,17 @@ class CommChannel:
 
     # -- candidate pair exchange (1D top-down, 2D fold) ---------------------
     def pack_pairs(
-        self, targets: np.ndarray, parents: np.ndarray, owners: np.ndarray
+        self, targets: np.ndarray, parents: np.ndarray
     ) -> tuple[list[np.ndarray], ExchangeInfo]:
         """Sieve, bucket by destination, and encode the candidate pairs.
+
+        Each target goes to the rank whose range holds it; a target
+        outside every range raises ``ValueError`` before the sieve sees
+        it.  Ascending targets — what ``dedup_candidates``, the SPA and
+        ``reduce_sorted_runs`` emit — are already in destination order
+        and take their per-destination counts from one ``searchsorted``
+        of the range bounds; other input is grouped by a stable counting
+        sort on owners read off the same bounds.
 
         Returns the per-destination wire buffers plus the accounting the
         caller threads into :meth:`exchange_pairs`.  Splitting pack from
@@ -304,7 +328,9 @@ class CommChannel:
         """
         targets = np.asarray(targets, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
-        owners = np.asarray(owners, dtype=np.int64)
+        bounds = self._route_bounds()
+        _check_in_range(targets, bounds)
+        ascending = not (targets[1:] < targets[:-1]).any()
         if self.sieve is not None:
             with self.obs.span("sieve"):
                 before = targets.size
@@ -314,9 +340,7 @@ class CommChannel:
                         float(before),
                         ws_words=max(self.sieve.nglobal / _SIEVE_BYTES_PER_FLAG, 1.0),
                     )
-                targets, parents, owners = self.sieve.filter(
-                    targets, parents, owners
-                )
+                targets, parents = self.sieve.filter(targets, parents)
                 dropped = int(before - targets.size)
                 if self.charger is not None and dropped:
                     self.charger.count(sieve_dropped=float(dropped))
@@ -327,9 +351,13 @@ class CommChannel:
             dropped = 0
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            (targets, parents), counts = kernels.group_by_owner(
-                owners, self.comm.size, targets, parents
-            )
+            if ascending:
+                counts = np.diff(np.searchsorted(targets, bounds))
+            else:
+                owners = np.searchsorted(bounds, targets, side="right") - 1
+                (targets, parents), counts = kernels.group_by_owner(
+                    owners, self.comm.size, targets, parents
+                )
             send = self.codec.encode_pairs_many(
                 targets, parents, counts, self.ranges
             )
@@ -409,8 +437,9 @@ class CommChannel:
             owners = np.asarray(owners, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
+            bounds = self._bounds if owners is not None else self._route_bounds()
             targets, values, extras, counts = _group_triples(
-                targets, values, extras, owners, self._bounds
+                targets, values, extras, owners, bounds
             )
             pair_bufs = self.codec.encode_pairs_many(
                 targets, values, counts, self.ranges

@@ -80,8 +80,7 @@ class TopDown1D(Step1D):
                 targets, sources = dedup_candidates(targets, sources)
                 charger.sort(candidates)
         with obs.span("td-pack"):
-            owners = self.part.owner_of(targets)
-            send, xinfo = self.channel.pack_pairs(targets, sources, owners)
+            send, xinfo = self.channel.pack_pairs(targets, sources)
             charger.intops(2.0 * xinfo.pairs)  # owner computation + packing
             charger.stream(2.0 * xinfo.pairs)
             charger.count(

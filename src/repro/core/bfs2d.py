@@ -85,30 +85,40 @@ def build_2d_blocks(csr: CSR, decomp: Decomp2D, threads: int = 1) -> list[LocalB
             symmetrize=False,
             drop_self_loops=False,
         )
-    pr, pc = decomp.pr, decomp.pc
-    degrees = csr.degrees()
     row_part, col_part = decomp.rank_tables()
-    # Label every nonzero with its rank: a gather for the rows, a repeat
-    # for the (CSR-contiguous) columns.  The stable bucket keeps each
-    # rank's slice in the CSR's (col, row) order, duplicate-free.
-    ranks = row_part[csr.indices]
-    ranks += np.repeat(col_part, degrees)
+    # A canonical CSR holds each (column, row block) pair of A^T as one
+    # contiguous run: runs start at every adjacency and wherever the row
+    # block changes inside one.  Bucketing the runs by rank (a stable
+    # radix sort of narrow labels) keeps each rank's runs in the CSR's
+    # column order, so they are its DCSC columns as they stand.
+    labels = row_part[csr.indices]
+    degrees = csr.degrees()
+    new_col = np.zeros(csr.nnz, dtype=bool)
+    new_col[csr.indptr[:-1][degrees > 0]] = True
+    heads = new_col.copy()
+    heads[1:] |= labels[1:] != labels[:-1]
+    starts = np.flatnonzero(heads)
+    lengths = np.diff(starts, append=csr.nnz)
+    cols = np.flatnonzero(degrees)[np.cumsum(new_col[starts]) - 1]
+    ranks = labels[starts] + col_part[cols]
     order = np.argsort(ranks, kind="stable")
-    rows = csr.indices[order]
-    cols = np.repeat(np.arange(csr.n, dtype=np.int64), degrees)[order]
-    # Same-dtype keys: nprocs binary searches, no widened copy of the labels.
-    ends = np.searchsorted(
-        ranks[order], np.arange(pr * pc, dtype=ranks.dtype), side="right"
-    )
-    offsets = np.concatenate([[0], ends])
+    ranks, starts, lengths, cols = ranks[order], starts[order], lengths[order], cols[order]
+    if np.any((ranks[1:] == ranks[:-1]) & (cols[1:] <= cols[:-1])):
+        raise ValueError("pairs are not in column-major order")
+    rows = csr.indices[kernels.range_gather(starts, lengths)].astype(np.int64, copy=False)
+    firsts = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=firsts[1:])
+    bounds = np.searchsorted(ranks, np.arange(decomp.nprocs + 1))
     blocks: list[LocalBlock] = []
-    for rank in range(pr * pc):
-        i, j = divmod(rank, pc)
+    for rank in range(decomp.nprocs):
+        i, j = divmod(rank, decomp.pc)
         rlo, rhi = decomp.row_block(i)
         clo, chi = decomp.col_block(j)
-        sel = slice(offsets[rank], offsets[rank + 1])
-        block = DCSC.from_sorted_coo(
-            rhi - rlo, chi - clo, rows[sel] - rlo, cols[sel] - clo
+        lo, hi = bounds[rank], bounds[rank + 1]
+        ir = rows[firsts[lo] : firsts[hi]]
+        ir -= rlo  # each block's IR is its own slice of the one gather
+        block = DCSC(
+            rhi - rlo, chi - clo, cols[lo:hi] - clo, firsts[lo : hi + 1] - firsts[lo], ir
         )
         pieces, band_offsets = block.split_rowwise(threads)
         blocks.append(LocalBlock(pieces=pieces, band_offsets=band_offsets))
@@ -328,8 +338,7 @@ class SpMSV2D:
         """
         charger, obs = self.charger, self.obs
         with obs.span("fold-pack"):
-            owners = self.decomp.vec_owner_col(self.grid.row, trows)
-            send, xinfo = self.row_channel.pack_pairs(trows, tvals, owners)
+            send, xinfo = self.row_channel.pack_pairs(trows, tvals)
             charger.intops(float(xinfo.pairs))
             charger.count(unique_sends=float(xinfo.pairs))
         with obs.span("fold-exchange"):

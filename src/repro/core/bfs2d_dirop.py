@@ -170,14 +170,11 @@ class DirOpt2D(DirectionSwitch, SpMSV2D):
                 float(active.size), ws_words=2 * max(row_done.size, 1)
             )
             if active.size:
-                total = int(counts.sum())
                 ends = np.cumsum(counts)
                 starts = ends - counts
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                    starts, counts
-                )
-                flat = np.repeat(self.bu_indptr[active], counts) + offsets
-                targets = self.bu_cols[flat]
+                targets = self.bu_cols[
+                    kernels.range_gather(self.bu_indptr[active], counts)
+                ]
                 last_hit = kernels.last_hit_scan(
                     fmask[targets - self.col_lo], starts, counts
                 )

@@ -151,9 +151,10 @@ class Decomp2D:
         lives on rank ``row_part[v] + col_part[u]``.
 
         ``n`` lookups each, in the narrowest unsigned dtype that holds a
-        rank id, so a distributor labels every nonzero with a gather
-        (rows) and an ``np.repeat`` (columns) instead of a binary search
-        per nonzero, and can bucket the labels with a radix pass.
+        rank id: the distributor gathers one byte label per nonzero row
+        (a change inside an adjacency starts a new (column, row block)
+        run), labels each run with its column's entry and buckets the
+        runs with a radix pass — no binary search anywhere.
         """
         vertices = np.arange(self.n, dtype=np.int64)
         dtype = np.min_scalar_type(self.nprocs - 1)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
+
 
 @dataclass(frozen=True)
 class CSR:
@@ -82,24 +84,14 @@ class CSR:
 
         Returns ``(targets, sources)`` where ``sources[k]`` is the vertex
         whose adjacency produced ``targets[k]`` — the frontier-expansion
-        primitive of every level-synchronous BFS here.  Vectorized with the
-        repeat/cumsum range-gather idiom.
+        primitive of every level-synchronous BFS here, one
+        ``kernels.range_gather`` of the adjacency slots.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         starts = self.indptr[vertices]
         counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Gathered slot k of vertex i reads indices[starts[i] + (k - first
-        # slot of i)]: repeat the per-vertex shift once, then add k.
-        ends = np.cumsum(counts)
-        flat = np.repeat(starts - (ends - counts), counts)
-        flat += np.arange(total, dtype=np.int64)
-        targets = self.indices[flat]
-        sources = np.repeat(vertices, counts)
-        return targets, sources
+        targets = self.indices[kernels.range_gather(starts, counts)]
+        return targets, np.repeat(vertices, counts)
 
 
 def build_csr(

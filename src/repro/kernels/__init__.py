@@ -49,6 +49,7 @@ from repro.kernels.numpy_backend import (
     pack_bitmap,
     pack_pairs,
     popcount,
+    range_gather,
     reduce_runs,
     scatter_reduce,
     unique_sorted,
@@ -71,6 +72,7 @@ KERNELS = (
     "bucket_by_owner",
     "pack_pairs",
     "unpack_pairs",
+    "range_gather",
     "pack_bitmap",
     "unpack_bitmap",
     "popcount",

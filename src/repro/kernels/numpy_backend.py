@@ -450,6 +450,27 @@ def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int)
     return targets, sources, words[keep]
 
 
+def range_gather(starts, counts):
+    """Concatenate the index ranges ``[starts[i], starts[i] + counts[i])``
+    in order, as one int64 array: the range-gather under
+    ``CSR.gather``, ``DCSC.extract_columns`` and the 2D distributor.
+
+    One ``np.repeat`` of each range's shift from its first output slot,
+    plus the output positions — no per-range loop.  Raises
+    ``ValueError`` on unequal lengths or a negative count.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if starts.shape != counts.shape:
+        raise ValueError("starts/counts must be equal length")
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be non-negative")
+    ends = np.cumsum(counts)
+    flat = np.repeat(starts - (ends - counts), counts)
+    flat += np.arange(flat.size, dtype=np.int64)
+    return flat
+
+
 def unique_sorted(values):
     """Sorted unique int64 values (the SPA's touched-index sort)."""
     return np.unique(np.asarray(values, dtype=np.int64))

@@ -238,6 +238,15 @@ def lane_prune_by_source(targets, sources, source_words, base, nlanes):
     return lane_prune(targets, sources, words, nlanes)
 
 
+def range_gather(starts, counts):
+    starts, counts = _ints(starts), _ints(counts)
+    if len(starts) != len(counts):
+        raise ValueError("starts/counts must be equal length")
+    if any(c < 0 for c in counts):
+        raise ValueError("counts must be non-negative")
+    return _i64([s + k for s, c in zip(starts, counts) for k in range(c)])
+
+
 def unique_sorted(values):
     return _i64(sorted(set(_ints(values))))
 

@@ -99,10 +99,7 @@ class ConnectedComponents1D(Step1D):
             targets, words = BIT_OR.reduce_sorted_runs(targets, words)
             charger.sort(candidates)
         with obs.span("cc-pack"):
-            owners = self.part.owner_of(targets)
-            send, xinfo = self.channel.pack_pairs(
-                targets, words.view(np.int64), owners
-            )
+            send, xinfo = self.channel.pack_pairs(targets, words.view(np.int64))
             charger.intops(2.0 * xinfo.pairs)
             charger.stream(2.0 * xinfo.pairs)
             charger.count(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.engine import LevelOutcome, Step1D, TraversalEngine
 from repro.graphs.csr import CSR
 from repro.sparse.semiring import INF
@@ -69,13 +70,7 @@ def gather_weighted(
     vertices = np.asarray(vertices, dtype=np.int64)
     starts = csr.indptr[vertices]
     counts = csr.indptr[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    ends = np.cumsum(counts)
-    flat = np.repeat(starts - (ends - counts), counts)
-    flat += np.arange(total, dtype=np.int64)
+    flat = kernels.range_gather(starts, counts)
     return csr.indices[flat], np.repeat(vertices, counts), weights[flat]
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
+
 
 @dataclass(frozen=True)
 class DCSC:
@@ -93,8 +95,8 @@ class DCSC:
     ) -> "DCSC":
         """Build from pairs already in (col, row) order without duplicates.
 
-        The caller guarantees the order — a stable bucket of a sorted CSR,
-        a row-band mask of an existing block, :meth:`from_coo`'s own sort
+        The caller guarantees the order — a row-band mask of an existing
+        block, :meth:`from_coo`'s own sort, a CSR's column-major pairs
         — so ``JC``/``CP`` are read off the column run boundaries with one
         adjacent compare: no sort, no ``np.unique``.  Pairs that are not
         column-major are rejected (``JC`` would not be increasing); row
@@ -152,16 +154,8 @@ class DCSC:
         pos, values = pos_clipped[hit], col_values[hit]
         starts = self.cp[pos]
         counts = self.cp[pos + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, int(col_ids.size)
-        ends = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        flat = np.repeat(starts, counts) + offsets
-        rows = self.ir[flat]
-        payload = np.repeat(values, counts)
-        return rows, payload, int(col_ids.size)
+        rows = self.ir[kernels.range_gather(starts, counts)]
+        return rows, np.repeat(values, counts), int(col_ids.size)
 
     def split_rowwise(self, pieces: int) -> tuple[list["DCSC"], list[int]]:
         """Split into ``pieces`` row bands (the hybrid's per-thread blocks).

@@ -10,6 +10,8 @@ breakdown table.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,7 @@ class TestPairAccounting:
             channel = CommChannel(comm, ranges, codec="raw")
             targets = np.arange(comm.size, dtype=np.int64) * 4
             parents = np.full(comm.size, comm.rank, dtype=np.int64)
-            owners = np.arange(comm.size, dtype=np.int64)
-            send, info = channel.pack_pairs(targets, parents, owners)
+            send, info = channel.pack_pairs(targets, parents)
             rv, rp = channel.exchange_pairs(send, info, level=0)
             assert info.pairs == comm.size
             assert info.payload_words == 2.0 * (comm.size - 1)
@@ -60,8 +61,7 @@ class TestPairAccounting:
             dst = (comm.rank + 1) % comm.size
             targets = np.arange(per * dst, per * (dst + 1), dtype=np.int64)
             parents = np.full(per, comm.rank, dtype=np.int64)
-            owners = np.full(per, dst, dtype=np.int64)
-            send, info = channel.pack_pairs(targets, parents, owners)
+            send, info = channel.pack_pairs(targets, parents)
             rv, rp = channel.exchange_pairs(send, info, level=3)
             assert info.payload_words == 2.0 * per
             assert 0 < info.wire_words < info.payload_words / 2
@@ -98,10 +98,9 @@ class TestPairAccounting:
             dst = (comm.rank + 1) % comm.size
             targets = np.arange(8 * dst, 8 * dst + 4, dtype=np.int64)
             parents = np.zeros(4, dtype=np.int64)
-            owners = np.full(4, dst, dtype=np.int64)
-            send, first = channel.pack_pairs(targets, parents, owners)
+            send, first = channel.pack_pairs(targets, parents)
             channel.exchange_pairs(send, first, level=0)
-            send, second = channel.pack_pairs(targets, parents, owners)
+            send, second = channel.pack_pairs(targets, parents)
             channel.exchange_pairs(send, second, level=1)
             assert first.dropped == 0 and first.pairs == 4
             assert second.dropped == 4 and second.pairs == 0
@@ -112,6 +111,51 @@ class TestPairAccounting:
         res = run_spmd(3, fn)
         assert all(res.returns)
         assert res.stats.sieve_dropped == 3 * 4
+
+
+class TestRangeRouting:
+    """Pair and triple packs route each target by the channel's range
+    bounds: the first range's start plus the sizes before each range.
+    Under the diagonal vector distribution all but one of a processor
+    row's ranges are empty, the non-empty one anywhere in the row."""
+
+    @pytest.mark.parametrize("owner", [0, 1, 2])
+    def test_pairs_and_triples_reach_the_one_non_empty_range(self, owner):
+        def fn(comm):
+            ranges = [VertexRange(16, 8 if j == owner else 0) for j in range(3)]
+            channel = CommChannel(comm, ranges, codec="raw")
+            assert channel._bounds.tolist() == [16] + [16 + 8 * (j >= owner) for j in range(3)]
+            targets = np.array([16, 19, 23], dtype=np.int64)
+            parents = targets + 100 * comm.rank
+            send, info = channel.pack_pairs(targets, parents)
+            rv, rp = channel.exchange_pairs(send, info, level=0)
+            send, info = channel.pack_triples(targets, parents, 2 * parents)
+            rt, rval, rx = channel.exchange_triples(send, info, level=1)
+            mine = comm.rank == owner
+            assert rv.size == rt.size == (9 if mine else 0)
+            if mine:
+                want = sorted(t + 100 * r for r in range(3) for t in (16, 19, 23))
+                assert sorted(rp.tolist()) == sorted(rval.tolist()) == want
+                assert np.array_equal(rx, 2 * rval)
+                assert np.array_equal(rp - rv, rval - rt)
+            return True
+
+        assert all(run_spmd(3, fn).returns)
+
+    @pytest.mark.parametrize(
+        "los,sizes",
+        [([64, 64, 64], [64, 64, 64]), ([0, 8], [4, 4]), ([8, 0], [8, 8])],
+        ids=["overlapping", "gap", "out-of-order"],
+    )
+    def test_ranges_that_do_not_tile_cannot_route(self, los, sizes):
+        comm = SimpleNamespace(size=len(los), rank=0)
+        ranges = [VertexRange(lo, size) for lo, size in zip(los, sizes)]
+        channel = CommChannel(comm, ranges)
+        t = np.array([los[0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="do not tile one interval"):
+            channel.pack_pairs(t, t)
+        with pytest.raises(ValueError, match="do not tile one interval"):
+            channel.pack_triples(t, t, t)
 
 
 class TestGatherAccounting:
@@ -185,9 +229,7 @@ class TestSummaryMixedCollectives:
             for level in (1, 2):
                 dst = (comm.rank + 1) % comm.size
                 targets = np.arange(per * dst, per * dst + 4, dtype=np.int64)
-                send, info = channel.pack_pairs(
-                    targets, targets, np.full(4, dst, dtype=np.int64)
-                )
+                send, info = channel.pack_pairs(targets, targets)
                 channel.exchange_pairs(send, info, level=level)
                 if level == 2:
                     mine = np.array([per * comm.rank], dtype=np.int64)
@@ -239,14 +281,20 @@ class TestValidationAndReporting:
     def test_misrouted_target_fails_at_pack_time(self, codec):
         """A candidate bucketed to a rank that does not own it is caught
         before it reaches the wire, whichever format ``auto`` would have
-        picked for the buffer (here: delta-varint, by a wide margin)."""
+        picked for the buffer (here: delta-varint, by a wide margin).
+        The channel routes by its own ranges, so the misrouted bucket is
+        handed to its codec directly; the channel itself routes it right."""
 
         def fn(comm):
             ranges = [VertexRange(4096 * r, 4096) for r in range(comm.size)]
             channel = CommChannel(comm, ranges, codec=codec)
             targets = np.array([10, 20, 4096 + 30], dtype=np.int64)
             with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
-                channel.pack_pairs(targets, targets, np.zeros(3, dtype=np.int64))
+                channel.codec.encode_pairs_many(
+                    targets, targets, np.array([3, 0]), ranges
+                )
+            _send, info = channel.pack_pairs(targets, targets)
+            assert info.pairs == 3
             return True
 
         assert all(run_spmd(2, fn).returns)

@@ -151,6 +151,12 @@ def _source_words(tag, n, ntargets, nsources, base, nlanes, tspan=None):
     return targets, sources, table, base, nlanes
 
 
+def _range_gather_args(tag):
+    rng = _rng(tag)
+    counts = rng.integers(0, 12, 40)
+    return rng.integers(0, 500, 40), counts
+
+
 CASES: dict[str, dict] = {
     "dedup_max": {
         "empty": lambda: (_i64(), _i64()),
@@ -244,6 +250,15 @@ CASES: dict[str, dict] = {
         "roundtrip": lambda: (
             kernels.pack_pairs(*_random_pairs("unpack", 60, 400)),
         ),
+    },
+    "range_gather": {
+        "empty": lambda: (_i64(), _i64()),
+        "all-empty-ranges": lambda: (_i64(4, 0, 9), _i64(0, 0, 0)),
+        "single-range": lambda: (_i64(5), _i64(3)),
+        # A CSR frontier gather: ranges in any order, some empty,
+        # overlapping and repeated (a vertex twice in the frontier).
+        "unordered-overlapping": lambda: _range_gather_args("rg-csr"),
+        "first-and-last-empty": lambda: (_i64(3, 10, 2, 7), _i64(0, 4, 2, 0)),
     },
     "pack_bitmap": {
         "empty-frontier": lambda: (_i64(), 0, 130),
@@ -612,6 +627,16 @@ ERROR_CASES = {
         "pack_pairs",
         lambda: (_i64(1, 2), _i64(1)),
         "vertices/parents must be equal length",
+    ),
+    "range-gather-length-mismatch": (
+        "range_gather",
+        lambda: (_i64(1, 2), _i64(1)),
+        "starts/counts must be equal length",
+    ),
+    "range-gather-negative-count": (
+        "range_gather",
+        lambda: (_i64(1, 2), _i64(3, -1)),
+        "counts must be non-negative",
     ),
     "unpack-pairs-odd": (
         "unpack_pairs",

@@ -310,10 +310,11 @@ def test_msbfs_level_one_pass_beats_per_lane(msbfs_level, race):
         [VertexRange(lo, hi - lo) for lo, hi in map(part.range_of, range(MSBFS_RANKS))],
     )
     targets, sources, words = msbfs_level["triples"]
-    args = (targets, sources, words.view(np.int64), part.owner_of(targets))
+    args = (targets, sources, words.view(np.int64))
+    owners = part.owner_of(targets)
     fast, (send, _info), slow, want = race(
         lambda: channel.pack_triples(*args),
-        lambda: _pack_bucket_then_lexsort(channel, *args),
+        lambda: _pack_bucket_then_lexsort(channel, *args, owners),
     )
     assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
     _assert_speedup("single-sort pack_triples", fast, slow, MIN_PACK_SPEEDUP)
@@ -692,7 +693,7 @@ def _level_narrow(load):
         triple = kernels.lane_prune_by_source(
             targets, sources, load["fwords"][lo:hi], lo, MSBFS_LANES
         )
-        sent.append(channel_module._group_triples(*triple, None, bounds))
+        sent.append(channel_module._group_triples(*triple, bounds))
     rt, rs, rw = (np.concatenate(column) for column in list(zip(*sent))[:3])
     fresh = rw & ~load["visit"][rt]
     alive = np.flatnonzero(fresh)

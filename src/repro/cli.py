@@ -12,10 +12,9 @@ and runs the Graph 500 benchmark flow::
 
     repro-bench graph500 --scale 15 --algorithm 2d-hybrid --machine hopper
 
-and the batched-query flow (the ``repro.query`` algorithm zoo)::
+and the batched-query flow (``repro.query``'s 64-lane ``msbfs-1d``)::
 
     repro-bench query --scale 13 --batch 64 --machine hopper
-    repro-bench query --algorithm cc --scale 13 --machine hopper
 
 With ``--trace-out``/``--report-out`` the graph500 and query flows
 additionally write a Chrome ``trace_event`` file (open in Perfetto) and
@@ -61,7 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = parser.add_argument_group("graph500 options")
     group.add_argument("--scale", type=int, default=14)
     group.add_argument("--edgefactor", type=float, default=16)
-    group.add_argument("--algorithm", default="2d")
+    group.add_argument(
+        "--algorithm",
+        default=None,
+        help="graph500: a BFS algorithm (default: 2d); query: msbfs-1d (the default)",
+    )
     group.add_argument("--nprocs", type=int, default=16)
     group.add_argument("--machine", default="hopper")
     group.add_argument("--nbfs", type=int, default=8)
@@ -211,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="K",
         help=(
-            "sources per bit-parallel traversal (1..64 lanes of one uint64 "
-            "word) for msbfs-1d/sssp-delta, or the landmark count for "
-            "landmark (default: 64)"
+            "sources per bit-parallel msbfs-1d traversal (1..64 lanes of "
+            "one uint64 word; default: 64)"
         ),
     )
     parser.add_argument(
@@ -385,14 +387,13 @@ def _write_obs_artifacts(args, result, tracer, registry) -> None:
 
 
 def _run_query_flow(args) -> int:
-    """Run one batched query (``repro.query`` zoo) from the CLI."""
+    """Run one batched ``msbfs-1d`` query from the CLI."""
     from repro.bench.harness import pick_sources
     from repro.core.runner import ALGORITHMS
     from repro.graphs import rmat_graph
     from repro.query import run_query
 
-    # "2d" is the graph500 default; the query flow's is the MS-BFS.
-    algorithm = "msbfs-1d" if args.algorithm == "2d" else args.algorithm
+    algorithm = args.algorithm or "msbfs-1d"
     spec = ALGORITHMS.get(algorithm)
     if spec is None or spec.kind == "bfs":
         kinds = sorted(
@@ -407,13 +408,9 @@ def _run_query_flow(args) -> int:
 
     tracer, registry = _obs_handles(args)
     graph = rmat_graph(args.scale, args.edgefactor, seed=args.seed)
-    kwargs: dict = {}
-    if spec.kind in ("msbfs", "sssp"):
-        kwargs["sources"] = pick_sources(graph, args.batch, seed=args.seed + 1)
-    elif spec.kind == "landmark":
-        kwargs["landmarks"] = args.batch
     result = run_query(
         graph,
+        pick_sources(graph, args.batch, seed=args.seed + 1),
         algorithm=algorithm,
         nprocs=args.nprocs,
         machine=args.machine,
@@ -427,7 +424,6 @@ def _run_query_flow(args) -> int:
         runtime=args.runtime,
         spmd_timeout=args.spmd_timeout,
         validate=True,
-        **kwargs,
     )
     print(
         f"{algorithm} ({result.kind}) on {graph.name}: "
@@ -439,8 +435,6 @@ def _run_query_flow(args) -> int:
         f"({result.queries_per_second():.0f} queries/s, "
         f"{result.gteps():.3f} GTEPS)"
     )
-    if result.kind == "cc":
-        print(f"  components: {result.meta['components']}")
     _write_obs_artifacts(args, result, tracer, registry)
     return 0
 
@@ -468,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             edgefactor=args.edgefactor,
             nprocs=args.nprocs,
-            algorithm=args.algorithm,
+            algorithm=args.algorithm or "2d",
             machine=args.machine,
             nbfs=args.nbfs,
             seed=args.seed,

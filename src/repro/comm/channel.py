@@ -59,20 +59,12 @@ _SIEVE_BYTES_PER_FLAG = 8
 _CODEC_OPS_PER_WORD = 8.0
 
 
-def _ordered(*columns):
-    """Whether the rows of the columns ascend lexicographically, by one
-    adjacent compare per column, and (if they do) which neighbours tie
-    on every column."""
-    ties = None
-    for column in columns:
-        before, after = column[:-1], column[1:]
-        down = after < before
-        if ties is not None:
-            down &= ties
-        if down.any():
-            return False, None
-        ties = after == before if ties is None else ties & (after == before)
-    return True, ties
+def _ordered(targets, values):
+    """Whether the (target, value) rows ascend lexicographically, by one
+    adjacent compare per column."""
+    if (targets[1:] < targets[:-1]).any():
+        return False
+    return not ((values[1:] < values[:-1]) & (targets[1:] == targets[:-1])).any()
 
 
 def _check_in_range(targets, bounds):
@@ -83,66 +75,38 @@ def _check_in_range(targets, bounds):
         raise ValueError(f"vertex ids out of range [{lo}, {hi})")
 
 
-def _group_triples(targets, values, extras, owners, bounds):
-    """Order triples by owner, each owner's in (target, value, extra) order.
+def _group_triples(targets, values, extras, bounds):
+    """Order triples by (target, value), so by owner too; return the
+    three reordered columns and the per-owner counts.
 
-    Returns the three reordered columns and the per-owner counts.
-    ``owners=None`` sends each target to the rank whose ``[bounds[j],
-    bounds[j + 1])`` holds it (a 1D partition's owned ranges); a target
-    outside ``[bounds[0], bounds[-1])`` raises ``ValueError``.
+    Each target goes to the rank whose ``[bounds[j], bounds[j + 1])``
+    holds it (a 1D partition's owned ranges); a target outside
+    ``[bounds[0], bounds[-1])`` raises ``ValueError``.  Rows tying on
+    (target, value) keep their input order: an msbfs row's extra is its
+    source's frontier word, so such rows carry equal extras.
 
     One adjacent compare per column usually settles the order — the
-    msbfs lane prune emits wire order, and a target's owner then takes
-    no key at all: its counts are one ``searchsorted`` of the bounds in
-    the sorted targets.  Input found out of order (an SSSP level's
-    relaxations) gets one stable sort on an (owner, target offset, value
-    offset) key, ordering every destination at once.  Rows tying on all
-    three — an SSSP level relaxing one target to one distance from
-    several sources — then get their extras ordered run by run.  The
-    python-int guard keeps the key clear of 64-bit wrap, as in
-    ``kernels.dedup_max``; past it ``lexsort`` gives the same order.
+    msbfs lane prune emits wire order — and the counts are then one
+    ``searchsorted`` of the bounds in the sorted targets.  Input found
+    out of order (msbfs with ``dedup_sends=False``) gets one stable sort
+    on a (target offset, value offset) key.  The python-int guard keeps
+    the key clear of 64-bit wrap, as in ``kernels.dedup_max``; past it
+    ``lexsort`` gives the same order.
     """
-    nbuckets = bounds.size - 1
-    if owners is not None:
-        if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
-            raise ValueError(f"owners out of range [0, {nbuckets})")
-        ordered, ties = _ordered(owners, targets, values)
-    else:
-        _check_in_range(targets, bounds)
-        ordered, ties = _ordered(targets, values)
-    if not ordered:
-        if owners is None:
-            owners = np.searchsorted(bounds, targets, side="right") - 1
+    _check_in_range(targets, bounds)
+    if not _ordered(targets, values):
         tmin, tmax = int(targets.min()), int(targets.max())
         vmin, vmax = int(values.min()), int(values.max())
-        tbits = (tmax - tmin).bit_length()
         vbits = (vmax - vmin).bit_length()
-        if (nbuckets - 1).bit_length() + tbits + vbits <= 64:
-            key = owners.astype(np.uint64)
-            key <<= np.uint64(tbits)
-            key |= (targets - np.int64(tmin)).view(np.uint64)
+        if (tmax - tmin).bit_length() + vbits <= 64:
+            key = (targets - np.int64(tmin)).view(np.uint64)
             key <<= np.uint64(vbits)
             key |= (values - np.int64(vmin)).view(np.uint64)
             order = np.argsort(key, kind="stable")
-            key = key[order]
-            targets, values, extras = targets[order], values[order], extras[order]
-            ties = key[1:] == key[:-1]
         else:
-            order = np.lexsort((extras, values, targets, owners))
-            targets, values, extras = targets[order], values[order], extras[order]
-            ties = None  # the extras are the last sort key
-    if ties is not None and ties.any():
-        run = np.zeros(targets.size, dtype=np.int64)
-        np.cumsum(~ties, out=run[1:])
-        tied = np.zeros(targets.size, dtype=bool)
-        tied[1:] = ties
-        tied[:-1] |= ties
-        tied = np.flatnonzero(tied)
-        extras = extras.copy()  # may still be the caller's column
-        extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
-    if owners is None:
-        return targets, values, extras, np.diff(np.searchsorted(targets, bounds))
-    return targets, values, extras, np.bincount(owners, minlength=nbuckets)
+            order = np.lexsort((values, targets))
+        targets, values, extras = targets[order], values[order], extras[order]
+    return targets, values, extras, np.diff(np.searchsorted(targets, bounds))
 
 
 @dataclass(frozen=True)
@@ -394,33 +358,27 @@ class CommChannel:
 
     # -- candidate triple exchange (batched queries: repro.query) -----------
     def pack_triples(
-        self,
-        targets: np.ndarray,
-        values: np.ndarray,
-        extras: np.ndarray,
-        owners: np.ndarray | None = None,
+        self, targets: np.ndarray, values: np.ndarray, extras: np.ndarray
     ) -> tuple[list[np.ndarray], ExchangeInfo]:
         """Bucket and encode ``(target, value, extra)`` candidate triples.
 
-        The batched-query steps ship one extra 64-bit column per pair:
-        the ``uint64`` lane word of a multi-source traversal (viewed as
-        int64) or the tentative distance of an SSSP relaxation.  The
-        ``(target, value)`` columns ride the configured codec exactly like
+        The batched query ships one extra 64-bit column per pair: the
+        ``uint64`` lane word of a multi-source traversal (viewed as
+        int64).  The ``(target, value)`` columns ride the configured codec exactly like
         :meth:`pack_pairs`; the extra column travels raw behind a length
         header so a damaged buffer is detectable (header/pair/extra sizes
         must agree, else :class:`CodecError`).  The sieve is structurally
         incompatible — a target legitimately re-ships whenever a *new
         lane* reaches it — so triple sites refuse one outright.
 
-        ``owners`` names each triple's destination rank; ``None`` sends
-        each target to the rank whose range holds it, the ranges tiling
-        ascending as a 1D partition's do (a target outside them raises
-        ``ValueError``).  Each bucket is canonically sorted by (target,
-        value, extra) before encoding (:func:`_group_triples`): input
-        already in that order — the msbfs lane prune's output — is only
-        checked, by adjacent compares, and takes its per-owner counts
-        from one ``searchsorted`` when ``owners`` is ``None``; other
-        input gets one sort for all destinations.  The raw codec
+        Each target goes to the rank whose range holds it, the ranges
+        tiling ascending as a 1D partition's do (a target outside them
+        raises ``ValueError``).  Each bucket is sorted by (target,
+        value) before encoding (:func:`_group_triples`): input already
+        in that order — the msbfs lane prune's output — is only checked,
+        by adjacent compares, and takes its per-owner counts from one
+        ``searchsorted``; other input gets one sort for all
+        destinations.  The raw codec
         preserves order and delta-varint finds every segment already in
         (target, value) order, so the decoded pair order always matches
         the raw extra column row for row.
@@ -433,13 +391,10 @@ class CommChannel:
         targets = np.asarray(targets, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         extras = np.asarray(extras, dtype=np.int64)
-        if owners is not None:
-            owners = np.asarray(owners, dtype=np.int64)
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            bounds = self._bounds if owners is not None else self._route_bounds()
             targets, values, extras, counts = _group_triples(
-                targets, values, extras, owners, bounds
+                targets, values, extras, self._route_bounds()
             )
             pair_bufs = self.codec.encode_pairs_many(
                 targets, values, counts, self.ranges

@@ -4,8 +4,8 @@ The paper (and Graph 500) distributes the graph once and then times BFS
 from many search keys; the driver is split along the same line.
 :func:`prepare` does everything that does not depend on the source —
 validates the :class:`RunConfig`, has the algorithm's
-:class:`AlgorithmSpec` build the family's launch inputs (2D blocks, sssp
-edge weights, ...), sizes the machine cost model — and returns a
+:class:`AlgorithmSpec` build the family's launch inputs (the 2D
+blocks, for one), sizes the machine cost model — and returns a
 :class:`Session`.  :meth:`Session.bfs` / :meth:`Session.query` launch the
 SPMD simulation of the :class:`~repro.core.engine.TraversalEngine`,
 stitch the per-rank outputs into full arrays in the caller's vertex
@@ -48,14 +48,7 @@ from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA, NetworkCostModel
 from repro.model.machine import HOPPER, get_machine
 from repro.mpsim.stats import SimStats
 from repro.query import driver as query_driver
-from repro.query.cc import ConnectedComponents1D
 from repro.query.msbfs import MSBFS1D
-from repro.query.sssp import (
-    DEFAULT_DELTA,
-    DEFAULT_WEIGHT_MAX,
-    DeltaSSSP1D,
-    edge_weights,
-)
 from repro.runtime import BACKENDS as RUNTIME_BACKENDS
 from repro.runtime import run_spmd
 
@@ -127,23 +120,6 @@ def _plan_msbfs(graph: Graph, config: "RunConfig", threads: int) -> Plan:
     return Plan(config.nprocs, (graph.csr,), options)
 
 
-def _plan_cc(graph: Graph, config: "RunConfig", threads: int) -> Plan:
-    return Plan(config.nprocs, (graph.csr,), dict(codec=config.codec))
-
-
-def _plan_sssp(graph: Graph, config: "RunConfig", threads: int) -> Plan:
-    delta = DEFAULT_DELTA if config.sssp_delta is None else config.sssp_delta
-    weight_max = DEFAULT_WEIGHT_MAX if config.weight_max is None else config.weight_max
-    weight_seed = 0 if config.weight_seed is None else config.weight_seed
-    weights = edge_weights(graph.csr, weight_max=weight_max, seed=weight_seed)
-    return Plan(
-        config.nprocs,
-        (graph.csr,),
-        dict(weights=weights, delta=delta, codec=config.codec),
-        meta=dict(sssp_delta=delta, weight_max=weight_max, weight_seed=weight_seed),
-    )
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Declarative registry entry: how one algorithm name runs.
@@ -164,15 +140,14 @@ class AlgorithmSpec:
       ``result.meta["level_profile"]`` when ``trace=True``.
 
     ``kind`` names the result family: ``"bfs"`` entries answer
-    :meth:`Session.bfs` (:func:`run` / :func:`run_bfs`); the batched
-    query kinds (``"msbfs"``, ``"cc"``, ``"sssp"``, ``"landmark"``)
-    answer :meth:`Session.query` (:func:`repro.query.run_query`), whose
-    kind-specific oracle and lane shape live in :mod:`repro.query.driver`.
+    :meth:`Session.bfs` (:func:`run` / :func:`run_bfs`); the one
+    ``"msbfs"`` entry answers :meth:`Session.query`
+    (:func:`repro.query.run_query`), whose source batch, oracle and lane
+    columns live in :mod:`repro.query.driver`.
 
     ``prepare`` maps ``(graph, config, threads)`` to the family's
     :class:`Plan` — everything its launches share across sources.
-    ``None`` for families that launch nothing themselves (the serial
-    reference; ``landmark``, which wraps an inner ``msbfs-1d`` session).
+    ``None`` for the serial reference, which launches nothing.
     """
 
     family: str
@@ -185,9 +160,6 @@ class AlgorithmSpec:
 
 #: Everything the engine provides to its step plugins.
 ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "faults", "trace-profile"})
-
-#: For families carrying state the base checkpoint does not cover.
-_NO_FAULTS = ENGINE_CAPABILITIES - {"faults"}
 
 #: Algorithm registry: name -> spec.  Adding an algorithm is one entry
 #: here — step plugin class, capabilities, and the ``prepare`` mapping
@@ -216,17 +188,11 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
     "graph500-ref": AlgorithmSpec(
         "graph500-ref", False, prepare=partial(_plan_baseline, bfs_graph500_ref)
     ),
-    # Batched query families (Session.query).  cc and sssp-delta carry
-    # batch state the base checkpoint does not cover, so they do not
-    # declare "faults"; msbfs-1d snapshots its full lane words.
+    # The batched query (Session.query); its checkpoint snapshots the
+    # full lane words.
     "msbfs-1d": AlgorithmSpec(
         "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs
     ),
-    "cc": AlgorithmSpec("cc", False, ConnectedComponents1D, _NO_FAULTS, "cc", _plan_cc),
-    "sssp-delta": AlgorithmSpec("sssp-delta", False, DeltaSSSP1D, _NO_FAULTS, "sssp", _plan_sssp),
-    # landmark wraps an internal msbfs-1d session; it is an offline index
-    # build, so the fault battery covers the underlying msbfs-1d instead.
-    "landmark": AlgorithmSpec("landmark", False, None, _NO_FAULTS, "landmark"),
 }
 
 
@@ -271,6 +237,13 @@ class BFSResult:
 
     def mteps(self) -> float:
         return self.gteps() * 1e3
+
+
+def require_vertex_id(value) -> None:
+    """Refuse anything but a Python or numpy integer as a vertex id: a
+    float would truncate and a bool pass for 0 or 1 without a word."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"vertex ids must be integers, got {value!r}")
 
 
 def _resolve_threads(algorithm: str, threads: int | None, machine) -> int:
@@ -390,11 +363,9 @@ class RunConfig:
         Per-collective transient-retry budget (default
         :class:`~repro.faults.RetryPolicy`'s 3); a fault schedule denser
         than the budget raises ``RetryExhaustedError``.
-    sources / sssp_delta / weight_max / weight_seed / landmarks:
-        Batched-query fields (:mod:`repro.query` families only): the
-        source batch (up to 64 vertex ids in the caller's labels),
-        the delta-stepping bucket width and the synthetic edge-weight
-        range/seed of ``sssp-delta``, and the ``landmark`` index size.
+    sources:
+        The batched query's source batch (``msbfs-1d`` only): up to 64
+        integer vertex ids in the caller's labels.
     """
 
     algorithm: str = "1d"
@@ -419,12 +390,7 @@ class RunConfig:
     faults: object = None
     checkpoint_every: int | None = None
     max_retries: int | None = None
-    # Batched-query fields (repro.query families only).
     sources: tuple = ()
-    sssp_delta: int | None = None
-    weight_max: int | None = None
-    weight_seed: int | None = None
-    landmarks: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -491,31 +457,17 @@ class RunConfig:
     def _check_query_fields(self, spec: AlgorithmSpec) -> None:
         """Gate the batched-query fields on the algorithm's kind."""
         if spec.kind == "bfs":
-            for name in ("sources", "sssp_delta", "weight_max",
-                         "weight_seed", "landmarks"):
-                if getattr(self, name) not in ((), None):
-                    raise ValueError(
-                        f"{name} applies to the repro.query families only; "
-                        f"{self.algorithm} is a single-source BFS"
-                    )
-            return
-        if self.sieve:
+            if self.sources:
+                raise ValueError(
+                    "sources applies to the batched query only; "
+                    f"{self.algorithm} is a single-source BFS"
+                )
+        elif self.sieve:
             raise ValueError(
                 f"{self.algorithm} re-ships targets whose lane words grow, "
                 "so the sender sieve would drop live updates; sieve applies "
                 "to the single-source families only"
             )
-        if self.sources and spec.kind in ("cc", "landmark"):
-            raise ValueError(
-                f"{self.algorithm} picks its own sources; "
-                "sources apply to msbfs-1d/sssp-delta"
-            )
-        if spec.kind != "sssp":
-            for name in ("sssp_delta", "weight_max", "weight_seed"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} applies to sssp-delta only")
-        if self.landmarks is not None and spec.kind != "landmark":
-            raise ValueError("landmarks applies to the landmark family only")
 
 
 @dataclass(frozen=True)
@@ -563,6 +515,7 @@ class Session:
         """One BFS traversal from ``source`` (caller's vertex labels)."""
         self._require_kind(bfs=True)
         graph, config = self.graph, self.config
+        require_vertex_id(source)
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range [0, {graph.n})")
         src_internal = int(np.asarray(graph.to_internal(source)))
@@ -590,7 +543,7 @@ class Session:
         return BFSResult(
             levels=levels,
             parents=parents,
-            source=source,
+            source=int(source),
             algorithm=config.algorithm,
             nranks=self.nranks,
             threads=self.threads,
@@ -611,23 +564,22 @@ class Session:
         self._require_kind(bfs=False)
         session = self
         if sources is not None:
-            batch = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-            config = replace(self.config, sources=tuple(int(s) for s in batch))
-            config.resolve()  # cc/landmark pick their own sources
-            session = replace(self, config=config)
-        return query_driver.KINDS[self.spec.kind](session)
+            batch = tuple(sources) if np.ndim(sources) else (sources,)
+            session = replace(self, config=replace(self.config, sources=batch))
+        return query_driver.query(session)
 
     # -- the shared launch -> stitch -> report path --------------------------
-    def launch(self, *seed):
+    def launch(self, seed):
         """One resilient SPMD run of the prepared family from ``seed``
-        (an internal source id, a lane batch, or nothing for the
-        self-seeding ``cc``); returns ``(SpmdResult, fault_meta | None)``."""
+        (an internal source id or a lane batch); returns ``(SpmdResult,
+        fault_meta | None)``."""
         plan, config = self.plan, self.config
+        args = plan.args + (seed,)
         if self.spec.step is None:  # the baselines bring their own rank body
-            body, args, kwargs = plan.body, plan.args + seed, {"machine": self.machine}
+            body, kwargs = plan.body, {"machine": self.machine}
         else:
             body = traversal_body
-            args = (self.spec.step, plan.args + seed, plan.kwargs)
+            args = (self.spec.step, args, plan.kwargs)
             kwargs = dict(
                 machine=self.machine,
                 threads=self.threads,
@@ -850,8 +802,8 @@ def _merge_traces(rank_traces: list[list[dict]]) -> list[dict]:
                 for key in _TRACE_SUMS:
                     entry[key] += t[i].get(key, 0)
                 # Collective per-level choices (traversal direction, lane
-                # count, CC batch, SSSP bucket): first rank's value stands.
-                for key in ("direction", "lanes", "batch", "bucket"):
+                # count): first rank's value stands.
+                for key in ("direction", "lanes"):
                     if key in t[i] and key not in entry:
                         entry[key] = t[i][key]
         merged.append(entry)

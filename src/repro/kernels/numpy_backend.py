@@ -77,20 +77,20 @@ def dedup_max(targets, parents):
     return targets[last], parents[last]
 
 
-_RUN_UFUNCS = {"min": np.minimum, "or": np.bitwise_or}
+_UFUNCS = {"max": np.maximum, "or": np.bitwise_or}
 
 
 def reduce_runs(keys, values, op: str):
     """Combine values sharing a key; keys return unique and ascending.
 
-    ``op`` is ``"max"`` (int64), ``"min"`` (int64) or ``"or"``
-    (uint64 lane words).  Input order is irrelevant.
+    ``op`` is ``"max"`` (int64) or ``"or"`` (uint64 lane words).  Input
+    order is irrelevant.
     """
     keys = np.asarray(keys, dtype=np.int64)
     values = np.asarray(values, dtype=np.uint64 if op == "or" else np.int64)
     if op == "max":
         return dedup_max(keys, values)
-    ufunc = _RUN_UFUNCS[op]
+    ufunc = _UFUNCS[op]
     if keys.size == 0:
         return keys, values
     order = np.argsort(keys, kind="stable")
@@ -103,18 +103,14 @@ def reduce_runs(keys, values, op: str):
     return keys[idx], ufunc.reduceat(values, idx)
 
 
-_AT_UFUNCS = {"max": np.maximum, "min": np.minimum, "or": np.bitwise_or}
-
-
 def scatter_reduce(dense, positions, values, op: str) -> None:
     """In-place ``dense[positions] (+)= values`` under ``op``.
 
-    The SPA / semiring scatter: ``op`` in ``{"max", "min", "or"}``;
-    ``"or"`` is the 64-lane ``uint64`` OR path of the batched
-    traversals.  Positions may repeat; the combine is applied per
-    occurrence (order-insensitive for these ops).
+    The SPA / semiring scatter: ``op`` in ``{"max", "or"}``; ``"or"`` is
+    the 64-lane ``uint64`` OR path.  Positions may repeat; the combine
+    is applied per occurrence (order-insensitive for these ops).
     """
-    _AT_UFUNCS[op].at(dense, positions, values)
+    _UFUNCS[op].at(dense, positions, values)
 
 
 def group_by_owner(owners, nbuckets: int, *arrays):

@@ -75,32 +75,20 @@ def dedup_max(targets, parents):
 def reduce_runs(keys, values, op):
     if op == "max":
         return dedup_max(keys, values)
-    signed = op != "or"
-    vals = _ints(values) if signed else _uints(values)
     acc: dict = {}
-    for k, v in zip(_ints(keys), vals):
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = v
-        elif op == "min":
-            acc[k] = min(cur, v)
-        else:
-            acc[k] = cur | v
+    for k, v in zip(_ints(keys), _uints(values)):
+        acc[k] = acc.get(k, 0) | v
     out_keys = sorted(acc)
-    out_vals = [acc[k] for k in out_keys]
-    return _i64(out_keys), (_i64(out_vals) if signed else _u64(out_vals))
+    return _i64(out_keys), _u64([acc[k] for k in out_keys])
 
 
 def scatter_reduce(dense, positions, values, op):
-    signed = op != "or"
+    signed = op == "max"
     vals = _ints(values) if signed else _uints(values)
     for p, v in zip(_ints(positions), vals):
         cur = int(dense[p])
-        if op == "max":
+        if signed:
             if v > cur:
-                dense[p] = v
-        elif op == "min":
-            if v < cur:
                 dense[p] = v
         else:
             dense[p] = (cur & _MASK64) | v

@@ -2,54 +2,26 @@
 
 One traversal, up to 64 queries: the lane word (one ``uint64`` per
 vertex, bit ``b`` = source ``b``'s state) turns the paper's SpMSV into a
-bit-parallel multi-source kernel, and a small semiring zoo builds
-batched BFS (``msbfs-1d``), connected components (``cc``), bucketed
-min-plus SSSP (``sssp-delta``) and a landmark distance index
-(``landmark``) on top of it — all as
-:class:`~repro.core.engine.AlgorithmStep` plugins under the unchanged
+bit-parallel multi-source BFS (``msbfs-1d``), an
+:class:`~repro.core.engine.AlgorithmStep` plugin under the unchanged
 traversal engine.  :func:`run_query` is the driver entry point.
 """
 
-from repro.query.cc import ConnectedComponents1D, close_lane_classes
 from repro.query.driver import QueryResult, run_query
-from repro.query.landmark import (
-    DEFAULT_LANDMARKS,
-    LandmarkIndex,
-    select_landmarks,
-)
 from repro.query.msbfs import (
     WORD_LANES,
     MSBFS1D,
     lane_bit,
     prune_lane_candidates,
 )
-from repro.query.serial import cc_serial, msbfs_serial, sssp_serial
-from repro.query.sssp import (
-    DEFAULT_DELTA,
-    DEFAULT_WEIGHT_MAX,
-    DeltaSSSP1D,
-    edge_weights,
-    gather_weighted,
-)
+from repro.query.serial import msbfs_serial
 
 __all__ = [
     "MSBFS1D",
     "WORD_LANES",
-    "ConnectedComponents1D",
-    "DEFAULT_DELTA",
-    "DEFAULT_LANDMARKS",
-    "DEFAULT_WEIGHT_MAX",
-    "DeltaSSSP1D",
-    "LandmarkIndex",
     "QueryResult",
-    "cc_serial",
-    "close_lane_classes",
-    "edge_weights",
-    "gather_weighted",
     "lane_bit",
     "msbfs_serial",
     "prune_lane_candidates",
     "run_query",
-    "select_landmarks",
-    "sssp_serial",
 ]

@@ -1,23 +1,14 @@
-"""Serial oracles for the batched query families.
+"""Serial oracle for the batched query.
 
-Structurally independent references for the property tests and for
-``run_query(..., validate=True)``:
-
-* :func:`msbfs_serial` — 64 independent :func:`~repro.core.serial.bfs_serial`
-  runs stacked into lane columns (the bit-parallel run must match this
-  lane for lane, bit for bit);
-* :func:`cc_serial` — plain BFS component sweep labeling every component
-  by its minimum vertex id;
-* :func:`sssp_serial` — binary-heap Dijkstra plus the closed-form
-  deterministic parent rule ``parents[v] = max {u : dist[u] + w(u, v) ==
-  dist[v]}``.
-
-All operate on the *internal* CSR labeling, like their BFS counterpart.
+:func:`msbfs_serial` — 64 independent :func:`~repro.core.serial.bfs_serial`
+runs stacked into lane columns — is the structurally independent
+reference for the property tests and for ``run_query(...,
+validate=True)``: the bit-parallel run must match it lane for lane, bit
+for bit.  It operates on the *internal* CSR labeling, like its BFS
+counterpart.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -35,51 +26,3 @@ def msbfs_serial(
     for b, s in enumerate(sources):
         levels[:, b], parents[:, b] = bfs_serial(csr, int(s))
     return levels, parents
-
-
-def cc_serial(csr: CSR) -> np.ndarray:
-    """Component label per vertex: the minimum vertex id of its component."""
-    comp = np.full(csr.n, -1, dtype=np.int64)
-    for v in range(csr.n):
-        if comp[v] >= 0:
-            continue
-        # v is the smallest unlabeled vertex, hence its component's min.
-        frontier = np.array([v], dtype=np.int64)
-        comp[v] = v
-        while frontier.size:
-            targets, _src = csr.gather(frontier)
-            targets = np.unique(targets)
-            targets = targets[comp[targets] < 0]
-            comp[targets] = v
-            frontier = targets
-    return comp
-
-
-def sssp_serial(
-    csr: CSR, source: int, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dijkstra distances plus closed-form (select, max) parents."""
-    if not 0 <= source < csr.n:
-        raise ValueError(f"source {source} out of range [0, {csr.n})")
-    dist = np.full(csr.n, -1, dtype=np.int64)
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d != dist[u]:
-            continue
-        lo, hi = int(csr.indptr[u]), int(csr.indptr[u + 1])
-        for k in range(lo, hi):
-            v = int(csr.indices[k])
-            nd = d + int(weights[k])
-            if dist[v] < 0 or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    parents = np.full(csr.n, -1, dtype=np.int64)
-    parents[source] = source
-    u = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr))
-    v = csr.indices
-    ok = (dist[u] >= 0) & (dist[v] >= 0) & (dist[u] + weights == dist[v])
-    ok &= v != source
-    np.maximum.at(parents, v[ok], u[ok])
-    return dist, parents

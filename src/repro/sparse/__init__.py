@@ -19,8 +19,6 @@ from repro.sparse.csr_matrix import CSRMatrix
 from repro.sparse.dcsc import DCSC
 from repro.sparse.semiring import (
     BIT_OR,
-    MIN_LEVEL,
-    MIN_PLUS,
     SELECT_MAX,
     SEMIRINGS,
     Semiring,
@@ -39,8 +37,6 @@ __all__ = [
     "BIT_OR",
     "CSRMatrix",
     "DCSC",
-    "MIN_LEVEL",
-    "MIN_PLUS",
     "SELECT_MAX",
     "SEMIRINGS",
     "Semiring",

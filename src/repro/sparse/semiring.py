@@ -8,23 +8,18 @@ idempotent-friendly combine works for BFS correctness; ``max`` makes every
 kernel deterministic, so the SPA and heap paths produce bit-identical
 results (handy for Figure 3's apples-to-apples comparison).
 
-The same machinery generalizes to a *family* of traversals by swapping
-the combine (the paper's own motivation for the algebraic formulation):
+Swapping the combine changes what a traversal carries (the paper's own
+motivation for the algebraic formulation):
 
 * :data:`SELECT_MAX` — the paper's BFS semiring;
 * :data:`BIT_OR` — bitwise OR over ``uint64`` lane words: bit *b* of a
   payload tracks source *b* of a 64-way batched traversal, so one
-  scatter-combine advances 64 searches at once (``repro.query``'s
-  multi-source BFS and connected components);
-* :data:`MIN_LEVEL` — ``min`` over hop counts (batched level merges,
-  landmark distance tables);
-* :data:`MIN_PLUS` — the tropical semiring for shortest paths:
-  "multiplication" is weight addition (done by the caller along each
-  edge), "addition" keeps the minimum tentative distance
-  (``repro.query``'s delta-stepping-style SSSP).
+  scatter-combine advances 64 searches at once.  ``msbfs-1d`` resolves
+  its lanes with a sort instead; a ``BIT_OR`` SPA is the oracle its
+  tests and microbenchmarks hold that sort to.
 
-Every instance is registered in :data:`SEMIRINGS` so kernels, tests and
-docs can enumerate the zoo.
+Every instance is registered in :data:`SEMIRINGS` so kernels and tests
+can enumerate them.
 """
 
 from __future__ import annotations
@@ -34,12 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-
-#: "Infinity" for the min-combining semirings: large enough to dominate
-#: every real payload, small enough that ``identity + max_weight`` can
-#: never wrap int64 in a careless caller.
-INF = 1 << 62
-
 
 @dataclass(frozen=True)
 class Semiring:
@@ -100,9 +89,8 @@ class _SelectMax(Semiring):
 class _BitOr(Semiring):
     """Bitwise-OR over ``uint64`` lane words; identity is the empty word.
 
-    The word-parallel workhorse of :mod:`repro.query`: bit *b* of every
-    payload belongs to batched source *b*, and one OR combines all 64
-    lanes' reachability at once.
+    Bit *b* of every payload belongs to batched source *b*, and one OR
+    combines all 64 lanes' reachability at once.
     """
 
     dtype = np.uint64
@@ -115,48 +103,14 @@ class _BitOr(Semiring):
         return np.bitwise_or(a, b)
 
 
-class _MinCombine(Semiring):
-    """Shared ``min`` combine for the level- and distance-merging semirings."""
-
-    kernel_op = "min"
-
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.minimum(a, b)
-
-
-class _MinLevel(_MinCombine):
-    """``min`` over hop counts: merges batched BFS levels and landmark tables."""
-
-    def __init__(self):
-        super().__init__(name="min-level", identity=INF)
-
-
-class _MinPlus(_MinCombine):
-    """Tropical semiring: callers add edge weights, the combine keeps the min.
-
-    The "multiplication" (``dist[u] + w(u, v)``) happens at the call
-    site while enumerating nonzeros — exactly how the BFS kernels attach
-    the parent payload — so this class only owns the additive ``min``.
-    """
-
-    def __init__(self):
-        super().__init__(name="min-plus", identity=INF)
-
-
 #: Singleton instance used throughout the 2D algorithm.
 SELECT_MAX = _SelectMax()
 
 #: Bitwise-OR lane-word semiring (64-way batched traversals).
 BIT_OR = _BitOr()
 
-#: Min-over-levels semiring (batched level / landmark-table merges).
-MIN_LEVEL = _MinLevel()
-
-#: Tropical (min, +) semiring (delta-stepping-style SSSP).
-MIN_PLUS = _MinPlus()
-
 #: Registry of every shipped semiring, keyed by name; the property tests
 #: sweep this so a new semiring is algebra-checked the moment it lands.
 SEMIRINGS: dict[str, Semiring] = {
-    s.name: s for s in (SELECT_MAX, BIT_OR, MIN_LEVEL, MIN_PLUS)
+    s.name: s for s in (SELECT_MAX, BIT_OR)
 }

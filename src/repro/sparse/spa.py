@@ -10,8 +10,8 @@ The batched interface (:meth:`SPA.accumulate`) is the vectorized
 equivalent of scattering one candidate at a time; the combine is the
 (select, max) semiring so results are deterministic.  The dense vector
 takes its dtype from the semiring, so the same accumulator forms lane
-unions over ``uint64`` words for the 64-way batched traversals of
-:mod:`repro.query`.
+unions over ``uint64`` words: the oracle the 64-way ``msbfs-1d`` owner
+update is tested against.
 """
 
 from __future__ import annotations

@@ -112,12 +112,10 @@ def query_sources(graph: Graph, source: int, k: int = 4) -> list[int]:
     return [(source + i) % graph.n for i in range(min(k, graph.n))]
 
 
-def prepare_any(graph: Graph, algorithm: str, *, batch: int = 4, **kwargs):
+def prepare_any(graph: Graph, algorithm: str, **kwargs):
     """``prepare`` a session for any registry entry (see :func:`launch_any`)."""
-    from repro.core.runner import ALGORITHMS, RunConfig, prepare
+    from repro.core.runner import RunConfig, prepare
 
-    if ALGORITHMS[algorithm].kind == "landmark":
-        kwargs["landmarks"] = min(batch, graph.n)
     return prepare(graph, RunConfig(algorithm=algorithm, **kwargs))
 
 
@@ -132,19 +130,15 @@ def launch_any(
     ``source``, so one helper covers every entry — current and future —
     without per-name branches in the tests.  Each call prepares its own
     session (exactly what ``run_bfs``/``run_query`` do) unless one from
-    :func:`prepare_any` with the same ``batch`` is passed as ``session``.
+    :func:`prepare_any` is passed as ``session``.
     """
     from repro.core.runner import ALGORITHMS
 
     if session is None:
-        session = prepare_any(graph, algorithm, batch=batch, **kwargs)
+        session = prepare_any(graph, algorithm, **kwargs)
     kind = ALGORITHMS[algorithm].kind
     if kind == "bfs":
         return session.bfs(source)
     if kind == "msbfs":
         return session.query(query_sources(graph, source, batch))
-    if kind == "sssp":
-        return session.query([source])
-    if kind in ("cc", "landmark"):  # these seed themselves
-        return session.query()
     raise ValueError(f"unknown algorithm kind {kind!r}")  # pragma: no cover

@@ -52,3 +52,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SCALE:" in out
         assert "harmonic_mean_TEPS:" in out
+
+    def test_query_mode_writes_an_msbfs_report(self, tmp_path, capsys):
+        import json
+
+        report, trace = tmp_path / "report.json", tmp_path / "trace.json"
+        argv = ["query", "--scale", "8", "--nprocs", "4", "--batch", "8"]
+        argv += ["--report-out", str(report), "--trace-out", str(trace)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "msbfs-1d (msbfs)" in out
+        assert "batch=8" in out
+        assert json.loads(report.read_text())["query"]["kind"] == "msbfs"
+        assert json.loads(trace.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("codec", ["raw", "auto"])
+    def test_query_mode_runs_each_codec_and_width(self, codec, batch, capsys):
+        argv = ["query", "--scale", "7", "--nprocs", "4", "--algorithm", "msbfs-1d"]
+        assert main(argv + ["--codec", codec, "--batch", str(batch)]) == 0
+        out = capsys.readouterr().out
+        assert f"msbfs-1d (msbfs) on rmat-s7-ef16: batch={batch} " in out
+        assert "queries/s" in out
+
+    @pytest.mark.parametrize("algorithm", ["cc", "2d", "sssp-delta", "landmark", "1d", "serial"])
+    def test_query_mode_names_the_query_algorithms(self, algorithm, capsys):
+        """``2d`` is graph500's default, and an explicit one is refused,
+        not silently swapped for ``msbfs-1d``; so is any other BFS entry
+        and every name of the deleted query families."""
+        assert main(["query", "--scale", "8", "--algorithm", algorithm]) == 2
+        err = capsys.readouterr().err
+        assert f"{algorithm!r} is not a batched query algorithm" in err
+        assert "['msbfs-1d']" in err
+
+    def test_algorithm_default_is_per_flow(self):
+        assert build_parser().parse_args(["graph500"]).algorithm is None

@@ -300,19 +300,24 @@ class TestValidationAndReporting:
         assert all(run_spmd(2, fn).returns)
 
     def test_misrouted_triple_fails_at_pack_time(self):
-        """The triple site hands ``auto`` the same owned ranges as the
-        pair site, so a misrouted lane candidate is caught there too;
-        the last triple alone ships raw, so the check is not varint's."""
+        """The triple site routes by the same range bounds as the pair
+        site: a target outside every range fails at pack time, and
+        targets inside them land in their owners' buffers, so ``auto``
+        never sees a misrouted lane candidate (the last triple alone
+        ships raw, so the routing is not varint's)."""
 
         def fn(comm):
             ranges = [VertexRange(4096 * r, 4096) for r in range(comm.size)]
             channel = CommChannel(comm, ranges, codec="auto")
+            for bad in (-1, 4096 * comm.size):
+                targets = np.array([10, bad], dtype=np.int64)
+                with pytest.raises(ValueError, match=r"out of range \[0, 8192\)"):
+                    channel.pack_triples(targets, targets, targets)
             for targets in ([10, 20, 4096 + 30], [4096 + 30]):
                 targets = np.array(targets, dtype=np.int64)
-                with pytest.raises(ValueError, match=r"out of owned range \[0, 4096\)"):
-                    channel.pack_triples(
-                        targets, targets, targets, np.zeros(targets.size, dtype=np.int64)
-                    )
+                send, info = channel.pack_triples(targets, targets, targets)
+                assert info.pairs == targets.size
+                assert send[1][-1] == 4096 + 30  # the owner's extra column
             return True
 
         assert all(run_spmd(2, fn).returns)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core import ALGORITHMS, run_bfs
+from repro.query import run_query
+
+from tests.conftest import make_path_graph, prepare_any
 
 
 class TestRunBfs:
@@ -49,6 +57,20 @@ class TestRunBfs:
     def test_bad_source(self, rmat_small):
         with pytest.raises(ValueError, match="source"):
             run_bfs(rmat_small, rmat_small.n, "serial")
+
+    @pytest.mark.parametrize("algorithm", ["serial", "1d", "2d", "pbgl"])
+    def test_non_integer_source_is_refused(self, algorithm):
+        """``1.9`` used to search from vertex 1 and report source 1.9,
+        and ``True`` to pass for vertex 1."""
+        path = make_path_graph(3)
+        for source in (1.9, np.float64(1.0), True, np.True_):
+            with pytest.raises(ValueError, match="vertex ids must be integers"):
+                run_bfs(path, source, algorithm, nprocs=2)
+        session = repro.prepare(path, repro.RunConfig(algorithm=algorithm, nprocs=2))
+        with pytest.raises(ValueError, match=r"got 0\.5"):
+            session.bfs(0.5)
+        res = session.bfs(np.int16(2))
+        assert res.levels.tolist() == [2, 1, 0]
 
     def test_flat_rejects_threads(self, rmat_small):
         with pytest.raises(ValueError, match="flat variant"):
@@ -128,3 +150,104 @@ class TestRunBfs:
             rmat_small, src, "2d", nprocs=4, modeled_cores=40_000, kernel="auto"
         )
         assert np.array_equal(res.levels, ref.levels)
+
+
+#: Values that are not vertex ids.  Each used to be truncated, coerced or
+#: passed through to a later, unrelated error; now every entry point
+#: refuses it up front with a message that repeats it.
+NON_INTEGER_IDS = [
+    pytest.param(1.9, id="float"),
+    pytest.param(0.5, id="float-below-one"),
+    pytest.param(2.0, id="float-integral"),
+    pytest.param(np.float64(1.0), id="np-float64"),
+    pytest.param(np.float32(2.0), id="np-float32"),
+    pytest.param(np.float16(0.0), id="np-float16"),
+    pytest.param(True, id="true"),
+    pytest.param(False, id="false"),
+    pytest.param(np.True_, id="np-true"),
+    pytest.param(np.False_, id="np-false"),
+    pytest.param("1", id="str"),
+    pytest.param(None, id="none"),
+    pytest.param(1 + 0j, id="complex"),
+    pytest.param(Fraction(1), id="fraction"),
+    pytest.param(Decimal(1), id="decimal"),
+]
+
+INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                 np.uint64]
+
+
+class TestVertexIdTypes:
+    @pytest.mark.parametrize("value", NON_INTEGER_IDS)
+    def test_refused_and_named(self, value):
+        path = make_path_graph(3)
+        named = re.escape(f"vertex ids must be integers, got {value!r}")
+        with pytest.raises(ValueError, match=named):
+            run_bfs(path, value, "1d", nprocs=2)
+        with pytest.raises(ValueError, match=named):
+            run_query(path, sources=[0, value], nprocs=2)
+        with pytest.raises(ValueError, match=named):
+            run_query(path, config=repro.RunConfig(algorithm="msbfs-1d", sources=(value, 1)))
+
+    @pytest.mark.parametrize("int_type", INTEGER_TYPES, ids=lambda t: t.__name__)
+    def test_integer_types_are_accepted(self, int_type):
+        """Any Python or numpy integer runs, and the result reports the
+        source as a plain ``int`` whatever width it came in."""
+        path = make_path_graph(3)
+        res = run_bfs(path, int_type(2), "1d", nprocs=2)
+        assert type(res.source) is int and res.source == 2
+        assert res.levels.tolist() == [2, 1, 0]
+        batch = run_query(path, sources=[int_type(2), int_type(0)], nprocs=2)
+        assert batch.sources.tolist() == [2, 0]
+        assert batch.lane(1)[0].tolist() == [0, 1, 2]
+        assert type(batch.source) is int and batch.source == 2
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_entry_checks_the_source(self, algorithm):
+        """The check sits on the shared session path, so no registry
+        entry can search from a truncated float."""
+        path = make_path_graph(3)
+        session = prepare_any(path, algorithm, nprocs=2)
+        if ALGORITHMS[algorithm].kind == "bfs":
+            with pytest.raises(ValueError, match=r"got 1\.5"):
+                session.bfs(1.5)
+            assert session.bfs(np.int64(2)).levels.tolist() == [2, 1, 0]
+        else:
+            with pytest.raises(ValueError, match=r"got 1\.5"):
+                session.query([0, 1.5])
+            assert session.query([np.int64(2)]).lane(0)[0].tolist() == [2, 1, 0]
+
+
+@pytest.mark.parametrize("entry", ["run-config", "run-bfs", "run-query", "cli-query"])
+@pytest.mark.parametrize("name", ["cc", "sssp-delta", "landmark"])
+def test_deleted_query_families_are_unknown(name, entry, capsys):
+    """The semiring query zoo is gone: its names fail where a caller
+    meets them, with the names that remain."""
+    path = make_path_graph(3)
+    if entry == "cli-query":
+        assert main(["query", "--scale", "6", "--algorithm", name]) == 2
+        assert f"{name!r} is not a batched query algorithm; known: ['msbfs-1d']" in (
+            capsys.readouterr().err
+        )
+        return
+    with pytest.raises(ValueError, match=f"unknown algorithm '{name}'") as err:
+        if entry == "run-config":
+            repro.RunConfig(algorithm=name)
+        elif entry == "run-bfs":
+            run_bfs(path, 0, name, nprocs=2)
+        else:
+            run_query(path, sources=[0], algorithm=name, nprocs=2)
+    assert str(sorted(ALGORITHMS)) in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["sssp_delta", "weight_max", "weight_seed", "landmarks"])
+def test_deleted_query_fields_are_refused(field):
+    """The zoo's ``RunConfig`` fields left with it: passing one is an
+    error, not a silently ignored keyword."""
+    path = make_path_graph(3)
+    with pytest.raises(TypeError, match=field):
+        repro.RunConfig(algorithm="msbfs-1d", **{field: 1})
+    with pytest.raises(TypeError, match=field):
+        run_query(path, sources=[0], nprocs=2, **{field: 1})
+    with pytest.raises(TypeError, match=field):
+        run_bfs(path, 0, "1d", nprocs=2, **{field: 1})

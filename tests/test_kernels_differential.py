@@ -77,7 +77,7 @@ def _lhs_random(tag):
 
 def _scatter_args(tag, op, length=24, n=70, dtype=np.int64):
     rng = _rng(tag)
-    identity = {"max": -1, "min": 1 << 62, "or": 0}[op]
+    identity = {"max": -1, "or": 0}[op]
     dense = np.full(length, identity, dtype=dtype)
     positions = rng.integers(0, length, n)
     if dtype == np.uint64:
@@ -201,9 +201,8 @@ CASES: dict[str, dict] = {
         ),
     },
     "reduce_runs": {
-        "empty-min": lambda: (_i64(), _i64(), "min"),
+        "empty-or": lambda: (_i64(), _u64(), "or"),
         "max": lambda: (*_random_pairs("rr-max", 200, 15), "max"),
-        "min": lambda: (*_random_pairs("rr-min", 200, 15), "min"),
         "or-lane-words": lambda: (
             _rng("rr-or").integers(0, 12, 150),
             _rng("rr-or-w").integers(0, I64_MAX, 150, dtype=np.uint64),
@@ -215,7 +214,6 @@ CASES: dict[str, dict] = {
     },
     "scatter_reduce": {
         "max": lambda: _scatter_args("sc-max", "max"),
-        "min": lambda: _scatter_args("sc-min", "min"),
         "or-64-lane": lambda: _scatter_args("sc-or", "or", dtype=np.uint64),
         "empty": lambda: (
             np.full(8, -1, dtype=np.int64), _i64(), _i64(), "max"

@@ -69,8 +69,8 @@ class TestRecording:
         assert first[0].t_end == pytest.approx(first[2].t_end)
 
     def test_nested_comm_span_counted_once(self):
-        # A collective issued inside another comm span (cc's batch
-        # finalize inside the engine's termination allreduce) belongs to
+        # A collective issued inside another comm span (a step's
+        # gather inside the engine's termination allreduce) belongs to
         # the outer span: drawn with its glyph, timed once.
         def fn(comm, tracer):
             obs = tracer.for_rank(comm)

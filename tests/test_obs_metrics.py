@@ -154,9 +154,6 @@ FAMILY_ALGORITHMS = [
     "2d",
     "2d-dirop",
     "msbfs-1d",
-    "cc",
-    "sssp-delta",
-    "landmark",
 ]
 
 

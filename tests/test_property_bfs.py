@@ -11,7 +11,7 @@ from repro.core import bfs_serial, run_bfs, validate_bfs
 from repro.core.runner import ALGORITHMS
 from repro.graphs import Graph, erdos_renyi_edges
 from repro.graphs.rmat import rmat_graph
-from repro.query import edge_weights, run_query, sssp_serial
+from repro.query import run_query
 
 from tests.conftest import CODEC_FORMS, query_sources
 
@@ -24,10 +24,10 @@ ALL_ALGORITHMS = sorted(ALGORITHMS)
 
 # -- kind-aware oracle checks -------------------------------------------------
 #
-# The registry carries algorithm families whose results are not a
-# single-source (levels, parents) pair; each kind gets its own oracle
-# comparison and the sweeps below dispatch through ORACLE_CHECKS, so a
-# new family plugs into the equivalence harness by adding one entry.
+# The batched query's result is not a single-source (levels, parents)
+# pair; each kind gets its own oracle comparison and the sweeps below
+# dispatch through ORACLE_CHECKS, so a new family plugs into the
+# equivalence harness by adding one entry.
 
 def _check_bfs(graph, source, algorithm, nprocs, **kwargs):
     ref = run_bfs(graph, source, "serial")
@@ -49,57 +49,9 @@ def _check_msbfs(graph, source, algorithm, nprocs, **kwargs):
         assert np.array_equal(res.parents[:, b], ref.parents), f"lane {b}"
 
 
-def _cc_oracle(graph):
-    """Component labels by repeated serial BFS, in original labels."""
-    comp = np.full(graph.n, -1, dtype=np.int64)
-    for v in range(graph.n):
-        if comp[v] < 0:
-            comp[run_bfs(graph, v, "serial").levels >= 0] = v
-    return comp
-
-
-def _check_cc(graph, source, algorithm, nprocs, **kwargs):
-    res = run_query(
-        graph, algorithm=algorithm, nprocs=nprocs, validate=True, **kwargs
-    )
-    assert np.array_equal(res.parents, _cc_oracle(graph))
-
-
-def _check_sssp(graph, source, algorithm, nprocs, **kwargs):
-    res = run_query(
-        graph, sources=[source], algorithm=algorithm, nprocs=nprocs,
-        validate=True, **kwargs,
-    )
-    src_internal = int(np.asarray(graph.to_internal(source)))
-    ref_dist, ref_par = sssp_serial(graph.csr, src_internal, edge_weights(graph.csr))
-    assert np.array_equal(res.levels[:, 0], graph.relabel_level_array(ref_dist))
-    assert np.array_equal(res.parents[:, 0], graph.relabel_vertex_array(ref_par))
-
-
-def _check_landmark(graph, source, algorithm, nprocs, **kwargs):
-    res = run_query(
-        graph, algorithm=algorithm, nprocs=nprocs,
-        landmarks=min(4, graph.n), validate=True, **kwargs,
-    )
-    index = res.meta["index"]
-    for i, lm in enumerate(map(int, index.landmarks)):
-        ref = run_bfs(graph, lm, "serial")
-        assert np.array_equal(res.levels[:, i], ref.levels), f"landmark {i}"
-        # Bounds are exact when an endpoint is a landmark.
-        lb, ub = index.bounds(lm, source)
-        d = int(ref.levels[source])
-        if d >= 0:
-            assert lb == d == ub
-        else:
-            assert ub == -1
-
-
 ORACLE_CHECKS = {
     "bfs": _check_bfs,
     "msbfs": _check_msbfs,
-    "cc": _check_cc,
-    "sssp": _check_sssp,
-    "landmark": _check_landmark,
 }
 
 

@@ -59,12 +59,6 @@ def _run(algorithm: str, **kwargs):
         return run_query(
             GRAPH, sources=query_sources(GRAPH, SOURCE, 4), **common
         )
-    if kind == "cc":
-        return run_query(GRAPH, **common)
-    if kind == "sssp":
-        return run_query(GRAPH, sources=[SOURCE], **common)
-    if kind == "landmark":
-        return run_query(GRAPH, landmarks=4, **common)
     raise AssertionError(f"kind {kind!r} has no backend-sweep runner")
 
 
@@ -84,7 +78,7 @@ def _observe(result) -> dict:
 def test_every_kind_has_a_backend_sweep_runner():
     """A registry entry with a new kind must extend :func:`_run`."""
     for kind in {spec.kind for spec in ALGORITHMS.values()}:
-        assert kind in ("bfs", "msbfs", "cc", "sssp", "landmark"), kind
+        assert kind in ("bfs", "msbfs"), kind
 
 
 def _bound_to(module) -> bool:

@@ -3,8 +3,8 @@
 Each side of a 64-lane level sorts once: the sender on a (target,
 source) key with words read at the sorted sources
 (``kernels.lane_prune_by_source``), the pack not at all when the prune's
-output is already in wire order (``comm.channel._group_triples`` with
-``owners=None``), the owner on a narrow by-target key with the lane
+output is already in wire order (``comm.channel._group_triples``, which
+routes by the channel's range bounds), the owner on a narrow by-target key with the lane
 unions taken off the scan's run heads (``kernels.lane_winners``).  The
 formulations they replaced are kept below, verbatim, as the oracles:
 the composite-key ``lane_winners`` / ``lane_prune``, the owner's
@@ -305,18 +305,21 @@ def test_owner_update_of_an_empty_level():
 @st.composite
 def pack_levels(draw):
     """Triples a 1D channel packs: the msbfs prune's wire-ordered output,
-    or an SSSP level's unordered relaxations with rows tying on (target,
-    value) and values wide enough to pass the 64-bit key."""
+    or the unordered candidates of a level without the prune, with rows
+    tying on (target, value) and values wide enough to pass the 64-bit
+    key.  Each extra is a function of its (target, value), as an msbfs
+    lane word is of its (target, source) row."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nranks = draw(st.integers(1, 6))
     n = draw(st.integers(nranks, 400))
     size = draw(st.sampled_from([50, 300, 0, 1, 2]))
     targets = rng.integers(0, n, size)
-    values = rng.integers(0, draw(st.sampled_from([3, 1000])), size)
-    if draw(st.booleans()):
-        values = values * ((1 << 62) - 1)
-    extras = rng.integers(-(1 << 63), 1 << 63, size)
-    extras[rng.random(size) < 0.3] = 7
+    nvalues = draw(st.sampled_from([3, 1000]))
+    slots = rng.integers(0, nvalues, size)
+    values = slots * ((1 << 62) - 1) if draw(st.booleans()) else slots
+    table = rng.integers(-(1 << 63), 1 << 63, (n, nvalues))
+    table[rng.random(table.shape) < 0.3] = 7
+    extras = table[targets, slots]
     if draw(st.sampled_from(["unordered", "wire-order"])) == "wire-order":
         order = np.lexsort((values, targets))
         targets, values, extras = targets[order], values[order], extras[order]
@@ -331,27 +334,21 @@ def test_pack_order_and_counts_equal_the_owner_key(level):
     columns = [a.copy() for a in (targets, values, extras)]
     owners = part.owner_of(targets)
     want = old_group_triples(owners, nranks, targets, values, extras)
-    assert_same(channel._group_triples(targets, values, extras, None, bounds), want)
-    assert_same(channel._group_triples(targets, values, extras, owners, bounds), want)
+    assert_same(channel._group_triples(targets, values, extras, bounds), want)
     for given_col, kept in zip((targets, values, extras), columns):
         assert np.array_equal(given_col, kept)
 
 
 @pytest.mark.parametrize("bad", [-1, 40])
 def test_pack_range_errors_match(bad):
-    """Without owners, a target outside the ranges raises what
-    ``Partition1D.owner_of`` raised for it; with owners, an owner
-    outside the group raises as before."""
+    """A target outside the ranges raises what ``Partition1D.owner_of``
+    raised for it."""
     part = Partition1D(40, 3)
     bounds = np.asarray(part.bounds)
     t = np.array([3, bad, 5], dtype=np.int64)
     want = outcome(part.owner_of, t)
     assert want[0] == "raises"
-    assert outcome(channel._group_triples, t, t, t, None, bounds) == want
-    owners = np.array([0, bad, 1], dtype=np.int64)
-    want = outcome(old_group_triples, owners, 3, t, t, t)
-    assert want[0] == "raises"
-    assert outcome(channel._group_triples, t, t, t, owners, bounds) == want
+    assert outcome(channel._group_triples, t, t, t, bounds) == want
 
 
 # -- edge count ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ into full internal-label arrays, ``relabel_*_array`` them, then
 ``levels``, ``parents`` and ``m_traversed`` must come out identical,
 dtype included.
 
-A ``tracemalloc`` guard pins what the rewrite is for, and one negative
-test per query kind pins the validation message.
+A ``tracemalloc`` guard pins what the rewrite is for, and negative
+tests pin the validation messages.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import runner
@@ -28,8 +28,6 @@ from repro.core.validate import ValidationError
 from repro.graphs import rmat_graph
 from repro.graphs.graph import Graph
 from repro.graphs.permutation import invert_permutation
-from repro.query.driver import _canonical_components
-from repro.sparse.semiring import INF
 
 # -- the oracle --------------------------------------------------------------------
 
@@ -107,23 +105,9 @@ def query_spec(session, kind, seeds):
         else:
             levels_int, parents_int, _ = stitch_spec(session, session.launch(seeds[0]))
         m_traversed = count_spec(csr, levels_int, m_input)
-    elif kind == "msbfs":
+    else:  # msbfs
         levels_int, parents_int, _ = stitch_spec(session, session.launch(seeds), seeds.size)
         m_traversed = sum(count_lanes_spec(csr, levels_int, m_input))
-    elif kind == "sssp":
-        levels_int = np.empty((graph.n, seeds.size), dtype=np.int64)
-        parents_int = np.empty((graph.n, seeds.size), dtype=np.int64)
-        m_traversed = 0
-        for b, s in enumerate(seeds):
-            dist, parents, _ = stitch_spec(session, session.launch(int(s)))
-            dist = np.where(dist >= INF, np.int64(-1), dist)
-            levels_int[:, b] = dist
-            parents_int[:, b] = parents
-            m_traversed += count_spec(csr, dist, m_input)
-    else:  # cc
-        levels_int, comp_int, _ = stitch_spec(session, session.launch())
-        comp = _canonical_components(graph.n, np.asarray(relabel_vertex_spec(graph, comp_int)))
-        return relabel_level_spec(graph, levels_int), comp, count_spec(csr, levels_int, m_input)
     return (
         relabel_level_spec(graph, levels_int),
         relabel_vertex_spec(graph, parents_int),
@@ -136,8 +120,6 @@ def query_spec(session, kind, seeds):
 KINDS = {
     "bfs": ("1d", "2d", "serial", "graph500-ref"),
     "msbfs": ("msbfs-1d",),
-    "sssp": ("sssp-delta",),
-    "cc": ("cc",),
 }
 
 
@@ -165,10 +147,8 @@ def graphs(draw):
     data=st.data(),
 )
 def test_stitch_equals_relabel_chain(graph, kind, nprocs, data):
-    assume(kind != "cc" or not graph.directed)
     algorithm = data.draw(st.sampled_from(KINDS[kind]))
-    # sssp launches once per lane: a few lanes cover the column writes.
-    batch = data.draw(st.integers(1, 3 if kind == "sssp" else 64))
+    batch = data.draw(st.integers(1, 64))
     sources = np.array(
         data.draw(st.lists(st.integers(0, graph.n - 1), min_size=batch, max_size=batch)),
         dtype=np.int64,
@@ -179,7 +159,7 @@ def test_stitch_equals_relabel_chain(graph, kind, nprocs, data):
     if kind == "bfs":
         res = session.bfs(int(sources[0]))
     else:
-        res = session.query(None if kind == "cc" else sources)
+        res = session.query(sources)
     for got, expected in zip((res.levels, res.parents), want[:2]):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert res.m_traversed == want[2]
@@ -200,8 +180,8 @@ def test_query_peak_is_the_outputs(monkeypatch):
     baseline = []
     real_launch = runner.Session.launch
 
-    def launch(self, *seed):
-        out = real_launch(self, *seed)
+    def launch(self, seed):
+        out = real_launch(self, seed)
         tracemalloc.reset_peak()
         baseline.append(tracemalloc.get_traced_memory()[0])
         return out
@@ -230,8 +210,8 @@ def _corrupting_launch(monkeypatch, rank, key, index, delta=1):
     hit = []
     real_launch = runner.Session.launch
 
-    def launch(self, *seed):
-        spmd, fault_meta = real_launch(self, *seed)
+    def launch(self, seed):
+        spmd, fault_meta = real_launch(self, seed)
         if not hit:
             rank_out = spmd.returns[rank]
             rank_out[key][index] += delta
@@ -258,21 +238,18 @@ def test_msbfs_names_vertex_and_lane(graph, monkeypatch):
     )
 
 
-def test_sssp_names_vertex_and_lane(graph, monkeypatch):
-    sources = graph.random_nonisolated_vertices(2, seed=1)
-    hit = _corrupting_launch(monkeypatch, rank=1, key="parents", index=(5,), delta=-7)
+@pytest.mark.parametrize("rank", [0, 3])
+@pytest.mark.parametrize("key", ["levels", "parents"])
+def test_msbfs_names_each_corrupted_column(graph, monkeypatch, key, rank):
+    """The one oracle check compares levels and parents together: a
+    single wrong parent is caught as surely as a wrong level, in the
+    first rank's slice as in the last."""
+    sources = graph.random_nonisolated_vertices(5, seed=1)
+    hit = _corrupting_launch(monkeypatch, rank=rank, key=key, index=(2, 4), delta=3)
     with pytest.raises(ValidationError) as err:
-        prepare(graph, RunConfig(algorithm="sssp-delta", nprocs=4, validate=True)).query(sources)
+        prepare(graph, RunConfig(algorithm="msbfs-1d", nprocs=4, validate=True)).query(sources)
     vertex = int(graph.to_original(hit[0]))
-    assert f"sssp lane 0 diverges from the Dijkstra oracle at vertex {vertex}:" in str(err.value)
-
-
-def test_cc_names_vertex(graph, monkeypatch):
-    hit = _corrupting_launch(monkeypatch, rank=3, key="parents", index=(0,))
-    with pytest.raises(ValidationError) as err:
-        prepare(graph, RunConfig(algorithm="cc", nprocs=4, validate=True)).query()
-    vertex = int(graph.to_original(hit[0]))
-    assert f"components diverge from the serial sweep at vertex {vertex}:" in str(err.value)
+    assert f"at vertex {vertex} lane 4:" in str(err.value)
 
 
 def test_bfs_validates_the_stitched_slices(graph, monkeypatch):
@@ -287,11 +264,10 @@ def test_bfs_validates_the_stitched_slices(graph, monkeypatch):
 def test_validated_queries_pass_unchanged(graph):
     """The checks ride the one stitch without changing its output."""
     sources = graph.random_nonisolated_vertices(5, seed=1)
-    for algorithm, batch in (("msbfs-1d", sources), ("sssp-delta", sources[:2]), ("cc", None)):
-        plain = prepare(graph, RunConfig(algorithm=algorithm, nprocs=4)).query(batch)
-        checked = prepare(graph, RunConfig(algorithm=algorithm, nprocs=4, validate=True)).query(
-            batch
-        )
-        assert np.array_equal(plain.levels, checked.levels)
-        assert np.array_equal(plain.parents, checked.parents)
-        assert plain.m_traversed == checked.m_traversed
+    plain = prepare(graph, RunConfig(algorithm="msbfs-1d", nprocs=4)).query(sources)
+    checked = prepare(graph, RunConfig(algorithm="msbfs-1d", nprocs=4, validate=True)).query(
+        sources
+    )
+    assert np.array_equal(plain.levels, checked.levels)
+    assert np.array_equal(plain.parents, checked.parents)
+    assert plain.m_traversed == checked.m_traversed

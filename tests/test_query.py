@@ -30,7 +30,6 @@ from repro.kernels import bucket_by_owner
 from repro.mpsim import run_spmd
 from repro.query import (
     WORD_LANES,
-    close_lane_classes,
     lane_bit,
     msbfs_serial,
     prune_lane_candidates,
@@ -38,7 +37,7 @@ from repro.query import (
 )
 from repro.query.msbfs import resolve_lane_winners
 
-from tests.conftest import CODEC_FORMS
+from tests.conftest import CODEC_FORMS, make_path_graph
 
 NPROCS = 4
 
@@ -74,6 +73,22 @@ class TestBitParallelEquivalence:
         for b in range(3):
             assert np.array_equal(res_full.levels[:, b], res_small.levels[:, b])
             assert np.array_equal(res_full.parents[:, b], res_small.parents[:, b])
+
+    @pytest.mark.parametrize("dedup_sends", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 31, 32, 33, 63, 64])
+    def test_every_width_matches_the_oracle(self, graph, batch64, width, dedup_sends):
+        """Batches that fill part of the lane word, up to and across its
+        halves, with and without the sender-side prune: the lanes in use
+        equal ``msbfs_serial`` and no unused lane leaks into the result."""
+        sources = batch64[:width]
+        res = run_query(graph, sources=sources, nprocs=NPROCS, dedup_sends=dedup_sends)
+        assert res.batch == width
+        assert res.levels.shape == res.parents.shape == (graph.n, width)
+        internal = np.asarray(graph.to_internal(np.array(sources)), dtype=np.int64)
+        levels, parents = msbfs_serial(graph.csr, internal)
+        for b in range(width):
+            assert np.array_equal(res.levels[:, b], graph.relabel_level_array(levels[:, b]))
+            assert np.array_equal(res.parents[:, b], graph.relabel_vertex_array(parents[:, b]))
 
     def test_serial_oracle_matches_per_source_bfs(self, graph, batch64):
         """``msbfs_serial`` (the validator's reference) is itself just a
@@ -184,11 +199,16 @@ class TestOnePassUpdate:
         assert wt.dtype == ws.dtype == np.int64
 
 
-def _pack_spec(channel, targets, values, extras, owners):
+def _pack_spec(channel, targets, values, extras):
     """The formulation ``pack_triples`` replaced, kept as its spec: stable
-    bucket by owner, then one three-key lexsort per destination."""
+    bucket by the owner of each target's range, then one three-key
+    lexsort per destination."""
+    owners = [
+        next(r for r, rng in enumerate(channel.ranges) if rng.lo <= t < rng.lo + rng.nbits)
+        for t in targets.tolist()
+    ]
     buckets, _ = bucket_by_owner(
-        owners, channel.comm.size, targets, values, extras
+        np.asarray(owners, dtype=np.int64), channel.comm.size, targets, values, extras
     )
     send = []
     for dst, (t, v, x) in enumerate(buckets):
@@ -216,26 +236,28 @@ class TestTripleWire:
         wide=st.booleans(),
     )
     def test_single_sort_pack_is_byte_identical(self, seed, codec, nranks, size, wide):
-        """Duplicate ``(target, value)`` rows with different extras (an
-        SSSP level), extras with bit 63 set (lane words), and owners
-        drawn per row — not monotone in the target, not even a function
-        of it, so every rank's range spans all targets (``auto`` checks
-        packed targets against it); ``wide`` values overflow the
-        composite key and take the lexsort path."""
+        """Unordered triples routed by contiguous ranges of uneven
+        sizes (some empty), with duplicate ``(target, value)`` rows and
+        extras with bit 63 set: each extra is a function of its (target,
+        value), as an msbfs lane word is of its (target, source) row;
+        ``wide`` values overflow the composite key and take the lexsort
+        path."""
         rng = np.random.default_rng(seed)
         comm = SimpleNamespace(size=nranks, rank=int(rng.integers(nranks)))
-        ranges = [VertexRange(0, 16 * nranks)] * nranks
+        sizes = rng.integers(0, 24, nranks)
+        sizes[int(rng.integers(nranks))] += 1  # at least one vertex
+        starts = 5 + np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        ranges = [VertexRange(int(lo), int(n)) for lo, n in zip(starts, sizes)]
         channel = CommChannel(comm, ranges, codec=CODEC_FORMS[codec]())
-        targets = rng.integers(0, 16 * nranks, size)
-        values = rng.integers(0, 4, size)
-        if wide:
-            values = values * ((1 << 62) - 1)
-        extras = rng.integers(-(1 << 63), 1 << 63, size)
-        extras[rng.random(size) < 0.3] = 7  # full-row duplicates too
-        owners = rng.integers(0, nranks, size)
+        targets = rng.integers(5, 5 + sizes.sum(), size)
+        slots = rng.integers(0, 4, size)
+        values = slots * ((1 << 62) - 1) if wide else slots
+        table = rng.integers(-(1 << 63), 1 << 63, (5 + sizes.sum(), 4))
+        table[:, 2] = 7  # equal extras across targets too
+        extras = table[targets, slots]
 
-        send, info = channel.pack_triples(targets, values, extras, owners)
-        want = _pack_spec(channel, targets, values, extras, owners)
+        send, info = channel.pack_triples(targets, values, extras)
+        want = _pack_spec(channel, targets, values, extras)
         assert len(send) == len(want) == nranks
         for got_buf, want_buf in zip(send, want):
             assert got_buf.dtype == want_buf.dtype
@@ -243,48 +265,41 @@ class TestTripleWire:
         assert info.pairs == size
 
     @pytest.mark.parametrize("codec", ["raw", "delta-varint", "auto"])
-    @pytest.mark.parametrize("shape", ["pruned", "pruned-reversed", "sssp-ties"])
+    @pytest.mark.parametrize("shape", ["pruned", "pruned-reversed", "unpruned"])
     def test_ordered_input_pack_is_byte_identical(self, codec, shape):
         """The no-sort path: triples straight from the lane prune are
-        already in wire order; reversed they take the sort; SSSP rows
-        tying on (owner, target, value) with unordered extras keep the
-        extras fix-up on an ordered key — and the caller's columns stay
-        untouched."""
+        already in wire order; reversed they take the sort, as do the
+        raw candidates of ``dedup_sends=False`` — and the caller's
+        columns stay untouched.  Each candidate carries its source's
+        frontier word, as in an msbfs level, so repeated (target,
+        source) rows repeat their extra too."""
         nranks, per = 4, 16
         rng = np.random.default_rng(17)
         comm = SimpleNamespace(size=nranks, rank=1)
         ranges = [VertexRange(per * r, per) for r in range(nranks)]
         channel = CommChannel(comm, ranges, codec=CODEC_FORMS[codec]())
-        if shape == "sssp-ties":
-            targets = np.repeat(np.arange(0, per * nranks, 3), 3)
-            values = targets // 2
-            extras = rng.integers(-(1 << 63), 1 << 63, targets.size)
+        sources = rng.integers(0, 200, 400)
+        frontier_words = rng.integers(0, 1 << 63, 200, dtype=np.uint64) << np.uint64(1)
+        targets = rng.integers(0, per * nranks, 400)
+        if shape == "unpruned":
+            # Every (target, source) row appears twice, as a multi-edge
+            # makes it, and keeps its row order.
+            targets, values = np.repeat(targets, 2), np.repeat(sources, 2)
+            words = frontier_words[values]
         else:
             targets, values, words = prune_lane_candidates(
-                rng.integers(0, per * nranks, 400),
-                rng.integers(0, 200, 400),
-                rng.integers(0, 1 << 63, 400, dtype=np.uint64) << np.uint64(1),
-                WORD_LANES,
+                targets, sources, frontier_words[sources], WORD_LANES
             )
-            extras = words.view(np.int64)
-            if shape == "pruned-reversed":
-                targets, values, extras = targets[::-1], values[::-1], extras[::-1]
-        owners = targets // per
-        columns = [a.copy() for a in (targets, values, extras, owners)]
-        send, info = channel.pack_triples(targets, values, extras, owners)
+        extras = words.view(np.int64)
+        if shape == "pruned-reversed":
+            targets, values, extras = targets[::-1], values[::-1], extras[::-1]
+        columns = [a.copy() for a in (targets, values, extras)]
+        send, info = channel.pack_triples(targets, values, extras)
         want = _pack_spec(channel, *columns)
         assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
         assert info.pairs == targets.size
-        for given_col, kept in zip((targets, values, extras, owners), columns):
+        for given_col, kept in zip((targets, values, extras), columns):
             assert np.array_equal(given_col, kept)
-
-    def test_pack_rejects_out_of_range_owners(self):
-        comm = SimpleNamespace(size=2, rank=0)
-        channel = CommChannel(comm, [VertexRange(0, 8), VertexRange(8, 8)])
-        t = np.array([1, 9], dtype=np.int64)
-        for owners in ([0, 2], [-1, 0]):
-            with pytest.raises(ValueError, match=r"owners out of range \[0, 2\)"):
-                channel.pack_triples(t, t, t, np.array(owners, dtype=np.int64))
 
     @pytest.mark.parametrize("codec", ["raw", "delta-varint", "auto"])
     def test_roundtrip_keeps_extras_row_aligned(self, codec):
@@ -300,8 +315,7 @@ class TestTripleWire:
             )
             values = np.arange(12, dtype=np.int64) + 50 * comm.rank
             extras = values * 13 + 2
-            owners = np.full(12, dst, dtype=np.int64)
-            send, info = channel.pack_triples(targets, values, extras, owners)
+            send, info = channel.pack_triples(targets, values, extras)
             rt, rv, rx = channel.exchange_triples(send, info, level=0)
             assert rt.size == rv.size == rx.size == 12
             assert np.array_equal(rx, rv * 13 + 2)  # row alignment held
@@ -321,8 +335,7 @@ class TestTripleWire:
             targets = np.arange(per * dst, per * dst + 4, dtype=np.int64)
             values = targets * 7 + 1
             extras = targets * 13 + 2
-            owners = np.full(4, dst, dtype=np.int64)
-            send, _ = channel.pack_triples(targets, values, extras, owners)
+            send, _ = channel.pack_triples(targets, values, extras)
             buf, ctx = send[dst], ranges[dst]
             # Truncation desyncs the extras column behind the header.
             with pytest.raises(CodecError):
@@ -346,12 +359,11 @@ class TestTripleWire:
         def fn(comm):
             ranges = [VertexRange(8 * r, 8) for r in range(comm.size)]
             t = np.array([0], dtype=np.int64)
-            owners = np.array([0], dtype=np.int64)
             sieved = CommChannel(
                 comm, ranges, codec="raw", sieve=Sieve(8 * comm.size)
             )
             with pytest.raises(ValueError, match="sieve"):
-                sieved.pack_triples(t, t, t, owners)
+                sieved.pack_triples(t, t, t)
             # The bitmap pair form is gone: the name is unknown.
             with pytest.raises(ValueError, match="unknown codec 'bitmap'"):
                 CommChannel(comm, ranges, codec="bitmap")
@@ -399,27 +411,6 @@ class TestLanesAtOnceEdgeCount:
         )
 
 
-class TestCloseLaneClasses:
-    def test_chain_merges_into_one_class(self):
-        # Lane 0 co-occurs with 1, lane 1 with 2: all three share a
-        # component and must close to the same mask.
-        masks = np.array(
-            [0b011, 0b111, 0b110, 0b1000], dtype=np.uint64
-        )
-        closed = close_lane_classes(masks)
-        assert closed[0] == closed[1] == closed[2] == np.uint64(0b111)
-        assert closed[3] == np.uint64(0b1000)  # untouched singleton
-
-    def test_closure_is_idempotent(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            k = int(rng.integers(1, 16))
-            masks = rng.integers(0, 1 << k, k).astype(np.uint64)
-            masks |= np.uint64(1) << np.arange(k, dtype=np.uint64)  # self bits
-            once = close_lane_classes(masks)
-            assert np.array_equal(close_lane_classes(once), once)
-
-
 class TestDriverApi:
     def test_sources_required_and_bounded(self, graph):
         with pytest.raises(ValueError, match="sources"):
@@ -452,12 +443,31 @@ class TestDriverApi:
                 run_query(graph, sources=[1], nprocs=2, codec=name)
             with pytest.raises(ValueError, match=f"unknown codec '{name}'"):
                 run_bfs(graph, 1, "1d", nprocs=2, codec=name)
-        with pytest.raises(ValueError, match="sources"):
-            run_query(graph, sources=[1], algorithm="cc", nprocs=2)
-        with pytest.raises(ValueError, match="landmarks"):
-            run_query(
-                graph, sources=[1], nprocs=2, landmarks=4
-            )
+        for name in ("cc", "sssp-delta", "landmark"):
+            with pytest.raises(ValueError, match=f"unknown algorithm '{name}'"):
+                run_query(graph, sources=[1], algorithm=name, nprocs=2)
+
+    def test_non_integer_sources_are_refused(self):
+        """A float source used to truncate to a vertex id and a bool to
+        pass for 0 or 1; every way a batch arrives now refuses both."""
+        from repro.core.runner import RunConfig, prepare
+
+        path = make_path_graph(3)
+        for batch in ([0.7, 1.9], [True], [1, np.float64(2.0)], np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="vertex ids must be integers"):
+                run_query(path, sources=batch, nprocs=2)
+        with pytest.raises(ValueError, match=r"got 1\.5"):
+            run_query(path, config=RunConfig(algorithm="msbfs-1d", sources=(1.5, 0.2)))
+        with pytest.raises(ValueError, match="got True"):
+            run_query(path, config=RunConfig(algorithm="msbfs-1d", sources=(True,)))
+        session = prepare(path, RunConfig(algorithm="msbfs-1d", nprocs=2))
+        with pytest.raises(ValueError, match=r"got np\.False_|got False"):
+            session.query(np.array([False]))
+        # Python and numpy integers of any width still run.
+        res = session.query([np.int32(2), 0, np.uint8(1)])
+        assert res.sources.tolist() == [2, 0, 1]
+        assert res.lane(0)[0].tolist() == [2, 1, 0]
+        assert session.query(np.int64(1)).sources.tolist() == [1]
 
     def test_result_helpers(self, graph, batch64):
         res = run_query(
@@ -472,9 +482,6 @@ class TestDriverApi:
             untimed.gteps()
         with pytest.raises(ValueError, match="untimed"):
             untimed.queries_per_second()
-        cc = run_query(graph, algorithm="cc", nprocs=2)
-        with pytest.raises(ValueError, match="lanes"):
-            cc.lane(0)
 
     def test_batching_amortizes_modeled_latency(self, graph, batch64):
         """More lanes per traversal means more queries per modeled

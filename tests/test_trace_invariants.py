@@ -72,44 +72,23 @@ class TestTraceEveryAlgorithm:
 
     @pytest.mark.parametrize("algorithm", QUERY_TRACE_ALGORITHMS)
     def test_query_profile_invariants(self, graph, source, algorithm):
-        """Kind-specific structure of the batched query families' traces.
+        """The lane structure of a batched query's trace.
 
         ``discovered`` counts *vertices* whose state changed at a level,
-        so for the lane kinds it is bracketed by the distinct reached
-        vertices (below) and the reached (vertex, lane) pairs (above);
-        frontier continuity holds everywhere except across a CC batch
-        reseed, which restarts the frontier from the next seed set.
+        so it is bracketed by the distinct reached vertices (below) and
+        the reached (vertex, lane) pairs (above).
         """
         res = launch_any(graph, source, algorithm, nprocs=4, trace=True, batch=8)
         profile = res.meta["level_profile"]
-        kind = ALGORITHMS[algorithm].kind
+        assert ALGORITHMS[algorithm].kind == "msbfs"
         total_discovered = sum(lvl["discovered"] for lvl in profile)
-        if kind in ("msbfs", "landmark"):
-            lane_pairs = int((res.levels >= 1).sum())
-            reached = int((res.levels >= 1).any(axis=1).sum())
-            assert reached <= total_discovered <= lane_pairs
-            for prev, cur in zip(profile, profile[1:]):
-                assert cur["frontier"] == prev["discovered"]
-            assert profile[0]["frontier"] == len(set(map(int, res.sources)))
-            assert all(lvl["lanes"] == res.batch for lvl in profile)
-        elif kind == "sssp":
-            assert total_discovered >= int((res.levels[:, 0] >= 1).sum())
-            for prev, cur in zip(profile, profile[1:]):
-                assert cur["frontier"] == prev["discovered"]
-            assert profile[0]["frontier"] == 1
-            # Nonnegative weights make delta-stepping's buckets monotone.
-            buckets = [lvl["bucket"] for lvl in profile]
-            assert buckets == sorted(buckets)
-        elif kind == "cc":
-            batches = [lvl["batch"] for lvl in profile]
-            assert batches == sorted(batches)
-            for prev, cur in zip(profile, profile[1:]):
-                if cur["batch"] == prev["batch"]:
-                    assert cur["frontier"] == prev["discovered"]
-                else:
-                    assert cur["batch"] == prev["batch"] + 1
-        else:  # pragma: no cover - new kind must add an invariant branch
-            raise AssertionError(f"no trace invariants for kind {kind!r}")
+        lane_pairs = int((res.levels >= 1).sum())
+        reached = int((res.levels >= 1).any(axis=1).sum())
+        assert reached <= total_discovered <= lane_pairs
+        for prev, cur in zip(profile, profile[1:]):
+            assert cur["frontier"] == prev["discovered"]
+        assert profile[0]["frontier"] == len(set(map(int, res.sources)))
+        assert all(lvl["lanes"] == res.batch for lvl in profile)
 
     @pytest.mark.parametrize("algorithm", DIROP_TRACE_ALGORITHMS)
     def test_dirop_levels_record_direction(self, graph, source, algorithm):
@@ -190,40 +169,19 @@ class TestTrace2D:
         )
 
 
-class TestTraceLandmark:
-    """The landmark index build is one traced 64-way msbfs sweep, so its
-    trace must agree with the index it returns."""
-
+class TestTraceMsbfs:
     @pytest.fixture(scope="class")
-    def traced_index(self, graph, source):
+    def traced_query(self, graph, source):
         from repro.obs import Tracer
 
         tracer = Tracer()
         res = launch_any(
-            graph, source, "landmark", nprocs=4, trace=True, batch=8,
-            tracer=tracer,
+            graph, source, "msbfs-1d", nprocs=4, trace=True, batch=8, tracer=tracer
         )
         return res, tracer
 
-    def test_index_build_lanes_are_the_landmarks(self, traced_index):
-        res, _tracer = traced_index
-        index = res.meta["index"]
-        assert index.k == res.batch == 8
-        profile = res.meta["level_profile"]
-        assert all(lvl["lanes"] == index.k for lvl in profile)
-
-    def test_index_distances_match_the_sweep(self, traced_index):
-        res, _tracer = traced_index
-        index = res.meta["index"]
-        # Each landmark is at distance 0 of its own lane, and every
-        # finite distance was discovered in some traced level.
-        for lane, landmark in enumerate(index.landmarks):
-            assert res.levels[landmark, lane] == 0
-        finite = res.levels[res.levels >= 1]
-        assert finite.size and finite.max() <= len(res.meta["level_profile"])
-
-    def test_index_build_spans_cover_every_level(self, traced_index):
-        res, tracer = traced_index
+    def test_level_spans_cover_every_level(self, traced_query):
+        res, tracer = traced_query
         for rank in tracer.ranks:
             level_spans = [
                 s for s in tracer.spans_for(rank) if s.phase == "level"

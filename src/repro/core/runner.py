@@ -47,6 +47,8 @@ from repro.graphs.graph import Graph
 from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA, NetworkCostModel
 from repro.model.machine import HOPPER, get_machine
 from repro.mpsim.stats import SimStats
+from repro.obs.analysis import wall_table
+from repro.obs.tracer import resolve_tracer
 from repro.query import driver as query_driver
 from repro.query.msbfs import MSBFS1D
 from repro.runtime import BACKENDS as RUNTIME_BACKENDS
@@ -496,6 +498,18 @@ class Session:
     def nranks(self) -> int:
         return self.plan.nranks if self.plan is not None else 1
 
+    @property
+    def host(self):
+        """The recorder of the driver's outer wall-clock spans."""
+        return resolve_tracer(self.config.tracer).host
+
+    def record_wall(self) -> None:
+        """Book a traced search's :func:`~repro.obs.analysis.wall_table`
+        as ``wall_seconds`` gauges when metrics are attached too."""
+        config = self.config
+        if config.tracer is not None and config.metrics is not None:
+            config.metrics.record_wall(wall_table(config.tracer))
+
     def unobserved(self) -> "Session":
         """This session minus its tracer/metrics: virtual time restarts at
         zero each traversal, so observers describe one search — the
@@ -536,10 +550,16 @@ class Session:
 
         levels, parents, nlevels, reached = self.stitch(returns, check)
         if config.validate:
-            validate_bfs(
-                graph.csr, src_internal, *internal, undirected=not graph.directed,
-                reference_levels=bfs_serial(graph.csr, src_internal)[0],
-            )
+            with self.host.span("oracle"):
+                reference_levels = bfs_serial(graph.csr, src_internal)[0]
+            with self.host.span("validate"):
+                validate_bfs(
+                    graph.csr, src_internal, *internal, undirected=not graph.directed,
+                    reference_levels=reference_levels,
+                )
+        with self.host.span("teps"):
+            m_traversed = count_lane_edges(graph.csr, reached, 1, graph.m_input)[0]
+        self.record_wall()
         return BFSResult(
             levels=levels,
             parents=parents,
@@ -548,7 +568,7 @@ class Session:
             nranks=self.nranks,
             threads=self.threads,
             nlevels=nlevels,
-            m_traversed=count_lane_edges(graph.csr, reached, 1, graph.m_input)[0],
+            m_traversed=m_traversed,
             stats=spmd.stats if spmd is not None else None,
             meta=self.meta(
                 fault_meta,
@@ -591,7 +611,8 @@ class Session:
             run_spmd, plan.nranks, body, *args, cost_model=self.cost_model,
             runtime=config.runtime, timeout=config.spmd_timeout, **kwargs,
         )
-        return _run_resilient(spawn, plan.nranks, config)
+        with self.host.span("launch"):
+            return _run_resilient(spawn, plan.nranks, config)
 
     def stitch(self, returns, check=None):
         """Write each rank's slice straight into fresh caller-label
@@ -610,20 +631,21 @@ class Session:
         step = self.spec.step
         lo_key, hi_key = step.result_keys if step is not None else ("lo", "hi")
         words = None
-        for rank_out in returns:
-            lo, hi = rank_out[lo_key], rank_out[hi_key]
-            slice_levels, slice_parents = rank_out.pop("levels"), rank_out.pop("parents")
-            if check is not None:
-                check(lo, slice_levels, slice_parents)
-            reached = lane_words(slice_levels >= 0)
-            if words is None:
-                shape = (graph.n, *slice_levels.shape[1:])
-                levels, parents = np.empty(shape, np.int64), np.empty(shape, np.int64)
-                words = np.zeros(graph.n, dtype=reached.dtype)
-            rows = graph.original_rows(lo, hi)
-            levels[rows] = slice_levels
-            parents[rows] = graph.original_ids(slice_parents)
-            words[lo:hi] = reached
+        with self.host.span("stitch"):
+            for rank_out in returns:
+                lo, hi = rank_out[lo_key], rank_out[hi_key]
+                slice_levels, slice_parents = rank_out.pop("levels"), rank_out.pop("parents")
+                if check is not None:
+                    check(lo, slice_levels, slice_parents)
+                reached = lane_words(slice_levels >= 0)
+                if words is None:
+                    shape = (graph.n, *slice_levels.shape[1:])
+                    levels, parents = np.empty(shape, np.int64), np.empty(shape, np.int64)
+                    words = np.zeros(graph.n, dtype=reached.dtype)
+                rows = graph.original_rows(lo, hi)
+                levels[rows] = slice_levels
+                parents[rows] = graph.original_ids(slice_parents)
+                words[lo:hi] = reached
         return levels, parents, max(r["nlevels"] for r in returns), words
 
     def level_profile(self, spmd) -> list[dict] | None:
@@ -660,12 +682,15 @@ def prepare(graph: Graph, config: RunConfig) -> Session:
     to the plan's rank count, once."""
     machine, threads = config.resolve()
     spec = config.spec
-    plan = spec.prepare(graph, config, threads) if spec.prepare is not None else None
-    cost_model = (
-        NetworkCostModel(machine, threads=threads, total_ranks=plan.nranks)
-        if machine is not None and plan is not None
-        else None
-    )
+    host = resolve_tracer(config.tracer).host
+    with host.span("partition"):
+        plan = spec.prepare(graph, config, threads) if spec.prepare is not None else None
+    with host.span("plan"):
+        cost_model = (
+            NetworkCostModel(machine, threads=threads, total_ranks=plan.nranks)
+            if machine is not None and plan is not None
+            else None
+        )
     return Session(graph, config, machine, threads, plan, cost_model)
 
 

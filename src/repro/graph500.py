@@ -35,6 +35,7 @@ from repro.core.runner import BFSResult, RunConfig, prepare
 from repro.graphs.graph import Graph
 from repro.graphs.rmat import rmat_edges
 from repro.model.machine import get_machine
+from repro.obs.tracer import resolve_tracer
 
 #: The official benchmark runs 64 search keys; simulations may downscale.
 DEFAULT_NBFS = 64
@@ -138,7 +139,8 @@ def run_graph500(
     specification rules unless ``validate=False``.  ``tracer`` is an
     optional :class:`~repro.obs.Tracer` recording phase spans for the
     *first* search only — virtual time restarts at zero each traversal,
-    so one tracer describes one run.  ``metrics`` is an optional
+    so one tracer describes one run — plus kernel 1's ``generate`` and
+    ``construct`` host spans.  ``metrics`` is an optional
     :class:`~repro.obs.MetricsRegistry`, likewise metering the first
     search only.
     """
@@ -150,17 +152,20 @@ def run_graph500(
             "(e.g. machine='hopper'); untimed runs have no traversal time"
         )
     # Kernel 1: generation is *not* timed (spec), construction is.
-    src, dst = rmat_edges(scale, edgefactor, seed=seed)
+    host = resolve_tracer(tracer).host
+    with host.span("generate"):
+        src, dst = rmat_edges(scale, edgefactor, seed=seed)
     t0 = time.perf_counter()
-    graph = Graph.from_edges(
-        1 << scale,
-        src,
-        dst,
-        symmetrize=True,
-        shuffle=True,
-        seed=seed,
-        name=f"graph500-s{scale}-ef{edgefactor:g}",
-    )
+    with host.span("construct"):
+        graph = Graph.from_edges(
+            1 << scale,
+            src,
+            dst,
+            symmetrize=True,
+            shuffle=True,
+            seed=seed,
+            name=f"graph500-s{scale}-ef{edgefactor:g}",
+        )
     construction = time.perf_counter() - t0
 
     keys = sample_search_keys(graph, nbfs, seed=seed)

@@ -17,7 +17,8 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   the collapsed-stack flamegraph exporter (speedscope/flamegraph.pl).
 * :mod:`~repro.obs.analysis` — per-level critical paths that sum exactly
   to the modeled makespan, load-imbalance metrics with straggler
-  attribution, and comm/comp decompositions (programmatic Figure 6/8).
+  attribution, comm/comp decompositions (programmatic Figure 6/8), and
+  the host wall-clock breakdown of the same spans (:func:`wall_table`).
 * :mod:`~repro.obs.regress` — the perf gate: run reports become
   per-metric series with median-reference gating, changepoint detection
   and a markdown/HTML dashboard.  ``repro-bench trajectory`` gates a
@@ -39,6 +40,7 @@ See ``docs/observability.md`` for the span taxonomy and file schemas.
 
 from repro.obs.analysis import (
     COMM_PHASES,
+    RENDEZVOUS,
     UNTRACED,
     CriticalPath,
     LevelCritical,
@@ -47,6 +49,7 @@ from repro.obs.analysis import (
     comm_comp_summary,
     critical_path,
     load_imbalance,
+    wall_table,
 )
 from repro.obs.events import (
     EVENTS_SCHEMA,
@@ -90,6 +93,7 @@ from repro.obs.regress import (
     resolve_series,
 )
 from repro.obs.tracer import (
+    HOST_RANK,
     NULL_RANK_TRACER,
     NULL_TRACER,
     NullRankTracer,
@@ -102,6 +106,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "COMM_PHASES",
+    "RENDEZVOUS",
     "UNTRACED",
     "CriticalPath",
     "LevelCritical",
@@ -110,6 +115,7 @@ __all__ = [
     "comm_comp_summary",
     "critical_path",
     "load_imbalance",
+    "wall_table",
     "REPORT_SCHEMA",
     "chrome_trace",
     "load_run_report",
@@ -143,6 +149,7 @@ __all__ = [
     "NullRankMetrics",
     "RankMetrics",
     "resolve_metrics",
+    "HOST_RANK",
     "NULL_RANK_TRACER",
     "NULL_TRACER",
     "NullRankTracer",

@@ -16,6 +16,9 @@ and exploit the structure the BFS instrumentation guarantees:
 time (everything before level 1) plus per-level critical-rank phase
 decompositions that sum to the modeled makespan — the programmatic
 equivalent of the paper's Figure 6/8 per-phase breakdowns.
+
+:func:`wall_table` reads the second clock off the same spans: where the
+host's seconds went, per phase.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ COMM_PHASES = frozenset(
 #: Phase name used for the part of a level span not covered by any
 #: depth-1 child (loop bookkeeping, span-free charges).
 UNTRACED = "untraced"
+
+#: The :func:`wall_table` row for the ``launch`` span's wall that no
+#: non-collective rank span covers.
+RENDEZVOUS = "rendezvous"
 
 
 @dataclass
@@ -274,3 +281,44 @@ def comm_comp_summary(tracer: Tracer) -> dict:
         "levels": levels,
         "totals": {"comm_max": total_comm_max, "comp_max": total_comp_max},
     }
+
+
+def _self_wall_ns(spans: list[Span]) -> list[int]:
+    """Each span's wall nanoseconds minus its direct children's."""
+    full = [s.wall_end_ns - s.wall_start_ns for s in spans]
+    own = list(full)
+    for span, ns in zip(spans, full):
+        if span.parent is not None:
+            own[span.parent] -= ns
+    return own
+
+
+def wall_table(tracer: Tracer) -> dict[str, float]:
+    """Host seconds per phase, largest first: the wall-clock breakdown.
+
+    A row is self time (a span's wall minus its children's), summed over
+    ranks for rank spans.  Collective spans (:data:`COMM_PHASES`) get no
+    row, because a rank's wall inside a collective includes its peers'
+    compute.  Instead the host ``launch`` span's self time, less every
+    rank row, is the :data:`RENDEZVOUS` row: the collectives, the
+    runtime's scheduling and rank-body code outside any span.  The other
+    host spans (:attr:`Tracer.host`) are rows of their own.  Under the
+    ``sequential`` runtime the rows sum to the wall of the outermost
+    host spans; under a concurrent one the rank rows overlap and the
+    rendezvous row can go negative.
+    """
+    table: dict[str, int] = {}
+    rank_ns = 0
+    for rank in tracer.ranks:
+        spans = tracer.spans_for(rank)
+        for span, ns in zip(spans, _self_wall_ns(spans)):
+            if span.phase not in COMM_PHASES and not span.instant:
+                table[span.phase] = table.get(span.phase, 0) + ns
+                rank_ns += ns
+    host = tracer.host.spans
+    for span, ns in zip(host, _self_wall_ns(host)):
+        phase = RENDEZVOUS if span.phase == "launch" else span.phase
+        table[phase] = table.get(phase, 0) + ns
+    if RENDEZVOUS in table:
+        table[RENDEZVOUS] -= rank_ns
+    return {phase: ns * 1e-9 for phase, ns in sorted(table.items(), key=lambda kv: -kv[1])}

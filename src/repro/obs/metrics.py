@@ -46,6 +46,8 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from repro.obs.tracer import HOST_RANK
+
 #: Metric type tags (the "typed" in typed metrics).
 COUNTER = "counter"
 GAUGE = "gauge"
@@ -59,6 +61,11 @@ DEFAULT_BUCKETS = tuple(10.0**e for e in range(-9, 10))
 
 #: Schema tag stamped into :meth:`MetricsRegistry.snapshot`.
 METRICS_SCHEMA = "repro.obs/metrics/v1"
+
+#: Host wall-clock metrics: readable through the value accessors, but
+#: kept out of :meth:`MetricsRegistry.snapshot` and the OpenMetrics text,
+#: whose aggregates (and the reports embedding them) stay deterministic.
+WALL_METRICS = frozenset({"wall_seconds"})
 
 
 def _label_key(labels: dict) -> tuple:
@@ -182,6 +189,8 @@ class MetricsRegistry:
         self._types: dict[str, str] = {}
         self._buckets: dict[str, tuple] = {}
         self._lock = threading.Lock()
+        #: Series of the host, not of a simulated rank.
+        self.host = RankMetrics(HOST_RANK, self)
 
     # -- recording side -----------------------------------------------------
     def for_rank(self, comm) -> RankMetrics:
@@ -211,6 +220,12 @@ class MetricsRegistry:
                     f"histogram {name!r} already declared with buckets {existing}"
                 )
             self._buckets[name] = bounds
+
+    def record_wall(self, table: dict[str, float]) -> None:
+        """Set one host ``wall_seconds{layer=...}`` gauge per row of a
+        :func:`~repro.obs.analysis.wall_table`."""
+        for layer, seconds in table.items():
+            self.host.set_gauge("wall_seconds", seconds, layer=layer)
 
     def buckets_for(self, name: str) -> tuple:
         return self._buckets.get(name, DEFAULT_BUCKETS)
@@ -242,11 +257,10 @@ class MetricsRegistry:
     def _series(self, kind: str, name: str) -> dict[tuple, list]:
         """``{label key: [(rank, value)...]}`` across ranks for one metric."""
         out: dict[tuple, list] = {}
-        for rank in self.ranks:
-            rm = self._ranks[rank]
+        for rm in [self._ranks[rank] for rank in self.ranks] + [self.host]:
             store = getattr(rm, kind).get(name, {})
             for key, value in store.items():
-                out.setdefault(key, []).append((rank, value))
+                out.setdefault(key, []).append((rm.rank, value))
         return out
 
     def counter_value(self, name: str, rank: int | None = None, **labels) -> float:
@@ -304,6 +318,7 @@ class MetricsRegistry:
         with self._lock:
             self._ranks.clear()
             self._types.clear()
+            self.host = RankMetrics(HOST_RANK, self)
 
     # -- exposition ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -316,6 +331,8 @@ class MetricsRegistry:
         """
         metrics: dict[str, dict] = {}
         for name, mtype in sorted(self._types.items()):
+            if name in WALL_METRICS:
+                continue
             entry: dict = {"type": mtype, "series": {}}
             if mtype == COUNTER:
                 for key, pairs in sorted(self._series("counters", name).items()):
@@ -342,6 +359,8 @@ class MetricsRegistry:
         """
         lines: list[str] = []
         for name, mtype in sorted(self._types.items()):
+            if name in WALL_METRICS:
+                continue
             lines.append(f"# TYPE {name} {mtype}")
             if mtype == COUNTER:
                 for key, pairs in sorted(self._series("counters", name).items()):

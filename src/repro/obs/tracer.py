@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 
 @dataclass
@@ -54,10 +55,16 @@ class Span:
     parent: int | None = None
     instant: bool = False
     meta: dict = field(default_factory=dict)
+    wall_start_ns: int = 0
+    wall_end_ns: int = 0
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
+
+    @property
+    def wall_seconds(self) -> float:
+        return (self.wall_end_ns - self.wall_start_ns) * 1e-9
 
 
 class _SpanHandle:
@@ -91,12 +98,15 @@ class _SpanHandle:
         self._index = len(rt.spans)
         rt.spans.append(span)
         stack.append(self._index)
+        span.wall_start_ns = perf_counter_ns()
         return span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        wall_end_ns = perf_counter_ns()
         rt = self._rt
         span = rt.spans[self._index]
         span.t_end = rt._clock.time
+        span.wall_end_ns = wall_end_ns
         rt._stack.pop()
         return False
 
@@ -170,6 +180,15 @@ class NullRankTracer:
 
 NULL_RANK_TRACER = NullRankTracer()
 
+#: The ``rank`` of :attr:`Tracer.host`'s spans.
+HOST_RANK = -1
+
+
+class _HostClock:
+    """The host recorder's clock: outer spans have no virtual time."""
+
+    time = 0.0
+
 
 class Tracer:
     """Run-wide span collector: one :class:`RankTracer` per simulated rank.
@@ -178,11 +197,18 @@ class Tracer:
     read spans back per rank.  A tracer records exactly one run — call
     :meth:`reset` (or build a fresh instance) before reusing it, since
     every simulated run restarts virtual time at zero.
+
+    :attr:`host` records the driver's outer spans (``generate``,
+    ``construct``, ``partition``, ``plan``, ``launch``, ``stitch``,
+    ``oracle``, ``validate``, ``teps``) on the wall clock alone.  They
+    stay out of :attr:`ranks`, so exports and the modeled analyses
+    never see them; :func:`~repro.obs.analysis.wall_table` does.
     """
 
     def __init__(self):
         self._ranks: dict[int, RankTracer] = {}
         self._lock = threading.Lock()
+        self.host = RankTracer(HOST_RANK, _HostClock())
 
     def for_rank(self, comm) -> RankTracer:
         """The recording handle of ``comm``'s global rank (thread-safe)."""
@@ -226,10 +252,14 @@ class Tracer:
         """Drop all recorded spans so the tracer can observe another run."""
         with self._lock:
             self._ranks.clear()
+            self.host.spans.clear()
+            self.host._stack.clear()
 
 
 class NullTracer:
     """Drop-in disabled tracer (what ``tracer=None`` resolves to)."""
+
+    host = NULL_RANK_TRACER
 
     def for_rank(self, comm) -> NullRankTracer:
         return NULL_RANK_TRACER

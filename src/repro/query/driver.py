@@ -121,7 +121,8 @@ def _oracle_check(session, oracle):
     if not session.config.validate:
         return None
     graph = session.graph
-    ref_levels, ref_parents = oracle()
+    with session.host.span("oracle"):
+        ref_levels, ref_parents = oracle()
 
     def check(lo, levels, parents):
         rows = slice(lo, lo + len(parents))
@@ -147,6 +148,9 @@ def query(session) -> QueryResult:
     spmd, fault_meta = session.launch(srcs_internal)
     check = _oracle_check(session, lambda: msbfs_serial(graph.csr, srcs_internal))
     levels, parents, nlevels, reached = session.stitch(spmd.returns, check)
+    with session.host.span("teps"):
+        m_traversed = sum(count_lane_edges(graph.csr, reached, sources.size, graph.m_input))
+    session.record_wall()
     stats = spmd.stats
     return QueryResult(
         levels=levels,
@@ -158,7 +162,7 @@ def query(session) -> QueryResult:
         threads=session.threads,
         nlevels=nlevels,
         batch=int(sources.size),
-        m_traversed=int(sum(count_lane_edges(graph.csr, reached, sources.size, graph.m_input))),
+        m_traversed=int(m_traversed),
         time_total=stats.makespan,
         time_comm=stats.max_mpi_time,
         time_comp=stats.max_compute_time,

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import run_bfs
+from repro.core.runner import RunConfig, prepare
+from repro.graph500 import run_graph500
+from repro.graphs import rmat_graph
 from repro.obs import (
     COMM_PHASES,
+    HOST_RANK,
+    RENDEZVOUS,
     UNTRACED,
+    MetricsRegistry,
     Tracer,
     check_critical_path,
+    chrome_trace,
     comm_comp_summary,
     critical_path,
     load_imbalance,
+    wall_table,
 )
 
 
@@ -148,3 +158,76 @@ class TestCommComp:
 
     def test_comm_phase_classifier_covers_instrumentation(self):
         assert {"alltoallv", "allgatherv", "allreduce", "transpose"} <= COMM_PHASES
+
+
+class TestWallTable:
+    """The second clock: wall stamps on the same spans, host outer spans,
+    and the self-time table read off both."""
+
+    def test_shares_sum_to_the_search_wall(self):
+        """On a scale-12 ``2d`` search under ``sequential``, the rows sum
+        to within 10 % of the wall measured around ``Session.bfs``."""
+        graph = rmat_graph(12, 16, seed=1)
+        tracer = Tracer()
+        session = prepare(
+            graph, RunConfig(algorithm="2d", nprocs=16, machine="hopper", validate=True,
+                             tracer=tracer),
+        )
+        session.unobserved().bfs(3)  # warm caches outside the measured search
+        tracer.reset()
+        start = time.perf_counter()
+        session.bfs(3)
+        wall = time.perf_counter() - start
+        table = wall_table(tracer)
+        assert abs(sum(table.values()) - wall) <= 0.1 * wall
+        assert min(table.values()) >= 0
+        assert not COMM_PHASES & set(table)
+        assert {RENDEZVOUS, "stitch", "oracle", "validate", "teps", "spmsv"} <= set(table)
+        assert list(table.values()) == sorted(table.values(), reverse=True)
+
+    def test_spans_nest_on_the_wall_clock(self, rmat_small):
+        _result, tracer = _traced(rmat_small, "1d-dirop")
+        for rank in tracer.ranks:
+            spans = tracer.spans_for(rank)
+            for span in spans:
+                if span.instant:
+                    continue
+                assert 0 < span.wall_start_ns <= span.wall_end_ns
+                if span.parent is not None:
+                    outer = spans[span.parent]
+                    assert outer.wall_start_ns <= span.wall_start_ns
+                    assert span.wall_end_ns <= outer.wall_end_ns
+
+    def test_host_spans_stay_out_of_the_rank_views(self, rmat_small):
+        _result, tracer = _traced(rmat_small, "2d")
+        assert [s.phase for s in tracer.host.spans] == [
+            "partition", "plan", "launch", "stitch", "teps",
+        ]
+        assert {s.rank for s in tracer.host.spans} == {HOST_RANK}
+        assert HOST_RANK not in tracer.ranks
+        assert {e["tid"] for e in chrome_trace(tracer)["traceEvents"]} == set(range(4))
+        tracer.reset()
+        assert tracer.host.spans == [] and wall_table(tracer) == {}
+
+    def test_metrics_book_the_table_as_wall_seconds(self, rmat_small):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        run_bfs(rmat_small, 5, "1d", nprocs=4, machine="hopper", tracer=tracer,
+                metrics=metrics)
+        table = wall_table(tracer)
+        assert metrics.nranks == 4
+        assert {layer["layer"] for layer in metrics.label_sets("wall_seconds")} == set(table)
+        for layer, seconds in table.items():
+            assert metrics.gauge_value("wall_seconds", layer=layer) == seconds
+        # The default exports stay deterministic: no wall series in them.
+        assert "wall_seconds" not in metrics.snapshot()["metrics"]
+        assert "wall_seconds" not in metrics.render_openmetrics()
+        untraced = MetricsRegistry()
+        run_bfs(rmat_small, 5, "1d", nprocs=4, machine="hopper", metrics=untraced)
+        assert "wall_seconds" not in untraced.names()
+
+    def test_graph500_spans_kernel_one(self):
+        tracer = Tracer()
+        run_graph500(scale=8, nprocs=4, algorithm="1d", nbfs=2, tracer=tracer)
+        phases = [s.phase for s in tracer.host.spans]
+        assert phases[:4] == ["generate", "construct", "partition", "plan"]
+        assert {"oracle", "validate"} <= set(phases)

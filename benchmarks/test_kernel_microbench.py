@@ -27,6 +27,8 @@ from repro.comm import (
     VertexRange,
 )
 from repro.core.frontier import build_send_buffers, dedup_candidates
+from repro.core.serial import bfs_serial
+from repro.core.validate import count_closed_lane_edges, count_lane_edges, lane_words
 from repro.core.partition import Partition1D
 from repro.graphs.csr import build_csr
 from repro.graphs.graph import Graph
@@ -539,6 +541,41 @@ def test_dense_dedup_max_beats_composite_sort(smoke_load, race):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     _assert_speedup("dense dedup_max", fast, slow, MIN_DENSE_DEDUP_SPEEDUP)
+
+
+# -- TEPS count race: degree sum of closed sets against the edge pass --------
+
+#: Loose CI-safe bar; measured on a noisy 2-CPU box 10x at one lane and
+#: 14x at 64 lanes.
+MIN_DEGREE_COUNT_SPEEDUP = 4.0
+
+
+@pytest.fixture(scope="module")
+def reached_words():
+    """Reached-lane words of complete traversals of the scale-14 graph:
+    one lane, and a 64-lane batch."""
+    src, dst = rmat_edges(SMOKE_SCALE, 16, seed=5)
+    csr = build_csr(1 << SMOKE_SCALE, src, dst)
+    rng = np.random.default_rng(13)
+    seeds = rng.choice(np.flatnonzero(csr.degrees()), MSBFS_LANES, replace=False)
+    one = lane_words(bfs_serial(csr, int(seeds[0]))[0] >= 0)
+    batch = lane_words(msbfs_serial(csr, seeds)[0] >= 0)
+    return csr, {1: one, MSBFS_LANES: batch}
+
+
+@pytest.mark.parametrize("lanes", [1, MSBFS_LANES])
+def test_degree_count_beats_edge_pass(reached_words, race, lanes):
+    """A search's ``m_traversed``, read off the reached vertices'
+    degrees, is >= 4x the pass over every edge it replaced, with
+    identical counts, at one lane and at 64."""
+    csr, words = reached_words
+    words = words[lanes]
+    fast, got, slow, want = race(
+        lambda: count_closed_lane_edges(csr, words, lanes, 1 << 30),
+        lambda: count_lane_edges(csr, words, lanes, 1 << 30),
+    )
+    assert got == want
+    _assert_speedup(f"{lanes}-lane degree count", fast, slow, MIN_DEGREE_COUNT_SPEEDUP)
 
 
 # -- lane race: contiguous-slice suffix scan against the index-gather scan ---

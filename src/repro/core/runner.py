@@ -35,7 +35,7 @@ from repro.core.bfs_dirop import DirOpt1D
 from repro.core.engine import traversal_body
 from repro.core.partition import Decomp2D
 from repro.core.serial import bfs_serial
-from repro.core.validate import count_lane_edges, lane_words, validate_bfs
+from repro.core.validate import count_closed_lane_edges, lane_words, validate_bfs
 from repro.faults import (
     CheckpointConfig,
     CheckpointStore,
@@ -558,7 +558,7 @@ class Session:
                     reference_levels=reference_levels,
                 )
         with self.host.span("teps"):
-            m_traversed = count_lane_edges(graph.csr, reached, 1, graph.m_input)[0]
+            m_traversed = count_closed_lane_edges(graph.csr, reached, 1, graph.m_input)[0]
         self.record_wall()
         return BFSResult(
             levels=levels,
@@ -625,7 +625,7 @@ class Session:
         internal labels first.  Returns ``(levels, parents, nlevels,
         words)``: ``words`` holds every vertex's reached-lane
         :func:`~repro.core.validate.lane_words` in internal labels, the
-        input of :func:`~repro.core.validate.count_lane_edges`.
+        input of :func:`~repro.core.validate.count_closed_lane_edges`.
         """
         graph = self.graph
         step = self.spec.step

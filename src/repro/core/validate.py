@@ -150,6 +150,10 @@ def count_traversed_edges(csr: CSR, levels: np.ndarray, m_input: int | None = No
     even though the symmetric representation visits it twice.  When the
     original input multiplicity is unknown, the stored undirected edge
     count within the component is used.
+
+    ``levels`` may mark any vertex set, so this makes the edge pass of
+    :func:`count_lane_edges`; a search's own count reads the same number
+    off degrees (:func:`count_closed_lane_edges`).
     """
     return count_lane_edges(csr, lane_words(np.asarray(levels) >= 0), 1, m_input)[0]
 
@@ -179,8 +183,12 @@ _BYTE_BITS = np.unpackbits(
 def count_lane_edges(
     csr: CSR, words: np.ndarray, lanes: int, m_input: int | None = None
 ) -> list[int]:
-    """The TEPS edge count of each of ``lanes`` traversals, from one pass
+    """The TEPS edge count of each of ``lanes`` vertex sets, from one pass
     over the edge list.
+
+    Right for any sets, closed or not; :func:`count_closed_lane_edges`
+    gives the same counts for complete traversals in O(n) and is what
+    the search drivers use.
 
     ``words[v]`` holds :func:`lane_words` of internal vertex ``v``: an
     edge lies inside lane ``b``'s component iff bit ``b`` survives the
@@ -204,4 +212,32 @@ def count_lane_edges(
             hist = np.bincount(columns[:, j], minlength=1 << (8 * width)).reshape(-1, 256)
             octets += [hist.sum(axis=0), hist.sum(axis=1)][:width]
         counts = np.concatenate([octet @ _BYTE_BITS for octet in octets])
+    return [_input_edges(c, csr, m_input) for c in counts[:lanes]]
+
+
+def count_closed_lane_edges(
+    csr: CSR, words: np.ndarray, lanes: int, m_input: int | None = None
+) -> list[int]:
+    """:func:`count_lane_edges` of sets closed under (out-)adjacency,
+    read off degrees: O(n·lanes/8) instead of a pass over the edges.
+
+    A complete BFS's reached set is closed: every out-neighbour of a
+    reached vertex is reached (``validate_bfs`` rules 4-5 enforce it on
+    validated runs).  Every stored adjacency leaving a reached vertex
+    then lies inside the component, so the count is the degree sum of
+    the reached vertices: ``degrees[reached].sum()`` for one lane, one
+    degree-weighted 256-bin histogram per lane byte for more.  The
+    histogram's ``float64`` weights and sums stay exact below 2^53
+    stored adjacencies.  On a set that is not closed the two counts
+    differ; pass such sets to :func:`count_lane_edges`.
+    """
+    degrees = csr.degrees()
+    if lanes == 1:  # 0/1 bytes: select with them as flags
+        counts = [int(degrees[words.view(bool)].sum())]
+    else:
+        octets = words.view(np.uint8).reshape(words.size, words.itemsize)
+        counts = np.concatenate([
+            np.bincount(octets[:, j], weights=degrees, minlength=256) @ _BYTE_BITS
+            for j in range(-(-lanes // 8))
+        ])
     return [_input_edges(c, csr, m_input) for c in counts[:lanes]]

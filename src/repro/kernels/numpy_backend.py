@@ -21,12 +21,15 @@ _WORD_BITS = 64
 
 _INT64_MIN = np.iinfo(np.int64).min
 
+_INT32 = np.iinfo(np.int32)
+
 #: ``dedup_max`` scatters into a target-span-sized array when the span is
 #: at most this many times the candidate count, and sorts otherwise.
 #: Measured, not tuned per workload: on random inputs the scatter-max and
 #: the composite-key sort tie near span = 4N at N = 1e3-1e5, and on the
 #: 1D wide levels of a scale-18 R-MAT any factor from 4 to 16 is within
-#: 10 % of the best.
+#: 10 % of the best.  Both measured with the int64 accumulator; the int32
+#: one only widens the scatter's lead.
 DENSE_SPAN_FACTOR = 4
 
 
@@ -41,7 +44,7 @@ def dedup_max(targets, parents):
     parents = np.asarray(parents, dtype=np.int64)
     if targets.size == 0:
         return targets, parents
-    pmin = int(parents.min())
+    pmin, pmax = int(parents.min()), int(parents.max())
     tmin = int(targets.min())
     # Python-int spans: ``max + 1`` or ``max - min`` would wrap int64 near
     # the ends of the range and silently corrupt the keys below.
@@ -50,17 +53,28 @@ def dedup_max(targets, parents):
         # Dense targets (a wide level's candidates fill their owner's
         # range): one scatter-max over the span, no sort.  ``pmin - 1``
         # marks an untouched slot, so every hit slot holds a real parent.
-        best = np.full(tspan, pmin - 1, dtype=np.int64)
-        np.maximum.at(best, targets - tmin, parents)
+        # The accumulator is int32 whenever that mark and ``pmax`` fit
+        # (every graph below 2^31 vertices): half the bytes to scatter
+        # into.  Its slots start at 0 when that at most doubles them, so
+        # targets near 0 (a sender's, in global ids) need no offset copy.
+        fits = _INT32.min <= pmin - 1 and pmax <= _INT32.max
+        dtype = np.int32 if fits else np.int64
+        base = 0 if 0 <= tmin < tspan else tmin
+        best = np.full(tmin - base + tspan, pmin - 1, dtype=dtype)
+        slots = targets - base if base else targets
+        np.maximum.at(best, slots, parents.astype(dtype, copy=False))
         hit = np.flatnonzero(best >= pmin)
-        return hit + tmin, best[hit]
-    span = int(parents.max()) + 1
-    if 0 <= pmin and span <= (1 << 62) and targets.max() < (1 << 62) // span:
+        return hit + base, best[hit].astype(np.int64, copy=False)
+    span = pmax + 1
+    if 0 <= pmin and tspan * span < (1 << 63):
         # Composite-key quicksort (targets major, parents minor) is far
         # faster than lexsort; the max parent of each target is the last
-        # entry of its run.
+        # entry of its run.  Keyed on ``targets - tmin``, so the guard on
+        # ``tspan * span`` bounds every key whatever the targets' sign.
         span = np.int64(span)
-        key = targets * span + parents
+        key = targets - tmin
+        key *= span
+        key += parents
         key.sort()
         last = np.empty(key.size, dtype=bool)
         last[-1] = True
@@ -68,7 +82,7 @@ def dedup_max(targets, parents):
         np.not_equal(out_targets[1:], out_targets[:-1], out=last[:-1])
         key = key[last]
         out_targets = out_targets[last]
-        return out_targets, key - out_targets * span
+        return out_targets + tmin, key - out_targets * span
     order = np.lexsort((parents, targets))
     targets, parents = targets[order], parents[order]
     last = np.empty(targets.size, dtype=bool)

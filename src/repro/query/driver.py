@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import runner
-from repro.core.validate import ValidationError, count_lane_edges
+from repro.core.validate import ValidationError, count_closed_lane_edges
 from repro.graphs.graph import Graph
 from repro.query.msbfs import WORD_LANES
 from repro.query.serial import msbfs_serial
@@ -149,7 +149,9 @@ def query(session) -> QueryResult:
     check = _oracle_check(session, lambda: msbfs_serial(graph.csr, srcs_internal))
     levels, parents, nlevels, reached = session.stitch(spmd.returns, check)
     with session.host.span("teps"):
-        m_traversed = sum(count_lane_edges(graph.csr, reached, sources.size, graph.m_input))
+        m_traversed = sum(
+            count_closed_lane_edges(graph.csr, reached, sources.size, graph.m_input)
+        )
     session.record_wall()
     stats = spmd.stats
     return QueryResult(

@@ -185,12 +185,35 @@ CASES: dict[str, dict] = {
         "int64-min-parent": lambda: (
             _i64(0, 1, 1, 2), _i64(I64_MIN, 5, I64_MIN, I64_MIN)
         ),
+        # The accumulator's edges: int32 while ``pmin - 1`` and ``pmax``
+        # fit, int64 past either; outputs stay int64 on both.
+        "int32-accumulator-lowest-pmin": lambda: (
+            _i64(4, 4, 5, 6), _i64(-(2**31) + 1, 9, -(2**31) + 1, 2**31 - 1)
+        ),
+        "int64-accumulator-pmin": lambda: (_i64(4, 4, 5, 6), _i64(-(2**31), 9, 3, 2)),
+        "int64-accumulator-pmax": lambda: (_i64(4, 4, 5, 6), _i64(0, 2**31, 3, 2)),
+        # Slots from 0 (0 < tmin < span) and offset slots (tmin >= span).
+        "dense-low-targets": lambda: (
+            _rng("dedup-low").integers(3, 40, 120), _rng("dedup-low-p").integers(0, 99, 120)
+        ),
+        "dense-offset-targets": lambda: (
+            _rng("dedup-off").integers(10**6, 10**6 + 40, 120),
+            _rng("dedup-off-p").integers(-99, 99, 120),
+        ),
+        "single-candidate": lambda: (_i64(1 << 40), _i64(-5)),
+        "one-repeated-target": lambda: (
+            np.full(40, 9, dtype=np.int64), _rng("dedup-rep").integers(-50, 50, 40)
+        ),
         # Span > DENSE_SPAN_FACTOR * N: the composite-key sort ...
         "sparse-keys": lambda: (
             _rng("dedup-sparse").choice(
                 _rng("dedup-sparse-k").integers(0, 10**6, 50), 200
             ),
             _rng("dedup-sparse-p").integers(0, 1000, 200),
+        ),
+        # Very negative targets: keyed on ``targets - tmin``, no wrap.
+        "negative-targets-composite-sort": lambda: (
+            _i64(-(2**62) - 5, 3, -(2**62) - 5, 7), _i64(1, 2, 3, 0)
         ),
         # ... and, when the composite key cannot hold the parents, lexsort.
         "negative-parent-lexsort-path": lambda: (
@@ -522,6 +545,28 @@ def test_backends_bit_identical(kernel, case):
     python = _run_case(kernel, case, "python")
     numpy = _run_case(kernel, case, "numpy")
     assert python == numpy
+
+
+@pytest.mark.parametrize(
+    "case,width",
+    [
+        ("int32-accumulator-lowest-pmin", np.int32),
+        ("int64-accumulator-pmin", np.int64),
+        ("int64-accumulator-pmax", np.int64),
+    ],
+)
+def test_dense_dedup_accumulator_width(monkeypatch, case, width):
+    """The edge cases above take the accumulator width they are named for."""
+    widths = []
+    full = np.full
+
+    def spy(shape, fill, dtype=None):
+        widths.append(dtype)
+        return full(shape, fill, dtype=dtype)
+
+    monkeypatch.setattr(numpy_backend.np, "full", spy)
+    numpy_backend.dedup_max(*CASES["dedup_max"][case]())
+    assert widths == [width]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

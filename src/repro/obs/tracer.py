@@ -62,10 +62,6 @@ class Span:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    @property
-    def wall_seconds(self) -> float:
-        return (self.wall_end_ns - self.wall_start_ns) * 1e-9
-
 
 class _SpanHandle:
     """Context manager recording one span on a :class:`RankTracer`."""

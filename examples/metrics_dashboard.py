@@ -9,10 +9,7 @@ the rest of the telemetry layer:
   reconciliation contract: counter totals equal the stats ledger's
   numbers exactly, not approximately,
 * the OpenMetrics text exposition (what a Prometheus scrape would see),
-* the JSONL event log and collapsed-stack flamegraph exports, and
-* a cross-run performance trajectory: several run reports become
-  per-metric time series with sparklines, a median-reference gate, and
-  changepoint attribution.
+* the JSONL event log and collapsed-stack flamegraph exports.
 
 Run::
 
@@ -26,8 +23,6 @@ import repro
 from repro.obs import (
     MetricsRegistry,
     Tracer,
-    analyze_reports,
-    run_report,
     validate_collapsed_stacks,
     write_events_jsonl,
     write_flamegraph,
@@ -71,32 +66,15 @@ def main() -> None:
         print(f"  {line}")
 
     # -- event log + flamegraph ---------------------------------------
-    outdir = Path(tempfile.mkdtemp(prefix="repro-telemetry-"))
-    events = write_events_jsonl(outdir / "events.jsonl", result)
-    stacks = write_flamegraph(outdir / "profile.folded", result)
-    validate_collapsed_stacks((outdir / "profile.folded").read_text())
-    print(f"\nwrote {events} events to {outdir / 'events.jsonl'}")
-    print(f"wrote {stacks} stacks to {outdir / 'profile.folded'} "
-          "(load in https://speedscope.app)")
-
-    # -- cross-run trajectory -----------------------------------------
-    # Simulate a baseline history: the same workload, with the wire
-    # codec silently reverted to raw at the third point.  Raw ships about
-    # twice auto's words here and models ~20% slower, so the time gate
-    # fails, and the changepoint scan pinpoints the wire-volume blowup
-    # at exactly BENCH_02.
-    series = []
-    for i, codec in enumerate(["auto", "auto", "raw", "raw"]):
-        r = repro.run_bfs(
-            graph, source, "1d-dirop", nprocs=NPROCS, machine="hopper",
-            codec=codec, sieve=True,
-        )
-        series.append((f"BENCH_{i:02d}", run_report(r)))
-    trajectory = analyze_reports(series, threshold=0.02)
-    print("\ncross-run trajectory (codec silently reverted at BENCH_02):")
-    print(trajectory.render())
-    (outdir / "trajectory.md").write_text(trajectory.render_markdown())
-    print(f"\nwrote {outdir / 'trajectory.md'}")
+    # Written to a scratch directory that is removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
+        outdir = Path(tmp)
+        events = write_events_jsonl(outdir / "events.jsonl", result)
+        stacks = write_flamegraph(outdir / "profile.folded", result)
+        validate_collapsed_stacks((outdir / "profile.folded").read_text())
+        print(f"\nwrote {events} events to {outdir / 'events.jsonl'}")
+        print(f"wrote {stacks} stacks to {outdir / 'profile.folded'} "
+              "(load in https://speedscope.app)")
 
 
 if __name__ == "__main__":

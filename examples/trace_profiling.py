@@ -61,15 +61,17 @@ def main() -> None:
         print(f"  level {rec.level:<2} {rec.phase:<12} "
               f"{rec.imbalance:5.2f}x  straggler rank {rec.straggler}")
 
-    # Artifacts: the Chrome trace for Perfetto and the run report that
-    # `repro-bench perf-diff` gates on.
-    outdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    trace_path = repro.write_chrome_trace(outdir / "trace.json", tracer)
-    report_path = repro.write_run_report(
-        outdir / "report.json", run_report(result)
-    )
-    print(f"\nwrote {trace_path} (open in https://ui.perfetto.dev)")
-    print(f"wrote {report_path} (compare runs: repro-bench perf-diff A B)")
+    # Artifacts: the Chrome trace for Perfetto and the machine-readable
+    # run report, in a scratch directory removed on exit (the CLI's
+    # --trace-out / --report-out keep them).
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        outdir = Path(tmp)
+        trace_path = repro.write_chrome_trace(outdir / "trace.json", tracer)
+        report_path = repro.write_run_report(
+            outdir / "report.json", run_report(result)
+        )
+        print(f"\nwrote {trace_path} (open in https://ui.perfetto.dev)")
+        print(f"wrote {report_path} (the benchmarks/BENCH_*.json format)")
 
 
 if __name__ == "__main__":

@@ -57,7 +57,6 @@ from repro.mpsim import ProcessorGrid, run_spmd
 from repro.obs import (
     Tracer,
     critical_path,
-    perf_diff,
     run_report,
     write_chrome_trace,
     write_run_report,
@@ -98,7 +97,6 @@ __all__ = [
     "run_spmd",
     "Tracer",
     "critical_path",
-    "perf_diff",
     "run_report",
     "write_chrome_trace",
     "write_run_report",

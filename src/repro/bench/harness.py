@@ -38,8 +38,10 @@ def pick_sources(graph: Graph, count: int = DEFAULT_SOURCES, seed: int = 1) -> l
 
     Mirrors the Graph 500 pipeline: sample non-isolated vertices, then
     keep those whose traversal reaches the giant component (detected with
-    one serial BFS).
+    one serial BFS).  Raises ``ValueError`` for ``count < 1``.
     """
+    if count < 1:
+        raise ValueError(f"source count must be at least 1, got {count}")
     candidates = graph.random_nonisolated_vertices(max(4 * count, 8), seed=seed)
     probe = int(candidates[0])
     levels, _ = bfs_serial(graph.csr, int(np.asarray(graph.to_internal(probe))))

@@ -18,12 +18,13 @@ and the batched-query flow (``repro.query``'s 64-lane ``msbfs-1d``)::
 
 With ``--trace-out``/``--report-out`` the graph500 and query flows
 additionally write a Chrome ``trace_event`` file (open in Perfetto) and
-the machine-readable run report of the first search; reports feed the
-perf gate, spelled for a committed series or for two reports::
+the machine-readable run report of the first search.  The committed
+modeled baselines are such reports, and a rerun must reproduce them
+byte for byte::
 
-    repro-bench graph500 --scale 13 --report-out base.json
-    repro-bench trajectory benchmarks/ --candidate candidate.json
-    repro-bench perf-diff base.json candidate.json --threshold 0.05
+    repro-bench graph500 --scale 13 --nprocs 16 --nbfs 4 --seed 0 \
+        --report-out fresh.json
+    cmp fresh.json benchmarks/BENCH_baseline.json
 
 ``--events-out``/``--flamegraph-out``/``--metrics-out`` add the JSONL
 event log, the collapsed-stack flamegraph (speedscope/flamegraph.pl)
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "write the machine-readable run report of the first search "
-            "(input to 'repro-bench perf-diff')"
+            "(the format of the committed benchmarks/BENCH_*.json "
+            "baselines)"
         ),
     )
     group.add_argument(
@@ -235,107 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to write <experiment>.txt result files into",
     )
     return parser
-
-
-def build_perf_diff_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench perf-diff",
-        description=(
-            "Compare two run reports (written with --report-out) and fail "
-            "on performance regression."
-        ),
-    )
-    parser.add_argument("baseline", help="baseline run-report JSON")
-    parser.add_argument("candidate", help="candidate run-report JSON")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="allowed relative slowdown on gated metrics (default: 0.05)",
-    )
-    return parser
-
-
-def build_trajectory_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench trajectory",
-        description=(
-            "Aggregate a series of committed run reports (BENCH_*.json) "
-            "into per-metric time series, gate the newest point against "
-            "the trajectory's median, and report changepoints."
-        ),
-    )
-    parser.add_argument(
-        "baselines",
-        nargs="+",
-        help=(
-            "run-report files, directories (their BENCH_*.json, sorted by "
-            "name) or glob patterns, oldest first"
-        ),
-    )
-    parser.add_argument(
-        "--candidate",
-        default=None,
-        metavar="FILE",
-        help=(
-            "fresh run report appended as the newest point; this is what "
-            "the gate judges (default: the series' last point)"
-        ),
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="allowed relative drift on gated metrics (default: 0.05)",
-    )
-    parser.add_argument(
-        "--markdown-out",
-        default=None,
-        metavar="FILE",
-        help="also write the dashboard as GitHub-flavored markdown",
-    )
-    parser.add_argument(
-        "--html-out",
-        default=None,
-        metavar="FILE",
-        help="also write the dashboard as a self-contained HTML page",
-    )
-    return parser
-
-
-def _run_gate(command: str, argv: list[str]) -> int:
-    """Both gate spellings: print the analysis, write any dashboards,
-    exit 0 on pass, 1 on regression, 2 on unusable input."""
-    from pathlib import Path
-
-    from repro.obs.regress import DEFAULT_THRESHOLD, analyze_trajectory, perf_diff
-
-    perf = command == "perf-diff"
-    parser = build_perf_diff_parser() if perf else build_trajectory_parser()
-    args = parser.parse_args(argv)
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    try:
-        if perf:
-            trajectory = perf_diff(args.baseline, args.candidate, threshold=threshold)
-        else:
-            trajectory = analyze_trajectory(
-                args.baselines, candidate=args.candidate, threshold=threshold
-            )
-    except (OSError, ValueError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 2
-    print(trajectory.render())
-    dashboards = (
-        (getattr(args, "markdown_out", None), trajectory.render_markdown),
-        (getattr(args, "html_out", None), trajectory.render_html),
-    )
-    for out, render in dashboards:
-        if out:
-            path = Path(out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(render())
-            print(f"wrote {path}")
-    return 0 if trajectory.ok else 1
 
 
 def _obs_handles(args):
@@ -442,10 +343,6 @@ def _run_query_flow(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The main parser's positional would swallow the report paths, so the
-    # perf-diff/trajectory gate spellings are dispatched before it.
-    if argv and argv[0] in ("perf-diff", "trajectory"):
-        return _run_gate(argv[0], argv[1:])
     args = build_parser().parse_args(argv)
 
     if args.experiment == "list":

@@ -19,11 +19,6 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   to the modeled makespan, load-imbalance metrics with straggler
   attribution, comm/comp decompositions (programmatic Figure 6/8), and
   the host wall-clock breakdown of the same spans (:func:`wall_table`).
-* :mod:`~repro.obs.regress` — the perf gate: run reports become
-  per-metric series with median-reference gating, changepoint detection
-  and a markdown/HTML dashboard.  ``repro-bench trajectory`` gates a
-  fresh report against the committed ``BENCH_*.json`` series;
-  ``repro-bench perf-diff`` is its two-point case.
 
 Typical flow::
 
@@ -33,7 +28,7 @@ Typical flow::
     result = repro.run_bfs(graph, src, "1d-dirop", nprocs=8,
                            machine="hopper", tracer=tracer)
     write_chrome_trace("trace.json", tracer)
-    report = run_report(result)          # feeds repro-bench perf-diff
+    report = run_report(result)          # the BENCH_*.json format
 
 See ``docs/observability.md`` for the span taxonomy and file schemas.
 """
@@ -82,16 +77,6 @@ from repro.obs.metrics import (
     RankMetrics,
     resolve_metrics,
 )
-from repro.obs.regress import (
-    DEFAULT_THRESHOLD,
-    GATED_METRICS,
-    MetricTrend,
-    Trajectory,
-    analyze_reports,
-    analyze_trajectory,
-    perf_diff,
-    resolve_series,
-)
 from repro.obs.tracer import (
     HOST_RANK,
     NULL_RANK_TRACER,
@@ -124,14 +109,6 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_run_report",
-    "DEFAULT_THRESHOLD",
-    "GATED_METRICS",
-    "MetricTrend",
-    "Trajectory",
-    "analyze_reports",
-    "analyze_trajectory",
-    "perf_diff",
-    "resolve_series",
     "EVENTS_SCHEMA",
     "collapsed_stacks",
     "load_events_jsonl",

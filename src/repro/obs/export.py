@@ -8,7 +8,8 @@ Two machine-readable artifacts per traced run:
   virtual seconds are exported as microseconds, the format's native unit.
 * :func:`run_report` — a self-contained JSON run report (graph, machine,
   algorithm and wire-format config, per-phase and per-level times, comm
-  volumes, GTEPS) that :mod:`repro.obs.regress` gates on.
+  volumes, GTEPS); the committed ``benchmarks/BENCH_*.json`` baselines
+  are such reports, regenerated byte for byte.
 
 Both take the run's :class:`~repro.obs.tracer.Tracer`; ``run_report``
 additionally takes the :class:`~repro.core.runner.BFSResult` and finds
@@ -237,8 +238,7 @@ def run_report(result, tracer: Tracer | None = None) -> dict:
     batch = getattr(result, "batch", None)
     if batch is not None:
         report["graph"]["batch"] = int(batch)
-    # Batched-query runs (QueryResult) carry their workload metrics in a
-    # first-class section so perf-diff/trajectory can gate on throughput.
+    # Batched-query runs (QueryResult) carry their workload metrics here.
     kind = getattr(result, "kind", None)
     if kind is not None:
         report["query"] = {

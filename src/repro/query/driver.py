@@ -7,7 +7,7 @@ over ``prepare(graph, config).query(sources)``.  The driver itself
 :class:`repro.core.runner.Session`'s, shared with the BFS families; this
 module keeps only what is query-specific — the source batch, the
 per-lane oracle and the lane columns — and wraps it in a
-:class:`QueryResult` whose shape ``run_report``/``perf-diff`` understand.
+:class:`QueryResult` whose shape ``run_report`` understands.
 
 ``repro.core.runner`` imports this package for the registry's step
 class, so it is bound here as a module and only dereferenced at call

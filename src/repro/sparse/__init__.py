@@ -11,8 +11,7 @@ The 2D BFS formulates each level as a sparse matrix-sparse vector product
 * :func:`~repro.sparse.spmsv.spmsv_heap` — the sort/merge-based kernel
   that wins past ~10K cores (Figure 3);
 * :func:`~repro.sparse.spmsv.spmsv` — the polyalgorithm that picks
-  between them (Section 4.2);
-* :class:`~repro.sparse.spvec.SparseVector` — the sorted sparse frontier.
+  between them (Section 4.2).
 """
 
 from repro.sparse.csr_matrix import CSRMatrix
@@ -31,7 +30,6 @@ from repro.sparse.spmsv import (
     spmsv_heap,
     spmsv_spa,
 )
-from repro.sparse.spvec import SparseVector
 
 __all__ = [
     "BIT_OR",
@@ -46,5 +44,4 @@ __all__ = [
     "spmsv",
     "spmsv_heap",
     "spmsv_spa",
-    "SparseVector",
 ]

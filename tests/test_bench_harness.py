@@ -36,6 +36,11 @@ class TestPickSources:
         sources = pick_sources(crawl_graph, 2, seed=1)
         assert len(sources) == 2
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_rejected(self, rmat_small, count):
+        with pytest.raises(ValueError, match="at least 1"):
+            pick_sources(rmat_small, count)
+
 
 class TestAverageBfs:
     def test_metrics_are_means(self, rmat_small):

@@ -3,6 +3,7 @@ rotting as the library evolves)."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +21,16 @@ def test_examples_directory_populated():
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs_clean(script):
+def test_example_runs_clean(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "examples must narrate what they show"
     assert "Traceback" not in proc.stderr
+    # Scratch files go to the temp dir and are removed before exit.
+    assert not list(tmp_path.iterdir()), "example left files in its temp dir"

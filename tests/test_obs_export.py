@@ -186,6 +186,18 @@ class TestRunReport:
             path = write_run_report(tmp_path / "old.json", report)
             assert load_run_report(path)["schema"] == old
 
+    def test_faults_section_records_recovery(self, rmat_small):
+        clean, _tracer = _traced_run(rmat_small, "1d-dirop")
+        assert run_report(clean)["faults"] is None  # fault-free: no section
+        recovered, _tracer = _traced_run(
+            rmat_small, "1d-dirop",
+            faults="crash:rank=1,level=3", checkpoint_every=1,
+        )
+        faults = run_report(recovered)["faults"]
+        assert faults["attempts"] == 2
+        assert len(faults["restores"]) == 1
+        assert faults["counters"]["restores"] == 4  # one per rank
+
     def test_bfs_report_has_empty_query_section(self, rmat_small):
         result, _tracer = _traced_run(rmat_small, "1d")
         report = run_report(result)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.permutation import invert_permutation, random_permutation
 from repro.mpsim import collectives as coll
-from repro.sparse import DCSC, CSRMatrix, SparseVector, spmsv_heap, spmsv_spa
+from repro.sparse import DCSC, CSRMatrix, spmsv_heap, spmsv_spa
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,21 +123,3 @@ def test_dcsc_rowsplit_partitions_nnz(matrix, pieces):
         assert np.array_equal(part.jc, ref.jc)
         assert np.array_equal(part.cp, ref.cp)
         assert np.array_equal(part.ir, ref.ir)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2**20)), max_size=60),
-)
-def test_sparse_vector_from_pairs_idempotent(pairs):
-    idx = np.array([p[0] for p in pairs], np.int64)
-    val = np.array([p[1] for p in pairs], np.int64)
-    v = SparseVector.from_pairs(31, idx, val)
-    # Indices strictly increasing, values are the per-index maxima.
-    assert np.all(np.diff(v.indices) > 0)
-    for i, x in zip(v.indices, v.values):
-        assert x == val[idx == i].max()
-    # Re-feeding the result is a fixed point.
-    v2 = SparseVector.from_pairs(31, v.indices, v.values)
-    assert np.array_equal(v.indices, v2.indices)
-    assert np.array_equal(v.values, v2.values)

@@ -1,4 +1,4 @@
-"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels, vectors."""
+"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels, CSR matrices."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.sparse import (
     SELECT_MAX,
     SPA,
     CSRMatrix,
-    SparseVector,
     choose_spmsv_kernel,
     spmsv,
     spmsv_heap,
@@ -223,40 +222,6 @@ class TestSpMSVKernels:
         assert w.kernel == "heap"
         with pytest.raises(ValueError, match="unknown SpMSV kernel"):
             spmsv(d, fi, fv, kernel="bogus")
-
-
-class TestSparseVector:
-    def test_from_pairs_max_dedup(self):
-        v = SparseVector.from_pairs(10, [4, 2, 4], [1, 9, 8])
-        assert np.array_equal(v.indices, [2, 4])
-        assert np.array_equal(v.values, [9, 8])
-
-    def test_dense_round_trip(self):
-        dense = np.array([-1, 5, -1, 7], dtype=np.int64)
-        v = SparseVector.from_dense(dense)
-        assert np.array_equal(v.to_dense(), dense)
-        assert v.nnz == 2
-
-    def test_restrict_and_rebase(self):
-        v = SparseVector(10, np.array([1, 4, 8]), np.array([10, 40, 80]))
-        r = v.restrict(2, 9, rebase=True)
-        assert r.length == 7
-        assert np.array_equal(r.indices, [2, 6])
-        assert np.array_equal(r.values, [40, 80])
-
-    def test_mask_out(self):
-        v = SparseVector(5, np.array([0, 2, 4]), np.array([1, 2, 3]))
-        occupied = np.array([-1, -1, 9, -1, 9], dtype=np.int64)
-        masked = v.mask_out(occupied)
-        assert np.array_equal(masked.indices, [0])
-
-    def test_unsorted_construction_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector(5, np.array([3, 1]), np.array([1, 1]))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseVector(3, np.array([3]), np.array([1]))
 
 
 class TestCSRMatrix:

@@ -293,6 +293,7 @@ def _run_query_flow(args) -> int:
     from repro.core.runner import ALGORITHMS
     from repro.graphs import rmat_graph
     from repro.query import run_query
+    from repro.query.msbfs import WORD_LANES
 
     algorithm = args.algorithm or "msbfs-1d"
     spec = ALGORITHMS.get(algorithm)
@@ -303,6 +304,12 @@ def _run_query_flow(args) -> int:
         print(
             f"query: {algorithm!r} is not a batched query algorithm; "
             f"known: {kinds}",
+            file=sys.stderr,
+        )
+        return 2
+    if not 1 <= args.batch <= WORD_LANES:
+        print(
+            f"query: --batch must be in [1, {WORD_LANES}], got {args.batch}",
             file=sys.stderr,
         )
         return 2

@@ -85,5 +85,22 @@ class TestCli:
         assert f"{algorithm!r} is not a batched query algorithm" in err
         assert "['msbfs-1d']" in err
 
+    @pytest.mark.parametrize("batch", [0, -1, 65])
+    def test_query_mode_refuses_batches_outside_one_word(self, batch, capsys):
+        """A batch is 1..64 lanes of one uint64 word; anything else is an
+        error, not a silently resized batch or a traceback."""
+        assert main(["query", "--scale", "8", "--batch", str(batch)]) == 2
+        captured = capsys.readouterr()
+        assert f"--batch must be in [1, 64], got {batch}" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("name", ["perf-diff", "trajectory"])
+    def test_deleted_gate_subcommands_are_unknown(self, name, capsys):
+        """The committed reports are held by byte equality; the median
+        gate's spellings are gone and fall through to the experiment
+        lookup."""
+        assert main([name]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
     def test_algorithm_default_is_per_flow(self):
         assert build_parser().parse_args(["graph500"]).algorithm is None

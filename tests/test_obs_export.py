@@ -8,6 +8,7 @@ import pytest
 
 from repro.comm import DeltaVarintCodec
 from repro.core import run_bfs
+from repro.core.runner import ALGORITHMS
 from repro.obs import (
     REPORT_SCHEMA,
     Tracer,
@@ -18,6 +19,11 @@ from repro.obs import (
     write_chrome_trace,
     write_run_report,
 )
+
+
+#: Sections built from the tracer's spans; everything else comes from
+#: the result and its stats.
+SPAN_SECTIONS = ("phases", "levels", "comm_comp", "imbalance")
 
 
 def _traced_run(graph, algorithm, **kwargs):
@@ -234,3 +240,89 @@ class TestRunReport:
         wire = report["metrics"]["metrics"]["comm_wire_words"]
         assert wire["type"] == "counter"
         assert sum(wire["series"].values()) == result.stats.wire_words()
+
+
+def _launch(graph, algorithm, **kwargs):
+    from tests.conftest import launch_any
+
+    return launch_any(graph, 5, algorithm, nprocs=4, machine="hopper", **kwargs)
+
+
+def _traceable(algorithm: str) -> bool:
+    return "tracer" in ALGORITHMS[algorithm].capabilities
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+class TestRunReportEveryAlgorithm:
+    """The run report of every registry entry, BFS and batched query."""
+
+    def test_report_mirrors_the_result(self, rmat_small, algorithm):
+        result = _launch(rmat_small, algorithm)
+        report = run_report(result)
+        assert report["schema"] == REPORT_SCHEMA
+        assert report["algorithm"] == algorithm
+        assert report["graph"] == {
+            "n": rmat_small.n,
+            "name": rmat_small.name,
+            "m_traversed": result.m_traversed,
+            "nlevels": result.nlevels,
+            "source": result.source,
+            **({"batch": result.batch} if hasattr(result, "batch") else {}),
+        }
+        assert (report["nranks"], report["threads"]) == (result.nranks, result.threads)
+        assert report["time"] == {
+            "total": result.time_total,
+            "comm": result.time_comm,
+            "comp": result.time_comp,
+        }
+        if result.time_total > 0:
+            assert report["gteps"] == result.gteps()
+            assert report["comm"]["total_wire_words"] == result.stats.wire_words()
+        else:  # the untimed serial oracle
+            assert report["gteps"] is None and report["comm"] is None
+        kind = ALGORITHMS[algorithm].kind
+        assert (report["query"] is None) == (kind == "bfs")
+
+    def test_span_sections_cover_every_level(self, rmat_small, algorithm):
+        if not _traceable(algorithm):
+            with pytest.raises(ValueError, match="not instrumented for span tracing"):
+                _launch(rmat_small, algorithm, tracer=Tracer())
+            report = run_report(_launch(rmat_small, algorithm))
+            assert all(not report[section] for section in SPAN_SECTIONS)
+            return
+        result = _launch(rmat_small, algorithm, tracer=Tracer())
+        report = run_report(result)
+        assert [lv["level"] for lv in report["levels"]] == list(
+            range(1, result.nlevels + 1)
+        )
+        for lv in report["levels"]:
+            assert 0 <= lv["critical_rank"] < result.nranks
+            assert lv["bounding_phase"] in lv["phases"]
+        assert sum(report["phases"].values()) == pytest.approx(
+            result.time_total, rel=1e-9
+        )
+        assert report["comm_comp"]["totals"]["comm_max"] > 0
+        assert report["imbalance"]
+
+    def test_tracing_moves_only_the_span_sections(self, rmat_small, algorithm):
+        """Observation must not perturb the modeled run: a traced
+        report equals the untraced one outside the span sections."""
+        kwargs = {"tracer": Tracer()} if _traceable(algorithm) else {}
+        traced = run_report(_launch(rmat_small, algorithm, **kwargs))
+        plain = run_report(_launch(rmat_small, algorithm))
+        assert sorted(traced) == sorted(plain)
+        for section in plain:
+            if section not in SPAN_SECTIONS:
+                assert traced[section] == plain[section], section
+
+    def test_rewrite_is_byte_stable(self, rmat_small, algorithm, tmp_path):
+        """Strict JSON (no NaN/inf) whose load-and-rewrite reproduces the
+        file byte for byte, so ``cmp`` against a committed report
+        compares content, not formatting."""
+        kwargs = {"tracer": Tracer()} if _traceable(algorithm) else {}
+        report = run_report(_launch(rmat_small, algorithm, **kwargs))
+        first = write_run_report(tmp_path / "first.json", report)
+        loaded = load_run_report(first)
+        assert loaded == json.loads(json.dumps(report))
+        second = write_run_report(tmp_path / "second.json", loaded)
+        assert second.read_bytes() == first.read_bytes()

@@ -7,9 +7,11 @@ Checks performed by :func:`validate_bfs`:
 2. reachability is consistent: a vertex has a level iff it has a parent;
 3. every tree edge ``(parent[v], v)`` exists in the graph and spans
    exactly one level;
-4. every graph edge connects vertices whose levels differ by at most one
-   (and an edge never connects a reachable to an unreachable vertex in an
-   undirected graph);
+4. every graph edge connects vertices whose levels differ by at most one,
+   and never a reachable to an unreachable vertex (``undirected=True``);
+   on a directed graph (``undirected=False``) an edge ``u -> v`` out of a
+   reached ``u`` needs only a reached ``v`` with
+   ``level[v] <= level[u] + 1``;
 5. levels agree with true shortest-path distances when an oracle is
    supplied.
 """
@@ -102,20 +104,37 @@ def validate_bfs(
     # Rule 4: every graph edge spans at most one level.
     edge_src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
     edge_dst = csr.indices
-    both = reached[edge_src] & reached[edge_dst]
-    if np.any(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1):
-        k = int(np.flatnonzero(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1)[0])
-        u, v = int(edge_src[both][k]), int(edge_dst[both][k])
-        raise ValidationError(
-            f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}"
-        )
     if undirected:
+        both = reached[edge_src] & reached[edge_dst]
+        if np.any(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1):
+            k = int(np.flatnonzero(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1)[0])
+            u, v = int(edge_src[both][k]), int(edge_dst[both][k])
+            raise ValidationError(
+                f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}"
+            )
         mixed = reached[edge_src] != reached[edge_dst]
         if np.any(mixed):
             k = int(np.flatnonzero(mixed)[0])
             raise ValidationError(
                 f"edge ({edge_src[k]}, {edge_dst[k]}) connects reachable "
                 "and unreachable vertices"
+            )
+    else:
+        # A directed edge u -> v only bounds v from above: a back edge may
+        # climb any number of levels, but a reached u reaches v by the
+        # next level.
+        bad = reached[edge_src] & (
+            ~reached[edge_dst] | (levels[edge_dst] > levels[edge_src] + 1)
+        )
+        if np.any(bad):
+            k = int(np.flatnonzero(bad)[0])
+            u, v = int(edge_src[k]), int(edge_dst[k])
+            if not reached[v]:
+                raise ValidationError(
+                    f"edge ({u}, {v}) leads from reachable vertex {u} to unreachable {v}"
+                )
+            raise ValidationError(
+                f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}"
             )
 
     # Rule 5: exact distances, when an oracle is available.

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import bfs_serial
+from repro.core import bfs_serial, run_bfs
+from repro.core.runner import ALGORITHMS
 from repro.core.serial import bfs_queue
 from repro.core.validate import ValidationError, count_traversed_edges, validate_bfs
+from repro.graphs import Graph
 from repro.graphs.csr import build_csr
 
 from tests.conftest import make_disconnected_graph, make_path_graph, make_star_graph
@@ -145,6 +147,57 @@ class TestValidation:
         wrong[2] = 0  # also breaks other rules, but reference fires too
         with pytest.raises(ValidationError):
             validate_bfs(g.csr, 0, levels, parents, reference_levels=wrong)
+
+
+def _directed_graphs():
+    rng = np.random.default_rng(11)
+    return {
+        "3-cycle": Graph.from_edges(
+            3, np.array([0, 1, 2]), np.array([1, 2, 0]), symmetrize=False, shuffle=False
+        ),
+        "random-200": Graph.from_edges(
+            200, rng.integers(0, 200, 900), rng.integers(0, 200, 900),
+            symmetrize=False, seed=5,
+        ),
+    }
+
+
+#: Every single-source registry entry (``msbfs-1d`` answers batches).
+BFS_ALGORITHMS = sorted(name for name, spec in ALGORITHMS.items() if spec.kind == "bfs")
+
+
+class TestDirectedValidation:
+    """Rule 4 on a directed graph bounds ``level[v]`` by ``level[u] + 1``
+    only: a back edge may climb any number of levels."""
+
+    @pytest.mark.parametrize("graph", sorted(_directed_graphs()))
+    @pytest.mark.parametrize("algorithm", BFS_ALGORITHMS)
+    def test_every_algorithm_validates_on_a_digraph(self, graph, algorithm):
+        g = _directed_graphs()[graph]
+        source = 0 if g.n == 3 else int(g.random_nonisolated_vertices(1, seed=3)[0])
+        ref = run_bfs(g, source, "serial")
+        res = run_bfs(g, source, algorithm, nprocs=4, validate=True)
+        assert np.array_equal(res.levels, ref.levels)
+        assert np.array_equal(res.parents, ref.parents)
+
+    def test_rejects_level_too_deep(self):
+        # 0 -> 1 -> 2 and 0 -> 2: the tree 0-1-2 is made of edges, but
+        # edge (0, 2) puts vertex 2 at level 1 at most.
+        csr = build_csr(3, np.array([0, 1, 0]), np.array([1, 2, 2]), symmetrize=False)
+        with pytest.raises(ValidationError, match=r"edge \(0, 2\) spans levels 0 -> 2"):
+            validate_bfs(csr, 0, np.array([0, 1, 2]), np.array([0, 0, 1]), undirected=False)
+
+    def test_rejects_unreached_out_neighbour(self):
+        csr = build_csr(3, np.array([0, 1]), np.array([1, 2]), symmetrize=False)
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\) leads from reachable"):
+            validate_bfs(
+                csr, 0, np.array([0, 1, -1]), np.array([0, 0, -1]), undirected=False
+            )
+
+    def test_accepts_unreached_in_neighbour(self):
+        # 2 -> 0 comes from a vertex the search never reaches.
+        csr = build_csr(3, np.array([0, 2]), np.array([1, 0]), symmetrize=False)
+        validate_bfs(csr, 0, np.array([0, 1, -1]), np.array([0, 0, -1]), undirected=False)
 
 
 class TestTraversedEdges:

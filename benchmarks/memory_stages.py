@@ -9,7 +9,8 @@ the tiny fixed graph, then one search through ``Session.query`` (or
 * the ``tracemalloc`` peak *within* the stage and the traced bytes live
   at its end (numpy reports its buffers to ``tracemalloc``).
 
-Stages: ``generate`` (edges), ``construct`` (CSR + relabeling), ``keys``,
+Stages: ``generate`` (edges), ``construct`` (CSR + relabeling),
+``keys`` (with the edge list still alive, as in ``worker.set_up``),
 ``warm-up``, ``partition`` (``runner.prepare``: a 2D workload's DCSC
 blocks), ``launch`` (the SPMD run; rank slices live), ``stitch``
 (slices written into the caller-label outputs), ``result`` (edge count
@@ -77,9 +78,11 @@ def main(argv=None) -> None:
         src, dst = webcrawl_edges(n, n_hosts=spec.n_hosts, host_reach=1, seed=args.seed)
     stages.mark("generate")
     graph = Graph.from_edges(n, src, dst, seed=args.seed, name=spec.name)
-    del src, dst
     stages.mark("construct")
+    # ``worker.set_up`` holds the edge list until it returns, through key
+    # sampling and its serial search.
     key_row = worker.search_keys(spec, graph, args.seed)[0]
+    del src, dst
     stages.mark("keys")
     config = worker.make_config(spec)
     worker.search(spec, *worker.fixed_inputs(spec), config)

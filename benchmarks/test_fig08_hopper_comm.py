@@ -25,5 +25,5 @@ def test_fig8_hopper_comm(reproduce):
     c1 = harness.projected_costs("1d", 32, 16, 20000, HOPPER)
     assert c1.comm / c1.total > 0.9
     # The 2D hybrid stays under ~50% at the same concurrency.
-    c2h = harness.projected_costs("2d-hybrid", 32, 16, 20000, HOPPER)
+    c2h = harness.projected_costs("2d", 32, 16, 20000, HOPPER, threads=6)
     assert c2h.comm / c2h.total < 0.55

@@ -31,10 +31,10 @@ def main() -> None:
     print(f"\nseed users: {list(map(int, seeds))}")
 
     for seed in seeds:
-        # Production-style setting: the 2D-hybrid algorithm on a simulated
-        # 6-threads-per-rank Hopper allocation.
+        # Production-style setting: the 2D algorithm, hybrid, on a
+        # simulated 6-threads-per-rank Hopper allocation.
         res = repro.run_bfs(
-            graph, int(seed), "2d-hybrid", nprocs=16, threads=6, machine="hopper"
+            graph, int(seed), "2d", nprocs=16, threads=6, machine="hopper"
         )
         reached = res.levels >= 0
         reachable_pct = 100.0 * reached.mean()

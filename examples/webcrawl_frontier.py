@@ -59,9 +59,7 @@ def main() -> None:
         nic_words_per_sec=repro.HOPPER.nic_words_per_sec * 50.0,
     )
     flat = repro.run_bfs(crawl, 0, "2d", nprocs=25, machine=machine)
-    hybrid = repro.run_bfs(
-        crawl, 0, "2d-hybrid", nprocs=4, threads=6, machine=machine
-    )
+    hybrid = repro.run_bfs(crawl, 0, "2d", nprocs=4, threads=6, machine=machine)
     for label, res in (("flat MPI (25 ranks)", flat), ("hybrid (4 ranks x 6 threads)", hybrid)):
         print(
             f"  {label:<30s} {res.time_total * 1e3:7.3f} ms total, "

@@ -200,27 +200,42 @@ def table1_comm_decomposition(quick: bool = False) -> Table:
 # Figures 5-8 — strong scaling (performance and communication time)
 # ---------------------------------------------------------------------------
 
-_ALGOS = ("1d", "1d-hybrid", "2d", "2d-hybrid")
+def _series(machine) -> tuple:
+    """The four series of Figures 5-10 as ``(label, algorithm, threads)``:
+    flat MPI and the paper's hybrid (its threads per rank on ``machine``)
+    of the 1D and 2D algorithms."""
+    threads = harness.paper_threads(machine)
+    return (
+        ("1d", "1d", 1),
+        ("1d-hybrid", "1d", threads),
+        ("2d", "2d", 1),
+        ("2d-hybrid", "2d", threads),
+    )
 
 
 def _strong_scaling(
     machine, panels: list[tuple[int, int, list[int]]], metric: str, title: str
 ) -> Table:
+    series = _series(machine)
     headers = ["scale", "edgefactor", "cores"] + [
-        {"gteps": a, "comm": f"{a} comm(s)"}[metric] for a in _ALGOS
+        {"gteps": label, "comm": f"{label} comm(s)"}[metric] for label, _, _ in series
     ]
     table = Table(title=title, headers=headers)
     for scale, ef, cores_list in panels:
         for cores in cores_list:
             row: list = [scale, ef, cores]
-            for algo in _ALGOS:
+            for _, algo, threads in series:
                 if metric == "gteps":
                     row.append(
-                        harness.projected_gteps(algo, scale, ef, cores, machine)
+                        harness.projected_gteps(
+                            algo, scale, ef, cores, machine, threads=threads
+                        )
                     )
                 else:
                     row.append(
-                        harness.projected_costs(algo, scale, ef, cores, machine).comm
+                        harness.projected_costs(
+                            algo, scale, ef, cores, machine, threads=threads
+                        ).comm
                     )
             table.add_row(*row)
     return table
@@ -289,7 +304,9 @@ def fig8_hopper_comm(quick: bool = False) -> Table:
     )
     # Comm fraction notes (the paper's flat-1D-at-20K observation).
     c1 = harness.projected_costs("1d", 32, 16, 20000, HOPPER)
-    c2h = harness.projected_costs("2d-hybrid", 32, 16, 20000, HOPPER)
+    c2h = harness.projected_costs(
+        "2d", 32, 16, 20000, HOPPER, threads=harness.paper_threads(HOPPER)
+    )
     table.notes.append(
         f"measured comm fraction at 20,000 cores: flat 1D "
         f"{100 * c1.comm / c1.total:.0f}% (paper: >90%), 2D hybrid "
@@ -310,11 +327,12 @@ def fig8_hopper_comm(quick: bool = False) -> Table:
 def fig9_weak_scaling(quick: bool = False) -> Table:
     """Figure 9: weak scaling at ~17M edges per core on Franklin."""
     edges_per_core = 17_000_000
+    series = _series(FRANKLIN)
     table = Table(
         title="Figure 9: weak scaling on Franklin (~17M edges/core)",
         headers=["cores", "scale(approx)"]
-        + [f"{a} time(s)" for a in _ALGOS]
-        + [f"{a} comm(s)" for a in _ALGOS],
+        + [f"{label} time(s)" for label, _, _ in series]
+        + [f"{label} comm(s)" for label, _, _ in series],
     )
     model = harness.VOLUME_MODEL
     from repro.model.analytic import cost_1d, cost_2d
@@ -324,10 +342,9 @@ def fig9_weak_scaling(quick: bool = False) -> Table:
         n = m // 16
         scale = math.log2(n)
         times, comms = [], []
-        for algo in _ALGOS:
-            threads = harness.paper_threads(FRANKLIN) if algo.endswith("hybrid") else 1
+        for _, algo, threads in series:
             vol = model.volumes(algo, n, m, cores, threads)
-            if algo.startswith("1d"):
+            if algo == "1d":
                 costs = cost_1d(vol, cores, FRANKLIN, threads=threads)
             else:
                 costs = cost_2d(vol, cores, FRANKLIN, threads=threads)
@@ -348,16 +365,19 @@ def fig9_weak_scaling(quick: bool = False) -> Table:
 
 
 def fig10_density(quick: bool = False) -> Table:
+    series = _series(FRANKLIN)
     table = Table(
         title="Figure 10: GTEPS vs average degree (Franklin, fixed edges/core)",
-        headers=["cores", "scale", "degree"] + list(_ALGOS),
+        headers=["cores", "scale", "degree"] + [label for label, _, _ in series],
     )
     for cores in (1024, 4096):
         for scale, degree in ((31, 4), (29, 16), (27, 64)):
             row: list = [cores, scale, degree]
-            for algo in _ALGOS:
+            for _, algo, threads in series:
                 row.append(
-                    harness.projected_gteps(algo, scale, degree, cores, FRANKLIN)
+                    harness.projected_gteps(
+                        algo, scale, degree, cores, FRANKLIN, threads=threads
+                    )
                 )
             table.add_row(*row)
     table.notes.append(
@@ -411,18 +431,13 @@ def fig11_ukunion(quick: bool = False) -> Table:
     # per rank, so it gets ~6x fewer ranks at the same core count.
     flat_ranks = [16, 49] if quick else [25, 49, 100]
     hybrid_ranks = [4, 9] if quick else [4, 9, 16]
-    for algo, threads, rank_list in (
+    for label, threads, rank_list in (
         ("2d", 1, flat_ranks),
         ("2d-hybrid", 6, hybrid_ranks),
     ):
         for ranks in rank_list:
             run = harness.average_bfs(
-                graph,
-                algo,
-                ranks,
-                machine,
-                sources=sources,
-                threads=threads if algo.endswith("hybrid") else None,
+                graph, "2d", ranks, machine, sources=sources, threads=threads
             )
             # Communication here is data movement (transfer); the paper's
             # bars split "Computa./Communi." the same way.  Wait time at
@@ -438,7 +453,7 @@ def fig11_ukunion(quick: bool = False) -> Table:
                 )
             )
             table.add_row(
-                algo,
+                label,
                 run.nranks,
                 run.nranks * run.threads,
                 comp + comm,
@@ -588,7 +603,7 @@ def sec6_single_node(quick: bool = False) -> Table:
     for name, graph in workloads:
         sources = harness.pick_sources(graph, 2, seed=5)
         ours = harness.average_bfs(
-            graph, "1d-hybrid", 1, "carver", sources=sources, threads=8
+            graph, "1d", 1, "carver", sources=sources, threads=8
         )
         baseline = harness.average_bfs(
             graph, "graph500-ref", 1, "carver", sources=sources

@@ -152,18 +152,18 @@ def projected_costs(
     p_cores: int,
     machine: MachineConfig | str,
     kernel: str = "auto",
+    threads: int = 1,
 ) -> AnalyticCosts:
     """Closed-form Section 5 cost of one paper-scale configuration.
 
-    ``algorithm`` is a runner-style name (``"1d"``, ``"2d-hybrid"``, ...);
-    hybrids use the paper's per-machine thread counts.  ``kernel="auto"``
+    ``algorithm`` is ``"1d"`` or ``"2d"``, run with ``threads`` per rank
+    (the paper's hybrids use :func:`paper_threads`).  ``kernel="auto"``
     applies the Figure 3 polyalgorithm crossover.
     """
     n = 1 << scale
     m = int(edgefactor * n)
-    threads = paper_threads(machine) if algorithm.endswith("hybrid") else 1
     vol = VOLUME_MODEL.volumes(algorithm, n, m, p_cores, threads)
-    if algorithm.startswith("1d"):
+    if algorithm == "1d":
         return cost_1d(vol, p_cores, machine, threads=threads)
     if kernel == "auto":
         from repro.sparse.spmsv import choose_spmsv_kernel
@@ -179,10 +179,11 @@ def projected_gteps(
     p_cores: int,
     machine: MachineConfig | str,
     kernel: str = "auto",
+    threads: int = 1,
 ) -> float:
     """Projected GTEPS of one paper-scale configuration (TEPS counts the
     directed input edge count ``m = edgefactor * n``, Section 6)."""
-    costs = projected_costs(algorithm, scale, edgefactor, p_cores, machine, kernel)
+    costs = projected_costs(algorithm, scale, edgefactor, p_cores, machine, kernel, threads)
     return gteps((1 << scale) * edgefactor, costs.total)
 
 

@@ -8,9 +8,11 @@ Regenerates the paper's tables and figures::
     repro-bench all --quick          # smaller graphs / fewer ranks
     repro-bench fig7 -o results/     # also write results/<id>.txt
 
-and runs the Graph 500 benchmark flow::
+and runs the Graph 500 benchmark flow; ``--threads N`` models ``N``
+intra-node threads per rank on the 1d/2d families, the paper's hybrid
+(it ran 6 per rank on Hopper, 4 on Franklin)::
 
-    repro-bench graph500 --scale 15 --algorithm 2d-hybrid --machine hopper
+    repro-bench graph500 --scale 15 --algorithm 2d --threads 6 --machine hopper
 
 and the batched-query flow (``repro.query``'s 64-lane ``msbfs-1d``)::
 
@@ -67,6 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph500: a BFS algorithm (default: 2d); query: msbfs-1d (the default)",
     )
     group.add_argument("--nprocs", type=int, default=16)
+    group.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=(
+            "intra-node threads modeled per rank; above 1 runs the paper's "
+            "hybrid (1d/2d families only; default: 1)"
+        ),
+    )
     group.add_argument("--machine", default="hopper")
     group.add_argument("--nbfs", type=int, default=8)
     group.add_argument("--seed", type=int, default=0)
@@ -321,6 +332,7 @@ def _run_query_flow(args) -> int:
         pick_sources(graph, args.batch, seed=args.seed + 1),
         algorithm=algorithm,
         nprocs=args.nprocs,
+        threads=args.threads,
         machine=args.machine,
         codec=args.codec,
         trace=True,
@@ -366,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             edgefactor=args.edgefactor,
             nprocs=args.nprocs,
+            threads=args.threads,
             algorithm=args.algorithm or "2d",
             machine=args.machine,
             nbfs=args.nbfs,

@@ -45,7 +45,7 @@ from repro.faults import (
 )
 from repro.graphs.graph import Graph
 from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA, NetworkCostModel
-from repro.model.machine import HOPPER, get_machine
+from repro.model.machine import get_machine
 from repro.mpsim.stats import SimStats
 from repro.obs.analysis import wall_table
 from repro.obs.tracer import resolve_tracer
@@ -78,18 +78,18 @@ class Plan:
         return replace(self, kwargs={**self.kwargs, **kwargs})
 
 
-def _plan_1d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+def _plan_1d(graph: Graph, config: "RunConfig") -> Plan:
     options = dict(dedup_sends=config.dedup_sends, codec=config.codec, sieve=config.sieve)
     return Plan(config.nprocs, (graph.csr,), options)
 
 
-def _plan_1d_dirop(graph: Graph, config: "RunConfig", threads: int) -> Plan:
-    return _plan_1d(graph, config, threads).extended(
+def _plan_1d_dirop(graph: Graph, config: "RunConfig") -> Plan:
+    return _plan_1d(graph, config).extended(
         alpha=config.dirop_alpha, beta=config.dirop_beta, symmetric=not graph.directed
     )
 
 
-def _plan_2d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+def _plan_2d(graph: Graph, config: "RunConfig") -> Plan:
     if config.grid_shape is not None:
         pr, pc = config.grid_shape
     else:
@@ -97,7 +97,7 @@ def _plan_2d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
     if pr < 1 or pc < 1:
         raise ValueError(f"grid must be positive, got {pr}x{pc}")
     decomp = Decomp2D(graph.n, pr, pc, diagonal_vectors=(config.vector_dist == "1d"))
-    blocks = build_2d_blocks(graph.csr, decomp, threads=threads)
+    blocks = build_2d_blocks(graph.csr, decomp, threads=config.threads)
     options = dict(
         kernel=config.kernel,
         modeled_cores=config.modeled_cores,
@@ -107,17 +107,17 @@ def _plan_2d(graph: Graph, config: "RunConfig", threads: int) -> Plan:
     return Plan(pr * pc, (blocks, decomp), options)
 
 
-def _plan_2d_dirop(graph: Graph, config: "RunConfig", threads: int) -> Plan:
-    return _plan_2d(graph, config, threads).extended(
+def _plan_2d_dirop(graph: Graph, config: "RunConfig") -> Plan:
+    return _plan_2d(graph, config).extended(
         alpha=config.dirop_alpha, beta=config.dirop_beta, degrees=graph.csr.degrees()
     )
 
 
-def _plan_baseline(body: Callable, graph: Graph, config: "RunConfig", threads: int) -> Plan:
+def _plan_baseline(body: Callable, graph: Graph, config: "RunConfig") -> Plan:
     return Plan(config.nprocs, (graph.csr,), body=body)
 
 
-def _plan_msbfs(graph: Graph, config: "RunConfig", threads: int) -> Plan:
+def _plan_msbfs(graph: Graph, config: "RunConfig") -> Plan:
     options = dict(dedup_sends=config.dedup_sends, codec=config.codec)
     return Plan(config.nprocs, (graph.csr,), options)
 
@@ -139,7 +139,10 @@ class AlgorithmSpec:
     * ``"faults"`` — fault/checkpoint instrumentation
       (``faults``/``checkpoint_every``/``max_retries`` apply);
     * ``"trace-profile"`` — per-level profile under
-      ``result.meta["level_profile"]`` when ``trace=True``.
+      ``result.meta["level_profile"]`` when ``trace=True``;
+    * ``"threads"`` — models ``threads > 1`` intra-node threads per rank
+      (the paper's hybrid: the cost model's thread divisor, the 1D thread
+      merge, the 2D row-split blocks).
 
     ``kind`` names the result family: ``"bfs"`` entries answer
     :meth:`Session.bfs` (:func:`run` / :func:`run_bfs`); the one
@@ -147,13 +150,11 @@ class AlgorithmSpec:
     (:func:`repro.query.run_query`), whose source batch, oracle and lane
     columns live in :mod:`repro.query.driver`.
 
-    ``prepare`` maps ``(graph, config, threads)`` to the family's
+    ``prepare`` maps ``(graph, config)`` to the family's
     :class:`Plan` — everything its launches share across sources.
     ``None`` for the serial reference, which launches nothing.
     """
 
-    family: str
-    hybrid: bool
     step: type | None = None
     capabilities: frozenset = frozenset()
     kind: str = "bfs"
@@ -163,38 +164,25 @@ class AlgorithmSpec:
 #: Everything the engine provides to its step plugins.
 ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "faults", "trace-profile"})
 
+#: The engine's capabilities plus intra-node threading.
+THREADED_CAPABILITIES = ENGINE_CAPABILITIES | {"threads"}
+
 #: Algorithm registry: name -> spec.  Adding an algorithm is one entry
 #: here — step plugin class, capabilities, and the ``prepare`` mapping
 #: ``RunConfig`` fields onto the step's constructor arguments
 #: (docs/architecture.md has the how-to); the driver below contains no
 #: per-name or per-family branches.
 ALGORITHMS: dict[str, AlgorithmSpec] = {
-    "serial": AlgorithmSpec("serial", False),
-    "1d": AlgorithmSpec("1d", False, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d),
-    "1d-hybrid": AlgorithmSpec("1d", True, TopDown1D, ENGINE_CAPABILITIES, prepare=_plan_1d),
-    "1d-dirop": AlgorithmSpec(
-        "1d-dirop", False, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
-    ),
-    "1d-dirop-hybrid": AlgorithmSpec(
-        "1d-dirop", True, DirOpt1D, ENGINE_CAPABILITIES, prepare=_plan_1d_dirop
-    ),
-    "2d": AlgorithmSpec("2d", False, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d),
-    "2d-hybrid": AlgorithmSpec("2d", True, SpMSV2D, ENGINE_CAPABILITIES, prepare=_plan_2d),
-    "2d-dirop": AlgorithmSpec(
-        "2d-dirop", False, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
-    ),
-    "2d-dirop-hybrid": AlgorithmSpec(
-        "2d-dirop", True, DirOpt2D, ENGINE_CAPABILITIES, prepare=_plan_2d_dirop
-    ),
-    "pbgl": AlgorithmSpec("pbgl", False, prepare=partial(_plan_baseline, bfs_pbgl_like)),
-    "graph500-ref": AlgorithmSpec(
-        "graph500-ref", False, prepare=partial(_plan_baseline, bfs_graph500_ref)
-    ),
+    "serial": AlgorithmSpec(),
+    "1d": AlgorithmSpec(TopDown1D, THREADED_CAPABILITIES, prepare=_plan_1d),
+    "1d-dirop": AlgorithmSpec(DirOpt1D, THREADED_CAPABILITIES, prepare=_plan_1d_dirop),
+    "2d": AlgorithmSpec(SpMSV2D, THREADED_CAPABILITIES, prepare=_plan_2d),
+    "2d-dirop": AlgorithmSpec(DirOpt2D, THREADED_CAPABILITIES, prepare=_plan_2d_dirop),
+    "pbgl": AlgorithmSpec(prepare=partial(_plan_baseline, bfs_pbgl_like)),
+    "graph500-ref": AlgorithmSpec(prepare=partial(_plan_baseline, bfs_graph500_ref)),
     # The batched query (Session.query); its checkpoint snapshots the
     # full lane words.
-    "msbfs-1d": AlgorithmSpec(
-        "msbfs-1d", False, MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs
-    ),
+    "msbfs-1d": AlgorithmSpec(MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs),
 }
 
 
@@ -248,18 +236,15 @@ def require_vertex_id(value) -> None:
         raise ValueError(f"vertex ids must be integers, got {value!r}")
 
 
-def _resolve_threads(algorithm: str, threads: int | None, machine) -> int:
-    """Hybrid defaults follow the paper: 4-way on Franklin, 6-way on Hopper."""
-    hybrid = ALGORITHMS[algorithm].hybrid
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        if not hybrid and threads != 1:
-            raise ValueError(f"{algorithm} is a flat variant; use a hybrid for threads > 1")
-        return threads
-    if not hybrid:
-        return 1
-    return 6 if machine is not None and machine is HOPPER else 4
+def _require_count(name: str, value) -> int:
+    """Refuse a bool, a non-integer or a value below 1 as a rank or
+    thread count, by the rule of :func:`require_vertex_id`; return it as
+    a Python ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -268,9 +253,9 @@ class RunConfig:
 
     :func:`run_bfs` / :func:`repro.query.run_query` take these fields as
     keywords.  Construction checks the algorithm, runtime and codec
-    names; :meth:`resolve` checks every cross-field constraint (machine,
-    threads, capability gating) and returns the resolved machine/thread
-    choices.
+    names and the rank and thread counts; :meth:`resolve` checks every
+    cross-field constraint (machine, capability gating) and returns the
+    resolved machine.
 
     Parameters
     ----------
@@ -280,8 +265,10 @@ class RunConfig:
         Simulated MPI rank count.  2D variants use the closest square
         grid not exceeding ``nprocs`` (the paper's convention).
     threads:
-        Intra-node threads modeled per rank (hybrids only); defaults to
-        the paper's 4 (Franklin) or 6 (Hopper).
+        Intra-node threads modeled per rank.  Above 1 it runs the paper's
+        hybrid (Sections 4.1-4.2; it used 4 on Franklin, 6 on Hopper) and
+        is accepted only by the entries with the ``"threads"``
+        capability.
     machine:
         ``None`` (functional, untimed), a machine short name
         (``"franklin"``/``"hopper"``/``"carver"``), or a
@@ -372,7 +359,7 @@ class RunConfig:
 
     algorithm: str = "1d"
     nprocs: int = 4
-    threads: int | None = None
+    threads: int = 1
     machine: object = None
     kernel: str = "auto"
     dedup_sends: bool = True
@@ -399,6 +386,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; known: {sorted(ALGORITHMS)}"
             )
+        for name in ("nprocs", "threads"):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         if self.runtime is not None and self.runtime not in RUNTIME_BACKENDS:
             raise ValueError(
                 f"unknown execution runtime {self.runtime!r}; "
@@ -424,11 +413,15 @@ class RunConfig:
             or self.max_retries is not None
         )
 
-    def resolve(self) -> tuple:
-        """Validate cross-field constraints; return ``(machine, threads)``."""
+    def resolve(self):
+        """Validate cross-field constraints; return the resolved machine."""
         spec = self.spec
         machine = get_machine(self.machine)
-        threads = _resolve_threads(self.algorithm, self.threads, machine)
+        if self.threads > 1 and "threads" not in spec.capabilities:
+            raise ValueError(
+                f"{self.algorithm} does not model intra-node threads; threads > 1 "
+                "applies to the 1d/2d families only"
+            )
         wire_default = (
             self.codec == "raw" or getattr(self.codec, "name", None) == "raw"
         ) and not self.sieve
@@ -454,7 +447,7 @@ class RunConfig:
                 "faults/checkpoint_every/max_retries apply to the 1d/2d families only"
             )
         self._check_query_fields(spec)
-        return machine, threads
+        return machine
 
     def _check_query_fields(self, spec: AlgorithmSpec) -> None:
         """Gate the batched-query fields on the algorithm's kind."""
@@ -486,7 +479,6 @@ class Session:
     graph: Graph
     config: RunConfig
     machine: object
-    threads: int
     plan: Plan | None
     cost_model: NetworkCostModel | None
 
@@ -566,7 +558,7 @@ class Session:
             source=int(source),
             algorithm=config.algorithm,
             nranks=self.nranks,
-            threads=self.threads,
+            threads=config.threads,
             nlevels=nlevels,
             m_traversed=m_traversed,
             stats=spmd.stats if spmd is not None else None,
@@ -602,7 +594,7 @@ class Session:
             args = (self.spec.step, args, plan.kwargs)
             kwargs = dict(
                 machine=self.machine,
-                threads=self.threads,
+                threads=config.threads,
                 trace=config.trace,
                 tracer=config.tracer,
                 metrics=config.metrics,
@@ -680,18 +672,18 @@ def prepare(graph: Graph, config: RunConfig) -> Session:
     and its DCSC blocks, read off the CSR's column runs — about a third
     of a scale-16 search's wall clock) and size the machine cost model
     to the plan's rank count, once."""
-    machine, threads = config.resolve()
+    machine = config.resolve()
     spec = config.spec
     host = resolve_tracer(config.tracer).host
     with host.span("partition"):
-        plan = spec.prepare(graph, config, threads) if spec.prepare is not None else None
+        plan = spec.prepare(graph, config) if spec.prepare is not None else None
     with host.span("plan"):
         cost_model = (
-            NetworkCostModel(machine, threads=threads, total_ranks=plan.nranks)
+            NetworkCostModel(machine, threads=config.threads, total_ranks=plan.nranks)
             if machine is not None and plan is not None
             else None
         )
-    return Session(graph, config, machine, threads, plan, cost_model)
+    return Session(graph, config, machine, plan, cost_model)
 
 
 def run(graph: Graph, source: int, config: RunConfig) -> BFSResult:

@@ -64,6 +64,7 @@ class Graph500Result:
     algorithm: str
     machine: str
     nranks: int
+    threads: int
     construction_seconds: float
     bfs_times: np.ndarray  # modeled seconds per search
     teps: np.ndarray  # per-search TEPS
@@ -91,6 +92,7 @@ class Graph500Result:
             f"algorithm:                      {self.algorithm}",
             f"machine_model:                  {self.machine}",
             f"num_mpi_processes (simulated):  {self.nranks}",
+            f"threads_per_process (modeled):  {self.threads}",
             f"construction_time:              {self.construction_seconds:.6g}",
         ]
         for name, stats in (("time", self.time_stats), ("TEPS", self.teps_stats)):
@@ -200,6 +202,7 @@ def run_graph500(
         algorithm=algorithm,
         machine=resolved.name if resolved is not None else "untimed",
         nranks=searches[0].nranks,
+        threads=searches[0].threads,
         construction_seconds=construction,
         bfs_times=np.array(times),
         teps=np.array(rates),

@@ -191,9 +191,9 @@ class RmatVolumeModel:
     def volumes(
         self, algorithm: str, n: int, m: int, p_cores: int, threads: int = 1
     ) -> WorkloadVolumes:
-        """Dispatch on ``"1d"`` / ``"2d"`` algorithm family."""
-        if algorithm.startswith("1d"):
+        """Dispatch on the ``"1d"`` / ``"2d"`` algorithm."""
+        if algorithm == "1d":
             return self.volumes_1d(n, m, p_cores, threads)
-        if algorithm.startswith("2d"):
+        if algorithm == "2d":
             return self.volumes_2d(n, m, p_cores, threads)
         raise ValueError(f"unknown algorithm family {algorithm!r}")

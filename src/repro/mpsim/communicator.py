@@ -224,35 +224,6 @@ class Communicator:
 
         return self._collective("exchange", (dest, buf), coll.exchange, completion)
 
-    # -- point-to-point ---------------------------------------------------
-    def send(self, buf: np.ndarray | None, dest: int) -> None:
-        """Eager point-to-point send to group rank ``dest``."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"send destination {dest} out of range")
-        arr = np.asarray(buf) if buf is not None else np.empty(0, dtype=np.int64)
-        cost = self.engine.cost_model.p2p_cost(float(arr.size))
-        departure = self.clock.time + cost
-        self.clock.complete_collective(departure, cost)
-        self.stats.record("p2p", float(arr.size), 0.0, cost)
-        if self.engine.record_peers and dest != self.rank:
-            self.stats.peer_words[self._st.members[dest]] += float(arr.size)
-        self.engine.mailbox_put(
-            self._st.members[self.rank], self._st.members[dest], (departure, arr)
-        )
-
-    def recv(self, source: int) -> np.ndarray:
-        """Blocking point-to-point receive from group rank ``source``."""
-        if not 0 <= source < self.size:
-            raise ValueError(f"recv source {source} out of range")
-        departure, arr = self.engine.mailbox_get(
-            self._st.members[source], self._st.members[self.rank]
-        )
-        arrival = self.clock.time
-        finish = max(arrival, departure)
-        self.clock.complete_collective(finish, 0.0)
-        self.stats.record("p2p", 0.0, float(np.asarray(arr).size), finish - arrival)
-        return arr
-
     # -- sub-communicators --------------------------------------------------
     def split(self, color: int | None, key: int | None = None) -> "Communicator | None":
         """MPI_Comm_split: group ranks by ``color``, order by ``(key, rank)``.

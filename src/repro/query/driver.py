@@ -161,7 +161,7 @@ def query(session) -> QueryResult:
         algorithm=session.config.algorithm,
         kind=session.spec.kind,
         nranks=session.nranks,
-        threads=session.threads,
+        threads=session.config.threads,
         nlevels=nlevels,
         batch=int(sources.size),
         m_traversed=int(m_traversed),

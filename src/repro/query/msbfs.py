@@ -214,8 +214,6 @@ class MSBFS1D(Step1D):
             self.parents.reshape(-1)[slots] = ws
             self.frontier = reached
             charger.intops(2.0 * lane_ops)
-            if self.threads > 1:
-                charger.thread_merge(float(self.frontier.size))
             charger.stream(float(self.frontier.size))
 
         return LevelOutcome(

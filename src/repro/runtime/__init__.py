@@ -32,7 +32,7 @@ process-wide switch.
 
 Adding a backend: subclass :class:`repro.runtime.base.EngineBase`,
 implement the :class:`ExecutionEngine` scheduling half (``collective``,
-``mailbox_put``/``mailbox_get``, ``abort``) plus a module-level
+``abort``) plus a module-level
 ``run_spmd``, list the module in :data:`BACKENDS`, and extend the
 cross-backend property suite (its coverage meta-test fails on any
 registry entry the sweep misses).
@@ -102,14 +102,6 @@ class ExecutionEngine(Protocol):
         member.  ``reduce`` is deterministic, so backends may run it on
         an elected rank (shared memory) or on every worker (processes).
         """
-        ...
-
-    def mailbox_put(self, src: int, dst: int, item: Any) -> None:
-        """Eager point-to-point send (global ranks)."""
-        ...
-
-    def mailbox_get(self, src: int, dst: int) -> Any:
-        """Blocking FIFO point-to-point receive (global ranks)."""
         ...
 
     def abort(self, rank: int, exc: BaseException) -> None:

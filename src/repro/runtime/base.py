@@ -135,7 +135,7 @@ class CollectiveCostModel:
         return 0.0
 
     def p2p_cost(self, words: float) -> float:
-        """Seconds for one point-to-point/pairwise-exchange message."""
+        """Seconds for one pairwise-exchange message."""
         return 0.0
 
 
@@ -177,9 +177,9 @@ class EngineBase:
     """Backend-neutral engine state: clocks, stats, groups, teardown flags.
 
     Subclasses must provide the scheduling half of the
-    ``ExecutionEngine`` contract — ``collective``, ``mailbox_put``,
-    ``mailbox_get``, ``abort`` — and may override :meth:`_make_group`
-    to attach backend-specific rendezvous state.
+    ``ExecutionEngine`` contract — ``collective`` and ``abort`` — and
+    may override :meth:`_make_group` to attach backend-specific
+    rendezvous state.
     """
 
     def __init__(

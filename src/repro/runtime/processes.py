@@ -10,8 +10,6 @@ goes through a parent-side coordinator:
   blob)`` and blocks on its pipe; when all members of ``(gid, seq)``
   have deposited, the coordinator sends every member the ordered blob
   list and each worker evaluates the (deterministic) reduction locally;
-* point-to-point messages are routed ``("put", ...)``/``("get", ...)``
-  through the same pipes;
 * large numpy payloads are externalized into
   ``multiprocessing.shared_memory`` segments — the pickle stream
   carries ``(name, dtype, shape)`` and receivers reattach the segment
@@ -233,15 +231,6 @@ class ProcessEngine(EngineBase):
             self._prev_segments[state.gid] = segments
         return result
 
-    # -- point-to-point ----------------------------------------------------
-    def mailbox_put(self, src: int, dst: int, item: Any) -> None:
-        # Eager send, no reply; p2p payloads are small (departure-stamped
-        # buffers) and always travel inline.
-        self._conn.send(("put", src, dst, pickle.dumps(item, pickle.HIGHEST_PROTOCOL)))
-
-    def mailbox_get(self, src: int, dst: int) -> Any:
-        return pickle.loads(self._request(("get", src, dst)))
-
     # -- worker-side lifecycle ---------------------------------------------
     def leftover_segment_names(self) -> list[str]:
         """Names of segments this worker created but may not unlink."""
@@ -429,8 +418,6 @@ def run_spmd(
     rank_of = {conn: rank for rank, conn in conns.items()}
 
     pending: dict[tuple, dict[int, bytes]] = {}
-    mailbox: dict[tuple[int, int], list[bytes]] = {}
-    waiting_get: set[tuple[int, int]] = set()
     exited: dict[int, tuple[str, bytes | None]] = {}
     leftover_segments: set[str] = set()
     aborting = False
@@ -497,23 +484,6 @@ def run_spmd(
                     for grank in members:
                         try_send(conns[grank], ("ok", ordered))
                     del pending[(gid, seq)]
-            elif kind == "put":
-                _kind, src, dst, blob = msg
-                if (src, dst) in waiting_get:
-                    waiting_get.discard((src, dst))
-                    try_send(conns[dst], ("ok", blob))
-                else:
-                    mailbox.setdefault((src, dst), []).append(blob)
-            elif kind == "get":
-                _kind, src, dst = msg
-                if aborting:
-                    try_send(conn, ("abort",))
-                    continue
-                box = mailbox.get((src, dst))
-                if box:
-                    try_send(conn, ("ok", box.pop(0)))
-                else:
-                    waiting_get.add((src, dst))
             elif kind == "exit":
                 _kind, rank, status, blob = msg
                 exited[rank] = (status, blob)

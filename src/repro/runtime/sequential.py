@@ -2,9 +2,8 @@
 
 One baton is passed round-robin between rank bodies: exactly one rank
 runs at any instant, and it runs until it *blocks* — at a collective
-whose other members have not all arrived, or at a ``recv`` whose
-message has not been sent — at which point the baton moves to the next
-runnable rank in cyclic order.  The last member to arrive at a
+whose other members have not all arrived — at which point the baton
+moves to the next runnable rank in cyclic order.  The last member to arrive at a
 collective evaluates the reduction and continues; earlier arrivers are
 marked runnable again and resume (in rank order) once the baton reaches
 them.
@@ -64,8 +63,8 @@ class SequentialEngine(EngineBase):
     """Round-robin baton scheduler over rank bodies.
 
     ``_status[r]`` is ``"ready"`` (waiting for the baton), ``"blocked"``
-    (waiting inside a collective or recv, with ``_blocked_on[r]``
-    naming the rendezvous), or ``"done"``.  Slot/result reuse on a
+    (waiting inside a collective, with ``_blocked_on[r]`` naming its
+    group), or ``"done"``.  Slot/result reuse on a
     group is safe without a drain phase because a collective's result
     cannot be overwritten until every member has re-arrived — which
     requires each waiter to have resumed and read it first.
@@ -88,9 +87,8 @@ class SequentialEngine(EngineBase):
         )
         self._batons = [threading.Event() for _ in range(nranks)]
         self._status = ["ready"] * nranks
-        self._blocked_on: list[Any] = [None] * nranks
+        self._blocked_on: list[_GroupState | None] = [None] * nranks
         self._aborted = False
-        self._mailboxes: dict[tuple[int, int], list] = {}
         self._all_done = threading.Event()
 
     def _make_group(self, members: Sequence[int]) -> _GroupState:
@@ -120,26 +118,26 @@ class SequentialEngine(EngineBase):
             self._all_done.set()
         elif not self._aborted:
             # Every live rank is blocked: a structural deadlock
-            # (mismatched collectives or a recv nobody sends to).
+            # (mismatched collectives or a rank that left early).
             self.abort(
                 -1,
                 TimeoutError(
                     "deadlock: every live rank is blocked "
-                    "(mismatched collectives or a message never sent)"
+                    "(mismatched collectives or a rank that left early)"
                 ),
             )
 
-    def _suspend(self, grank: int, reason: Any) -> None:
-        """Block ``grank`` on ``reason`` and yield the baton."""
+    def _suspend(self, grank: int, state: _GroupState) -> None:
+        """Block ``grank`` inside ``state``'s collective and yield the baton."""
         self._status[grank] = "blocked"
-        self._blocked_on[grank] = reason
+        self._blocked_on[grank] = state
         self._pass_baton(grank)
         self._batons[grank].wait()
         self._batons[grank].clear()
         self._check_abort()
 
-    def _wake(self, grank: int, reason: Any) -> None:
-        if self._status[grank] == "blocked" and self._blocked_on[grank] == reason:
+    def _wake(self, grank: int, state: _GroupState) -> None:
+        if self._status[grank] == "blocked" and self._blocked_on[grank] is state:
             self._status[grank] = "ready"
             self._blocked_on[grank] = None
 
@@ -157,27 +155,12 @@ class SequentialEngine(EngineBase):
         if state.arrived == state.size:
             state.result = reduce(list(state.slots))
             state.arrived = 0
-            reason = ("coll", state)
             for member in state.members:
                 if member != grank:
-                    self._wake(member, reason)
+                    self._wake(member, state)
             return state.result
-        self._suspend(grank, ("coll", state))
+        self._suspend(grank, state)
         return state.result
-
-    # -- point-to-point ----------------------------------------------------
-    def mailbox_put(self, src: int, dst: int, item: Any) -> None:
-        self._check_abort()
-        self._mailboxes.setdefault((src, dst), []).append(item)
-        self._wake(dst, ("recv", src, dst))
-
-    def mailbox_get(self, src: int, dst: int) -> Any:
-        while True:
-            self._check_abort()
-            box = self._mailboxes.get((src, dst))
-            if box:
-                return box.pop(0)
-            self._suspend(dst, ("recv", src, dst))
 
     def finish_rank(self, grank: int) -> None:
         """Mark ``grank`` done and move the baton (or end the run)."""

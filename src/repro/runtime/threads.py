@@ -56,8 +56,6 @@ class ThreadsEngine(EngineBase):
     ):
         self._lock = threading.Lock()
         self._aborted = threading.Event()
-        self._mailboxes: dict[tuple[int, int], list] = {}
-        self._mailbox_cv = threading.Condition()
         super().__init__(
             nranks,
             cost_model=cost_model,
@@ -83,8 +81,6 @@ class ThreadsEngine(EngineBase):
             groups = list(self._groups)
         for group in groups:
             group.barrier.abort()
-        with self._mailbox_cv:
-            self._mailbox_cv.notify_all()
 
     def barrier_wait(self, state: _GroupState) -> int:
         """Wait on a group barrier, translating breakage into SimAborted.
@@ -122,31 +118,6 @@ class ThreadsEngine(EngineBase):
         result = state.result
         self.barrier_wait(state)
         return result
-
-    # -- point-to-point ----------------------------------------------------
-    def mailbox_put(self, src: int, dst: int, item: Any) -> None:
-        with self._mailbox_cv:
-            self._mailboxes.setdefault((src, dst), []).append(item)
-            self._mailbox_cv.notify_all()
-
-    def mailbox_get(self, src: int, dst: int) -> Any:
-        deadline = threading.TIMEOUT_MAX
-        with self._mailbox_cv:
-            while True:
-                if self._aborted.is_set():
-                    raise SimAborted("simulation aborted")
-                box = self._mailboxes.get((src, dst))
-                if box:
-                    return box.pop(0)
-                if not self._mailbox_cv.wait(timeout=min(self.timeout, deadline)):
-                    self.abort(
-                        dst,
-                        TimeoutError(
-                            f"recv timed out after {self.timeout}s waiting "
-                            f"for a message {src}->{dst}"
-                        ),
-                    )
-                    raise SimAborted(f"recv timeout waiting for message {src}->{dst}")
 
 
 def run_spmd(

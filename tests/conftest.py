@@ -17,6 +17,27 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: as an instance.
 CODEC_FORMS = {codec.name: codec for codec in (RawCodec, DeltaVarintCodec, AutoCodec)}
 
+#: The thread count the threaded sweeps also run each ``"threads"``-capable entry at.
+SWEEP_THREADS = 4
+
+
+def thread_cases(names) -> list[tuple[str, int]]:
+    """``(algorithm, threads)`` sweep cases: every name at 1 thread, and
+    each ``"threads"``-capable registry entry at :data:`SWEEP_THREADS` too."""
+    from repro.core.runner import ALGORITHMS
+
+    return [
+        (name, t)
+        for name in sorted(names)
+        for t in (1, SWEEP_THREADS)
+        if t == 1 or "threads" in ALGORITHMS[name].capabilities
+    ]
+
+
+def thread_params(cases) -> list:
+    """``(algorithm, threads)`` cases as pytest params, ids ``1d`` / ``1d-t4``."""
+    return [pytest.param(name, t, id=name if t == 1 else f"{name}-t{t}") for name, t in cases]
+
 
 @pytest.fixture(scope="session", autouse=True)
 def repo_root_stays_clean():

@@ -56,7 +56,7 @@ class TestAverageBfs:
     def test_threads_plumbed(self, rmat_small):
         sources = pick_sources(rmat_small, 1, seed=3)
         run = average_bfs(
-            rmat_small, "1d-hybrid", 2, FRANKLIN, sources=sources, threads=2
+            rmat_small, "1d", 2, FRANKLIN, sources=sources, threads=2
         )
         assert run.threads == 2
 
@@ -76,13 +76,14 @@ class TestPaperThreads:
 
 
 class TestProjection:
-    def test_costs_positive_and_consistent(self):
-        for algo in ("1d", "1d-hybrid", "2d", "2d-hybrid"):
-            costs = projected_costs(algo, 29, 16, 1024, FRANKLIN)
-            assert costs.total > 0
-            assert costs.comm < costs.total
-            rate = projected_gteps(algo, 29, 16, 1024, FRANKLIN)
-            assert rate == pytest.approx(16 * 2**29 / costs.total / 1e9)
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("algo", ["1d", "2d"])
+    def test_costs_positive_and_consistent(self, algo, threads):
+        costs = projected_costs(algo, 29, 16, 1024, FRANKLIN, threads=threads)
+        assert costs.total > 0
+        assert costs.comm < costs.total
+        rate = projected_gteps(algo, 29, 16, 1024, FRANKLIN, threads=threads)
+        assert rate == pytest.approx(16 * 2**29 / costs.total / 1e9)
 
     def test_kernel_override(self):
         spa = projected_costs("2d", 29, 16, 1024, HOPPER, kernel="spa")

@@ -53,6 +53,11 @@ class TestCli:
         assert "SCALE:" in out
         assert "harmonic_mean_TEPS:" in out
 
+    def test_graph500_threads_reach_the_run(self, capsys):
+        argv = ["graph500", "--scale", "8", "--nbfs", "2", "--algorithm", "2d", "--threads", "6"]
+        assert main(argv) == 0
+        assert "threads_per_process (modeled):  6" in capsys.readouterr().out
+
     def test_query_mode_writes_an_msbfs_report(self, tmp_path, capsys):
         import json
 
@@ -104,3 +109,4 @@ class TestCli:
 
     def test_algorithm_default_is_per_flow(self):
         assert build_parser().parse_args(["graph500"]).algorithm is None
+        assert build_parser().parse_args(["graph500"]).threads == 1

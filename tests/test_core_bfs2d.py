@@ -329,7 +329,7 @@ class TestRectangularGrids:
         src = int(rmat_small.random_nonisolated_vertices(1, 11)[0])
         ref = run_bfs(rmat_small, src, "serial")
         res = run_bfs(
-            rmat_small, src, "2d-hybrid", nprocs=6, grid_shape=(3, 2), threads=2
+            rmat_small, src, "2d", nprocs=6, grid_shape=(3, 2), threads=2
         )
         assert np.array_equal(res.levels, ref.levels)
 

@@ -53,13 +53,13 @@ class TestFrontierBitmap:
 
 
 class TestDiropCorrectness:
-    @pytest.mark.parametrize("algorithm", ["1d-dirop", "1d-dirop-hybrid"])
+    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("nprocs", [1, 3, 4])
-    def test_matches_serial_on_rmat(self, algorithm, nprocs):
+    def test_matches_serial_on_rmat(self, threads, nprocs):
         graph = rmat_graph(10, 8, seed=3)
         src = int(graph.random_nonisolated_vertices(1, seed=1)[0])
         ref = run_bfs(graph, src, "serial")
-        res = run_bfs(graph, src, algorithm, nprocs=nprocs, validate=True)
+        res = run_bfs(graph, src, "1d-dirop", nprocs=nprocs, threads=threads, validate=True)
         assert np.array_equal(res.levels, ref.levels)
         assert np.array_equal(res.parents, ref.parents)
 

@@ -51,17 +51,18 @@ class TestOracleEquivalence:
     #: rectangular grids in both orientations (general transpose path).
     GRIDS = [(1, None), (4, None), (9, None), (4, (1, 4)), (6, (2, 3)), (6, (3, 2))]
 
-    @pytest.mark.parametrize("algorithm", ["2d-dirop", "2d-dirop-hybrid"])
+    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_serial_everywhere(self, algorithm, case):
+    def test_matches_serial_everywhere(self, threads, case):
         graph, source = self.CASES[case]
         ref = run_bfs(graph, source, "serial")
         for nprocs, grid_shape in self.GRIDS:
             res = run_bfs(
                 graph,
                 source,
-                algorithm,
+                "2d-dirop",
                 nprocs=nprocs,
+                threads=threads,
                 grid_shape=grid_shape,
                 validate=True,
             )

@@ -72,18 +72,13 @@ class TestRunBfs:
         res = session.bfs(np.int16(2))
         assert res.levels.tolist() == [2, 1, 0]
 
-    def test_flat_rejects_threads(self, rmat_small):
-        with pytest.raises(ValueError, match="flat variant"):
-            run_bfs(rmat_small, 0, "1d", threads=4)
-
-    def test_hybrid_thread_defaults(self, rmat_small):
-        src = int(rmat_small.random_nonisolated_vertices(1, 3)[0])
-        on_franklin = run_bfs(
-            rmat_small, src, "1d-hybrid", nprocs=2, machine="franklin"
-        )
-        on_hopper = run_bfs(rmat_small, src, "1d-hybrid", nprocs=2, machine="hopper")
-        assert on_franklin.threads == 4  # paper: 4-way on Franklin
-        assert on_hopper.threads == 6  # 6-way on Hopper (NUMA domains)
+    @pytest.mark.parametrize("machine", [None, "franklin", "hopper"])
+    def test_threads_are_one_unless_asked(self, rmat_small, machine):
+        """No machine picks a thread count: the paper's per-machine counts
+        live in ``repro.bench.harness.paper_threads`` only."""
+        for threads in (1, 6):
+            res = run_bfs(rmat_small, 0, "2d", nprocs=4, machine=machine, threads=threads)
+            assert (res.threads, res.modeled_cores) == (threads, threads * res.nranks)
 
     def test_untimed_run_has_no_teps(self, rmat_small):
         src = int(rmat_small.random_nonisolated_vertices(1, 4)[0])
@@ -218,11 +213,17 @@ class TestVertexIdTypes:
             assert session.query([np.int64(2)]).lane(0)[0].tolist() == [2, 1, 0]
 
 
-@pytest.mark.parametrize("entry", ["run-config", "run-bfs", "run-query", "cli-query"])
-@pytest.mark.parametrize("name", ["cc", "sssp-delta", "landmark"])
-def test_deleted_query_families_are_unknown(name, entry, capsys):
-    """The semiring query zoo is gone: its names fail where a caller
-    meets them, with the names that remain."""
+_HYBRIDS = ["1d-hybrid", "1d-dirop-hybrid", "2d-hybrid", "2d-dirop-hybrid"]
+
+
+@pytest.mark.parametrize(
+    "entry", ["run-config", "run-bfs", "run-query", "cli-query", "cli-graph500"]
+)
+@pytest.mark.parametrize("name", ["cc", "sssp-delta", "landmark"] + _HYBRIDS)
+def test_deleted_registry_names_are_unknown(name, entry, capsys):
+    """The semiring query zoo and the ``*-hybrid`` names (now the family
+    with ``threads=``) are gone: each fails where a caller meets it, with
+    the names that remain."""
     path = make_path_graph(3)
     if entry == "cli-query":
         assert main(["query", "--scale", "6", "--algorithm", name]) == 2
@@ -235,6 +236,8 @@ def test_deleted_query_families_are_unknown(name, entry, capsys):
             repro.RunConfig(algorithm=name)
         elif entry == "run-bfs":
             run_bfs(path, 0, name, nprocs=2)
+        elif entry == "cli-graph500":
+            main(["graph500", "--scale", "6", "--nbfs", "1", "--algorithm", name])
         else:
             run_query(path, sources=[0], algorithm=name, nprocs=2)
     assert str(sorted(ALGORITHMS)) in str(err.value)

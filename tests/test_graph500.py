@@ -73,6 +73,7 @@ class TestRunGraph500:
             scale=10, nprocs=4, algorithm="1d", machine="franklin", nbfs=2, seed=1
         )
         assert result.nranks == 4
+        assert result.threads == 1
         assert np.all(result.teps > 0)
 
     def test_graph_is_distributed_once_for_all_keys(self, block_builds):

@@ -21,7 +21,10 @@ from repro.graphs import (
     webcrawl_graph,
 )
 
-ALGOS_UNDIRECTED = ["1d", "1d-hybrid", "2d", "2d-hybrid", "pbgl", "graph500-ref"]
+from tests.conftest import thread_params
+
+#: ``(algorithm, threads)``: flat MPI and the hybrid of 1D and 2D, and the baselines.
+ALGOS_UNDIRECTED = [("1d", 1), ("1d", 4), ("2d", 1), ("2d", 4), ("pbgl", 1), ("graph500-ref", 1)]
 
 
 def _graph_families():
@@ -40,12 +43,12 @@ def _graph_families():
 
 
 @pytest.mark.parametrize("name,graph", list(_graph_families()))
-@pytest.mark.parametrize("algo", ALGOS_UNDIRECTED)
-def test_algorithm_family_matrix(name, graph, algo):
+@pytest.mark.parametrize("algo,threads", thread_params(ALGOS_UNDIRECTED))
+def test_algorithm_family_matrix(name, graph, algo, threads):
     source = int(graph.random_nonisolated_vertices(1, seed=1)[0])
     ref = run_bfs(graph, source, "serial")
     nprocs = 9 if algo.startswith("2d") else 6
-    res = run_bfs(graph, source, algo, nprocs=nprocs, validate=True)
+    res = run_bfs(graph, source, algo, nprocs=nprocs, threads=threads, validate=True)
     assert np.array_equal(res.levels, ref.levels), (name, algo)
     assert np.array_equal(res.parents, ref.parents), (name, algo)
 
@@ -74,9 +77,9 @@ def test_timed_and_untimed_agree_functionally():
     """The cost model must never change what is computed, only the clock."""
     graph = rmat_graph(11, 16, seed=4)
     source = int(graph.random_nonisolated_vertices(1, seed=4)[0])
-    for algo in ("1d", "2d", "2d-hybrid"):
-        untimed = run_bfs(graph, source, algo, nprocs=9)
-        timed = run_bfs(graph, source, algo, nprocs=9, machine="hopper")
+    for algo, threads in (("1d", 1), ("2d", 1), ("2d", 6)):
+        untimed = run_bfs(graph, source, algo, nprocs=9, threads=threads)
+        timed = run_bfs(graph, source, algo, nprocs=9, threads=threads, machine="hopper")
         assert np.array_equal(untimed.levels, timed.levels), algo
         assert np.array_equal(untimed.parents, timed.parents), algo
         assert untimed.time_total == 0.0
@@ -99,7 +102,7 @@ def test_deterministic_across_repeats():
     graph = rmat_graph(11, 16, seed=6)
     source = int(graph.random_nonisolated_vertices(1, seed=6)[0])
     runs = [
-        run_bfs(graph, source, "2d-hybrid", nprocs=9, machine="franklin")
+        run_bfs(graph, source, "2d", nprocs=9, threads=4, machine="franklin")
         for _ in range(3)
     ]
     for other in runs[1:]:

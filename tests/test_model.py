@@ -314,10 +314,12 @@ class TestVolumeModel:
 
     def test_dispatch(self):
         model = RmatVolumeModel()
-        assert model.volumes("1d-hybrid", 2**20, 2**24, 64, threads=4).nlevels > 0
+        assert model.volumes("1d", 2**20, 2**24, 64, threads=4).nlevels > 0
         assert model.volumes("2d", 2**20, 2**24, 64).ag_words > 0
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            model.volumes("serial", 2**20, 2**24, 64)
+        # A removed hybrid name fails instead of projecting as flat MPI.
+        for name in ("serial", "1d-hybrid", "2d-dirop"):
+            with pytest.raises(ValueError, match=f"unknown algorithm family '{name}'"):
+                model.volumes(name, 2**20, 2**24, 64)
 
     def test_fit_dedup_curve_recovers_power_law(self):
         parties = np.array([4, 16, 64, 256])

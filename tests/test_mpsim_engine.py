@@ -83,31 +83,6 @@ class TestRunSpmd:
             run_spmd(3, lambda comm: 1 // 0)
 
 
-class TestPointToPoint:
-    def test_send_recv(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.array([1, 2, 3]), dest=1)
-                return None
-            return comm.recv(source=0)
-
-        res = run_spmd(2, fn)
-        assert np.array_equal(res[1], [1, 2, 3])
-
-    def test_two_messages_fifo(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.array([1]), dest=1)
-                comm.send(np.array([2]), dest=1)
-                return None
-            first = comm.recv(source=0)
-            second = comm.recv(source=0)
-            return (int(first[0]), int(second[0]))
-
-        res = run_spmd(2, fn)
-        assert res[1] == (1, 2)
-
-
 class TestSplit:
     def test_split_by_parity(self):
         def fn(comm):

@@ -13,18 +13,21 @@ from repro.core.bfs_dirop import DirOpt1D
 from repro.core.engine import traversal_body
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import SpmdFailure, run_spmd
+from repro.runtime import BACKENDS
 from repro.runtime.threads import ThreadsEngine
 
 
 def assert_deadlock_aborts(nranks, fn):
-    """Both ways a deadlocked run must end, one per scheduler.
+    """Every way a deadlocked run must end, one per scheduler.
 
-    ``threads`` waits at a barrier until its (here 0.5 s) timeout breaks
-    it; ``sequential`` is given no timeout and must name the deadlock the
-    moment every live rank is blocked.
+    ``threads`` and ``processes`` wait until their (here 0.5 s) timeout
+    breaks the wait; ``sequential`` is given no timeout and must name the
+    deadlock the moment every live rank is blocked.
     """
-    with pytest.raises(SpmdFailure, match="failed"):
-        run_spmd(nranks, fn, runtime="threads", timeout=0.5)
+    for name in ("threads", "processes"):
+        with pytest.raises(SpmdFailure, match="failed") as info:
+            run_spmd(nranks, fn, runtime=name, timeout=0.5)
+        assert isinstance(info.value.exc, TimeoutError), name
     start = time.perf_counter()
     with pytest.raises(SpmdFailure) as info:
         run_spmd(nranks, fn, runtime="sequential")
@@ -56,14 +59,19 @@ class TestAbortPaths:
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             run_spmd(4, fn)
 
-    def test_exception_while_peer_waits_on_recv(self):
-        def fn(comm):
-            if comm.rank == 0:
-                raise RuntimeError("sender never sends")
-            comm.recv(source=0)
+    @pytest.mark.parametrize("runtime_name", BACKENDS)
+    def test_exception_while_peer_waits_at_collective(self, runtime_name):
+        """Rank 0, parked in the collective when rank 1 fails, is released."""
 
-        with pytest.raises(RuntimeError, match="rank 0 failed"):
-            run_spmd(2, fn)
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)
+                raise RuntimeError("peer never arrives")
+            comm.allreduce(1)
+
+        with pytest.raises(SpmdFailure, match="rank 1 failed") as info:
+            run_spmd(2, fn, runtime=runtime_name, timeout=30.0)
+        assert isinstance(info.value.exc, RuntimeError)
 
     def test_multiple_failures_report_first(self):
         def fn(comm):
@@ -199,10 +207,11 @@ class TestMidDecodeFailure:
 class TestTimeout:
     def test_timeout_breaks_deadlock(self):
         def fn(comm):
+            sub = comm.split(color=0)  # the same members, another group
             if comm.rank == 0:
-                comm.recv(source=1)  # never sent
+                sub.barrier()  # rank 1 never joins the sub-communicator
             else:
-                comm.barrier()  # rank 0 never joins
+                comm.barrier()  # rank 0 never joins the world
 
         assert_deadlock_aborts(2, fn)
 
@@ -239,11 +248,9 @@ class TestCommunicatorValidation:
     def test_bad_destinations(self):
         def fn(comm):
             with pytest.raises(ValueError, match="out of range"):
-                comm.send(np.array([1]), dest=5)
-            with pytest.raises(ValueError, match="out of range"):
-                comm.recv(source=-1)
-            with pytest.raises(ValueError, match="out of range"):
                 comm.exchange(9, np.array([1]))
+            with pytest.raises(ValueError, match="out of range"):
+                comm.exchange(-1, np.array([1]))
             return True
 
         assert all(run_spmd(2, fn).returns)

@@ -33,9 +33,9 @@ def _stats_fingerprint(result):
         ("1d", {}),
         ("1d", {"codec": DeltaVarintCodec(), "sieve": True}),
         ("1d-dirop", {}),
-        ("1d-dirop-hybrid", {}),
+        ("1d-dirop", {"threads": 6}),
         ("2d", {"kernel": "spa"}),
-        ("2d-hybrid", {"codec": "auto", "sieve": True}),
+        ("2d", {"threads": 6, "codec": "auto", "sieve": True}),
     ],
 )
 def test_traced_run_bit_identical(rmat_small, algorithm, kwargs):

@@ -13,13 +13,13 @@ from repro.graphs import Graph, erdos_renyi_edges
 from repro.graphs.rmat import rmat_graph
 from repro.query import run_query
 
-from tests.conftest import CODEC_FORMS, query_sources
+from tests.conftest import CODEC_FORMS, query_sources, thread_cases, thread_params
 
 networkx = pytest.importorskip("networkx")
 
-#: Every registered algorithm, serial included: the equivalence harness
-#: must cover new variants the moment they land in the registry.
-ALL_ALGORITHMS = sorted(ALGORITHMS)
+#: Every registered algorithm, serial included, as ``(algorithm, threads)`` cases:
+#: the equivalence harness must cover new variants the moment they land.
+ALL_CASES = thread_cases(ALGORITHMS)
 
 
 # -- kind-aware oracle checks -------------------------------------------------
@@ -111,14 +111,15 @@ def test_serial_levels_match_networkx(case):
 @settings(max_examples=60, deadline=None)
 @given(
     small_graphs(),
-    st.sampled_from(ALL_ALGORITHMS),
+    st.sampled_from(ALL_CASES),
     st.sampled_from([3, 4]),
 )
-def test_distributed_equals_serial(case, algorithm, nprocs):
+def test_distributed_equals_serial(case, algorithm_threads, nprocs):
     """EVERY registered algorithm matches its kind's serial oracle,
     on arbitrary random graphs and rank counts that do not divide n."""
     graph, source, _ = case
-    check_against_oracle(graph, source, algorithm, nprocs)
+    algorithm, threads = algorithm_threads
+    check_against_oracle(graph, source, algorithm, nprocs, threads=threads)
 
 
 def _er_graph(n, avg_degree, seed):
@@ -151,26 +152,24 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm,threads", thread_params(ALL_CASES))
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_oracle_equivalence_deterministic(algorithm, case):
+def test_oracle_equivalence_deterministic(algorithm, threads, case):
     """Deterministic spot checks behind the hypothesis sweep: ER and
     R-MAT instances, disconnected graphs, an isolated source, and a rank
     count that does not divide n — all algorithms against their kind's
     oracle."""
     graph, source = ORACLE_CASES[case]
     for nprocs in (1, 3):
-        check_against_oracle(graph, source, algorithm, nprocs)
+        check_against_oracle(graph, source, algorithm, nprocs, threads=threads)
 
 
 #: Families that route their exchanges through ``repro.comm``; the wire
 #: format must never change what the traversal computes.  Derived from
-#: the registry's declared capabilities (hybrids share their family's
-#: wire path, so the flat variant stands for both).
+#: the registry's declared capabilities (threads do not touch the wire
+#: path, so one thread stands for all).
 WIRE_ALGORITHMS = sorted(
-    name
-    for name, spec in ALGORITHMS.items()
-    if "wire" in spec.capabilities and not spec.hybrid
+    name for name, spec in ALGORITHMS.items() if "wire" in spec.capabilities
 )
 
 

@@ -17,27 +17,15 @@ from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS as REGISTRY
 from repro.faults import RankCrashError, random_fault_plan
 
-from tests.conftest import launch_any
+from tests.conftest import launch_any, thread_cases, thread_params
 
-#: Every registered algorithm with fault/checkpoint instrumentation,
-#: hybrids included — derived from the registry so a new plugin is
-#: covered the moment it lands.
-FAULT_ALGORITHMS = tuple(
-    sorted(
-        name
-        for name, spec in REGISTRY.items()
-        if "faults" in spec.capabilities
-    )
-)
-#: The flat variant of each fault-capable family carries the exhaustive
-#: crash-at-every-level sweep (hybrids share the family's checkpoint
-#: path).
+#: Every fault-capable algorithm as ``(algorithm, threads)`` cases, derived
+#: from the registry so a new plugin is covered the moment it lands.
+FAULT_CASES = thread_cases(n for n, spec in REGISTRY.items() if "faults" in spec.capabilities)
+#: Each fault-capable family carries the exhaustive crash-at-every-level
+#: sweep at one thread (threads share the family's checkpoint path).
 SWEEP_ALGORITHMS = tuple(
-    sorted(
-        name
-        for name, spec in REGISTRY.items()
-        if "faults" in spec.capabilities and not spec.hybrid
-    )
+    sorted(name for name, spec in REGISTRY.items() if "faults" in spec.capabilities)
 )
 NPROCS = 4
 SOURCE = 5
@@ -49,17 +37,17 @@ def oracles(rmat_small):
     dispatches by registry kind, so the batched query families (2-D lane
     results) ride the same battery as the single-source BFS entries."""
     return {
-        algorithm: launch_any(
-            rmat_small, SOURCE, algorithm, nprocs=NPROCS, machine="hopper"
+        (algorithm, threads): launch_any(
+            rmat_small, SOURCE, algorithm, nprocs=NPROCS, threads=threads, machine="hopper"
         )
-        for algorithm in FAULT_ALGORITHMS
+        for algorithm, threads in FAULT_CASES
     }
 
 
-@pytest.mark.parametrize("algorithm", FAULT_ALGORITHMS)
+@pytest.mark.parametrize("algorithm,threads", thread_params(FAULT_CASES))
 @pytest.mark.parametrize("seed", range(3))
-def test_random_fault_schedule_recovers(rmat_small, oracles, algorithm, seed):
-    oracle = oracles[algorithm]
+def test_random_fault_schedule_recovers(rmat_small, oracles, algorithm, threads, seed):
+    oracle = oracles[algorithm, threads]
     plan = random_fault_plan(
         seed, nranks=NPROCS, max_level=max(2, oracle.nlevels - 1)
     )
@@ -68,6 +56,7 @@ def test_random_fault_schedule_recovers(rmat_small, oracles, algorithm, seed):
         SOURCE,
         algorithm,
         nprocs=NPROCS,
+        threads=threads,
         machine="hopper",
         faults=plan,
         checkpoint_every=1,
@@ -82,7 +71,7 @@ def test_random_fault_schedule_recovers(rmat_small, oracles, algorithm, seed):
 @pytest.mark.parametrize("algorithm", SWEEP_ALGORITHMS)
 def test_crash_at_every_level_recovers(rmat_small, oracles, algorithm):
     """The acceptance sweep: a permanent loss at any level is survivable."""
-    oracle = oracles[algorithm]
+    oracle = oracles[algorithm, 1]
     for level in range(1, oracle.nlevels + 1):
         result = launch_any(
             rmat_small,
@@ -131,5 +120,5 @@ def test_transients_only_plans_match_oracle_exactly(rmat_small, oracles):
             faults=plan,
             validate=True,
         )
-        assert np.array_equal(result.parents, oracles["1d"].parents)
+        assert np.array_equal(result.parents, oracles["1d", 1].parents)
         assert result.meta["faults"]["attempts"] == 1

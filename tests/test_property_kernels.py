@@ -1,6 +1,7 @@
 """Reference-equivalence sweep: full runs on both kernel implementations.
 
-For every registered algorithm, one complete timed traversal is run on
+For every registered algorithm — each threaded entry at one and at more
+threads per rank — one complete timed traversal is run on
 the numpy kernels and again with the pure-python reference swapped in
 (the ``reference_kernels`` fixture of ``tests/conftest.py``) and the
 *entire* observable output is asserted identical — levels, parents,
@@ -34,11 +35,11 @@ from repro.graphs.rmat import rmat_graph
 from repro.kernels import numpy_backend, reference
 from repro.query import run_query
 
-from tests.conftest import query_sources
+from tests.conftest import query_sources, thread_cases, thread_params
 
-#: Every registered algorithm; the registry coverage meta-test compares
-#: this import-time list against the live registry.
-KERNEL_BACKEND_ALGORITHMS = sorted(ALGORITHMS)
+#: Every registered algorithm as ``(algorithm, threads)`` cases; the registry
+#: coverage meta-test compares this import-time list against the live registry.
+KERNEL_BACKEND_CASES = thread_cases(ALGORITHMS)
 
 #: Small-but-structured instance: R-MAT keeps hubs (dense middle levels,
 #: bottom-up switches) while staying cheap enough for the pure-python
@@ -95,21 +96,17 @@ def _both_ways(request, algorithm, **kwargs):
     return vectorized, _observe(_run(algorithm, **kwargs))
 
 
-@pytest.mark.parametrize("algorithm", KERNEL_BACKEND_ALGORITHMS)
-def test_backend_switch_preserves_full_run(request, algorithm):
+@pytest.mark.parametrize("algorithm,threads", thread_params(KERNEL_BACKEND_CASES))
+def test_backend_switch_preserves_full_run(request, algorithm, threads):
     """numpy-kernel and reference-kernel runs agree on every observable:
     parents, levels, counts, and the modeled time breakdown."""
-    vectorized, spec = _both_ways(request, algorithm)
+    vectorized, spec = _both_ways(request, algorithm, threads=threads)
     assert vectorized == spec
 
 
 @pytest.mark.parametrize(
     "algorithm",
-    sorted(
-        name
-        for name, spec in ALGORITHMS.items()
-        if "wire" in spec.capabilities and not spec.hybrid
-    ),
+    sorted(name for name, spec in ALGORITHMS.items() if "wire" in spec.capabilities),
 )
 def test_backend_switch_preserves_codec_runs(request, algorithm):
     """The compressed wire path (auto codec picks per buffer, so raw,

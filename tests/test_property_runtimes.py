@@ -1,6 +1,7 @@
 """Runtime-equivalence sweep: full runs under every execution backend.
 
-For every registered algorithm, one complete timed traversal runs under
+For every registered algorithm — each threaded entry at one and at more
+threads per rank — one complete timed traversal runs under
 each execution runtime — the default ``sequential``, then ``threads``
 and ``processes`` — and the *entire* observable output is asserted
 identical: levels, parents, level count, traversed-edge count, the
@@ -12,10 +13,10 @@ wall-clock only, never results.
 The fault half of the contract gets its own sweep: an injected crash
 plus checkpoint-restart must recover identically — same recovered tree,
 same attempt count, same restore records on the same virtual timeline —
-on every backend, for every flat fault-capable family.
+on every backend, for every fault-capable family.
 
 Below the algorithms, hypothesis drives the communicator itself with
-random programs of collectives, splits and ring messages: the
+random programs of collectives and splits: the
 ``sequential`` and ``threads`` schedules must agree on every return,
 clock and counter, and a program with one collective left out must be
 caught by ``sequential``'s structural deadlock detector, not a timer.
@@ -45,24 +46,20 @@ from repro.model import NetworkCostModel
 from repro.mpsim import SpmdFailure, run_spmd
 from repro.obs import Tracer
 
-from tests.conftest import launch_any
+from tests.conftest import launch_any, thread_cases, thread_params
 
-#: Every registered algorithm; the registry coverage meta-test compares
-#: this import-time list against the live registry.
-RUNTIME_BACKEND_ALGORITHMS = sorted(ALGORITHMS)
+#: Every registered algorithm as ``(algorithm, threads)`` cases; the registry
+#: coverage meta-test compares this import-time list against the live registry.
+RUNTIME_BACKEND_CASES = thread_cases(ALGORITHMS)
 
-#: The instrumented flat families additionally lock the span stream.
+#: The instrumented families additionally lock the span stream.
 TRACED_ALGORITHMS = sorted(
-    name
-    for name, spec in ALGORITHMS.items()
-    if "tracer" in spec.capabilities and not spec.hybrid
+    name for name, spec in ALGORITHMS.items() if "tracer" in spec.capabilities
 )
 
-#: One crash/checkpoint-restart scenario per flat fault-capable family.
+#: One crash/checkpoint-restart scenario per fault-capable family.
 CRASH_ALGORITHMS = sorted(
-    name
-    for name, spec in ALGORITHMS.items()
-    if "faults" in spec.capabilities and not spec.hybrid
+    name for name, spec in ALGORITHMS.items() if "faults" in spec.capabilities
 )
 
 #: The backends a sweep compares against the default's run.
@@ -101,12 +98,12 @@ def _observe(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("algorithm", RUNTIME_BACKEND_ALGORITHMS)
-def test_runtime_switch_preserves_full_run(algorithm):
+@pytest.mark.parametrize("algorithm,threads", thread_params(RUNTIME_BACKEND_CASES))
+def test_runtime_switch_preserves_full_run(algorithm, threads):
     """sequential / threads / processes agree on every observable."""
-    baseline = _observe(_run(algorithm, runtime.DEFAULT_RUNTIME))
+    baseline = _observe(_run(algorithm, runtime.DEFAULT_RUNTIME, threads=threads))
     for name in OTHER_RUNTIMES:
-        assert _observe(_run(algorithm, name)) == baseline, name
+        assert _observe(_run(algorithm, name, threads=threads)) == baseline, name
 
 
 @pytest.mark.parametrize("algorithm", TRACED_ALGORITHMS)
@@ -279,12 +276,11 @@ COLLECTIVES = ("allreduce", "alltoallv", "allgatherv", "bcast")
 
 @st.composite
 def comm_programs(draw):
-    """``(nranks, ops, seed)``: each op is ``("world", collective)``,
+    """``(nranks, ops, seed)``: each op is ``("world", collective)`` or
     ``("split", collective, k)`` — split by ``rank % k``, then the
-    collective on the sub-communicator — or ``("ring",)``, a send to the
-    next rank and a receive from the previous one.  ``k <= nranks // 2``
-    keeps every sub-communicator at two members or more, so leaving one
-    of its collectives out always strands a peer."""
+    collective on the sub-communicator.  ``k <= nranks // 2`` keeps
+    every sub-communicator at two members or more, so leaving one of its
+    collectives out always strands a peer."""
     nranks = draw(st.integers(2, 5))
     op = st.one_of(
         st.tuples(st.just("world"), st.sampled_from(COLLECTIVES)),
@@ -293,7 +289,6 @@ def comm_programs(draw):
             st.sampled_from(COLLECTIVES),
             st.integers(1, max(1, nranks // 2)),
         ),
-        st.tuples(st.just("ring")),
     )
     ops = draw(st.lists(op, min_size=1, max_size=12))
     return nranks, ops, draw(st.integers(0, 2**16))
@@ -317,15 +312,10 @@ def _program(comm, ops, seed, skip=None):
     outputs = []
     for step, (kind, *params) in enumerate(ops):
         rng = np.random.default_rng((seed, comm.rank, step))
-        if kind == "ring":
-            message = rng.integers(0, 100, size=int(rng.integers(0, 5)))
-            comm.send(message, (comm.rank + 1) % comm.size)
-            out = comm.recv((comm.rank - 1) % comm.size)
-        else:
-            target = comm.split(color=comm.rank % params[1]) if kind == "split" else comm
-            if skip == (comm.rank, step):
-                continue
-            out = _collective(target, params[0], rng)
+        target = comm.split(color=comm.rank % params[1]) if kind == "split" else comm
+        if skip == (comm.rank, step):
+            continue
+        out = _collective(target, params[0], rng)
         if isinstance(out, list):
             outputs.append([np.asarray(piece).tolist() for piece in out])
         else:
@@ -357,13 +347,10 @@ def test_random_programs_match_across_schedulers_and_deadlock_structurally(progr
 
     assert _observe_spmd(run("sequential")) == _observe_spmd(run("threads"))
 
-    collective_steps = [step for step, op in enumerate(ops) if op[0] != "ring"]
-    if not collective_steps:
-        return
-    # Rank r leaves out its last collective: only ring messages follow,
-    # so the stranded peers can never be released and every live rank
-    # ends up blocked.
-    skip = (seed % nranks, collective_steps[-1])
+    # Rank r leaves out the last collective: nothing follows it, so the
+    # stranded peers can never be released and every live rank ends up
+    # blocked.
+    skip = (seed % nranks, len(ops) - 1)
     start = time.perf_counter()
     with pytest.raises(SpmdFailure) as info:
         run("sequential", skip=skip)

@@ -4,26 +4,29 @@ The property/fault/trace harnesses derive their algorithm lists from
 :data:`repro.core.runner.ALGORITHMS` *at import time*, and the golden
 parity battery runs whatever ``tests/golden/capture.py`` configures.
 These tests compare those frozen lists against the live registry, per
-declared capability:
+declared capability, as ``(algorithm, threads)`` pairs — each entry at
+one thread, and in the *threaded* harnesses each ``"threads"``-capable
+one at :data:`~tests.conftest.SWEEP_THREADS` too:
 
-* every algorithm appears in the oracle-equivalence sweep;
+* every algorithm appears in the oracle-equivalence sweep (threaded);
 * every ``"wire"``-capable family appears in the codec/sieve sweep;
 * every ``"faults"``-capable algorithm appears in the random-fault
-  battery, its flat variant in the crash-at-every-level sweep;
+  battery (threaded) and in the crash-at-every-level sweep;
 * every ``"trace-profile"``-capable family appears in the trace
   invariants;
 * every engine family has a committed golden fixture configuration;
 * every algorithm appears in the kernel-backend equivalence sweep
-  (numpy vs pure-python kernels, ``tests/test_property_kernels.py``);
+  (numpy vs pure-python kernels, ``tests/test_property_kernels.py``;
+  threaded);
 * every algorithm appears in the runtime-backend equivalence sweep
   (threads vs sequential vs processes execution runtimes,
-  ``tests/test_property_runtimes.py``).
+  ``tests/test_property_runtimes.py``; threaded).
 
 Because the harness lists are import-time snapshots, registering an
 algorithm without extending the harness predicates (or, for golden,
 without a capture config) makes :func:`harness_gaps` non-empty — the
-demonstration test below proves the failure mode by injecting a dummy
-registry entry and asserting every gap is reported.
+demonstration tests below prove the failure mode by injecting dummy
+registry entries and asserting every gap is reported.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from repro.core.runner import ALGORITHMS, ENGINE_CAPABILITIES, AlgorithmSpec
+from repro.core.runner import ALGORITHMS, ENGINE_CAPABILITIES, THREADED_CAPABILITIES, AlgorithmSpec
 
 from tests import (
     test_property_bfs,
@@ -40,6 +43,7 @@ from tests import (
     test_property_runtimes,
     test_trace_invariants,
 )
+from tests.conftest import SWEEP_THREADS
 
 _spec = importlib.util.spec_from_file_location(
     "registry_coverage_capture",
@@ -48,62 +52,60 @@ _spec = importlib.util.spec_from_file_location(
 golden_capture = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden_capture)
 
+#: harness name -> the capabilities that require an entry in it.
+NEEDS = {
+    "oracle": set(),
+    "wire": {"wire"},
+    "faults": {"faults"},
+    "crash-sweep": {"faults"},
+    "trace": {"trace-profile"},
+    "golden": {"wire", "faults"},
+    "kernel-backend": set(),
+    "runtime-backend": set(),
+}
+#: The harnesses that also run each ``"threads"``-capable entry at more threads.
+THREADED_HARNESSES = {"oracle", "faults", "kernel-backend", "runtime-backend"}
+
 
 def required_coverage(registry: dict[str, AlgorithmSpec]) -> dict[str, set]:
-    """harness name -> algorithms the registry says it must cover."""
+    """harness name -> ``(algorithm, threads)`` pairs the registry says it must cover."""
     return {
-        "oracle": set(registry),
-        "wire": {
-            name
+        harness: {
+            (name, t)
             for name, spec in registry.items()
-            if "wire" in spec.capabilities and not spec.hybrid
-        },
-        "faults": {
-            name
-            for name, spec in registry.items()
-            if "faults" in spec.capabilities
-        },
-        "crash-sweep": {
-            name
-            for name, spec in registry.items()
-            if "faults" in spec.capabilities and not spec.hybrid
-        },
-        "trace": {
-            name
-            for name, spec in registry.items()
-            if "trace-profile" in spec.capabilities and not spec.hybrid
-        },
-        "golden": {
-            name
-            for name, spec in registry.items()
-            if {"wire", "faults"} <= spec.capabilities and not spec.hybrid
-        },
-        "kernel-backend": set(registry),
-        "runtime-backend": set(registry),
+            if needs <= spec.capabilities
+            for t in ((1, SWEEP_THREADS) if harness in THREADED_HARNESSES else (1,))
+            if t == 1 or "threads" in spec.capabilities
+        }
+        for harness, needs in NEEDS.items()
     }
 
 
 def harness_coverage() -> dict[str, set]:
-    """harness name -> algorithms the harness modules actually list."""
+    """harness name -> ``(algorithm, threads)`` pairs the harness modules actually list."""
+
+    def flat(names) -> set:
+        return {(name, 1) for name in names}
+
     return {
-        "oracle": set(test_property_bfs.ALL_ALGORITHMS),
-        "wire": set(test_property_bfs.WIRE_ALGORITHMS),
-        "faults": set(test_property_faults.FAULT_ALGORITHMS),
-        "crash-sweep": set(test_property_faults.SWEEP_ALGORITHMS),
-        "trace": set(test_trace_invariants.TRACE_ALGORITHMS),
-        "golden": set(golden_capture.CONFIGS),
-        "kernel-backend": set(test_property_kernels.KERNEL_BACKEND_ALGORITHMS),
-        "runtime-backend": set(test_property_runtimes.RUNTIME_BACKEND_ALGORITHMS),
+        "oracle": set(test_property_bfs.ALL_CASES),
+        "wire": flat(test_property_bfs.WIRE_ALGORITHMS),
+        "faults": set(test_property_faults.FAULT_CASES),
+        "crash-sweep": flat(test_property_faults.SWEEP_ALGORITHMS),
+        "trace": flat(test_trace_invariants.TRACE_ALGORITHMS),
+        "golden": flat(golden_capture.CONFIGS),
+        "kernel-backend": set(test_property_kernels.KERNEL_BACKEND_CASES),
+        "runtime-backend": set(test_property_runtimes.RUNTIME_BACKEND_CASES),
     }
 
 
-def harness_gaps(registry: dict[str, AlgorithmSpec]) -> list[tuple[str, str]]:
-    """(harness, algorithm) pairs the suite fails to cover for ``registry``."""
+def harness_gaps(registry: dict[str, AlgorithmSpec]) -> list[tuple[str, tuple]]:
+    """(harness, (algorithm, threads)) pairs the suite fails to cover for ``registry``."""
     covered = harness_coverage()
     return sorted(
-        (harness, name)
+        (harness, case)
         for harness, required in required_coverage(registry).items()
-        for name in required - covered[harness]
+        for case in required - covered[harness]
     )
 
 
@@ -114,9 +116,12 @@ def test_every_algorithm_covered():
 
 
 def test_harness_lists_carry_no_stale_entries():
-    """The harness lists never name algorithms the registry dropped."""
+    """The harness lists never name algorithms the registry dropped, nor
+    run an entry at threads it does not model."""
     for harness, covered in harness_coverage().items():
-        assert covered <= set(ALGORITHMS), harness
+        for name, threads in covered:
+            spec = ALGORITHMS.get(name)
+            assert spec and (threads == 1 or "threads" in spec.capabilities), (harness, name)
 
 
 def test_dummy_registration_is_caught(monkeypatch):
@@ -124,27 +129,23 @@ def test_dummy_registration_is_caught(monkeypatch):
     registered without any harness coverage is reported as a gap in
     every harness (the import-time lists predate the registration)."""
     monkeypatch.setitem(
-        ALGORITHMS,
-        "dummy-uncovered",
-        AlgorithmSpec("dummy-uncovered", False, None, ENGINE_CAPABILITIES),
+        ALGORITHMS, "dummy-uncovered", AlgorithmSpec(None, ENGINE_CAPABILITIES)
     )
     gaps = harness_gaps(ALGORITHMS)
     for harness in required_coverage(ALGORITHMS):
-        assert (harness, "dummy-uncovered") in gaps, harness
+        assert (harness, ("dummy-uncovered", 1)) in gaps, harness
     # ... and nothing else is newly missing.
-    assert all(name == "dummy-uncovered" for _, name in gaps)
+    assert all(case == ("dummy-uncovered", 1) for _, case in gaps)
 
 
-def test_dummy_hybrid_registration_is_caught(monkeypatch):
-    """Hybrid variants are exempt from the flat-only sweeps but must
-    still appear in the oracle and random-fault batteries."""
+def test_dummy_threaded_registration_is_caught(monkeypatch):
+    """A threaded registration is missing at one thread in every harness,
+    and at more threads in exactly the threaded harnesses."""
     monkeypatch.setitem(
-        ALGORITHMS,
-        "dummy-hybrid",
-        AlgorithmSpec("dummy", True, None, ENGINE_CAPABILITIES),
+        ALGORITHMS, "dummy-threaded", AlgorithmSpec(None, THREADED_CAPABILITIES)
     )
     gaps = harness_gaps(ALGORITHMS)
-    assert ("oracle", "dummy-hybrid") in gaps
-    assert ("faults", "dummy-hybrid") in gaps
-    assert ("crash-sweep", "dummy-hybrid") not in gaps
-    assert ("wire", "dummy-hybrid") not in gaps
+    assert {harness for harness, case in gaps if case == ("dummy-threaded", 1)} == set(NEEDS)
+    threaded = {harness for harness, case in gaps if case == ("dummy-threaded", SWEEP_THREADS)}
+    assert threaded == THREADED_HARNESSES
+    assert all(name == "dummy-threaded" for _, (name, _threads) in gaps)

@@ -62,11 +62,12 @@ class TestShimMapping:
             dedup_sends=False, codec="auto", sieve=True,
         )
 
-    def test_hybrid_threads(self, captured):
-        run_bfs(object(), 0, "1d-hybrid", nprocs=8, threads=6, machine="hopper")
+    def test_threads(self, captured):
+        run_bfs(object(), 0, "1d", nprocs=np.int64(8), threads=np.int8(6), machine="hopper")
         assert captured[0][2] == RunConfig(
-            algorithm="1d-hybrid", nprocs=8, threads=6, machine="hopper"
+            algorithm="1d", nprocs=8, threads=6, machine="hopper"
         )
+        assert type(captured[0][2].nprocs) is type(captured[0][2].threads) is int
 
     def test_2d_combo(self, captured):
         # The Figure 4/6 ablations: grid, kernel, vector distribution.
@@ -110,8 +111,8 @@ class TestShimMapping:
         assert config.resilient
 
     def test_positional_algorithm_and_keyword_equivalent(self, captured):
-        run_bfs(object(), 0, "2d-hybrid")
-        run_bfs(object(), 0, algorithm="2d-hybrid")
+        run_bfs(object(), 0, "2d", threads=6)
+        run_bfs(object(), 0, algorithm="2d", threads=6)
         assert captured[0][2] == captured[1][2]
 
 
@@ -154,16 +155,26 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=re.escape("unknown machine 'cray-3'")):
             run_bfs(graph, 0, "1d", machine="cray-3")
 
-    def test_bad_thread_count(self, graph):
-        with pytest.raises(ValueError, match=re.escape("threads must be >= 1, got 0")):
-            run_bfs(graph, 0, "1d-hybrid", threads=0)
+    @pytest.mark.parametrize("field", ["nprocs", "threads"])
+    @pytest.mark.parametrize(
+        "value,message",
+        [(0, ">= 1, got 0"), (True, "an integer, got True"), (2.5, "an integer, got 2.5"),
+         (4.0, "an integer, got 4.0"), (np.float64(4), "an integer, got"), ("4", "an integer")],
+    )
+    def test_bad_rank_and_thread_counts(self, graph, field, value, message):
+        """Refused when the config is built: ``nprocs=True`` used to run as
+        ``nranks=True``, ``threads=2.5`` to price 2.5 threads, and
+        ``nprocs=4.0`` to fail inside a rank with a TypeError."""
+        for build in (lambda: RunConfig(algorithm="2d", **{field: value}),
+                      lambda: run_bfs(graph, 0, "1d", **{field: value})):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be {message}")):
+                build()
 
-    def test_threads_on_flat_variant(self, graph):
-        with pytest.raises(
-            ValueError,
-            match=re.escape("1d is a flat variant; use a hybrid for threads > 1"),
-        ):
-            run_bfs(graph, 0, "1d", threads=4)
+    @pytest.mark.parametrize("algorithm", ["serial", "pbgl", "graph500-ref", "msbfs-1d"])
+    def test_threads_gated_by_capability(self, graph, algorithm):
+        msg = f"{algorithm} does not model intra-node threads; threads > 1 applies to the 1d/2d"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            runner_mod.prepare(graph, RunConfig(algorithm=algorithm, threads=4))
 
     @pytest.mark.parametrize("algorithm", ["serial", "pbgl", "graph500-ref"])
     def test_wire_options_gated_by_capability(self, graph, algorithm):

@@ -17,20 +17,16 @@ from repro.core import run_bfs
 from repro.core.runner import ALGORITHMS
 from repro.graphs.rmat import rmat_graph
 
-from tests.conftest import launch_any, prepare_any
+from tests.conftest import launch_any, prepare_any, thread_cases, thread_params
 
-#: Every flat variant the registry declares a per-level trace profile
-#: for — derived dynamically, so a new plugin is covered the moment it
-#: lands (hybrids share the family's trace path).
+#: Every algorithm the registry declares a per-level trace profile for
+#: — derived dynamically, so a new plugin is covered the moment it lands
+#: (threads share the family's trace path, so one thread stands for all).
 TRACE_ALGORITHMS = sorted(
-    name
-    for name, spec in ALGORITHMS.items()
-    if "trace-profile" in spec.capabilities and not spec.hybrid
+    name for name, spec in ALGORITHMS.items() if "trace-profile" in spec.capabilities
 )
 #: The direction-optimizing subset: their levels must carry a direction.
-DIROP_TRACE_ALGORITHMS = [
-    name for name in TRACE_ALGORITHMS if "dirop" in ALGORITHMS[name].family
-]
+DIROP_TRACE_ALGORITHMS = [name for name in TRACE_ALGORITHMS if "dirop" in name]
 #: Split by result kind: the single-source BFS entries keep the exact
 #: discovered/frontier bookkeeping; the batched query kinds have their
 #: own (weaker but still structural) invariants below.
@@ -104,11 +100,12 @@ class TestTraceEveryAlgorithm:
         }
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_one_session_two_sources_equals_two_runs(graph, source, algorithm):
+@pytest.mark.parametrize("algorithm,threads", thread_params(thread_cases(ALGORITHMS)))
+def test_one_session_two_sources_equals_two_runs(graph, source, algorithm, threads):
     """Searching a prepared session from two sources is bit-identical to
-    two independent one-shot runs: nothing leaks from search to search."""
-    options = dict(nprocs=4, machine="hopper", trace=True)
+    two independent one-shot runs: nothing leaks from search to search,
+    the 2D row-split thread blocks included."""
+    options = dict(nprocs=4, threads=threads, machine="hopper", trace=True)
     session = prepare_any(graph, algorithm, **options)
     for s in (source, (source + 101) % graph.n):
         shared = launch_any(graph, s, algorithm, session=session)

@@ -9,24 +9,20 @@ the rest of the telemetry layer:
   reconciliation contract: counter totals equal the stats ledger's
   numbers exactly, not approximately,
 * the OpenMetrics text exposition (what a Prometheus scrape would see),
-* the JSONL event log and collapsed-stack flamegraph exports.
+* the Chrome trace of the same spans, the one file format they are
+  written in (Perfetto and speedscope open it as a flame chart).
 
 Run::
 
     python examples/metrics_dashboard.py
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 import repro
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    validate_collapsed_stacks,
-    write_events_jsonl,
-    write_flamegraph,
-)
+from repro.obs import MetricsRegistry, Tracer, validate_chrome_trace, write_chrome_trace
 
 NPROCS = 16
 
@@ -65,16 +61,14 @@ def main() -> None:
     for line in registry.render_openmetrics().splitlines()[:8]:
         print(f"  {line}")
 
-    # -- event log + flamegraph ---------------------------------------
+    # -- Chrome trace -------------------------------------------------
     # Written to a scratch directory that is removed on exit.
     with tempfile.TemporaryDirectory(prefix="repro-telemetry-") as tmp:
-        outdir = Path(tmp)
-        events = write_events_jsonl(outdir / "events.jsonl", result)
-        stacks = write_flamegraph(outdir / "profile.folded", result)
-        validate_collapsed_stacks((outdir / "profile.folded").read_text())
-        print(f"\nwrote {events} events to {outdir / 'events.jsonl'}")
-        print(f"wrote {stacks} stacks to {outdir / 'profile.folded'} "
-              "(load in https://speedscope.app)")
+        path = write_chrome_trace(Path(tmp) / "trace.json", tracer)
+        trace = json.loads(path.read_text())
+        validate_chrome_trace(trace)
+        print(f"\nwrote {len(trace['traceEvents'])} trace events to {path} "
+              "(open in https://ui.perfetto.dev or https://speedscope.app)")
 
 
 if __name__ == "__main__":

@@ -334,20 +334,13 @@ def fig9_weak_scaling(quick: bool = False) -> Table:
         + [f"{label} time(s)" for label, _, _ in series]
         + [f"{label} comm(s)" for label, _, _ in series],
     )
-    model = harness.VOLUME_MODEL
-    from repro.model.analytic import cost_1d, cost_2d
-
     for cores in (512, 1024, 2048, 4096):
         m = cores * edges_per_core
         n = m // 16
         scale = math.log2(n)
         times, comms = [], []
         for _, algo, threads in series:
-            vol = model.volumes(algo, n, m, cores, threads)
-            if algo == "1d":
-                costs = cost_1d(vol, cores, FRANKLIN, threads=threads)
-            else:
-                costs = cost_2d(vol, cores, FRANKLIN, threads=threads)
+            costs = harness._projected_costs(algo, n, m, cores, FRANKLIN, threads=threads)
             times.append(costs.total)
             comms.append(costs.comm)
         table.add_row(cores, round(scale, 1), *times, *comms)

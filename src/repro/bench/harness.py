@@ -161,7 +161,22 @@ def projected_costs(
     applies the Figure 3 polyalgorithm crossover.
     """
     n = 1 << scale
-    m = int(edgefactor * n)
+    return _projected_costs(
+        algorithm, n, int(edgefactor * n), p_cores, machine, kernel, threads
+    )
+
+
+def _projected_costs(
+    algorithm: str,
+    n: int,
+    m: int,
+    p_cores: int,
+    machine: MachineConfig | str,
+    kernel: str = "auto",
+    threads: int = 1,
+) -> AnalyticCosts:
+    """:func:`projected_costs` of an ``n``-vertex, ``m``-edge instance
+    (Figure 9 sizes by edges per core, so its ``n`` is no power of two)."""
     vol = VOLUME_MODEL.volumes(algorithm, n, m, p_cores, threads)
     if algorithm == "1d":
         return cost_1d(vol, p_cores, machine, threads=threads)

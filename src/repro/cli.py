@@ -19,18 +19,17 @@ and the batched-query flow (``repro.query``'s 64-lane ``msbfs-1d``)::
     repro-bench query --scale 13 --batch 64 --machine hopper
 
 With ``--trace-out``/``--report-out`` the graph500 and query flows
-additionally write a Chrome ``trace_event`` file (open in Perfetto) and
-the machine-readable run report of the first search.  The committed
-modeled baselines are such reports, and a rerun must reproduce them
-byte for byte::
+additionally write a Chrome ``trace_event`` file (Perfetto and
+speedscope open it as a flame chart) and the machine-readable run
+report of the first search.  The committed modeled baselines are such
+reports, and a rerun must reproduce them byte for byte::
 
     repro-bench graph500 --scale 13 --nprocs 16 --nbfs 4 --seed 0 \
         --report-out fresh.json
     cmp fresh.json benchmarks/BENCH_baseline.json
 
-``--events-out``/``--flamegraph-out``/``--metrics-out`` add the JSONL
-event log, the collapsed-stack flamegraph (speedscope/flamegraph.pl)
-and the OpenMetrics counter exposition of the same search.
+``--metrics-out`` adds the OpenMetrics counter exposition of the same
+search.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "write a Chrome trace_event JSON of the first search "
-            "(open in Perfetto / chrome://tracing)"
+            "(open in Perfetto, speedscope or chrome://tracing)"
         ),
     )
     group.add_argument(
@@ -189,26 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write the machine-readable run report of the first search "
             "(the format of the committed benchmarks/BENCH_*.json "
             "baselines)"
-        ),
-    )
-    group.add_argument(
-        "--events-out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write the schema-versioned JSONL event log of the first "
-            "search (run/level/span/fault/checkpoint/metric events, one "
-            "JSON object per line, ordered by virtual time)"
-        ),
-    )
-    group.add_argument(
-        "--flamegraph-out",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write a collapsed-stack profile of the first search "
-            "(virtual self-time in microseconds; load in speedscope or "
-            "flamegraph.pl)"
         ),
     )
     group.add_argument(
@@ -253,16 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _obs_handles(args):
     """Tracer/metrics-registry pair implied by the requested outputs.
 
-    Spans feed the trace/report/events/flamegraph files; the metrics
-    registry feeds the OpenMetrics file and the report/event-log
-    snapshots.  Neither costs anything when no output asks for it.
+    Spans feed the trace and report files; the metrics registry feeds
+    the OpenMetrics file and the report's snapshot.  Neither costs
+    anything when no output asks for it.
     """
     tracer = registry = None
-    if args.trace_out or args.report_out or args.events_out or args.flamegraph_out:
+    if args.trace_out or args.report_out:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    if args.metrics_out or args.report_out or args.events_out:
+    if args.metrics_out or args.report_out:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -279,16 +258,6 @@ def _write_obs_artifacts(args, result, tracer, registry) -> None:
         from repro.obs import run_report, write_run_report
 
         print(f"wrote {write_run_report(args.report_out, run_report(result))}")
-    if args.events_out:
-        from repro.obs import write_events_jsonl
-
-        count = write_events_jsonl(args.events_out, result)
-        print(f"wrote {args.events_out} ({count} events)")
-    if args.flamegraph_out:
-        from repro.obs import write_flamegraph
-
-        count = write_flamegraph(args.flamegraph_out, result)
-        print(f"wrote {args.flamegraph_out} ({count} stacks)")
     if args.metrics_out:
         from pathlib import Path
 
@@ -296,6 +265,49 @@ def _write_obs_artifacts(args, result, tracer, registry) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(registry.render_openmetrics())
         print(f"wrote {path}")
+
+
+def _run_graph500_flow(args) -> int:
+    """Run the Graph 500 benchmark flow from the CLI."""
+    from repro.core.runner import RunConfig
+    from repro.graph500 import run_graph500
+
+    tracer, registry = _obs_handles(args)
+    options = dict(
+        algorithm=args.algorithm or "2d",
+        nprocs=args.nprocs,
+        threads=args.threads,
+        machine=args.machine,
+        codec=args.codec,
+        sieve=args.sieve,
+        dirop_alpha=args.dirop_alpha,
+        dirop_beta=args.dirop_beta,
+        tracer=tracer,
+        metrics=registry,
+        faults=args.fault_spec,
+        checkpoint_every=args.checkpoint_every,
+        max_retries=args.max_retries,
+        runtime=args.runtime,
+        spmd_timeout=args.spmd_timeout,
+    )
+    # Only the config's own checks become a usage error: a ValueError
+    # raised mid-search (a CodecError, say) still propagates.
+    try:
+        RunConfig(**options).resolve()
+    except ValueError as exc:
+        print(f"graph500: {exc}", file=sys.stderr)
+        return 2
+    result = run_graph500(
+        scale=args.scale,
+        edgefactor=args.edgefactor,
+        nbfs=args.nbfs,
+        seed=args.seed,
+        **options,
+    )
+    print(result.report())
+    # Observability artifacts describe the first (traced) search.
+    _write_obs_artifacts(args, result.searches[0], tracer, registry)
+    return 0
 
 
 def _run_query_flow(args) -> int:
@@ -371,34 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.experiment == "graph500":
-        from repro.graph500 import run_graph500
-
-        tracer, registry = _obs_handles(args)
-        result = run_graph500(
-            scale=args.scale,
-            edgefactor=args.edgefactor,
-            nprocs=args.nprocs,
-            threads=args.threads,
-            algorithm=args.algorithm or "2d",
-            machine=args.machine,
-            nbfs=args.nbfs,
-            seed=args.seed,
-            codec=args.codec,
-            sieve=args.sieve,
-            dirop_alpha=args.dirop_alpha,
-            dirop_beta=args.dirop_beta,
-            tracer=tracer,
-            metrics=registry,
-            faults=args.fault_spec,
-            checkpoint_every=args.checkpoint_every,
-            max_retries=args.max_retries,
-            runtime=args.runtime,
-            spmd_timeout=args.spmd_timeout,
-        )
-        print(result.report())
-        # Observability artifacts describe the first (traced) search.
-        _write_obs_artifacts(args, result.searches[0], tracer, registry)
-        return 0
+        return _run_graph500_flow(args)
 
     if args.experiment == "query":
         return _run_query_flow(args)

@@ -153,6 +153,17 @@ def run_graph500(
             "run_graph500 reports TEPS and therefore needs a machine model "
             "(e.g. machine='hopper'); untimed runs have no traversal time"
         )
+    # A bad config fails here, before kernel 1 spends seconds on the graph.
+    config = RunConfig(
+        algorithm=algorithm,
+        nprocs=nprocs,
+        machine=machine,
+        validate=validate,
+        tracer=tracer,
+        metrics=metrics,
+        **bfs_kwargs,
+    )
+    config.resolve()
     # Kernel 1: generation is *not* timed (spec), construction is.
     host = resolve_tracer(tracer).host
     with host.span("generate"):
@@ -172,18 +183,7 @@ def run_graph500(
 
     keys = sample_search_keys(graph, nbfs, seed=seed)
     # The benchmark's shape: distribute the graph once, search it nbfs times.
-    session = prepare(
-        graph,
-        RunConfig(
-            algorithm=algorithm,
-            nprocs=nprocs,
-            machine=machine,
-            validate=validate,
-            tracer=tracer,
-            metrics=metrics,
-            **bfs_kwargs,
-        ),
-    )
+    session = prepare(graph, config)
     searches: list[BFSResult] = []
     times, rates = [], []
     for i, key in enumerate(keys):

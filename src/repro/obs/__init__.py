@@ -10,11 +10,11 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   the same null-object pattern; engine, comm channel, fault injector
   and query steps are instrumented, and every counter reconciles
   exactly with the span/stats-derived quantities.
-* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (one track per
-  rank; open in Perfetto), the machine-readable run report, and the
-  ASCII Gantt chart of each rank's collectives (:func:`render_timeline`).
-* :mod:`~repro.obs.events` — the schema-versioned JSONL event log and
-  the collapsed-stack flamegraph exporter (speedscope/flamegraph.pl).
+* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON, the one file
+  format spans are written in (one track per rank; Perfetto and
+  speedscope open it as a flame chart), the machine-readable run report,
+  and the ASCII Gantt chart of each rank's collectives
+  (:func:`render_timeline`).
 * :mod:`~repro.obs.analysis` — per-level critical paths that sum exactly
   to the modeled makespan, load-imbalance metrics with straggler
   attribution, comm/comp decompositions (programmatic Figure 6/8), and
@@ -45,16 +45,6 @@ from repro.obs.analysis import (
     critical_path,
     load_imbalance,
     wall_table,
-)
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    collapsed_stacks,
-    load_events_jsonl,
-    run_events,
-    validate_collapsed_stacks,
-    validate_events,
-    write_events_jsonl,
-    write_flamegraph,
 )
 from repro.obs.export import (
     REPORT_SCHEMA,
@@ -109,14 +99,6 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_run_report",
-    "EVENTS_SCHEMA",
-    "collapsed_stacks",
-    "load_events_jsonl",
-    "run_events",
-    "validate_collapsed_stacks",
-    "validate_events",
-    "write_events_jsonl",
-    "write_flamegraph",
     "METRICS_SCHEMA",
     "NULL_METRICS",
     "NULL_RANK_METRICS",

@@ -107,6 +107,37 @@ class TestCli:
         assert main([name]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--events-out", "--flamegraph-out"])
+    def test_deleted_span_exports_are_usage_errors(self, flag, capsys):
+        """Spans are written to a file only as a Chrome trace
+        (``--trace-out``); the other two spellings are unknown options."""
+        with pytest.raises(SystemExit) as exc:
+            main(["graph500", flag, "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algorithm", "2d-hybrid"], "unknown algorithm '2d-hybrid'"),
+            (["--threads", "0"], "threads must be >= 1, got 0"),
+        ],
+    )
+    def test_graph500_config_errors_precede_kernel_1(
+        self, flags, message, monkeypatch, capsys
+    ):
+        """A bad config is a one-line usage error before the graph is built."""
+
+        def generate(*args, **kwargs):
+            raise AssertionError("kernel 1 ran")
+
+        monkeypatch.setattr("repro.graph500.rmat_edges", generate)
+        assert main(["graph500", "--scale", "8", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"graph500: {message}")
+        assert captured.err.count("\n") == 1
+        assert not captured.out
+
     def test_algorithm_default_is_per_flow(self):
         assert build_parser().parse_args(["graph500"]).algorithm is None
         assert build_parser().parse_args(["graph500"]).threads == 1

@@ -68,6 +68,18 @@ class TestRunGraph500:
         with pytest.raises(ValueError, match="nbfs"):
             run_graph500(scale=8, nbfs=0)
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [({"algorithm": "2d-hybrid"}, "unknown algorithm"), ({"threads": 0}, "threads")],
+    )
+    def test_bad_config_fails_before_kernel_1(self, monkeypatch, options, match):
+        def generate(*args, **kwargs):
+            raise AssertionError("kernel 1 ran")
+
+        monkeypatch.setattr("repro.graph500.rmat_edges", generate)
+        with pytest.raises(ValueError, match=match):
+            run_graph500(scale=8, nbfs=1, **options)
+
     def test_1d_algorithm_path(self):
         result = run_graph500(
             scale=10, nprocs=4, algorithm="1d", machine="franklin", nbfs=2, seed=1

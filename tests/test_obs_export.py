@@ -72,6 +72,34 @@ class TestChromeTrace:
         encodes = [e for e in trace["traceEvents"] if e.get("name") == "encode"]
         assert all(e["args"]["codec"] == "delta-varint" for e in encodes)
 
+    @pytest.mark.parametrize("algorithm", ["1d-dirop", "2d-dirop"])
+    def test_one_level_span_per_rank_and_level_with_direction(
+        self, rmat_small, algorithm
+    ):
+        result, tracer = _traced_run(rmat_small, algorithm)
+        levels = [
+            e
+            for e in chrome_trace(tracer)["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "level"
+        ]
+        keys = [(e["tid"], e["args"]["level"]) for e in levels]
+        assert len(keys) == len(set(keys)) == result.nranks * result.nlevels
+        assert all(
+            e["args"]["direction"] in ("top-down", "bottom-up") for e in levels
+        )
+
+    def test_fault_and_checkpoint_spans_reach_the_trace(self, rmat_small):
+        _result, tracer = _traced_run(
+            rmat_small, "1d", faults="timeout:level=1", checkpoint_every=2
+        )
+        trace = chrome_trace(tracer)
+        validate_chrome_trace(trace)
+        retries = [e for e in trace["traceEvents"] if e["name"] == "fault-retry"]
+        assert retries
+        assert all({"kind", "site", "attempt"} <= e["args"].keys() for e in retries)
+        assert retries[0]["args"]["kind"] == "timeout"
+        assert any(e["name"] == "checkpoint" for e in trace["traceEvents"])
+
     def test_write_is_loadable_json(self, rmat_small, tmp_path):
         _result, tracer = _traced_run(rmat_small, "1d-dirop")
         path = write_chrome_trace(tmp_path / "sub" / "trace.json", tracer)

@@ -100,10 +100,70 @@ class TestChromeTrace:
         assert retries[0]["args"]["kind"] == "timeout"
         assert any(e["name"] == "checkpoint" for e in trace["traceEvents"])
 
+    @pytest.mark.parametrize("algorithm", ["1d", "1d-dirop", "2d", "2d-dirop"])
+    def test_spans_nest_on_each_rank(self, rmat_small, algorithm):
+        """A flame chart stacks a rank's spans: on every track they start
+        in time order, and two spans either nest or are disjoint."""
+        _result, tracer = _traced_run(rmat_small, algorithm)
+        events = chrome_trace(tracer)["traceEvents"]
+        for rank in tracer.ranks:
+            spans = [e for e in events if e["ph"] == "X" and e["tid"] == rank]
+            starts = [e["ts"] for e in spans]
+            assert starts == sorted(starts)
+            open_ends: list[float] = []
+            for e in sorted(spans, key=lambda e: (e["ts"], -e["dur"])):
+                end = e["ts"] + e["dur"]
+                slack = 1e-9 * max(end, 1.0)
+                while open_ends and open_ends[-1] <= e["ts"] + slack:
+                    open_ends.pop()
+                assert not open_ends or end <= open_ends[-1] + slack, e
+                open_ends.append(end)
+
+    def test_untimed_run_exports_zero_length_spans(self, rmat_small):
+        tracer = Tracer()
+        run_bfs(rmat_small, 5, "2d", nprocs=4, tracer=tracer)
+        trace = chrome_trace(tracer)
+        validate_chrome_trace(trace)
+        timed = [e for e in trace["traceEvents"] if e["ph"] != "M"]
+        assert timed and {e["ph"] for e in timed} == {"X", "i"}
+        assert all(e["ts"] == 0.0 for e in timed)
+        assert all(e["dur"] == 0.0 for e in timed if e["ph"] == "X")
+
+    def test_metering_leaves_the_trace_unchanged(self, rmat_small):
+        from repro.obs import MetricsRegistry
+
+        _result, plain = _traced_run(rmat_small, "2d-dirop")
+        _result, metered = _traced_run(
+            rmat_small, "2d-dirop", metrics=MetricsRegistry()
+        )
+        assert chrome_trace(metered) == chrome_trace(plain)
+
     def test_write_is_loadable_json(self, rmat_small, tmp_path):
         _result, tracer = _traced_run(rmat_small, "1d-dirop")
         path = write_chrome_trace(tmp_path / "sub" / "trace.json", tracer)
         validate_chrome_trace(json.loads(path.read_text()))
+
+    def test_write_stamps_pid_on_every_event(self, rmat_small, tmp_path):
+        _result, tracer = _traced_run(rmat_small, "1d")
+        path = write_chrome_trace(tmp_path / "trace.json", tracer, pid=7)
+        trace = json.loads(path.read_text())
+        validate_chrome_trace(trace)
+        assert {e["pid"] for e in trace["traceEvents"]} == {7}
+        assert trace == json.loads(json.dumps(chrome_trace(tracer, pid=7)))
+
+    def test_validate_rejects_bad_timestamps(self):
+        span = {"ph": "X", "pid": 0, "tid": 0, "name": "x", "ts": 0.0, "dur": 1.0}
+        instant = {"ph": "i", "pid": 0, "tid": 0, "name": "x", "ts": 0.0, "s": "t"}
+        for event, match in [
+            ({**span, "ts": float("nan")}, "non-finite timestamps"),
+            ({**span, "dur": float("inf")}, "non-finite timestamps"),
+            ({**instant, "ts": -1.0}, "bad instant timestamp"),
+            ({**instant, "ts": float("inf")}, "bad instant timestamp"),
+            ({k: v for k, v in instant.items() if k != "ts"}, "missing 'ts'"),
+            ({k: v for k, v in span.items() if k != "ph"}, "missing 'ph'"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                validate_chrome_trace({"traceEvents": [event]})
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError, match="no traceEvents"):

@@ -294,6 +294,8 @@ def _run_graph500_flow(args) -> int:
     # raised mid-search (a CodecError, say) still propagates.
     try:
         RunConfig(**options).resolve()
+        if args.nbfs < 1:
+            raise ValueError(f"--nbfs must be >= 1, got {args.nbfs}")
     except ValueError as exc:
         print(f"graph500: {exc}", file=sys.stderr)
         return 2

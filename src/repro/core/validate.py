@@ -4,16 +4,22 @@ benchmark, which the paper's experiments follow).
 Checks performed by :func:`validate_bfs`:
 
 1. the source is its own parent at level 0;
-2. reachability is consistent: a vertex has a level iff it has a parent;
-3. every tree edge ``(parent[v], v)`` exists in the graph and spans
-   exactly one level;
+2. reachability is consistent: a vertex has a level iff it has a parent,
+   an unreached vertex is marked ``-1`` in both arrays, and every parent
+   is a vertex id;
+3. every tree edge ``(parent[v], v)`` exists in the graph, joins two
+   reached vertices and spans exactly one level;
 4. every graph edge connects vertices whose levels differ by at most one,
    and never a reachable to an unreachable vertex (``undirected=True``);
    on a directed graph (``undirected=False``) an edge ``u -> v`` out of a
    reached ``u`` needs only a reached ``v`` with
    ``level[v] <= level[u] + 1``;
-5. levels agree with true shortest-path distances when an oracle is
-   supplied.
+5. levels equal ``reference_levels`` when a caller supplies them.
+
+Rules 1-4 imply exact levels, so rule 5 needs no second search (the
+Graph 500 argument): parent chains descend one level per edge to the one
+level-0 vertex, the source (``level >= dist``), and rule 4 keeps a
+shortest path reached, one level per edge at most (``level <= dist``).
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ def validate_bfs(
     reference_levels: np.ndarray | None = None,
     undirected: bool = True,
 ) -> None:
-    """Raise :class:`ValidationError` on any specification violation."""
+    """Raise :class:`ValidationError` on any specification violation.
+
+    Each rule is one vectorised pass that only detects a violation; the
+    failure path then names the first offender.  ``csr``'s rows must be
+    sorted (as :func:`~repro.graphs.csr.build_csr` emits them).
+    """
     n = csr.n
     levels = np.asarray(levels)
     parents = np.asarray(parents)
@@ -48,103 +59,90 @@ def validate_bfs(
     if levels[source] != 0:
         raise ValidationError(f"source level is {levels[source]}, expected 0")
     if parents[source] != source:
-        raise ValidationError(
-            f"parents[source] = {parents[source]}, expected {source}"
-        )
+        raise ValidationError(f"parents[source] = {parents[source]}, expected {source}")
 
-    # Rule 2: levels and parents agree on reachability.
+    # Rule 2: reachability agrees (reported first), unreached is -1 / -1.
     reached = levels >= 0
-    if not np.array_equal(reached, parents >= 0):
-        bad = int(np.flatnonzero(reached != (parents >= 0))[0])
+    marked = np.where(reached, (parents >= 0) & (parents < n), (levels == -1) & (parents == -1))
+    if not marked.all():
+        disagree = reached != (parents >= 0)
+        bad = int(np.argmax(disagree) if disagree.any() else np.argmin(marked))
+        if disagree[bad]:
+            raise ValidationError(
+                f"vertex {bad}: level {levels[bad]} vs parent {parents[bad]} disagree"
+            )
         raise ValidationError(
-            f"vertex {bad}: level {levels[bad]} vs parent {parents[bad]} disagree"
+            f"vertex {bad}: level {levels[bad]} / parent {parents[bad]}, expected "
+            f"-1 / -1 or a parent in [0, {n})"
         )
 
-    # Rule 3: tree edges exist and span exactly one level.
-    tree_vertices = np.flatnonzero(reached & (np.arange(n) != source))
-    if tree_vertices.size:
-        tree_parents = parents[tree_vertices]
-        if np.any(levels[tree_parents] + 1 != levels[tree_vertices]):
-            bad = int(
-                tree_vertices[
-                    np.flatnonzero(levels[tree_parents] + 1 != levels[tree_vertices])[0]
-                ]
-            )
-            raise ValidationError(
-                f"vertex {bad} at level {levels[bad]} has parent "
-                f"{parents[bad]} at level {levels[parents[bad]]}"
-            )
-        # Edge existence, vectorized: CSR stores adjacencies sorted by
-        # (row, column), so the flat indices array under the composite key
-        # row * n + column is globally sorted and one searchsorted answers
-        # every membership query at once.  The composite key needs
-        # n^2 <= 2^63; beyond ~3e9 vertices (far past anything this
-        # simulator materializes) it would overflow.
-        if n > (1 << 31):
-            raise ValidationError(
-                f"validate_bfs supports up to 2^31 vertices, got {n}"
-            )
-        edge_keys = (
-            np.repeat(np.arange(n, dtype=np.int64), csr.degrees()) * n + csr.indices
+    # Rule 3: tree edges span one level from a reached parent (so only the
+    # source is at level 0) and exist.
+    tree = np.flatnonzero(reached)
+    tree = tree[tree != source]
+    up = parents[tree]
+    up_levels = levels[up]
+    wrong = (up_levels + 1 != levels[tree]) | (up_levels < 0)
+    if wrong.any():
+        bad = int(tree[np.argmax(wrong)])
+        raise ValidationError(
+            f"vertex {bad} at level {levels[bad]} has parent "
+            f"{parents[bad]} at level {levels[parents[bad]]}"
         )
-        query_keys = tree_parents * n + tree_vertices
-        if edge_keys.size:
-            pos = np.searchsorted(edge_keys, query_keys)
-            found = (pos < edge_keys.size) & (
-                edge_keys[np.minimum(pos, edge_keys.size - 1)] == query_keys
-            )
-        else:
-            found = np.zeros(query_keys.size, dtype=bool)
-        if not found.all():
-            bad = int(tree_vertices[np.flatnonzero(~found)[0]])
-            raise ValidationError(
-                f"tree edge ({parents[bad]}, {bad}) is not a graph edge"
-            )
+    # Edge existence: each tree vertex's lower bound in its parent's
+    # sorted row, all at once by binary lifting (one stride per step).
+    pos, end = csr.indptr[up], csr.indptr[up + 1]
+    stride = 1 << int((end - pos).max(initial=0)).bit_length()
+    while stride > 1:
+        stride >>= 1
+        probe = pos + (stride - 1)
+        below = probe < end
+        below &= csr.indices.take(probe, mode="clip") < tree
+        np.add(pos, stride, out=pos, where=below)
+    found = pos < end
+    found[found] = csr.indices[pos[found]] == tree[found]
+    if not found.all():
+        bad = int(tree[np.argmin(found)])
+        raise ValidationError(f"tree edge ({parents[bad]}, {bad}) is not a graph edge")
 
-    # Rule 4: every graph edge spans at most one level.
-    edge_src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
-    edge_dst = csr.indices
-    if undirected:
-        both = reached[edge_src] & reached[edge_dst]
-        if np.any(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1):
-            k = int(np.flatnonzero(np.abs(levels[edge_src[both]] - levels[edge_dst[both]]) > 1)[0])
-            u, v = int(edge_src[both][k]), int(edge_dst[both][k])
-            raise ValidationError(
-                f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}"
-            )
-        mixed = reached[edge_src] != reached[edge_dst]
-        if np.any(mixed):
-            k = int(np.flatnonzero(mixed)[0])
-            raise ValidationError(
-                f"edge ({edge_src[k]}, {edge_dst[k]}) connects reachable "
-                "and unreachable vertices"
-            )
+    # Rule 4: one compare per stored edge, on levels narrowed to the
+    # smallest unsigned dtype holding ``top``.  Unreached vertices read
+    # ``top - 1``, two past the deepest level: an edge leaving the reached
+    # set spans two levels, and neither ``+ 1`` nor a difference wraps.
+    top = int(levels.max()) + 3
+    narrow = np.where(reached, levels, top - 1).astype(np.min_scalar_type(top))
+    head = np.repeat(narrow, csr.degrees())
+    tail = narrow[csr.indices]
+    if undirected:  # |head - tail| > 1, in wrapping arithmetic
+        head -= tail
+        head += 1
+        bad_edges = head > 2
     else:
-        # A directed edge u -> v only bounds v from above: a back edge may
-        # climb any number of levels, but a reached u reaches v by the
-        # next level.
-        bad = reached[edge_src] & (
-            ~reached[edge_dst] | (levels[edge_dst] > levels[edge_src] + 1)
+        # u -> v bounds only v, from above, and only from a reached u (an
+        # unreached u reads top - 1); a back edge may climb any number.
+        head += 1
+        bad_edges = tail > head
+    if bad_edges.any():
+        edges = np.flatnonzero(bad_edges)
+        us = np.searchsorted(csr.indptr, edges, side="right") - 1
+        vs = csr.indices[edges]
+        spans = reached[us] & reached[vs]
+        # Undirected, an edge spanning levels is reported before a mixed one.
+        k = int(np.argmax(spans)) if undirected else 0
+        u, v = int(us[k]), int(vs[k])
+        if spans[k]:
+            raise ValidationError(f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}")
+        raise ValidationError(
+            f"edge ({u}, {v}) connects reachable and unreachable vertices" if undirected
+            else f"edge ({u}, {v}) leads from reachable vertex {u} to unreachable {v}"
         )
-        if np.any(bad):
-            k = int(np.flatnonzero(bad)[0])
-            u, v = int(edge_src[k]), int(edge_dst[k])
-            if not reached[v]:
-                raise ValidationError(
-                    f"edge ({u}, {v}) leads from reachable vertex {u} to unreachable {v}"
-                )
-            raise ValidationError(
-                f"edge ({u}, {v}) spans levels {levels[u]} -> {levels[v]}"
-            )
 
-    # Rule 5: exact distances, when an oracle is available.
-    if reference_levels is not None:
-        if not np.array_equal(levels, np.asarray(reference_levels)):
-            bad = int(np.flatnonzero(levels != reference_levels)[0])
-            raise ValidationError(
-                f"vertex {bad}: level {levels[bad]} != reference "
-                f"{reference_levels[bad]}"
-            )
+    # Rule 5, implied by 1-4: exact distances, when a caller supplies them.
+    if reference_levels is not None and not np.array_equal(levels, reference_levels):
+        bad = int(np.flatnonzero(levels != reference_levels)[0])
+        raise ValidationError(
+            f"vertex {bad}: level {levels[bad]} != reference {reference_levels[bad]}"
+        )
 
 
 def _input_edges(within: int, csr: CSR, m_input: int | None) -> int:
@@ -241,7 +239,7 @@ def count_closed_lane_edges(
     read off degrees: O(n·lanes/8) instead of a pass over the edges.
 
     A complete BFS's reached set is closed: every out-neighbour of a
-    reached vertex is reached (``validate_bfs`` rules 4-5 enforce it on
+    reached vertex is reached (``validate_bfs`` rule 4 enforces it on
     validated runs).  Every stored adjacency leaving a reached vertex
     then lies inside the component, so the count is the degree sum of
     the reached vertices: ``degrees[reached].sum()`` for one lane, one

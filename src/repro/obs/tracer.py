@@ -196,7 +196,7 @@ class Tracer:
 
     :attr:`host` records the driver's outer spans (``generate``,
     ``construct``, ``partition``, ``plan``, ``launch``, ``stitch``,
-    ``oracle``, ``validate``, ``teps``) on the wall clock alone.  They
+    ``oracle`` (queries), ``validate``, ``teps``) on the wall clock alone.  They
     stay out of :attr:`ranks`, so exports and the modeled analyses
     never see them; :func:`~repro.obs.analysis.wall_table` does.
     """

@@ -121,6 +121,8 @@ class TestCli:
         [
             (["--algorithm", "2d-hybrid"], "unknown algorithm '2d-hybrid'"),
             (["--threads", "0"], "threads must be >= 1, got 0"),
+            (["--fault-spec", "bogus:rank=1"], "unknown fault kind 'bogus'"),
+            (["--nbfs", "0"], "--nbfs must be >= 1, got 0"),
         ],
     )
     def test_graph500_config_errors_precede_kernel_1(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bfs_serial, run_bfs
-from repro.core.runner import ALGORITHMS
+from repro.core.runner import ALGORITHMS, RunConfig, prepare
 from repro.core.serial import bfs_queue
 from repro.core.validate import ValidationError, count_traversed_edges, validate_bfs
 from repro.graphs import Graph
@@ -198,6 +202,101 @@ class TestDirectedValidation:
         # 2 -> 0 comes from a vertex the search never reaches.
         csr = build_csr(3, np.array([0, 2]), np.array([1, 0]), symmetrize=False)
         validate_bfs(csr, 0, np.array([0, 1, -1]), np.array([0, 0, -1]), undirected=False)
+
+    def test_rejects_level_zero_vertex_with_unreached_parent(self):
+        # 0 -> 1 and 2 -> 3: vertex 3 claims level 0 under the unreached 2,
+        # which no edge rule sees without a reference.
+        csr = build_csr(4, np.array([0, 2]), np.array([1, 3]), symmetrize=False)
+        with pytest.raises(ValidationError, match="vertex 3 at level 0 has parent 2 at level -1"):
+            validate_bfs(
+                csr, 0, np.array([0, 1, -1, 0]), np.array([0, 0, -1, 2]), undirected=False
+            )
+
+
+def _is_bfs_output(csr, source, levels, parents):
+    """Written out vertex by vertex: ``bfs_serial``'s levels, and each
+    reached non-source vertex's parent an in-neighbour one level up."""
+    if not np.array_equal(levels, bfs_serial(csr, source)[0]):
+        return False
+    for v in range(csr.n):
+        p = int(parents[v])
+        if v == source or levels[v] < 0:
+            ok = p == (source if v == source else -1)
+        else:
+            ok = 0 <= p < csr.n and levels[p] == levels[v] - 1 and csr.has_edge(p, v)
+        if not ok:
+            return False
+    return True
+
+
+def _drop_edge(csr, k, undirected):
+    """``csr`` without stored adjacency ``k`` (and its reverse when
+    ``undirected``)."""
+    rows = np.repeat(np.arange(csr.n), csr.degrees())
+    u, v = rows[k], csr.indices[k]
+    keep = ~((rows == u) & (csr.indices == v))
+    if undirected:
+        keep &= ~((rows == v) & (csr.indices == u))
+    return build_csr(csr.n, rows[keep], csr.indices[keep], symmetrize=False)
+
+
+class TestValidationImpliesExactLevels:
+    """Rules 1-4 with no reference: an output passes iff it is a BFS
+    output, under every single corruption of a correct one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+        directed=st.booleans(),
+        data=st.data(),
+    )
+    def test_passes_iff_a_bfs_output(self, n, edges, directed, data):
+        src, dst = (np.array([e[i] % n for e in edges], dtype=np.int64) for i in (0, 1))
+        csr = build_csr(n, src, dst, symmetrize=not directed)
+        source = data.draw(st.integers(0, n - 1))
+        levels, parents = (a.copy() for a in bfs_serial(csr, source))
+        kind = data.draw(st.sampled_from(["none", "parent", "level", "edge", "arbitrary"]))
+        value = st.integers(-2, n)
+        if kind in ("parent", "level"):
+            target = parents if kind == "parent" else levels
+            target[data.draw(st.integers(0, n - 1))] = data.draw(value)
+        elif kind == "edge" and csr.nnz:
+            csr = _drop_edge(csr, data.draw(st.integers(0, csr.nnz - 1)), not directed)
+        elif kind == "arbitrary":
+            levels = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+            parents = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        try:
+            validate_bfs(csr, source, levels, parents, undirected=not directed)
+        except ValidationError:
+            passed = False
+        else:
+            passed = True
+            assert np.array_equal(levels, bfs_serial(csr, source)[0])
+        assert passed == _is_bfs_output(csr, source, levels, parents)
+
+
+class TestValidatedSearchRunsNoOracle:
+    """``validate=True`` checks a search by rules 1-4 alone: only the
+    ``serial`` entry runs ``bfs_serial``, once, as its own search."""
+
+    @pytest.mark.parametrize("algorithm", BFS_ALGORITHMS)
+    def test_bfs_serial_calls(self, algorithm, rmat_small, monkeypatch):
+        source = 7
+        reference = run_bfs(rmat_small, source, "serial")
+        session = prepare(rmat_small, RunConfig(algorithm=algorithm, nprocs=4, validate=True))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bfs_serial(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "bfs_serial", None) is bfs_serial:
+                monkeypatch.setattr(module, "bfs_serial", counted)
+        result = session.bfs(source)
+        assert len(calls) == (algorithm == "serial")
+        assert np.array_equal(result.levels, reference.levels)
 
 
 class TestTraversedEdges:

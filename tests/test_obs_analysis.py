@@ -180,7 +180,7 @@ class TestWallTable:
         assert abs(sum(table.values()) - wall) <= 0.1 * wall
         assert min(table.values()) >= 0
         assert not COMM_PHASES & set(table)
-        assert {RENDEZVOUS, "stitch", "oracle", "validate", "teps", "spmsv"} <= set(table)
+        assert {RENDEZVOUS, "stitch", "validate", "teps", "spmsv"} <= set(table)
         assert list(table.values()) == sorted(table.values(), reverse=True)
 
     def test_spans_nest_on_the_wall_clock(self, rmat_small):
@@ -228,4 +228,4 @@ class TestWallTable:
         run_graph500(scale=8, nprocs=4, algorithm="1d", nbfs=2, tracer=tracer)
         phases = [s.phase for s in tracer.host.spans]
         assert phases[:4] == ["generate", "construct", "partition", "plan"]
-        assert {"oracle", "validate"} <= set(phases)
+        assert "validate" in phases and "oracle" not in phases

@@ -26,6 +26,7 @@ import numpy as np
 
 CHILD = """
 import json, sys, time
+from dataclasses import replace
 import numpy as np
 from repro.core.runner import RunConfig, prepare
 from repro.graphs import rmat_graph
@@ -43,8 +44,7 @@ for key in keys[1:-1]:
     session.bfs(key)
     walls.append(time.perf_counter() - start)
 tracer = Tracer()
-prepare(graph, RunConfig(algorithm="1d", nprocs=nprocs, machine="hopper", validate=True,
-                         tracer=tracer)).bfs(keys[-1])
+prepare(graph, replace(config, tracer=tracer)).bfs(keys[-1])
 table = wall_table(tracer)
 print(json.dumps({"wall": float(np.median(walls)),
                   "validate": table.get("validate", 0.0),

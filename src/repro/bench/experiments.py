@@ -684,7 +684,7 @@ def comm_compress(quick: bool = False) -> Table:
         ],
     )
     for algo in algos:
-        base_time = None
+        raw_time = None
         for codec, sieve in configs:
             run = harness.average_bfs(
                 graph, algo, nprocs, HOPPER,
@@ -699,8 +699,8 @@ def comm_compress(quick: bool = False) -> Table:
             total_wire = float(np.mean(
                 [r.stats.words_sent() for r in run.results]
             ))
-            if base_time is None:
-                base_time = run.time_total
+            if raw_time is None:
+                raw_time = run.time_total
             table.add_row(
                 algo,
                 get_codec(codec).name,
@@ -710,7 +710,7 @@ def comm_compress(quick: bool = False) -> Table:
                 payload / wire if wire > 0 else 1.0,
                 total_wire,
                 run.time_total * 1e3,
-                base_time / run.time_total if run.time_total > 0 else 1.0,
+                raw_time / run.time_total if run.time_total > 0 else 1.0,
             )
     table.notes.append(
         "parents/levels are bit-identical to the serial oracle for every "
@@ -947,72 +947,6 @@ def ablation_symmetric(quick: bool = False) -> Table:
 # ---------------------------------------------------------------------------
 
 
-def ablation_faults(quick: bool = False) -> Table:
-    """Fault ablation: recovery overhead vs checkpoint interval.
-
-    Three runs per (algorithm, interval): a fault-free baseline, a
-    checkpointing-only run (pure insurance cost: the modeled snapshot
-    traffic), and a run where one rank dies mid-traversal and the driver
-    restarts from the last complete checkpoint.  Recovered parents are
-    asserted bit-identical to the baseline, so the overhead columns are
-    the whole story: denser checkpoints cost more insurance but replay
-    fewer levels after the crash.
-    """
-    scale = 12 if quick else 14
-    nprocs = 8
-    graph = rmat_graph(scale, 16, seed=23)
-    source = harness.pick_sources(graph, 1, seed=9)[0]
-    algos = ["1d"] if quick else ["1d", "1d-dirop", "2d"]
-    table = Table(
-        title=(
-            f"Fault ablation: checkpoint interval vs recovery overhead "
-            f"(R-MAT scale {scale}, {nprocs} ranks, Hopper model)"
-        ),
-        headers=[
-            "algorithm",
-            "ckpt every",
-            "ckpt overhead",
-            "crash level",
-            "resume level",
-            "recovery overhead",
-        ],
-    )
-    for algo in algos:
-        base = run_bfs(graph, source, algo, nprocs=nprocs, machine=HOPPER)
-        # Crash late so even the sparsest interval has a checkpoint to
-        # restart from (no checkpoint before the crash level = outage).
-        crash_level = max(2, base.nlevels - 1)
-        spec = f"crash:rank=1,level={crash_level}"
-        for every in (e for e in (1, 2, 4) if e < crash_level):
-            clean = run_bfs(
-                graph, source, algo, nprocs=nprocs, machine=HOPPER,
-                checkpoint_every=every,
-            )
-            recovered = run_bfs(
-                graph, source, algo, nprocs=nprocs, machine=HOPPER,
-                faults=spec, checkpoint_every=every,
-            )
-            if not np.array_equal(recovered.parents, base.parents):
-                raise AssertionError(
-                    f"{algo}: recovered parents diverge from fault-free run"
-                )
-            restore = recovered.meta["faults"]["restores"][0]
-            table.add_row(
-                algo,
-                every,
-                f"{clean.time_total / base.time_total - 1.0:+.1%}",
-                crash_level,
-                restore["resume_level"],
-                f"{recovered.time_total / base.time_total - 1.0:+.1%}",
-            )
-    table.notes.append(
-        "recovery overhead = modeled time of the crashed-and-restarted run "
-        "over the fault-free baseline; it includes the checkpoint traffic, "
-        "the lost work up to the crash, the restore, and the replayed levels"
-    )
-    return table
-
-
 def dirop_vs_topdown(quick: bool = False) -> Table:
     """Direction-optimizing 1D vs the paper's top-down 1D on R-MAT.
 
@@ -1225,7 +1159,6 @@ EXPERIMENTS: dict[str, tuple] = {
     "abl-ordering": (ablation_ordering, "ablation: locality relabeling vs randomization"),
     "abl-collectives": (ablation_collectives, "ablation: collective algorithm selection"),
     "abl-symmetric": (ablation_symmetric, "ablation: triangle-only symmetric storage"),
-    "abl-faults": (ablation_faults, "ablation: crash recovery vs checkpoint interval"),
     "query-throughput": (query_throughput, "batched multi-source query throughput (1..64 lanes)"),
 }
 

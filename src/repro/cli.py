@@ -140,38 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     group.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "deterministic fault schedule, ';'-separated "
-            "kind:key=value,... events, e.g. "
-            "'crash:rank=1,level=3;timeout:level=2;seed=7' "
-            "(kinds: crash, timeout, corrupt, delay)"
-        ),
-    )
-    group.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "snapshot traversal state every N levels so an injected crash "
-            "recovers from the last complete checkpoint (cost-modeled; "
-            "default: checkpointing off)"
-        ),
-    )
-    group.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "transient-fault retry budget per collective before the run "
-            "aborts (default: 3)"
-        ),
-    )
-    group.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
@@ -284,9 +252,6 @@ def _run_graph500_flow(args) -> int:
         dirop_beta=args.dirop_beta,
         tracer=tracer,
         metrics=registry,
-        faults=args.fault_spec,
-        checkpoint_every=args.checkpoint_every,
-        max_retries=args.max_retries,
         runtime=args.runtime,
         spmd_timeout=args.spmd_timeout,
     )
@@ -352,9 +317,6 @@ def _run_query_flow(args) -> int:
         trace=True,
         tracer=tracer,
         metrics=registry,
-        faults=args.fault_spec,
-        checkpoint_every=args.checkpoint_every,
-        max_retries=args.max_retries,
         runtime=args.runtime,
         spmd_timeout=args.spmd_timeout,
         validate=True,

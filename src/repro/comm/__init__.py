@@ -21,7 +21,7 @@ from repro.comm.codecs import (
     VertexRange,
     get_codec,
 )
-from repro.comm.sieve import Sieve, make_sieve, restore_sieve, sieve_state
+from repro.comm.sieve import Sieve, make_sieve
 
 __all__ = [
     "CODECS",
@@ -36,6 +36,4 @@ __all__ = [
     "VertexRange",
     "get_codec",
     "make_sieve",
-    "restore_sieve",
-    "sieve_state",
 ]

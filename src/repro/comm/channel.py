@@ -36,11 +36,6 @@ from repro import kernels
 from repro.comm.codecs import Codec, CodecError, VertexRange, _cut, _joined, get_codec
 from repro.comm.sieve import Sieve
 from repro.core.frontier import bitmap_words
-from repro.faults.injection import (
-    NULL_RANK_FAULTS,
-    UndetectedCorruptionError,
-    corrupt_pieces,
-)
 from repro.obs.metrics import NULL_RANK_METRICS
 from repro.obs.tracer import NULL_RANK_TRACER
 
@@ -143,7 +138,6 @@ class CommChannel:
         charger=None,
         tracer=None,
         metrics=None,
-        faults=None,
     ):
         if len(ranges) != comm.size:
             raise ValueError(
@@ -172,10 +166,6 @@ class CommChannel:
         #: the shared no-op handle when the run is unmetered.  Passive:
         #: counters never touch the clocks or the wire.
         self.metrics = metrics if metrics is not None else NULL_RANK_METRICS
-        #: Per-rank fault handle (a :class:`repro.faults.RankFaults`); the
-        #: shared no-op handle when no faults are injected.  One poll per
-        #: collective on the fault-free path — zero charges, bit parity.
-        self.faults = faults if faults is not None else NULL_RANK_FAULTS
 
     # -- internal helpers ---------------------------------------------------
     @property
@@ -213,62 +203,14 @@ class CommChannel:
             level=level,
             dropped=float(info.dropped),
         )
-        # One metrics sample per recorded attempt — the same cadence as
+        # One metrics sample per recorded collective — the same cadence as
         # record_channel, so counter totals reconcile exactly against
-        # SimStats.wire_words()/payload_words() even under fault retries.
+        # SimStats.wire_words()/payload_words().
         m = self.metrics
         m.inc("comm_exchanges", 1.0, kind=kind)
         m.inc("comm_payload_words", info.payload_words, kind=kind)
         m.inc("comm_wire_words", info.wire_words, kind=kind)
         m.observe("comm_wire_words_per_exchange", info.wire_words, kind=kind)
-
-    def _collect_with_retry(
-        self, site, info, level, do_collective, decode_one, corrupt_mode
-    ):
-        """Run one collective under the fault layer's retry loop.
-
-        The retry decision is a pure query of the shared fault plan
-        (``faults.poll``), consulted identically by every rank, so either
-        all ranks commit an attempt or all ranks absorb the fault and
-        retry — the collective sequence never diverges.  A ``timeout``
-        fault suppresses the attempt entirely (the collective never
-        completes, no buffers move, nothing is recorded); a ``corrupt``
-        fault lets the collective run, proves on the victim that the
-        codec rejects the damaged wire, then drops the attempt on every
-        rank.  Fault charges land on ``fault_time``, not compute or MPI.
-        """
-        attempt = 0
-        while True:
-            fault = self.faults.poll(site, level, attempt)
-            if fault is not None and fault[1].kind == "timeout":
-                self.faults.absorb(*fault, site, level, attempt)
-                attempt += 1
-                continue
-            self._record(site, info, level)
-            with self.obs.span(site, level=level, wire_words=info.wire_words):
-                pieces = do_collective()
-            if fault is None:
-                return pieces
-            if self.faults.is_corruption_victim(fault[1]):
-                self._verify_corruption(pieces, decode_one, corrupt_mode, site, level)
-            self.faults.absorb(*fault, site, level, attempt)
-            attempt += 1
-
-    def _verify_corruption(self, pieces, decode_one, mode, site, level) -> None:
-        """Damage one received piece and assert the codec rejects it."""
-        hit = corrupt_pieces(pieces, mode)
-        if hit is None:
-            return  # nothing on the wire to damage this attempt
-        index, bad = hit
-        try:
-            decode_one(index, bad)
-        except CodecError:
-            self.comm.count(fault_corruptions=1.0)
-            return
-        raise UndetectedCorruptionError(
-            f"{self.codec.name} codec decoded a corrupted {site} buffer "
-            f"at level {level}"
-        )
 
     # -- candidate pair exchange (1D top-down, 2D fold) ---------------------
     def pack_pairs(
@@ -340,14 +282,9 @@ class CommChannel:
         ``unpack_pairs`` under the raw codec.
         """
         ctx = self.ranges[self.comm.rank]
-        pieces = self._collect_with_retry(
-            "alltoallv",
-            info,
-            level,
-            lambda: self.comm.alltoallv(send),
-            lambda _r, piece: self.codec.decode_pairs(piece, ctx),
-            "truncate",
-        )
+        self._record("alltoallv", info, level)
+        with self.obs.span("alltoallv", level=level, wire_words=info.wire_words):
+            pieces = self.comm.alltoallv(send)
         with self.obs.span("decode", codec=self.codec.name):
             rv, rp = self.codec.decode_pairs_many(pieces, ctx)
             self._charge_decode(
@@ -462,14 +399,9 @@ class CommChannel:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All-to-all the packed triple buffers and decode what arrives."""
         ctx = self.ranges[self.comm.rank]
-        pieces = self._collect_with_retry(
-            "alltoallv",
-            info,
-            level,
-            lambda: self.comm.alltoallv(send),
-            lambda _r, piece: self._decode_triples([piece], ctx),
-            "truncate",
-        )
+        self._record("alltoallv", info, level)
+        with self.obs.span("alltoallv", level=level, wire_words=info.wire_words):
+            pieces = self.comm.alltoallv(send)
         with self.obs.span("decode", codec=self.codec.name):
             rt, rv, rx = self._decode_triples(pieces, ctx)
             self._charge_decode(
@@ -506,14 +438,9 @@ class CommChannel:
             buf = self.codec.encode_set(vertices, mine, dense=True)
             self._charge_encode(float(vertices.size), payload, float(buf.size))
         info = ExchangeInfo(int(vertices.size), payload, float(buf.size), 0)
-        pieces = self._collect_with_retry(
-            "allgatherv",
-            info,
-            level,
-            lambda: self.comm.allgatherv(buf, concat=False),
-            lambda r, piece: self.codec.decode_set(piece, self.ranges[r], dense=True),
-            "truncate",
-        )
+        self._record("allgatherv", info, level)
+        with self.obs.span("allgatherv", level=level, wire_words=info.wire_words):
+            pieces = self.comm.allgatherv(buf, concat=False)
         with self.obs.span("decode", codec=self.codec.name):
             base = min(r.lo for r in self.ranges)
             top = max(r.lo + r.nbits for r in self.ranges)
@@ -550,17 +477,9 @@ class CommChannel:
         info = ExchangeInfo(
             int(vertices.size), float(vertices.size), float(buf.size), 0
         )
-        # Truncating a raw vertex list yields a shorter-but-valid list, so
-        # sparse-list sites smash the first word: a range-checked id, or
-        # the tag in front of every ``auto`` body.
-        pieces = self._collect_with_retry(
-            "allgatherv",
-            info,
-            level,
-            lambda: self.comm.allgatherv(buf, concat=False),
-            lambda r, piece: self.codec.decode_set(piece, self.ranges[r], dense=False),
-            "smash",
-        )
+        self._record("allgatherv", info, level)
+        with self.obs.span("allgatherv", level=level, wire_words=info.wire_words):
+            pieces = self.comm.allgatherv(buf, concat=False)
         with self.obs.span("decode", codec=self.codec.name):
             decoded = [
                 self.codec.decode_set(piece, self.ranges[r], dense=False)

@@ -62,10 +62,9 @@ class CodecError(ValueError):
     Every decoder raises this — never silently decodes wrong vertex
     ids — when the buffer is structurally inconsistent: truncated
     headers or streams, count mismatches, unknown dispatch tags, or
-    decoded ids outside the range both endpoints agreed on.  The fault
-    layer (:mod:`repro.faults`) relies on this contract to catch
-    injected wire corruption inside :class:`~repro.comm.channel.CommChannel`
-    and retry the collective.
+    decoded ids outside the range both endpoints agreed on.  The range
+    check is an input check on decode: a damaged or hostile buffer is
+    rejected before any id it carries can index a rank's arrays.
     """
 
 

@@ -55,17 +55,3 @@ def make_sieve(sieve: bool | Sieve | None, nglobal: int) -> Sieve | None:
     if isinstance(sieve, Sieve):
         return sieve
     return Sieve(nglobal) if sieve else None
-
-
-def sieve_state(sieve: Sieve | None) -> dict:
-    """The sieve's dedup epoch, as checkpoint state entries."""
-    if sieve is None:
-        return {}
-    return {"sieve_seen": sieve.seen, "sieve_dropped": sieve.dropped}
-
-
-def restore_sieve(sieve: Sieve | None, snapshot: dict) -> None:
-    """Rewind a sieve to a checkpointed epoch (no-op without one)."""
-    if sieve is not None and "sieve_seen" in snapshot:
-        sieve.seen[:] = snapshot["sieve_seen"]
-        sieve.dropped = int(snapshot["sieve_dropped"])

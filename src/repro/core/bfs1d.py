@@ -14,8 +14,8 @@ Each rank owns a block of vertices and their adjacencies.  A BFS level:
 
 Only the level *interior* lives here: :class:`TopDown1D` is a
 :class:`~repro.core.engine.Step1D` plugin — the partition, channel and
-array scaffold is the base's — and the level loop, crash markers,
-checkpointing and result marshaling are the
+array scaffold is the base's — and the level loop, per-level
+profile and result marshaling are the
 :class:`~repro.core.engine.TraversalEngine`'s.  Launch it as
 ``run_spmd(nranks, traversal_body, TopDown1D, (csr, source), kwargs)``.
 """

@@ -21,7 +21,7 @@ reproduces the load-imbalanced diagonal-only distribution of Figure 4.
 
 Only the level *interior* lives here: :class:`SpMSV2D` is an
 :class:`~repro.core.engine.AlgorithmStep` plugin, and the level loop,
-crash markers, checkpointing and result marshaling are the
+per-level profile and result marshaling are the
 :class:`~repro.core.engine.TraversalEngine`'s.  Launch it as
 ``run_spmd(nranks, traversal_body, SpMSV2D, (blocks, decomp, source),
 kwargs)`` with ``blocks`` from :func:`build_2d_blocks` on the same
@@ -35,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.comm import (
-    CommChannel,
-    ExchangeInfo,
-    VertexRange,
-    make_sieve,
-    restore_sieve,
-    sieve_state,
-)
+from repro.comm import CommChannel, ExchangeInfo, VertexRange, make_sieve
 from repro.core.engine import LevelOutcome, TraversalEngine
 from repro.core.frontier import dedup_candidates
 from repro.core.partition import Decomp2D
@@ -181,9 +174,8 @@ class SpMSV2D:
         # vector piece along my processor row; every expand contribution
         # lies inside my grid column's block (contributions are disjoint,
         # so per-piece decode + concat is exact).  Both channels share one
-        # sieve — a vertex observed discovered through the expand never
-        # needs folding again — and one fault view, so a transient
-        # scheduled on either collective site fires exactly once.
+        # sieve: a vertex observed discovered through the expand never
+        # needs folding again.
         self.sieve = make_sieve(self.sieve, decomp.n)
         row_ranges = [
             VertexRange(vlo, vhi - vlo)
@@ -193,16 +185,14 @@ class SpMSV2D:
         ]
         self.row_channel = CommChannel(
             grid.row_comm, row_ranges, codec=self.codec, sieve=self.sieve,
-            charger=engine.charger, tracer=engine.obs,
-            metrics=engine.metrics, faults=engine.faults,
+            charger=engine.charger, tracer=engine.obs, metrics=engine.metrics,
         )
         col_ranges = [
             VertexRange(self.col_lo, self.col_hi - self.col_lo)
         ] * grid.col_comm.size
         self.col_channel = CommChannel(
             grid.col_comm, col_ranges, codec=self.codec, sieve=self.sieve,
-            charger=engine.charger, tracer=engine.obs,
-            metrics=engine.metrics, faults=engine.faults,
+            charger=engine.charger, tracer=engine.obs, metrics=engine.metrics,
         )
 
         self.levels = np.full(self.nloc, -1, dtype=np.int64)
@@ -224,8 +214,7 @@ class SpMSV2D:
         return (self.plo, self.phi)
 
     def initial_sync(self) -> int:
-        self.total = self.comm.allreduce(int(self.frontier.size))
-        return self.total
+        return self.comm.allreduce(int(self.frontier.size))
 
     def begin_level(self, level: int) -> dict:
         return {"level": level}
@@ -355,14 +344,5 @@ class SpMSV2D:
         return xinfo
 
     def termination_sync(self) -> int:
-        self.total = self.comm.allreduce(int(self.frontier.size))
-        return self.total
-
-    def state(self) -> dict:
-        return {"total": self.total, **sieve_state(self.sieve)}
-
-    def restore(self, snapshot: dict) -> int:
-        restore_sieve(self.sieve, snapshot)
-        self.total = int(snapshot["total"])
-        return self.total
+        return self.comm.allreduce(int(self.frontier.size))
 

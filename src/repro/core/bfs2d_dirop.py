@@ -31,15 +31,14 @@ a *bottom-up* sweep inside the same processor grid:
 Direction choice is collective and deterministic, and is DirOpt1D's:
 :class:`~repro.core.bfs_dirop.DirectionSwitch` carries the global
 frontier size, its incident-edge count and the unexplored-edge count on
-the level-closing ``Allreduce``, applies the shared ``alpha``/``beta``
-predicates in lockstep, and checkpoints the switching hysteresis, so a
-restarted attempt resumes with the same decisions.
+the level-closing ``Allreduce`` and applies the shared ``alpha``/``beta``
+predicates in lockstep.
 
 Only the level *interior* lives here: :class:`DirOpt2D` is an
 :class:`~repro.core.engine.AlgorithmStep` plugin subclassing
 :class:`~repro.core.bfs2d.SpMSV2D` (top-down levels run the parent's
 transpose/expand/SpMSV/fold phases unchanged); the level loop,
-crash markers and checkpoint plumbing are the
+per-level profile and result marshaling are the
 :class:`~repro.core.engine.TraversalEngine`'s.
 """
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.comm import restore_sieve, sieve_state
 from repro.core.bfs1d import TopDown1D
 from repro.core.engine import LevelOutcome, TraversalEngine
 from repro.core.frontier import (
@@ -61,10 +60,8 @@ class DirectionSwitch:
     a ``_bottomup_step``; call :meth:`init_direction` at the end of
     ``setup``.  The flip happens in :meth:`begin_level` from collective
     state only (every rank flips in lockstep without extra
-    communication), the termination ``Allreduce`` carries the three
-    frontier-density statistics the predicates need, and checkpoints
-    carry the switch hysteresis so a restarted attempt resumes with the
-    same decisions.
+    communication), and the termination ``Allreduce`` carries the three
+    frontier-density statistics the predicates need.
     """
 
     #: Whether a bottom-up sweep may run at all.
@@ -133,25 +130,6 @@ class DirectionSwitch:
 
     def termination_sync(self) -> int:
         self._sync_stats()
-        return self.g_front
-
-    def state(self) -> dict:
-        return {
-            "direction": self.direction,
-            "unexplored_edges": self.unexplored_edges,
-            "g_front": self.g_front,
-            "g_fedges": self.g_fedges,
-            "g_unexplored": self.g_unexplored,
-            **sieve_state(self.sieve),
-        }
-
-    def restore(self, snapshot: dict) -> int:
-        restore_sieve(self.sieve, snapshot)
-        self.direction = snapshot["direction"]
-        self.unexplored_edges = int(snapshot["unexplored_edges"])
-        self.g_front = int(snapshot["g_front"])
-        self.g_fedges = int(snapshot["g_fedges"])
-        self.g_unexplored = int(snapshot["g_unexplored"])
         return self.g_front
 
 

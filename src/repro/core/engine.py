@@ -7,22 +7,16 @@ Everything around the level is shared scaffolding, and this module owns
 all of it:
 
 * rank-local setup: the :class:`~repro.model.costmodel.Charger`, the
-  rank's span tracer, and the rank's fault handle (algorithm plugins add
-  their partitions and :class:`~repro.comm.CommChannel` wire layers on
-  top in :meth:`AlgorithmStep.setup`; :class:`Step1D` does it once for
-  every owner-partitioned plugin);
-* the crash-cooperative level loop: every rank observes a scheduled
-  crash at the same level boundary and returns a crash marker instead of
-  aborting, so clocks, spans, and the checkpoint store stay
-  deterministic for the recovery driver;
-* checkpoint restore and save, including algorithm-declared extra state
-  (sieve epoch, direction-optimizing hysteresis) via the
-  :meth:`AlgorithmStep.state` / :meth:`AlgorithmStep.restore` protocol;
+  rank's span tracer and metrics handle (algorithm plugins add their
+  partitions and :class:`~repro.comm.CommChannel` wire layers on top in
+  :meth:`AlgorithmStep.setup`; :class:`Step1D` does it once for every
+  owner-partitioned plugin);
+* the level loop and its per-level metrics;
 * the per-level trace-profile records behind ``run_bfs(..., trace=True)``;
 * the level-closing ``sync``/``allreduce`` spans around the termination
   test;
 * result marshaling (vertex range, local levels/parents, level count,
-  crash marker, trace).
+  trace).
 
 An algorithm is a plugin: a class implementing :class:`AlgorithmStep`
 whose :meth:`~AlgorithmStep.step` runs one level and reports a
@@ -46,20 +40,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.comm import (
-    CommChannel,
-    VertexRange,
-    make_sieve,
-    restore_sieve,
-    sieve_state,
-)
+from repro.comm import CommChannel, VertexRange, make_sieve
 from repro.core.partition import Partition1D
-from repro.faults import (
-    RankCrashError,
-    resolve_rank_faults,
-    restore_checkpoint,
-    save_checkpoint,
-)
 from repro.model.costmodel import Charger
 from repro.obs.metrics import resolve_metrics
 from repro.obs.tracer import resolve_tracer
@@ -103,9 +85,8 @@ class AlgorithmStep(Protocol):
     Lifecycle per rank::
 
         step.setup(engine)                  # partition, channels, arrays
-        step.restore(snapshot) | step.initial_sync()
+        step.initial_sync()
         repeat:  step.begin_level(L); step.step(L); step.termination_sync()
-        checkpoint:  step.state() merged into the engine's base snapshot
     """
 
     #: Result-dict keys naming the owned vertex range (``("lo", "hi")``
@@ -138,9 +119,9 @@ class AlgorithmStep(Protocol):
     def begin_level(self, level: int) -> dict:
         """Per-level pre-span work; returns the level span's attributes.
 
-        Runs after the crash check and before the ``level`` span opens —
-        the direction-optimizing plugin flips its traversal direction
-        here, from collective state only (no communication).
+        Runs before the ``level`` span opens — the direction-optimizing
+        plugin flips its traversal direction here, from collective state
+        only (no communication).
         """
         ...
 
@@ -152,18 +133,6 @@ class AlgorithmStep(Protocol):
         """The level-closing Allreduce; returns the termination count."""
         ...
 
-    def state(self) -> dict:
-        """Algorithm-declared checkpoint state beyond the engine's base
-        (``levels``/``parents``/``frontier``): the sieve's dedup epoch,
-        direction hysteresis, cached termination counts."""
-        ...
-
-    def restore(self, snapshot: dict) -> int | None:
-        """Restore :meth:`state` entries from a checkpoint snapshot;
-        returns the termination count as of the checkpointed level (or
-        ``None`` when the algorithm does not checkpoint one)."""
-        ...
-
 
 class Step1D:
     """The owner-partitioned (1D) step scaffold, written once.
@@ -173,11 +142,10 @@ class Step1D:
     over the world communicator.  :meth:`setup` builds that — partition,
     owned range, channel, ``-1``-filled ``levels``/``parents`` and an
     empty ``frontier`` — and the remaining hooks default to Algorithm 2's
-    choices: level 1 always runs, the level span carries its number,
-    termination is an ``Allreduce`` of the new-frontier size, and a
-    checkpoint adds the sieve's dedup epoch (nothing when the plugin runs
-    without one).  A subclass seeds its sources after ``super().setup()``
-    and writes :meth:`~AlgorithmStep.step`.
+    choices: level 1 always runs, the level span carries its number, and
+    termination is an ``Allreduce`` of the new-frontier size.  A subclass
+    seeds its sources after ``super().setup()`` and writes
+    :meth:`~AlgorithmStep.step`.
     """
 
     result_keys = ("lo", "hi")
@@ -209,7 +177,6 @@ class Step1D:
             charger=engine.charger,
             tracer=engine.obs,
             metrics=engine.metrics,
-            faults=engine.faults,
         )
         self.levels = np.full(self.nloc, -1, dtype=np.int64)
         self.parents = np.full(self.nloc, -1, dtype=np.int64)
@@ -229,13 +196,6 @@ class Step1D:
     def termination_sync(self) -> int:
         return self.comm.allreduce(int(self.frontier.size))
 
-    def state(self) -> dict:
-        return sieve_state(self.sieve)
-
-    def restore(self, snapshot: dict) -> int | None:
-        restore_sieve(self.sieve, snapshot)
-        return None
-
 
 def traversal_body(
     comm,
@@ -247,9 +207,6 @@ def traversal_body(
     trace: bool = False,
     tracer=None,
     metrics=None,
-    faults=None,
-    checkpoint=None,
-    resume_level: int | None = None,
 ) -> dict:
     """Generic SPMD rank body: build one step plugin and run the engine.
 
@@ -269,9 +226,6 @@ def traversal_body(
         trace=trace,
         tracer=tracer,
         metrics=metrics,
-        faults=faults,
-        checkpoint=checkpoint,
-        resume_level=resume_level,
     ).run()
 
 
@@ -281,13 +235,13 @@ class TraversalEngine:
     One engine instance is one rank's traversal: it is constructed
     inside the SPMD body with the rank's communicator and the run's
     cross-cutting options, builds the rank-local scaffold (charger,
-    tracer handle, fault handle), delegates the per-level work to the
+    tracer and metrics handles), delegates the per-level work to the
     ``step`` plugin, and marshals the rank's result dict.
 
-    Behavior contract: results, modeled times, spans, checkpoints and
-    fault recovery are bit-identical to the pre-engine hand-rolled
-    loops — ``tests/test_golden_parity.py`` locks this in against
-    committed fixtures.
+    Behavior contract: results, modeled times and spans are
+    bit-identical to the pre-engine hand-rolled loops —
+    ``tests/test_golden_parity.py`` locks this in against committed
+    fixtures.
     """
 
     def __init__(
@@ -299,16 +253,11 @@ class TraversalEngine:
         trace: bool = False,
         tracer=None,
         metrics=None,
-        faults=None,
-        checkpoint=None,
-        resume_level: int | None = None,
     ):
         self.comm = comm
         self.step = step
         self.threads = threads
         self.trace = trace
-        self.checkpoint = checkpoint
-        self.resume_level = resume_level
         self.charger = Charger(
             comm, machine=machine, threads=threads, **step.charger_kwargs
         )
@@ -316,45 +265,16 @@ class TraversalEngine:
         # Passive like the tracer: metrics read outcomes but never touch
         # the virtual clocks, so a metered run stays bit-identical.
         self.metrics = resolve_metrics(metrics).for_rank(comm)
-        self.faults = resolve_rank_faults(
-            faults, comm, self.charger.machine, self.obs, self.metrics
-        )
 
     def run(self) -> dict:
         """Execute the traversal; returns the rank's result dict."""
-        comm, step, obs, charger = self.comm, self.step, self.obs, self.charger
-        metrics = self.metrics
+        step, obs, charger, metrics = self.step, self.obs, self.charger, self.metrics
         step.setup(self)
 
         level = 1
-        if self.resume_level is not None:
-            snap = restore_checkpoint(
-                self.checkpoint, comm, charger, obs, self.resume_level
-            )
-            step.levels[:] = snap["levels"]
-            step.parents[:] = snap["parents"]
-            step.frontier = snap["frontier"].copy()
-            term = step.restore(snap)
-            level = self.resume_level + 1
-            metrics.inc("checkpoint_restores")
-        else:
-            term = step.initial_sync()
-
+        term = step.initial_sync()
         level_trace: list[dict] = []
-        crashed = None
-        while True:
-            if term is not None and term == 0:
-                break
-            # Cooperative failure detection: every rank observes a
-            # scheduled crash at the same level boundary and returns a
-            # crash marker — no engine abort, so clocks, spans, and the
-            # checkpoint store stay deterministic for the recovery
-            # driver to restart from.
-            try:
-                self.faults.on_level_start(level)
-            except RankCrashError as crash:
-                crashed = crash
-                break
+        while term != 0:  # None (no pre-loop test) runs level 1
             frontier_in = int(step.frontier.size)
             level_attrs = step.begin_level(level)
             with obs.span("level", **level_attrs):
@@ -394,23 +314,6 @@ class TraversalEngine:
                     charger.level_overhead()
                     with obs.span("allreduce"):
                         term = step.termination_sync()
-
-                # The termination Allreduce just made the level complete
-                # on every rank — the globally-consistent point a
-                # snapshot must cover.
-                if (
-                    self.checkpoint is not None
-                    and term > 0
-                    and self.checkpoint.due(level)
-                ):
-                    state = {
-                        "levels": step.levels,
-                        "parents": step.parents,
-                        "frontier": step.frontier,
-                    }
-                    state.update(step.state())
-                    save_checkpoint(self.checkpoint, comm, charger, obs, level, state)
-                    metrics.inc("checkpoint_saves")
             level += 1
 
         lo_key, hi_key = step.result_keys
@@ -422,8 +325,6 @@ class TraversalEngine:
             "parents": step.parents,
             "nlevels": level - 1,
         }
-        if crashed is not None:
-            result["crashed"] = crashed
         if self.trace:
             result["trace"] = level_trace
         return result

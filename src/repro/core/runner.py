@@ -36,13 +36,6 @@ from repro.core.engine import traversal_body
 from repro.core.partition import Decomp2D
 from repro.core.serial import bfs_serial
 from repro.core.validate import count_closed_lane_edges, lane_words, validate_bfs
-from repro.faults import (
-    CheckpointConfig,
-    CheckpointStore,
-    FaultContext,
-    RetryPolicy,
-    resolve_fault_plan,
-)
 from repro.graphs.graph import Graph
 from repro.model.costmodel import DIROP_ALPHA, DIROP_BETA, NetworkCostModel
 from repro.model.machine import get_machine
@@ -136,8 +129,6 @@ class AlgorithmSpec:
     * ``"wire"`` — exchanges route through :mod:`repro.comm`
       (``codec``/``sieve`` apply);
     * ``"tracer"`` — instrumented with :mod:`repro.obs` phase spans;
-    * ``"faults"`` — fault/checkpoint instrumentation
-      (``faults``/``checkpoint_every``/``max_retries`` apply);
     * ``"trace-profile"`` — per-level profile under
       ``result.meta["level_profile"]`` when ``trace=True``;
     * ``"threads"`` — models ``threads > 1`` intra-node threads per rank
@@ -162,7 +153,7 @@ class AlgorithmSpec:
 
 
 #: Everything the engine provides to its step plugins.
-ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "faults", "trace-profile"})
+ENGINE_CAPABILITIES = frozenset({"wire", "tracer", "trace-profile"})
 
 #: The engine's capabilities plus intra-node threading.
 THREADED_CAPABILITIES = ENGINE_CAPABILITIES | {"threads"}
@@ -180,8 +171,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
     "2d-dirop": AlgorithmSpec(DirOpt2D, THREADED_CAPABILITIES, prepare=_plan_2d_dirop),
     "pbgl": AlgorithmSpec(prepare=partial(_plan_baseline, bfs_pbgl_like)),
     "graph500-ref": AlgorithmSpec(prepare=partial(_plan_baseline, bfs_graph500_ref)),
-    # The batched query (Session.query); its checkpoint snapshots the
-    # full lane words.
+    # The batched query (Session.query).
     "msbfs-1d": AlgorithmSpec(MSBFS1D, ENGINE_CAPABILITIES, "msbfs", _plan_msbfs),
 }
 
@@ -331,28 +321,11 @@ class RunConfig:
         Optional :class:`~repro.obs.Tracer` recording nested per-rank,
         per-level phase spans in virtual time, and optional
         :class:`~repro.obs.MetricsRegistry` recording typed labeled
-        counters/gauges/histograms from the engine, comm channel and
-        fault layer (1d/2d families only).  Both are passive — stats stay
+        counters/gauges/histograms from the engine and comm channel
+        (1d/2d families only).  Both are passive — stats stay
         bit-identical — and are stored in ``result.meta["tracer"]`` /
         ``result.meta["metrics"]`` so :func:`repro.obs.run_report` and
         :func:`repro.obs.write_chrome_trace` can find them.
-    faults:
-        Deterministic fault schedule for the run: a ``--fault-spec``
-        string (``"crash:rank=1,level=3;timeout:level=2;seed=7"``), a
-        :class:`~repro.faults.FaultEvent`, or a
-        :class:`~repro.faults.FaultPlan`.  Transient faults
-        (timeout/corrupt) are absorbed by the comm channel's retry loop;
-        a crash aborts the SPMD run, and — when checkpointing is on —
-        the driver restarts it from the last complete checkpoint on a
-        continuous virtual timeline.  1d/2d families only.
-    checkpoint_every:
-        Snapshot every N levels (level-granular checkpoint/restart); the
-        save/restore traffic is charged by the cost model.  ``None``
-        disables checkpointing, so an injected crash aborts the run.
-    max_retries:
-        Per-collective transient-retry budget (default
-        :class:`~repro.faults.RetryPolicy`'s 3); a fault schedule denser
-        than the budget raises ``RetryExhaustedError``.
     sources:
         The batched query's source batch (``msbfs-1d`` only): up to 64
         integer vertex ids in the caller's labels.
@@ -377,9 +350,6 @@ class RunConfig:
     spmd_timeout: float | None = None
     tracer: object = None
     metrics: object = None
-    faults: object = None
-    checkpoint_every: int | None = None
-    max_retries: int | None = None
     sources: tuple = ()
 
     def __post_init__(self):
@@ -404,15 +374,6 @@ class RunConfig:
     @property
     def spec(self) -> AlgorithmSpec:
         return ALGORITHMS[self.algorithm]
-
-    @property
-    def resilient(self) -> bool:
-        """Whether any fault/checkpoint/retry option is active."""
-        return (
-            self.faults is not None
-            or self.checkpoint_every is not None
-            or self.max_retries is not None
-        )
 
     def resolve(self):
         """Validate cross-field constraints; return the resolved machine."""
@@ -442,12 +403,6 @@ class RunConfig:
                 f"{self.algorithm} is not instrumented for metrics; "
                 "metrics applies to the 1d/2d families only"
             )
-        if self.resilient and "faults" not in spec.capabilities:
-            raise ValueError(
-                f"{self.algorithm} has no fault/checkpoint instrumentation; "
-                "faults/checkpoint_every/max_retries apply to the 1d/2d families only"
-            )
-        resolve_fault_plan(self.faults)  # a bad fault spec fails here, not at launch
         self._check_query_fields(spec)
         return machine
 
@@ -529,11 +484,11 @@ class Session:
         src_internal = int(np.asarray(graph.to_internal(source)))
         if self.plan is None:  # the serial reference launches nothing
             levels_int, parents_int = bfs_serial(graph.csr, src_internal)
-            spmd = fault_meta = None
+            spmd = None
             returns = [dict(lo=0, hi=graph.n, levels=levels_int, parents=parents_int,
                             nlevels=max(int(levels_int.max()), 0))]
         else:
-            spmd, fault_meta = self.launch(src_internal)
+            spmd = self.launch(src_internal)
             returns = spmd.returns
         check = None
         if config.validate:  # validate_bfs reads internal labels: keep a copy
@@ -562,7 +517,6 @@ class Session:
             m_traversed=m_traversed,
             stats=spmd.stats if spmd is not None else None,
             meta=self.meta(
-                fault_meta,
                 self.level_profile(spmd),
                 dirop_alpha=DIROP_ALPHA if config.dirop_alpha is None else config.dirop_alpha,
                 dirop_beta=DIROP_BETA if config.dirop_beta is None else config.dirop_beta,
@@ -581,9 +535,9 @@ class Session:
 
     # -- the shared launch -> stitch -> report path --------------------------
     def launch(self, seed):
-        """One resilient SPMD run of the prepared family from ``seed``
-        (an internal source id or a lane batch); returns ``(SpmdResult,
-        fault_meta | None)``."""
+        """One SPMD run of the prepared family from ``seed`` (an internal
+        source id or a lane batch); returns its
+        :class:`~repro.runtime.SpmdResult`."""
         plan, config = self.plan, self.config
         args = plan.args + (seed,)
         if self.spec.step is None:  # the baselines bring their own rank body
@@ -598,12 +552,11 @@ class Session:
                 tracer=config.tracer,
                 metrics=config.metrics,
             )
-        spawn = partial(
-            run_spmd, plan.nranks, body, *args, cost_model=self.cost_model,
-            runtime=config.runtime, timeout=config.spmd_timeout, **kwargs,
-        )
         with self.host.span("launch"):
-            return _run_resilient(spawn, plan.nranks, config)
+            return run_spmd(
+                plan.nranks, body, *args, cost_model=self.cost_model,
+                runtime=config.runtime, timeout=config.spmd_timeout, **kwargs,
+            )
 
     def stitch(self, returns, check=None):
         """Write each rank's slice straight into fresh caller-label
@@ -645,7 +598,7 @@ class Session:
             return _merge_traces([r["trace"] for r in spmd.returns])
         return None
 
-    def meta(self, fault_meta, level_profile, **extra) -> dict:
+    def meta(self, level_profile, **extra) -> dict:
         """The ``result.meta`` every kind reports, plus its ``extra`` keys."""
         config = self.config
         return {
@@ -659,7 +612,6 @@ class Session:
             "level_profile": level_profile,
             "tracer": config.tracer,
             "metrics": config.metrics,
-            "faults": fault_meta,
             **(self.plan.meta if self.plan is not None else {}),
             **extra,
         }
@@ -695,106 +647,6 @@ def run_bfs(graph: Graph, source: int, algorithm: str = "1d", **options) -> BFSR
     return run(graph, source, RunConfig(algorithm=algorithm, **options))
 
 
-#: Counters the resilience layer books on the rank clocks; accumulated
-#: across restart attempts (a failed attempt's checkpoints and retries
-#: are real modeled work the report must not drop).
-_FAULT_COUNTERS = (
-    "fault_retries",
-    "fault_delays",
-    "fault_corruptions",
-    "checkpoints",
-    "checkpoint_words",
-    "restores",
-    "restore_words",
-)
-
-
-def _run_resilient(spawn: Callable, nranks: int, config: RunConfig):
-    """Launch an SPMD BFS (``spawn`` is the bound ``run_spmd`` call) with
-    the run's fault plan armed.
-
-    The fast path (no resilience options) is the plain ``spawn()``.
-    Otherwise the fault plan and checkpoint store are built once and the
-    launch loops: a permanent rank crash is observed cooperatively by
-    every rank at the level boundary (the engine returns a ``"crashed"``
-    marker, so the SPMD run completes normally with deterministic clocks
-    and spans); with checkpointing on, the crash event is marked consumed
-    and the run restarts from the last complete checkpoint (or from the
-    source when the crash predates the first one), ``base_time``
-    continuing the failed attempt's virtual timeline.  A crash with
-    checkpointing disabled raises the
-    :class:`~repro.faults.RankCrashError` — a clean abort, never a hang.
-
-    Returns ``(SpmdResult, fault_meta | None)``.
-    """
-    if not config.resilient:
-        return spawn(), None
-
-    checkpoint_every, max_retries = config.checkpoint_every, config.max_retries
-    plan = resolve_fault_plan(config.faults)
-    if len(plan) and plan.max_rank() >= nranks:
-        raise ValueError(
-            f"fault plan targets rank {plan.max_rank()} "
-            f"but the run has only {nranks} ranks"
-        )
-    retry = RetryPolicy() if max_retries is None else RetryPolicy(max_retries=max_retries)
-    fault_ctx = FaultContext(plan, retry)
-    checkpoint = (
-        CheckpointConfig(CheckpointStore(nranks), every=checkpoint_every)
-        if checkpoint_every is not None
-        else None
-    )
-
-    counters = dict.fromkeys(_FAULT_COUNTERS, 0.0)
-
-    def accumulate(stats):
-        for name in _FAULT_COUNTERS:
-            counters[name] += stats.counter(name)
-
-    restores: list[dict] = []
-    attempts = 1
-    resume = None
-    base = 0.0
-    while True:
-        spmd = spawn(
-            base_time=base, faults=fault_ctx, checkpoint=checkpoint, resume_level=resume
-        )
-        crashes = (r["crashed"] for r in spmd.returns if isinstance(r, dict) and "crashed" in r)
-        crash = next(crashes, None)
-        if crash is None:
-            break
-        accumulate(spmd.stats)
-        base = spmd.stats.makespan
-        if checkpoint is None:
-            raise crash
-        # No complete checkpoint yet (crash before the first interval)
-        # still recovers: None replays the traversal from the source.
-        resume = checkpoint.store.latest_complete()
-        plan.mark_fired(crash.event_index)
-        restores.append(
-            {
-                "rank": crash.rank,
-                "crash_level": crash.level,
-                "resume_level": resume,
-                "at_time": base,
-            }
-        )
-        attempts += 1
-
-    accumulate(spmd.stats)
-    fault_meta = {
-        "spec": plan.spec(),
-        "seed": plan.seed,
-        "events": [event.as_dict() for event in plan.events],
-        "max_retries": retry.max_retries,
-        "checkpoint_every": checkpoint_every,
-        "attempts": attempts,
-        "restores": restores,
-        "counters": counters,
-    }
-    return spmd, fault_meta
-
-
 #: Per-level profile counters summed across ranks.
 _TRACE_SUMS = ("frontier", "candidates", "words_sent", "wire_words", "sieve_dropped", "discovered")
 
@@ -809,12 +661,9 @@ def _merge_traces(rank_traces: list[list[dict]]) -> list[dict]:
     nlevels = max(len(t) for t in rank_traces)
     merged: list[dict] = []
     for i in range(nlevels):
-        # Levels are lockstep but need not start at 1: a checkpoint-
-        # restarted run's profile covers resume_level+1 onward.
         entry = {"level": i + 1, **dict.fromkeys(_TRACE_SUMS, 0)}
         for t in rank_traces:
             if i < len(t):
-                entry["level"] = t[i].get("level", i + 1)
                 for key in _TRACE_SUMS:
                     entry[key] += t[i].get(key, 0)
                 # Collective per-level choices (traversal direction, lane

@@ -28,9 +28,6 @@ class RankClock:
         Cumulative seconds charged to actually moving data in collectives.
     mpi_wait_time:
         Cumulative seconds spent waiting at collectives for other ranks.
-    fault_time:
-        Cumulative seconds lost to injected faults (timeout detection,
-        retry backoff, straggler delays) — see :mod:`repro.faults`.
     counters:
         Free-form operation counters (edges examined, words streamed, ...),
         recorded even when no cost model is installed.
@@ -40,7 +37,6 @@ class RankClock:
     compute_time: float = 0.0
     mpi_transfer_time: float = 0.0
     mpi_wait_time: float = 0.0
-    fault_time: float = 0.0
     counters: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     @property
@@ -57,19 +53,6 @@ class RankClock:
             raise ValueError(f"negative compute charge: {seconds}")
         self.time += seconds
         self.compute_time += seconds
-        for key, value in counters.items():
-            self.counters[key] += value
-
-    def charge_fault(self, seconds: float, **counters: float) -> None:
-        """Advance the clock by ``seconds`` lost to an injected fault.
-
-        Attributed to :attr:`fault_time` rather than compute or MPI so
-        recovery overhead is separable in stats and traces.
-        """
-        if seconds < 0:
-            raise ValueError(f"negative fault charge: {seconds}")
-        self.time += seconds
-        self.fault_time += seconds
         for key, value in counters.items():
             self.counters[key] += value
 
@@ -108,5 +91,4 @@ class RankClock:
             "mpi_transfer_time": self.mpi_transfer_time,
             "mpi_wait_time": self.mpi_wait_time,
             "mpi_time": self.mpi_time,
-            "fault_time": self.fault_time,
         }

@@ -7,8 +7,8 @@ Layered on the virtual clocks of :mod:`repro.mpsim`:
   the comm channel and the SpMSV kernels are instrumented.  Installing
   no tracer costs nothing (shared no-op handles).
 * :mod:`~repro.obs.metrics` — labeled counters/gauges/histograms behind
-  the same null-object pattern; engine, comm channel, fault injector
-  and query steps are instrumented, and every counter reconciles
+  the same null-object pattern; engine, comm channel and query steps
+  are instrumented, and every counter reconciles
   exactly with the span/stats-derived quantities.
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON, the one file
   format spans are written in (one track per rank; Perfetto and

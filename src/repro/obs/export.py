@@ -41,13 +41,20 @@ from repro.obs.tracer import Span, Tracer
 #: Schema tag stamped into every run report (bump on breaking changes).
 #: v2 added the ``faults`` section (fault/retry/checkpoint accounting);
 #: v3 added the ``metrics`` snapshot and the ``query`` section
-#: (kind/batch/queries-per-second for batched-query runs).
-REPORT_SCHEMA = "repro.obs/run-report/v3"
+#: (kind/batch/queries-per-second for batched-query runs); v4 dropped
+#: the ``faults`` section with the fault-injection layer.
+REPORT_SCHEMA = "repro.obs/run-report/v4"
 
-#: Older schemas :func:`load_run_report` still accepts (the additions
-#: are backward compatible: readers treat a missing section as absent).
+#: Older schemas :func:`load_run_report` still accepts (readers treat a
+#: missing section as absent; a v2/v3 ``faults`` section is read back
+#: as is).
 _ACCEPTED_SCHEMAS = frozenset(
-    {"repro.obs/run-report/v1", "repro.obs/run-report/v2", REPORT_SCHEMA}
+    {
+        "repro.obs/run-report/v1",
+        "repro.obs/run-report/v2",
+        "repro.obs/run-report/v3",
+        REPORT_SCHEMA,
+    }
 )
 
 #: Seconds -> Chrome trace microseconds.
@@ -226,7 +233,6 @@ def run_report(result, tracer: Tracer | None = None) -> dict:
             "comp": result.time_comp,
         },
         "gteps": result.gteps() if timed else None,
-        "faults": meta.get("faults"),
         "query": None,
         "metrics": None,
         "comm": None,

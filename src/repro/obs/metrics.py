@@ -4,10 +4,9 @@ A :class:`MetricsRegistry` collects numeric metrics — monotonic
 **counters**, last-value **gauges**, and bucketed **histograms** — from
 the instrumented subsystems: the
 :class:`~repro.core.engine.TraversalEngine` (levels, frontier sizes,
-candidates, checkpoint saves/restores, active query lanes), the
+candidates, active query lanes), the
 :class:`~repro.comm.channel.CommChannel` (payload/wire words, codec
-encodes, sieve probes/drops), :mod:`repro.faults` (retries, delays,
-recovery virtual-time cost) and the :mod:`repro.query` steps
+encodes, sieve probes/drops) and the :mod:`repro.query` steps
 (lane-prune hit rates).
 
 The design mirrors :class:`~repro.obs.tracer.Tracer` exactly:
@@ -36,8 +35,8 @@ results back aggregated across ranks::
 
 The counters reconcile *exactly* with the independently-derived
 quantities of the run: ``comm_wire_words`` sums to
-``result.stats.wire_words()``, ``fault_retries`` to the clock counter of
-the same name, and so on — the cross-check tests lock this in.
+``result.stats.wire_words()``, ``engine_levels`` to the ranks' level
+counts, and so on — the cross-check tests lock this in.
 """
 
 from __future__ import annotations

@@ -215,10 +215,11 @@ class Tracer:
                 rt = RankTracer(rank, comm.clock)
                 self._ranks[rank] = rt
             elif rt._clock is not comm.clock:
-                # A new SPMD incarnation of the same run (checkpoint
-                # restart) has fresh clocks; rebind so the restarted
-                # attempt's spans continue on the same timeline, and drop
-                # any stack left by the aborted attempt.
+                # The same tracer passed to a later SPMD run: that run
+                # has fresh clocks, so rebind the rank's handle to them
+                # (its spans must end at the new run's clock, not the
+                # old one's), and drop any stack left open by an earlier
+                # run that aborted mid-span.
                 rt._clock = comm.clock
                 rt._stack.clear()
             return rt

@@ -3,7 +3,7 @@
 :func:`run_query` is to the query family what
 :func:`repro.core.run_bfs` is to the BFS families — a one-shot wrapper
 over ``prepare(graph, config).query(sources)``.  The driver itself
-(launch, stitch, meta, level profile, crash restart) is
+(launch, stitch, meta, level profile) is
 :class:`repro.core.runner.Session`'s, shared with the BFS families; this
 module keeps only what is query-specific — the source batch, the
 per-lane oracle and the lane columns — and wraps it in a
@@ -145,7 +145,7 @@ def query(session) -> QueryResult:
     graph = session.graph
     sources = _require_sources(session)
     srcs_internal = np.asarray(graph.to_internal(sources), dtype=np.int64)
-    spmd, fault_meta = session.launch(srcs_internal)
+    spmd = session.launch(srcs_internal)
     check = _oracle_check(session, lambda: msbfs_serial(graph.csr, srcs_internal))
     levels, parents, nlevels, reached = session.stitch(spmd.returns, check)
     with session.host.span("teps"):
@@ -169,7 +169,5 @@ def query(session) -> QueryResult:
         time_comm=stats.max_mpi_time,
         time_comp=stats.max_compute_time,
         stats=stats,
-        meta=session.meta(
-            fault_meta, session.level_profile(spmd), sources=sources.tolist()
-        ),
+        meta=session.meta(session.level_profile(spmd), sources=sources.tolist()),
     )

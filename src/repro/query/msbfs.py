@@ -111,9 +111,7 @@ class MSBFS1D(Step1D):
 
     The rank's traversal arrays are 2-D: ``levels``/``parents`` have one
     column per lane, and ``visit``/``fwords`` pack the 64 visited and
-    frontier flags of each owned vertex into one ``uint64`` word.  A
-    checkpoint snapshots the full lane word per vertex (``state()``), so
-    crash-restart resumes every lane consistently.
+    frontier flags of each owned vertex into one ``uint64`` word.
     """
 
     def __init__(
@@ -223,13 +221,3 @@ class MSBFS1D(Step1D):
             sieve_dropped=0,
             extra={"lanes": self.nlanes},
         )
-
-    def state(self) -> dict:
-        # The full lane word per vertex: both the visited and the
-        # frontier bits of all 64 lanes must survive a crash.
-        return {"visit": self.visit, "fwords": self.fwords}
-
-    def restore(self, snapshot: dict) -> None:
-        self.visit[:] = snapshot["visit"]
-        self.fwords[:] = snapshot["fwords"]
-        return None

@@ -81,7 +81,6 @@ class ExecutionEngine(Protocol):
     cost_model: CollectiveCostModel
     timeout: float
     record_peers: bool
-    base_time: float
     clocks: list
     stats: list
 
@@ -127,7 +126,6 @@ class ExecutionBackend(Protocol):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        base_time: float = 0.0,
         **kwargs: Any,
     ) -> SpmdResult:
         """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks."""
@@ -152,7 +150,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    base_time: float = 0.0,
     runtime: str | None = None,
     **kwargs: Any,
 ) -> SpmdResult:
@@ -180,6 +177,5 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        base_time=base_time,
         **kwargs,
     )

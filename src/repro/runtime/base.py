@@ -101,9 +101,9 @@ class SpmdFailure(RuntimeError):
 
     Subclasses ``RuntimeError`` with the historical message format, but
     additionally carries the failing rank, the original exception, and
-    the partial :class:`~repro.mpsim.stats.SimStats` at abort time —
-    which a recovery driver (see :mod:`repro.faults`) needs to restart
-    the run from a checkpoint with a continuous virtual timeline.
+    the partial :class:`~repro.mpsim.stats.SimStats` at abort time, so
+    a caller can report how far each rank's clock and wire ledger got
+    before the run died.
 
     Pickles with all three attributes intact (the default exception
     reduction would replay ``__init__`` with the formatted *message*,
@@ -188,25 +188,19 @@ class EngineBase:
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        base_time: float = 0.0,
     ):
         from repro.mpsim.clock import RankClock
         from repro.mpsim.stats import RankStats
 
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        if base_time < 0:
-            raise ValueError(f"base_time must be >= 0, got {base_time}")
         self.nranks = nranks
         self.cost_model = cost_model if cost_model is not None else ZeroCostModel()
         self.timeout = default_timeout() if timeout is None else timeout
         #: When set, per-destination traffic is recorded in RankStats
         #: (the rank-to-rank heat-map data of Figure 4-style analyses).
         self.record_peers = record_peers
-        #: Virtual time all rank clocks start at.  Zero for fresh runs; a
-        #: checkpoint-restart attempt resumes where the failed one aborted.
-        self.base_time = base_time
-        self.clocks = [RankClock(time=base_time) for _ in range(nranks)]
+        self.clocks = [RankClock() for _ in range(nranks)]
         self.stats = [RankStats() for _ in range(nranks)]
         self._groups: list[Any] = []
         self._errors: list[tuple[int, BaseException]] = []

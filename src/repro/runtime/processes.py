@@ -16,10 +16,9 @@ goes through a parent-side coordinator:
   as a numpy view, so bulk buffers cross process boundaries without a
   serialize/copy through the pipe;
 * a worker's terminal message ships its rank-local shards — clock, wire
-  stats, tracer spans, metrics series, checkpoint snapshots — and the
-  coordinator merges them into the caller's objects, so obs and
-  checkpoint-restart behave exactly as under the shared-memory
-  backends.
+  stats, tracer spans, metrics series — and the coordinator merges them
+  into the caller's objects, so obs behaves exactly as under the
+  shared-memory backends.
 
 Group identity across address spaces: every worker executes the same
 deterministic collective sequence, so a group is named by its global
@@ -27,8 +26,8 @@ member tuple plus an occurrence index — consistent in every worker
 without coordination (``split`` registers groups per address space).
 
 Failure handling: a rank body's exception travels home pickled inside
-the exit message (``SpmdFailure`` and the fault exceptions define
-``__reduce__`` for this); the coordinator then broadcasts an abort that
+the exit message (``SpmdFailure`` defines ``__reduce__`` for this); the
+coordinator then broadcasts an abort that
 releases every blocked worker.  A message gap longer than the engine
 timeout is treated as a stall/deadlock, aborting like the threads
 backend's barrier timeout.
@@ -163,7 +162,6 @@ class ProcessEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        base_time: float = 0.0,
     ):
         self._gid_counts: dict[tuple, int] = {}
         #: Worker-side shared-memory lifecycle: segments from a group's
@@ -178,8 +176,7 @@ class ProcessEngine(EngineBase):
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            base_time=base_time,
-        )
+            )
 
     def _make_group(self, members: Sequence[int]) -> _GroupState:
         key = tuple(members)
@@ -240,10 +237,10 @@ class ProcessEngine(EngineBase):
 
 
 def _collect_shards(rank: int, kwargs: dict) -> dict:
-    """Extract rank ``rank``'s mutations of the obs/fault objects.
+    """Extract rank ``rank``'s mutations of the obs objects.
 
-    The run's cross-cutting collaborators (tracer, metrics, checkpoint
-    store) arrive in the body's keyword arguments; each keys its state
+    The run's cross-cutting collaborators (tracer, metrics) arrive in the
+    body's keyword arguments; each keys its state
     per rank, and a worker only ever writes its own rank's entries — so
     shipping those entries wholesale reconstructs the run exactly.
     """
@@ -264,13 +261,6 @@ def _collect_shards(rank: int, kwargs: dict) -> dict:
                 dict(metrics._types),
                 dict(metrics._buckets),
             )
-    store = getattr(kwargs.get("checkpoint"), "store", None)
-    if store is not None and hasattr(store, "_levels"):
-        shards["checkpoints"] = {
-            level: by_rank[rank]
-            for level, by_rank in store._levels.items()
-            if rank in by_rank
-        }
     return shards
 
 
@@ -300,10 +290,6 @@ def _merge_shards(engine: ProcessEngine, kwargs: dict, rank: int, payload: dict)
         rm.counters = counters
         rm.gauges = gauges
         rm.histograms = histograms
-    store = getattr(kwargs.get("checkpoint"), "store", None)
-    if "checkpoints" in shards and store is not None:
-        for level, snap in shards["checkpoints"].items():
-            store._levels.setdefault(level, {})[rank] = snap
 
 
 def _worker_main(engine, rank, pipes, fn, args, kwargs) -> None:
@@ -373,7 +359,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` forked workers.
@@ -398,7 +383,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        base_time=base_time,
     )
     pipes = [ctx.Pipe() for _ in range(nranks)]
     procs = []

@@ -76,15 +76,13 @@ class SequentialEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        base_time: float = 0.0,
     ):
         super().__init__(
             nranks,
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            base_time=base_time,
-        )
+            )
         self._batons = [threading.Event() for _ in range(nranks)]
         self._status = ["ready"] * nranks
         self._blocked_on: list[_GroupState | None] = [None] * nranks
@@ -175,7 +173,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` baton-scheduled ranks.
@@ -192,7 +189,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        base_time=base_time,
     )
     returns: list[Any] = [None] * nranks
 

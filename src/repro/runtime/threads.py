@@ -52,7 +52,6 @@ class ThreadsEngine(EngineBase):
         cost_model: CollectiveCostModel | None = None,
         timeout: float | None = None,
         record_peers: bool = False,
-        base_time: float = 0.0,
     ):
         self._lock = threading.Lock()
         self._aborted = threading.Event()
@@ -61,8 +60,7 @@ class ThreadsEngine(EngineBase):
             cost_model=cost_model,
             timeout=timeout,
             record_peers=record_peers,
-            base_time=base_time,
-        )
+            )
 
     def _make_group(self, members: Sequence[int]) -> _GroupState:
         return _GroupState(members)
@@ -127,7 +125,6 @@ def run_spmd(
     cost_model: CollectiveCostModel | None = None,
     timeout: float | None = None,
     record_peers: bool = False,
-    base_time: float = 0.0,
     **kwargs: Any,
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` rank threads.
@@ -145,7 +142,6 @@ def run_spmd(
         cost_model=cost_model,
         timeout=timeout,
         record_peers=record_peers,
-        base_time=base_time,
     )
     returns: list[Any] = [None] * nranks
     threads: list[threading.Thread] = []

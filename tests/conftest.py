@@ -20,6 +20,37 @@ CODEC_FORMS = {codec.name: codec for codec in (RawCodec, DeltaVarintCodec, AutoC
 #: The thread count the threaded sweeps also run each ``"threads"``-capable entry at.
 SWEEP_THREADS = 4
 
+#: Added to the top of the agreed vertex range when smashing a word, so
+#: the value is out of range for any real buffer.
+_OUT_OF_RANGE_OFFSET = 1 << 40
+
+
+def corrupt_pieces(pieces, mode: str):
+    """Deterministically damage one received piece.
+
+    ``mode="truncate"`` drops the last word of the largest piece with at
+    least two words (structurally detectable by every codec's length and
+    count checks); ``mode="smash"`` overwrites the *first* word of the
+    largest non-empty piece with an out-of-range sentinel (detectable in
+    formats whose first word is a header, tag, or range-checked id —
+    the sparse vertex lists, where truncation would be silent).
+
+    Returns ``(index, corrupted_copy)`` or ``None`` when no piece is
+    large enough to damage.
+    """
+    sizes = [int(np.asarray(p).size) for p in pieces]
+    min_size = 1 if mode == "smash" else 2
+    candidates = [i for i, size in enumerate(sizes) if size >= min_size]
+    if not candidates:
+        return None
+    index = max(candidates, key=lambda i: (sizes[i], -i))
+    piece = np.array(pieces[index], dtype=np.int64, copy=True)
+    if mode == "smash":
+        piece[0] = np.iinfo(np.int64).max - _OUT_OF_RANGE_OFFSET
+    else:
+        piece = piece[:-1]
+    return index, piece
+
 
 def thread_cases(names) -> list[tuple[str, int]]:
     """``(algorithm, threads)`` sweep cases: every name at 1 thread, and

@@ -1,22 +1,22 @@
 """Capture golden run-report fixtures for the engine parity tests.
 
 Runs each distributed BFS family once with every cross-cutting concern
-enabled — wire codec, sender-side sieve, per-level trace profile, span
-tracer, fault injection (crash + transients), and checkpoint-restart —
-and freezes the observable outputs as JSON:
+enabled — wire codec, sender-side sieve, per-level trace profile and
+span tracer — and freezes the observable outputs as JSON:
 
 * ``parents`` / ``levels`` in the caller's labels,
 * the machine-readable run report (config, modeled times, GTEPS,
   ``stats.summary()`` comm volumes, span-derived phase/level/critical
-  sections, and the fault/checkpoint accounting),
+  sections),
 * the merged per-level trace profile,
 * the full Chrome ``trace_event`` span tree of every rank.
 
-The fixtures committed under ``tests/golden/`` were produced by the
-pre-engine scaffolding (one hand-rolled level loop per algorithm file);
-``tests/test_golden_parity.py`` asserts the refactored
-:mod:`repro.core.engine` reproduces them bit-identically.  Regenerate
-(only when an intentional behavior change is being locked in) with::
+``tests/test_golden_parity.py`` asserts that :mod:`repro.core.engine`
+reproduces the fixtures committed under ``tests/golden/``
+bit-identically.  Their parents, levels, modeled times, comm volumes
+and spans are those of the hand-rolled per-algorithm level loops the
+engine replaced.  Regenerate (only when an intentional behavior change
+is being locked in) with::
 
     PYTHONPATH=src python tests/golden/capture.py [fixture ...]
 
@@ -40,19 +40,6 @@ from repro.query import run_query
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
-#: One deterministic fault schedule shared by every family: a rank-1
-#: crash at level 3 (forcing a checkpoint restart), a timeout on the
-#: level-2 alltoallv (one retry), a corruption on rank 0 (detected via
-#: CodecError on the damaged wire, then retried) and a fixed-length
-#: delay on rank 0 at level 1.
-FAULT_SPEC = (
-    "crash:rank=1,level=3;"
-    "timeout:level=2,site=alltoallv;"
-    "corrupt:rank=0,level=2;"
-    "delay:rank=0,level=1,seconds=1e-4;"
-    "seed=7"
-)
-
 #: Graph + run configuration of every fixture (kwargs to ``run_bfs``).
 CONFIGS: dict[str, dict] = {
     algorithm: dict(
@@ -62,8 +49,6 @@ CONFIGS: dict[str, dict] = {
         codec=DeltaVarintCodec(),
         sieve=True,
         trace=True,
-        faults=FAULT_SPEC,
-        checkpoint_every=2,
         validate=True,
     )
     for algorithm in ("1d", "1d-dirop", "2d", "2d-dirop")
@@ -78,8 +63,6 @@ CONFIGS["msbfs-1d"] = dict(
     machine="hopper",
     codec=DeltaVarintCodec(),
     trace=True,
-    faults=FAULT_SPEC,
-    checkpoint_every=2,
     validate=True,
 )
 
@@ -170,8 +153,7 @@ def main(argv: list[str] | None = None) -> None:
         }
         print(
             f"wrote {path.name}: nlevels={fixture['report']['graph']['nlevels']} "
-            f"spans={len(fixture['trace_events'])} "
-            f"attempts={fixture['report']['faults']['attempts']}"
+            f"spans={len(fixture['trace_events'])}"
             + (f" directions={sorted(directions)}" if directions else "")
         )
 

@@ -117,11 +117,24 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [("--fault-spec", "crash:rank=1,level=3"), ("--checkpoint-every", "1"),
+         ("--max-retries", "3")],
+    )
+    def test_deleted_fault_flags_are_usage_errors(self, flag, value, capsys):
+        """The fault-injection and checkpoint-restart options are gone;
+        their spellings are unknown options, refused before any work."""
+        with pytest.raises(SystemExit) as exc:
+            main(["graph500", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--algorithm", "2d-hybrid"], "unknown algorithm '2d-hybrid'"),
             (["--threads", "0"], "threads must be >= 1, got 0"),
-            (["--fault-spec", "bogus:rank=1"], "unknown fault kind 'bogus'"),
+            (["--spmd-timeout", "0"], "spmd_timeout must be > 0, got 0.0"),
             (["--nbfs", "0"], "--nbfs must be >= 1, got 0"),
         ],
     )

@@ -1,12 +1,11 @@
 """Codec hardening: damaged wire buffers raise typed errors, never decode.
 
-The fault layer's corrupt events rely on every codec *detecting* damage:
-the channel damages a received piece exactly like :func:`corrupt_pieces`
-and asserts the decode raises :class:`CodecError` before retrying.  These
-tests pin that contract per codec and per site shape, using the same
-damage modes the channel injects (truncation for pair/dense buffers,
-a smash of the first word for sparse vertex lists), then exercise the
-whole loop end to end through ``run_bfs``.
+Every decoder checks its input: a truncated or corrupted buffer raises
+:class:`CodecError` instead of yielding wrong vertex ids.  These tests
+pin that contract per codec and per site shape, damaging buffers with
+:func:`~tests.conftest.corrupt_pieces` (truncation for pair/dense
+buffers, a smash of the first word for sparse vertex lists) and with
+hand-made damage to each frame field.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from repro.comm.codecs import (
     VertexRange,
     bytes_to_words,
 )
-from repro.core import run_bfs
-from repro.faults import corrupt_pieces
 
-from tests.conftest import CODEC_FORMS
+from tests.conftest import CODEC_FORMS, corrupt_pieces
 from tests.test_property_pair_codec import auto_decode_many, delta_varint_decode_many
 
 CODECS = sorted(CODEC_FORMS)
@@ -399,21 +396,21 @@ class TestJoinedTripleDecode:
         assert got[0].size == sum(self.COUNTS)
 
 
-@pytest.mark.parametrize("codec_name", CODECS)
-@pytest.mark.parametrize("algorithm", ["1d", "2d"])
-def test_corruption_absorbed_end_to_end(rmat_small, algorithm, codec_name):
-    """An injected corruption is caught, charged, retried, and survived."""
-    codec = CODEC_FORMS[codec_name]()
-    plain = run_bfs(rmat_small, 5, algorithm, nprocs=4, machine="hopper", codec=codec)
-    faulted = run_bfs(
-        rmat_small, 5, algorithm, nprocs=4, machine="hopper", codec=codec,
-        faults="corrupt:rank=0,level=2;timeout:level=3",
-    )
-    assert np.array_equal(plain.parents, faulted.parents)
-    counters = faulted.meta["faults"]["counters"]
-    assert counters["fault_corruptions"] >= 1  # victim proved detection
-    assert counters["fault_retries"] >= 2 * 4  # both events, all 4 ranks
-    # Absorbed faults cost virtual time (detection + backoff) but the
-    # traversal's answer and attempt count are untouched.
-    assert faulted.meta["faults"]["attempts"] == 1
-    assert faulted.time_total > plain.time_total
+class TestCorruptPieces:
+    """The damage helper itself: which piece it picks and what it does."""
+
+    def test_truncate_drops_last_word_of_largest_piece(self):
+        pieces = [np.arange(2), np.arange(5), np.arange(3)]
+        index, bad = corrupt_pieces(pieces, "truncate")
+        assert index == 1
+        assert np.array_equal(bad, np.arange(4))
+        assert pieces[1].size == 5  # original untouched
+
+    def test_smash_overwrites_first_word(self):
+        index, bad = corrupt_pieces([np.array([7, 8])], "smash")
+        assert index == 0
+        assert bad[0] > 2**60 and bad[1] == 8
+
+    def test_nothing_corruptible(self):
+        assert corrupt_pieces([np.empty(0, dtype=np.int64)], "smash") is None
+        assert corrupt_pieces([np.array([1])], "truncate") is None

@@ -3,11 +3,10 @@
 The switching *policy* is DirOpt1D's — collective alpha/beta predicates
 with hysteresis — but the level interiors are the 2D grid phases, so
 these tests pin down what is new: the crossover behavior inside the 2D
-loop, the hysteresis state riding through checkpoint
-``state()``/``restore()``, bottom-up correctness on directed inputs
-(the stored matrix is ``A^T``, so no symmetry gate), and bit-identical
-parents against the serial oracle across graph shapes and processor
-grids, square and rectangular.
+loop, bottom-up correctness on directed inputs (the stored matrix is
+``A^T``, so no symmetry gate), and bit-identical parents against the
+serial oracle across graph shapes and processor grids, square and
+rectangular.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import run_bfs
-from repro.core.bfs2d_dirop import DirOpt2D
 from repro.core.bfs_dirop import BOTTOM_UP
 from repro.graphs import Graph, erdos_renyi_edges
 from repro.graphs.rmat import rmat_graph
@@ -190,75 +188,6 @@ class TestSwitchingPolicy:
         assert [lvl["direction"] for lvl in d1.meta["level_profile"]] == [
             lvl["direction"] for lvl in d2.meta["level_profile"]
         ]
-
-
-class TestHysteresisCheckpoint:
-    def test_state_round_trip(self):
-        """state() -> restore() reproduces the switching hysteresis
-        bit-for-bit, including the cached global statistics."""
-        step = DirOpt2D([], None, 0, degrees=np.zeros(1, dtype=np.int64))
-        step.sieve = None
-        step.direction = BOTTOM_UP
-        step.unexplored_edges = 12345
-        step.g_front, step.g_fedges, step.g_unexplored = 7, 6500, 12345
-        snap = step.state()
-
-        twin = DirOpt2D([], None, 0, degrees=np.zeros(1, dtype=np.int64))
-        twin.sieve = None
-        term = twin.restore(snap)
-        assert term == 7
-        assert twin.direction == BOTTOM_UP
-        assert twin.unexplored_edges == 12345
-        assert (twin.g_front, twin.g_fedges, twin.g_unexplored) == (7, 6500, 12345)
-
-    def test_crash_resumes_with_same_directions(self, rmat_small):
-        """A crash at a bottom-up level restarts from the checkpoint and
-        replays the same switch decisions the fault-free run made."""
-        oracle = run_bfs(
-            rmat_small, 5, "2d-dirop", nprocs=4, machine="hopper", trace=True
-        )
-        directions = {
-            lvl["level"]: lvl["direction"]
-            for lvl in oracle.meta["level_profile"]
-        }
-        bu_levels = [lvl for lvl, d in directions.items() if d == "bottom-up"]
-        assert bu_levels, "fixture graph must exercise bottom-up"
-        crash_level = bu_levels[0] + 1
-        res = run_bfs(
-            rmat_small,
-            5,
-            "2d-dirop",
-            nprocs=4,
-            machine="hopper",
-            trace=True,
-            faults=f"crash:rank=1,level={crash_level}",
-            checkpoint_every=1,
-            validate=True,
-        )
-        assert np.array_equal(res.parents, oracle.parents)
-        assert np.array_equal(res.levels, oracle.levels)
-        (restore,) = res.meta["faults"]["restores"]
-        assert restore["crash_level"] == crash_level
-        # The final attempt's profile covers resume+1 onward; every
-        # replayed level ran in the fault-free run's direction.
-        for lvl in res.meta["level_profile"]:
-            assert lvl["direction"] == directions[lvl["level"]], lvl
-
-    def test_crash_at_every_level_with_sieve_and_codec(self, rmat_small):
-        """The full wire stack (codec + shared sieve) survives recovery
-        at every level boundary, bit-identically."""
-        oracle = run_bfs(
-            rmat_small, 5, "2d-dirop", nprocs=4, machine="hopper",
-            codec="auto", sieve=True,
-        )
-        for level in range(1, oracle.nlevels + 1):
-            res = run_bfs(
-                rmat_small, 5, "2d-dirop", nprocs=4, machine="hopper",
-                codec="auto", sieve=True,
-                faults=f"crash:rank={level % 4},level={level}",
-                checkpoint_every=2,
-            )
-            assert np.array_equal(res.parents, oracle.parents), level
 
 
 class TestPerformance:

@@ -286,21 +286,7 @@ class TestFailurePickling:
         assert isinstance(clone.exc, ValueError)
         assert clone.exc.args == ("boom",)
         assert str(clone) == str(failure)
-        # The partial stats a recovery driver needs survive too.
+        # The partial stats at abort time survive too: how far each
+        # rank's clock got before the run died.
         assert clone.stats.makespan == failure.stats.makespan
         assert len(clone.stats.clocks) == 3
-
-    def test_fault_exceptions_round_trip(self):
-        import pickle
-
-        from repro.faults import RankCrashError, RetryExhaustedError
-
-        crash = RankCrashError(2, 5, 7)
-        crash_clone = pickle.loads(pickle.dumps(crash))
-        assert (crash_clone.rank, crash_clone.level, crash_clone.event_index) == (2, 5, 7)
-        assert str(crash_clone) == str(crash)
-
-        retry = RetryExhaustedError("allreduce", 3, 4)
-        retry_clone = pickle.loads(pickle.dumps(retry))
-        assert (retry_clone.site, retry_clone.level, retry_clone.attempts) == ("allreduce", 3, 4)
-        assert str(retry_clone) == str(retry)

@@ -88,18 +88,6 @@ class TestChromeTrace:
             e["args"]["direction"] in ("top-down", "bottom-up") for e in levels
         )
 
-    def test_fault_and_checkpoint_spans_reach_the_trace(self, rmat_small):
-        _result, tracer = _traced_run(
-            rmat_small, "1d", faults="timeout:level=1", checkpoint_every=2
-        )
-        trace = chrome_trace(tracer)
-        validate_chrome_trace(trace)
-        retries = [e for e in trace["traceEvents"] if e["name"] == "fault-retry"]
-        assert retries
-        assert all({"kind", "site", "attempt"} <= e["args"].keys() for e in retries)
-        assert retries[0]["args"]["kind"] == "timeout"
-        assert any(e["name"] == "checkpoint" for e in trace["traceEvents"])
-
     @pytest.mark.parametrize("algorithm", ["1d", "1d-dirop", "2d", "2d-dirop"])
     def test_spans_nest_on_each_rank(self, rmat_small, algorithm):
         """A flame chart stacks a rank's spans: on every track they start
@@ -274,29 +262,22 @@ class TestRunReport:
 
     def test_older_schemas_still_load(self, rmat_small, tmp_path):
         result, _tracer = _traced_run(rmat_small, "1d")
-        for old in ("repro.obs/run-report/v1", "repro.obs/run-report/v2"):
+        for old in (
+            "repro.obs/run-report/v1",
+            "repro.obs/run-report/v2",
+            "repro.obs/run-report/v3",
+        ):
             report = run_report(result)
             report["schema"] = old
             path = write_run_report(tmp_path / "old.json", report)
             assert load_run_report(path)["schema"] == old
-
-    def test_faults_section_records_recovery(self, rmat_small):
-        clean, _tracer = _traced_run(rmat_small, "1d-dirop")
-        assert run_report(clean)["faults"] is None  # fault-free: no section
-        recovered, _tracer = _traced_run(
-            rmat_small, "1d-dirop",
-            faults="crash:rank=1,level=3", checkpoint_every=1,
-        )
-        faults = run_report(recovered)["faults"]
-        assert faults["attempts"] == 2
-        assert len(faults["restores"]) == 1
-        assert faults["counters"]["restores"] == 4  # one per rank
 
     def test_bfs_report_has_empty_query_section(self, rmat_small):
         result, _tracer = _traced_run(rmat_small, "1d")
         report = run_report(result)
         assert report["query"] is None
         assert report["metrics"] is None  # no registry installed
+        assert "faults" not in report  # dropped in v4
 
     def test_query_report_carries_throughput(self, rmat_small):
         from repro.query import run_query

@@ -246,25 +246,3 @@ class TestReconciliation:
         candidates = registry.counter_value("lane_prune_candidates")
         kept = registry.counter_value("lane_prune_kept")
         assert 0 < kept <= candidates
-
-    def test_fault_and_checkpoint_counters(self, rmat_small):
-        registry = MetricsRegistry()
-        result = run_bfs(
-            rmat_small, 5, "1d", nprocs=4, machine="hopper",
-            faults="crash:rank=1,level=2;timeout:level=1", checkpoint_every=1,
-            metrics=registry,
-        )
-        counters = result.meta["faults"]["counters"]
-        # Crash detection is cooperative: every rank raises at the
-        # crashed level's boundary, so the counter records one per rank.
-        assert registry.counter_value("fault_crashes") == float(result.nranks)
-        assert registry.counter_value("fault_retries") == float(
-            counters["fault_retries"]
-        )
-        assert registry.counter_value("checkpoint_saves") == float(
-            counters["checkpoints"]
-        )
-        assert registry.counter_value("checkpoint_restores") == float(
-            counters["restores"]
-        )
-        assert registry.counter_value("fault_seconds") > 0

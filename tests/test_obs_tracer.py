@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import run_bfs
 from repro.mpsim import run_spmd
 from repro.obs import (
     NULL_RANK_TRACER,
@@ -106,6 +107,23 @@ class TestTracer:
         for rank in tracer.ranks:
             (span,) = tracer.spans_for(rank)
             assert span.phase == "level" and span.rank == rank
+
+
+    def test_second_run_rebinds_to_its_clocks(self, rmat_small):
+        """One tracer passed to two searches: every rank's handle rebinds
+        to the second run's fresh clocks, so its spans end on that run's
+        timeline, not the first run's."""
+        tracer = Tracer()
+        sources = rmat_small.random_nonisolated_vertices(2, seed=4)
+        runs = [
+            run_bfs(rmat_small, int(src), "1d", nprocs=4, machine="hopper", tracer=tracer)
+            for src in sources
+        ]
+        first, second = (run.stats.clocks for run in runs)
+        assert tracer.ranks == [0, 1, 2, 3]
+        for rank in tracer.ranks:
+            last = [s for s in tracer.spans_for(rank) if s.phase == "level"][-1]
+            assert last.t_end == second[rank].time != first[rank].time
 
 
 class TestNullPath:

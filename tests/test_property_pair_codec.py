@@ -10,7 +10,7 @@ masked pass per byte position, the exchange planned from a separate
 untag and stream join.  Every property holds the current code to them
 byte for byte — frames, decoded arrays and dtypes — and, for damaged
 buffers, to the same exception type and message: the goldens, modeled
-wire words and the fault layer's corruption checks hang off these bytes.
+wire words and the decoders' input checks hang off these bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from repro.comm.codecs import (
     _check_targets,
     _concat_pairs,
 )
-from repro.faults import corrupt_pieces
+
+from tests.conftest import corrupt_pieces
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1

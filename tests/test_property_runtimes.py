@@ -10,11 +10,6 @@ span stream.  This is the end-to-end half of the runtime bit-identity
 contract (see :mod:`repro.runtime`): swapping the backend may change
 wall-clock only, never results.
 
-The fault half of the contract gets its own sweep: an injected crash
-plus checkpoint-restart must recover identically — same recovered tree,
-same attempt count, same restore records on the same virtual timeline —
-on every backend, for every fault-capable family.
-
 Below the algorithms, hypothesis drives the communicator itself with
 random programs of collectives and splits: the
 ``sequential`` and ``threads`` schedules must agree on every return,
@@ -55,11 +50,6 @@ RUNTIME_BACKEND_CASES = thread_cases(ALGORITHMS)
 #: The instrumented families additionally lock the span stream.
 TRACED_ALGORITHMS = sorted(
     name for name, spec in ALGORITHMS.items() if "tracer" in spec.capabilities
-)
-
-#: One crash/checkpoint-restart scenario per fault-capable family.
-CRASH_ALGORITHMS = sorted(
-    name for name, spec in ALGORITHMS.items() if "faults" in spec.capabilities
 )
 
 #: The backends a sweep compares against the default's run.
@@ -120,36 +110,6 @@ def test_runtime_switch_preserves_spans(algorithm):
         ]
     for name in OTHER_RUNTIMES:
         assert streams[name] == streams[runtime.DEFAULT_RUNTIME], name
-
-
-@pytest.mark.parametrize("algorithm", CRASH_ALGORITHMS)
-def test_runtime_switch_preserves_crash_recovery(algorithm):
-    """A permanent rank loss plus checkpoint-restart recovers to the
-    same tree, with the same attempt count and the same restore records
-    on the same virtual timeline, under every backend."""
-    oracle = _run(algorithm, runtime.DEFAULT_RUNTIME)
-    crash_level = max(1, min(2, oracle.nlevels - 1))
-    fault_spec = f"crash:rank=1,level={crash_level};seed=3"
-    observed = {}
-    for name in runtime.BACKENDS:
-        result = _run(
-            algorithm, name, faults=fault_spec, checkpoint_every=1
-        )
-        meta = result.meta["faults"]
-        observed[name] = (
-            _observe(result),
-            meta["attempts"],
-            tuple(
-                (r["rank"], r["crash_level"], r["resume_level"], r["at_time"])
-                for r in meta["restores"]
-            ),
-        )
-    default = observed[runtime.DEFAULT_RUNTIME]
-    # The crash actually fired and the driver actually restarted.
-    assert default[1] == 2
-    for name in OTHER_RUNTIMES:
-        assert observed[name] == default, name
-    assert np.array_equal(default[0]["levels"], _observe(oracle)["levels"])
 
 
 class TestProcessesMechanics:

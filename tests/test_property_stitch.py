@@ -32,9 +32,8 @@ from repro.graphs.permutation import invert_permutation
 # -- the oracle --------------------------------------------------------------------
 
 
-def stitch_spec(session, launched, columns=None):
+def stitch_spec(session, spmd, columns=None):
     """``Session.stitch`` as it was: full internal-label arrays."""
-    spmd, _ = launched
     n = session.graph.n
     shape = (n,) if columns is None else (n, columns)
     levels = np.empty(shape, dtype=np.int64)
@@ -211,12 +210,12 @@ def _corrupting_launch(monkeypatch, rank, key, index, delta=1):
     real_launch = runner.Session.launch
 
     def launch(self, seed):
-        spmd, fault_meta = real_launch(self, seed)
+        spmd = real_launch(self, seed)
         if not hit:
             rank_out = spmd.returns[rank]
             rank_out[key][index] += delta
             hit.append(rank_out["lo"] + index[0])
-        return spmd, fault_meta
+        return spmd
 
     monkeypatch.setattr(runner.Session, "launch", launch)
     return hit

@@ -1,6 +1,6 @@
 """Meta-test: every ``ALGORITHMS`` entry must be covered by the suite.
 
-The property/fault/trace harnesses derive their algorithm lists from
+The property/trace harnesses derive their algorithm lists from
 :data:`repro.core.runner.ALGORITHMS` *at import time*, and the golden
 parity battery runs whatever ``tests/golden/capture.py`` configures.
 These tests compare those frozen lists against the live registry, per
@@ -10,8 +10,6 @@ one at :data:`~tests.conftest.SWEEP_THREADS` too:
 
 * every algorithm appears in the oracle-equivalence sweep (threaded);
 * every ``"wire"``-capable family appears in the codec/sieve sweep;
-* every ``"faults"``-capable algorithm appears in the random-fault
-  battery (threaded) and in the crash-at-every-level sweep;
 * every ``"trace-profile"``-capable family appears in the trace
   invariants;
 * every engine family has a committed golden fixture configuration;
@@ -38,7 +36,6 @@ from repro.core.runner import ALGORITHMS, ENGINE_CAPABILITIES, THREADED_CAPABILI
 
 from tests import (
     test_property_bfs,
-    test_property_faults,
     test_property_kernels,
     test_property_runtimes,
     test_trace_invariants,
@@ -56,15 +53,13 @@ _spec.loader.exec_module(golden_capture)
 NEEDS = {
     "oracle": set(),
     "wire": {"wire"},
-    "faults": {"faults"},
-    "crash-sweep": {"faults"},
     "trace": {"trace-profile"},
-    "golden": {"wire", "faults"},
+    "golden": {"wire"},
     "kernel-backend": set(),
     "runtime-backend": set(),
 }
 #: The harnesses that also run each ``"threads"``-capable entry at more threads.
-THREADED_HARNESSES = {"oracle", "faults", "kernel-backend", "runtime-backend"}
+THREADED_HARNESSES = {"oracle", "kernel-backend", "runtime-backend"}
 
 
 def required_coverage(registry: dict[str, AlgorithmSpec]) -> dict[str, set]:
@@ -90,8 +85,6 @@ def harness_coverage() -> dict[str, set]:
     return {
         "oracle": set(test_property_bfs.ALL_CASES),
         "wire": flat(test_property_bfs.WIRE_ALGORITHMS),
-        "faults": set(test_property_faults.FAULT_CASES),
-        "crash-sweep": flat(test_property_faults.SWEEP_ALGORITHMS),
         "trace": flat(test_trace_invariants.TRACE_ALGORITHMS),
         "golden": flat(golden_capture.CONFIGS),
         "kernel-backend": set(test_property_kernels.KERNEL_BACKEND_CASES),

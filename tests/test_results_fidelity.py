@@ -35,7 +35,6 @@ FAST_FUNCTIONAL = [
     "abl-dedup",
     "abl-shuffle",
     "abl-ordering",
-    "abl-faults",
     "query-throughput",
 ]
 

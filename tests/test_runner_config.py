@@ -95,21 +95,6 @@ class TestShimMapping:
         run_bfs(object(), 0, "1d", tracer=tracer)
         assert captured[0][2].tracer is tracer
 
-    def test_resilience_combo(self, captured):
-        # The fault-ablation harness: spec string + checkpointing + retries.
-        run_bfs(
-            object(), 0, "1d", machine="hopper",
-            faults="crash:rank=1,level=3;seed=7",
-            checkpoint_every=2, max_retries=5,
-        )
-        config = captured[0][2]
-        assert config == RunConfig(
-            algorithm="1d", machine="hopper",
-            faults="crash:rank=1,level=3;seed=7",
-            checkpoint_every=2, max_retries=5,
-        )
-        assert config.resilient
-
     def test_positional_algorithm_and_keyword_equivalent(self, captured):
         run_bfs(object(), 0, "2d", threads=6)
         run_bfs(object(), 0, algorithm="2d", threads=6)
@@ -201,41 +186,9 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match=msg):
             run_bfs(graph, 0, algorithm, tracer=Tracer())
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"faults": "crash:rank=0,level=1"},
-            {"checkpoint_every": 2},
-            {"max_retries": 5},
-        ],
-    )
-    def test_resilience_gated_by_capability(self, graph, kwargs):
-        msg = re.escape(
-            "serial has no fault/checkpoint instrumentation; "
-            "faults/checkpoint_every/max_retries apply to the 1d/2d families only"
-        )
-        with pytest.raises(ValueError, match=msg):
-            run_bfs(graph, 0, "serial", **kwargs)
-
     def test_bad_grid(self, graph):
         with pytest.raises(ValueError, match=re.escape("grid must be positive, got 0x2")):
             run_bfs(graph, 0, "2d", grid_shape=(0, 2))
-
-    def test_fault_plan_rank_out_of_range(self, graph):
-        with pytest.raises(
-            ValueError,
-            match=re.escape("fault plan targets rank 7 but the run has only 4 ranks"),
-        ):
-            run_bfs(
-                graph, 0, "1d", nprocs=4,
-                faults="crash:rank=7,level=1", checkpoint_every=1,
-            )
-
-    def test_bad_checkpoint_interval(self, graph):
-        with pytest.raises(
-            ValueError, match=re.escape("checkpoint interval must be >= 1, got 0")
-        ):
-            run_bfs(graph, 0, "1d", checkpoint_every=0)
 
 
 class TestRunEquivalence:

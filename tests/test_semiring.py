@@ -67,8 +67,7 @@ class TestMonoidLaws:
         assert np.array_equal(s.combine(a, identity), a)
         assert np.array_equal(s.combine(identity, a), a)
         # All the traversal combines (max, or) are idempotent:
-        # re-delivering a contribution never changes the result, which is
-        # what makes the fault layer's replay-after-restore safe.
+        # re-delivering a contribution never changes the result.
         assert np.array_equal(s.combine(a, a), a)
 
 

@@ -5,7 +5,14 @@ Every decoder checks its input: a truncated or corrupted buffer raises
 pin that contract per codec and per site shape, damaging buffers with
 :func:`~tests.conftest.corrupt_pieces` (truncation for pair/dense
 buffers, a smash of the first word for sparse vertex lists) and with
-hand-made damage to each frame field.
+hand-made damage to each frame field.  End to end, a damaged buffer
+inside a real traversal must abort the run with a typed
+:class:`~repro.mpsim.SpmdFailure` carrying the :class:`CodecError` and
+the partial stats, under every execution runtime.
+
+``DAMAGE_SITES`` names, per ``"wire"``-capable family, the encode sites
+its collectives pass through; ``tests/test_registry_coverage.py`` holds
+it against the live registry as the ``wire-damage`` harness.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.comm import CommChannel
 from repro.comm.codecs import (
     AutoCodec,
@@ -23,8 +31,9 @@ from repro.comm.codecs import (
     VertexRange,
     bytes_to_words,
 )
+from repro.mpsim import SpmdFailure
 
-from tests.conftest import CODEC_FORMS, corrupt_pieces
+from tests.conftest import CODEC_FORMS, corrupt_pieces, launch_any
 from tests.test_property_pair_codec import auto_decode_many, delta_varint_decode_many
 
 CODECS = sorted(CODEC_FORMS)
@@ -414,3 +423,79 @@ class TestCorruptPieces:
     def test_nothing_corruptible(self):
         assert corrupt_pieces([np.empty(0, dtype=np.int64)], "smash") is None
         assert corrupt_pieces([np.array([1])], "truncate") is None
+
+
+#: ``"wire"``-capable family -> the encode sites its collectives use: the
+#: candidate pair (or triple) all-to-all, the sparse vertex-list gather of
+#: the 2D expand, and the dense bitmap gather of the bottom-up steps.
+DAMAGE_SITES = {
+    "1d": ("pairs",),
+    "1d-dirop": ("pairs", "dense-set"),
+    "2d": ("pairs", "sparse-set"),
+    "2d-dirop": ("pairs", "sparse-set", "dense-set"),
+    "msbfs-1d": ("pairs",),
+}
+DAMAGE_NPROCS = 4
+
+
+def _damaging_codec(codec_name: str, site: str):
+    """A ``codec_name`` codec whose every encode at ``site`` ships a
+    buffer damaged as :func:`corrupt_pieces` damages it: truncated pair
+    and dense buffers, a smashed first word in sparse vertex lists."""
+
+    class Damaging(CODEC_FORMS[codec_name]):
+        def encode_pairs_many(self, targets, parents, counts, ranges=None):
+            send = list(super().encode_pairs_many(targets, parents, counts, ranges))
+            hit = corrupt_pieces(send, "truncate") if site == "pairs" else None
+            if hit is not None:
+                send[hit[0]] = hit[1]
+            return send
+
+        def encode_set(self, vertices, ctx=None, dense=False):
+            buf = super().encode_set(vertices, ctx, dense)
+            if site != ("dense-set" if dense else "sparse-set"):
+                return buf
+            hit = corrupt_pieces([buf], "truncate" if dense else "smash")
+            return buf if hit is None else hit[1]
+
+    return Damaging()
+
+
+@pytest.fixture(scope="module")
+def undamaged_makespans(rmat_small):
+    """Full-run makespan per ``(algorithm, codec)``, the bound a run cut
+    short by a damaged buffer stays under."""
+    return {
+        (algorithm, codec_name): launch_any(
+            rmat_small, 5, algorithm, nprocs=DAMAGE_NPROCS, machine="hopper",
+            codec=CODEC_FORMS[codec_name](),
+        ).stats.makespan
+        for algorithm in DAMAGE_SITES
+        for codec_name in CODECS
+    }
+
+
+@pytest.mark.parametrize("runtime_name", runtime.BACKENDS)
+@pytest.mark.parametrize("codec_name", CODECS)
+@pytest.mark.parametrize(
+    "algorithm,site",
+    [(algorithm, site) for algorithm, sites in DAMAGE_SITES.items() for site in sites],
+)
+def test_damaged_wire_aborts_the_run(
+    rmat_small, undamaged_makespans, algorithm, site, codec_name, runtime_name
+):
+    """A damaged buffer mid-traversal ends the run with the receiver's
+    ``CodecError``: no tree is returned, no rank hangs, and the failure
+    carries every rank's partial clock from before the end."""
+    with pytest.raises(SpmdFailure) as info:
+        launch_any(
+            rmat_small, 5, algorithm, nprocs=DAMAGE_NPROCS, machine="hopper",
+            codec=_damaging_codec(codec_name, site), runtime=runtime_name,
+        )
+    failure = info.value
+    assert isinstance(failure.exc, CodecError), failure.exc
+    assert str(failure.exc).startswith("corrupt ")
+    assert 0 <= failure.rank < DAMAGE_NPROCS
+    assert str(failure).startswith(f"SPMD rank {failure.rank} failed: CodecError(")
+    assert len(failure.stats.clocks) == DAMAGE_NPROCS
+    assert 0.0 < failure.stats.makespan < undamaged_makespans[algorithm, codec_name]

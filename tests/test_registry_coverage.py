@@ -18,7 +18,11 @@ one at :data:`~tests.conftest.SWEEP_THREADS` too:
   threaded);
 * every algorithm appears in the runtime-backend equivalence sweep
   (threads vs sequential vs processes execution runtimes,
-  ``tests/test_property_runtimes.py``; threaded).
+  ``tests/test_property_runtimes.py``; threaded);
+* every ``"wire"``-capable family names its encode sites for the
+  damaged-wire abort sweep (``tests/test_codec_robustness.py``);
+* every ``"tracer"``-capable family appears in the repeated-run
+  determinism sweep (``tests/test_determinism.py``; threaded).
 
 Because the harness lists are import-time snapshots, registering an
 algorithm without extending the harness predicates (or, for golden,
@@ -35,6 +39,8 @@ from pathlib import Path
 from repro.core.runner import ALGORITHMS, ENGINE_CAPABILITIES, THREADED_CAPABILITIES, AlgorithmSpec
 
 from tests import (
+    test_codec_robustness,
+    test_determinism,
     test_property_bfs,
     test_property_kernels,
     test_property_runtimes,
@@ -57,9 +63,11 @@ NEEDS = {
     "golden": {"wire"},
     "kernel-backend": set(),
     "runtime-backend": set(),
+    "wire-damage": {"wire"},
+    "determinism": {"tracer"},
 }
 #: The harnesses that also run each ``"threads"``-capable entry at more threads.
-THREADED_HARNESSES = {"oracle", "kernel-backend", "runtime-backend"}
+THREADED_HARNESSES = {"oracle", "kernel-backend", "runtime-backend", "determinism"}
 
 
 def required_coverage(registry: dict[str, AlgorithmSpec]) -> dict[str, set]:
@@ -89,6 +97,8 @@ def harness_coverage() -> dict[str, set]:
         "golden": flat(golden_capture.CONFIGS),
         "kernel-backend": set(test_property_kernels.KERNEL_BACKEND_CASES),
         "runtime-backend": set(test_property_runtimes.RUNTIME_BACKEND_CASES),
+        "wire-damage": flat(test_codec_robustness.DAMAGE_SITES),
+        "determinism": set(test_determinism.DETERMINISM_CASES),
     }
 
 

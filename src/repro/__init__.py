@@ -36,10 +36,8 @@ from repro.graph500 import Graph500Result, run_graph500
 from repro.graphs import (
     Graph,
     erdos_renyi_edges,
-    load_graph,
     rmat_edges,
     rmat_graph,
-    save_graph,
     uniform_degree_edges,
     webcrawl_graph,
 )
@@ -77,10 +75,8 @@ __all__ = [
     "validate_bfs",
     "Graph",
     "erdos_renyi_edges",
-    "load_graph",
     "rmat_edges",
     "rmat_graph",
-    "save_graph",
     "uniform_degree_edges",
     "webcrawl_graph",
     "CARVER",

@@ -74,43 +74,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def comm_breakdown_table(stats, title: str = "Communication breakdown") -> Table:
-    """Per-kind (and per-level, when traced) word volumes of one run.
-
-    ``stats`` is a :class:`~repro.mpsim.stats.SimStats`.  The per-kind
-    rows cover every collective the run made; payload/ratio columns are
-    populated for the exchanges routed through :class:`repro.comm`'s
-    channel (``-`` elsewhere).  Per-level rows appear when the channel
-    recorded levels (i.e. the run came from a 1d/2d BFS family).
-    """
-    table = Table(
-        title=title,
-        headers=["scope", "kind", "payload words", "wire words", "ratio"],
-    )
-    payload_by_kind = stats.payload_by_kind()
-    for kind, words in stats.words_by_kind().items():
-        payload = payload_by_kind.get(kind)
-        table.add_row(
-            "total",
-            kind,
-            payload if payload is not None else "-",
-            words,
-            stats.compression_ratio(kind) if payload is not None else "-",
-        )
-    payload_by_level = stats.payload_by_level()
-    for level, by_kind in stats.words_by_level().items():
-        for kind, wire in sorted(by_kind.items()):
-            payload = payload_by_level.get(level, {}).get(kind, 0.0)
-            table.add_row(
-                f"level {level}",
-                kind,
-                payload,
-                wire,
-                (payload / wire) if wire > 0 else 1.0,
-            )
-    dropped = stats.sieve_dropped
-    if dropped:
-        table.notes.append(f"sieve dropped {dropped:.0f} candidates before encoding")
-    return table

@@ -18,7 +18,6 @@ Provides the paper's test workloads:
 
 from repro.graphs.csr import CSR, build_csr
 from repro.graphs.graph import Graph
-from repro.graphs.io import load_graph, save_graph
 from repro.graphs.meshes import (
     banded_edges,
     grid2d_edges,
@@ -36,8 +35,6 @@ __all__ = [
     "CSR",
     "build_csr",
     "Graph",
-    "load_graph",
-    "save_graph",
     "banded_edges",
     "grid2d_edges",
     "grid3d_edges",

@@ -137,8 +137,12 @@ def _build_csr(n, src, dst, perm, symmetrize=True, dedup=True, drop_self_loops=T
     allocates chunk-sized temporaries only: the key is written, then
     deduplicated in place, in chunks of ``_CHUNK`` entries, and the
     buffer is shrunk to the kept keys, which become ``indices``."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = np.asarray(src), np.asarray(dst)
+    # Casting a float id would truncate it into a different edge; ``[]``
+    # arrives as float64 and is no id at all.
+    if any(ends.size and ends.dtype.kind not in "iu" for ends in (src, dst)):
+        raise ValueError(f"edge endpoints must be integers, got {src.dtype} and {dst.dtype}")
+    src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError(f"edge arrays must be equal-length 1-D, got {src.shape} vs {dst.shape}")
     if src.size and (
@@ -162,8 +166,12 @@ def _build_csr(n, src, dst, perm, symmetrize=True, dedup=True, drop_self_loops=T
     if dedup and end:
         end = _compact_sorted(key, end)
     # Drop the tail (self-loops, duplicates) from the buffer itself, so
-    # the CSR does not keep it; no view of ``key`` is alive here.
-    key.resize(end)
+    # the CSR does not keep it.  The reference check is skipped because
+    # it counts references, not views: a trace hook that reads
+    # ``frame.f_locals`` (a debugger, hypothesis' explain pass) holds
+    # ``key`` itself and would fail it, while no view of ``key`` is
+    # alive here that the reallocation could leave dangling.
+    key.resize(end, refcheck=False)
     # Row v's keys are [v * n, (v + 1) * n): its offset is the count of
     # keys below v * n.  The column is then split off in place.
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)

@@ -58,9 +58,7 @@ class Graph:
         drop_self_loops: bool = True,
     ) -> "Graph":
         """Build from raw edges, applying the paper's preprocessing."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        m_input = int(src.size)
+        m_input = int(np.size(src))
         perm = random_permutation(n, seed) if shuffle else None
         csr = _build_csr(
             n, src, dst, perm, symmetrize=symmetrize, drop_self_loops=drop_self_loops
@@ -71,69 +69,6 @@ class Graph:
             perm=perm,
             name=name,
             directed=not symmetrize,
-        )
-
-    @classmethod
-    def from_csr(cls, csr: CSR, m_input: int | None = None, name: str = "graph") -> "Graph":
-        """Wrap an existing CSR (no relabeling, assumed preprocessed)."""
-        return cls(csr=csr, m_input=m_input if m_input is not None else csr.nnz // 2, name=name)
-
-    @classmethod
-    def from_scipy(
-        cls,
-        matrix,
-        symmetrize: bool = True,
-        shuffle: bool = True,
-        seed: int | None = 0,
-        name: str = "scipy-graph",
-    ) -> "Graph":
-        """Build from any square ``scipy.sparse`` adjacency matrix.
-
-        Values are ignored (the traversal is boolean).  This is the entry
-        point for real-world datasets: combine with ``scipy.io.mmread``
-        for SuiteSparse / MatrixMarket files (see :meth:`from_mtx`).
-        """
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(
-                f"adjacency matrices must be square, got {matrix.shape}"
-            )
-        coo = matrix.tocoo()
-        return cls.from_edges(
-            matrix.shape[0],
-            coo.row.astype(np.int64),
-            coo.col.astype(np.int64),
-            symmetrize=symmetrize,
-            shuffle=shuffle,
-            seed=seed,
-            name=name,
-        )
-
-    @classmethod
-    def from_mtx(
-        cls,
-        path,
-        symmetrize: bool = True,
-        shuffle: bool = True,
-        seed: int | None = 0,
-    ) -> "Graph":
-        """Load a MatrixMarket file (the SuiteSparse distribution format).
-
-        This is how the paper's real test instances (uk-union's web
-        releases, KKt_power, Freescale1, Cage14) would be fed in when the
-        files are available.
-        """
-        import pathlib
-
-        import scipy.io
-
-        path = pathlib.Path(path)
-        matrix = scipy.io.mmread(str(path))
-        return cls.from_scipy(
-            matrix,
-            symmetrize=symmetrize,
-            shuffle=shuffle,
-            seed=seed,
-            name=path.stem,
         )
 
     # -- basic properties -----------------------------------------------------

@@ -14,7 +14,6 @@ The 2D BFS formulates each level as a sparse matrix-sparse vector product
   between them (Section 4.2).
 """
 
-from repro.sparse.csr_matrix import CSRMatrix
 from repro.sparse.dcsc import DCSC
 from repro.sparse.semiring import (
     BIT_OR,
@@ -33,7 +32,6 @@ from repro.sparse.spmsv import (
 
 __all__ = [
     "BIT_OR",
-    "CSRMatrix",
     "DCSC",
     "SELECT_MAX",
     "SEMIRINGS",

@@ -100,7 +100,7 @@ class SymmetricDCSC:
         return cls.from_coo(full.nrows, rows, cols)
 
     def to_full(self) -> DCSC:
-        """Expand back to the full symmetric DCSC (for tests/interop)."""
+        """Expand back to the full symmetric DCSC (for tests)."""
         off = self._rows != self._cols
         rows = np.concatenate([self._rows, self._cols[off]])
         cols = np.concatenate([self._cols, self._rows[off]])

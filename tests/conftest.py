@@ -9,6 +9,7 @@ import pytest
 
 from repro.comm import AutoCodec, DeltaVarintCodec, RawCodec
 from repro.graphs import Graph, rmat_graph, webcrawl_graph
+from repro.sparse import SELECT_MAX
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -194,3 +195,16 @@ def launch_any(
     if kind == "msbfs":
         return session.query(query_sources(graph, source, batch))
     raise ValueError(f"unknown algorithm kind {kind!r}")  # pragma: no cover
+
+
+def spmsv_reference(nrows, rows, cols, frontier_idx, frontier_val, semiring=SELECT_MAX):
+    """Slow-but-obvious semiring SpMSV over COO entries ``(rows, cols)``,
+    the oracle of the SpMSV kernels: output row ``r`` combines the
+    payloads of all frontier columns ``c`` with an entry ``(r, c)``."""
+    dense = np.full(nrows, semiring.identity, dtype=np.int64)
+    payload = dict(zip(np.asarray(frontier_idx).tolist(), np.asarray(frontier_val).tolist()))
+    for r, c in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        if c in payload:
+            dense[r] = semiring.combine(dense[r], np.int64(payload[c]))
+    out_idx = np.flatnonzero(dense != semiring.identity).astype(np.int64)
+    return out_idx, dense[out_idx]

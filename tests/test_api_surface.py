@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.partition import Partition1D
-from repro.graphs import Graph, build_csr
 from repro.model import FRANKLIN, Charger, beta_L
 from repro.model.network import (
     beta_p2p,
@@ -157,13 +156,9 @@ class TestSemiringSurface:
         SELECT_MAX.reduce_at(dense, np.array([1, 1, 3]), np.array([5, 8, 2]))
         assert np.array_equal(dense, [-1, 8, -1, 2])
 
-
-class TestGraphSurface:
-    def test_from_csr_wraps_without_relabeling(self):
-        csr = build_csr(4, np.array([0, 1]), np.array([1, 2]))
-        g = Graph.from_csr(csr, name="wrapped")
-        assert g.perm is None
-        assert g.m_input == 2  # stored nnz // 2
-        assert g.name == "wrapped"
-        g2 = Graph.from_csr(csr, m_input=7)
-        assert g2.m_input == 7
+    def test_semiring_reduce_sorted_runs(self):
+        keys = np.array([1, 1, 3, 3, 3, 7])
+        vals = np.array([5, 9, 2, 8, 4, 1])
+        k, v = SELECT_MAX.reduce_sorted_runs(keys, vals)
+        assert np.array_equal(k, [1, 3, 7])
+        assert np.array_equal(v, [9, 8, 1])

@@ -4,8 +4,7 @@ The channel is the only seam between the algorithms and the wire, so
 these tests pin its bookkeeping contract: raw is the identity (wire ==
 payload, self-buckets excluded), codecs shrink the wire without touching
 the decoded multiset, the sieve drops exactly the already-shipped
-targets, and everything lands in ``SimStats.summary()`` and the
-breakdown table.
+targets, and everything lands in ``SimStats.summary()``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bench.report import comm_breakdown_table
 from repro.comm import CommChannel, DeltaVarintCodec, Sieve, VertexRange
 from repro.core import run_bfs
 from repro.graphs.rmat import rmat_graph
@@ -329,21 +327,10 @@ class TestValidationAndReporting:
         with pytest.raises(ValueError, match="codec/sieve"):
             run_bfs(graph, 0, "graph500-ref", nprocs=2, sieve=True)
 
-    def test_comm_breakdown_table_from_run(self):
+    def test_codec_run_ships_fewer_wire_words_than_payload(self):
         graph = rmat_graph(8, 8, seed=2)
         res = run_bfs(
             graph, 17, "1d", nprocs=4, codec=DeltaVarintCodec(), sieve=True
         )
         stats = res.stats
         assert stats.wire_words("alltoallv") < stats.payload_words("alltoallv")
-        table = comm_breakdown_table(stats)
-        kinds = {row[1] for row in table.rows if row[0] == "total"}
-        assert "alltoallv" in kinds
-        ratio = {
-            row[1]: row[4] for row in table.rows if row[0] == "total"
-        }["alltoallv"]
-        assert ratio > 1.0
-        level_rows = [r for r in table.rows if str(r[0]).startswith("level")]
-        assert level_rows, "per-level rows missing"
-        rendered = table.render()
-        assert "payload words" in rendered and "wire words" in rendered

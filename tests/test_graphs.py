@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,8 @@ from repro.graphs import (
     Graph,
     build_csr,
     erdos_renyi_edges,
-    load_graph,
     rmat_edges,
     rmat_graph,
-    save_graph,
     uniform_degree_edges,
     webcrawl_graph,
 )
@@ -126,6 +126,13 @@ class TestWebcrawl:
             webcrawl_edges(100, n_hosts=4, zipf_exponent=1.5)
 
 
+#: The two public ways to build a CSR from raw edges.
+BUILDS = [
+    pytest.param(build_csr, id="build_csr"),
+    pytest.param(lambda n, src, dst: Graph.from_edges(n, src, dst).csr, id="from_edges"),
+]
+
+
 class TestCsr:
     def test_symmetrize_and_dedup(self):
         csr = build_csr(4, np.array([0, 0, 1]), np.array([1, 1, 0]))
@@ -181,6 +188,38 @@ class TestCsr:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             build_csr(3, np.array([0]), np.array([5]))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("src, dst", [([0.5, 1], [1, 2]), ([0, 1], np.array([1.0, 2.0]))])
+    def test_non_integer_endpoints_rejected(self, build, src, dst):
+        # A cast would truncate 0.5 to 0 and build the edge 0-1.
+        with pytest.raises(ValueError, match="must be integers"):
+            build(4, src, dst)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_empty_list_endpoints_build_an_empty_graph(self, build):
+        csr = build(4, [], [])  # ``[]`` is float64 to numpy
+        assert csr.nnz == 0 and np.array_equal(csr.indptr, np.zeros(5))
+
+    def test_build_under_a_trace_hook(self):
+        # A hook reading ``frame.f_locals`` (debuggers, hypothesis'
+        # explain pass) holds a reference to every local of the build.
+        rng = np.random.default_rng(3)
+        src, dst = rng.integers(0, 40, 300), rng.integers(0, 40, 300)
+        expected = Graph.from_edges(40, src, dst, seed=1)
+
+        def hook(frame, event, arg):
+            frame.f_locals
+            return hook
+
+        previous = sys.gettrace()
+        sys.settrace(hook)
+        try:
+            traced = Graph.from_edges(40, src, dst, seed=1)
+        finally:
+            sys.settrace(previous)
+        assert np.array_equal(traced.csr.indptr, expected.csr.indptr)
+        assert np.array_equal(traced.csr.indices, expected.csr.indices)
 
     def test_degrees_sum_to_nnz(self):
         rng = np.random.default_rng(2)
@@ -258,63 +297,3 @@ class TestGraphContainer:
         g = Graph.from_edges(4, np.empty(0, np.int64), np.empty(0, np.int64))
         with pytest.raises(ValueError, match="no edges"):
             g.random_nonisolated_vertices(1)
-
-
-class TestIO:
-    def test_round_trip(self, tmp_path):
-        g = rmat_graph(8, 8, seed=9)
-        path = save_graph(g, tmp_path / "g")
-        loaded = load_graph(path)
-        assert loaded.n == g.n
-        assert loaded.m_input == g.m_input
-        assert loaded.name == g.name
-        assert np.array_equal(loaded.csr.indptr, g.csr.indptr)
-        assert np.array_equal(loaded.csr.indices, g.csr.indices)
-        assert np.array_equal(loaded.perm, g.perm)
-
-    def test_round_trip_without_perm(self, tmp_path):
-        g = rmat_graph(6, 4, seed=0, shuffle=False)
-        loaded = load_graph(save_graph(g, tmp_path / "noperm"))
-        assert loaded.perm is None
-
-
-class TestScipyAndMtxInput:
-    def test_from_scipy_round_trip(self):
-        sp = pytest.importorskip("scipy.sparse")
-
-        rng = np.random.default_rng(0)
-        coo = sp.coo_matrix(
-            (np.ones(60), (rng.integers(0, 40, 60), rng.integers(0, 40, 60))),
-            shape=(40, 40),
-        )
-        g = Graph.from_scipy(coo, shuffle=False)
-        assert g.n == 40
-        assert g.m_input == 60
-        # Symmetric storage regardless of the input's symmetry.
-        for u in range(40):
-            for v in g.csr.neighbors(u):
-                assert g.csr.has_edge(int(v), u)
-
-    def test_from_scipy_rejects_rectangular(self):
-        sp = pytest.importorskip("scipy.sparse")
-
-        with pytest.raises(ValueError, match="square"):
-            Graph.from_scipy(sp.eye(3, 5))
-
-    def test_from_mtx(self, tmp_path):
-        scipy_io = pytest.importorskip("scipy.io")
-        sp = pytest.importorskip("scipy.sparse")
-
-        matrix = sp.coo_matrix(
-            (np.ones(4), ([0, 1, 2, 3], [1, 2, 3, 0])), shape=(5, 5)
-        )
-        path = tmp_path / "tiny.mtx"
-        scipy_io.mmwrite(str(path), matrix)
-        g = Graph.from_mtx(path, shuffle=False)
-        assert g.name == "tiny"
-        assert g.n == 5
-        from repro.core import run_bfs
-
-        res = run_bfs(g, 0, "1d", nprocs=2, validate=True)
-        assert res.levels[0] == 0
-        assert (res.levels[:4] >= 0).all()

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.graphs.permutation import invert_permutation, random_permutation
 from repro.mpsim import collectives as coll
-from repro.sparse import DCSC, CSRMatrix, spmsv_heap, spmsv_spa
+from repro.sparse import DCSC, spmsv_heap, spmsv_spa
+
+from tests.conftest import spmsv_reference
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,14 +95,13 @@ def test_spmsv_kernels_equal_reference(matrix, seed):
     """SPA kernel == heap kernel == brute-force reference, always."""
     nrows, ncols, rows, cols = matrix
     d = DCSC.from_coo(nrows, ncols, rows, cols)
-    m = CSRMatrix.from_coo(nrows, ncols, rows, cols)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, ncols + 1))
     fi = np.unique(rng.integers(0, ncols, size=k)) if k else np.empty(0, np.int64)
     fv = fi + 1
     i_spa, v_spa, _ = spmsv_spa(d, fi, fv)
     i_heap, v_heap, _ = spmsv_heap(d, fi, fv)
-    i_ref, v_ref = m.spmsv_reference(fi, fv)
+    i_ref, v_ref = spmsv_reference(nrows, rows, cols, fi, fv)
     assert np.array_equal(i_spa, i_heap)
     assert np.array_equal(v_spa, v_heap)
     assert np.array_equal(i_spa, i_ref)

@@ -1,4 +1,4 @@
-"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels, CSR matrices."""
+"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels."""
 
 from __future__ import annotations
 
@@ -7,14 +7,14 @@ import pytest
 
 from repro.sparse import (
     DCSC,
-    SELECT_MAX,
     SPA,
-    CSRMatrix,
     choose_spmsv_kernel,
     spmsv,
     spmsv_heap,
     spmsv_spa,
 )
+
+from tests.conftest import spmsv_reference
 
 
 def random_coo(nrows, ncols, nnz, seed=0):
@@ -151,13 +151,12 @@ class TestSpMSVKernels:
         nnz = int(rng.integers(0, 4 * max(nr, nc)))
         rows, cols = random_coo(nr, nc, nnz, seed=seed + 100)
         d = DCSC.from_coo(nr, nc, rows, cols)
-        m = CSRMatrix.from_coo(nr, nc, rows, cols)
         k = int(rng.integers(0, nc))
         fi = np.unique(rng.integers(0, nc, size=k)) if k else np.empty(0, np.int64)
         fv = fi * 3 + 1
         i_spa, v_spa, w_spa = spmsv_spa(d, fi, fv)
         i_heap, v_heap, w_heap = spmsv_heap(d, fi, fv)
-        i_ref, v_ref = m.spmsv_reference(fi, fv)
+        i_ref, v_ref = spmsv_reference(nr, rows, cols, fi, fv)
         assert np.array_equal(i_spa, i_heap) and np.array_equal(v_spa, v_heap)
         assert np.array_equal(i_spa, i_ref) and np.array_equal(v_spa, v_ref)
         assert w_spa.candidates == w_heap.candidates
@@ -222,35 +221,3 @@ class TestSpMSVKernels:
         assert w.kernel == "heap"
         with pytest.raises(ValueError, match="unknown SpMSV kernel"):
             spmsv(d, fi, fv, kernel="bogus")
-
-
-class TestCSRMatrix:
-    def test_transpose_involution(self):
-        rows, cols = random_coo(12, 17, 60, seed=4)
-        m = CSRMatrix.from_coo(12, 17, rows, cols)
-        mt2 = m.transpose().transpose()
-        assert np.array_equal(m.indptr, mt2.indptr)
-        assert np.array_equal(m.indices, mt2.indices)
-
-    def test_spmv_bool(self):
-        m = CSRMatrix.from_coo(3, 3, [0, 1, 2], [1, 2, 0])
-        x = np.array([False, True, False])
-        assert np.array_equal(m.spmv_bool(x), [True, False, False])
-
-    def test_spmv_bool_empty_rows(self):
-        m = CSRMatrix.from_coo(4, 4, [0], [0])
-        y = m.spmv_bool(np.array([True, True, True, True]))
-        assert np.array_equal(y, [True, False, False, False])
-
-    def test_to_dcsc_consistent(self):
-        rows, cols = random_coo(10, 10, 40, seed=5)
-        m = CSRMatrix.from_coo(10, 10, rows, cols)
-        d = m.to_dcsc()
-        assert d.nnz == m.nnz
-
-    def test_semiring_reduce_sorted_runs(self):
-        keys = np.array([1, 1, 3, 3, 3, 7])
-        vals = np.array([5, 9, 2, 8, 4, 1])
-        k, v = SELECT_MAX.reduce_sorted_runs(keys, vals)
-        assert np.array_equal(k, [1, 3, 7])
-        assert np.array_equal(v, [9, 8, 1])

@@ -334,3 +334,21 @@ class TestValidationAndReporting:
         )
         stats = res.stats
         assert stats.wire_words("alltoallv") < stats.payload_words("alltoallv")
+
+    def test_codec_run_breaks_wire_and_payload_down_by_level(self):
+        graph = rmat_graph(8, 8, seed=2)
+        res = run_bfs(
+            graph, 17, "1d", nprocs=4, codec=DeltaVarintCodec(), sieve=True
+        )
+        stats = res.stats
+        summary = stats.summary()
+        wire = summary["words_by_level"]
+        payload = stats.payload_by_level()
+        assert set(wire) == set(payload) and len(wire) > 1
+        for level, by_kind in payload.items():
+            assert wire[level]["alltoallv"] <= by_kind["alltoallv"]
+        assert sum(w["alltoallv"] for w in wire.values()) == stats.wire_words("alltoallv")
+        assert summary["payload_by_kind"]["alltoallv"] == sum(
+            p["alltoallv"] for p in payload.values()
+        )
+        assert summary["compression_ratio"] > 1.0

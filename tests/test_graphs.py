@@ -221,6 +221,23 @@ class TestCsr:
         assert np.array_equal(traced.csr.indptr, expected.csr.indptr)
         assert np.array_equal(traced.csr.indices, expected.csr.indices)
 
+    def test_directed_build_dedups_and_sorts(self):
+        csr = build_csr(
+            3, np.array([0, 0, 1, 0]), np.array([2, 2, 0, 1]), symmetrize=False
+        )
+        assert csr.nnz == 3
+        assert np.array_equal(csr.neighbors(0), [1, 2])
+        assert csr.has_edge(1, 0) and not csr.has_edge(2, 0)
+
+    def test_from_edges_stores_both_directions(self):
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, 40, 60), rng.integers(0, 40, 60)
+        g = Graph.from_edges(40, src, dst, shuffle=False)
+        assert g.m_input == 60 and not g.directed
+        for u in range(40):
+            for v in g.csr.neighbors(u):
+                assert g.csr.has_edge(int(v), u)
+
     def test_degrees_sum_to_nnz(self):
         rng = np.random.default_rng(2)
         csr = build_csr(20, rng.integers(0, 20, 100), rng.integers(0, 20, 100))
@@ -244,6 +261,16 @@ class TestPermutation:
         g = rmat_graph(8, 8, seed=0, shuffle=True)
         orig = np.arange(g.n)
         assert np.array_equal(g.to_original(g.to_internal(orig)), orig)
+
+    def test_original_labels_restore_input_edges(self):
+        shuffled = rmat_graph(8, 4, seed=3, shuffle=True)
+        plain = rmat_graph(8, 4, seed=3, shuffle=False)
+        targets, sources = shuffled.csr.gather(np.arange(shuffled.n))
+        u = shuffled.to_original(sources)
+        v = shuffled.to_original(targets)
+        relabeled = build_csr(shuffled.n, u, v, symmetrize=False)
+        assert np.array_equal(relabeled.indptr, plain.csr.indptr)
+        assert np.array_equal(relabeled.indices, plain.csr.indices)
 
     def test_relabel_preserves_structure(self):
         g_plain = rmat_graph(8, 8, seed=0, shuffle=False)
@@ -284,6 +311,36 @@ class TestGraphContainer:
                 assert got == (value if value < 0 else inverse[value])
         assert g._inverse is g._inverse  # computed once per graph
         assert np.array_equal(g.to_original(g.perm), np.arange(50))
+
+    def test_wraps_a_csr_without_relabeling(self):
+        csr = build_csr(4, np.array([0, 1]), np.array([1, 2]))
+        g = Graph(csr=csr, m_input=2, name="wrapped")
+        assert g.perm is None and g.n == 4 and g.nnz == 4
+        ids = np.array([3, -1, 0])
+        assert g.to_internal(ids) is ids and g.to_original(ids) is ids
+        assert g.relabel_vertex_array(ids) is ids
+        assert g.original_rows(1, 3) == slice(1, 3)
+
+    def test_npz_round_trip(self, tmp_path):
+        # Persisting a graph is ``np.savez`` of its CSR arrays and perm.
+        g = rmat_graph(8, 8, seed=9)
+        path = tmp_path / "g.npz"
+        np.savez(path, indptr=g.csr.indptr, indices=g.csr.indices, perm=g.perm)
+        with np.load(path) as d:
+            csr = CSR(n=d["indptr"].size - 1, indptr=d["indptr"], indices=d["indices"])
+            loaded = Graph(csr=csr, m_input=g.m_input, perm=d["perm"], name=g.name)
+        assert loaded.n == g.n and loaded.nnz == g.nnz
+        assert np.array_equal(loaded.csr.indices, g.csr.indices)
+        orig = np.arange(g.n)
+        assert np.array_equal(loaded.to_internal(orig), g.to_internal(orig))
+        assert np.array_equal(loaded.to_original(orig), g.to_original(orig))
+
+    def test_validated_search_over_a_cycle_and_an_isolated_vertex(self):
+        from repro.core import run_bfs
+
+        g = Graph.from_edges(5, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]), shuffle=False)
+        res = run_bfs(g, 0, "1d", nprocs=2, validate=True)
+        assert np.array_equal(res.levels, [0, 1, 2, 1, -1])
 
     def test_random_sources_have_degree(self):
         g = rmat_graph(10, 4, seed=0)

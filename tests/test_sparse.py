@@ -1,10 +1,13 @@
-"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels."""
+"""Tests for the sparse substrate: DCSC, SPA, SpMSV kernels, and SpMSV as
+the boolean matrix-vector product a BFS level is (Section 4.1)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import bfs_serial
+from repro.graphs import rmat_graph
 from repro.sparse import (
     DCSC,
     SPA,
@@ -221,3 +224,55 @@ class TestSpMSVKernels:
         assert w.kernel == "heap"
         with pytest.raises(ValueError, match="unknown SpMSV kernel"):
             spmsv(d, fi, fv, kernel="bogus")
+
+
+class TestSpMSVAsMatrixProduct:
+    def test_transpose_involution(self):
+        # Transposing a DCSC is a rebuild from its swapped pairs.
+        rows, cols = random_coo(12, 17, 60, seed=4)
+        d = DCSC.from_coo(12, 17, rows, cols)
+        r, c = d.to_coo()
+        dt = DCSC.from_coo(17, 12, c, r)
+        rt, ct = dt.to_coo()
+        back = DCSC.from_coo(12, 17, ct, rt)
+        assert dt.nnz == d.nnz
+        assert np.array_equal(back.jc, d.jc)
+        assert np.array_equal(back.cp, d.cp)
+        assert np.array_equal(back.ir, d.ir)
+
+    def test_spmsv_is_boolean_spmv(self):
+        rows, cols = random_coo(25, 25, 90, seed=6)
+        d = DCSC.from_coo(25, 25, rows, cols)
+        dense = np.zeros((25, 25), dtype=bool)
+        dense[rows, cols] = True
+        x = np.random.default_rng(7).random(25) < 0.3
+        fi = np.flatnonzero(x)
+        idx, _, _ = spmsv(d, fi, fi + 1)
+        assert np.array_equal(idx, np.flatnonzero(dense @ x))
+
+    def test_spmsv_skips_rows_without_frontier_entries(self):
+        d = DCSC.from_coo(4, 4, [0], [0])
+        fi = np.arange(4)
+        for kernel in ("spa", "heap"):
+            idx, vals, _ = spmsv(d, fi, fi + 1, kernel=kernel)
+            assert np.array_equal(idx, [0]) and np.array_equal(vals, [1])
+
+    def test_repeated_spmsv_matches_bfs_levels(self):
+        """One SpMSV with the frontier, masked by the visited set, is one
+        level of a level-synchronous BFS."""
+        graph = rmat_graph(9, 8, seed=3)
+        csr = graph.csr
+        adjacency = DCSC.from_coo(
+            csr.n, csr.n, csr.indices, np.repeat(np.arange(csr.n), csr.degrees())
+        )
+        source = int(np.argmax(csr.degrees()))
+        expected, _ = bfs_serial(csr, source)
+        levels = np.full(csr.n, -1, dtype=np.int64)
+        levels[source] = 0
+        frontier, depth = np.array([source]), 0
+        while frontier.size:
+            depth += 1
+            reached, _, _ = spmsv(adjacency, frontier, frontier)
+            frontier = reached[levels[reached] < 0]
+            levels[frontier] = depth
+        assert np.array_equal(levels, expected)

@@ -34,7 +34,6 @@ from repro.graphs.csr import build_csr
 from repro.graphs.graph import Graph
 from repro.graphs.permutation import apply_permutation, random_permutation
 from repro.graphs.rmat import GRAPH500_PARAMS, rmat_edges
-from repro.comm import channel as channel_module
 from repro.kernels import numpy_backend, reference
 from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
 from repro.query.msbfs import resolve_lane_winners
@@ -187,7 +186,7 @@ MSBFS_LANES = 64
 MSBFS_RANKS = 16
 
 #: Loose CI-safe bars; measured on a noisy 2-CPU box 4.4-6.2x (update)
-#: and 3.2-3.6x (pack).
+#: and 3.5-4.9x (the run pack).
 MIN_UPDATE_SPEEDUP = 3.0
 MIN_PACK_SPEEDUP = 2.0
 
@@ -227,6 +226,7 @@ def msbfs_level():
         "fwords": fwords,
         "part": part,
         "senders": senders,
+        "sent": sent,
         "triples": triples,
     }
 
@@ -259,23 +259,26 @@ def _resolve_per_lane(rt, rs, fresh, levels, parents, level):
         parents[tb, b] = sb
 
 
-def _pack_bucket_then_lexsort(channel, targets, values, extras, owners):
-    """``pack_triples`` as it was: stable bucket by owner, then a
-    three-key lexsort per destination."""
+def _pack_bucket_then_lexsort(channel, targets, sources, source_words):
+    """The run pack as one destination at a time: stable bucket by
+    owner, then per destination a two-key lexsort and ``np.unique`` for
+    the runs."""
+    mine = channel.ranges[channel.comm.rank]
+    owners = np.searchsorted(channel._bounds, targets, side="right") - 1
     buckets, _counts = kernels.bucket_by_owner(
-        owners, channel.comm.size, targets, values, extras
+        owners, channel.comm.size, targets, sources
     )
     send = []
-    for dst, (t, v, x) in enumerate(buckets):
+    for t, s in buckets:
         if t.size == 0:
             send.append(np.empty(0, dtype=np.int64))
             continue
-        order = np.lexsort((x, v, t))
-        pair_buf = channel.codec.encode_pairs(t[order], v[order], channel.ranges[dst])
+        order = np.lexsort((t, s))
+        run_sources, lengths = np.unique(s[order], return_counts=True)
+        frame = channel.codec.encode_pairs(run_sources, lengths.astype(np.int64), mine)
+        words = source_words[run_sources - mine.lo].view(np.int64)
         send.append(
-            np.concatenate(
-                [np.array([pair_buf.size], dtype=np.int64), pair_buf, x[order]]
-            )
+            np.concatenate([np.array([frame.size], dtype=np.int64), frame, words, t[order]])
         )
     return send
 
@@ -290,8 +293,8 @@ def _assert_speedup(what, fast, slow, bar):
 
 def test_msbfs_level_one_pass_beats_per_lane(msbfs_level, race):
     """One winner-kernel pass >= 3x the 64-iteration update loop, and the
-    single-sort ``pack_triples`` >= 2x bucket + per-destination lexsort,
-    on the busiest level of a scale-14 64-lane batch; results identical."""
+    one-sort run pack >= 2x bucket + per-destination lexsort, on the
+    busiest level of a scale-14 64-lane batch; results identical."""
     # Four (n, lanes) arrays allocated outside the race: filling 8 MiB
     # with -1 would otherwise be a third of the one-pass side's time.
     got_arrays, want_arrays = (
@@ -306,20 +309,26 @@ def test_msbfs_level_one_pass_beats_per_lane(msbfs_level, race):
     assert (got[0] >= 0).sum() > msbfs_level["n"]  # a real level's worth of slots
     _assert_speedup("one-pass msbfs update", fast, slow, MIN_UPDATE_SPEEDUP)
 
+    # Every sender packs its pruned candidates through its own channel.
     part = msbfs_level["part"]
-    channel = CommChannel(
-        SimpleNamespace(size=MSBFS_RANKS, rank=0),
-        [VertexRange(lo, hi - lo) for lo, hi in map(part.range_of, range(MSBFS_RANKS))],
+    ranges = [VertexRange(lo, hi - lo) for lo, hi in map(part.range_of, range(MSBFS_RANKS))]
+    packs = [
+        (
+            CommChannel(SimpleNamespace(size=MSBFS_RANKS, rank=rank), ranges),
+            targets,
+            sources,
+            msbfs_level["fwords"][ranges[rank].lo : ranges[rank].lo + ranges[rank].nbits],
+        )
+        for rank, (targets, sources, _words) in enumerate(msbfs_level["sent"])
+    ]
+    fast, got, slow, want = race(
+        lambda: [channel.pack_runs(*args)[0] for channel, *args in packs],
+        lambda: [_pack_bucket_then_lexsort(*pack) for pack in packs],
     )
-    targets, sources, words = msbfs_level["triples"]
-    args = (targets, sources, words.view(np.int64))
-    owners = part.owner_of(targets)
-    fast, (send, _info), slow, want = race(
-        lambda: channel.pack_triples(*args),
-        lambda: _pack_bucket_then_lexsort(channel, *args, owners),
-    )
-    assert [buf.tobytes() for buf in send] == [buf.tobytes() for buf in want]
-    _assert_speedup("single-sort pack_triples", fast, slow, MIN_PACK_SPEEDUP)
+    assert [b.tobytes() for send in got for b in send] == [
+        b.tobytes() for send in want for b in send
+    ]
+    _assert_speedup("one-sort pack_runs", fast, slow, MIN_PACK_SPEEDUP)
 
 
 # -- small exchanges: one codec pass against one buffer at a time -------------
@@ -679,36 +688,22 @@ def _composite_lane_winners(targets, sources, words):
     return targets, sources, words, after
 
 
-def _composite_group_triples(owners, nbuckets, targets, values, extras):
-    """``_group_triples`` as it was on wire-ordered input: the (owner,
-    target, value) key built to find it ordered."""
-    tmin, vmin = int(targets.min()), int(values.min())
-    tbits = (int(targets.max()) - tmin).bit_length()
-    vbits = (int(values.max()) - vmin).bit_length()
-    key = owners.astype(np.uint64)
-    key <<= np.uint64(tbits)
-    key |= (targets - np.int64(tmin)).view(np.uint64)
-    key <<= np.uint64(vbits)
-    key |= (values - np.int64(vmin)).view(np.uint64)
-    assert not (key[1:] < key[:-1]).any()  # no sort
-    assert not (key[1:] == key[:-1]).any()  # no ties to order extras in
-    return targets, values, extras, np.bincount(owners, minlength=nbuckets)
-
-
 def _level_composite(load):
-    """A level's interior as it was: per sender, a word gathered per
-    candidate, the composite-key prune, ``owner_of`` and the keyed
-    grouping; at the owner, the composite-key resolve and the BIT_OR
-    SPA's union."""
+    """A level's interior on composite keys: per sender, a word gathered
+    per candidate, the composite-key prune, ``owner_of`` and a
+    three-key ``lexsort`` regroup into runs; at the owner, the
+    composite-key resolve and the BIT_OR SPA's union."""
     part = load["part"]
     sent = []
     for targets, sources, _words in load["senders"]:
         words = load["fwords"][sources]
         targets, sources, words, wins = _composite_lane_winners(targets, sources, words)
         keep = wins != 0
-        triple = (targets[keep], sources[keep], words[keep])
-        sent.append(_composite_group_triples(part.owner_of(triple[0]), MSBFS_RANKS, *triple))
-    rt, rs, rw = (np.concatenate(column) for column in list(zip(*sent))[:3])
+        targets, sources = targets[keep], sources[keep]
+        order = np.lexsort((targets, sources, part.owner_of(targets)))
+        sources = sources[order]
+        sent.append((targets[order], sources, load["fwords"][sources]))
+    rt, rs, rw = (np.concatenate(column) for column in zip(*sent))
     fresh = rw & ~load["visit"][rt]
     alive = fresh != 0
     rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
@@ -716,36 +711,42 @@ def _level_composite(load):
     spa.accumulate(rt, fresh)
     reached, unions = spa.extract_and_reset()
     targets, sources, _words, wins = _composite_lane_winners(rt, rs, fresh)
-    return [column for *column, _counts in sent], reached, unions, wins
+    return sent, reached, unions, wins
 
 
 def _level_narrow(load):
-    """The same level on narrow keys: the source-word prune, the pack's
-    searchsorted counts, the owner's by-target sort and run heads."""
+    """The same level on narrow keys: the source-word prune, the run
+    regroup, the rows rebuilt from the runs, the owner's by-target sort
+    and run heads."""
     part = load["part"]
     bounds = np.asarray(part.bounds)
     sent = []
     for rank, (targets, sources, _words) in enumerate(load["senders"]):
         lo, hi = part.range_of(rank)
-        triple = kernels.lane_prune_by_source(
+        targets, sources, _words = kernels.lane_prune_by_source(
             targets, sources, load["fwords"][lo:hi], lo, MSBFS_LANES
         )
-        sent.append(channel_module._group_triples(*triple, bounds))
-    rt, rs, rw = (np.concatenate(column) for column in list(zip(*sent))[:3])
+        targets, run_sources, lengths, _runs, _counts = kernels.source_runs(
+            targets, sources, bounds
+        )
+        run_words = load["fwords"][run_sources]
+        sent.append(
+            (targets, np.repeat(run_sources, lengths), np.repeat(run_words, lengths))
+        )
+    rt, rs, rw = (np.concatenate(column) for column in zip(*sent))
     fresh = rw & ~load["visit"][rt]
     alive = np.flatnonzero(fresh)
     rt, rs, fresh = rt[alive], rs[alive], fresh[alive]
     _t, _s, wins, reached, unions = kernels.lane_winners(rt, rs, fresh, MSBFS_LANES)
-    return [column for *column, _counts in sent], reached, unions, wins
+    return sent, reached, unions, wins
 
 
 def test_msbfs_narrow_keys_beat_composite(msbfs_level, race):
     """The busiest level of the scale-14 64-lane batch — 16 senders'
-    prune and pack grouping, then the owner's winners and lane unions —
-    is >= 1.2x on narrow keys (one sort per side, no re-keying in the
-    pack, unions off the scan's run heads) than on the composite keys
-    and the BIT_OR SPA it replaced, with identical sends, unions and
-    winner words."""
+    prune and run regroup, then the owner's winners and lane unions —
+    is >= 1.2x on narrow keys (a narrow sort per step, unions off the
+    scan's run heads) than on the composite keys, a ``lexsort`` regroup
+    and the BIT_OR SPA, with identical sends, unions and winner words."""
     fast, got, slow, want = race(
         lambda: _level_narrow(msbfs_level),
         lambda: _level_composite(msbfs_level),

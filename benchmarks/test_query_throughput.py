@@ -37,3 +37,7 @@ def test_quick_point_holds_the_bar():
     table = run_experiment("query-throughput", quick=True)
     rows = _by_batch(table)
     assert rows[64]["speedup"] >= 8.0, rows[64]
+    # Source runs ship a candidate in well under the 3 words a
+    # (target, source, lane word) triple took: one target word, plus a
+    # (source, length) pair and a lane word per (destination, source).
+    assert rows[64]["a2a words/cand"] < 2.0, rows[64]

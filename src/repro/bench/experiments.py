@@ -1102,6 +1102,7 @@ def query_throughput(quick: bool = False) -> Table:
             "time/query (ms)",
             "queries/s",
             "speedup",
+            "a2a words/cand",
         ],
     )
     baseline_qps = None
@@ -1124,6 +1125,7 @@ def query_throughput(quick: bool = False) -> Table:
             res.time_total / batch * 1e3,
             qps,
             qps / baseline_qps,
+            res.stats.words_sent("alltoallv") / res.stats.counter("unique_sends"),
         )
     table.notes.append(
         "one traversal advances all lanes at once: the frontier union of "
@@ -1131,6 +1133,12 @@ def query_throughput(quick: bool = False) -> Table:
         "amortize across lanes, so time/traversal grows sublinearly in the "
         "batch while time/query collapses; every lane is validated "
         "bit-identical to its single-source serial oracle"
+    )
+    table.notes.append(
+        "a2a words/cand: alltoallv wire words per candidate the senders "
+        "ship (self-addressed ones included); a candidate ships as a target "
+        "word, and each (destination, source) run adds a (source, length) "
+        "pair and one lane word"
     )
     return table
 

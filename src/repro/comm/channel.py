@@ -10,6 +10,10 @@ through it.  The channel
 * encodes each per-destination buffer with the configured
   :class:`~repro.comm.codecs.Codec` (so the engine's alpha-beta model
   prices the *encoded* size — compression is modeled speedup),
+* ships the batched query's candidates as *source runs*
+  (:meth:`CommChannel.pack_runs`): every candidate of one (destination,
+  source) shares one ``(source, run length)`` codec pair and one raw
+  lane word, followed by the run's targets,
 * records both ``payload_words`` (logical, pre-codec) and ``wire_words``
   (post-codec) per collective kind and per BFS level on the rank's
   :class:`~repro.mpsim.stats.RankStats`,
@@ -20,8 +24,8 @@ through it.  The channel
   phase spans (``sieve``/``encode``/``alltoallv``/``allgatherv``/
   ``decode``) nested under the algorithm's per-level spans.
 
-Under the default ``codec="raw"`` with the sieve off, the channel is a
-strict pass-through: byte-identical buffers, zero additional compute
+Under the default ``codec="raw"`` with the sieve off, the pair and
+gather sites are a strict pass-through: byte-identical buffers, zero additional compute
 charges, and the same charge ordering as the pre-channel call sites —
 the seed behaviour, bit for bit.
 """
@@ -29,11 +33,12 @@ the seed behaviour, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from repro import kernels
-from repro.comm.codecs import Codec, CodecError, VertexRange, _cut, _joined, get_codec
+from repro.comm.codecs import Codec, CodecError, VertexRange, _joined, get_codec
 from repro.comm.sieve import Sieve
 from repro.core.frontier import bitmap_words
 from repro.obs.metrics import NULL_RANK_METRICS
@@ -54,14 +59,6 @@ _SIEVE_BYTES_PER_FLAG = 8
 _CODEC_OPS_PER_WORD = 8.0
 
 
-def _ordered(targets, values):
-    """Whether the (target, value) rows ascend lexicographically, by one
-    adjacent compare per column."""
-    if (targets[1:] < targets[:-1]).any():
-        return False
-    return not ((values[1:] < values[:-1]) & (targets[1:] == targets[:-1])).any()
-
-
 def _check_in_range(targets, bounds):
     """Raise ``ValueError`` unless every target lies in ``[bounds[0],
     bounds[-1])``, the span of a channel's routing bounds."""
@@ -70,53 +67,21 @@ def _check_in_range(targets, bounds):
         raise ValueError(f"vertex ids out of range [{lo}, {hi})")
 
 
-def _group_triples(targets, values, extras, bounds):
-    """Order triples by (target, value), so by owner too; return the
-    three reordered columns and the per-owner counts.
-
-    Each target goes to the rank whose ``[bounds[j], bounds[j + 1])``
-    holds it (a 1D partition's owned ranges); a target outside
-    ``[bounds[0], bounds[-1])`` raises ``ValueError``.  Rows tying on
-    (target, value) keep their input order: an msbfs row's extra is its
-    source's frontier word, so such rows carry equal extras.
-
-    One adjacent compare per column usually settles the order — the
-    msbfs lane prune emits wire order — and the counts are then one
-    ``searchsorted`` of the bounds in the sorted targets.  Input found
-    out of order (msbfs with ``dedup_sends=False``) gets one stable sort
-    on a (target offset, value offset) key.  The python-int guard keeps
-    the key clear of 64-bit wrap, as in ``kernels.dedup_max``; past it
-    ``lexsort`` gives the same order.
-    """
-    _check_in_range(targets, bounds)
-    if not _ordered(targets, values):
-        tmin, tmax = int(targets.min()), int(targets.max())
-        vmin, vmax = int(values.min()), int(values.max())
-        vbits = (vmax - vmin).bit_length()
-        if (tmax - tmin).bit_length() + vbits <= 64:
-            key = (targets - np.int64(tmin)).view(np.uint64)
-            key <<= np.uint64(vbits)
-            key |= (values - np.int64(vmin)).view(np.uint64)
-            order = np.argsort(key, kind="stable")
-        else:
-            order = np.lexsort((values, targets))
-        targets, values, extras = targets[order], values[order], extras[order]
-    return targets, values, extras, np.diff(np.searchsorted(targets, bounds))
-
-
 @dataclass(frozen=True)
 class ExchangeInfo:
     """Accounting for one channel operation (one collective, one level).
 
     ``payload_words``/``wire_words`` follow the stats convention of the
     underlying collective: self-addressed all-to-all buckets are excluded,
-    gather contributions are not.
+    gather contributions are not.  ``pairs`` (candidates) and ``runs``
+    (the source runs of a run exchange) count every destination.
     """
 
     pairs: int
     payload_words: float
     wire_words: float
     dropped: int
+    runs: int = 0
 
 
 class CommChannel:
@@ -293,122 +258,198 @@ class CommChannel:
             )
         return rv, rp
 
-    # -- candidate triple exchange (batched queries: repro.query) -----------
-    def pack_triples(
-        self, targets: np.ndarray, values: np.ndarray, extras: np.ndarray
+    # -- source-run exchange (batched queries: repro.query) -----------------
+    def pack_runs(
+        self, targets: np.ndarray, sources: np.ndarray, source_words: np.ndarray
     ) -> tuple[list[np.ndarray], ExchangeInfo]:
-        """Bucket and encode ``(target, value, extra)`` candidate triples.
+        """Encode ``(target, source)`` candidates as per-destination
+        source runs, each carrying its source's lane word once.
 
-        The batched query ships one extra 64-bit column per pair: the
-        ``uint64`` lane word of a multi-source traversal (viewed as
-        int64).  The ``(target, value)`` columns ride the configured codec exactly like
-        :meth:`pack_pairs`; the extra column travels raw behind a length
-        header so a damaged buffer is detectable (header/pair/extra sizes
-        must agree, else :class:`CodecError`).  The sieve is structurally
-        incompatible — a target legitimately re-ships whenever a *new
-        lane* reaches it — so triple sites refuse one outright.
+        ``sources`` lie in this rank's own range ``mine`` and
+        ``source_words[v - mine.lo]`` is owned vertex ``v``'s ``uint64``
+        word — a multi-source traversal's frontier lanes — so every
+        candidate from one source carries the same word.  Each target
+        goes to the rank whose range holds it, the ranges tiling
+        ascending as a 1D partition's do.  A non-empty buffer is
 
-        Each target goes to the rank whose range holds it, the ranges
-        tiling ascending as a 1D partition's do (a target outside them
-        raises ``ValueError``).  Each bucket is sorted by (target,
-        value) before encoding (:func:`_group_triples`): input already
-        in that order — the msbfs lane prune's output — is only checked,
-        by adjacent compares, and takes its per-owner counts from one
-        ``searchsorted``; other input gets one sort for all
-        destinations.  The raw codec
-        preserves order and delta-varint finds every segment already in
-        (target, value) order, so the decoded pair order always matches
-        the raw extra column row for row.
+        * one header word: the pair frame's length ``F``;
+        * the codec's pair frame of ``(source, run length)``, one pair
+          per run, sources ascending (``auto`` checks them against the
+          sender's range);
+        * ``R`` raw lane words, one per run;
+        * the ``K`` targets, grouped by run, ascending within each run;
+
+        so ``1 + 3R + K`` words under the raw codec.  One
+        :func:`kernels.source_runs` sort puts the candidates in that
+        order.  A source outside the sender's
+        range or a target outside every range raises ``ValueError``.  The
+        sieve is structurally incompatible — a target legitimately
+        re-ships whenever a *new lane* reaches it — so run sites refuse
+        one outright.
+
+        ``payload_words`` count ``3R + K`` per off-rank buffer, the raw
+        form without its header.
         """
         if self.sieve is not None:
             raise ValueError(
-                "sieve is unsupported for triple exchanges: lane payloads "
+                "sieve is unsupported for run exchanges: lane payloads "
                 "re-ship targets whenever a new lane reaches them"
             )
-        targets = np.asarray(targets, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        extras = np.asarray(extras, dtype=np.int64)
+        mine = self.ranges[self.comm.rank]
+        source_words = np.asarray(source_words, dtype=np.uint64)
+        if source_words.size != mine.nbits:
+            raise ValueError(
+                f"need one source word per owned vertex: "
+                f"{source_words.size} != {mine.nbits}"
+            )
         with self.obs.span("encode", codec=self.codec.name):
             self.metrics.inc("codec_encodes", 1.0, codec=self.codec.name)
-            targets, values, extras, counts = _group_triples(
-                targets, values, extras, self._route_bounds()
+            targets, run_sources, run_lengths, run_counts, counts = kernels.source_runs(
+                targets, sources, self._route_bounds()
             )
-            pair_bufs = self.codec.encode_pairs_many(
-                targets, values, counts, self.ranges
+            lo, hi = mine.lo, mine.lo + mine.nbits
+            if run_sources.size and (run_sources.min() < lo or run_sources.max() >= hi):
+                raise ValueError(f"sources out of the sender's range [{lo}, {hi})")
+            frames = self.codec.encode_pairs_many(
+                run_sources, run_lengths, run_counts, [mine] * self.comm.size
             )
-            send = [
-                np.concatenate(
-                    [np.array([pair_buf.size], dtype=np.int64), pair_buf, dst_extras]
-                )
-                if pair_buf.size
-                else pair_buf
-                for pair_buf, dst_extras in zip(
-                    pair_bufs, np.split(extras, np.cumsum(counts)[:-1])
-                )
+            run_words = source_words[run_sources - lo].view(np.int64)
+            # Every buffer is a slice of one array, written field by field.
+            nruns, ntargets = run_counts.tolist(), counts.tolist()
+            sizes = [
+                1 + frame.size + r + k if frame.size else 0
+                for frame, r, k in zip(frames, nruns, ntargets)
             ]
-            payload, wire = self._off_rank_words(3.0 * counts, send)
-            self._charge_encode(float(targets.size), 3.0 * targets.size, wire)
-        info = ExchangeInfo(int(targets.size), payload, wire, 0)
+            wire_words = np.empty(sum(sizes), dtype=np.int64)
+            at = r0 = k0 = 0
+            for frame, size, r, k in zip(frames, sizes, nruns, ntargets):
+                if size:
+                    f = frame.size
+                    wire_words[at] = f
+                    wire_words[at + 1 : at + 1 + f] = frame
+                    wire_words[at + 1 + f : at + 1 + f + r] = run_words[r0 : r0 + r]
+                    wire_words[at + 1 + f + r : at + size] = targets[k0 : k0 + k]
+                at, r0, k0 = at + size, r0 + r, k0 + k
+            cuts = list(accumulate(sizes, initial=0))
+            send = [wire_words[a:b] for a, b in zip(cuts, cuts[1:])]
+            payload, wire = self._off_rank_words(3.0 * run_counts + counts, send)
+            self._charge_encode(
+                float(targets.size), 3.0 * run_sources.size + targets.size, wire
+            )
+        info = ExchangeInfo(int(targets.size), payload, wire, 0, runs=int(run_sources.size))
         return send, info
 
-    def _decode_triples(
-        self, pieces: list[np.ndarray], ctx: VertexRange
+    def _decode_runs(
+        self, pieces: list[np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Received triple buffers, decoded from one joined buffer.
+        """Received run buffers (``pieces[r]`` from group rank ``r``),
+        decoded at once into one ``(target, source, word)`` row per
+        candidate.
 
-        Each piece's header, pair frame and extra column are read at its
-        offsets; the pair frames take one codec call and the extras one
-        gather.  When that finds damage, the pieces are decoded again
-        one at a time, so the :class:`CodecError` names the first
-        damaged piece exactly as a piece-by-piece decode would — a
-        joined codec decode reports on all its frames at once.
+        The pieces' pair frames are joined and take one codec call; each
+        piece's lane words and targets are cut from it at its offsets,
+        and one ``np.repeat`` of (source, word) records rebuilds the
+        rows.  When that finds damage, the pieces are decoded again one
+        at a time, so the :class:`CodecError` names the first damaged
+        piece exactly as a piece-by-piece decode would — a joined codec
+        decode reports on all its frames at once.
         """
         try:
-            return self._decode_joined_triples(pieces, ctx)
+            return self._decode_joined_runs(pieces, range(len(pieces)))
         except CodecError:
-            for piece in pieces:
-                self._decode_joined_triples([piece], ctx)
+            for sender, piece in enumerate(pieces):
+                self._decode_joined_runs([piece], [sender])
             raise
 
-    def _decode_joined_triples(self, pieces, ctx):
-        words, starts, sizes = _joined(pieces)
-        heads = words[starts].tolist()
-        for pair_words, size in zip(heads, sizes):
-            if pair_words < 0 or pair_words > size - 1:
+    def _decode_joined_runs(self, pieces, senders):
+        live = [
+            (sender, np.asarray(piece, dtype=np.int64))
+            for sender, piece in zip(senders, pieces)
+            if len(piece)
+        ]
+        heads = [int(piece[0]) for _sender, piece in live]
+        for pair_words, (_sender, piece) in zip(heads, live):
+            if pair_words < 0 or pair_words > piece.size - 1:
                 raise CodecError(
-                    f"triple buffer header claims {pair_words} pair words "
-                    f"but only {size - 1} words follow"
+                    f"corrupt run buffer: header claims {pair_words} pair words "
+                    f"but only {piece.size - 1} words follow"
                 )
-        framed = [(at + 1, n) for at, n in zip(starts, heads) if n]
-        targets, values, found = self.codec.decode_pairs_at(
-            words, [at for at, _ in framed], [n for _, n in framed], ctx
+        words, starts, sizes = _joined(
+            [piece[1 : 1 + n] for n, (_sender, piece) in zip(heads, live)]
         )
+        sources, lengths, found = self.codec.decode_pairs_at(words, starts, sizes)
         found = iter(found)
-        npairs = [next(found) if n else 0 for n in heads]
-        for pair_words, size, count in zip(heads, sizes, npairs):
-            if size - 1 - pair_words != count:
+        nruns = [next(found) if n else 0 for n in heads]
+        ntargets = []
+        for pair_words, (_sender, piece), runs in zip(heads, live, nruns):
+            if runs > piece.size - 1 - pair_words:
                 raise CodecError(
-                    f"triple buffer carries {size - 1 - pair_words} extra words "
-                    f"for {count} pairs"
+                    f"corrupt run buffer: {runs} runs but only "
+                    f"{piece.size - 1 - pair_words} words follow the pair frame"
                 )
-        tails = [at + 1 + n for at, n in zip(starts, heads)]
-        return targets, values, _cut(words, tails, npairs)
+            ntargets.append(piece.size - 1 - pair_words - runs)
+        if lengths.size:
+            short, long = int(lengths.min()), int(lengths.max())
+            if short < 1 or long > max(ntargets):
+                raise CodecError(
+                    f"corrupt run buffer: run length {short if short < 1 else long} "
+                    f"outside [1, {max(ntargets)}]"
+                )
+        ends = np.cumsum(nruns, dtype=np.int64)
+        total = np.concatenate([[0], np.cumsum(lengths)])
+        sums = total[ends] - total[ends - np.asarray(nruns, dtype=np.int64)]
+        for got, want in zip(sums.tolist(), ntargets):
+            if got != want:
+                raise CodecError(
+                    f"corrupt run buffer: run lengths sum to {got} "
+                    f"for {want} target words"
+                )
+        ranges = [self.ranges[sender] for sender, _piece in live]
+        lo = np.repeat([r.lo for r in ranges], nruns)
+        hi = lo + np.repeat([r.nbits for r in ranges], nruns)
+        outside = np.flatnonzero((sources < lo) | (sources >= hi))
+        if outside.size:
+            bad = ranges[int(np.searchsorted(ends, outside[0], "right"))]
+            raise CodecError(
+                f"corrupt run buffer: source outside the sender's range "
+                f"[{bad.lo}, {bad.lo + bad.nbits})"
+            )
+        # Each piece's lane words and targets, cut straight from it.
+        tails = [1 + n for n in heads]
+        run_words, targets = (
+            np.concatenate(columns or [words[:0]])
+            for columns in (
+                [piece[at : at + r] for at, (_s, piece), r in zip(tails, live, nruns)],
+                [piece[at + r :] for at, (_s, piece), r in zip(tails, live, nruns)],
+            )
+        )
+        mine = self.ranges[self.comm.rank]
+        if targets.size and (
+            targets.min() < mine.lo or targets.max() >= mine.lo + mine.nbits
+        ):
+            raise CodecError(
+                f"corrupt run buffer: target outside [{mine.lo}, {mine.lo + mine.nbits})"
+            )
+        # One repeat of (source, word) records rebuilds both columns.
+        records = np.empty((sources.size, 2), dtype=np.int64)
+        records[:, 0] = sources
+        records[:, 1] = run_words
+        rows = np.repeat(records, lengths, axis=0)
+        return targets, rows[:, 0], rows[:, 1]
 
-    def exchange_triples(
+    def exchange_runs(
         self, send: list[np.ndarray], info: ExchangeInfo, level: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All-to-all the packed triple buffers and decode what arrives."""
-        ctx = self.ranges[self.comm.rank]
+        """All-to-all the packed run buffers and decode what arrives:
+        ``(targets, sources, words)``, one row per candidate, pieces in
+        rank order and each in (source, target) order."""
         self._record("alltoallv", info, level)
         with self.obs.span("alltoallv", level=level, wire_words=info.wire_words):
             pieces = self.comm.alltoallv(send)
         with self.obs.span("decode", codec=self.codec.name):
-            rt, rv, rx = self._decode_triples(pieces, ctx)
-            self._charge_decode(
-                float(rt.size),
-                float(sum(np.asarray(p).size for p in pieces)),
-            )
-        return rt, rv, rx
+            rt, rs, rx = self._decode_runs(pieces)
+            self._charge_decode(float(rt.size), float(sum(p.size for p in pieces)))
+        return rt, rs, rx
 
     # -- frontier gathers (bottom-up expand, 2D expand) ---------------------
     def gather_mask(

@@ -269,9 +269,9 @@ class Codec:
     what :class:`~repro.comm.channel.CommChannel` calls; ``encode_pairs``
     / ``decode_pairs`` handle one buffer, as the one-segment case.
     ``decode_pairs_at`` decodes pair frames that sit at known offsets of
-    one joined buffer — the triple exchange's pieces, each a header, a
-    pair frame and an extra column — and also says how many pairs each
-    frame held.  A codec implements ``encode_pairs_many`` and one of
+    one joined buffer — the run exchange's pieces, each a header, a
+    ``(source, run length)`` pair frame, lane words and targets — and
+    also says how many pairs each frame held.  A codec implements ``encode_pairs_many`` and one of
     ``decode_pairs`` / ``decode_pairs_many``.
     """
 

@@ -159,7 +159,8 @@ class SpMSV2D:
         self.charger = engine.charger
         self.obs = engine.obs
         self.threads = engine.threads
-        grid = ProcessorGrid(comm, decomp.pr, decomp.pc)
+        with self.obs.span("split"):
+            grid = ProcessorGrid(comm, decomp.pr, decomp.pc)
         self.grid = grid
         self.local = self.blocks[comm.rank]
         if self.modeled_cores is None:
@@ -214,7 +215,8 @@ class SpMSV2D:
         return (self.plo, self.phi)
 
     def initial_sync(self) -> int:
-        return self.comm.allreduce(int(self.frontier.size))
+        with self.obs.span("allreduce"):
+            return self.comm.allreduce(int(self.frontier.size))
 
     def begin_level(self, level: int) -> dict:
         return {"level": level}

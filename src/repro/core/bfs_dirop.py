@@ -104,7 +104,8 @@ class DirectionSwitch:
         # The pre-loop stats Allreduce seeds the first switch decision;
         # level 1 itself always runs (the source frontier is nonempty
         # somewhere), so no termination count is returned.
-        self._sync_stats()
+        with self.obs.span("allreduce"):
+            self._sync_stats()
         return None
 
     def begin_level(self, level: int) -> dict:

@@ -112,7 +112,9 @@ class AlgorithmStep(Protocol):
         Return ``None`` when the algorithm has no pre-loop termination
         test (the 1D top-down algorithm always runs level 1); the engine
         then enters the loop unconditionally, exactly reproducing a
-        ``while True`` body with a post-level check.
+        ``while True`` body with a post-level check.  A pre-loop
+        collective runs inside an ``allreduce`` span, so the comm spans
+        cover the rank's whole MPI time.
         """
         ...
 

@@ -52,6 +52,7 @@ from repro.kernels.numpy_backend import (
     range_gather,
     reduce_runs,
     scatter_reduce,
+    source_runs,
     unique_sorted,
     unpack_bitmap,
     unpack_pairs,
@@ -80,6 +81,7 @@ KERNELS = (
     "lane_winners",
     "lane_prune",
     "lane_prune_by_source",
+    "source_runs",
     "unique_sorted",
     "varint_sizes",
     "varint_encode",

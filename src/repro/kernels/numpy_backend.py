@@ -279,8 +279,8 @@ def _wire_order(targets, sources):
 
 def _grouped_wire_order(targets, sources):
     """:func:`_wire_order` for candidates whose sources already ascend
-    within each target — pieces that arrive in rank order, each in wire
-    order — plus the run mask ``same[i]``: rows ``i`` and ``i + 1``
+    within each target — pieces that arrive in rank order, each with
+    ascending sources — plus the run mask ``same[i]``: rows ``i`` and ``i + 1``
     share a target.
 
     Such input needs only a stable sort by target: one (target offset,
@@ -354,7 +354,7 @@ def lane_winners(targets, sources, words, nlanes: int):
     word) triples in one pass.
 
     Returns ``(targets int64, sources int64, wins uint64)`` in (target
-    asc, source asc) wire order, equal pairs in input order, and
+    asc, source asc) order, equal pairs in input order, and
     ``(run_targets int64, unions uint64)``: each distinct target,
     ascending, and the OR of its candidates' bits below ``nlanes``.
     Bit ``b < nlanes`` of ``wins[i]`` is set iff candidate ``i`` carries
@@ -364,9 +364,10 @@ def lane_winners(targets, sources, words, nlanes: int):
     a target's union is the OR of its winner words.  Bits at or above
     ``nlanes`` never win.
 
-    Candidates that arrive in rank order, each rank's in wire order
-    (an owner's received triples), sort on a narrow key by target alone;
-    any other input takes the full (target, source, position) key.
+    Candidates that arrive in rank order, each rank's sources ascending
+    within every target (an owner's received rows, each piece in (source,
+    target) run order), sort on a narrow key by target alone; any other
+    input takes the full (target, source, position) key.
     """
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
@@ -391,7 +392,7 @@ def lane_prune(targets, sources, words, nlanes: int):
 
     Keeps a candidate iff it is the maximum-source contributor of at
     least one lane of its target — :func:`lane_winners` rows whose
-    ``wins`` word is nonzero, in the same (target, source) wire order.
+    ``wins`` word is nonzero, in the same (target, source) order.
     Returns ``(targets int64, sources int64, words uint64)``.
     """
     targets = np.asarray(targets, dtype=np.int64)
@@ -411,10 +412,10 @@ def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int)
 
     Candidate ``i``'s word is ``source_words[sources[i] - base]`` — a
     sender's frontier word per owned vertex — so equal (target, source)
-    pairs carry equal words and the wire order needs no input position:
-    one (target offset, source offset) key, uint32 while it fits (an
-    R-MAT scale-18 graph on 16 ranks), sorts the candidates, and the
-    words are read at the sorted sources.  Returns ``(targets int64,
+    pairs carry equal words and their order needs no input position: one
+    (target offset, source offset) key, uint32 while it fits (an R-MAT
+    scale-18 graph on 16 ranks), sorts the candidates, and the words are
+    read at the sorted sources.  Returns ``(targets int64,
     sources int64, words uint64)`` as :func:`lane_prune` of the gathered
     words does.  Raises ``ValueError`` when a source falls outside
     ``[base, base + source_words.size)``.
@@ -458,6 +459,100 @@ def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int)
     sources = sources[keep].astype(np.int64)
     sources += np.int64(smin)
     return targets, sources, words[keep]
+
+
+def source_runs(targets, sources, bounds):
+    """Regroup (target, source) candidates into per-destination source
+    runs: the msbfs wire's shipping order.
+
+    Target ``t`` goes to the destination ``j`` with ``bounds[j] <= t <
+    bounds[j + 1]`` (ascending bounds; an empty range repeats one); a
+    target outside ``[bounds[0], bounds[-1])`` raises ``ValueError``.  A
+    run is the candidates that share a (destination, source).  Returns
+    ``(targets, run_sources, run_lengths, run_counts, counts)``, all
+    int64: the targets in (destination, source, target) order, each
+    run's source and length in that order, and per destination its
+    number of runs and of targets.
+
+    One sort, on a (destination, source offset, target offset) key in
+    the narrowest unsigned dtype that holds it — uint32 for R-MAT scale
+    18 on 16 ranks — whose bit fields are the sorted columns; a key past
+    64 bits takes a ``lexsort``.  Ascending targets (the lane prune's
+    output) take their destinations off one ``searchsorted`` of the
+    bounds, other input off one per target.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if targets.shape != sources.shape:
+        raise ValueError("targets/sources must be equal length")
+    nbuckets = bounds.size - 1
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    n = targets.size
+    if n == 0:
+        none = np.zeros(nbuckets, dtype=np.int64)
+        return targets, sources, sources.copy(), none, none.copy()
+    ascending = not (targets[1:] < targets[:-1]).any()
+    tmin, tmax = (targets[0], targets[-1]) if ascending else (targets.min(), targets.max())
+    if int(tmin) < lo or int(tmax) >= hi:
+        raise ValueError(f"vertex ids out of range [{lo}, {hi})")
+    if ascending:
+        dest = None
+        counts = np.diff(np.searchsorted(targets, bounds))
+    else:
+        dest = np.searchsorted(bounds, targets, side="right") - 1
+        counts = np.bincount(dest, minlength=nbuckets)
+    edges = np.concatenate([[0], np.cumsum(counts)])
+    # Each destination's slice of the grouped columns, as python ints.
+    slices = [
+        (j, int(at), int(end))
+        for j, (at, end) in enumerate(zip(edges[:-1], edges[1:]))
+        if end > at
+    ]
+    starts = bounds[:-1]
+    smin = int(sources.min())
+    sbits = (int(sources.max()) - smin).bit_length()
+    wbits = (int(np.diff(bounds).max()) - 1).bit_length()
+    dtype = _key_dtype((nbuckets - 1).bit_length() + sbits + wbits)
+    if dtype is not None:
+        # Target offset in its destination's range, source offset above
+        # it, destination on top: one per-destination constant turns a
+        # target into its low and high fields at once.
+        base = (np.arange(nbuckets, dtype=np.int64) << np.int64(sbits + wbits)) - starts
+        key = sources - np.int64(smin)
+        key <<= np.int64(wbits)
+        key += targets
+        if dest is None:
+            for j, at, end in slices:
+                key[at:end] += base[j]
+        else:
+            key += base[dest]
+        key = key.view(np.uint64).astype(dtype, copy=False)
+        key.sort()
+        runs = key >> dtype(wbits)
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(runs[1:], runs[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        run_sources = (runs[heads] & dtype((1 << sbits) - 1)).astype(np.int64)
+        run_sources += np.int64(smin)
+        key &= dtype((1 << wbits) - 1)
+        targets = key.astype(np.int64)
+        for j, at, end in slices:
+            targets[at:end] += starts[j]
+    else:
+        if dest is None:
+            dest = np.repeat(np.arange(nbuckets), counts)
+        order = np.lexsort((targets, sources, dest))
+        targets, sources = targets[order], sources[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(sources[1:], sources[:-1], out=head[1:])
+        head[[at for _j, at, _end in slices]] = True
+        heads = np.flatnonzero(head)
+        run_sources = sources[heads]
+    run_counts = np.diff(np.searchsorted(heads, edges))
+    return targets, run_sources, np.diff(heads, append=n), run_counts, counts
 
 
 def range_gather(starts, counts):

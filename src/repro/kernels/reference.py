@@ -226,6 +226,38 @@ def lane_prune_by_source(targets, sources, source_words, base, nlanes):
     return lane_prune(targets, sources, words, nlanes)
 
 
+def source_runs(targets, sources, bounds):
+    targets, sources, bounds = _ints(targets), _ints(sources), _ints(bounds)
+    if len(targets) != len(sources):
+        raise ValueError("targets/sources must be equal length")
+    if targets and (min(targets) < bounds[0] or max(targets) >= bounds[-1]):
+        raise ValueError(f"vertex ids out of range [{bounds[0]}, {bounds[-1]})")
+    nbuckets = len(bounds) - 1
+
+    def dest(t):
+        return next(j for j in range(nbuckets) if bounds[j] <= t < bounds[j + 1])
+
+    rows = sorted((dest(t), s, t) for t, s in zip(targets, sources))
+    run_sources, run_lengths = [], []
+    run_counts, counts = [0] * nbuckets, [0] * nbuckets
+    last = None
+    for d, s, _t in rows:
+        if (d, s) != last:
+            run_sources.append(s)
+            run_lengths.append(0)
+            run_counts[d] += 1
+            last = (d, s)
+        run_lengths[-1] += 1
+        counts[d] += 1
+    return (
+        _i64([t for _d, _s, t in rows]),
+        _i64(run_sources),
+        _i64(run_lengths),
+        _i64(run_counts),
+        _i64(counts),
+    )
+
+
 def range_gather(starts, counts):
     starts, counts = _ints(starts), _ints(counts)
     if len(starts) != len(counts):

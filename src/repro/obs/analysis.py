@@ -32,7 +32,7 @@ from repro.obs.tracer import Span, Tracer
 #: channel/algorithm instrumentation names comm spans after the underlying
 #: collective, so membership here is the comm/comp classifier.
 COMM_PHASES = frozenset(
-    {"alltoallv", "allgatherv", "allreduce", "transpose", "exchange", "bcast"}
+    {"alltoallv", "allgatherv", "allreduce", "transpose", "exchange", "bcast", "split"}
 )
 
 #: Phase name used for the part of a level span not covered by any

@@ -119,6 +119,7 @@ TIMELINE_GLYPHS = {
     "transpose": "x",
     "exchange": "e",
     "bcast": "c",
+    "split": "s",
 }
 
 

@@ -14,13 +14,18 @@ bit-identical to a single-source run from source *b* (the paper's
 (select, max) parent rule applied within each lane), which
 ``tests/test_query.py`` locks in at batch 64.
 
-Wire format: ``(target, source, lane-word)`` triples through
-:meth:`~repro.comm.CommChannel.pack_triples`.  The sender-side
-*lane-dominance prune* (:func:`prune_lane_candidates`) plays the role of
-the 1D dedup: a candidate ships only if it is the maximum-source
-contributor for at least one lane of its target, so at most 64 candidates
-per target survive and owner-side per-lane (select, max) results are
-unchanged.
+Wire format: *source runs* through
+:meth:`~repro.comm.CommChannel.pack_runs`.  Every candidate a source
+sends to one destination shares that source's lane word, so a buffer
+ships each (destination, source) run once — its ``(source, run
+length)`` pair through the codec and its lane word raw — followed by the
+run's targets: ``1 + 3R + K`` raw words for ``R`` runs and ``K``
+candidates, against ``1 + 3K`` with the word on every candidate.  The
+sender-side *lane-dominance prune*
+(:func:`prune_lane_candidates`) plays the role of the 1D dedup: a
+candidate ships only if it is the maximum-source contributor for at
+least one lane of its target, so at most 64 candidates per target
+survive and owner-side per-lane (select, max) results are unchanged.
 
 Both ends of the exchange ask the same question — which candidate wins
 each (target, lane) slot — and each answers it with one sort, on a key
@@ -28,14 +33,16 @@ in the narrowest unsigned dtype that holds it, and one suffix-OR scan
 over the target runs.  The sender
 (:func:`repro.kernels.lane_prune_by_source`) sorts (target, source)
 pairs and reads each candidate's word off its source's frontier word;
-the survivors are already in wire order, so the pack takes its
-per-owner counts without re-keying them.  The owner
-(:func:`repro.kernels.lane_winners`) receives the pieces in rank order,
-each in wire order, so a stable sort by target orders them; the scan's
-winner words give each (target, lane) slot's parent
-(:func:`resolve_lane_winners`), and its run heads give each target's
-lane union — the visited update and the next frontier — with no
-scatter.
+one more narrow sort (:func:`repro.kernels.source_runs`) regroups the
+survivors into (destination, source, target) order, the runs.  The
+owner rebuilds one (target, source, word) row per candidate with two
+``np.repeat`` calls.  Its pieces arrive in rank order, each with its
+sources ascending, so within every target the sources ascend and
+:func:`repro.kernels.lane_winners` orders them with a stable sort by
+target alone; the scan's winner words give each (target, lane) slot's
+parent (:func:`resolve_lane_winners`), and its run heads give each
+target's lane union — the visited update and the next frontier — with
+no scatter.
 """
 
 from __future__ import annotations
@@ -69,7 +76,8 @@ def prune_lane_candidates(
     winner is harmless because the lane's true winner is also present
     and wins the owner-side reduction again.
 
-    Output is in (target asc, source asc) order: the wire order.
+    Output is in (target asc, source asc) order; the pack regroups it
+    into source runs.
     """
     return kernels.lane_prune(targets, sources, words, nlanes)
 
@@ -161,22 +169,18 @@ class MSBFS1D(Step1D):
             charger.stream(3.0 * targets.size, edges_scanned=float(targets.size))
 
         # 2. Lane-dominance prune (the batched dedup): at most one
-        #    surviving candidate per (target, lane), in wire order.
+        #    surviving candidate per (target, lane).
         candidates = int(targets.size)
         if self.dedup_sends:
             with obs.span("ms-dedup"):
-                targets, sources, words = kernels.lane_prune_by_source(
+                targets, sources, _words = kernels.lane_prune_by_source(
                     targets, sources, self.fwords, lo, self.nlanes
                 )
                 charger.sort(candidates)
                 self.metrics.inc("lane_prune_candidates", float(candidates))
                 self.metrics.inc("lane_prune_kept", float(targets.size))
-        else:
-            words = self.fwords[sources - lo]
         with obs.span("ms-pack"):
-            send, xinfo = self.channel.pack_triples(
-                targets, sources, words.view(np.int64)
-            )
+            send, xinfo = self.channel.pack_runs(targets, sources, self.fwords)
             charger.intops(3.0 * xinfo.pairs)
             charger.stream(3.0 * xinfo.pairs)
             charger.count(
@@ -185,7 +189,7 @@ class MSBFS1D(Step1D):
 
         # 3. The level's single collective.
         with obs.span("ms-exchange"):
-            rt, rs, rx = self.channel.exchange_triples(send, xinfo, level=level)
+            rt, rs, rx = self.channel.exchange_runs(send, xinfo, level=level)
 
         # 4. Owner-side update: mask off already-visited lanes, then one
         #    pass resolves every (vertex, lane) slot's (select, max)
@@ -216,7 +220,7 @@ class MSBFS1D(Step1D):
 
         return LevelOutcome(
             candidates=candidates,
-            words_sent=int(3 * xinfo.pairs),
+            words_sent=int(3 * xinfo.runs + xinfo.pairs),
             wire_words=int(xinfo.wire_words),
             sieve_dropped=0,
             extra={"lanes": self.nlanes},

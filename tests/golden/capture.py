@@ -55,8 +55,8 @@ CONFIGS: dict[str, dict] = {
 }
 
 #: The batched query families ride the same harness — everything on at
-#: once except the sieve (structurally refused for triple-shipping
-#: kinds, so the key is absent rather than False).
+#: once except the sieve (structurally refused for run-shipping kinds,
+#: so the key is absent rather than False).
 CONFIGS["msbfs-1d"] = dict(
     algorithm="msbfs-1d",
     nprocs=4,

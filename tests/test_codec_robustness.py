@@ -281,9 +281,9 @@ class TestJoinedDecode:
             codec.decode_pairs_many(moved, CTX)
 
 
-def _decode_triple_piece(codec, piece, ctx):
-    """One received triple buffer decoded on its own — the exchange's
-    decode as it was, kept as the reference for what each damage is
+def _decode_run_piece(codec, piece, sender, receiver):
+    """One received run buffer decoded on its own, from ``sender``'s
+    range into ``receiver``'s — the reference for what each damage is
     called."""
     piece = np.asarray(piece, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
@@ -292,113 +292,174 @@ def _decode_triple_piece(codec, piece, ctx):
     pair_words = int(piece[0])
     if pair_words < 0 or pair_words > piece.size - 1:
         raise CodecError(
-            f"triple buffer header claims {pair_words} pair words "
+            f"corrupt run buffer: header claims {pair_words} pair words "
             f"but only {piece.size - 1} words follow"
         )
-    targets, values = codec.decode_pairs(piece[1 : 1 + pair_words], ctx)
-    extras = piece[1 + pair_words :]
-    if extras.size != targets.size:
+    frame = piece[1 : 1 + pair_words]
+    sources, lengths = codec.decode_pairs(frame) if pair_words else (empty, empty)
+    rest = piece[1 + pair_words :]
+    if sources.size > rest.size:
         raise CodecError(
-            f"triple buffer carries {extras.size} extra words "
-            f"for {targets.size} pairs"
+            f"corrupt run buffer: {sources.size} runs but only {rest.size} "
+            f"words follow the pair frame"
         )
-    return targets, values, extras
+    words, targets = rest[: sources.size], rest[sources.size :]
+    for length in lengths.tolist():
+        if not 1 <= length <= targets.size:
+            bad = int(lengths.min()) if lengths.min() < 1 else int(lengths.max())
+            raise CodecError(
+                f"corrupt run buffer: run length {bad} outside [1, {targets.size}]"
+            )
+    if int(lengths.sum()) != targets.size:
+        raise CodecError(
+            f"corrupt run buffer: run lengths sum to {int(lengths.sum())} "
+            f"for {targets.size} target words"
+        )
+    lo, hi = sender.lo, sender.lo + sender.nbits
+    if ((sources < lo) | (sources >= hi)).any():
+        raise CodecError(
+            f"corrupt run buffer: source outside the sender's range [{lo}, {hi})"
+        )
+    lo, hi = receiver.lo, receiver.lo + receiver.nbits
+    if ((targets < lo) | (targets >= hi)).any():
+        raise CodecError(f"corrupt run buffer: target outside [{lo}, {hi})")
+    return targets, np.repeat(sources, lengths), np.repeat(words, lengths)
+
+
+def _run_buffer(codec, sources, lengths, words, targets):
+    """A run buffer assembled field by field, however inconsistent."""
+    frame = codec.encode_pairs(np.asarray(sources), np.asarray(lengths))
+    return np.concatenate(
+        [[frame.size], frame, np.asarray(words), np.asarray(targets)]
+    ).astype(np.int64)
 
 
 @pytest.mark.parametrize("codec_name", CODECS)
-class TestJoinedTripleDecode:
-    """Damage to the middle one of three received triple pieces.
+class TestJoinedRunDecode:
+    """Damage to one of the run pieces a rank receives.
 
-    The triple exchange decodes every piece from one joined buffer —
-    headers, pair frames and extra columns read at their offsets — so
-    each damage must still raise :class:`CodecError` with the message
+    The run exchange decodes every piece from one joined buffer —
+    headers, pair frames, lane words and targets read at their offsets —
+    so each damage must still raise :class:`CodecError` with the message
     decoding the damaged piece alone gives, and undamaged pieces must
     decode to the piece-by-piece concatenation.
     """
 
-    #: Triples per sender; the middle piece is the largest, so
+    #: Rank 1 owns nothing, so it sends nothing; rank 2 receives.
+    RANGES = [VertexRange(0, 64), VertexRange(64, 0), VertexRange(64, 64), VertexRange(128, 64)]
+    RECEIVER = 2
+    #: Candidates per sender; rank 2's piece is the largest, so
     #: ``corrupt_pieces`` picks it.
-    COUNTS = (3, 12, 4)
+    COUNTS = (3, 0, 12, 4)
+
+    def _channel(self, codec, rank):
+        comm = SimpleNamespace(size=len(self.RANGES), rank=rank)
+        return CommChannel(comm, self.RANGES, codec=codec)
 
     def _pieces(self, codec_name):
-        """What one rank receives from three senders: each packs its
-        triples for ``CTX`` (every rank of the fake group owns it)."""
+        """What the receiver gets: each sender packs candidates from its
+        own range to the receiver's."""
         rng = np.random.default_rng(23)
         codec = CODEC_FORMS[codec_name]()
+        receiver = self.RANGES[self.RECEIVER]
         pieces = []
-        for count in self.COUNTS:
-            channel = CommChannel(SimpleNamespace(size=1, rank=0), [CTX], codec=codec)
-            targets = np.sort(rng.choice(CTX.nbits, count, replace=False))
-            values = rng.integers(0, 1 << 12, count)
-            extras = rng.integers(-(1 << 63), 1 << 63, count)
-            send, _info = channel.pack_triples(targets, values, extras)
-            pieces.append(send[0])
-        return channel, codec, pieces
+        for rank, (count, sender) in enumerate(zip(self.COUNTS, self.RANGES)):
+            targets = receiver.lo + rng.integers(0, receiver.nbits, count)
+            sources = sender.lo + rng.integers(0, max(sender.nbits, 1), count) // 2
+            words = rng.integers(0, 1 << 63, sender.nbits, dtype=np.uint64) << np.uint64(1)
+            send, _info = self._channel(codec, rank).pack_runs(targets, sources, words)
+            pieces.append(send[self.RECEIVER])
+        assert [p.size > 0 for p in pieces] == [True, False, True, True]
+        return self._channel(codec, self.RECEIVER), codec, pieces
 
-    @staticmethod
-    def _damage(how, piece, codec_name):
+    def _damage(self, how, piece, codec):
+        """``piece`` (from rank 2, to itself) damaged as ``how`` names."""
         piece = piece.copy()
         pair_words = int(piece[0])
-        frame = piece[1 : 1 + pair_words]
+        mine = self.RANGES[self.RECEIVER]
         if how in ("truncate", "smash"):
-            piece = corrupt_pieces([piece], how)[1]
-        elif how == "header-past-end":
+            return corrupt_pieces([piece], how)[1]
+        if how == "header-past-end":
             piece[0] = piece.size
         elif how == "header-negative":
             piece[0] = -3
-        elif how == "extra-dropped":
+        elif how == "target-dropped":
             piece = piece[:-1]
-        elif how == "extra-added":
-            piece = np.append(piece, 5)
+        elif how == "target-added":
+            piece = np.append(piece, mine.lo + 5)
         elif how == "pair-frame-cut":
-            # One pair word less for the frame, one more for the extras.
+            # One pair word less for the frame, one more for the rest.
             piece[0] = pair_words - 1
-        elif how == "frame-count":
-            frame[int(codec_name == "auto")] += 1  # varint header's item count
-        elif how == "target-out-of-range":
-            assert codec_name == "raw"
-            frame[0] = CTX.nbits + 7
+        # Buffers assembled field by field: a run length of zero, run
+        # lengths short of the targets, sources outside the sender's
+        # range, a target outside the receiver's.
+        elif how == "zero-run-length":
+            piece = _run_buffer(codec, [70, 75], [0, 2], [1, 2], [80, 90])
+        elif how == "lengths-short-of-targets":
+            piece = _run_buffer(codec, [70, 75], [1, 2], [1, 2], [80, 90, 91, 92])
+        elif how == "source-below-sender":
+            piece = _run_buffer(codec, [63, 75], [1, 1], [1, 2], [80, 90])
+        elif how == "source-past-sender":
+            piece = _run_buffer(codec, [70, 128], [1, 1], [1, 2], [80, 90])
+        elif how == "target-outside-receiver":
+            piece = _run_buffer(codec, [70, 75], [1, 1], [1, 2], [80, 128])
         return piece
 
-    #: Damages every codec detects, and the ones a form's framing adds.
     DAMAGES = [
         "truncate", "smash", "header-past-end", "header-negative",
-        "extra-dropped", "extra-added", "pair-frame-cut",
+        "target-dropped", "target-added", "pair-frame-cut", "zero-run-length",
+        "lengths-short-of-targets", "source-below-sender", "source-past-sender",
+        "target-outside-receiver",
     ]
 
-    def _cases(self, codec_name):
-        extra = ["target-out-of-range"] if codec_name == "raw" else ["frame-count"]
-        return self.DAMAGES + extra
+    #: What the malformed buffers of the layout are called.
+    NAMED = {
+        "header-past-end": "header claims",
+        "header-negative": "header claims",
+        "zero-run-length": "run length 0 outside",
+        "lengths-short-of-targets": "run lengths sum to 3 for 4 target words",
+        "source-below-sender": "source outside the sender's range [64, 128)",
+        "source-past-sender": "source outside the sender's range [64, 128)",
+        "target-outside-receiver": "target outside [64, 128)",
+    }
 
-    def test_damaged_middle_piece_names_its_condition(self, codec_name):
-        for how in self._cases(codec_name):
+    def test_damaged_piece_names_its_condition(self, codec_name):
+        mine = self.RANGES[self.RECEIVER]
+        for how in self.DAMAGES:
             channel, codec, pieces = self._pieces(codec_name)
             if how in ("truncate", "smash"):
-                assert corrupt_pieces(pieces, how)[0] == 1
-            pieces[1] = self._damage(how, pieces[1], codec_name)
+                assert corrupt_pieces(pieces, how)[0] == self.RECEIVER
+            pieces[self.RECEIVER] = self._damage(how, pieces[self.RECEIVER], codec)
             with pytest.raises(CodecError) as want:
-                _decode_triple_piece(codec, pieces[1], CTX)
+                _decode_run_piece(codec, pieces[self.RECEIVER], mine, mine)
             with pytest.raises(CodecError) as got:
-                channel._decode_triples(pieces, CTX)
+                channel._decode_runs(pieces)
             assert str(got.value) == str(want.value), how
+            assert str(got.value).startswith("corrupt "), how
+            if how in self.NAMED:
+                assert self.NAMED[how] in str(got.value), how
 
     def test_first_damaged_piece_is_the_one_named(self, codec_name):
         """Two damaged pieces: the error is the earlier one's, as when
         the pieces decoded in order."""
         channel, codec, pieces = self._pieces(codec_name)
-        pieces[1] = self._damage("extra-added", pieces[1], codec_name)
-        pieces[2] = self._damage("header-negative", pieces[2], codec_name)
+        pieces[0] = self._damage("target-added", pieces[0], codec)
+        pieces[2] = self._damage("header-negative", pieces[2], codec)
         with pytest.raises(CodecError) as want:
-            _decode_triple_piece(codec, pieces[1], CTX)
+            _decode_run_piece(codec, pieces[0], self.RANGES[0], self.RANGES[self.RECEIVER])
         with pytest.raises(CodecError) as got:
-            channel._decode_triples(pieces, CTX)
+            channel._decode_runs(pieces)
         assert str(got.value) == str(want.value)
+        assert "run lengths sum to" in str(got.value)
 
     def test_undamaged_pieces_decode_as_one_by_one(self, codec_name):
         channel, codec, pieces = self._pieces(codec_name)
-        pieces.insert(1, np.empty(0, dtype=np.int64))  # a sender with nothing
-        got = channel._decode_triples(pieces, CTX)
-        decoded = [_decode_triple_piece(codec, piece, CTX) for piece in pieces]
+        got = channel._decode_runs(pieces)
+        mine = self.RANGES[self.RECEIVER]
+        decoded = [
+            _decode_run_piece(codec, piece, sender, mine)
+            for piece, sender in zip(pieces, self.RANGES)
+        ]
         want = [np.concatenate(column) for column in zip(*decoded)]
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -426,7 +487,7 @@ class TestCorruptPieces:
 
 
 #: ``"wire"``-capable family -> the encode sites its collectives use: the
-#: candidate pair (or triple) all-to-all, the sparse vertex-list gather of
+#: candidate pair (or source-run) all-to-all, the sparse vertex-list gather of
 #: the 2D expand, and the dense bitmap gather of the bottom-up steps.
 DAMAGE_SITES = {
     "1d": ("pairs",),

@@ -112,13 +112,13 @@ class TestPairAccounting:
 
 
 class TestRangeRouting:
-    """Pair and triple packs route each target by the channel's range
+    """Pair and run packs route each target by the channel's range
     bounds: the first range's start plus the sizes before each range.
     Under the diagonal vector distribution all but one of a processor
     row's ranges are empty, the non-empty one anywhere in the row."""
 
     @pytest.mark.parametrize("owner", [0, 1, 2])
-    def test_pairs_and_triples_reach_the_one_non_empty_range(self, owner):
+    def test_pairs_and_runs_reach_the_one_non_empty_range(self, owner):
         def fn(comm):
             ranges = [VertexRange(16, 8 if j == owner else 0) for j in range(3)]
             channel = CommChannel(comm, ranges, codec="raw")
@@ -127,15 +127,21 @@ class TestRangeRouting:
             parents = targets + 100 * comm.rank
             send, info = channel.pack_pairs(targets, parents)
             rv, rp = channel.exchange_pairs(send, info, level=0)
-            send, info = channel.pack_triples(targets, parents, 2 * parents)
-            rt, rval, rx = channel.exchange_triples(send, info, level=1)
             mine = comm.rank == owner
-            assert rv.size == rt.size == (9 if mine else 0)
+            # Only the owner has sources: a rank that owns nothing ships
+            # no runs.
+            sources = np.array([23, 17, 23] if mine else [], dtype=np.int64)
+            words = np.arange(8, dtype=np.uint64) * np.uint64(3) if mine else []
+            send, info = channel.pack_runs(targets[: sources.size], sources, words)
+            rt, rs, rx = channel.exchange_runs(send, info, level=1)
+            assert rv.size == (9 if mine else 0)
+            assert rt.size == (3 if mine else 0)
             if mine:
                 want = sorted(t + 100 * r for r in range(3) for t in (16, 19, 23))
-                assert sorted(rp.tolist()) == sorted(rval.tolist()) == want
-                assert np.array_equal(rx, 2 * rval)
-                assert np.array_equal(rp - rv, rval - rt)
+                assert sorted(rp.tolist()) == want
+                assert np.array_equal(rp - rv, 100 * (rp // 100))
+                assert rt.tolist() == [19, 16, 23] and rs.tolist() == [17, 23, 23]
+                assert np.array_equal(rx, 3 * (rs - 16))
             return True
 
         assert all(run_spmd(3, fn).returns)
@@ -153,7 +159,7 @@ class TestRangeRouting:
         with pytest.raises(ValueError, match="do not tile one interval"):
             channel.pack_pairs(t, t)
         with pytest.raises(ValueError, match="do not tile one interval"):
-            channel.pack_triples(t, t, t)
+            channel.pack_runs(t, t, np.zeros(sizes[0], dtype=np.uint64))
 
 
 class TestGatherAccounting:
@@ -297,25 +303,31 @@ class TestValidationAndReporting:
 
         assert all(run_spmd(2, fn).returns)
 
-    def test_misrouted_triple_fails_at_pack_time(self):
-        """The triple site routes by the same range bounds as the pair
-        site: a target outside every range fails at pack time, and
-        targets inside them land in their owners' buffers, so ``auto``
-        never sees a misrouted lane candidate (the last triple alone
-        ships raw, so the routing is not varint's)."""
+    def test_misrouted_run_fails_at_pack_time(self):
+        """The run site routes by the same range bounds as the pair
+        site: a target outside every range, or a source outside the
+        sender's own range, fails at pack time, and targets inside them
+        land in their owners' buffers, so ``auto`` never sees a
+        misrouted lane candidate."""
 
         def fn(comm):
             ranges = [VertexRange(4096 * r, 4096) for r in range(comm.size)]
             channel = CommChannel(comm, ranges, codec="auto")
+            words = np.arange(4096, dtype=np.uint64)
+            base = 4096 * comm.rank
             for bad in (-1, 4096 * comm.size):
                 targets = np.array([10, bad], dtype=np.int64)
                 with pytest.raises(ValueError, match=r"out of range \[0, 8192\)"):
-                    channel.pack_triples(targets, targets, targets)
+                    channel.pack_runs(targets, base + targets % 7, words)
+            for bad in (base - 1, base + 4096):
+                sources = np.array([base, bad], dtype=np.int64)
+                with pytest.raises(ValueError, match="sender's range"):
+                    channel.pack_runs(np.array([10, 20]), sources, words)
             for targets in ([10, 20, 4096 + 30], [4096 + 30]):
                 targets = np.array(targets, dtype=np.int64)
-                send, info = channel.pack_triples(targets, targets, targets)
+                send, info = channel.pack_runs(targets, base + targets % 2, words)
                 assert info.pairs == targets.size
-                assert send[1][-1] == 4096 + 30  # the owner's extra column
+                assert send[1][-1] == 4096 + 30  # the owner's last target
             return True
 
         assert all(run_spmd(2, fn).returns)

@@ -151,6 +151,22 @@ def _source_words(tag, n, ntargets, nsources, base, nlanes, tspan=None):
     return targets, sources, table, base, nlanes
 
 
+def _run_args(tag, n, bounds, nsources, base=0, spread=1, ordered=False):
+    """(target, source, bounds) candidates of one sender, with repeated
+    (target, source) rows; ``ordered`` puts them in the lane prune's
+    (target, source) order, ``spread`` widens the source span."""
+    rng = _rng(tag)
+    bounds = _i64(*bounds)
+    targets = rng.integers(bounds[0], bounds[-1], n)
+    sources = base + rng.integers(0, nsources, n) * spread
+    dup = rng.integers(0, n, n // 4)
+    targets[dup[1:]], sources[dup[1:]] = targets[dup[:-1]], sources[dup[:-1]]
+    if ordered:
+        order = np.lexsort((sources, targets))
+        targets, sources = targets[order], sources[order]
+    return targets, sources, bounds
+
+
 def _range_gather_args(tag):
     rng = _rng(tag)
     counts = rng.integers(0, 12, 40)
@@ -428,6 +444,27 @@ CASES: dict[str, dict] = {
             _i64(4, 4, 2), _i64(1, 0, 1), _u64(0, 6), 0, 64
         ),
     },
+    "source_runs": {
+        "empty": lambda: (_i64(), _i64(), _i64(0, 4, 9)),
+        "single": lambda: (_i64(5), _i64(2), _i64(0, 4, 9)),
+        "one-destination": lambda: _run_args("sr-one", 40, (3, 20), 6),
+        "pruned-order": lambda: _run_args(
+            "sr-pruned", 150, (0, 7, 7, 19, 40), 25, base=100, ordered=True
+        ),
+        "unordered-empty-ranges": lambda: _run_args(
+            "sr-unordered", 150, (5, 5, 16, 16, 30, 31), 12
+        ),
+        "negative-ids": lambda: _run_args("sr-neg", 90, (-40, -25, -3, 8), 9, base=-60),
+        "key-over-32-bits": lambda: _run_args(
+            "sr-32", 80, (0, 10, 20), 50, spread=1 << 30, ordered=True
+        ),
+        "key-over-64-bits-lexsort-path": lambda: (
+            # A 64-bit source span: past any one key.
+            _i64(4, 1, 4, 6, 1, 4),
+            _i64(I64_MAX, I64_MIN, I64_MIN, 0, I64_MIN, I64_MAX),
+            _i64(0, 3, 3, 8),
+        ),
+    },
     "lane_prune": {
         "empty": lambda: (_i64(), _i64(), _u64(), 64),
         "single": lambda: (_i64(3), _i64(9), _u64(5), 64),
@@ -611,6 +648,28 @@ def test_source_prune_is_the_prune_of_the_gathered_words(backend, case):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(CASES["source_runs"]))
+def test_source_runs_tile_the_sorted_candidates(backend, case):
+    """The runs cut the candidates, sorted by (destination, source,
+    target), at every change of destination or source, and the counts
+    segment both the runs and the targets by destination."""
+    targets, sources, bounds = CASES["source_runs"][case]()
+    got_t, run_s, run_len, run_counts, counts = MODULES[backend].source_runs(
+        targets, sources, bounds
+    )
+    owners = np.searchsorted(bounds, targets, side="right") - 1
+    order = np.lexsort((targets, sources, owners))
+    assert got_t.tolist() == targets[order].tolist()
+    assert np.repeat(run_s, run_len).tolist() == sources[order].tolist()
+    assert run_len.min(initial=1) >= 1
+    assert counts.tolist() == np.bincount(owners, minlength=bounds.size - 1).tolist()
+    run_owner = np.repeat(np.arange(bounds.size - 1), run_counts)
+    assert np.repeat(run_owner, run_len).tolist() == owners[order].tolist()
+    keys = list(zip(run_owner.tolist(), run_s.tolist()))
+    assert len(set(keys)) == len(keys)  # one run per (destination, source)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_lane_winners_tie_rule_is_last_in_input_order(backend):
     """Wire order with equal pairs kept in input order, and a lane shared
     by exact (target, source) duplicates won by the last of them."""
@@ -665,6 +724,21 @@ ERROR_CASES = {
         "lane_prune_by_source",
         lambda: (_i64(1, 2), _i64(4, 6), _u64(1, 2, 3), 3, 64),
         "sources out of range [3, 6)",
+    ),
+    "source-runs-target-past-bounds": (
+        "source_runs",
+        lambda: (_i64(1, 9), _i64(4, 2), _i64(0, 4, 9)),
+        "vertex ids out of range [0, 9)",
+    ),
+    "source-runs-target-below-bounds": (
+        "source_runs",
+        lambda: (_i64(2, -1), _i64(4, 2), _i64(0, 4, 9)),
+        "vertex ids out of range [0, 9)",
+    ),
+    "source-runs-length-mismatch": (
+        "source_runs",
+        lambda: (_i64(1, 2), _i64(4), _i64(0, 4, 9)),
+        "targets/sources must be equal length",
     ),
     "pack-pairs-length-mismatch": (
         "pack_pairs",

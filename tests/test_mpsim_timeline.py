@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.runner import ALGORITHMS
 from repro.model import FRANKLIN, NetworkCostModel
 from repro.mpsim import run_spmd
 from repro.obs import COMM_PHASES, Tracer, render_timeline
 from repro.obs.export import TIMELINE_GLYPHS, comm_spans
+
+from tests.conftest import launch_any
 
 
 def _workload(comm, tracer):
@@ -140,16 +143,24 @@ class TestRenderer:
             assert f"{glyph}={phase}" in legend
 
 
+#: Every registered family that runs under the engine's span tracer.
+TRACED_FAMILIES = sorted(
+    name for name, spec in ALGORITHMS.items() if "tracer" in spec.capabilities
+)
+
+
 class TestCoverage:
-    def test_1d_comm_spans_cover_mpi_time(self):
-        # Every collective on the 1D path runs inside a comm span, so the
-        # Gantt accounts for each rank's whole MPI time; a collective
-        # added outside a span fails here instead of leaving the chart.
+    @pytest.mark.parametrize("algorithm", TRACED_FAMILIES)
+    def test_comm_spans_cover_mpi_time(self, algorithm):
+        # Every collective of every traced family runs inside a comm span
+        # — the pre-level-1 allreduce included — so the Gantt accounts
+        # for each rank's whole MPI time; a collective added outside a
+        # span fails here instead of leaving the chart.
         graph = repro.rmat_graph(10, 16, seed=3)
         source = int(graph.random_nonisolated_vertices(1, 1)[0])
         tracer = Tracer()
-        result = repro.run_bfs(
-            graph, source, "1d", nprocs=16, machine="hopper", tracer=tracer
+        result = launch_any(
+            graph, source, algorithm, nprocs=16, machine="hopper", tracer=tracer
         )
         assert tracer.ranks == list(range(16))
         for rank in tracer.ranks:

@@ -1,16 +1,17 @@
 """The msbfs-1d level on narrow keys, held to the bodies it replaced.
 
-Each side of a 64-lane level sorts once: the sender on a (target,
-source) key with words read at the sorted sources
-(``kernels.lane_prune_by_source``), the pack not at all when the prune's
-output is already in wire order (``comm.channel._group_triples``, which
-routes by the channel's range bounds), the owner on a narrow by-target key with the lane
-unions taken off the scan's run heads (``kernels.lane_winners``).  The
-formulations they replaced are kept below, verbatim, as the oracles:
-the composite-key ``lane_winners`` / ``lane_prune``, the owner's
-``resolve_lane_winners`` plus the ``BIT_OR`` SPA union, the (owner,
-target, value)-keyed ``_group_triples`` and the byte-column
-``count_lane_edges``.  Outputs, dtypes and error messages must match.
+Each side of a 64-lane level sorts on narrow keys: the sender prunes
+on a (target, source) key with words read at the sorted sources
+(``kernels.lane_prune_by_source``) and regroups the survivors into
+per-destination source runs on one (destination, source, target) key
+routed by the channel's range bounds (``kernels.source_runs``); the
+owner sorts on a narrow by-target key with the lane unions taken off the
+scan's run heads (``kernels.lane_winners``).  The formulations they
+replaced are kept below as the oracles: the composite-key
+``lane_winners`` / ``lane_prune``, the owner's ``resolve_lane_winners``
+plus the ``BIT_OR`` SPA union, a ``lexsort`` regroup by owner, source
+and target, and the byte-column ``count_lane_edges``.  Outputs, dtypes
+and error messages must match.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.comm import channel
 from repro.core.partition import Partition1D
 from repro.core.validate import _BYTE_BITS, _input_edges, count_lane_edges, lane_words
 from repro.graphs import Graph
@@ -96,38 +96,21 @@ def old_resolve_lane_winners(targets, sources, fresh, nlanes):
     return targets[rows], bits & (WORD_LANES - 1), sources[rows]
 
 
-def old_group_triples(owners, nbuckets, targets, values, extras):
-    if owners.size and (owners.min() < 0 or owners.max() >= nbuckets):
-        raise ValueError(f"owners out of range [0, {nbuckets})")
-    if targets.size:
-        tmin, tmax = int(targets.min()), int(targets.max())
-        vmin, vmax = int(values.min()), int(values.max())
-        tbits = (tmax - tmin).bit_length()
-        vbits = (vmax - vmin).bit_length()
-        if (nbuckets - 1).bit_length() + tbits + vbits <= 64:
-            key = owners.astype(np.uint64)
-            key <<= np.uint64(tbits)
-            key |= (targets - np.int64(tmin)).view(np.uint64)
-            key <<= np.uint64(vbits)
-            key |= (values - np.int64(vmin)).view(np.uint64)
-            if (key[1:] < key[:-1]).any():
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                targets, values, extras = targets[order], values[order], extras[order]
-            same = key[1:] == key[:-1]
-            if same.any():
-                run = np.zeros(key.size, dtype=np.int64)
-                np.cumsum(~same, out=run[1:])
-                tied = np.zeros(key.size, dtype=bool)
-                tied[1:] = same
-                tied[:-1] |= same
-                tied = np.flatnonzero(tied)
-                extras = extras.copy()
-                extras[tied] = extras[tied[np.lexsort((extras[tied], run[tied]))]]
-        else:
-            order = np.lexsort((extras, values, targets, owners))
-            targets, values, extras = targets[order], values[order], extras[order]
-    return targets, values, extras, np.bincount(owners, minlength=nbuckets)
+def lexsort_source_runs(owners, nbuckets, targets, sources):
+    """The run regroup as three ``lexsort`` keys, the runs cut where the
+    (owner, source) pair changes."""
+    order = np.lexsort((targets, sources, owners))
+    targets, sources, owners = targets[order], sources[order], owners[order]
+    head = np.ones(targets.size, dtype=bool)
+    head[1:] = (sources[1:] != sources[:-1]) | (owners[1:] != owners[:-1])
+    heads = np.flatnonzero(head)
+    return (
+        targets,
+        sources[heads],
+        np.diff(heads, append=targets.size),
+        np.bincount(owners[heads], minlength=nbuckets),
+        np.bincount(owners, minlength=nbuckets),
+    )
 
 
 def old_count_lane_edges(csr, words, lanes, m_input=None):
@@ -304,51 +287,49 @@ def test_owner_update_of_an_empty_level():
 
 @st.composite
 def pack_levels(draw):
-    """Triples a 1D channel packs: the msbfs prune's wire-ordered output,
-    or the unordered candidates of a level without the prune, with rows
-    tying on (target, value) and values wide enough to pass the 64-bit
-    key.  Each extra is a function of its (target, value), as an msbfs
-    lane word is of its (target, source) row."""
+    """Candidates a 1D sender regroups: the msbfs prune's (target,
+    source)-ordered output, or the unordered candidates of a level
+    without the prune, with repeated (target, source) rows and sources
+    wide enough to pass the 32- and 64-bit keys."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nranks = draw(st.integers(1, 6))
     n = draw(st.integers(nranks, 400))
     size = draw(st.sampled_from([50, 300, 0, 1, 2]))
     targets = rng.integers(0, n, size)
-    nvalues = draw(st.sampled_from([3, 1000]))
-    slots = rng.integers(0, nvalues, size)
-    values = slots * ((1 << 62) - 1) if draw(st.booleans()) else slots
-    table = rng.integers(-(1 << 63), 1 << 63, (n, nvalues))
-    table[rng.random(table.shape) < 0.3] = 7
-    extras = table[targets, slots]
+    spread = draw(st.sampled_from([1, 1 << 28, (1 << 62) - 1]))
+    sources = rng.integers(0, draw(st.sampled_from([3, 1000])), size) * spread
+    if size > 1:
+        dup = rng.integers(0, size, size // 3 + 1)
+        targets[dup[1:]], sources[dup[1:]] = targets[dup[:-1]], sources[dup[:-1]]
     if draw(st.sampled_from(["unordered", "wire-order"])) == "wire-order":
-        order = np.lexsort((values, targets))
-        targets, values, extras = targets[order], values[order], extras[order]
-    return targets, values, extras, Partition1D(n, nranks), nranks
+        order = np.lexsort((sources, targets))
+        targets, sources = targets[order], sources[order]
+    return targets, sources, Partition1D(n, nranks), nranks
 
 
 @settings(max_examples=80, deadline=None)
 @given(level=pack_levels())
-def test_pack_order_and_counts_equal_the_owner_key(level):
-    targets, values, extras, part, nranks = level
+def test_run_regroup_equals_the_lexsort_regroup(level):
+    targets, sources, part, nranks = level
     bounds = np.asarray(part.bounds)
-    columns = [a.copy() for a in (targets, values, extras)]
+    columns = [a.copy() for a in (targets, sources)]
     owners = part.owner_of(targets)
-    want = old_group_triples(owners, nranks, targets, values, extras)
-    assert_same(channel._group_triples(targets, values, extras, bounds), want)
-    for given_col, kept in zip((targets, values, extras), columns):
+    want = lexsort_source_runs(owners, nranks, targets, sources)
+    assert_same(kernels.source_runs(targets, sources, bounds), want)
+    for given_col, kept in zip((targets, sources), columns):
         assert np.array_equal(given_col, kept)
 
 
 @pytest.mark.parametrize("bad", [-1, 40])
-def test_pack_range_errors_match(bad):
+def test_run_regroup_range_errors_match(bad):
     """A target outside the ranges raises what ``Partition1D.owner_of``
-    raised for it."""
+    raises for it."""
     part = Partition1D(40, 3)
     bounds = np.asarray(part.bounds)
     t = np.array([3, bad, 5], dtype=np.int64)
     want = outcome(part.owner_of, t)
     assert want[0] == "raises"
-    assert outcome(channel._group_triples, t, t, t, bounds) == want
+    assert outcome(kernels.source_runs, t, t, bounds) == want
 
 
 # -- edge count ----------------------------------------------------------------------

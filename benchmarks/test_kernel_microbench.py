@@ -723,7 +723,7 @@ def _level_narrow(load):
     sent = []
     for rank, (targets, sources, _words) in enumerate(load["senders"]):
         lo, hi = part.range_of(rank)
-        targets, sources, _words = kernels.lane_prune_by_source(
+        targets, sources, _words, _sieved = kernels.lane_prune_by_source(
             targets, sources, load["fwords"][lo:hi], lo, MSBFS_LANES
         )
         targets, run_sources, lengths, _runs, _counts = kernels.source_runs(

@@ -39,5 +39,7 @@ def test_quick_point_holds_the_bar():
     assert rows[64]["speedup"] >= 8.0, rows[64]
     # Source runs ship a candidate in well under the 3 words a
     # (target, source, lane word) triple took: one target word, plus a
-    # (source, length) pair and a lane word per (destination, source).
-    assert rows[64]["a2a words/cand"] < 2.0, rows[64]
+    # (source, length) pair and a lane word per (destination, source);
+    # the lane sieve keeps a rank from re-shipping a lane it already
+    # shipped to a target, so few runs ship for one or two candidates.
+    assert rows[64]["a2a words/cand"] < 1.10, rows[64]

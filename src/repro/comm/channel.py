@@ -277,15 +277,20 @@ class CommChannel:
           per run, sources ascending (``auto`` checks them against the
           sender's range);
         * ``R`` raw lane words, one per run;
-        * the ``K`` targets, grouped by run, ascending within each run;
+        * the codec's run frame of the ``K`` targets, grouped by run and
+          ascending within each run (:meth:`Codec.encode_runs_many`:
+          raw ships them as they are, delta-varint as each run's first
+          offset into the destination's range and its gaps);
 
         so ``1 + 3R + K`` words under the raw codec.  One
         :func:`kernels.source_runs` sort puts the candidates in that
         order.  A source outside the sender's
         range or a target outside every range raises ``ValueError``.  The
-        sieve is structurally incompatible — a target legitimately
-        re-ships whenever a *new lane* reaches it — so run sites refuse
-        one outright.
+        vertex-granular sieve would drop live updates — a target
+        legitimately re-ships whenever a *new lane* reaches it — so run
+        sites refuse one outright; the batched query's lane-granular
+        sieve is built into its prune
+        (:func:`kernels.lane_prune_by_source`).
 
         ``payload_words`` count ``3R + K`` per off-rank buffer, the raw
         form without its header.
@@ -293,7 +298,8 @@ class CommChannel:
         if self.sieve is not None:
             raise ValueError(
                 "sieve is unsupported for run exchanges: lane payloads "
-                "re-ship targets whenever a new lane reaches them"
+                "re-ship targets whenever a new lane reaches them, so the "
+                "lane-granular sieve is built into the lane prune instead"
             )
         mine = self.ranges[self.comm.rank]
         source_words = np.asarray(source_words, dtype=np.uint64)
@@ -313,23 +319,26 @@ class CommChannel:
             frames = self.codec.encode_pairs_many(
                 run_sources, run_lengths, run_counts, [mine] * self.comm.size
             )
+            nruns, ntargets = run_counts.tolist(), counts.tolist()
+            target_frames = self.codec.encode_runs_many(
+                targets, run_lengths, ntargets, self.ranges
+            )
             run_words = source_words[run_sources - lo].view(np.int64)
             # Every buffer is a slice of one array, written field by field.
-            nruns, ntargets = run_counts.tolist(), counts.tolist()
             sizes = [
-                1 + frame.size + r + k if frame.size else 0
-                for frame, r, k in zip(frames, nruns, ntargets)
+                1 + frame.size + r + tframe.size if frame.size else 0
+                for frame, r, tframe in zip(frames, nruns, target_frames)
             ]
             wire_words = np.empty(sum(sizes), dtype=np.int64)
-            at = r0 = k0 = 0
-            for frame, size, r, k in zip(frames, sizes, nruns, ntargets):
+            at = r0 = 0
+            for frame, size, r, tframe in zip(frames, sizes, nruns, target_frames):
                 if size:
                     f = frame.size
                     wire_words[at] = f
                     wire_words[at + 1 : at + 1 + f] = frame
                     wire_words[at + 1 + f : at + 1 + f + r] = run_words[r0 : r0 + r]
-                    wire_words[at + 1 + f + r : at + size] = targets[k0 : k0 + k]
-                at, r0, k0 = at + size, r0 + r, k0 + k
+                    wire_words[at + 1 + f + r : at + size] = tframe
+                at, r0 = at + size, r0 + r
             cuts = list(accumulate(sizes, initial=0))
             send = [wire_words[a:b] for a, b in zip(cuts, cuts[1:])]
             payload, wire = self._off_rank_words(3.0 * run_counts + counts, send)
@@ -346,13 +355,13 @@ class CommChannel:
         decoded at once into one ``(target, source, word)`` row per
         candidate.
 
-        The pieces' pair frames are joined and take one codec call; each
-        piece's lane words and targets are cut from it at its offsets,
-        and one ``np.repeat`` of (source, word) records rebuilds the
-        rows.  When that finds damage, the pieces are decoded again one
-        at a time, so the :class:`CodecError` names the first damaged
-        piece exactly as a piece-by-piece decode would — a joined codec
-        decode reports on all its frames at once.
+        The pieces' pair frames are joined and take one codec call, and
+        so do their target frames; each piece's lane words are cut from
+        it at their offset, and one ``np.repeat`` of (source, word)
+        records rebuilds the rows.  When that finds damage, the pieces
+        are decoded again one at a time, so the :class:`CodecError`
+        names the first damaged piece exactly as a piece-by-piece decode
+        would — a joined codec decode reports on all its frames at once.
         """
         try:
             return self._decode_joined_runs(pieces, range(len(pieces)))
@@ -380,30 +389,31 @@ class CommChannel:
         sources, lengths, found = self.codec.decode_pairs_at(words, starts, sizes)
         found = iter(found)
         nruns = [next(found) if n else 0 for n in heads]
-        ntargets = []
         for pair_words, (_sender, piece), runs in zip(heads, live, nruns):
             if runs > piece.size - 1 - pair_words:
                 raise CodecError(
                     f"corrupt run buffer: {runs} runs but only "
                     f"{piece.size - 1 - pair_words} words follow the pair frame"
                 )
-            ntargets.append(piece.size - 1 - pair_words - runs)
+        # Each piece's lane words and target frame, cut straight from it.
+        tails = [1 + n for n in heads]
+        run_words = np.concatenate(
+            [piece[at : at + r] for at, (_s, piece), r in zip(tails, live, nruns)]
+            or [words[:0]]
+        )
+        frames = [piece[at + r :] for at, (_s, piece), r in zip(tails, live, nruns)]
+        frame_sizes = [frame.size for frame in frames]
         if lengths.size:
-            short, long = int(lengths.min()), int(lengths.max())
-            if short < 1 or long > max(ntargets):
+            # A target takes at least one byte of its frame.
+            short, long, cap = int(lengths.min()), int(lengths.max()), 8 * max(frame_sizes)
+            if short < 1 or long > cap:
                 raise CodecError(
                     f"corrupt run buffer: run length {short if short < 1 else long} "
-                    f"outside [1, {max(ntargets)}]"
+                    f"outside [1, {cap}]"
                 )
         ends = np.cumsum(nruns, dtype=np.int64)
         total = np.concatenate([[0], np.cumsum(lengths)])
-        sums = total[ends] - total[ends - np.asarray(nruns, dtype=np.int64)]
-        for got, want in zip(sums.tolist(), ntargets):
-            if got != want:
-                raise CodecError(
-                    f"corrupt run buffer: run lengths sum to {got} "
-                    f"for {want} target words"
-                )
+        ntargets = (total[ends] - total[ends - np.asarray(nruns, dtype=np.int64)]).tolist()
         ranges = [self.ranges[sender] for sender, _piece in live]
         lo = np.repeat([r.lo for r in ranges], nruns)
         hi = lo + np.repeat([r.nbits for r in ranges], nruns)
@@ -414,16 +424,15 @@ class CommChannel:
                 f"corrupt run buffer: source outside the sender's range "
                 f"[{bad.lo}, {bad.lo + bad.nbits})"
             )
-        # Each piece's lane words and targets, cut straight from it.
-        tails = [1 + n for n in heads]
-        run_words, targets = (
-            np.concatenate(columns or [words[:0]])
-            for columns in (
-                [piece[at : at + r] for at, (_s, piece), r in zip(tails, live, nruns)],
-                [piece[at + r :] for at, (_s, piece), r in zip(tails, live, nruns)],
-            )
-        )
         mine = self.ranges[self.comm.rank]
+        targets = self.codec.decode_runs_at(
+            np.concatenate(frames or [words[:0]]),
+            list(accumulate(frame_sizes, initial=0))[:-1],
+            frame_sizes,
+            lengths,
+            ntargets,
+            mine,
+        )
         if targets.size and (
             targets.min() < mine.lo or targets.max() >= mine.lo + mine.nbits
         ):

@@ -36,7 +36,10 @@ terminal bytes and framed with one index; one join of the received
 pieces, read at their offsets, and one ``varint_decode`` — the
 140-level, tiny-frontier traversals are otherwise dominated by
 per-buffer call overhead.  ``encode_pairs`` / ``decode_pairs`` are the
-one-segment form of the same code.
+one-segment form of the same code.  The batched query's run exchange
+ships its targets — ascending runs, one segment per destination —
+through ``encode_runs_many`` / ``decode_runs_at`` the same way, the
+delta restarting at every run.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -121,7 +124,10 @@ def _joined(pieces):
 
 
 def _cut(words, starts, sizes) -> np.ndarray:
-    """The runs ``words[starts[k] : starts[k] + sizes[k]]``, back to back."""
+    """The runs ``words[starts[k] : starts[k] + sizes[k]]``, back to back:
+    ``words`` itself when they tile it."""
+    if list(starts) == list(accumulate(sizes, initial=0))[:-1] and sum(sizes) == words.size:
+        return words
     runs = [words[at : at + n] for at, n in zip(starts, sizes)]
     return runs[0] if len(runs) == 1 else np.concatenate(runs or [words[:0]])
 
@@ -234,6 +240,55 @@ def _varint_frames(stream, heads, nbytes) -> list[np.ndarray]:
     return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
+def _run_starts(lengths) -> np.ndarray:
+    """Each run's first position in the values the runs ``lengths`` cut."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.cumsum(lengths) - lengths
+
+
+def _run_varint_plan(values, lengths, counts, ranges):
+    """Encode a whole run exchange as delta-varint, once.
+
+    Each run's first value ships as its offset from the segment's range
+    start (0 when the range is unknown) and the rest as differences from
+    their predecessor, so ascending runs in a narrow range become 1-2
+    byte varints.  Returns the stream and each segment's byte count,
+    read off the stream at its last value's terminal byte.
+    """
+    deltas = kernels.delta_encode(values)
+    starts = _run_starts(lengths)
+    if starts.size:
+        los = np.repeat([0 if r is None else r.lo for r in ranges], counts)
+        deltas[starts] = values[starts] - los[starts]
+    stream = kernels.varint_encode(deltas)
+    terminal = (stream < 0x80).nonzero()[0]
+    cuts = [0] + [int(terminal[end - 1]) + 1 if end else 0 for end in accumulate(counts)]
+    return stream, [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _undelta_runs(deltas: np.ndarray, lengths, ctx: VertexRange | None) -> np.ndarray:
+    """Inverse of :func:`_run_varint_plan`'s deltas: a running sum
+    restarting at every run (as :func:`_undelta_segments` restarts per
+    segment), plus the range start."""
+    starts = _run_starts(lengths)
+    if starts.size > 1:
+        deltas[starts[1:]] -= np.add.reduceat(deltas, starts)[:-1]
+    values = kernels.delta_decode(deltas)
+    if ctx is not None and ctx.lo:
+        values += np.int64(ctx.lo)
+    return values
+
+
+def _check_run_counts(found, counts) -> None:
+    """Raise :class:`CodecError` unless every run frame held the values
+    its runs need."""
+    for got, want in zip(found, counts):
+        if got != want:
+            raise CodecError(
+                f"corrupt run buffer: run lengths sum to {want} for {got} targets"
+            )
+
+
 def bytes_to_words(stream: np.ndarray) -> np.ndarray:
     """Pad a byte stream to a whole number of 64-bit wire words."""
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
@@ -273,6 +328,10 @@ class Codec:
     ``(source, run length)`` pair frame, lane words and targets — and
     also says how many pairs each frame held.  A codec implements ``encode_pairs_many`` and one of
     ``decode_pairs`` / ``decode_pairs_many``.
+
+    The run exchange's targets ship through ``encode_runs_many`` /
+    ``decode_runs_at``: values cut into runs, each run ascending, so a
+    codec may delta-code them restarting at every run.
     """
 
     name: str = "abstract"
@@ -324,6 +383,38 @@ class Codec:
         decoded = [self.decode_pairs(words[at : at + n], ctx) for at, n in zip(starts, sizes)]
         return (*_concat_pairs(decoded), [t.size for t, _ in decoded])
 
+    def encode_runs_many(
+        self,
+        values: np.ndarray,
+        lengths: np.ndarray,
+        counts: Sequence[int],
+        ranges: Sequence[VertexRange | None] | None = None,
+    ) -> list[np.ndarray]:
+        """Encode the runs of an exchange: segment ``s`` is the next
+        ``counts[s]`` values, a whole number of the runs ``lengths``
+        (each at least 1), every run ascending inside ``ranges[s]``.
+
+        Returns one frame per segment, empty for an empty segment.
+        """
+        raise NotImplementedError
+
+    def decode_runs_at(
+        self,
+        words: np.ndarray,
+        starts: Sequence[int],
+        sizes: Sequence[int],
+        lengths: np.ndarray,
+        counts: Sequence[int],
+        ctx: VertexRange | None = None,
+    ) -> np.ndarray:
+        """Decode the run frames ``words[starts[f] : starts[f] +
+        sizes[f]]`` of one joined int64 buffer, frame ``f`` holding the
+        next ``counts[f]`` values of the runs ``lengths``, into their
+        values back to back (int64).  Raises :class:`CodecError` when a
+        frame does not hold exactly its ``counts[f]`` values.
+        """
+        raise NotImplementedError
+
     def encode_set(
         self, vertices: np.ndarray, ctx: VertexRange | None = None, dense: bool = False
     ) -> np.ndarray:
@@ -369,6 +460,14 @@ class RawCodec(Codec):
         targets, parents = kernels.unpack_pairs(_cut(words, starts, sizes))
         _check_targets(targets, ctx, self.name)
         return targets, parents, [size // 2 for size in sizes]
+
+    def encode_runs_many(self, values, lengths, counts, ranges=None):
+        values = np.asarray(values, dtype=np.int64)
+        return [values[lo : lo + n] for lo, n in zip(accumulate(counts, initial=0), counts)]
+
+    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
+        _check_run_counts(sizes, counts)
+        return _cut(words, starts, sizes)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -481,6 +580,23 @@ class DeltaVarintCodec(Codec):
 
     def decode_pairs_many(self, pieces, ctx=None):
         return self.decode_pairs_at(*_joined(pieces), ctx)[:2]
+
+    def encode_runs_many(self, values, lengths, counts, ranges=None):
+        values = np.asarray(values, dtype=np.int64)
+        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges or [None] * len(counts))
+        heads = [(count, n) if count else () for count, n in zip(counts, nbytes)]
+        return _varint_frames(stream, heads, nbytes)
+
+    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
+        # An empty frame holds no values; the others say how many.
+        _check_run_counts([count if size else 0 for size, count in zip(sizes, counts)], counts)
+        framed = [(at, size, count) for at, size, count in zip(starts, sizes, counts) if size]
+        if not framed:
+            return words[:0].astype(np.int64)
+        at, size, want = zip(*framed)
+        deltas, claimed = self._decode_frames(words, at, size, per_item=1)
+        _check_run_counts(claimed, want)
+        return _undelta_runs(deltas, lengths, ctx)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.sort(np.asarray(vertices, dtype=np.int64))
@@ -614,6 +730,48 @@ class AutoCodec(Codec):
                 decoded.append((targets, parents))
                 npairs += counts
         return (*_concat_pairs(decoded), npairs)
+
+    def encode_runs_many(self, values, lengths, counts, ranges=None):
+        # Run frames carry no tag: the receiver knows each frame's value
+        # count from its run lengths, and a frame is raw iff it is that
+        # many words — delta-varint ships only when it is smaller.
+        values = np.asarray(values, dtype=np.int64)
+        frames = self._forms[self.RAW].encode_runs_many(values, lengths, counts)
+        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges or [None] * len(counts))
+        varint = [
+            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < count
+            for n, count in zip(nbytes, counts)
+        ]
+        if any(varint):
+            stream = stream[np.repeat(varint, nbytes)]
+            nbytes = [n if keep else 0 for n, keep in zip(nbytes, varint)]
+            heads = [(count, n) if keep else () for count, n, keep in zip(counts, nbytes, varint)]
+            for s, frame in enumerate(_varint_frames(stream, heads, nbytes)):
+                if varint[s]:
+                    frames[s] = frame
+        return frames
+
+    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
+        raw, varint = self._forms
+        packed = [size < count for size, count in zip(sizes, counts)]
+        if not any(packed):
+            return raw.decode_runs_at(words, starts, sizes, lengths, counts, ctx)
+        # Each form decodes its own frames, of its own runs, in one call.
+        lengths = np.asarray(lengths, dtype=np.int64)
+        in_varint = np.repeat(packed, counts)
+        run_in_varint = in_varint[_run_starts(lengths)]
+        values = np.empty(in_varint.size, dtype=np.int64)
+        for form, is_varint in ((raw, False), (varint, True)):
+            frames = [f for f, p in enumerate(packed) if p == is_varint]
+            values[in_varint == is_varint] = form.decode_runs_at(
+                words,
+                [starts[f] for f in frames],
+                [sizes[f] for f in frames],
+                lengths[run_in_varint == is_varint],
+                [counts[f] for f in frames],
+                ctx,
+            )
+        return values
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)

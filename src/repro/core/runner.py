@@ -267,7 +267,10 @@ class RunConfig:
         SpMSV kernel for 2D: ``"auto"`` (polyalgorithm), ``"spa"``,
         ``"heap"``.
     dedup_sends:
-        1D send-side deduplication (ablation switch).
+        Send-side deduplication (ablation switch): the 1D families' dedup
+        and, for ``msbfs-1d``, the lane-dominance prune together with its
+        lane sieve (each rank races only the lanes it has not yet shipped
+        to a target — exact, lanes stay bit-identical).
     codec:
         Wire format for the exchange buffers: a name in
         :data:`~repro.comm.CODECS` (``"raw"``, ``"auto"``) or a
@@ -279,7 +282,7 @@ class RunConfig:
         Sender-side filter dropping candidates whose target this rank
         already shipped (or observed discovered) at an earlier level —
         exact, parents stay bit-identical.  Distributed 1d/2d families
-        only.
+        only; ``msbfs-1d`` sieves per lane inside ``dedup_sends``.
     vector_dist:
         2D vector distribution: ``"2d"`` (default) or ``"1d"``
         (diagonal-only; the Figure 4 ablation).
@@ -416,9 +419,10 @@ class RunConfig:
                 )
         elif self.sieve:
             raise ValueError(
-                f"{self.algorithm} re-ships targets whose lane words grow, "
-                "so the sender sieve would drop live updates; sieve applies "
-                "to the single-source families only"
+                f"{self.algorithm} re-ships targets whose lane words grow, so "
+                "the vertex-granular sender sieve would drop live updates; its "
+                "lane-granular sieve is built into the lane prune (dedup_sends), "
+                "and sieve applies to the single-source families only"
             )
 
 

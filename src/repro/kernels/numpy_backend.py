@@ -318,9 +318,11 @@ def _live(words, nlanes: int):
     return words & np.uint64((1 << nlanes) - 1)
 
 
-def _suffix_or(same, live):
+def _suffix_or(same, live, ends=None, tails=None):
     """The OR of the later words of each row's run, ``live`` in runs of
     sorted rows (``same[i]``: rows ``i`` and ``i + 1`` share a target).
+    With ``tails``, run ``r`` also carries ``tails[r]`` as a phantom row
+    after its last row ``ends[r]``.
 
     A Hillis-Steele doubling scan over contiguous slices: ``after``
     starts as the run's next word, pass ``off`` ORs in the window
@@ -330,6 +332,8 @@ def _suffix_or(same, live):
     """
     after = np.zeros(live.size, dtype=np.uint64)
     np.multiply(live[1:], same, out=after[:-1])
+    if tails is not None:
+        after[ends] = tails
     scratch = np.empty(same.size, dtype=np.uint64)
     off = 1
     while same.any():
@@ -407,31 +411,64 @@ def lane_prune(targets, sources, words, nlanes: int):
     return targets[keep], sources[keep], words[keep]
 
 
-def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int):
-    """:func:`lane_prune` of candidates that carry their source's word.
+def _check_shipped(shipped, tmin: int, tmax: int) -> None:
+    """Raise ``ValueError`` unless ``shipped`` is a 1-D uint64 array with
+    one word per target id in ``[tmin, tmax]``."""
+    if not (
+        isinstance(shipped, np.ndarray) and shipped.dtype == np.uint64 and shipped.ndim == 1
+    ):
+        raise ValueError("shipped must be a 1-D uint64 array")
+    if tmin < 0 or tmax >= shipped.size:
+        raise ValueError(f"targets out of shipped's range [0, {shipped.size})")
+
+
+def lane_prune_by_source(
+    targets, sources, source_words, base: int, nlanes: int, shipped=None
+):
+    """:func:`lane_prune` of candidates that carry their source's word,
+    optionally behind a per-target *lane sieve*.
 
     Candidate ``i``'s word is ``source_words[sources[i] - base]`` — a
     sender's frontier word per owned vertex — so equal (target, source)
     pairs carry equal words and their order needs no input position: one
     (target offset, source offset) key, uint32 while it fits (an R-MAT
     scale-18 graph on 16 ranks), sorts the candidates, and the words are
-    read at the sorted sources.  Returns ``(targets int64,
-    sources int64, words uint64)`` as :func:`lane_prune` of the gathered
-    words does.  Raises ``ValueError`` when a source falls outside
-    ``[base, base + source_words.size)``.
+    read at the sorted sources.
+
+    ``shipped``, a uint64 word per target id, is the sieve: lanes set in
+    ``shipped[t]`` do not race for ``t``, so a candidate is kept iff it
+    wins a lane of ``word & ~shipped[t]``, and every target's racing
+    lanes are then ORed into ``shipped[t]`` in place.  The scan reads
+    ``shipped[t]`` once per target run, as a phantom candidate after
+    the run's highest source: no real candidate wins its lanes, and the
+    run head's word ORed with the rest of the run is the new
+    ``shipped[t]``.
+
+    Returns ``(targets int64, sources int64, words uint64, sieved)``:
+    the kept candidates with their full words, as :func:`lane_prune` of
+    the gathered words returns them when ``shipped`` is ``None``, and
+    the number of candidates whose target the sieve drops whole — every
+    lane they race was in ``shipped[t]`` already (a python int, 0
+    without ``shipped``).  Raises ``ValueError`` when a source falls
+    outside ``[base, base + source_words.size)``, or when ``shipped`` is
+    not a 1-D uint64 array holding every target id.
     """
     targets = np.asarray(targets, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
     source_words = np.asarray(source_words, dtype=np.uint64)
     if targets.size == 0:
-        return targets, sources, np.empty(0, dtype=np.uint64)
+        if shipped is not None:
+            _check_shipped(shipped, 0, -1)
+        return targets, sources, np.empty(0, dtype=np.uint64), 0
     smin, smax = int(sources.min()), int(sources.max())
     if smin < base or smax >= base + source_words.size:
         raise ValueError(
             f"sources out of range [{base}, {base + source_words.size})"
         )
-    tmin = int(targets.min())
-    tbits = (int(targets.max()) - tmin).bit_length()
+    tmin, tmax = int(targets.min()), int(targets.max())
+    if shipped is not None:
+        _check_shipped(shipped, tmin, tmax)
+    tbits = (tmax - tmin).bit_length()
     sbits = (smax - smin).bit_length()
     dtype = _key_dtype(tbits + sbits)
     if dtype is None:
@@ -452,13 +489,33 @@ def lane_prune_by_source(targets, sources, source_words, base: int, nlanes: int)
         key >>= dtype(sbits)
         targets = key
     live = _live(words, nlanes)
+    same = targets[:-1] == targets[1:]
+    sieved = 0
+    if shipped is None:
+        after = _suffix_or(same, live)
+    else:
+        last = np.empty(targets.size, dtype=bool)
+        last[-1] = True
+        np.logical_not(same, out=last[:-1])
+        ends = np.flatnonzero(last)
+        heads = np.empty_like(ends)
+        heads[0] = 0
+        heads[1:] = ends[:-1] + 1
+        run_targets = targets[ends].astype(np.int64)
+        run_targets += np.int64(tmin)
+        seen = shipped[run_targets]
+        after = _suffix_or(same, live, ends, seen)
+        unions = live[heads] | after[heads]
+        shipped[run_targets] = unions
+        # Runs that race no unshipped lane are dropped whole.
+        sieved = int((ends - heads + 1)[unions == seen].sum())
     # An index, not a mask: three gathers by it beat three masked copies.
-    keep = np.flatnonzero(_wins(live, _suffix_or(targets[:-1] == targets[1:], live)))
+    keep = np.flatnonzero(_wins(live, after))
     targets = targets[keep].astype(np.int64)
     targets += np.int64(tmin)
     sources = sources[keep].astype(np.int64)
     sources += np.int64(smin)
-    return targets, sources, words[keep]
+    return targets, sources, words[keep], sieved
 
 
 def source_runs(targets, sources, bounds):

@@ -216,14 +216,34 @@ def lane_prune(targets, sources, words, nlanes):
     )
 
 
-def lane_prune_by_source(targets, sources, source_words, base, nlanes):
-    sources = _ints(sources)
+def lane_prune_by_source(targets, sources, source_words, base, nlanes, shipped=None):
+    targets, sources = _ints(targets), _ints(sources)
     if sources and (min(sources) < base or max(sources) >= base + len(source_words)):
         raise ValueError(
             f"sources out of range [{base}, {base + len(source_words)})"
         )
     words = [int(source_words[s - base]) for s in sources]
-    return lane_prune(targets, sources, words, nlanes)
+    if shipped is None:
+        return (*lane_prune(targets, sources, words, nlanes), 0)
+    if not (
+        isinstance(shipped, _np.ndarray) and shipped.dtype == _np.uint64 and shipped.ndim == 1
+    ):
+        raise ValueError("shipped must be a 1-D uint64 array")
+    if targets and (min(targets) < 0 or max(targets) >= len(shipped)):
+        raise ValueError(f"targets out of shipped's range [0, {len(shipped)})")
+    rows, unions = _lane_race(targets, sources, words, nlanes)
+    # A kept row wins a lane not yet shipped to its target.
+    kept = [(t, s, w) for t, s, w, won in rows if won & ~int(shipped[t])]
+    # A target whose racing lanes were all shipped drops all its rows.
+    sieved = sum(1 for t in targets if not unions[t] & ~int(shipped[t]))
+    for t, lanes in unions.items():
+        shipped[t] = int(shipped[t]) | lanes
+    return (
+        _i64([t for t, _s, _w in kept]),
+        _i64([s for _t, s, _w in kept]),
+        _u64([w for _t, _s, w in kept]),
+        sieved,
+    )
 
 
 def source_runs(targets, sources, bounds):

@@ -19,13 +19,27 @@ Wire format: *source runs* through
 sends to one destination shares that source's lane word, so a buffer
 ships each (destination, source) run once — its ``(source, run
 length)`` pair through the codec and its lane word raw — followed by the
-run's targets: ``1 + 3R + K`` raw words for ``R`` runs and ``K``
+run's targets, through the codec too (delta-coded within each run under
+``auto``): ``1 + 3R + K`` raw words for ``R`` runs and ``K``
 candidates, against ``1 + 3K`` with the word on every candidate.  The
 sender-side *lane-dominance prune*
 (:func:`prune_lane_candidates`) plays the role of the 1D dedup: a
 candidate ships only if it is the maximum-source contributor for at
 least one lane of its target, so at most 64 candidates per target
 survive and owner-side per-lane (select, max) results are unchanged.
+
+The prune runs behind a *lane sieve*, Lv et al.'s sender-side sieve
+(:mod:`repro.comm.sieve`) taken one lane at a time: each rank keeps one
+``uint64`` word per global target of the lanes it has shipped for it,
+and a candidate races only ``word & ~shipped[target]``.  It is exact for
+the vertex sieve's reason: a lane shipped for ``t`` at level ``L`` is
+visited at ``t``'s owner by the end of ``L``, so the owner would mask
+it off any later re-send.  A kept candidate still ships its source's
+full word; the owner masks the already-visited bits riding along, as it
+masks a loser's.  A level's ``sieve_dropped`` counts the candidates of
+targets whose every racing lane was shipped already.  The
+vertex-granular sieve itself stays refused — a target legitimately
+re-ships whenever a *new lane* reaches it.
 
 Both ends of the exchange ask the same question — which candidate wins
 each (target, lane) slot — and each answers it with one sort, on a key
@@ -35,17 +49,19 @@ over the target runs.  The sender
 pairs and reads each candidate's word off its source's frontier word;
 one more narrow sort (:func:`repro.kernels.source_runs`) regroups the
 survivors into (destination, source, target) order, the runs.  The
-owner rebuilds one (target, source, word) row per candidate with two
-``np.repeat`` calls.  Its pieces arrive in rank order, each with its
-sources ascending, so within every target the sources ascend and
-:func:`repro.kernels.lane_winners` orders them with a stable sort by
-target alone; the scan's winner words give each (target, lane) slot's
-parent (:func:`resolve_lane_winners`), and its run heads give each
-target's lane union — the visited update and the next frontier — with
-no scatter.
+owner rebuilds one (target, source, word) row per candidate with one
+``np.repeat`` of (source, word) records.  Its pieces arrive in rank
+order, each with its sources ascending, so within every target the
+sources ascend and :func:`repro.kernels.lane_winners` orders them with
+a stable sort by target alone; the scan's winner words give each
+(target, lane) slot's parent (:func:`resolve_lane_winners`), and its
+run heads give each target's lane union — the visited update and the
+next frontier — with no scatter.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -153,6 +169,9 @@ class MSBFS1D(Step1D):
                 self.visit[s - self.lo] |= lane_bit(b)
                 self.fwords[s - self.lo] |= lane_bit(b)
         self.frontier = np.flatnonzero(self.fwords) + self.lo
+        #: The lane sieve: per global target, the lanes this rank has
+        #: shipped for it (see :meth:`step`).
+        self.shipped = np.zeros(self.csr.n, dtype=np.uint64) if self.dedup_sends else None
 
     def begin_level(self, level: int) -> dict:
         return {"level": level, "lanes": self.nlanes}
@@ -168,19 +187,32 @@ class MSBFS1D(Step1D):
             charger.random(frontier.size, ws_words=2 * max(nloc, 1))
             charger.stream(3.0 * targets.size, edges_scanned=float(targets.size))
 
-        # 2. Lane-dominance prune (the batched dedup): at most one
-        #    surviving candidate per (target, lane).
+        # 2. Lane-dominance prune (the batched dedup) behind the lane
+        #    sieve: at most one surviving candidate per (target, lane),
+        #    and none for a lane this rank already shipped to its target.
         candidates = int(targets.size)
+        sieve_dropped = 0
         if self.dedup_sends:
             with obs.span("ms-dedup"):
-                targets, sources, _words = kernels.lane_prune_by_source(
-                    targets, sources, self.fwords, lo, self.nlanes
+                targets, sources, _words, sieve_dropped = kernels.lane_prune_by_source(
+                    targets, sources, self.fwords, lo, self.nlanes, self.shipped
                 )
                 charger.sort(candidates)
+                if candidates:
+                    # One irregular probe per candidate into the shipped
+                    # words, as the 1D sieve is charged: an upper bound on
+                    # the one per target run the kernel makes.
+                    charger.random(float(candidates), ws_words=max(self.csr.n, 1))
+                if sieve_dropped:
+                    charger.count(sieve_dropped=float(sieve_dropped))
                 self.metrics.inc("lane_prune_candidates", float(candidates))
                 self.metrics.inc("lane_prune_kept", float(targets.size))
+                self.metrics.inc("lane_sieve_dropped", float(sieve_dropped))
         with obs.span("ms-pack"):
             send, xinfo = self.channel.pack_runs(targets, sources, self.fwords)
+            # The exchange records what the lane sieve dropped, as the
+            # channel's own sieve does.
+            xinfo = replace(xinfo, dropped=sieve_dropped)
             charger.intops(3.0 * xinfo.pairs)
             charger.stream(3.0 * xinfo.pairs)
             charger.count(
@@ -222,6 +254,6 @@ class MSBFS1D(Step1D):
             candidates=candidates,
             words_sent=int(3 * xinfo.runs + xinfo.pairs),
             wire_words=int(xinfo.wire_words),
-            sieve_dropped=0,
+            sieve_dropped=sieve_dropped,
             extra={"lanes": self.nlanes},
         )

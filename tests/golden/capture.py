@@ -55,8 +55,9 @@ CONFIGS: dict[str, dict] = {
 }
 
 #: The batched query families ride the same harness — everything on at
-#: once except the sieve (structurally refused for run-shipping kinds,
-#: so the key is absent rather than False).
+#: once except the vertex sieve (structurally refused for run-shipping
+#: kinds, so the key is absent rather than False; their lane sieve is
+#: part of the prune, on by default).
 CONFIGS["msbfs-1d"] = dict(
     algorithm="msbfs-1d",
     nprocs=4,

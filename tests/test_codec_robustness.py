@@ -303,35 +303,47 @@ def _decode_run_piece(codec, piece, sender, receiver):
             f"corrupt run buffer: {sources.size} runs but only {rest.size} "
             f"words follow the pair frame"
         )
-    words, targets = rest[: sources.size], rest[sources.size :]
+    words, target_frame = rest[: sources.size], rest[sources.size :]
+    # A target takes at least one byte of the target frame.
+    cap = 8 * target_frame.size
     for length in lengths.tolist():
-        if not 1 <= length <= targets.size:
+        if not 1 <= length <= cap:
             bad = int(lengths.min()) if lengths.min() < 1 else int(lengths.max())
-            raise CodecError(
-                f"corrupt run buffer: run length {bad} outside [1, {targets.size}]"
-            )
-    if int(lengths.sum()) != targets.size:
-        raise CodecError(
-            f"corrupt run buffer: run lengths sum to {int(lengths.sum())} "
-            f"for {targets.size} target words"
-        )
+            raise CodecError(f"corrupt run buffer: run length {bad} outside [1, {cap}]")
     lo, hi = sender.lo, sender.lo + sender.nbits
     if ((sources < lo) | (sources >= hi)).any():
         raise CodecError(
             f"corrupt run buffer: source outside the sender's range [{lo}, {hi})"
         )
+    targets = codec.decode_runs_at(
+        target_frame, [0], [target_frame.size], lengths, [int(lengths.sum())], receiver
+    )
     lo, hi = receiver.lo, receiver.lo + receiver.nbits
     if ((targets < lo) | (targets >= hi)).any():
         raise CodecError(f"corrupt run buffer: target outside [{lo}, {hi})")
     return targets, np.repeat(sources, lengths), np.repeat(words, lengths)
 
 
-def _run_buffer(codec, sources, lengths, words, targets):
-    """A run buffer assembled field by field, however inconsistent."""
+def _run_buffer(codec, receiver, sources, lengths, words, targets, target_runs=None):
+    """A run buffer assembled field by field, however inconsistent: the
+    pair frame claims the runs ``lengths``, the target frame holds
+    ``targets`` cut into ``target_runs`` (by default the same runs)."""
     frame = codec.encode_pairs(np.asarray(sources), np.asarray(lengths))
+    target_runs = lengths if target_runs is None else target_runs
+    (target_frame,) = codec.encode_runs_many(
+        np.asarray(targets), np.asarray(target_runs), [len(targets)], [receiver]
+    )
     return np.concatenate(
-        [[frame.size], frame, np.asarray(words), np.asarray(targets)]
+        [[frame.size], frame, np.asarray(words), target_frame]
     ).astype(np.int64)
+
+
+def _target_frame_at(codec, piece):
+    """Where a run buffer's target frame starts: past its header, its
+    pair frame and one lane word per run."""
+    pair_words = int(piece[0])
+    runs = codec.decode_pairs(piece[1 : 1 + pair_words])[0].size
+    return 1 + pair_words + runs
 
 
 @pytest.mark.parametrize("codec_name", CODECS)
@@ -390,26 +402,36 @@ class TestJoinedRunDecode:
         elif how == "pair-frame-cut":
             # One pair word less for the frame, one more for the rest.
             piece[0] = pair_words - 1
+        elif how == "target-frame-smashed":
+            piece[_target_frame_at(codec, piece) :] = -1
+        elif how == "target-count-plus-one":
+            # The delta-varint target frame's header (untagged under
+            # ``auto`` too) counts one target more than its stream holds.
+            piece[_target_frame_at(codec, piece)] += 1
         # Buffers assembled field by field: a run length of zero, run
         # lengths short of the targets, sources outside the sender's
         # range, a target outside the receiver's.
         elif how == "zero-run-length":
-            piece = _run_buffer(codec, [70, 75], [0, 2], [1, 2], [80, 90])
+            piece = _run_buffer(codec, mine, [70, 75], [0, 2], [1, 2], [80, 90], [1, 1])
         elif how == "lengths-short-of-targets":
-            piece = _run_buffer(codec, [70, 75], [1, 2], [1, 2], [80, 90, 91, 92])
+            # Sixteen targets, so even ``auto`` delta-codes them and its
+            # frame is not mistaken for fifteen raw words.
+            piece = _run_buffer(
+                codec, mine, [70, 75], [1, 14], [1, 2], np.arange(80, 96), [1, 15]
+            )
         elif how == "source-below-sender":
-            piece = _run_buffer(codec, [63, 75], [1, 1], [1, 2], [80, 90])
+            piece = _run_buffer(codec, mine, [63, 75], [1, 1], [1, 2], [80, 90])
         elif how == "source-past-sender":
-            piece = _run_buffer(codec, [70, 128], [1, 1], [1, 2], [80, 90])
+            piece = _run_buffer(codec, mine, [70, 128], [1, 1], [1, 2], [80, 90])
         elif how == "target-outside-receiver":
-            piece = _run_buffer(codec, [70, 75], [1, 1], [1, 2], [80, 128])
+            piece = _run_buffer(codec, mine, [70, 75], [1, 1], [1, 2], [80, 128])
         return piece
 
     DAMAGES = [
         "truncate", "smash", "header-past-end", "header-negative",
-        "target-dropped", "target-added", "pair-frame-cut", "zero-run-length",
-        "lengths-short-of-targets", "source-below-sender", "source-past-sender",
-        "target-outside-receiver",
+        "target-dropped", "target-added", "pair-frame-cut", "target-frame-smashed",
+        "zero-run-length", "lengths-short-of-targets", "source-below-sender",
+        "source-past-sender", "target-outside-receiver",
     ]
 
     #: What the malformed buffers of the layout are called.
@@ -417,7 +439,7 @@ class TestJoinedRunDecode:
         "header-past-end": "header claims",
         "header-negative": "header claims",
         "zero-run-length": "run length 0 outside",
-        "lengths-short-of-targets": "run lengths sum to 3 for 4 target words",
+        "lengths-short-of-targets": "run lengths sum to 15 for 16 targets",
         "source-below-sender": "source outside the sender's range [64, 128)",
         "source-past-sender": "source outside the sender's range [64, 128)",
         "target-outside-receiver": "target outside [64, 128)",
@@ -450,7 +472,23 @@ class TestJoinedRunDecode:
         with pytest.raises(CodecError) as got:
             channel._decode_runs(pieces)
         assert str(got.value) == str(want.value)
-        assert "run lengths sum to" in str(got.value)
+        assert "header claims" not in str(got.value)
+
+    def test_damaged_target_frame_is_corrupt(self, codec_name):
+        """Damage confined to the target frame — its last word gone, its
+        words overwritten, or (delta-coded) its header counting one
+        target more — still raises a ``corrupt`` :class:`CodecError`."""
+        _channel, codec, pieces = self._pieces(codec_name)
+        piece = pieces[self.RECEIVER]
+        packed = piece.size - _target_frame_at(codec, piece) < self.COUNTS[self.RECEIVER]
+        assert packed == (codec_name != "raw")
+        damages = ["target-dropped", "target-frame-smashed"]
+        for how in damages + ["target-count-plus-one"] * packed:
+            channel, codec, pieces = self._pieces(codec_name)
+            pieces[self.RECEIVER] = self._damage(how, pieces[self.RECEIVER], codec)
+            with pytest.raises(CodecError) as got:
+                channel._decode_runs(pieces)
+            assert str(got.value).startswith("corrupt "), how
 
     def test_undamaged_pieces_decode_as_one_by_one(self, codec_name):
         channel, codec, pieces = self._pieces(codec_name)
@@ -487,22 +525,24 @@ class TestCorruptPieces:
 
 
 #: ``"wire"``-capable family -> the encode sites its collectives use: the
-#: candidate pair (or source-run) all-to-all, the sparse vertex-list gather of
-#: the 2D expand, and the dense bitmap gather of the bottom-up steps.
+#: candidate pair (or source-run) all-to-all, the run exchange's target
+#: frames, the sparse vertex-list gather of the 2D expand, and the dense
+#: bitmap gather of the bottom-up steps.
 DAMAGE_SITES = {
     "1d": ("pairs",),
     "1d-dirop": ("pairs", "dense-set"),
     "2d": ("pairs", "sparse-set"),
     "2d-dirop": ("pairs", "sparse-set", "dense-set"),
-    "msbfs-1d": ("pairs",),
+    "msbfs-1d": ("pairs", "run-targets"),
 }
 DAMAGE_NPROCS = 4
 
 
 def _damaging_codec(codec_name: str, site: str):
     """A ``codec_name`` codec whose every encode at ``site`` ships a
-    buffer damaged as :func:`corrupt_pieces` damages it: truncated pair
-    and dense buffers, a smashed first word in sparse vertex lists."""
+    buffer damaged as :func:`corrupt_pieces` damages it: truncated pair,
+    run-target and dense buffers, a smashed first word in sparse vertex
+    lists."""
 
     class Damaging(CODEC_FORMS[codec_name]):
         def encode_pairs_many(self, targets, parents, counts, ranges=None):
@@ -511,6 +551,13 @@ def _damaging_codec(codec_name: str, site: str):
             if hit is not None:
                 send[hit[0]] = hit[1]
             return send
+
+        def encode_runs_many(self, values, lengths, counts, ranges=None):
+            frames = list(super().encode_runs_many(values, lengths, counts, ranges))
+            hit = corrupt_pieces(frames, "truncate") if site == "run-targets" else None
+            if hit is not None:
+                frames[hit[0]] = hit[1]
+            return frames
 
         def encode_set(self, vertices, ctx=None, dense=False):
             buf = super().encode_set(vertices, ctx, dense)

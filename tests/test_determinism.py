@@ -33,7 +33,8 @@ DETERMINISM_CASES = thread_cases(
 
 #: Wire configurations by test id; codec instances are built per run.
 #: The sieve rides along wherever the family takes it: the batched query
-#: re-ships targets whose lane words grow, so it refuses a sender sieve.
+#: re-ships targets whose lane words grow, so it refuses the vertex sieve
+#: (its lane sieve is part of the prune, on in every wire).
 WIRES = {
     "raw": lambda kind: {},
     "delta-varint-sieve": lambda kind: {"codec": DeltaVarintCodec(), "sieve": kind == "bfs"},

@@ -151,6 +151,20 @@ def _source_words(tag, n, ntargets, nsources, base, nlanes, tspan=None):
     return targets, sources, table, base, nlanes
 
 
+def _sieved(tag, n, ntargets, nsources, base, nlanes, tspan=None, density=0.5):
+    """:func:`_source_words` plus a ``shipped`` word per target id, each
+    bit below ``nlanes`` set with probability ``density``."""
+    targets, sources, table, base, nlanes = _source_words(
+        tag, n, ntargets, nsources, base, nlanes, tspan
+    )
+    rng = _rng(tag + "-shipped")
+    shipped = np.zeros(int(targets.max()) + 1 + int(rng.integers(0, 3)), dtype=np.uint64)
+    hit = np.unique(targets)
+    bits = rng.random((hit.size, 64)) < density
+    shipped[hit] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).ravel()
+    return targets, sources, table, base, nlanes, shipped
+
+
 def _run_args(tag, n, bounds, nsources, base=0, spread=1, ordered=False):
     """(target, source, bounds) candidates of one sender, with repeated
     (target, source) rows; ``ordered`` puts them in the lane prune's
@@ -443,6 +457,22 @@ CASES: dict[str, dict] = {
         "table-zero-words": lambda: (
             _i64(4, 4, 2), _i64(1, 0, 1), _u64(0, 6), 0, 64
         ),
+        # The lane sieve: ``shipped`` is the sixth argument, updated in
+        # place (the differential test compares it too).
+        "sieve-empty": lambda: (_i64(), _i64(), _u64(1, 2), 0, 64, _u64(7, 7)),
+        "sieve-nothing-shipped": lambda: _sieved("lps-s0", 120, 12, 20, 40, 64, density=0),
+        "sieve-everything-shipped": lambda: _sieved("lps-s1", 120, 12, 20, 40, 64, density=1),
+        "sieve-half-shipped": lambda: _sieved("lps-s5", 200, 15, 30, 0, 64),
+        "sieve-nlanes-5": lambda: _sieved("lps-s-5", 150, 9, 30, 7, 5),
+        "sieve-key-over-32-bits": lambda: _sieved(
+            # 17 target bits + 16 source bits.
+            "lps-s64", 100, 8, 1 << 16, 3, 64, tspan=1 << 14
+        ),
+        "sieve-one-run-fully-shipped": lambda: (
+            # Target 3's run is fully shipped; target 5 keeps lane 2 only.
+            _i64(3, 3, 5, 5), _i64(1, 0, 0, 1), _u64(0b011, 0b110), 0, 64,
+            _u64(0, 0, 0, 0b111, 0, 0b011),
+        ),
     },
     "source_runs": {
         "empty": lambda: (_i64(), _i64(), _i64(0, 4, 9)),
@@ -570,8 +600,9 @@ def _run_case(kernel: str, case: str, backend: str):
     """One backend's (result, mutated-dense) pair for a case."""
     args = CASES[kernel][case]()
     result = getattr(MODULES[backend], kernel)(*args)
-    # scatter_reduce mutates its first argument in place.
-    mutated = args[0] if kernel == "scatter_reduce" else None
+    # scatter_reduce mutates its first argument in place, the lane
+    # sieve its sixth.
+    mutated = {"scatter_reduce": args[0], "lane_prune_by_source": args[5:]}.get(kernel)
     return _normalize(result), _normalize(mutated)
 
 
@@ -638,13 +669,47 @@ def test_lane_prune_is_the_nonzero_winner_rows(backend, kernel, case):
 @pytest.mark.parametrize("case", sorted(CASES["lane_prune_by_source"]))
 def test_source_prune_is_the_prune_of_the_gathered_words(backend, case):
     """Reading each candidate's word off its source's entry is the
-    generic prune of the words gathered up front."""
+    generic prune of the words gathered up front; without ``shipped`` it
+    sieves nothing, whatever the case's sieve would have done."""
     module = MODULES[backend]
-    targets, sources, table, base, nlanes = CASES["lane_prune_by_source"][case]()
+    targets, sources, table, base, nlanes = CASES["lane_prune_by_source"][case]()[:5]
     gathered = np.asarray(table, dtype=np.uint64)[np.asarray(sources) - base]
-    assert _normalize(
-        module.lane_prune_by_source(targets, sources, table, base, nlanes)
-    ) == _normalize(module.lane_prune(targets, sources, gathered, nlanes))
+    *pruned, sieved = module.lane_prune_by_source(targets, sources, table, base, nlanes)
+    assert _normalize(pruned) == _normalize(module.lane_prune(targets, sources, gathered, nlanes))
+    assert sieved == 0
+
+
+SIEVE_CASES = sorted(
+    case for case, factory in CASES["lane_prune_by_source"].items() if len(factory()) == 6
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", SIEVE_CASES)
+def test_lane_sieve_is_the_prune_of_the_unshipped_lanes(backend, case):
+    """The sieve races each candidate's lanes not yet in its target's
+    ``shipped`` word: it keeps exactly the prune of those masked words,
+    full words attached; it counts the candidates of targets whose
+    racing lanes were all shipped; and it ORs every target's racing
+    lanes into ``shipped``."""
+    module = MODULES[backend]
+    targets, sources, table, base, nlanes, shipped = CASES["lane_prune_by_source"][case]()
+    before = shipped.copy()
+    gathered = np.asarray(table, dtype=np.uint64)[np.asarray(sources) - base]
+    racing = gathered & ~before[targets]
+    kt, ks, kw, sieved = module.lane_prune_by_source(
+        targets, sources, table, base, nlanes, shipped
+    )
+    want_t, want_s, _masked = module.lane_prune(targets, sources, racing, nlanes)
+    assert kt.tolist() == want_t.tolist() and ks.tolist() == want_s.tolist()
+    assert kw.tolist() == np.asarray(table)[ks - base].tolist()
+    lanes = np.uint64((1 << nlanes) - 1)
+    want = before.copy()
+    np.bitwise_or.at(want, targets, gathered & lanes)
+    assert shipped.tolist() == want.tolist()
+    assert sieved == int(np.count_nonzero(want[targets] == before[targets]))
+    # Nothing it keeps carries only lanes already shipped to its target.
+    assert np.all(kw & lanes & ~before[kt])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -724,6 +789,26 @@ ERROR_CASES = {
         "lane_prune_by_source",
         lambda: (_i64(1, 2), _i64(4, 6), _u64(1, 2, 3), 3, 64),
         "sources out of range [3, 6)",
+    ),
+    "source-prune-shipped-too-short": (
+        "lane_prune_by_source",
+        lambda: (_i64(1, 5), _i64(4, 3), _u64(1, 2, 3), 3, 64, np.zeros(5, dtype=np.uint64)),
+        "targets out of shipped's range [0, 5)",
+    ),
+    "source-prune-shipped-negative-target": (
+        "lane_prune_by_source",
+        lambda: (_i64(-1, 2), _i64(4, 3), _u64(1, 2, 3), 3, 64, np.zeros(5, dtype=np.uint64)),
+        "targets out of shipped's range [0, 5)",
+    ),
+    "source-prune-shipped-not-uint64": (
+        "lane_prune_by_source",
+        lambda: (_i64(1, 2), _i64(4, 3), _u64(1, 2, 3), 3, 64, np.zeros(5, dtype=np.int64)),
+        "shipped must be a 1-D uint64 array",
+    ),
+    "source-prune-shipped-2d": (
+        "lane_prune_by_source",
+        lambda: (_i64(), _i64(), _u64(1), 0, 64, np.zeros((2, 3), dtype=np.uint64)),
+        "shipped must be a 1-D uint64 array",
     ),
     "source-runs-target-past-bounds": (
         "source_runs",

@@ -246,3 +246,22 @@ class TestReconciliation:
         candidates = registry.counter_value("lane_prune_candidates")
         kept = registry.counter_value("lane_prune_kept")
         assert 0 < kept <= candidates
+
+    def test_lane_sieve_counter_matches_clock_ledger_and_profile(self, rmat_small):
+        """The candidates the lane sieve dropped: one counter, the
+        clocks' ``sieve_dropped`` ledger, the exchanges' record and the
+        level profile agree, and none of them was kept."""
+        registry = MetricsRegistry()
+        result = launch_any(
+            rmat_small, 5, "msbfs-1d", nprocs=4, machine="hopper",
+            batch=8, metrics=registry, trace=True,
+        )
+        dropped = registry.counter_value("lane_sieve_dropped")
+        assert dropped > 0
+        assert dropped == sum(c.counters.get("sieve_dropped", 0) for c in result.stats.clocks)
+        assert dropped == result.stats.summary()["sieve_dropped_candidates"]
+        profile = result.meta["level_profile"]
+        assert dropped == sum(row["sieve_dropped"] for row in profile)
+        candidates = registry.counter_value("lane_prune_candidates")
+        kept = registry.counter_value("lane_prune_kept")
+        assert dropped + kept <= candidates

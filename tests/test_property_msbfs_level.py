@@ -182,8 +182,9 @@ def sender_levels(draw):
 @given(level=sender_levels())
 def test_sender_prune_equals_composite_key_prune(level):
     targets, sources, fwords, lo, nlanes = level
-    got = kernels.lane_prune_by_source(targets, sources, fwords, lo, nlanes)
+    *got, sieved = kernels.lane_prune_by_source(targets, sources, fwords, lo, nlanes)
     assert_same(got, old_lane_prune(targets, sources, fwords[sources - lo], nlanes))
+    assert sieved == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.comm import CommChannel, Sieve, VertexRange
+from repro.comm.codecs import bytes_to_words
 from repro.core import run_bfs
 from repro.core.frontier import dedup_candidates
 from repro.core.validate import count_lane_edges, count_traversed_edges, lane_words
@@ -199,12 +201,26 @@ class TestOnePassUpdate:
         assert wt.dtype == ws.dtype == np.int64
 
 
+def _target_frame_spec(codec, runs, rng):
+    """One destination's target frame: raw ships the targets as they are;
+    delta-varint a ``[count, nbytes]`` header and the LEB128 bytes of each
+    run's first offset into the destination's range and its gaps; auto
+    the smaller of the two, raw on a tie (and no tag either way)."""
+    targets = np.array([t for run in runs for t in run], dtype=np.int64)
+    if codec.name == "raw":
+        return targets
+    gaps = [t - (rng.lo if i == 0 else run[i - 1]) for run in runs for i, t in enumerate(run)]
+    stream = kernels.varint_encode(np.array(gaps, dtype=np.int64))
+    packed = np.concatenate([[targets.size, stream.size], bytes_to_words(stream)])
+    return targets if codec.name == "auto" and packed.size >= targets.size else packed
+
+
 def _pack_spec(channel, targets, sources, source_words):
     """The run layout, written out one destination at a time: the
     destination's candidates grouped by source, sources ascending and
     targets ascending within each group; then a header word, the codec's
     ``(source, run length)`` frame, one lane word per run and the
-    targets."""
+    codec's target frame."""
     mine = channel.ranges[channel.comm.rank]
     send = []
     for rng in channel.ranges:
@@ -225,7 +241,7 @@ def _pack_spec(channel, targets, sources, source_words):
                     np.array([frame.size], dtype=np.int64),
                     frame,
                     words.view(np.int64),
-                    np.array([tgt for run in runs.values() for tgt in run], dtype=np.int64),
+                    _target_frame_spec(channel.codec, list(runs.values()), rng),
                 ]
             )
         )
@@ -386,6 +402,41 @@ def _owned(ranges, dst, targets, sources):
     rng = ranges[dst]
     keep = (rng.lo <= targets) & (targets < rng.lo + rng.nbits)
     return targets[keep], sources[keep]
+
+
+class TestLaneSieve:
+    """The lane sieve built into the prune: each rank keeps, per target,
+    the lanes it has shipped for it, and races only the others."""
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 16])
+    def test_no_rank_reships_a_lane_and_lanes_match_the_oracle(
+        self, graph, batch64, nprocs, width, monkeypatch
+    ):
+        """Every candidate a rank packs carries a lane it never shipped
+        for that target before, the sieve drops some candidate, and
+        every lane still equals ``msbfs_serial``."""
+        shipped = {}  # rank -> the OR of every word it shipped, per target
+        pack_runs = CommChannel.pack_runs
+
+        def recording(channel, targets, srcs, words):
+            rank = channel.comm.rank
+            seen = shipped.setdefault(rank, np.zeros(graph.n, dtype=np.uint64))
+            carried = np.asarray(words, dtype=np.uint64)[srcs - channel.ranges[rank].lo]
+            assert np.all(carried & ~seen[targets]), f"rank {rank} re-ships shipped lanes"
+            np.bitwise_or.at(seen, targets, carried)
+            return pack_runs(channel, targets, srcs, words)
+
+        monkeypatch.setattr(CommChannel, "pack_runs", recording)
+        sources = batch64[:width]
+        res = run_query(graph, sources=sources, nprocs=nprocs, machine="hopper")
+        assert sorted(shipped) == list(range(nprocs))
+        assert sum(c.counters.get("sieve_dropped", 0) for c in res.stats.clocks) > 0
+        internal = np.asarray(graph.to_internal(np.array(sources)), dtype=np.int64)
+        levels, parents = msbfs_serial(graph.csr, internal)
+        for b in range(width):
+            assert np.array_equal(res.levels[:, b], graph.relabel_level_array(levels[:, b]))
+            assert np.array_equal(res.parents[:, b], graph.relabel_vertex_array(parents[:, b]))
 
 
 class TestRunWireVolume:

@@ -2,27 +2,27 @@
 
 Every file under ``benchmarks/`` regenerates one paper artifact: it runs
 the corresponding experiment through pytest-benchmark (one timed round —
-the experiments are deterministic), prints the reproduced table, writes it
-to ``results/<exp_id>.txt``, and asserts the paper's qualitative *shape*
-(orderings, crossovers, ratios).
+the experiments are deterministic), prints the reproduced table, saves it
+as ``<exp_id>.txt`` in the test's temporary directory, and asserts the
+paper's qualitative *shape* (orderings, crossovers, ratios).  The suite
+leaves ``results/`` alone: ``python -m repro <exp_id> -o results/`` is
+the one way to regenerate a committed table.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import run_experiment
 from repro.bench.report import Table
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
 
 @pytest.fixture
-def reproduce(benchmark):
-    """Run one experiment under the benchmark timer and persist its table."""
+def reproduce(benchmark, tmp_path):
+    """Run one experiment under the benchmark timer and save its table
+    in the test's temporary directory."""
 
     def _run(exp_id: str, quick: bool = False) -> Table:
         table = benchmark.pedantic(
@@ -31,7 +31,7 @@ def reproduce(benchmark):
         )
         print()
         print(table.render())
-        table.save(RESULTS_DIR, exp_id)
+        table.save(tmp_path, exp_id)
         return table
 
     return _run

@@ -25,8 +25,6 @@ def test_dirop2d_wins_end_to_end(reproduce):
 def test_dirop2d_quick_point_holds_the_bar():
     # The CI smoke configuration (scale 12, p = 16) satisfies the same
     # bar the full sweep does, so the quick job is a faithful gate.
-    # Run directly (not via the reproduce fixture) so the committed
-    # results/abl-dirop2d.txt artifact keeps the full-scale table.
     from repro.bench.experiments import run_experiment
 
     table = run_experiment("abl-dirop2d", quick=True)

@@ -262,14 +262,14 @@ def _resolve_per_lane(rt, rs, fresh, levels, parents, level):
 def _pack_bucket_then_lexsort(channel, targets, sources, source_words):
     """The run pack as one destination at a time: stable bucket by
     owner, then per destination a two-key lexsort and ``np.unique`` for
-    the runs."""
+    the runs, and the destination's target frame on its own."""
     mine = channel.ranges[channel.comm.rank]
     owners = np.searchsorted(channel._bounds, targets, side="right") - 1
     buckets, _counts = kernels.bucket_by_owner(
         owners, channel.comm.size, targets, sources
     )
     send = []
-    for t, s in buckets:
+    for (t, s), rng in zip(buckets, channel.ranges):
         if t.size == 0:
             send.append(np.empty(0, dtype=np.int64))
             continue
@@ -277,8 +277,9 @@ def _pack_bucket_then_lexsort(channel, targets, sources, source_words):
         run_sources, lengths = np.unique(s[order], return_counts=True)
         frame = channel.codec.encode_pairs(run_sources, lengths.astype(np.int64), mine)
         words = source_words[run_sources - mine.lo].view(np.int64)
+        (targets_frame,) = channel.codec.encode_runs_many(t[order], lengths, [t.size], [rng])
         send.append(
-            np.concatenate([np.array([frame.size], dtype=np.int64), frame, words, t[order]])
+            np.concatenate([np.array([frame.size], dtype=np.int64), frame, words, targets_frame])
         )
     return send
 

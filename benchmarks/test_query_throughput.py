@@ -29,9 +29,7 @@ def test_batch64_clears_the_8x_bar(reproduce):
 
 def test_quick_point_holds_the_bar():
     # The CI smoke configuration satisfies the same bar the full sweep
-    # does, so the quick job is a faithful gate.  Run directly (not via
-    # the reproduce fixture) so the committed results artifact keeps the
-    # full-scale table.
+    # does, so the quick job is a faithful gate.
     from repro.bench.experiments import run_experiment
 
     table = run_experiment("query-throughput", quick=True)
@@ -41,5 +39,7 @@ def test_quick_point_holds_the_bar():
     # (target, source, lane word) triple took: one target word, plus a
     # (source, length) pair and a lane word per (destination, source);
     # the lane sieve keeps a rank from re-shipping a lane it already
-    # shipped to a target, so few runs ship for one or two candidates.
-    assert rows[64]["a2a words/cand"] < 1.10, rows[64]
+    # shipped to a target, so few runs ship for one or two candidates,
+    # and a run longer than its destination range's bitmap ships as
+    # that bitmap, under one word per target.
+    assert rows[64]["a2a words/cand"] < 0.70, rows[64]

@@ -1138,8 +1138,10 @@ def query_throughput(quick: bool = False) -> Table:
         "a2a words/cand: alltoallv wire words per candidate the senders "
         "ship (self-addressed ones included); a candidate ships as a target "
         "word, and each (destination, source) run adds a (source, length) "
-        "pair and one lane word; the lane sieve ships no candidate whose "
-        "lanes its sender already shipped to that target"
+        "pair and one lane word; a run longer than its destination range's "
+        "bitmap ships as that bitmap instead of its targets; the lane sieve "
+        "ships no candidate whose lanes its sender already shipped to that "
+        "target"
     )
     return table
 

@@ -13,7 +13,11 @@ through it.  The channel
 * ships the batched query's candidates as *source runs*
   (:meth:`CommChannel.pack_runs`): every candidate of one (destination,
   source) shares one ``(source, run length)`` codec pair and one raw
-  lane word, followed by the run's targets,
+  lane word, followed by the run's targets — under raw, a run longer
+  than its destination range's bitmap ships as that bitmap, so raw run
+  frames are no pass-through: ``1 + 3R + sum(B if L > B else L)`` words
+  for ``R`` runs of ``L`` targets into a ``B = bitmap_words(nbits)``
+  word range, against the ``3R + K`` payload,
 * records both ``payload_words`` (logical, pre-codec) and ``wire_words``
   (post-codec) per collective kind and per BFS level on the rank's
   :class:`~repro.mpsim.stats.RankStats`,
@@ -27,7 +31,9 @@ through it.  The channel
 Under the default ``codec="raw"`` with the sieve off, the pair and
 gather sites are a strict pass-through: byte-identical buffers, zero additional compute
 charges, and the same charge ordering as the pre-channel call sites —
-the seed behaviour, bit for bit.
+the seed behaviour, bit for bit.  The run sites' bitmap runs are
+charged even under raw (streaming of the bitmap words plus one int op
+per target they carry, on each side): compression is never free.
 """
 
 from __future__ import annotations
@@ -38,7 +44,14 @@ from itertools import accumulate
 import numpy as np
 
 from repro import kernels
-from repro.comm.codecs import Codec, CodecError, VertexRange, _joined, get_codec
+from repro.comm.codecs import (
+    Codec,
+    CodecError,
+    VertexRange,
+    _joined,
+    get_codec,
+    raw_run_widths,
+)
 from repro.comm.sieve import Sieve
 from repro.core.frontier import bitmap_words
 from repro.obs.metrics import NULL_RANK_METRICS
@@ -153,6 +166,19 @@ class CommChannel:
             return
         self.charger.intops(_CODEC_OPS_PER_WORD * nitems)
         self.charger.stream(wire + nitems)
+
+    def _charge_bitmap_runs(self, lengths, counts, ranges) -> None:
+        """Charge the raw run frames' bitmap pack (or unpack): streaming
+        of the bitmap words plus one int op per target they carry.  A
+        transcoding codec's encode/decode charges already price every
+        payload word."""
+        if self.charger is None or self._transcoding:
+            return
+        widths = raw_run_widths(lengths, counts, ranges)
+        long = widths < lengths
+        if long.any():
+            self.charger.intops(float(lengths[long].sum()))
+            self.charger.stream(float(widths[long].sum()))
 
     def _off_rank_words(self, payload, send) -> tuple[float, float]:
         """(payload, wire) words of an all-to-all, self bucket excluded."""
@@ -278,13 +304,18 @@ class CommChannel:
           sender's range);
         * ``R`` raw lane words, one per run;
         * the codec's run frame of the ``K`` targets, grouped by run and
-          ascending within each run (:meth:`Codec.encode_runs_many`:
-          raw ships them as they are, delta-varint as each run's first
-          offset into the destination's range and its gaps);
+          strictly ascending within each run (:meth:`Codec.encode_runs_many`:
+          raw ships a run of ``L`` targets as they are, or — when ``L``
+          exceeds the ``B = bitmap_words(nbits)`` words of the
+          destination's range — as that range's bitmap; delta-varint as
+          each run's first offset into the destination's range and its
+          gaps);
 
-        so ``1 + 3R + K`` words under the raw codec.  One
-        :func:`kernels.source_runs` sort puts the candidates in that
-        order.  A source outside the sender's
+        so ``1 + 3R + sum(B if L > B else L)`` words under the raw
+        codec.  One :func:`kernels.source_runs` sort puts the candidates
+        in that order and ships a repeated ``(target, source)`` pair
+        once: it carries one lane word either way, and a bitmap cannot
+        carry it twice.  A source outside the sender's
         range or a target outside every range raises ``ValueError``.  The
         vertex-granular sieve would drop live updates — a target
         legitimately re-ships whenever a *new lane* reaches it — so run
@@ -292,8 +323,8 @@ class CommChannel:
         sieve is built into its prune
         (:func:`kernels.lane_prune_by_source`).
 
-        ``payload_words`` count ``3R + K`` per off-rank buffer, the raw
-        form without its header.
+        ``payload_words`` count ``3R + K`` per off-rank buffer, the
+        logical form without its header.
         """
         if self.sieve is not None:
             raise ValueError(
@@ -345,15 +376,16 @@ class CommChannel:
             self._charge_encode(
                 float(targets.size), 3.0 * run_sources.size + targets.size, wire
             )
+            self._charge_bitmap_runs(run_lengths, ntargets, self.ranges)
         info = ExchangeInfo(int(targets.size), payload, wire, 0, runs=int(run_sources.size))
         return send, info
 
     def _decode_runs(
         self, pieces: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Received run buffers (``pieces[r]`` from group rank ``r``),
         decoded at once into one ``(target, source, word)`` row per
-        candidate.
+        candidate, plus the run lengths that cut the rows.
 
         The pieces' pair frames are joined and take one codec call, and
         so do their target frames; each piece's lane words are cut from
@@ -404,8 +436,8 @@ class CommChannel:
         frames = [piece[at + r :] for at, (_s, piece), r in zip(tails, live, nruns)]
         frame_sizes = [frame.size for frame in frames]
         if lengths.size:
-            # A target takes at least one byte of its frame.
-            short, long, cap = int(lengths.min()), int(lengths.max()), 8 * max(frame_sizes)
+            # A target takes at least one bit of its frame.
+            short, long, cap = int(lengths.min()), int(lengths.max()), 64 * max(frame_sizes)
             if short < 1 or long > cap:
                 raise CodecError(
                     f"corrupt run buffer: run length {short if short < 1 else long} "
@@ -444,7 +476,7 @@ class CommChannel:
         records[:, 0] = sources
         records[:, 1] = run_words
         rows = np.repeat(records, lengths, axis=0)
-        return targets, rows[:, 0], rows[:, 1]
+        return targets, rows[:, 0], rows[:, 1], lengths
 
     def exchange_runs(
         self, send: list[np.ndarray], info: ExchangeInfo, level: int | None = None
@@ -456,8 +488,10 @@ class CommChannel:
         with self.obs.span("alltoallv", level=level, wire_words=info.wire_words):
             pieces = self.comm.alltoallv(send)
         with self.obs.span("decode", codec=self.codec.name):
-            rt, rs, rx = self._decode_runs(pieces)
+            rt, rs, rx, lengths = self._decode_runs(pieces)
             self._charge_decode(float(rt.size), float(sum(p.size for p in pieces)))
+            mine = self.ranges[self.comm.rank]
+            self._charge_bitmap_runs(lengths, [rt.size], [mine])
         return rt, rs, rx
 
     # -- frontier gathers (bottom-up expand, 2D expand) ---------------------

@@ -10,7 +10,9 @@ Two codec names reproduce that wire layer:
 * ``raw`` — the identity format: interleaved ``[v0, p0, v1, p1, ...]``
   int64 pairs, plain vertex lists, packed 64-bit frontier bitmaps.  Wire
   words equal payload words; this is the pre-existing behaviour and the
-  default.
+  default.  One exception: a batched query's source run of more targets
+  than its destination range's bitmap words ships as that bitmap, the
+  form the bottom-up expand ships a dense frontier in.
 * ``auto`` — per-buffer polyalgorithm: ships each buffer in its smallest
   form (raw ``2 x count`` words, delta-varint's exact encoded size or,
   for a vertex set with a known range, its presence bitmap) behind a
@@ -39,7 +41,8 @@ per-buffer call overhead.  ``encode_pairs`` / ``decode_pairs`` are the
 one-segment form of the same code.  The batched query's run exchange
 ships its targets — ascending runs, one segment per destination —
 through ``encode_runs_many`` / ``decode_runs_at`` the same way, the
-delta restarting at every run.
+delta restarting at every run; raw packs every run it ships as a bitmap
+in one pass, and unpacks them in one.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -279,6 +282,73 @@ def _undelta_runs(deltas: np.ndarray, lengths, ctx: VertexRange | None) -> np.nd
     return values
 
 
+def raw_run_widths(lengths, counts, ranges) -> np.ndarray:
+    """Each run's words in a raw run frame: ``min(L, B)`` for a run of
+    ``L`` targets whose segment's range is ``B = bitmap_words(nbits)``
+    words wide.
+
+    A run longer than its range's bitmap ships as the bitmap; shorter
+    runs and ties ship their targets.  Segment ``s`` holds the next
+    ``counts[s]`` values of the runs ``lengths``; an unknown range
+    (``None`` or empty) ships its runs' targets.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    unbounded = np.iinfo(np.int64).max
+    widths = [bitmap_words(r.nbits) if r is not None and r.nbits else unbounded for r in ranges]
+    if len(set(widths)) > 1:
+        seg = np.searchsorted(np.cumsum(counts), _run_starts(lengths), side="right")
+        return np.minimum(lengths, np.asarray(widths, dtype=np.int64)[seg])
+    return np.minimum(lengths, widths[0] if widths else unbounded)
+
+
+def _frame_words(lengths, widths, counts):
+    """Each segment's raw run frame size in words — its ``counts[s]``
+    values, less what its bitmap runs (``widths < lengths``) save — and
+    the bitmap runs' mask, first value positions and segments."""
+    long = widths < lengths
+    if not long.any():
+        return [int(count) for count in counts], long, None, None
+    first = _run_starts(lengths)[long]
+    seg = np.searchsorted(np.cumsum(counts), first, side="right")
+    saved = np.bincount(seg, weights=lengths[long] - widths[long], minlength=len(counts))
+    return (np.asarray(counts, dtype=np.int64) - saved.astype(np.int64)).tolist(), long, first, seg
+
+
+def _bitmap_layout(length, width, first):
+    """Where bitmap runs of ``length`` values and ``width`` words, with
+    first values at ``first``, sit: their values' positions among the
+    runs' values and their words' positions in the runs' frames."""
+    saved = length - width
+    return (
+        kernels.range_gather(first, length),
+        kernels.range_gather(first - (np.cumsum(saved) - saved), width),
+    )
+
+
+def _others(positions: np.ndarray, size: int) -> np.ndarray:
+    """A mask of the ``size`` positions not in ``positions``."""
+    mask = np.ones(size, dtype=bool)
+    mask[positions] = False
+    return mask
+
+
+def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
+    """The ``nwords``-word bitmap with the positions ``bits`` set, as
+    ``int64`` words: one ``packbits`` pass."""
+    grid = np.zeros(64 * nwords, dtype=bool)
+    grid[bits] = True
+    return np.packbits(grid, bitorder="little").view(np.int64)
+
+
+def _unpack_bits(words: np.ndarray) -> np.ndarray:
+    """The set bit positions of a bitmap's words, ascending: one
+    ``unpackbits`` over its non-zero bytes."""
+    octets = np.ascontiguousarray(words).view(np.uint8)
+    touched = np.flatnonzero(octets != 0)
+    found = np.flatnonzero(np.unpackbits(octets[touched], bitorder="little").view(bool))
+    return 8 * touched[found >> 3] + (found & 7)
+
+
 def _check_run_counts(found, counts) -> None:
     """Raise :class:`CodecError` unless every run frame held the values
     its runs need."""
@@ -330,8 +400,9 @@ class Codec:
     ``decode_pairs`` / ``decode_pairs_many``.
 
     The run exchange's targets ship through ``encode_runs_many`` /
-    ``decode_runs_at``: values cut into runs, each run ascending, so a
-    codec may delta-code them restarting at every run.
+    ``decode_runs_at``: values cut into runs, each run strictly
+    ascending, so a codec may delta-code them restarting at every run,
+    or ship a run as its range's bitmap.
     """
 
     name: str = "abstract"
@@ -392,9 +463,16 @@ class Codec:
     ) -> list[np.ndarray]:
         """Encode the runs of an exchange: segment ``s`` is the next
         ``counts[s]`` values, a whole number of the runs ``lengths``
-        (each at least 1), every run ascending inside ``ranges[s]``.
+        (each at least 1), every run strictly ascending inside
+        ``ranges[s]``.
 
-        Returns one frame per segment, empty for an empty segment.
+        Returns one frame per segment, empty for an empty segment.  The
+        raw frame of a segment whose range is ``B = bitmap_words(nbits)``
+        words wide is ``sum(B if L > B else L)`` words over its runs of
+        ``L`` values (:func:`raw_run_widths`): a run longer than the
+        range's bitmap ships as the bitmap, any other as its values.
+        The receiver reads which is which off the run lengths and its
+        own range.
         """
         raise NotImplementedError
 
@@ -462,12 +540,73 @@ class RawCodec(Codec):
         return targets, parents, [size // 2 for size in sizes]
 
     def encode_runs_many(self, values, lengths, counts, ranges=None):
+        # A run longer than its destination range's bitmap ships as the
+        # bitmap (:func:`raw_run_widths`); the receiver reads which runs
+        # do off their lengths and its own range, so no tag says so.
         values = np.asarray(values, dtype=np.int64)
-        return [values[lo : lo + n] for lo, n in zip(accumulate(counts, initial=0), counts)]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ranges = [None] * len(counts) if ranges is None else ranges
+        widths = raw_run_widths(lengths, counts, ranges)
+        sizes, long, first, seg = _frame_words(lengths, widths, counts)
+        if first is None:
+            return [values[lo : lo + n] for lo, n in zip(accumulate(counts, initial=0), counts)]
+        # Every bitmap run of the exchange is packed by one pass.
+        length, width = lengths[long], widths[long]
+        at_values, at_words = _bitmap_layout(length, width, first)
+        los = np.array([0 if r is None else r.lo for r in ranges], dtype=np.int64)[seg]
+        nbits = np.array([0 if r is None else r.nbits for r in ranges], dtype=np.int64)[seg]
+        offsets = values[at_values] - np.repeat(los, length)
+        if offsets.min() < 0 or (offsets >= np.repeat(nbits, length)).any():
+            raise ValueError("run targets out of their destination's range")
+        # Run k's bitmap starts at word sum(width[:k]) of one bitmap.
+        bits = offsets + np.repeat(64 * _run_starts(width), length)
+        if (bits[1:] <= bits[:-1]).any():
+            raise ValueError(
+                "bitmap runs must ascend strictly: a bitmap cannot carry a repeated target"
+            )
+        body = np.empty(sum(sizes), dtype=np.int64)
+        body[at_words] = _pack_bits(bits, at_words.size)
+        body[_others(at_words, body.size)] = values[_others(at_values, values.size)]
+        cuts = list(accumulate(sizes, initial=0))
+        return [body[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
-        _check_run_counts(sizes, counts)
-        return _cut(words, starts, sizes)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        widths = raw_run_widths(lengths, counts, [ctx] * len(counts))
+        want, long, first, _seg = _frame_words(lengths, widths, counts)
+        for got, need in zip(sizes, want):
+            if got != need:
+                raise CodecError(
+                    f"corrupt run buffer: a {got}-word raw run frame for runs "
+                    f"of {need} words"
+                )
+        body = _cut(words, starts, sizes)
+        if first is None:
+            return body
+        # Every bitmap run of the exchange is unpacked by one pass.
+        length, width = lengths[long], widths[long]
+        at_values, at_words = _bitmap_layout(length, width, first)
+        bitmaps = body[at_words]
+        found = kernels.popcount(bitmaps.view(np.uint64)).reshape(length.size, -1).sum(axis=1)
+        short = np.flatnonzero(found != length)
+        if short.size:
+            k = int(short[0])
+            raise CodecError(
+                f"corrupt run buffer: a bitmap run of {int(length[k])} "
+                f"targets sets {int(found[k])} bits"
+            )
+        # Run k's bitmap is bits [64 B k, 64 B (k + 1)) of the unpacked ones.
+        span = 64 * int(width[0])
+        offsets = _unpack_bits(bitmaps) - np.repeat(span * np.arange(length.size), length)
+        if int(offsets.max()) >= ctx.nbits:
+            raise CodecError(
+                f"corrupt run buffer: bitmap bit {int(offsets.max())} past the "
+                f"{ctx.nbits}-bit range"
+            )
+        values = np.empty(at_values.size + body.size - at_words.size, dtype=np.int64)
+        values[at_values] = offsets + np.int64(ctx.lo)
+        values[_others(at_values, values.size)] = body[_others(at_words, body.size)]
+        return values
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -732,15 +871,17 @@ class AutoCodec(Codec):
         return (*_concat_pairs(decoded), npairs)
 
     def encode_runs_many(self, values, lengths, counts, ranges=None):
-        # Run frames carry no tag: the receiver knows each frame's value
-        # count from its run lengths, and a frame is raw iff it is that
-        # many words — delta-varint ships only when it is smaller.
+        # Run frames carry no tag: the receiver knows each frame's raw
+        # size from its run lengths and its own range, and a frame is raw
+        # iff it is that many words — delta-varint ships only when it is
+        # smaller.
         values = np.asarray(values, dtype=np.int64)
-        frames = self._forms[self.RAW].encode_runs_many(values, lengths, counts)
-        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges or [None] * len(counts))
+        ranges = ranges or [None] * len(counts)
+        frames = self._forms[self.RAW].encode_runs_many(values, lengths, counts, ranges)
+        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges)
         varint = [
-            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < count
-            for n, count in zip(nbytes, counts)
+            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < frame.size
+            for n, frame in zip(nbytes, frames)
         ]
         if any(varint):
             stream = stream[np.repeat(varint, nbytes)]
@@ -753,11 +894,13 @@ class AutoCodec(Codec):
 
     def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
         raw, varint = self._forms
-        packed = [size < count for size, count in zip(sizes, counts)]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        widths = raw_run_widths(lengths, counts, [ctx] * len(counts))
+        raw_sizes = _frame_words(lengths, widths, counts)[0]
+        packed = [size < want for size, want in zip(sizes, raw_sizes)]
         if not any(packed):
             return raw.decode_runs_at(words, starts, sizes, lengths, counts, ctx)
         # Each form decodes its own frames, of its own runs, in one call.
-        lengths = np.asarray(lengths, dtype=np.int64)
         in_varint = np.repeat(packed, counts)
         run_in_varint = in_varint[_run_starts(lengths)]
         values = np.empty(in_varint.size, dtype=np.int64)

@@ -518,6 +518,19 @@ def lane_prune_by_source(
     return targets, sources, words[keep], sieved
 
 
+def _destination_slices(counts):
+    """The destination edges of grouped columns with per-destination
+    ``counts``, and each non-empty destination's ``(j, start, end)`` in
+    them as python ints."""
+    edges = np.concatenate([[0], np.cumsum(counts)])
+    slices = [
+        (j, int(at), int(end))
+        for j, (at, end) in enumerate(zip(edges[:-1], edges[1:]))
+        if end > at
+    ]
+    return edges, slices
+
+
 def source_runs(targets, sources, bounds):
     """Regroup (target, source) candidates into per-destination source
     runs: the msbfs wire's shipping order.
@@ -529,7 +542,9 @@ def source_runs(targets, sources, bounds):
     ``(targets, run_sources, run_lengths, run_counts, counts)``, all
     int64: the targets in (destination, source, target) order, each
     run's source and length in that order, and per destination its
-    number of runs and of targets.
+    number of runs and of targets.  A repeated (target, source) pair
+    ships once, so a run's targets ascend strictly — a set, as a
+    destination-range bitmap can carry it.
 
     One sort, on a (destination, source offset, target offset) key in
     the narrowest unsigned dtype that holds it — uint32 for R-MAT scale
@@ -559,13 +574,7 @@ def source_runs(targets, sources, bounds):
     else:
         dest = np.searchsorted(bounds, targets, side="right") - 1
         counts = np.bincount(dest, minlength=nbuckets)
-    edges = np.concatenate([[0], np.cumsum(counts)])
-    # Each destination's slice of the grouped columns, as python ints.
-    slices = [
-        (j, int(at), int(end))
-        for j, (at, end) in enumerate(zip(edges[:-1], edges[1:]))
-        if end > at
-    ]
+    edges, slices = _destination_slices(counts)
     starts = bounds[:-1]
     smin = int(sources.min())
     sbits = (int(sources.max()) - smin).bit_length()
@@ -586,6 +595,13 @@ def source_runs(targets, sources, bounds):
             key += base[dest]
         key = key.view(np.uint64).astype(dtype, copy=False)
         key.sort()
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            key = key[np.flatnonzero(np.concatenate([[True], ~repeat]))]
+            n = key.size
+            top = (key >> dtype(sbits + wbits)).astype(np.intp)
+            counts = np.bincount(top, minlength=nbuckets).astype(np.int64)
+            edges, slices = _destination_slices(counts)
         runs = key >> dtype(wbits)
         head = np.empty(n, dtype=bool)
         head[0] = True
@@ -602,6 +618,13 @@ def source_runs(targets, sources, bounds):
             dest = np.repeat(np.arange(nbuckets), counts)
         order = np.lexsort((targets, sources, dest))
         targets, sources = targets[order], sources[order]
+        repeat = (targets[1:] == targets[:-1]) & (sources[1:] == sources[:-1])
+        if repeat.any():
+            keep = np.flatnonzero(np.concatenate([[True], ~repeat]))
+            targets, sources = targets[keep], sources[keep]
+            n = targets.size
+            counts = np.bincount(dest[order][keep], minlength=nbuckets).astype(np.int64)
+            edges, slices = _destination_slices(counts)
         head = np.empty(n, dtype=bool)
         head[0] = True
         np.not_equal(sources[1:], sources[:-1], out=head[1:])

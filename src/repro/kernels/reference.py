@@ -257,7 +257,7 @@ def source_runs(targets, sources, bounds):
     def dest(t):
         return next(j for j in range(nbuckets) if bounds[j] <= t < bounds[j + 1])
 
-    rows = sorted((dest(t), s, t) for t, s in zip(targets, sources))
+    rows = sorted({(dest(t), s, t) for t, s in zip(targets, sources)})
     run_sources, run_lengths = [], []
     run_counts, counts = [0] * nbuckets, [0] * nbuckets
     last = None

@@ -20,8 +20,12 @@ sends to one destination shares that source's lane word, so a buffer
 ships each (destination, source) run once — its ``(source, run
 length)`` pair through the codec and its lane word raw — followed by the
 run's targets, through the codec too (delta-coded within each run under
-``auto``): ``1 + 3R + K`` raw words for ``R`` runs and ``K``
-candidates, against ``1 + 3K`` with the word on every candidate.  The
+``auto``).  Raw ships a run of ``L`` targets as they are, or, when ``L``
+exceeds the ``B = bitmap_words(nbits)`` words of the destination's
+range, as that range's bitmap (Lv et al.'s bitmap form for dense
+levels): ``1 + 3R + sum(B if L > B else L)`` raw words for ``R`` runs
+of ``K`` candidates, against ``1 + 3K`` with the word on every
+candidate.  The
 sender-side *lane-dominance prune*
 (:func:`prune_lane_candidates`) plays the role of the 1D dedup: a
 candidate ships only if it is the maximum-source contributor for at

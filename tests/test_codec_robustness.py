@@ -304,8 +304,8 @@ def _decode_run_piece(codec, piece, sender, receiver):
             f"words follow the pair frame"
         )
     words, target_frame = rest[: sources.size], rest[sources.size :]
-    # A target takes at least one byte of the target frame.
-    cap = 8 * target_frame.size
+    # A target takes at least one bit of the target frame.
+    cap = 64 * target_frame.size
     for length in lengths.tolist():
         if not 1 <= length <= cap:
             bad = int(lengths.min()) if lengths.min() < 1 else int(lengths.max())
@@ -321,7 +321,7 @@ def _decode_run_piece(codec, piece, sender, receiver):
     lo, hi = receiver.lo, receiver.lo + receiver.nbits
     if ((targets < lo) | (targets >= hi)).any():
         raise CodecError(f"corrupt run buffer: target outside [{lo}, {hi})")
-    return targets, np.repeat(sources, lengths), np.repeat(words, lengths)
+    return targets, np.repeat(sources, lengths), np.repeat(words, lengths), lengths
 
 
 def _run_buffer(codec, receiver, sources, lengths, words, targets, target_runs=None):
@@ -414,8 +414,9 @@ class TestJoinedRunDecode:
         elif how == "zero-run-length":
             piece = _run_buffer(codec, mine, [70, 75], [0, 2], [1, 2], [80, 90], [1, 1])
         elif how == "lengths-short-of-targets":
-            # Sixteen targets, so even ``auto`` delta-codes them and its
-            # frame is not mistaken for fifteen raw words.
+            # Sixteen targets: delta-varint's header counts them; raw (and
+            # ``auto``, whose raw frame is smaller) ships the run of 15 as
+            # one bitmap word, which the claimed run of 14 finds too full.
             piece = _run_buffer(
                 codec, mine, [70, 75], [1, 14], [1, 2], np.arange(80, 96), [1, 15]
             )
@@ -444,6 +445,10 @@ class TestJoinedRunDecode:
         "source-past-sender": "source outside the sender's range [64, 128)",
         "target-outside-receiver": "target outside [64, 128)",
     }
+    #: What the frames that ship bitmap runs call it instead.
+    NAMED_BITMAP = {
+        "lengths-short-of-targets": "a bitmap run of 14 targets sets 15 bits",
+    }
 
     def test_damaged_piece_names_its_condition(self, codec_name):
         mine = self.RANGES[self.RECEIVER]
@@ -458,8 +463,11 @@ class TestJoinedRunDecode:
                 channel._decode_runs(pieces)
             assert str(got.value) == str(want.value), how
             assert str(got.value).startswith("corrupt "), how
-            if how in self.NAMED:
-                assert self.NAMED[how] in str(got.value), how
+            named = dict(self.NAMED)
+            if codec_name != "delta-varint":
+                named.update(self.NAMED_BITMAP)
+            if how in named:
+                assert named[how] in str(got.value), how
 
     def test_first_damaged_piece_is_the_one_named(self, codec_name):
         """Two damaged pieces: the error is the earlier one's, as when
@@ -502,6 +510,78 @@ class TestJoinedRunDecode:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert got[0].size == sum(self.COUNTS)
+
+
+@pytest.mark.parametrize("codec_name", ["raw", "auto"])
+class TestBitmapRunDamage:
+    """Damage to a run that ships as its destination range's bitmap.
+
+    The receiver owns 100 vertices, so its bitmap is ``B = 2`` words
+    and bits 100-127 of it lie past the range.  Source 3's run of 40
+    targets ships as the bitmap, source 5's single target as itself,
+    under ``auto`` too (3 raw words against a longer delta-varint frame).
+    """
+
+    RANGES = [VertexRange(0, 64), VertexRange(64, 100)]
+    #: Source 3's targets: every other vertex of the receiver's first 80.
+    LONG = np.arange(64, 144, 2)
+
+    def _piece(self, codec_name, long=LONG):
+        comm = SimpleNamespace(size=2, rank=0)
+        channel = CommChannel(comm, self.RANGES, codec=codec_name)
+        targets = np.concatenate([long, [70]]).astype(np.int64)
+        sources = np.array([3] * len(long) + [5], dtype=np.int64)
+        words = np.arange(64, dtype=np.uint64)
+        send, _info = channel.pack_runs(targets, sources, words)
+        piece = send[1]
+        codec = channel.codec
+        at = _target_frame_at(codec, piece)
+        assert piece.size - at == 3  # two bitmap words and one target
+        receiver = CommChannel(SimpleNamespace(size=2, rank=1), self.RANGES, codec=codec_name)
+        return receiver, codec, piece, at
+
+    def _raises_corrupt(self, receiver, codec, piece):
+        with pytest.raises(CodecError) as want:
+            _decode_run_piece(codec, piece, *self.RANGES)
+        with pytest.raises(CodecError) as got:
+            receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("corrupt ")
+        return str(got.value)
+
+    def test_undamaged_bitmap_run_decodes(self, codec_name):
+        receiver, _codec, piece, _at = self._piece(codec_name)
+        rt, rs, _rx, lengths = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
+        assert rt.tolist() == self.LONG.tolist() + [70]
+        assert rs.tolist() == [3] * 40 + [5] and lengths.tolist() == [40, 1]
+
+    def test_popcount_short_of_the_run_length(self, codec_name):
+        receiver, codec, piece, at = self._piece(codec_name)
+        piece[at] &= ~np.int64(1)  # vertex 64, the run's first target
+        assert "a bitmap run of 40 targets sets 39 bits" in self._raises_corrupt(
+            receiver, codec, piece
+        )
+
+    def test_bit_at_or_past_the_range_end(self, codec_name):
+        receiver, codec, piece, at = self._piece(codec_name)
+        piece[at] &= ~np.int64(1)
+        piece[at + 1] |= np.int64(1) << np.int64(100 - 64)  # bit 100: one past the range
+        assert "bitmap bit 100 past the 100-bit range" in self._raises_corrupt(
+            receiver, codec, piece
+        )
+
+    def test_frame_one_word_short(self, codec_name):
+        receiver, codec, piece, _at = self._piece(codec_name)
+        self._raises_corrupt(receiver, codec, piece[:-1])
+
+    def test_a_run_past_the_old_byte_cap_decodes(self, codec_name):
+        """A run of all 100 vertices in a 3-word frame: past the 24
+        targets the old one-byte-per-target cap allowed, within the 192
+        one bit per target allows."""
+        everything = np.arange(64, 164)
+        receiver, _codec, piece, _at = self._piece(codec_name, everything)
+        rt, _rs, _rx, lengths = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
+        assert rt.tolist() == everything.tolist() + [70] and lengths.tolist() == [100, 1]
 
 
 class TestCorruptPieces:

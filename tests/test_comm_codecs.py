@@ -32,7 +32,7 @@ from repro.comm import (
     get_codec,
 )
 from repro.comm.codecs import bytes_to_words, words_to_bytes
-from repro.core.frontier import dedup_candidates, pack_frontier_bitmap
+from repro.core.frontier import bitmap_words, dedup_candidates, pack_frontier_bitmap
 
 from tests.conftest import CODEC_FORMS
 
@@ -518,6 +518,108 @@ class TestDamagedBatches:
                 batch[position] = piece[:-1]
                 with pytest.raises(CodecError, match="odd word count"):
                     codec.decode_pairs_many(batch, DAMAGE_CTX)
+
+
+def _per_run_frame(name, runs, ctx):
+    """One segment's run frame written out a run at a time: raw ships a
+    run of more targets than the ``B = bitmap_words(nbits)`` words of
+    the range as the range's bitmap and any other run as its targets;
+    ``auto`` ships the raw frame unless delta-varint's is smaller."""
+    width = bitmap_words(ctx.nbits)
+    raw = np.concatenate(
+        [
+            pack_frontier_bitmap(run, ctx.lo, ctx.nbits).view(np.int64)
+            if len(run) > width
+            else np.asarray(run, dtype=np.int64)
+            for run in runs
+        ]
+    )
+    if name == "raw":
+        return raw
+    values = np.concatenate(runs).astype(np.int64)
+    lengths = [len(run) for run in runs]
+    (varint,) = DeltaVarintCodec().encode_runs_many(values, lengths, [values.size], [ctx])
+    return varint if varint.size < raw.size else raw
+
+
+class TestRunFrames:
+    """Target run frames around the bitmap width ``B``: runs of ``B - 1``,
+    ``B``, ``B + 1`` and ``nbits`` targets over ranges whose ``nbits``
+    is not a multiple of 64 (``B`` = 3 and 2)."""
+
+    RANGES = [VertexRange(1000, 150), VertexRange(1150, 70)]
+
+    def _runs(self, seed):
+        rng = np.random.default_rng(seed)
+        segments = []
+        for ctx in self.RANGES:
+            width = bitmap_words(ctx.nbits)
+            lengths = rng.permutation([width - 1, width, width + 1, ctx.nbits])
+            segments.append(
+                [ctx.lo + np.sort(rng.choice(ctx.nbits, n, replace=False)) for n in lengths]
+            )
+        return segments
+
+    @both_backends
+    @pytest.mark.parametrize("name", ["raw", "auto"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_against_the_per_run_frame(self, name, seed):
+        segments = self._runs(seed)
+        runs = [run for segment in segments for run in segment]
+        values = np.concatenate(runs).astype(np.int64)
+        lengths = np.array([len(run) for run in runs], dtype=np.int64)
+        counts = [sum(len(run) for run in segment) for segment in segments]
+        codec = CODEC_FORMS[name]()
+        frames = codec.encode_runs_many(values, lengths, counts, self.RANGES)
+        for frame, segment, ctx in zip(frames, segments, self.RANGES):
+            assert frame.dtype == np.int64
+            assert frame.tolist() == _per_run_frame(name, segment, ctx).tolist()
+            got = codec.decode_runs_at(
+                frame, [0], [frame.size], [len(run) for run in segment],
+                [sum(len(run) for run in segment)], ctx,
+            )
+            assert got.tolist() == np.concatenate(segment).tolist()
+        # A receiver decodes every frame addressed to it from one buffer.
+        first = segments[0]
+        (frame,) = codec.encode_runs_many(
+            np.concatenate(first), [len(run) for run in first], [counts[0]], self.RANGES[:1]
+        )
+        joined = np.concatenate([[7], frame, [7], frame])
+        got = codec.decode_runs_at(
+            joined, [1, 2 + frame.size], [frame.size] * 2,
+            [len(run) for run in first] * 2, [counts[0]] * 2, self.RANGES[0],
+        )
+        assert got.tolist() == 2 * np.concatenate(first).tolist()
+
+    def test_auto_ships_varint_only_below_the_raw_frame(self):
+        ctx = self.RANGES[0]
+        auto = AutoCodec()
+
+        def frame(values, lengths):
+            values = np.asarray(values, dtype=np.int64)
+            return auto.encode_runs_many(values, lengths, [values.size], [ctx])[0]
+
+        # Every vertex of the range in one run: delta-varint's 2 + 19
+        # words undercut the 150 targets, but not the 3-word bitmap.
+        every = np.arange(1000, 1150)
+        bitmap = pack_frontier_bitmap(every, ctx.lo, ctx.nbits).view(np.int64)
+        assert frame(every, [150]).tolist() == bitmap.tolist()
+        # Forty one-target runs: 40 raw words against 2 + 5.
+        sparse = frame(np.arange(1000, 1040), [1] * 40)
+        assert sparse.size == 7 and sparse[:2].tolist() == [40, 40]
+        # Three one-target runs: 3 raw words tie 2 + 1, and raw keeps it.
+        assert frame([1000, 1001, 1002], [1, 1, 1]).tolist() == [1000, 1001, 1002]
+
+    def test_raw_refuses_what_a_bitmap_cannot_carry(self):
+        ctx = VertexRange(0, 64)
+        raw = RawCodec()
+        with pytest.raises(ValueError, match="cannot carry a repeated target"):
+            raw.encode_runs_many(np.array([3, 3, 5], np.int64), [3], [3], [ctx])
+        with pytest.raises(ValueError, match="out of their destination's range"):
+            raw.encode_runs_many(np.array([3, 5, 64], np.int64), [3], [3], [ctx])
+        # Without a range, every run ships its targets.
+        values = np.array([3, 3, 5], np.int64)
+        assert raw.encode_runs_many(values, [3], [3])[0].tolist() == [3, 3, 5]
 
 
 class TestVarints:

@@ -97,10 +97,14 @@ def old_resolve_lane_winners(targets, sources, fresh, nlanes):
 
 
 def lexsort_source_runs(owners, nbuckets, targets, sources):
-    """The run regroup as three ``lexsort`` keys, the runs cut where the
-    (owner, source) pair changes."""
+    """The run regroup as three ``lexsort`` keys, a repeated (target,
+    source) row kept once, the runs cut where the (owner, source) pair
+    changes."""
     order = np.lexsort((targets, sources, owners))
     targets, sources, owners = targets[order], sources[order], owners[order]
+    fresh = np.ones(targets.size, dtype=bool)
+    fresh[1:] = (targets[1:] != targets[:-1]) | (sources[1:] != sources[:-1])
+    targets, sources, owners = targets[fresh], sources[fresh], owners[fresh]
     head = np.ones(targets.size, dtype=bool)
     head[1:] = (sources[1:] != sources[:-1]) | (owners[1:] != owners[:-1])
     heads = np.flatnonzero(head)

@@ -25,9 +25,10 @@ from repro import kernels
 from repro.comm import CommChannel, Sieve, VertexRange
 from repro.comm.codecs import bytes_to_words
 from repro.core import run_bfs
-from repro.core.frontier import dedup_candidates
+from repro.core.frontier import bitmap_words, dedup_candidates
 from repro.core.validate import count_lane_edges, count_traversed_edges, lane_words
 from repro.graphs import Graph
+from repro.graphs.csr import build_csr
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
 from repro.query import (
@@ -91,6 +92,37 @@ class TestBitParallelEquivalence:
         for b in range(width):
             assert np.array_equal(res.levels[:, b], graph.relabel_level_array(levels[:, b]))
             assert np.array_equal(res.parents[:, b], graph.relabel_vertex_array(parents[:, b]))
+
+    @pytest.mark.parametrize("codec", ["raw", "auto"])
+    def test_unpruned_multigraph_matches_the_oracle(self, graph, batch64, codec, monkeypatch):
+        """A non-canonical CSR (every edge twice) without the
+        prune: a source reaches a target twice, the pack ships the
+        repeated (target, source) pair once — it carries one lane word
+        either way, and a run that ships as a bitmap could not carry it
+        twice — and every lane still equals ``msbfs_serial``."""
+        csr = graph.csr
+        src = np.repeat(np.arange(csr.n), np.diff(csr.indptr))
+        twice = build_csr(
+            csr.n, np.tile(src, 2), np.tile(csr.indices, 2), symmetrize=False, dedup=False
+        )
+        multigraph = Graph(csr=twice, m_input=graph.m_input, directed=False)
+        assert not twice.is_canonical()
+        repeats = []
+        pack_runs = CommChannel.pack_runs
+
+        def recording(channel, targets, srcs, words):
+            send, info = pack_runs(channel, targets, srcs, words)
+            repeats.append(targets.size - info.pairs)
+            return send, info
+
+        monkeypatch.setattr(CommChannel, "pack_runs", recording)
+        sources = np.array(batch64[:5], dtype=np.int64)
+        res = run_query(
+            multigraph, sources=sources, nprocs=NPROCS, dedup_sends=False, codec=codec
+        )
+        assert sum(repeats) > 0
+        levels, parents = msbfs_serial(csr, sources)
+        assert np.array_equal(res.levels, levels) and np.array_equal(res.parents, parents)
 
     def test_serial_oracle_matches_per_source_bfs(self, graph, batch64):
         """``msbfs_serial`` (the validator's reference) is itself just a
@@ -201,31 +233,52 @@ class TestOnePassUpdate:
         assert wt.dtype == ws.dtype == np.int64
 
 
+def _raw_target_frame_spec(runs, rng):
+    """One destination's raw target frame, run by run: a run of more
+    targets than the ``bitmap_words(nbits)`` words of the destination's
+    range ships as that range's presence bitmap, any other run as its
+    targets."""
+    width = bitmap_words(rng.nbits)
+    frame = []
+    for run in runs:
+        if len(run) > width:
+            bitmap = [0] * width
+            for t in run:
+                bitmap[(t - rng.lo) // 64] |= 1 << ((t - rng.lo) % 64)
+            frame += [word - (1 << 64) if word >> 63 else word for word in bitmap]
+        else:
+            frame += run
+    return np.array(frame, dtype=np.int64)
+
+
 def _target_frame_spec(codec, runs, rng):
-    """One destination's target frame: raw ships the targets as they are;
-    delta-varint a ``[count, nbytes]`` header and the LEB128 bytes of each
-    run's first offset into the destination's range and its gaps; auto
-    the smaller of the two, raw on a tie (and no tag either way)."""
-    targets = np.array([t for run in runs for t in run], dtype=np.int64)
+    """One destination's target frame: raw ships each run as its targets
+    or its range's bitmap, whichever is smaller (the targets on a tie);
+    delta-varint a ``[count, nbytes]`` header and the LEB128 bytes of
+    each run's first offset into the destination's range and its gaps;
+    auto the smaller of raw and delta-varint, raw on a tie (and no tag
+    either way)."""
+    raw = _raw_target_frame_spec(runs, rng)
     if codec.name == "raw":
-        return targets
+        return raw
+    targets = [t for run in runs for t in run]
     gaps = [t - (rng.lo if i == 0 else run[i - 1]) for run in runs for i, t in enumerate(run)]
     stream = kernels.varint_encode(np.array(gaps, dtype=np.int64))
-    packed = np.concatenate([[targets.size, stream.size], bytes_to_words(stream)])
-    return targets if codec.name == "auto" and packed.size >= targets.size else packed
+    packed = np.concatenate([[len(targets), stream.size], bytes_to_words(stream)])
+    return raw if codec.name == "auto" and packed.size >= raw.size else packed
 
 
 def _pack_spec(channel, targets, sources, source_words):
     """The run layout, written out one destination at a time: the
-    destination's candidates grouped by source, sources ascending and
-    targets ascending within each group; then a header word, the codec's
-    ``(source, run length)`` frame, one lane word per run and the
-    codec's target frame."""
+    destination's distinct candidates grouped by source, sources
+    ascending and targets ascending within each group; then a header
+    word, the codec's ``(source, run length)`` frame, one lane word per
+    run and the codec's target frame."""
     mine = channel.ranges[channel.comm.rank]
     send = []
     for rng in channel.ranges:
         runs: dict[int, list[int]] = {}
-        for s, tgt in sorted(zip(sources.tolist(), targets.tolist())):
+        for s, tgt in sorted(set(zip(sources.tolist(), targets.tolist()))):
             if rng.lo <= tgt < rng.lo + rng.nbits:
                 runs.setdefault(s, []).append(tgt)
         if not runs:
@@ -251,21 +304,23 @@ def _pack_spec(channel, targets, sources, source_words):
 @st.composite
 def run_exchanges(draw):
     """Every sender's candidates of one exchange over ranges of uneven
-    sizes, some empty: sources in the sender's own range, repeated
-    (target, source) rows, in the lane prune's order or not, and lane
-    words with bit 63 set."""
+    sizes, some empty and some several bitmap words wide: sources in
+    the sender's own range (a few of them, so runs run long, or any),
+    repeated (target, source) rows, in the lane prune's order or not,
+    and lane words with bit 63 set."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nranks = draw(st.integers(1, 5))
-    sizes = rng.integers(0, 24, nranks)
+    sizes = rng.integers(0, draw(st.sampled_from([24, 200])), nranks)
+    spread = draw(st.sampled_from([3, None]))
     sizes[int(rng.integers(nranks))] += 1  # at least one vertex
     starts = 5 + np.concatenate([[0], np.cumsum(sizes)[:-1]])
     ranges = [VertexRange(int(lo), int(n)) for lo, n in zip(starts, sizes)]
     ordered = draw(st.booleans())
     senders = []
     for rng_r in ranges:
-        size = int(rng.integers(0, 60)) if rng_r.nbits else 0
+        size = int(rng.integers(0, 120)) if rng_r.nbits else 0
         targets = rng.integers(5, 5 + sizes.sum(), size)
-        sources = rng.integers(rng_r.lo, rng_r.lo + max(rng_r.nbits, 1), size)
+        sources = rng_r.lo + rng.integers(0, max(min(rng_r.nbits, spread or rng_r.nbits), 1), size)
         if size > 1:
             dup = rng.integers(0, size, size // 3 + 1)
             targets[dup[1:]], sources[dup[1:]] = targets[dup[:-1]], sources[dup[:-1]]
@@ -300,15 +355,20 @@ class TestRunWire:
             assert all(buf.dtype == np.int64 for buf in send)
             for given_col, kept in zip((targets, sources), columns):
                 assert np.array_equal(given_col, kept)
-            # Candidates and runs count every destination; the payload
-            # is the raw form of every off-rank buffer without its header.
+            # Candidates and runs count every destination, a repeated
+            # (target, source) row once; the payload is ``3R + K`` per
+            # off-rank buffer, whatever form its targets ship in.
             runs = [
                 np.unique(_owned(ranges, j, targets, sources)[1]).size
                 for j in range(len(ranges))
             ]
-            assert info.pairs == targets.size and info.runs == sum(runs)
+            distinct = set(zip(targets.tolist(), sources.tolist()))
+            assert info.pairs == len(distinct) and info.runs == sum(runs)
             off = [j for j in range(len(ranges)) if j != rank]
-            ks = [_owned(ranges, j, targets, sources)[0].size for j in off]
+            ks = [
+                len(set(zip(*(c.tolist() for c in _owned(ranges, j, targets, sources)))))
+                for j in off
+            ]
             assert info.payload_words == sum(3 * runs[j] + k for j, k in zip(off, ks))
             assert info.wire_words == sum(send[j].size for j in off)
 
@@ -316,15 +376,15 @@ class TestRunWire:
     @given(exchange=run_exchanges())
     def test_round_trip_rebuilds_every_row(self, exchange):
         """What each rank decodes is one ``(target, source, word)`` row
-        per candidate addressed to it: pieces in rank order, each in
-        (source, target) order."""
+        per distinct candidate addressed to it: pieces in rank order,
+        each in (source, target) order."""
         ranges, senders, codec = exchange
         sent = [
             _channel(ranges, rank, codec).pack_runs(*sender)[0]
             for rank, sender in enumerate(senders)
         ]
         for dst, rng_d in enumerate(ranges):
-            rt, rs, rx = _channel(ranges, dst, codec)._decode_runs(
+            rt, rs, rx, _lengths = _channel(ranges, dst, codec)._decode_runs(
                 [buffers[dst] for buffers in sent]
             )
             want = []
@@ -332,26 +392,79 @@ class TestRunWire:
                 t, s = _owned(ranges, dst, targets, sources)
                 lo = ranges[rank].lo
                 want += sorted(
-                    (int(si), int(ti), int(words[si - lo].view(np.int64)))
-                    for ti, si in zip(t.tolist(), s.tolist())
+                    {
+                        (int(si), int(ti), int(words[si - lo].view(np.int64)))
+                        for ti, si in zip(t.tolist(), s.tolist())
+                    }
                 )
             got = list(zip(rs.tolist(), rt.tolist(), rx.tolist()))
             assert got == want
             assert rt.dtype == rs.dtype == rx.dtype == np.int64
 
-    def test_raw_buffer_is_one_plus_three_words_per_run_plus_targets(self):
-        ranges = [VertexRange(0, 8), VertexRange(8, 8)]
+    def test_raw_buffer_ships_long_runs_as_range_bitmaps(self):
+        """``1 + 3R`` words plus, per run, its targets or — when it holds
+        more than the ``B = bitmap_words(nbits)`` words of its
+        destination's range — that range's bitmap.  Rank 1's 70-bit
+        range takes ``B = 2``: source 2's two targets tie and ship raw,
+        source 5's four ship as two bitmap words, bit 69 in the second.
+        The repeated (12, 5) row ships once."""
+        ranges = [VertexRange(0, 8), VertexRange(8, 70)]
         channel = _channel(ranges, 0, "raw")
         words = np.arange(8, dtype=np.uint64) + np.uint64(1 << 63)
-        targets = np.array([12, 9, 3, 12, 9, 15], dtype=np.int64)
-        sources = np.array([5, 5, 2, 2, 2, 5], dtype=np.int64)
+        targets = np.array([12, 9, 3, 12, 9, 15, 77, 12], dtype=np.int64)
+        sources = np.array([5, 5, 2, 2, 2, 5, 5, 5], dtype=np.int64)
         send, info = channel.pack_runs(targets, sources, words)
         w = words.view(np.int64)
         assert send[0].tolist() == [2, 2, 1, w[2], 3]
-        assert send[1].tolist() == [4, 2, 2, 5, 3, w[2], w[5], 9, 12, 9, 12, 15]
-        assert info.runs == 3 and info.pairs == 6
-        # Rank 0's own buffer stays off the books.
-        assert info.payload_words == info.wire_words - 1 == 3 * 2 + 5
+        bitmap = [(1 << 1) | (1 << 4) | (1 << 7), 1 << 5]
+        assert send[1].tolist() == [4, 2, 2, 5, 4, w[2], w[5], 9, 12, *bitmap]
+        assert info.runs == 3 and info.pairs == 7
+        # Rank 0's own buffer stays off the books; the payload is the
+        # logical ``3R + K``.
+        assert info.payload_words == 3 * 2 + 6
+        assert info.wire_words == send[1].size == 1 + 3 * 2 + 2 + 2
+        received = [send[1], np.empty(0, dtype=np.int64)]
+        rt, rs, rx, lengths = _channel(ranges, 1, "raw")._decode_runs(received)
+        assert rt.tolist() == [9, 12, 9, 12, 15, 77]
+        assert rs.tolist() == [2, 2, 5, 5, 5, 5] and lengths.tolist() == [2, 4]
+        assert rx.tolist() == [w[2]] * 2 + [w[5]] * 4
+
+    def test_raw_bitmap_runs_are_charged_on_both_sides(self):
+        """Packing and unpacking a bitmap run is charged even under raw:
+        streaming of its bitmap words and one int op per target it
+        carries.  Source 5's run of 4 targets into the 70-bit range is
+        the one bitmap run (2 words); source 2's tie ships raw, free."""
+        calls = []
+
+        class Recording:
+            def intops(self, ops, **counters):
+                calls.append(("intops", ops))
+
+            def stream(self, words, **counters):
+                calls.append(("stream", words))
+
+        ranges = [VertexRange(0, 8), VertexRange(8, 70)]
+        targets = np.array([12, 9, 12, 9, 15, 77], dtype=np.int64)
+        sources = np.array([5, 5, 2, 2, 5, 5], dtype=np.int64)
+        sender = CommChannel(
+            SimpleNamespace(size=2, rank=0), ranges, codec="raw", charger=Recording()
+        )
+        send, info = sender.pack_runs(targets, sources, np.arange(8, dtype=np.uint64))
+        assert calls == [("intops", 4.0), ("stream", 2.0)]
+        calls.clear()
+        comm = SimpleNamespace(
+            size=2, rank=1,
+            stats=SimpleNamespace(record_channel=lambda *args, **kwargs: None),
+            alltoallv=lambda buffers: [send[1], np.empty(0, dtype=np.int64)],
+        )
+        receiver = CommChannel(comm, ranges, codec="raw", charger=Recording())
+        rt, _rs, _rx = receiver.exchange_runs([send[0], send[1]], info, level=1)
+        assert rt.tolist() == [9, 12, 9, 12, 15, 77]
+        assert calls == [("intops", 4.0), ("stream", 2.0)]
+        # Runs no longer than their range's bitmap cost nothing extra.
+        calls.clear()
+        sender.pack_runs(targets[:1], sources[:1], np.arange(8, dtype=np.uint64))
+        assert calls == []
 
     def test_exchange_runs_through_the_collective(self):
         def fn(comm):
@@ -444,14 +557,14 @@ class TestRunWireVolume:
 
     def test_raw_batch_ships_one_plus_three_words_per_run_plus_targets(self, monkeypatch):
         """A raw 64-lane batch on 16 ranks: the alltoallv wire words are
-        ``1 + 3R + K`` summed over every off-rank non-empty buffer, ``R``
-        the distinct sources and ``K`` the candidates of the buffer, and
-        that is under 2.25 words per shipped candidate — a triple per
-        candidate shipped more than 3.  (At scale 10 a run holds under
-        three candidates; longer runs at scale 16 bring it to about 1.8.)"""
+        ``1 + 3R + sum(min(L, B))`` summed over every off-rank non-empty
+        buffer, ``R`` its runs, ``L`` a run's length and ``B`` the
+        bitmap words of the destination's range; some run ships as its
+        bitmap, and the wire is under 2.25 words per shipped candidate —
+        a triple per candidate shipped more than 3."""
         graph = rmat_graph(10)
         sources = graph.random_nonisolated_vertices(64, seed=1)
-        buffers = []  # (runs, candidates) per off-rank non-empty buffer
+        buffers = []  # (run lengths, bitmap words) per off-rank non-empty buffer
         pack_runs = CommChannel.pack_runs
 
         def recording(channel, targets, srcs, words):
@@ -459,7 +572,8 @@ class TestRunWireVolume:
                 if dst != channel.comm.rank:
                     t, s = _owned(channel.ranges, dst, targets, srcs)
                     if t.size:
-                        buffers.append((np.unique(s).size, t.size))
+                        _run_sources, lengths = np.unique(s, return_counts=True)
+                        buffers.append((lengths, bitmap_words(channel.ranges[dst].nbits)))
             return pack_runs(channel, targets, srcs, words)
 
         monkeypatch.setattr(CommChannel, "pack_runs", recording)
@@ -468,10 +582,14 @@ class TestRunWireVolume:
             machine="hopper", codec="raw", validate=True,
         )
         wire = result.stats.words_sent("alltoallv")
-        shipped = sum(k for _r, k in buffers)
+        shipped = sum(int(lengths.sum()) for lengths, _b in buffers)
+        raw_targets = sum(1 + 3 * lengths.size + int(lengths.sum()) for lengths, _b in buffers)
         assert shipped > 10_000
-        assert wire == sum(1 + 3 * r + k for r, k in buffers)
-        assert wire < 2.25 * shipped < 0.75 * sum(1 + 3 * k for _r, k in buffers)
+        assert wire == sum(
+            1 + 3 * lengths.size + int(np.minimum(lengths, b).sum()) for lengths, b in buffers
+        )
+        assert wire < raw_targets
+        assert wire < 2.25 * shipped < 0.75 * sum(1 + 3 * lengths.sum() for lengths, _b in buffers)
 
 
 class TestLanesAtOnceEdgeCount:

@@ -26,6 +26,7 @@ from repro.comm import (
     RawCodec,
     VertexRange,
 )
+from repro.comm.codecs import RunLayout
 from repro.core.frontier import build_send_buffers, dedup_candidates
 from repro.core.serial import bfs_serial
 from repro.core.validate import count_closed_lane_edges, count_lane_edges, lane_words
@@ -35,7 +36,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.permutation import apply_permutation, random_permutation
 from repro.graphs.rmat import GRAPH500_PARAMS, rmat_edges
 from repro.kernels import numpy_backend, reference
-from repro.query import lane_bit, msbfs_serial, prune_lane_candidates
+from repro.query import lane_bit, msbfs_serial
 from repro.query.msbfs import resolve_lane_winners
 from repro.sparse import BIT_OR, SPA
 from repro.sparse.dcsc import DCSC
@@ -217,7 +218,7 @@ def msbfs_level():
         lo, hi = part.range_of(rank)
         targets, sources = csr.gather(np.flatnonzero(fwords[lo:hi]) + lo)
         senders.append((targets, sources, fwords[sources]))
-    sent = [prune_lane_candidates(*triple, MSBFS_LANES) for triple in senders]
+    sent = [kernels.lane_prune(*triple, MSBFS_LANES) for triple in senders]
     triples = tuple(np.concatenate(column) for column in zip(*sent))
     return {
         "n": csr.n,
@@ -277,7 +278,8 @@ def _pack_bucket_then_lexsort(channel, targets, sources, source_words):
         run_sources, lengths = np.unique(s[order], return_counts=True)
         frame = channel.codec.encode_pairs(run_sources, lengths.astype(np.int64), mine)
         words = source_words[run_sources - mine.lo].view(np.int64)
-        (targets_frame,) = channel.codec.encode_runs_many(t[order], lengths, [t.size], [rng])
+        layout = RunLayout.build(lengths, [t.size], [rng])
+        (targets_frame,) = channel.codec.encode_runs_many(t[order], layout)
         send.append(
             np.concatenate([np.array([frame.size], dtype=np.int64), frame, words, targets_frame])
         )

@@ -14,10 +14,8 @@ through it.  The channel
   (:meth:`CommChannel.pack_runs`): every candidate of one (destination,
   source) shares one ``(source, run length)`` codec pair and one raw
   lane word, followed by the run's targets — under raw, a run longer
-  than its destination range's bitmap ships as that bitmap, so raw run
-  frames are no pass-through: ``1 + 3R + sum(B if L > B else L)`` words
-  for ``R`` runs of ``L`` targets into a ``B = bitmap_words(nbits)``
-  word range, against the ``3R + K`` payload,
+  than its destination range's bitmap ships as that bitmap, as each
+  side's one :class:`~repro.comm.codecs.RunLayout` per exchange says,
 * records both ``payload_words`` (logical, pre-codec) and ``wire_words``
   (post-codec) per collective kind and per BFS level on the rank's
   :class:`~repro.mpsim.stats.RankStats`,
@@ -47,10 +45,10 @@ from repro import kernels
 from repro.comm.codecs import (
     Codec,
     CodecError,
+    RunLayout,
     VertexRange,
     _joined,
     get_codec,
-    raw_run_widths,
 )
 from repro.comm.sieve import Sieve
 from repro.core.frontier import bitmap_words
@@ -167,18 +165,17 @@ class CommChannel:
         self.charger.intops(_CODEC_OPS_PER_WORD * nitems)
         self.charger.stream(wire + nitems)
 
-    def _charge_bitmap_runs(self, lengths, counts, ranges) -> None:
-        """Charge the raw run frames' bitmap pack (or unpack): streaming
-        of the bitmap words plus one int op per target they carry.  A
-        transcoding codec's encode/decode charges already price every
-        payload word."""
+    def _charge_bitmap_runs(self, layout: RunLayout) -> None:
+        """Charge the pack (or unpack) of the bitmap runs ``layout``
+        marks: streaming of their bitmap words plus one int op per
+        target they carry.  A transcoding codec's encode/decode charges
+        already price every payload word."""
         if self.charger is None or self._transcoding:
             return
-        widths = raw_run_widths(lengths, counts, ranges)
-        long = widths < lengths
+        long = layout.bitmap
         if long.any():
-            self.charger.intops(float(lengths[long].sum()))
-            self.charger.stream(float(widths[long].sum()))
+            self.charger.intops(float(layout.lengths[long].sum()))
+            self.charger.stream(float(layout.widths[long].sum()))
 
     def _off_rank_words(self, payload, send) -> tuple[float, float]:
         """(payload, wire) words of an all-to-all, self bucket excluded."""
@@ -312,15 +309,16 @@ class CommChannel:
           gaps);
 
         so ``1 + 3R + sum(B if L > B else L)`` words under the raw
-        codec.  One :func:`kernels.source_runs` sort puts the candidates
-        in that order and ships a repeated ``(target, source)`` pair
-        once: it carries one lane word either way, and a bitmap cannot
-        carry it twice.  A source outside the sender's
-        range or a target outside every range raises ``ValueError``.  The
-        vertex-granular sieve would drop live updates — a target
-        legitimately re-ships whenever a *new lane* reaches it — so run
-        sites refuse one outright; the batched query's lane-granular
-        sieve is built into its prune
+        codec, as the exchange's one :class:`RunLayout` decides for the
+        codec and the bitmap charge.  One :func:`kernels.source_runs`
+        sort puts the candidates in that order and ships a repeated
+        ``(target, source)`` pair once: it carries one lane word either
+        way, and a bitmap cannot carry it twice.  A source outside the
+        sender's range or a target outside every range raises
+        ``ValueError``.  The vertex-granular sieve would drop live
+        updates — a target legitimately re-ships whenever a *new lane*
+        reaches it — so run sites refuse one outright; the batched
+        query's lane-granular sieve is built into its prune
         (:func:`kernels.lane_prune_by_source`).
 
         ``payload_words`` count ``3R + K`` per off-rank buffer, the
@@ -350,10 +348,9 @@ class CommChannel:
             frames = self.codec.encode_pairs_many(
                 run_sources, run_lengths, run_counts, [mine] * self.comm.size
             )
-            nruns, ntargets = run_counts.tolist(), counts.tolist()
-            target_frames = self.codec.encode_runs_many(
-                targets, run_lengths, ntargets, self.ranges
-            )
+            nruns = run_counts.tolist()
+            layout = RunLayout.build(run_lengths, counts.tolist(), self.ranges)
+            target_frames = self.codec.encode_runs_many(targets, layout)
             run_words = source_words[run_sources - lo].view(np.int64)
             # Every buffer is a slice of one array, written field by field.
             sizes = [
@@ -376,16 +373,16 @@ class CommChannel:
             self._charge_encode(
                 float(targets.size), 3.0 * run_sources.size + targets.size, wire
             )
-            self._charge_bitmap_runs(run_lengths, ntargets, self.ranges)
+            self._charge_bitmap_runs(layout)
         info = ExchangeInfo(int(targets.size), payload, wire, 0, runs=int(run_sources.size))
         return send, info
 
     def _decode_runs(
         self, pieces: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RunLayout]:
         """Received run buffers (``pieces[r]`` from group rank ``r``),
         decoded at once into one ``(target, source, word)`` row per
-        candidate, plus the run lengths that cut the rows.
+        candidate, plus their target frames' :class:`RunLayout`.
 
         The pieces' pair frames are joined and take one codec call, and
         so do their target frames; each piece's lane words are cut from
@@ -457,13 +454,12 @@ class CommChannel:
                 f"[{bad.lo}, {bad.lo + bad.nbits})"
             )
         mine = self.ranges[self.comm.rank]
+        layout = RunLayout.build(lengths, ntargets, [mine] * len(live))
         targets = self.codec.decode_runs_at(
             np.concatenate(frames or [words[:0]]),
             list(accumulate(frame_sizes, initial=0))[:-1],
             frame_sizes,
-            lengths,
-            ntargets,
-            mine,
+            layout,
         )
         if targets.size and (
             targets.min() < mine.lo or targets.max() >= mine.lo + mine.nbits
@@ -476,7 +472,7 @@ class CommChannel:
         records[:, 0] = sources
         records[:, 1] = run_words
         rows = np.repeat(records, lengths, axis=0)
-        return targets, rows[:, 0], rows[:, 1], lengths
+        return targets, rows[:, 0], rows[:, 1], layout
 
     def exchange_runs(
         self, send: list[np.ndarray], info: ExchangeInfo, level: int | None = None
@@ -488,10 +484,9 @@ class CommChannel:
         with self.obs.span("alltoallv", level=level, wire_words=info.wire_words):
             pieces = self.comm.alltoallv(send)
         with self.obs.span("decode", codec=self.codec.name):
-            rt, rs, rx, lengths = self._decode_runs(pieces)
+            rt, rs, rx, layout = self._decode_runs(pieces)
             self._charge_decode(float(rt.size), float(sum(p.size for p in pieces)))
-            mine = self.ranges[self.comm.rank]
-            self._charge_bitmap_runs(lengths, [rt.size], [mine])
+            self._charge_bitmap_runs(layout)
         return rt, rs, rx
 
     # -- frontier gathers (bottom-up expand, 2D expand) ---------------------

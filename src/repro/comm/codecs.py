@@ -12,7 +12,7 @@ Two codec names reproduce that wire layer:
   words equal payload words; this is the pre-existing behaviour and the
   default.  One exception: a batched query's source run of more targets
   than its destination range's bitmap words ships as that bitmap, the
-  form the bottom-up expand ships a dense frontier in.
+  form the bottom-up expand ships a dense frontier in (:class:`RunLayout`).
 * ``auto`` — per-buffer polyalgorithm: ships each buffer in its smallest
   form (raw ``2 x count`` words, delta-varint's exact encoded size or,
   for a vertex set with a known range, its presence bitmap) behind a
@@ -41,8 +41,9 @@ per-buffer call overhead.  ``encode_pairs`` / ``decode_pairs`` are the
 one-segment form of the same code.  The batched query's run exchange
 ships its targets — ascending runs, one segment per destination —
 through ``encode_runs_many`` / ``decode_runs_at`` the same way, the
-delta restarting at every run; raw packs every run it ships as a bitmap
-in one pass, and unpacks them in one.
+delta restarting at every run; each side lays out its raw frames once
+(:class:`RunLayout`), and raw packs every bitmap run in one pass, and
+unpacks them in one.
 
 Every codec encodes the empty payload as the empty buffer, and all
 decoded (vertex, parent) multisets are identical to the input up to
@@ -243,13 +244,101 @@ def _varint_frames(stream, heads, nbytes) -> list[np.ndarray]:
     return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
+#: A run width past any run's length: the cap of a range with no bitmap.
+_UNBOUNDED = int(np.iinfo(np.int64).max)
+
+
 def _run_starts(lengths) -> np.ndarray:
     """Each run's first position in the values the runs ``lengths`` cut."""
     lengths = np.asarray(lengths, dtype=np.int64)
     return np.cumsum(lengths) - lengths
 
 
-def _run_varint_plan(values, lengths, counts, ranges):
+@dataclass(frozen=True, eq=False)
+class RunLayout:
+    """One side's raw run frames, decided once per exchange (:meth:`build`).
+
+    Segment ``s`` holds the next ``counts[s]`` values of the runs
+    ``lengths`` inside ``ranges[s]`` (``None``: unknown).  A run of ``L``
+    values into a range ``B = bitmap_words(nbits)`` words wide takes
+    ``widths = min(L, B)`` raw words: it ships as the range's bitmap iff
+    ``L > B`` (the mask ``bitmap``; ``first`` and ``seg`` hold those
+    runs' first value positions and segments), and segment ``s``'s raw
+    frame is its runs' widths back to back, ``sizes[s]`` words.  The
+    runs of an unknown or empty range ship their values.
+    """
+
+    lengths: np.ndarray
+    counts: list[int]
+    ranges: list[VertexRange | None]
+    widths: np.ndarray
+    bitmap: np.ndarray
+    sizes: list[int]
+    first: np.ndarray
+    seg: np.ndarray
+
+    @classmethod
+    def build(cls, lengths, counts, ranges=None) -> RunLayout:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ranges = [None] * len(counts) if ranges is None else list(ranges)
+        caps = [bitmap_words(r.nbits) if r is not None and r.nbits else _UNBOUNDED for r in ranges]
+        if len(set(caps)) > 1:
+            seg = np.searchsorted(np.cumsum(counts), _run_starts(lengths), side="right")
+            widths = np.minimum(lengths, np.array(caps)[seg])
+        else:
+            widths = np.minimum(lengths, caps[0] if caps else _UNBOUNDED)
+        bitmap = widths < lengths
+        if not bitmap.any():
+            return cls(lengths, counts, ranges, widths, bitmap, counts, lengths[:0], lengths[:0])
+        first = _run_starts(lengths)[bitmap]
+        seg = np.searchsorted(np.cumsum(counts), first, side="right")
+        saved = np.bincount(seg, weights=(lengths - widths)[bitmap], minlength=len(counts))
+        sizes = [count - int(n) for count, n in zip(counts, saved.tolist())]
+        return cls(lengths, counts, ranges, widths, bitmap, sizes, first, seg)
+
+    def take(self, segments: Sequence[int], runs: np.ndarray) -> RunLayout:
+        """The segments ``segments`` alone, their runs picked by the mask ``runs``."""
+        counts, ranges, sizes = (
+            [column[s] for s in segments] for column in (self.counts, self.ranges, self.sizes)
+        )
+        lengths, bitmap = self.lengths[runs], self.bitmap[runs]
+        first = _run_starts(lengths)[bitmap]
+        seg = np.searchsorted(np.cumsum(counts), first, side="right")
+        return RunLayout(lengths, counts, ranges, self.widths[runs], bitmap, sizes, first, seg)
+
+    def ranges_at(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The range start and width in bits (0 if unknown) of the
+        segment holding each of the value positions ``at``."""
+        return self._range_columns(np.searchsorted(np.cumsum(self.counts), at, side="right"))
+
+    def _range_columns(self, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        known = [(0, 0) if r is None else (r.lo, r.nbits) for r in self.ranges]
+        lo, nbits = np.array(known, dtype=np.int64).reshape(-1, 2).T
+        return lo[seg], nbits[seg]
+
+    def bitmap_runs(self):
+        """The bitmap runs' lengths and widths, their first values'
+        positions among the runs' values, their first words' in the raw
+        frames back to back, and their ranges' starts and bit widths."""
+        length, width = self.lengths[self.bitmap], self.widths[self.bitmap]
+        saved = length - width
+        at = self.first - (np.cumsum(saved) - saved)
+        return (length, width, self.first, at, *self._range_columns(self.seg))
+
+
+def _swap_runs(a, starts, skip, b, sizes) -> np.ndarray:
+    """``a`` with each stretch ``a[starts[k] : starts[k] + skip[k]]``
+    (ascending, disjoint) swapped for the next ``sizes[k]`` values of
+    ``b``: one ``concatenate`` of slices."""
+    keep, stop = [0] + (starts + skip).tolist(), starts.tolist() + [a.size]
+    cuts = list(accumulate(sizes.tolist(), initial=0))
+    pieces = [a[: stop[0]]]
+    for lo, hi, at, end in zip(cuts, cuts[1:], keep[1:], stop[1:]):
+        pieces += (b[lo:hi], a[at:end])
+    return np.concatenate(pieces)
+
+
+def _run_varint_plan(values, layout: RunLayout):
     """Encode a whole run exchange as delta-varint, once.
 
     Each run's first value ships as its offset from the segment's range
@@ -259,77 +348,25 @@ def _run_varint_plan(values, lengths, counts, ranges):
     read off the stream at its last value's terminal byte.
     """
     deltas = kernels.delta_encode(values)
-    starts = _run_starts(lengths)
+    starts = _run_starts(layout.lengths)
     if starts.size:
-        los = np.repeat([0 if r is None else r.lo for r in ranges], counts)
-        deltas[starts] = values[starts] - los[starts]
+        deltas[starts] = values[starts] - layout.ranges_at(starts)[0]
     stream = kernels.varint_encode(deltas)
     terminal = (stream < 0x80).nonzero()[0]
-    cuts = [0] + [int(terminal[end - 1]) + 1 if end else 0 for end in accumulate(counts)]
+    cuts = [0] + [int(terminal[end - 1]) + 1 if end else 0 for end in accumulate(layout.counts)]
     return stream, [hi - lo for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _undelta_runs(deltas: np.ndarray, lengths, ctx: VertexRange | None) -> np.ndarray:
-    """Inverse of :func:`_run_varint_plan`'s deltas: a running sum
-    restarting at every run (as :func:`_undelta_segments` restarts per
-    segment), plus the range start."""
-    starts = _run_starts(lengths)
+def _undelta_runs(deltas: np.ndarray, layout: RunLayout) -> np.ndarray:
+    """Inverse of :func:`_run_varint_plan`'s deltas: each run's range
+    start added back to its first delta, then a running sum restarting
+    at every run (as :func:`_undelta_segments` restarts per segment)."""
+    starts = _run_starts(layout.lengths)
+    if starts.size:
+        deltas[starts] += layout.ranges_at(starts)[0]
     if starts.size > 1:
         deltas[starts[1:]] -= np.add.reduceat(deltas, starts)[:-1]
-    values = kernels.delta_decode(deltas)
-    if ctx is not None and ctx.lo:
-        values += np.int64(ctx.lo)
-    return values
-
-
-def raw_run_widths(lengths, counts, ranges) -> np.ndarray:
-    """Each run's words in a raw run frame: ``min(L, B)`` for a run of
-    ``L`` targets whose segment's range is ``B = bitmap_words(nbits)``
-    words wide.
-
-    A run longer than its range's bitmap ships as the bitmap; shorter
-    runs and ties ship their targets.  Segment ``s`` holds the next
-    ``counts[s]`` values of the runs ``lengths``; an unknown range
-    (``None`` or empty) ships its runs' targets.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    unbounded = np.iinfo(np.int64).max
-    widths = [bitmap_words(r.nbits) if r is not None and r.nbits else unbounded for r in ranges]
-    if len(set(widths)) > 1:
-        seg = np.searchsorted(np.cumsum(counts), _run_starts(lengths), side="right")
-        return np.minimum(lengths, np.asarray(widths, dtype=np.int64)[seg])
-    return np.minimum(lengths, widths[0] if widths else unbounded)
-
-
-def _frame_words(lengths, widths, counts):
-    """Each segment's raw run frame size in words — its ``counts[s]``
-    values, less what its bitmap runs (``widths < lengths``) save — and
-    the bitmap runs' mask, first value positions and segments."""
-    long = widths < lengths
-    if not long.any():
-        return [int(count) for count in counts], long, None, None
-    first = _run_starts(lengths)[long]
-    seg = np.searchsorted(np.cumsum(counts), first, side="right")
-    saved = np.bincount(seg, weights=lengths[long] - widths[long], minlength=len(counts))
-    return (np.asarray(counts, dtype=np.int64) - saved.astype(np.int64)).tolist(), long, first, seg
-
-
-def _bitmap_layout(length, width, first):
-    """Where bitmap runs of ``length`` values and ``width`` words, with
-    first values at ``first``, sit: their values' positions among the
-    runs' values and their words' positions in the runs' frames."""
-    saved = length - width
-    return (
-        kernels.range_gather(first, length),
-        kernels.range_gather(first - (np.cumsum(saved) - saved), width),
-    )
-
-
-def _others(positions: np.ndarray, size: int) -> np.ndarray:
-    """A mask of the ``size`` positions not in ``positions``."""
-    mask = np.ones(size, dtype=bool)
-    mask[positions] = False
-    return mask
+    return kernels.delta_decode(deltas)
 
 
 def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
@@ -368,16 +405,6 @@ def bytes_to_words(stream: np.ndarray) -> np.ndarray:
     return padded.view(np.int64)
 
 
-def words_to_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
-    """Recover the first ``nbytes`` bytes of a word-packed stream."""
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    if nbytes < 0 or nbytes > 8 * words.size:
-        raise ValueError(
-            f"nbytes {nbytes} out of range for {words.size}-word buffer"
-        )
-    return words.view(np.uint8)[:nbytes]
-
-
 class Codec:
     """Wire-format interface: (vertex, parent) pairs and vertex sets.
 
@@ -402,7 +429,7 @@ class Codec:
     The run exchange's targets ship through ``encode_runs_many`` /
     ``decode_runs_at``: values cut into runs, each run strictly
     ascending, so a codec may delta-code them restarting at every run,
-    or ship a run as its range's bitmap.
+    or ship a run as its range's bitmap, as the :class:`RunLayout` says.
     """
 
     name: str = "abstract"
@@ -454,25 +481,13 @@ class Codec:
         decoded = [self.decode_pairs(words[at : at + n], ctx) for at, n in zip(starts, sizes)]
         return (*_concat_pairs(decoded), [t.size for t, _ in decoded])
 
-    def encode_runs_many(
-        self,
-        values: np.ndarray,
-        lengths: np.ndarray,
-        counts: Sequence[int],
-        ranges: Sequence[VertexRange | None] | None = None,
-    ) -> list[np.ndarray]:
+    def encode_runs_many(self, values: np.ndarray, layout: RunLayout) -> list[np.ndarray]:
         """Encode the runs of an exchange: segment ``s`` is the next
-        ``counts[s]`` values, a whole number of the runs ``lengths``
-        (each at least 1), every run strictly ascending inside
-        ``ranges[s]``.
-
-        Returns one frame per segment, empty for an empty segment.  The
-        raw frame of a segment whose range is ``B = bitmap_words(nbits)``
-        words wide is ``sum(B if L > B else L)`` words over its runs of
-        ``L`` values (:func:`raw_run_widths`): a run longer than the
-        range's bitmap ships as the bitmap, any other as its values.
-        The receiver reads which is which off the run lengths and its
-        own range.
+        ``layout.counts[s]`` values, a whole number of the runs
+        ``layout.lengths``, every run strictly ascending inside
+        ``layout.ranges[s]``.  Returns one frame per segment, empty for
+        an empty segment; a raw frame is ``layout.sizes[s]`` words, its
+        ``bitmap`` runs shipping as their range's bitmap.
         """
         raise NotImplementedError
 
@@ -481,15 +496,12 @@ class Codec:
         words: np.ndarray,
         starts: Sequence[int],
         sizes: Sequence[int],
-        lengths: np.ndarray,
-        counts: Sequence[int],
-        ctx: VertexRange | None = None,
+        layout: RunLayout,
     ) -> np.ndarray:
-        """Decode the run frames ``words[starts[f] : starts[f] +
-        sizes[f]]`` of one joined int64 buffer, frame ``f`` holding the
-        next ``counts[f]`` values of the runs ``lengths``, into their
-        values back to back (int64).  Raises :class:`CodecError` when a
-        frame does not hold exactly its ``counts[f]`` values.
+        """Decode the run frames ``words[starts[f] : starts[f] + sizes[f]]``
+        of one joined int64 buffer, frame ``f`` holding segment ``f`` of
+        ``layout``, into their values back to back (int64).  Raises
+        :class:`CodecError` when a frame does not hold exactly its values.
         """
         raise NotImplementedError
 
@@ -539,23 +551,16 @@ class RawCodec(Codec):
         _check_targets(targets, ctx, self.name)
         return targets, parents, [size // 2 for size in sizes]
 
-    def encode_runs_many(self, values, lengths, counts, ranges=None):
-        # A run longer than its destination range's bitmap ships as the
-        # bitmap (:func:`raw_run_widths`); the receiver reads which runs
-        # do off their lengths and its own range, so no tag says so.
+    def encode_runs_many(self, values, layout):
+        # The layout's bitmap runs ship as their range's bitmap; the
+        # receiver's layout says which runs do, so no tag says so.
         values = np.asarray(values, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        ranges = [None] * len(counts) if ranges is None else ranges
-        widths = raw_run_widths(lengths, counts, ranges)
-        sizes, long, first, seg = _frame_words(lengths, widths, counts)
-        if first is None:
-            return [values[lo : lo + n] for lo, n in zip(accumulate(counts, initial=0), counts)]
+        cuts = list(accumulate(layout.sizes, initial=0))
+        if not layout.bitmap.any():
+            return [values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         # Every bitmap run of the exchange is packed by one pass.
-        length, width = lengths[long], widths[long]
-        at_values, at_words = _bitmap_layout(length, width, first)
-        los = np.array([0 if r is None else r.lo for r in ranges], dtype=np.int64)[seg]
-        nbits = np.array([0 if r is None else r.nbits for r in ranges], dtype=np.int64)[seg]
-        offsets = values[at_values] - np.repeat(los, length)
+        length, width, first, at, los, nbits = layout.bitmap_runs()
+        offsets = values[kernels.range_gather(first, length)] - np.repeat(los, length)
         if offsets.min() < 0 or (offsets >= np.repeat(nbits, length)).any():
             raise ValueError("run targets out of their destination's range")
         # Run k's bitmap starts at word sum(width[:k]) of one bitmap.
@@ -564,30 +569,24 @@ class RawCodec(Codec):
             raise ValueError(
                 "bitmap runs must ascend strictly: a bitmap cannot carry a repeated target"
             )
-        body = np.empty(sum(sizes), dtype=np.int64)
-        body[at_words] = _pack_bits(bits, at_words.size)
-        body[_others(at_words, body.size)] = values[_others(at_values, values.size)]
-        cuts = list(accumulate(sizes, initial=0))
+        body = _swap_runs(values, first, length, _pack_bits(bits, int(width.sum())), width)
         return [body[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
-        lengths = np.asarray(lengths, dtype=np.int64)
-        widths = raw_run_widths(lengths, counts, [ctx] * len(counts))
-        want, long, first, _seg = _frame_words(lengths, widths, counts)
-        for got, need in zip(sizes, want):
+    def decode_runs_at(self, words, starts, sizes, layout):
+        for got, need in zip(sizes, layout.sizes):
             if got != need:
                 raise CodecError(
                     f"corrupt run buffer: a {got}-word raw run frame for runs "
                     f"of {need} words"
                 )
         body = _cut(words, starts, sizes)
-        if first is None:
+        if not layout.bitmap.any():
             return body
         # Every bitmap run of the exchange is unpacked by one pass.
-        length, width = lengths[long], widths[long]
-        at_values, at_words = _bitmap_layout(length, width, first)
-        bitmaps = body[at_words]
-        found = kernels.popcount(bitmaps.view(np.uint64)).reshape(length.size, -1).sum(axis=1)
+        length, width, _first, at, los, nbits = layout.bitmap_runs()
+        bitmaps = body[kernels.range_gather(at, width)]
+        base = _run_starts(width)
+        found = np.add.reduceat(kernels.popcount(bitmaps.view(np.uint64)), base)
         short = np.flatnonzero(found != length)
         if short.size:
             k = int(short[0])
@@ -595,18 +594,19 @@ class RawCodec(Codec):
                 f"corrupt run buffer: a bitmap run of {int(length[k])} "
                 f"targets sets {int(found[k])} bits"
             )
-        # Run k's bitmap is bits [64 B k, 64 B (k + 1)) of the unpacked ones.
-        span = 64 * int(width[0])
-        offsets = _unpack_bits(bitmaps) - np.repeat(span * np.arange(length.size), length)
-        if int(offsets.max()) >= ctx.nbits:
+        # Run k's bitmap is the unpacked bits from 64 * base[k] on, and
+        # its last value the highest.
+        bits = _unpack_bits(bitmaps)
+        base *= 64
+        last = bits[np.cumsum(length) - 1] - base
+        over = np.flatnonzero(last >= nbits)
+        if over.size:
+            k = int(over[np.argmax(last[over])])
             raise CodecError(
-                f"corrupt run buffer: bitmap bit {int(offsets.max())} past the "
-                f"{ctx.nbits}-bit range"
+                f"corrupt run buffer: bitmap bit {int(last[k])} past the "
+                f"{int(nbits[k])}-bit range"
             )
-        values = np.empty(at_values.size + body.size - at_words.size, dtype=np.int64)
-        values[at_values] = offsets + np.int64(ctx.lo)
-        values[_others(at_values, values.size)] = body[_others(at_words, body.size)]
-        return values
+        return _swap_runs(body, at, width, bits - np.repeat(base - los, length), length)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -720,14 +720,15 @@ class DeltaVarintCodec(Codec):
     def decode_pairs_many(self, pieces, ctx=None):
         return self.decode_pairs_at(*_joined(pieces), ctx)[:2]
 
-    def encode_runs_many(self, values, lengths, counts, ranges=None):
+    def encode_runs_many(self, values, layout):
         values = np.asarray(values, dtype=np.int64)
-        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges or [None] * len(counts))
-        heads = [(count, n) if count else () for count, n in zip(counts, nbytes)]
+        stream, nbytes = _run_varint_plan(values, layout)
+        heads = [(count, n) if count else () for count, n in zip(layout.counts, nbytes)]
         return _varint_frames(stream, heads, nbytes)
 
-    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
+    def decode_runs_at(self, words, starts, sizes, layout):
         # An empty frame holds no values; the others say how many.
+        counts = layout.counts
         _check_run_counts([count if size else 0 for size, count in zip(sizes, counts)], counts)
         framed = [(at, size, count) for at, size, count in zip(starts, sizes, counts) if size]
         if not framed:
@@ -735,7 +736,7 @@ class DeltaVarintCodec(Codec):
         at, size, want = zip(*framed)
         deltas, claimed = self._decode_frames(words, at, size, per_item=1)
         _check_run_counts(claimed, want)
-        return _undelta_runs(deltas, lengths, ctx)
+        return _undelta_runs(deltas, layout)
 
     def encode_set(self, vertices, ctx=None, dense=False):
         vertices = np.sort(np.asarray(vertices, dtype=np.int64))
@@ -870,50 +871,40 @@ class AutoCodec(Codec):
                 npairs += counts
         return (*_concat_pairs(decoded), npairs)
 
-    def encode_runs_many(self, values, lengths, counts, ranges=None):
-        # Run frames carry no tag: the receiver knows each frame's raw
-        # size from its run lengths and its own range, and a frame is raw
-        # iff it is that many words — delta-varint ships only when it is
-        # smaller.
+    def encode_runs_many(self, values, layout):
+        # Run frames carry no tag: the receiver's layout gives each
+        # frame's raw size, and a frame is raw iff it is that many words
+        # — delta-varint ships only when it is smaller.
         values = np.asarray(values, dtype=np.int64)
-        ranges = ranges or [None] * len(counts)
-        frames = self._forms[self.RAW].encode_runs_many(values, lengths, counts, ranges)
-        stream, nbytes = _run_varint_plan(values, lengths, counts, ranges)
+        frames = self._forms[self.RAW].encode_runs_many(values, layout)
+        stream, nbytes = _run_varint_plan(values, layout)
         varint = [
-            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < frame.size
-            for n, frame in zip(nbytes, frames)
+            DeltaVarintCodec.HEADER_WORDS + (n + 7) // 8 < size
+            for n, size in zip(nbytes, layout.sizes)
         ]
         if any(varint):
             stream = stream[np.repeat(varint, nbytes)]
             nbytes = [n if keep else 0 for n, keep in zip(nbytes, varint)]
-            heads = [(count, n) if keep else () for count, n, keep in zip(counts, nbytes, varint)]
+            heads = [(c, n) if keep else () for c, n, keep in zip(layout.counts, nbytes, varint)]
             for s, frame in enumerate(_varint_frames(stream, heads, nbytes)):
                 if varint[s]:
                     frames[s] = frame
         return frames
 
-    def decode_runs_at(self, words, starts, sizes, lengths, counts, ctx=None):
+    def decode_runs_at(self, words, starts, sizes, layout):
         raw, varint = self._forms
-        lengths = np.asarray(lengths, dtype=np.int64)
-        widths = raw_run_widths(lengths, counts, [ctx] * len(counts))
-        raw_sizes = _frame_words(lengths, widths, counts)[0]
-        packed = [size < want for size, want in zip(sizes, raw_sizes)]
+        packed = [size < want for size, want in zip(sizes, layout.sizes)]
         if not any(packed):
-            return raw.decode_runs_at(words, starts, sizes, lengths, counts, ctx)
+            return raw.decode_runs_at(words, starts, sizes, layout)
         # Each form decodes its own frames, of its own runs, in one call.
-        in_varint = np.repeat(packed, counts)
-        run_in_varint = in_varint[_run_starts(lengths)]
+        in_varint = np.repeat(packed, layout.counts)
+        run_in_varint = in_varint[_run_starts(layout.lengths)]
         values = np.empty(in_varint.size, dtype=np.int64)
         for form, is_varint in ((raw, False), (varint, True)):
             frames = [f for f, p in enumerate(packed) if p == is_varint]
-            values[in_varint == is_varint] = form.decode_runs_at(
-                words,
-                [starts[f] for f in frames],
-                [sizes[f] for f in frames],
-                lengths[run_in_varint == is_varint],
-                [counts[f] for f in frames],
-                ctx,
-            )
+            at, size = [starts[f] for f in frames], [sizes[f] for f in frames]
+            runs = layout.take(frames, run_in_varint == is_varint)
+            values[in_varint == is_varint] = form.decode_runs_at(words, at, size, runs)
         return values
 
     def encode_set(self, vertices, ctx=None, dense=False):

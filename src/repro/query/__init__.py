@@ -8,12 +8,7 @@ traversal engine.  :func:`run_query` is the driver entry point.
 """
 
 from repro.query.driver import QueryResult, run_query
-from repro.query.msbfs import (
-    WORD_LANES,
-    MSBFS1D,
-    lane_bit,
-    prune_lane_candidates,
-)
+from repro.query.msbfs import WORD_LANES, MSBFS1D, lane_bit
 from repro.query.serial import msbfs_serial
 
 __all__ = [
@@ -22,6 +17,5 @@ __all__ = [
     "QueryResult",
     "lane_bit",
     "msbfs_serial",
-    "prune_lane_candidates",
     "run_query",
 ]

@@ -25,12 +25,12 @@ exceeds the ``B = bitmap_words(nbits)`` words of the destination's
 range, as that range's bitmap (Lv et al.'s bitmap form for dense
 levels): ``1 + 3R + sum(B if L > B else L)`` raw words for ``R`` runs
 of ``K`` candidates, against ``1 + 3K`` with the word on every
-candidate.  The
-sender-side *lane-dominance prune*
-(:func:`prune_lane_candidates`) plays the role of the 1D dedup: a
-candidate ships only if it is the maximum-source contributor for at
-least one lane of its target, so at most 64 candidates per target
-survive and owner-side per-lane (select, max) results are unchanged.
+candidate.  The sender-side *lane-dominance prune*
+(:func:`repro.kernels.lane_prune_by_source`) plays the role of the 1D
+dedup: a candidate ships only if it is the maximum-source contributor
+for at least one lane of its target, so at most 64 candidates per
+target survive and owner-side per-lane (select, max) results are
+unchanged.
 
 The prune runs behind a *lane sieve*, Lv et al.'s sender-side sieve
 (:mod:`repro.comm.sieve`) taken one lane at a time: each rank keeps one
@@ -80,26 +80,6 @@ WORD_LANES = 64
 def lane_bit(b: int) -> np.uint64:
     """The lane mask of batched source ``b`` (numpy-safe uint64 shift)."""
     return np.uint64(1) << np.uint64(b)
-
-
-def prune_lane_candidates(
-    targets: np.ndarray, sources: np.ndarray, words: np.ndarray, nlanes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sender-side lane-dominance prune of ``(target, source, word)`` triples.
-
-    Keeps a candidate iff it is the maximum-source contributor of at
-    least one lane of its target — the winners of every lane's
-    (select, max) race survive, so the owner computes identical per-lane
-    parents from the pruned set, and at most ``nlanes`` candidates per
-    target remain (the batched analogue of the 1D ``dedup_sends``).
-    Survivors keep their full lane words: a loser bit riding along on a
-    winner is harmless because the lane's true winner is also present
-    and wins the owner-side reduction again.
-
-    Output is in (target asc, source asc) order; the pack regroups it
-    into source runs.
-    """
-    return kernels.lane_prune(targets, sources, words, nlanes)
 
 
 def resolve_lane_winners(

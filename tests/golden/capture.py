@@ -2,7 +2,8 @@
 
 Runs each distributed BFS family once with every cross-cutting concern
 enabled — wire codec, sender-side sieve, per-level trace profile and
-span tracer — and freezes the observable outputs as JSON:
+span tracer — and again on the default ``raw`` wire (the ``*-raw``
+fixtures), and freezes the observable outputs as JSON:
 
 * ``parents`` / ``levels`` in the caller's labels,
 * the machine-readable run report (config, modeled times, GTEPS,
@@ -88,6 +89,16 @@ for _algorithm in ("1d", "2d"):
         CRAWL,
         dict(CONFIGS[_algorithm], codec="auto"),
     )
+
+#: The default wire: the ``raw`` codec with the vertex sieve off, on the
+#: R-MAT graph (``2d``'s raw wire is pinned by ``benchmarks/BENCH_*.json``).
+#: ``msbfs-1d-raw`` ships some source runs as their destination range's
+#: bitmap.
+for _algorithm in ("1d", "1d-dirop", "2d-dirop", "msbfs-1d"):
+    _config = dict(CONFIGS[_algorithm], codec="raw")
+    if "sieve" in _config:
+        _config["sieve"] = False
+    FIXTURES[f"{_algorithm}-raw"] = (GRAPH, _config)
 
 
 def capture(name: str) -> dict:

@@ -28,6 +28,7 @@ from repro.comm.codecs import (
     AutoCodec,
     CodecError,
     DeltaVarintCodec,
+    RunLayout,
     VertexRange,
     bytes_to_words,
 )
@@ -316,7 +317,10 @@ def _decode_run_piece(codec, piece, sender, receiver):
             f"corrupt run buffer: source outside the sender's range [{lo}, {hi})"
         )
     targets = codec.decode_runs_at(
-        target_frame, [0], [target_frame.size], lengths, [int(lengths.sum())], receiver
+        target_frame,
+        [0],
+        [target_frame.size],
+        RunLayout.build(lengths, [int(lengths.sum())], [receiver]),
     )
     lo, hi = receiver.lo, receiver.lo + receiver.nbits
     if ((targets < lo) | (targets >= hi)).any():
@@ -331,7 +335,7 @@ def _run_buffer(codec, receiver, sources, lengths, words, targets, target_runs=N
     frame = codec.encode_pairs(np.asarray(sources), np.asarray(lengths))
     target_runs = lengths if target_runs is None else target_runs
     (target_frame,) = codec.encode_runs_many(
-        np.asarray(targets), np.asarray(target_runs), [len(targets)], [receiver]
+        np.asarray(targets), RunLayout.build(target_runs, [len(targets)], [receiver])
     )
     return np.concatenate(
         [[frame.size], frame, np.asarray(words), target_frame]
@@ -500,7 +504,8 @@ class TestJoinedRunDecode:
 
     def test_undamaged_pieces_decode_as_one_by_one(self, codec_name):
         channel, codec, pieces = self._pieces(codec_name)
-        got = channel._decode_runs(pieces)
+        *got, layout = channel._decode_runs(pieces)
+        got.append(layout.lengths)
         mine = self.RANGES[self.RECEIVER]
         decoded = [
             _decode_run_piece(codec, piece, sender, mine)
@@ -551,9 +556,9 @@ class TestBitmapRunDamage:
 
     def test_undamaged_bitmap_run_decodes(self, codec_name):
         receiver, _codec, piece, _at = self._piece(codec_name)
-        rt, rs, _rx, lengths = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
+        rt, rs, _rx, layout = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
         assert rt.tolist() == self.LONG.tolist() + [70]
-        assert rs.tolist() == [3] * 40 + [5] and lengths.tolist() == [40, 1]
+        assert rs.tolist() == [3] * 40 + [5] and layout.lengths.tolist() == [40, 1]
 
     def test_popcount_short_of_the_run_length(self, codec_name):
         receiver, codec, piece, at = self._piece(codec_name)
@@ -580,8 +585,8 @@ class TestBitmapRunDamage:
         one bit per target allows."""
         everything = np.arange(64, 164)
         receiver, _codec, piece, _at = self._piece(codec_name, everything)
-        rt, _rs, _rx, lengths = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
-        assert rt.tolist() == everything.tolist() + [70] and lengths.tolist() == [100, 1]
+        rt, _rs, _rx, layout = receiver._decode_runs([piece, np.empty(0, dtype=np.int64)])
+        assert rt.tolist() == everything.tolist() + [70] and layout.lengths.tolist() == [100, 1]
 
 
 class TestCorruptPieces:
@@ -632,8 +637,8 @@ def _damaging_codec(codec_name: str, site: str):
                 send[hit[0]] = hit[1]
             return send
 
-        def encode_runs_many(self, values, lengths, counts, ranges=None):
-            frames = list(super().encode_runs_many(values, lengths, counts, ranges))
+        def encode_runs_many(self, values, layout):
+            frames = list(super().encode_runs_many(values, layout))
             hit = corrupt_pieces(frames, "truncate") if site == "run-targets" else None
             if hit is not None:
                 frames[hit[0]] = hit[1]

@@ -31,7 +31,7 @@ from repro.comm import (
     VertexRange,
     get_codec,
 )
-from repro.comm.codecs import bytes_to_words, words_to_bytes
+from repro.comm.codecs import RunLayout, bytes_to_words
 from repro.core.frontier import bitmap_words, dedup_candidates, pack_frontier_bitmap
 
 from tests.conftest import CODEC_FORMS
@@ -272,7 +272,7 @@ def oracle_decode(name, wire, ctx):
     if name == "raw":
         return wire[0::2], wire[1::2]
     if name == "delta-varint":
-        seq = kernels.varint_decode(words_to_bytes(wire[2:], int(wire[1])))
+        seq = kernels.varint_decode(wire[2:].view(np.uint8)[: int(wire[1])])
         return np.cumsum(seq[0::2]), seq[1::2]
     return oracle_decode(ORACLE_TAGS[int(wire[0])], wire[1:], ctx)
 
@@ -538,7 +538,9 @@ def _per_run_frame(name, runs, ctx):
         return raw
     values = np.concatenate(runs).astype(np.int64)
     lengths = [len(run) for run in runs]
-    (varint,) = DeltaVarintCodec().encode_runs_many(values, lengths, [values.size], [ctx])
+    (varint,) = DeltaVarintCodec().encode_runs_many(
+        values, RunLayout.build(lengths, [values.size], [ctx])
+    )
     return varint if varint.size < raw.size else raw
 
 
@@ -570,24 +572,25 @@ class TestRunFrames:
         lengths = np.array([len(run) for run in runs], dtype=np.int64)
         counts = [sum(len(run) for run in segment) for segment in segments]
         codec = CODEC_FORMS[name]()
-        frames = codec.encode_runs_many(values, lengths, counts, self.RANGES)
+        frames = codec.encode_runs_many(values, RunLayout.build(lengths, counts, self.RANGES))
         for frame, segment, ctx in zip(frames, segments, self.RANGES):
             assert frame.dtype == np.int64
             assert frame.tolist() == _per_run_frame(name, segment, ctx).tolist()
-            got = codec.decode_runs_at(
-                frame, [0], [frame.size], [len(run) for run in segment],
-                [sum(len(run) for run in segment)], ctx,
+            layout = RunLayout.build(
+                [len(run) for run in segment], [sum(len(run) for run in segment)], [ctx]
             )
+            got = codec.decode_runs_at(frame, [0], [frame.size], layout)
             assert got.tolist() == np.concatenate(segment).tolist()
         # A receiver decodes every frame addressed to it from one buffer.
         first = segments[0]
+        lengths = [len(run) for run in first]
         (frame,) = codec.encode_runs_many(
-            np.concatenate(first), [len(run) for run in first], [counts[0]], self.RANGES[:1]
+            np.concatenate(first), RunLayout.build(lengths, [counts[0]], self.RANGES[:1])
         )
         joined = np.concatenate([[7], frame, [7], frame])
         got = codec.decode_runs_at(
             joined, [1, 2 + frame.size], [frame.size] * 2,
-            [len(run) for run in first] * 2, [counts[0]] * 2, self.RANGES[0],
+            RunLayout.build(lengths * 2, [counts[0]] * 2, self.RANGES[:1] * 2),
         )
         assert got.tolist() == 2 * np.concatenate(first).tolist()
 
@@ -597,7 +600,7 @@ class TestRunFrames:
 
         def frame(values, lengths):
             values = np.asarray(values, dtype=np.int64)
-            return auto.encode_runs_many(values, lengths, [values.size], [ctx])[0]
+            return auto.encode_runs_many(values, RunLayout.build(lengths, [values.size], [ctx]))[0]
 
         # Every vertex of the range in one run: delta-varint's 2 + 19
         # words undercut the 150 targets, but not the 3-word bitmap.
@@ -613,13 +616,14 @@ class TestRunFrames:
     def test_raw_refuses_what_a_bitmap_cannot_carry(self):
         ctx = VertexRange(0, 64)
         raw = RawCodec()
+        layout = RunLayout.build([3], [3], [ctx])
         with pytest.raises(ValueError, match="cannot carry a repeated target"):
-            raw.encode_runs_many(np.array([3, 3, 5], np.int64), [3], [3], [ctx])
+            raw.encode_runs_many(np.array([3, 3, 5], np.int64), layout)
         with pytest.raises(ValueError, match="out of their destination's range"):
-            raw.encode_runs_many(np.array([3, 5, 64], np.int64), [3], [3], [ctx])
+            raw.encode_runs_many(np.array([3, 5, 64], np.int64), layout)
         # Without a range, every run ships its targets.
         values = np.array([3, 3, 5], np.int64)
-        assert raw.encode_runs_many(values, [3], [3])[0].tolist() == [3, 3, 5]
+        assert raw.encode_runs_many(values, RunLayout.build([3], [3]))[0].tolist() == [3, 3, 5]
 
 
 class TestVarints:
@@ -657,13 +661,7 @@ class TestVarints:
         stream = np.frombuffer(raw, dtype=np.uint8)
         words = bytes_to_words(stream)
         assert words.size == (stream.size + 7) // 8
-        assert np.array_equal(words_to_bytes(words, stream.size), stream)
-
-    def test_words_to_bytes_range_checked(self):
-        words = bytes_to_words(np.arange(5, dtype=np.uint8))
-        for nbytes in (-1, 8 * words.size + 1):
-            with pytest.raises(ValueError, match="out of range"):
-                words_to_bytes(words, nbytes)
+        assert np.array_equal(words.view(np.uint8)[: stream.size], stream)
 
 
 class TestValidation:

@@ -2,9 +2,10 @@
 
 The fixtures under ``tests/golden/`` freeze each distributed family run
 with every cross-cutting concern on at once: wire codec, sender-side
-sieve, per-level trace profile and span tracer.  Their parents, levels,
-modeled times, comm volumes and spans are those of the hand-rolled
-per-algorithm level loops the engine replaced.  These tests re-run the
+sieve, per-level trace profile and span tracer; the ``*-raw`` fixtures
+freeze the default ``raw`` wire with the vertex sieve off.  Their
+parents, levels, modeled times, comm volumes and spans are those of the
+hand-rolled per-algorithm level loops the engine replaced.  These tests re-run the
 same configurations through :class:`repro.core.engine.TraversalEngine`
 and assert the observable outputs are **bit-identical** — parents and
 levels, the machine-readable run report (modeled times,
@@ -51,6 +52,17 @@ def committed(algorithm: str) -> dict:
     return json.loads((GOLDEN_DIR / f"{algorithm}.json").read_text())
 
 
+def test_raw_run_fixture_ships_bitmap_runs():
+    """The raw run fixture ships some runs as their range's bitmap.
+
+    A raw run buffer is ``1 + 3R + sum(min(L, B))`` words against a
+    ``3R + K`` payload, so its wire undercuts its payload only when runs
+    of ``L > B`` targets ship as ``B`` bitmap words.
+    """
+    comm = committed("msbfs-1d-raw")["report"]["comm"]
+    assert comm["words_by_kind"]["alltoallv"] < comm["payload_by_kind"]["alltoallv"]
+
+
 @pytest.mark.parametrize("algorithm", FAMILIES)
 class TestGoldenParity:
     def test_fixture_exercises_everything(self, algorithm):
@@ -59,9 +71,13 @@ class TestGoldenParity:
         hollow out the parity guarantee."""
         golden = committed(algorithm)
         config = golden["config"]
-        assert config["codec"] == ("auto" if "auto" in algorithm else "delta-varint")
+        raw = algorithm.endswith("-raw")
+        assert config["codec"] == (
+            "raw" if raw else "auto" if "auto" in algorithm else "delta-varint"
+        )
         if capture.ALGORITHMS[config["algorithm"]].kind == "bfs":
-            assert config["sieve"]
+            # The raw fixtures pin the default wire: vertex sieve off.
+            assert config["sieve"] != raw
         else:
             # Query kinds refuse the sieve structurally; the fixture must
             # omit it (not carry sieve=False) and batch several sources.

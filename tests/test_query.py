@@ -14,6 +14,7 @@ friendly config-time errors.
 
 from __future__ import annotations
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.comm import CommChannel, Sieve, VertexRange
-from repro.comm.codecs import bytes_to_words
+from repro.comm.codecs import RunLayout, bytes_to_words
 from repro.core import run_bfs
 from repro.core.frontier import bitmap_words, dedup_candidates
 from repro.core.validate import count_lane_edges, count_traversed_edges, lane_words
@@ -31,13 +32,7 @@ from repro.graphs import Graph
 from repro.graphs.csr import build_csr
 from repro.graphs.rmat import rmat_graph
 from repro.mpsim import run_spmd
-from repro.query import (
-    WORD_LANES,
-    lane_bit,
-    msbfs_serial,
-    prune_lane_candidates,
-    run_query,
-)
+from repro.query import WORD_LANES, lane_bit, msbfs_serial, run_query
 from repro.query.msbfs import resolve_lane_winners
 
 from tests.conftest import CODEC_FORMS, make_path_graph
@@ -154,7 +149,7 @@ class TestLaneDominancePrune:
         for trial in range(20):
             nlanes = int(rng.integers(1, 9))
             t, s, w = self._random_triples(rng, nlanes, int(rng.integers(1, 80)))
-            pt, ps, pw = prune_lane_candidates(t, s, w, nlanes)
+            pt, ps, pw = kernels.lane_prune(t, s, w, nlanes)
             # At most nlanes survivors per target.
             _, counts = np.unique(pt, return_counts=True)
             assert counts.max() <= nlanes
@@ -173,8 +168,8 @@ class TestLaneDominancePrune:
         rng = np.random.default_rng(3)
         t, s, w = self._random_triples(rng, 4, 50)
         perm = rng.permutation(t.size)
-        a = prune_lane_candidates(t, s, w, 4)
-        b = prune_lane_candidates(t[perm], s[perm], w[perm], 4)
+        a = kernels.lane_prune(t, s, w, 4)
+        b = kernels.lane_prune(t[perm], s[perm], w[perm], 4)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         pt, ps, _ = a
@@ -184,7 +179,7 @@ class TestLaneDominancePrune:
     def test_empty_input_passes_through(self):
         e = np.empty(0, dtype=np.int64)
         ew = np.empty(0, dtype=np.uint64)
-        pt, ps, pw = prune_lane_candidates(e, e, ew, 8)
+        pt, ps, pw = kernels.lane_prune(e, e, ew, 8)
         assert pt.size == ps.size == pw.size == 0
 
 
@@ -384,7 +379,7 @@ class TestRunWire:
             for rank, sender in enumerate(senders)
         ]
         for dst, rng_d in enumerate(ranges):
-            rt, rs, rx, _lengths = _channel(ranges, dst, codec)._decode_runs(
+            rt, rs, rx, _layout = _channel(ranges, dst, codec)._decode_runs(
                 [buffers[dst] for buffers in sent]
             )
             want = []
@@ -424,9 +419,9 @@ class TestRunWire:
         assert info.payload_words == 3 * 2 + 6
         assert info.wire_words == send[1].size == 1 + 3 * 2 + 2 + 2
         received = [send[1], np.empty(0, dtype=np.int64)]
-        rt, rs, rx, lengths = _channel(ranges, 1, "raw")._decode_runs(received)
+        rt, rs, rx, layout = _channel(ranges, 1, "raw")._decode_runs(received)
         assert rt.tolist() == [9, 12, 9, 12, 15, 77]
-        assert rs.tolist() == [2, 2, 5, 5, 5, 5] and lengths.tolist() == [2, 4]
+        assert rs.tolist() == [2, 2, 5, 5, 5, 5] and layout.lengths.tolist() == [2, 4]
         assert rx.tolist() == [w[2]] * 2 + [w[5]] * 4
 
     def test_raw_bitmap_runs_are_charged_on_both_sides(self):
@@ -465,6 +460,47 @@ class TestRunWire:
         calls.clear()
         sender.pack_runs(targets[:1], sources[:1], np.arange(8, dtype=np.uint64))
         assert calls == []
+
+    @pytest.mark.parametrize("codec", ["raw", "auto"])
+    def test_each_side_builds_the_run_layout_once(self, monkeypatch, codec):
+        """Each ``pack_runs`` and each ``exchange_runs`` of an
+        ``msbfs-1d`` batch builds its :class:`RunLayout` exactly once;
+        the codec and the bitmap charge read that one layout.  On the
+        scale-9 golden graph (4 ranks, 8 lanes) the raw senders ship 323
+        of 831 runs as their range's bitmap."""
+        # Ranks run on threads: each build goes to its own thread's call.
+        here = threading.local()
+        stray = []
+        build = RunLayout.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            layout = build(cls, *args, **kwargs)
+            getattr(here, "built", stray).append(layout)
+            return layout
+
+        monkeypatch.setattr(RunLayout, "build", classmethod(counting))
+        sides = {"pack_runs": [], "exchange_runs": []}
+        for name, calls in sides.items():
+
+            def wrapped(self, *args, _method=getattr(CommChannel, name), _calls=calls, **kw):
+                here.built = []
+                try:
+                    return _method(self, *args, **kw)
+                finally:
+                    _calls.append(here.built)
+                    del here.built
+
+            monkeypatch.setattr(CommChannel, name, wrapped)
+        graph = rmat_graph(scale=9, edgefactor=8, seed=5)
+        sources = graph.random_nonisolated_vertices(8, seed=3)
+        run_query(graph, sources=sources, algorithm="msbfs-1d", nprocs=4, codec=codec)
+        packs, exchanges = sides["pack_runs"], sides["exchange_runs"]
+        assert len(packs) == len(exchanges) > 4
+        assert [len(built) for built in packs + exchanges] == [1] * (2 * len(packs))
+        assert stray == []
+        sent = [built[0] for built in packs]
+        assert sum(int(layout.bitmap.sum()) for layout in sent) == 323
+        assert sum(layout.lengths.size for layout in sent) == 831
 
     def test_exchange_runs_through_the_collective(self):
         def fn(comm):
